@@ -4,8 +4,8 @@ An n-ary operation p is associative when the n slot compositions -- p with
 one argument replaced by a nested application of p, the nesting sliding
 across all n slots -- agree as polynomials in 2n-1 variables.  This module
 computes those compositions two independent ways: generic substitution on
-sparse polynomials, and a closed-form coefficient table for multilinear
-input.  The verdict carries a deterministic witness on failure.
+sparse polynomials, and for multilinear input a closed-form sum over pairs
+of terms.  The verdict carries a deterministic witness on failure.
 """
 
 from __future__ import annotations
@@ -43,6 +43,11 @@ class SlotWindows:
     def suffix_mask(self) -> int:
         total = (1 << (2 * self.n - 1)) - 1
         return total ^ self.prefix_mask ^ self.window_mask
+
+    def place(self, outer: int = 0, inner: int = 0) -> int:
+        """The composed mask of an outer mask (slot bit dropped) and an inner one."""
+        after = (outer >> self.slot) << (self.slot + self.n - 1)
+        return (outer & self.prefix_mask) | after | (inner << (self.slot - 1))
 
 
 @dataclass(frozen=True)
@@ -135,32 +140,23 @@ def compose_substitution(p: SparsePoly, slot: int) -> SparsePoly:
 
 
 def compose_closed_form(p: MultilinearPoly, slot: int) -> MultilinearPoly:
-    """The slot composition of multilinear p, by direct coefficient formula.
+    """The slot composition of multilinear p, summed over its support.
 
-    For a subset S of the 2n-1 composed variables, split S across the three
-    windows; the pass-through part (shifted back into 1..n) joined with the
-    slot index selects the outer coefficient, the window part (shifted to
-    1..n) the inner one.  When S misses the window entirely, the inner call
-    contributes only its constant term and the slot-free outer coefficient
-    is added.
+    An outer term containing x_slot times each inner term gives one product,
+    its remaining variables placed around the nested window; an outer term
+    without x_slot passes through as it is.  For t terms that is at most
+    t(t+1) contributions, whatever the arity.
     """
-    n = p.n
-    w = SlotWindows(n, slot)
-    prefix, window, suffix = w.prefix_mask, w.window_mask, w.suffix_mask
+    w = SlotWindows(p.n, slot)
     slot_bit = 1 << (slot - 1)
-    shift_in = slot - 1
-    shift_back = n - 1
+    zero, pass_through = p.ring.zero, [(0, p.ring.one)]
+    inners = [(w.place(inner=m), c) for m, c in p.coeffs.items()]
     coeffs: dict[int, object] = {}
-    for s in range(1 << (2 * n - 1)):
-        outer = (s & prefix) | ((s & suffix) >> shift_back)
-        inner = (s & window) >> shift_in
-        if s & window:
-            r = p.coeff(outer | slot_bit) * p.coeff(inner)
-        else:
-            r = p.coeff(outer | slot_bit) * p.coeff(0) + p.coeff(outer)
-        if r:
-            coeffs[s] = r
-    return MultilinearPoly(p.ring, 2 * n - 1, coeffs)
+    for outer, a in p.coeffs.items():
+        placed = w.place(outer)
+        for inner, b in inners if outer & slot_bit else pass_through:
+            coeffs[placed | inner] = coeffs.get(placed | inner, zero) + a * b
+    return MultilinearPoly(p.ring, 2 * p.n - 1, coeffs)
 
 
 def _colex_key(monomial: Monomial) -> tuple[int, ...]:
@@ -182,28 +178,17 @@ def _first_sparse_difference(
     return None
 
 
-def _first_mask_difference(
-    base: MultilinearPoly, other: MultilinearPoly, slot: int
-) -> CompositionWitness | None:
-    for mask in range(1 << base.n):
-        lhs = base.coeff(mask)
-        rhs = other.coeff(mask)
-        if lhs != rhs:
-            monomial = tuple((mask >> j) & 1 for j in range(base.n))
-            return CompositionWitness(slot, monomial, lhs, rhs)
-    return None
-
-
 def associative_multilinear(p: MultilinearPoly) -> AssocVerdict:
-    """Associativity for multilinear operations via the closed-form tables."""
+    """Associativity for multilinear operations via the closed-form sums."""
     n = p.n
     if n < 2:
         raise ValueError("arity must be at least 2")
     base = compose_closed_form(p, 1)
     slots = (2,) if p.is_symmetric() else range(2, n + 1)
     for i in slots:
-        witness = _first_mask_difference(base, compose_closed_form(p, i), i)
-        if witness is not None:
+        other = compose_closed_form(p, i)
+        if other.coeffs != base.coeffs:
+            witness = _first_sparse_difference(base.to_sparse(), other.to_sparse(), i)
             return AssocVerdict(False, witness)
     return AssocVerdict(True)
 
@@ -211,7 +196,7 @@ def associative_multilinear(p: MultilinearPoly) -> AssocVerdict:
 def is_associative(p: SparsePoly) -> AssocVerdict:
     """Decide associativity, with a deterministic failure witness.
 
-    Multilinear input goes through the closed-form coefficient tables, with
+    Multilinear input goes through the closed-form composition sums, with
     a shortcut for symmetric operations (the first two slot compositions
     agreeing already settles the symmetric case).  Anything with a squared
     variable is decided by full substitution expansion, so the verdict is

@@ -15,6 +15,7 @@ identical samples everywhere.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -314,7 +315,8 @@ def enumerate_associative(
     by (family, exact parameters).  ``cross_check`` additionally compares
     every individually-checked candidate against the pointwise grid oracle
     and records any disagreement; it requires ``prune=False`` so that every
-    candidate is actually visited.
+    candidate is actually visited.  ``jobs`` splits the box into that many
+    chunks, mapped over at most ``os.cpu_count()`` worker processes.
     """
     if n < 2:
         raise ValueError("arity must be at least 2")
@@ -337,7 +339,7 @@ def enumerate_associative(
     if len(args) > 1:
         from multiprocessing import Pool
 
-        with Pool(len(args)) as pool:
+        with Pool(min(len(args), os.cpu_count() or 1)) as pool:
             parts = pool.map(_enumerate_chunk, args)
     else:
         parts = [_enumerate_chunk(a) for a in args]

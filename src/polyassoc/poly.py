@@ -11,6 +11,7 @@ public API, matching the ``x1 .. xn`` naming of the expression grammar.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from .rings import Ring
@@ -342,16 +343,15 @@ class MultilinearPoly:
         return MultilinearPoly(self.ring, self.n, moved)
 
     def is_symmetric(self) -> bool:
-        """True iff the coefficient depends only on the subset size."""
-        by_size: dict[int, object] = {}
-        for mask in range(1 << self.n):
-            size = mask.bit_count()
-            c = self.coeff(mask)
-            if size not in by_size:
-                by_size[size] = c
-            elif by_size[size] != c:
+        """True iff the coefficient depends only on the subset size: each stored
+        size k has one value on all C(n, k) masks (absent sizes are zero)."""
+        by_size: dict[int, list] = {}  # size -> [value, masks seen]
+        for mask, c in self.coeffs.items():
+            entry = by_size.setdefault(mask.bit_count(), [c, 0])
+            if entry[0] != c:
                 return False
-        return True
+            entry[1] += 1
+        return all(seen == comb(self.n, k) for k, (_, seen) in by_size.items())
 
     def size_coeffs(self) -> list | None:
         """[c_0, ..., c_n] when symmetric (coefficient per subset size), else None."""

@@ -19,6 +19,43 @@ from polyassoc import (
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
 
 
+def dense_closed_form(p, slot):
+    """Reference: the per-mask coefficient formula over all 2^(2n-1) masks."""
+    n = p.n
+    w = SlotWindows(n, slot)
+    slot_bit = 1 << (slot - 1)
+    coeffs = {}
+    for s in range(1 << (2 * n - 1)):
+        outer = (s & w.prefix_mask) | ((s & w.suffix_mask) >> (n - 1))
+        inner = (s & w.window_mask) >> (slot - 1)
+        if s & w.window_mask:
+            coeffs[s] = p.coeff(outer | slot_bit) * p.coeff(inner)
+        else:
+            coeffs[s] = p.coeff(outer | slot_bit) * p.coeff(0) + p.coeff(outer)
+    return MultilinearPoly(p.ring, 2 * n - 1, coeffs)
+
+
+def dense_first_difference(p):
+    """Reference witness: (slot, monomial, lhs, rhs) at the first differing
+    mask of a dense scan, slots in order; None when all slots agree."""
+    base = dense_closed_form(p, 1)
+    for slot in range(2, p.n + 1):
+        other = dense_closed_form(p, slot)
+        for mask in range(1 << (2 * p.n - 1)):
+            if base.coeff(mask) != other.coeff(mask):
+                monomial = tuple((mask >> j) & 1 for j in range(2 * p.n - 1))
+                return slot, monomial, base.coeff(mask), other.coeff(mask)
+    return None
+
+
+def random_table(rng, ring, n, constant):
+    """A table over about a quarter of the masks, with or without x^0."""
+    coeffs = {m: rng.element(ring, 3) for m in range(1, 1 << n) if rng.randint(0, 3) == 0}
+    if constant:
+        coeffs[0] = rng.element(ring, 3) or 1
+    return MultilinearPoly(ring, n, coeffs)
+
+
 def test_slot_windows_partition():
     for n in range(2, 7):
         full = (1 << (2 * n - 1)) - 1
@@ -76,16 +113,23 @@ def test_closed_form_matches_substitution_exhaustive_binary():
 def test_closed_form_matches_substitution_random():
     rng = XorShift64Star(97)
     for ring in (Ring.Z, Ring.ZI):
-        for n in (3, 4):
-            for _ in range(60):
-                ml = MultilinearPoly(
-                    ring, n, {m: rng.element(ring, 3) for m in range(1 << n)}
-                )
-                sparse = ml.to_sparse()
-                for slot in range(1, n + 1):
-                    assert compose_closed_form(ml, slot).to_sparse() == compose_substitution(
-                        sparse, slot
-                    )
+        tables = [
+            MultilinearPoly(ring, n, {m: rng.element(ring, 3) for m in range(1 << n)})
+            for n in (3, 4)
+            for _ in range(60)
+        ]
+        tables += [
+            random_table(rng, ring, n, constant)
+            for n in range(2, 7)
+            for constant in (False, True)
+            for _ in range(4)
+        ]
+        for ml in tables:
+            sparse = ml.to_sparse()
+            for slot in range(1, ml.n + 1):
+                closed = compose_closed_form(ml, slot)
+                assert closed == dense_closed_form(ml, slot)
+                assert closed.to_sparse() == compose_substitution(sparse, slot)
 
 
 def test_is_associative_positive_fixtures():
@@ -168,12 +212,24 @@ def test_degree_consequences_for_associative_operations():
 
 def test_witness_is_minimal_in_mask_order():
     rng = XorShift64Star(109)
-    for _ in range(150):
-        ml = MultilinearPoly(Ring.Z, 2, {m: rng.element(Ring.Z, 2) for m in range(4)})
+    tables = [
+        MultilinearPoly(Ring.Z, 2, {m: rng.element(Ring.Z, 2) for m in range(4)})
+        for _ in range(150)
+    ]
+    tables += [
+        random_table(rng, ring, n, constant)
+        for ring in (Ring.Z, Ring.ZI)
+        for n in range(3, 6)
+        for constant in (False, True)
+        for _ in range(6)
+    ]
+    for ml in tables:
         verdict = associative_multilinear(ml)
         if verdict.associative:
+            assert dense_first_difference(ml) is None
             continue
         w = verdict.witness
+        assert (w.slot, w.monomial, w.lhs, w.rhs) == dense_first_difference(ml)
         base = compose_closed_form(ml, 1)
         other = compose_closed_form(ml, w.slot)
         witness_mask = sum(1 << (j - 1) for j in w.subset)

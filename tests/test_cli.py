@@ -259,6 +259,18 @@ def test_internal_invariant_violation_exit_code(capsys, monkeypatch):
     assert "internal error" in err
 
 
+def test_enumerate_spot_check_failure_exit_code(tmp_path, capsys, monkeypatch):
+    import polyassoc.cli as cli
+
+    monkeypatch.setattr(cli, "assoc_pointwise", lambda p, cfg: False)
+    code, _, err = run(
+        capsys, "enumerate", "--ring", "z", "--n", "2", "--bound", "1",
+        "--out", str(tmp_path / "census"),
+    )
+    assert code == 3
+    assert "spot check" in err
+
+
 def test_enumerate_prune_matches_default(tmp_path, capsys):
     a = tmp_path / "plain"
     b = tmp_path / "pruned"

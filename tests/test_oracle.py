@@ -224,6 +224,37 @@ def test_enumerate_jobs_deterministic():
     assert census_csv(one) == census_csv(many)
 
 
+def test_enumerate_pool_capped_at_cpu_count(monkeypatch):
+    import multiprocessing
+    import os
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    one = enumerate_associative(2, Ring.ZI, 1, prune=True)
+    for cpus, expected in ((2, 2), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        many = enumerate_associative(2, Ring.ZI, 1, prune=True, jobs=10_000)
+        assert sizes.pop() == expected
+        assert census_csv(many) == census_csv(one)
+        assert candidates_text(many) == candidates_text(one)
+        assert (many.checked, many.bulk_rejected) == (one.checked, one.bulk_rejected)
+    assert sizes == []
+
+
 def test_census_output_stability():
     a = census_csv(enumerate_associative(3, Ring.Z, 1))
     b = census_csv(enumerate_associative(3, Ring.Z, 1))

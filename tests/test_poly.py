@@ -112,6 +112,9 @@ def test_is_symmetric():
     alt = parse_poly("x1 - x2 + x3", 3, Ring.Z).to_multilinear()
     assert not alt.is_symmetric()
     assert SparsePoly.constant(Ring.Z, 3, 7).to_multilinear().is_symmetric()
+    # a size class with a missing mask is not uniform; an empty one is zero
+    assert not parse_poly("x1*x2 + x1*x3", 3, Ring.Z).to_multilinear().is_symmetric()
+    assert parse_poly("x1*x2*x3 + 1", 3, Ring.Z).to_multilinear().is_symmetric()
 
 
 def test_is_symmetric_matches_transposition_invariance():
