@@ -100,6 +100,12 @@ def test_grid_guard():
     big = SparsePoly(Ring.Z, 2, {(2000, 2000): 1})
     with pytest.raises(BudgetError):
         polys_equal_oracle(big, big, OracleConfig(mode="grid"))
+    # multilinear: each of the nine 2^19-point grids fits, their sum does not
+    one_term = SparsePoly(Ring.Z, 10, {(1,) * 10: 1})
+    with pytest.raises(BudgetError) as err:
+        assoc_pointwise(one_term, OracleConfig(mode="grid"))
+    assert err.value.required == 9 * 2**19
+    assert assoc_pointwise(one_term, OracleConfig(mode="random", samples=50))
 
 
 def test_oracle_config_validation():
