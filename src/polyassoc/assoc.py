@@ -165,17 +165,11 @@ def _colex_key(monomial: Monomial) -> tuple[int, ...]:
     return tuple(reversed(monomial))
 
 
-def _first_sparse_difference(
-    base: SparsePoly, other: SparsePoly, slot: int
-) -> CompositionWitness | None:
-    keys = sorted(set(base.terms) | set(other.terms), key=_colex_key)
-    zero = base.ring.zero
-    for e in keys:
-        lhs = base.terms.get(e, zero)
-        rhs = other.terms.get(e, zero)
-        if lhs != rhs:
-            return CompositionWitness(slot, e, lhs, rhs)
-    return None
+def _first_difference(lhs: dict, rhs: dict, key=None):
+    """The smallest key (ordered by ``key``) whose coefficient differs between
+    two coefficient dicts, or None; a missing key holds zero."""
+    differing = (k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k))
+    return min(differing, key=key, default=None)
 
 
 def associative_multilinear(p: MultilinearPoly) -> AssocVerdict:
@@ -188,8 +182,11 @@ def associative_multilinear(p: MultilinearPoly) -> AssocVerdict:
     for i in slots:
         other = compose_closed_form(p, i)
         if other.coeffs != base.coeffs:
-            witness = _first_sparse_difference(base.to_sparse(), other.to_sparse(), i)
-            return AssocVerdict(False, witness)
+            mask = _first_difference(base.coeffs, other.coeffs)
+            monomial = tuple((mask >> j) & 1 for j in range(2 * n - 1))
+            zero = p.ring.zero
+            lhs, rhs = base.coeffs.get(mask, zero), other.coeffs.get(mask, zero)
+            return AssocVerdict(False, CompositionWitness(i, monomial, lhs, rhs))
     return AssocVerdict(True)
 
 
@@ -208,9 +205,12 @@ def is_associative(p: SparsePoly) -> AssocVerdict:
     ml = p.to_multilinear()
     if ml is not None:
         return associative_multilinear(ml)
-    base = compose_substitution(p, 1)
+    base = compose_substitution(p, 1).terms
     for i in range(2, n + 1):
-        witness = _first_sparse_difference(base, compose_substitution(p, i), i)
-        if witness is not None:
-            return AssocVerdict(False, witness)
+        other = compose_substitution(p, i).terms
+        e = _first_difference(base, other, _colex_key)
+        if e is not None:
+            zero = p.ring.zero
+            lhs, rhs = base.get(e, zero), other.get(e, zero)
+            return AssocVerdict(False, CompositionWitness(i, e, lhs, rhs))
     return AssocVerdict(True)

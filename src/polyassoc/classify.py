@@ -276,22 +276,23 @@ def classification_params(cls: Classification, ring: Ring) -> dict[str, str]:
     return {}
 
 
+def _value_key(x):
+    """Ordering key of a ring or fraction element: Z[i] as (re, im)."""
+    if isinstance(x, Frac):
+        return (_value_key(x.num), _value_key(x.den))
+    return (x.re, x.im) if isinstance(x, GaussianInt) else x
+
+
 def param_sort_key(cls: Classification):
     """Deterministic ordering key among classifications of one census run."""
     order = {"i": 0, "ii": 1, "iii": 2, "iv": 3, "v": 4, "vi": 5, "": 6}
-
-    def value_key(x):
-        if isinstance(x, Frac):
-            return (value_key(x.num), value_key(x.den))
-        return (x.re, x.im) if isinstance(x, GaussianInt) else x
-
     params: tuple = ()
     if isinstance(cls, Constant):
-        params = (value_key(cls.value),)
+        params = (_value_key(cls.value),)
     elif isinstance(cls, TranslatedSum):
-        params = (value_key(cls.shift),)
+        params = (_value_key(cls.shift),)
     elif isinstance(cls, TwistedSum):
-        params = (value_key(cls.omega),)
+        params = (_value_key(cls.omega),)
     elif isinstance(cls, ShiftedProduct):
-        params = (value_key(cls.a), value_key(cls.b))
+        params = (_value_key(cls.a), _value_key(cls.b))
     return (order[cls.clause], params)

@@ -26,6 +26,7 @@ from .classify import (
     classification_params,
     classify_associative,
     param_sort_key,
+    _value_key,
 )
 from .poly import MultilinearPoly, SparsePoly
 from .rings import GaussianInt, Ring
@@ -213,7 +214,7 @@ class EnumerationResult:
     survivors: list[tuple[MultilinearPoly, Classification]]
     census: list[CensusRow]
     oracle_mismatches: int = 0
-    mismatch_examples: list = field(default_factory=list)
+    mismatch_examples: list[MultilinearPoly] = field(default_factory=list)
 
 
 def _value_domain(ring: Ring, bound: int) -> list:
@@ -226,22 +227,14 @@ def _value_domain(ring: Ring, bound: int) -> list:
     ]
 
 
-def _encode(value):
-    return (value.re, value.im) if isinstance(value, GaussianInt) else value
-
-
-def _decode(ring: Ring, encoded):
-    return GaussianInt(*encoded) if ring is Ring.ZI else encoded
-
-
-def _enumerate_chunk(args) -> tuple[int, int, list[tuple], list[tuple]]:
+def _enumerate_chunk(args) -> tuple[int, int, list[MultilinearPoly], list[MultilinearPoly]]:
     """Walk one slice of the coefficient box (split on the top coefficient).
 
     Masks are assigned from the full subset downward so the pruning filters
     (degree collapse when the top coefficient is zero, size-uniformity when
     it is not, and idempotence of the first/last linear coefficients) can
-    cut whole subtrees.  Returns (checked, bulk_rejected, survivor tables,
-    oracle mismatch tables).
+    cut whole subtrees.  Returns (checked, bulk_rejected, survivors, oracle
+    mismatches).
     """
     ring, n, bound, first_values, prune, cross_check = args
     domain = _value_domain(ring, bound)
@@ -255,8 +248,8 @@ def _enumerate_chunk(args) -> tuple[int, int, list[tuple], list[tuple]]:
     x1_mask, xn_mask = 1, 1 << (n - 1)
     checked = 0
     bulk = 0
-    survivors: list[tuple] = []
-    mismatches: list[tuple] = []
+    survivors: list[MultilinearPoly] = []
+    mismatches: list[MultilinearPoly] = []
     assignment: list = [None] * len(order)
 
     def leaf():
@@ -268,12 +261,9 @@ def _enumerate_chunk(args) -> tuple[int, int, list[tuple], list[tuple]]:
         if cross_check:
             pointwise = assoc_pointwise(ml.to_sparse(), OracleConfig(mode="grid"))
             if pointwise != verdict.associative:
-                mismatches.append(_table(ml))
+                mismatches.append(ml)
         if verdict.associative:
-            survivors.append(_table(ml))
-
-    def _table(ml: MultilinearPoly) -> tuple:
-        return tuple(_encode(ml.coeff(m)) for m in range(1 << n))
+            survivors.append(ml)
 
     def rec(idx: int):
         nonlocal bulk
@@ -352,14 +342,13 @@ def enumerate_associative(
         parts = [_enumerate_chunk(a) for a in args]
     checked = sum(part[0] for part in parts)
     bulk = sum(part[1] for part in parts)
-    tables = sorted(table for part in parts for table in part[2])
-    mismatch_tables = sorted(table for part in parts for table in part[3])
-    survivors = []
-    for table in tables:
-        ml = MultilinearPoly(
-            ring, n, {m: _decode(ring, v) for m, v in enumerate(table)}
-        )
-        survivors.append((ml, classify_associative(ml)))
+
+    def table_key(ml: MultilinearPoly) -> list:
+        return [_value_key(ml.coeff(m)) for m in range(1 << n)]
+
+    found = sorted((ml for part in parts for ml in part[2]), key=table_key)
+    mismatches = sorted((ml for part in parts for ml in part[3]), key=table_key)
+    survivors = [(ml, classify_associative(ml)) for ml in found]
     census = _build_census(survivors, ring)
     return EnumerationResult(
         ring=ring,
@@ -370,8 +359,8 @@ def enumerate_associative(
         bulk_rejected=bulk,
         survivors=survivors,
         census=census,
-        oracle_mismatches=len(mismatch_tables),
-        mismatch_examples=mismatch_tables[:10],
+        oracle_mismatches=len(mismatches),
+        mismatch_examples=mismatches[:10],
     )
 
 

@@ -18,8 +18,8 @@ from .rings import Ring
 
 Monomial = tuple[int, ...]
 
-# Composition at arity n lives in 2n-1 variables; keep every subset mask
-# inside one machine word.
+# Bounds input arity (compositions live in 2n-1 variables).  Python ints
+# are unbounded, so masks themselves set no limit.
 MAX_ARITY = 62
 
 
@@ -83,10 +83,6 @@ class SparsePoly:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def _compatible(self, other: SparsePoly) -> None:
         if self.ring is not other.ring:
@@ -364,23 +360,21 @@ def elementary_symmetric(ring: Ring, n: int, k: int) -> MultilinearPoly:
     """Sum of all products of k distinct variables out of n."""
     if not 0 <= k <= n:
         raise ValueError(f"degree {k} out of range 0..{n}")
-    coeffs = {}
-    for subset in combinations(range(n), k):
-        mask = 0
-        for j in subset:
-            mask |= 1 << j
-        coeffs[mask] = 1
-    return MultilinearPoly(ring, n, coeffs)
+    return MultilinearPoly(ring, n, dict.fromkeys(_masks_of_size(n, k), 1))
 
 
 def from_size_coeffs(ring: Ring, n: int, size_coeffs: Sequence) -> MultilinearPoly:
     """The symmetric multilinear polynomial sum_k c_k * (elementary symmetric of degree k)."""
     if len(size_coeffs) != n + 1:
         raise ValueError(f"expected {n + 1} coefficients")
-    coeffs = {}
-    for mask in range(1 << n):
-        coeffs[mask] = size_coeffs[mask.bit_count()]
+    coeffs = {m: c for k, c in enumerate(size_coeffs) if c for m in _masks_of_size(n, k)}
     return MultilinearPoly(ring, n, coeffs)
+
+
+def _masks_of_size(n: int, k: int) -> Iterable[int]:
+    """The bit masks of all k-element subsets of 1..n."""
+    for subset in combinations(range(n), k):
+        yield sum(1 << j for j in subset)
 
 
 def interpolate_multilinear(ring: Ring, n: int, values: Mapping[tuple, object]) -> MultilinearPoly:

@@ -269,9 +269,6 @@ class Ring(Enum):
             return gaussian_str(x)
         return str(x)
 
-    def frac(self, num, den=None) -> Frac:
-        return Frac(self, num, den)
-
 
 def integer_nth_root(x: int, k: int):
     """Exact integer k-th root of x (sign-aware), or None."""

@@ -124,7 +124,7 @@ def skew_is_endomorphism(p: SparsePoly, skew: SkewMap) -> bool:
     return lhs == p.substitute(mapped)
 
 
-def is_medial(p: SparsePoly, cfg: OracleConfig | None = None) -> tuple[bool, str]:
+def is_medial(p: SparsePoly) -> tuple[bool, str]:
     """Row/column interchange identity over an n x n matrix of arguments.
 
     Symbolic in n^2 variables for n <= 3; for larger arities the identity is
@@ -142,7 +142,7 @@ def is_medial(p: SparsePoly, cfg: OracleConfig | None = None) -> tuple[bool, str
             for c in range(n)
         ]
         return p.substitute(rows) == p.substitute(cols), "symbolic"
-    cfg = cfg or OracleConfig(mode="random")
+    cfg = OracleConfig(mode="random")
     rng = XorShift64Star(cfg.seed)
     for _ in range(cfg.samples):
         matrix = [

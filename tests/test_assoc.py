@@ -48,6 +48,21 @@ def dense_first_difference(p):
     return None
 
 
+def colex_first_difference(p):
+    """Reference witness of the substitution route: (slot, monomial, lhs, rhs)
+    at the first differing monomial of a full colex-sorted scan, slots in
+    order; None when all slots agree."""
+    base = compose_substitution(p, 1).terms
+    zero = p.ring.zero
+    for slot in range(2, p.nvars + 1):
+        other = compose_substitution(p, slot).terms
+        for e in sorted(base.keys() | other.keys(), key=lambda e: tuple(reversed(e))):
+            lhs, rhs = base.get(e, zero), other.get(e, zero)
+            if lhs != rhs:
+                return slot, e, lhs, rhs
+    return None
+
+
 def random_table(rng, ring, n, constant):
     """A table over about a quarter of the masks, with or without x^0."""
     coeffs = {m: rng.element(ring, 3) for m in range(1, 1 << n) if rng.randint(0, 3) == 0}
@@ -181,6 +196,20 @@ def test_non_multilinear_inputs_disprove_by_expansion():
     cube_plus = parse_poly("x1^2*x2 + x2", 2, Ring.Z)
     assert not is_associative(cube_plus).associative
 
+    rng = XorShift64Star(107)
+    for ring in (Ring.Z, Ring.Q, Ring.ZI):
+        for n in (2, 3):
+            for _ in range(12):
+                terms = {
+                    tuple(rng.randint(0, 2) for _ in range(n)): rng.element(ring, 3)
+                    for _ in range(rng.randint(1, 4))
+                }
+                terms[(2,) + (0,) * (n - 1)] = rng.element(ring, 3) or 1
+                p = SparsePoly(ring, n, terms)
+                w = is_associative(p).witness
+                got = None if w is None else (w.slot, w.monomial, w.lhs, w.rhs)
+                assert got == colex_first_difference(p)
+
 
 def test_symmetric_shortcut_agrees_with_full_check():
     rng = XorShift64Star(103)
@@ -218,7 +247,7 @@ def test_witness_is_minimal_in_mask_order():
     ]
     tables += [
         random_table(rng, ring, n, constant)
-        for ring in (Ring.Z, Ring.ZI)
+        for ring in (Ring.Z, Ring.Q, Ring.ZI)
         for n in range(3, 6)
         for constant in (False, True)
         for _ in range(6)

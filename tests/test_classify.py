@@ -122,6 +122,9 @@ def test_reconstruct_fixtures():
     assert reconstruct(TwistedSum(-1), 5, Ring.Z) == parse_poly(
         "x1 - x2 + x3 - x4 + x5", 5, Ring.Z
     )
+    # only the nonzero size class is filled, so a wide product stays one term
+    wide = reconstruct(ShiftedProduct(3, Frac(Ring.Z, 0)), 40, Ring.Z)
+    assert wide.terms == {(1,) * 40: 3}
 
 
 def test_reconstruct_rejects_invalid_parameters():

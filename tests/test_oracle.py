@@ -269,6 +269,13 @@ def test_census_output_stability():
     lines = candidates_text(enumerate_associative(2, Ring.Z, 1)).splitlines()
     assert lines == sorted(set(lines), key=lines.index)  # no duplicates
     assert "x1*x2" in lines
+    # survivors are listed in the order of their dense (re, im) tables
+    zi = enumerate_associative(2, Ring.ZI, 1)
+    expected = sorted(
+        (ml for ml, _ in zi.survivors),
+        key=lambda ml: [(ml.coeff(m).re, ml.coeff(m).im) for m in range(4)],
+    )
+    assert candidates_text(zi).splitlines() == [ml.render() for ml in expected]
 
 
 def test_dual_path_agreement_for_survivors():
