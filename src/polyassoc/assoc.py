@@ -11,6 +11,7 @@ of terms.  The verdict carries a deterministic witness on failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .poly import Monomial, MultilinearPoly, SparsePoly
 
@@ -129,7 +130,7 @@ def compose_substitution(p: SparsePoly, slot: int) -> SparsePoly:
                 inner_powers[k] = inner**k
             factor_terms = inner_powers[k].terms
         for fe, fc in factor_terms.items():
-            combined = tuple(a + b for a, b in zip(base, fe))
+            combined = tuple(map(add, base, fe))
             s = out.get(combined)
             s = c * fc if s is None else s + c * fc
             if s:

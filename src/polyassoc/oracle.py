@@ -165,6 +165,12 @@ def assoc_pointwise(p: SparsePoly, cfg: OracleConfig) -> bool:
     The grid guard bounds each equation's grid.  Only multilinear input can
     be associative and so need all n-1 grids in full; for it the guard also
     bounds their sum (nine 2^19-point grids for a product at n = 10).
+
+    Random mode compares the n slot compositions at seeded points with
+    coordinates drawn from a finite set S.  A nonzero difference of total
+    degree d vanishes at such a point with probability at most d/|S|
+    (Schwartz 1980; Zippel 1979), so agreement on every sample is evidence,
+    not proof.
     """
     n = p.nvars
     if n < 2:
@@ -313,7 +319,8 @@ def enumerate_associative(
     every individually-checked candidate against the pointwise grid oracle
     and records any disagreement; it requires ``prune=False`` so that every
     candidate is actually visited.  ``jobs`` splits the box into that many
-    chunks, mapped over at most ``os.cpu_count()`` worker processes.
+    chunks, at most one per value of the top coefficient, mapped over at
+    most ``os.cpu_count()`` worker processes.
     """
     if n < 2:
         raise ValueError("arity must be at least 2")
@@ -332,7 +339,7 @@ def enumerate_associative(
             total,
         )
     chunks = _split(domain, max(1, jobs))
-    args = [(ring, n, bound, chunk, prune, cross_check) for chunk in chunks if chunk]
+    args = [(ring, n, bound, chunk, prune, cross_check) for chunk in chunks]
     if len(args) > 1:
         from multiprocessing import Pool
 
@@ -365,6 +372,8 @@ def enumerate_associative(
 
 
 def _split(domain: list, parts: int) -> list[list]:
+    """Consecutive slices of the domain, at most one per element."""
+    parts = min(parts, len(domain))
     step, extra = divmod(len(domain), parts)
     out = []
     start = 0

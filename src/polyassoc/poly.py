@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .rings import Ring
@@ -24,9 +25,14 @@ MAX_ARITY = 62
 
 
 class SparsePoly:
-    """Exact sparse polynomial over one of the supported rings."""
+    """Exact sparse polynomial over one of the supported rings.
 
-    __slots__ = ("ring", "nvars", "terms")
+    Instances are immutable: ``terms`` is never written after construction,
+    and the factor list that :meth:`evaluate` builds once and keeps relies
+    on that.
+    """
+
+    __slots__ = ("ring", "nvars", "terms", "_factors")
 
     def __init__(self, ring: Ring, nvars: int, terms: Mapping[Monomial, object] | None = None):
         if nvars < 1 or nvars > 2 * MAX_ARITY:
@@ -42,6 +48,18 @@ class SparsePoly:
         self.ring = ring
         self.nvars = nvars
         self.terms = clean
+        self._factors = None
+
+    @classmethod
+    def _trusted(cls, ring: Ring, nvars: int, terms: dict[Monomial, object]) -> SparsePoly:
+        """Wrap terms already keyed by valid exponent tuples with nonzero ring
+        values, skipping the per-term checks of ``__init__``."""
+        p = cls.__new__(cls)
+        p.ring = ring
+        p.nvars = nvars
+        p.terms = terms
+        p._factors = None
+        return p
 
     @classmethod
     def zero(cls, ring: Ring, nvars: int) -> SparsePoly:
@@ -91,7 +109,7 @@ class SparsePoly:
             raise ValueError("arity mismatch")
 
     def __neg__(self) -> SparsePoly:
-        return SparsePoly(self.ring, self.nvars, {e: -c for e, c in self.terms.items()})
+        return SparsePoly._trusted(self.ring, self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
         if not isinstance(other, SparsePoly):
@@ -108,7 +126,7 @@ class SparsePoly:
                 merged[e] = s
             else:
                 merged.pop(e, None)
-        return SparsePoly(self.ring, self.nvars, merged)
+        return SparsePoly._trusted(self.ring, self.nvars, merged)
 
     __radd__ = __add__
 
@@ -131,14 +149,14 @@ class SparsePoly:
         product: dict[Monomial, object] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = product.get(e)
                 s = c1 * c2 if s is None else s + c1 * c2
                 if s:
                     product[e] = s
                 else:
                     product.pop(e, None)
-        return SparsePoly(self.ring, self.nvars, product)
+        return SparsePoly._trusted(self.ring, self.nvars, product)
 
     __rmul__ = __mul__
 
@@ -171,13 +189,18 @@ class SparsePoly:
     def evaluate(self, point: Sequence):
         if len(point) != self.nvars:
             raise ValueError(f"expected {self.nvars} coordinates, got {len(point)}")
-        point = [self.ring.coerce(v) for v in point]
+        coerce = self.ring.coerce
+        point = [coerce(v) for v in point]
+        if self._factors is None:
+            self._factors = [
+                (coeff, [(j, e) for j, e in enumerate(exps) if e])
+                for exps, coeff in self.terms.items()
+            ]
         total = self.ring.zero
-        for exps, coeff in self.terms.items():
+        for coeff, factors in self._factors:
             v = coeff
-            for x, e in zip(point, exps):
-                if e:
-                    v = v * x**e
+            for j, e in factors:
+                v = v * point[j] if e == 1 else v * point[j] ** e
             total = total + v
         return total
 
@@ -313,7 +336,8 @@ class MultilinearPoly:
     def evaluate(self, point: Sequence):
         if len(point) != self.n:
             raise ValueError(f"expected {self.n} coordinates, got {len(point)}")
-        point = [self.ring.coerce(v) for v in point]
+        coerce = self.ring.coerce
+        point = [coerce(v) for v in point]
         total = self.ring.zero
         for mask, coeff in self.coeffs.items():
             v = coeff

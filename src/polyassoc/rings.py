@@ -182,6 +182,12 @@ class Ring(Enum):
     Q = "q"
     ZI = "zi"
 
+    def __init__(self, value):
+        # element type, zero and one, made once per member
+        self._type = {"z": int, "q": Fraction, "zi": GaussianInt}[value]
+        self._zero = self._type(0)
+        self._one = self._type(1)
+
     @property
     def label(self) -> str:
         return {"z": "Z", "q": "Q", "zi": "Z[i]"}[self.value]
@@ -192,14 +198,19 @@ class Ring(Enum):
 
     @property
     def zero(self):
-        return self.coerce(0)
+        return self._zero
 
     @property
     def one(self):
-        return self.coerce(1)
+        return self._one
 
     def coerce(self, x):
-        """Normalize x into this ring's element type, rejecting foreign values."""
+        """Normalize x into this ring's element type, rejecting foreign values.
+
+        A value already of the element type is returned as it is.
+        """
+        if type(x) is self._type:
+            return x
         if self is Ring.Z:
             if isinstance(x, int):
                 return int(x)  # flattens bool

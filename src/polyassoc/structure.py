@@ -128,7 +128,10 @@ def is_medial(p: SparsePoly) -> tuple[bool, str]:
     """Row/column interchange identity over an n x n matrix of arguments.
 
     Symbolic in n^2 variables for n <= 3; for larger arities the identity is
-    sampled at seeded random points and the method is reported as such.
+    sampled at seeded random points and the method is reported as such.  A
+    false identity of total degree d holds at a sample with coordinates drawn
+    from a finite set S with probability at most d/|S| (Schwartz 1980;
+    Zippel 1979), so a sampled "medial" is evidence, not proof.
     """
     n = p.nvars
     if n <= 3:

@@ -261,6 +261,32 @@ def test_enumerate_pool_capped_at_cpu_count(monkeypatch):
     assert sizes == []
 
 
+def test_enumerate_chunk_count_bounded_by_domain(monkeypatch):
+    import multiprocessing
+    import time
+
+    class SerialPool:
+        def __init__(self, processes):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    one = enumerate_associative(2, Ring.Z, 1, prune=True)
+    start = time.perf_counter()
+    many = enumerate_associative(2, Ring.Z, 1, prune=True, jobs=10**12)
+    assert time.perf_counter() - start < 5.0
+    assert census_csv(many) == census_csv(one)
+    assert candidates_text(many) == candidates_text(one)
+
+
 def test_census_output_stability():
     a = census_csv(enumerate_associative(3, Ring.Z, 1))
     b = census_csv(enumerate_associative(3, Ring.Z, 1))

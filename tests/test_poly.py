@@ -1,6 +1,9 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyassoc import (
     GaussianInt,
@@ -219,3 +222,80 @@ def test_arity_cap():
         MultilinearPoly(Ring.Z, 63, {})
     with pytest.raises(ValueError):
         SparsePoly(Ring.Z, 0, {})
+
+
+RINGS = (Ring.Z, Ring.Q, Ring.ZI)
+SETTINGS = settings(max_examples=150, deadline=None, database=None)
+
+
+@st.composite
+def ring_values(draw, ring):
+    """A ring element, or a plain int or bool the ring coerces."""
+    small = st.integers(-5, 5)
+    exact = {
+        Ring.Z: small,
+        Ring.Q: st.builds(Fraction, small, st.integers(1, 4)),
+        Ring.ZI: st.builds(GaussianInt, small, small),
+    }[ring]
+    return draw(st.one_of(exact, small, st.booleans()))
+
+
+@st.composite
+def sparse_polys(draw, ring=None, nvars=None, top=None):
+    """A polynomial over Z, Q or Z[i] in 1-4 variables, exponents 0-1 or 0-3."""
+    ring = ring or draw(st.sampled_from(RINGS))
+    nvars = nvars or draw(st.integers(1, 4))
+    top = top or draw(st.sampled_from((1, 3)))
+    exps = st.tuples(*[st.integers(0, top)] * nvars)
+    terms = draw(st.dictionaries(exps, ring_values(ring), max_size=6))
+    return SparsePoly(ring, nvars, terms)
+
+
+def reference_value(p, point):
+    """sum(c * prod(x**e)), a power for every factor, exponent 0 included."""
+    xs = [p.ring.coerce(v) for v in point]
+    return sum(
+        (c * prod((x**e for x, e in zip(xs, exps)), start=p.ring.one)
+         for exps, c in p.terms.items()),
+        p.ring.zero,
+    )
+
+
+@SETTINGS
+@given(st.data())
+def test_evaluate_matches_reference(data):
+    p = data.draw(sparse_polys())
+    ml = p.to_multilinear()
+    for _ in range(2):  # the second call reuses the cached factor list
+        point = data.draw(st.lists(ring_values(p.ring), min_size=p.nvars, max_size=p.nvars))
+        expected = reference_value(p, point)
+        for value in (p.evaluate(point), p.evaluate(point)):
+            assert value == expected
+            assert type(value) is type(p.ring.zero)
+        if ml is not None:
+            value = ml.evaluate(point)
+            assert value == expected and type(value) is type(p.ring.zero)
+
+
+def assert_validated(result):
+    """The result equals a freshly validated copy and holds no zero coefficient."""
+    assert result == SparsePoly(result.ring, result.nvars, result.terms)
+    zero_type = type(result.ring.zero)
+    for exps, c in result.terms.items():
+        assert c and type(c) is zero_type
+        assert type(exps) is tuple and len(exps) == result.nvars
+
+
+@SETTINGS
+@given(st.data())
+def test_arithmetic_results_are_clean(data):
+    p = data.draw(sparse_polys())
+    ring, n = p.ring, p.nvars
+    q = data.draw(sparse_polys(ring, n))
+    m = data.draw(st.integers(1, 3))
+    args = [data.draw(sparse_polys(ring, m, top=1)) for _ in range(n)]
+    results = [p + q, p - q, -p, p * q, p**2, p**0, p * 0, p + (-p), p.substitute(args)]
+    for result in results:
+        assert_validated(result)
+    assert p + (-p) == p * 0 == SparsePoly.zero(ring, n)
+    assert p**0 == SparsePoly.constant(ring, n, 1)

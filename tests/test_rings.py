@@ -186,3 +186,22 @@ def test_coerce_rejects_foreign_values():
         Ring.ZI.coerce(1.5)
     assert Ring.Z.coerce(Fraction(4, 2)) == 2
     assert Ring.ZI.coerce(3) == GaussianInt(3)
+
+
+def test_coerce_keeps_exact_elements_and_normalizes_the_rest():
+    for ring, x in ((Ring.Z, 7), (Ring.Q, Fraction(2, 3)), (Ring.ZI, GaussianInt(1, 2))):
+        assert ring.coerce(x) is x
+        assert type(ring.zero) is type(ring.one) is type(x)
+    assert type(Ring.Z.coerce(True)) is int and Ring.Z.coerce(True) == 1
+    assert type(Ring.Q.coerce(False)) is Fraction
+    three = Ring.Z.coerce(Fraction(3, 1))
+    assert type(three) is int and three == 3
+    assert type(Ring.Q.coerce(3)) is Fraction
+    assert type(Ring.ZI.coerce(True)) is GaussianInt
+
+
+def test_zero_and_one_are_stored_once():
+    for ring in RINGS:
+        assert ring.zero is ring.zero
+        assert ring.one is ring.one
+        assert (ring.zero, ring.one) == (ring.coerce(0), ring.coerce(1))
