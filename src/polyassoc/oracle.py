@@ -2,7 +2,8 @@
 
 Everything here avoids the closed-form composition machinery: equality and
 associativity are checked by evaluating polynomials at points (exact on a
-large-enough grid, probabilistic on random samples), and the enumerator
+large-enough grid or, for multilinear associativity, at the 0/1 points that
+can carry a monomial; probabilistic on random samples), and the enumerator
 walks entire boxes of multilinear coefficient tables, classifying every
 associative candidate into a census.
 
@@ -159,12 +160,72 @@ def _check_grid_guard(total: int) -> None:
         )
 
 
+def _slot_bound(masks: list[int], slot: int) -> int:
+    """How many masks the candidate set of a slot can hold: t per term that
+    contains x_slot, one per term that does not."""
+    with_slot = sum((m >> (slot - 1)) & 1 for m in masks)
+    return with_slot * len(masks) + len(masks) - with_slot
+
+
+def _slot_candidates(masks: list[int], n: int, slot: int) -> set[int]:
+    """A superset of the support of the slot composition, as masks over 2n-1
+    variables.
+
+    Substituting p for x_slot multiplies each term containing x_slot by
+    every term of the nested call, whose variables sit in the window
+    slot..slot+n-1; a term without x_slot passes through.  Either way the
+    term's other variables keep their place before the window or move past
+    it, and the window is disjoint from them, so each product is one mask.
+    """
+    bit = 1 << (slot - 1)
+    inner = [m << (slot - 1) for m in masks]
+    out: set[int] = set()
+    for m in masks:
+        placed = (m & (bit - 1)) | ((m >> slot) << (slot + n - 1))
+        if m & bit:
+            out.update(placed | i for i in inner)
+        else:
+            out.add(placed)
+    return out
+
+
+def _assoc_on_support(p: SparsePoly, masks: list[int]) -> bool:
+    """The n-1 equations of multilinear p, whose terms are ``masks``, each at
+    its candidate 0/1 points."""
+    n, m = p.nvars, 2 * p.nvars - 1
+    bounds = [_slot_bound(masks, s) for s in range(1, n + 1)]
+    _check_grid_guard(sum(min(1 << m, a + b) for a, b in zip(bounds, bounds[1:])))
+    lhs = _slot_candidates(masks, n, 1)
+    for i in range(1, n):
+        rhs = _slot_candidates(masks, n, i + 1)
+        for mask in lhs | rhs:
+            point = [(mask >> j) & 1 for j in range(m)]
+            if associated_value(p, i, point) != associated_value(p, i + 1, point):
+                return False
+        lhs = rhs
+    return True
+
+
 def assoc_pointwise(p: SparsePoly, cfg: OracleConfig) -> bool:
     """Check the n-1 associativity equations at grid or sampled points.
 
-    The grid guard bounds each equation's grid.  Only multilinear input can
-    be associative and so need all n-1 grids in full; for it the guard also
-    bounds their sum (nine 2^19-point grids for a product at n = 10).
+    Grid mode is exact.  For multilinear p, equation i (slot i against slot
+    i+1) is checked only at the 0/1 indicator points of candidate masks: the
+    union of the two slots' candidate sets, each a superset of its
+    composition's support that follows from substitution alone.  That
+    suffices (the minimal-monomial argument of sparse identity testing;
+    Klivans and Spielman 2001): let D be a nonzero multilinear difference of
+    the two compositions and S an inclusion-minimal monomial of D.  At the
+    indicator point 1_S every other monomial of D vanishes, so D(1_S) is
+    coef(S), which is nonzero, and S is a candidate since every monomial of
+    D is.  The guard bounds the candidates of all n-1 equations together,
+    from the term counts, before any set is built: slot s contributes at
+    most t masks per term containing x_s and one per other term, and an
+    equation at most its 2^(2n-1)-point grid.
+
+    Other input is checked on the full grid extending one past each
+    variable's degree in either composition; the guard bounds each
+    equation's grid.
 
     Random mode compares the n slot compositions at seeded points with
     coordinates drawn from a finite set S.  A nonzero difference of total
@@ -176,14 +237,13 @@ def assoc_pointwise(p: SparsePoly, cfg: OracleConfig) -> bool:
     if n < 2:
         raise ValueError("arity must be at least 2")
     if cfg.mode == "grid":
-        grids = []
+        ml = p.to_multilinear()
+        if ml is not None:
+            return _assoc_on_support(p, list(ml.coeffs))
         for i in range(1, n):
             lo = _composition_degree_bounds(p, i)
             hi = _composition_degree_bounds(p, i + 1)
-            grids.append([max(a, b) + 1 for a, b in zip(lo, hi)])
-        if p.is_multilinear:
-            _check_grid_guard(sum(prod(sides) for sides in grids))
-        for i, sides in enumerate(grids, start=1):
+            sides = [max(a, b) + 1 for a, b in zip(lo, hi)]
             _check_grid_guard(prod(sides))
             for point in product(*(range(s) for s in sides)):
                 if associated_value(p, i, point) != associated_value(p, i + 1, point):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -86,6 +87,27 @@ def test_classify_golden_json(capsys):
         "a": "9",
         "b": "1/3",
     }
+    assert report["oracle"] == {"mode": "grid", "agrees": True}
+
+
+def test_wide_multilinear_input_keeps_the_exact_oracle(capsys):
+    product = "3*" + "*".join(f"x{j}" for j in range(1, 11))
+    code, out, _ = run(
+        capsys, "classify", "--ring", "z", "--n", "10", "--poly", product, "--format", "json"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["classification"]["type"] == "shifted-product"
+    assert report["oracle"] == {"mode": "grid", "agrees": True}
+    translated = "1 + " + " + ".join(f"x{j}" for j in range(1, 13))
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "check", "--ring", "zi", "--n", "12", "--poly", translated, "--format", "json"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    report = json.loads(out)
+    assert report["associative"] is True
     assert report["oracle"] == {"mode": "grid", "agrees": True}
 
 

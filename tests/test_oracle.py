@@ -1,12 +1,23 @@
+from fractions import Fraction
+from itertools import combinations, product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyassoc import (
     BudgetError,
+    Constant,
     GaussianInt,
+    LeftProjection,
     MultilinearPoly,
     OracleConfig,
+    RightProjection,
     Ring,
+    ShiftedProduct,
     SparsePoly,
+    TranslatedSum,
+    TwistedSum,
     XorShift64Star,
     assoc_pointwise,
     associated_value,
@@ -18,7 +29,9 @@ from polyassoc import (
     is_associative,
     parse_poly,
     polys_equal_oracle,
+    reconstruct,
 )
+from polyassoc import oracle
 
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
 
@@ -91,7 +104,7 @@ def test_assoc_pointwise():
     assert assoc_pointwise(parse_poly("x1 - x2 + x3", 3, Ring.Z), cfg)
 
 
-def test_grid_guard():
+def test_grid_guard(monkeypatch):
     p = SparsePoly(Ring.Z, 2, {(40, 40): 1, (1, 0): 1})
     with pytest.raises(BudgetError):
         assoc_pointwise(p, OracleConfig(mode="grid"))
@@ -100,12 +113,128 @@ def test_grid_guard():
     big = SparsePoly(Ring.Z, 2, {(2000, 2000): 1})
     with pytest.raises(BudgetError):
         polys_equal_oracle(big, big, OracleConfig(mode="grid"))
-    # multilinear: each of the nine 2^19-point grids fits, their sum does not
+    # multilinear: a one-term product needs at most two points per equation,
+    # so n = 10 stays exact although its nine 2^19-point grids do not fit
     one_term = SparsePoly(Ring.Z, 10, {(1,) * 10: 1})
-    with pytest.raises(BudgetError) as err:
-        assoc_pointwise(one_term, OracleConfig(mode="grid"))
-    assert err.value.required == 9 * 2**19
+    assert assoc_pointwise(one_term, OracleConfig(mode="grid"))
     assert assoc_pointwise(one_term, OracleConfig(mode="random", samples=50))
+
+    # the bound is taken from the term counts before any candidate set is built
+    def no_sets(*args):
+        raise AssertionError("candidate set built over the guard")
+
+    monkeypatch.setattr(oracle, "_slot_candidates", no_sets)
+    # n = 14, every subset of size <= 3: 470 terms, 92 of them with x_s, so
+    # each slot may give 92 * 470 + 378 masks and each equation twice that
+    small_sets = {
+        tuple(1 if j in s else 0 for j in range(14)): 1
+        for k in range(4)
+        for s in combinations(range(14), k)
+    }
+    with pytest.raises(BudgetError) as err:
+        assoc_pointwise(SparsePoly(Ring.Z, 14, small_sets), OracleConfig(mode="grid"))
+    assert err.value.required == 13 * 2 * (92 * 470 + 378)
+    # the dense table at n = 10: each equation is capped by its 2^19-point grid
+    dense = SparsePoly(Ring.Z, 10, {e: 1 for e in product((0, 1), repeat=10)})
+    with pytest.raises(BudgetError) as err:
+        assoc_pointwise(dense, OracleConfig(mode="grid"))
+    assert err.value.required == 9 * 2**19
+
+
+def full_grid_assoc(p: SparsePoly) -> bool:
+    """Reference for multilinear p: every equation at every 0/1 point."""
+    n = p.nvars
+    return all(
+        associated_value(p, i, point) == associated_value(p, i + 1, point)
+        for i in range(1, n)
+        for point in product((0, 1), repeat=2 * n - 1)
+    )
+
+
+def assert_support_route_agrees(p: SparsePoly) -> None:
+    expected = is_associative(p).associative
+    assert full_grid_assoc(p) == expected
+    assert assoc_pointwise(p, OracleConfig(mode="grid")) == expected
+
+
+def test_support_points_agree_with_full_grid_on_z_box():
+    for values in product(range(-2, 3), repeat=4):
+        assert_support_route_agrees(MultilinearPoly(Ring.Z, 2, dict(enumerate(values))).to_sparse())
+
+
+def test_support_points_agree_with_full_grid_on_gaussian_box():
+    units = [GaussianInt(re, im) for re in (-1, 0, 1) for im in (-1, 0, 1)]
+    for values in product(units, repeat=4):
+        assert_support_route_agrees(MultilinearPoly(Ring.ZI, 2, dict(enumerate(values))).to_sparse())
+
+
+SMALL = st.integers(-3, 3)
+COEFFS = {
+    Ring.Z: SMALL,
+    Ring.Q: st.builds(Fraction, SMALL, st.integers(1, 3)),
+    Ring.ZI: st.builds(GaussianInt, SMALL, SMALL),
+}
+
+
+@st.composite
+def sparse_multilinear(draw):
+    """Up to four random terms at n = 2..6, alone or added to a member of an
+    associative family, so that both verdicts and near misses occur."""
+    ring = draw(st.sampled_from(list(COEFFS)))
+    n = draw(st.integers(2, 6))
+    families = [Constant(draw(SMALL)), LeftProjection(), RightProjection(),
+                TranslatedSum(draw(SMALL))]
+    if n >= 3 and n % 2:
+        families.append(TwistedSum(-1))
+    if n <= 4:  # a shifted product fills the whole table
+        families.append(ShiftedProduct(draw(st.sampled_from([1, -1, 2])), draw(SMALL)))
+    base = draw(st.one_of(st.none(), st.sampled_from(families)))
+    terms = dict(reconstruct(base, n, ring).terms) if base is not None else {}
+    masks = st.tuples(*[st.integers(0, 1)] * n)
+    for exps, c in draw(st.dictionaries(masks, COEFFS[ring], max_size=4)).items():
+        terms[exps] = terms.get(exps, 0) + c
+    return SparsePoly(ring, n, terms)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(sparse_multilinear())
+def test_support_points_agree_with_full_grid_on_sparse_inputs(p):
+    assert_support_route_agrees(p)
+
+
+def test_every_monomial_of_both_compositions_is_checked(monkeypatch):
+    # The soundness argument needs equation i to reach the indicator point of
+    # every monomial of slot i's and slot i+1's compositions.  A stub that
+    # agrees everywhere makes the scan visit all of its points, one call per
+    # side of each comparison.
+    calls = []
+
+    def record(p, slot, point):
+        calls.append((slot, sum(bit << j for j, bit in enumerate(point))))
+        return 0
+
+    monkeypatch.setattr(oracle, "associated_value", record)
+    cases = [
+        ("2*x2", 3),
+        ("x1*x3 + 2", 3),
+        ("x2*x3 + x1 - 3", 4),
+        ("x1*x2*x4 + 2*x3 + x4", 4),
+        ("x1 + x2 + x3 + x4 + 1", 4),
+        ("x1 - x2 + x3 - x4 + x5", 5),
+        (CUBIC_EXAMPLE, 3),
+    ]
+    for text, n in cases:
+        p = parse_poly(text, n, Ring.Z)
+        calls.clear()
+        assert assoc_pointwise(p, OracleConfig(mode="grid"))
+        checked = {}
+        for (i, mask), other in zip(calls[::2], calls[1::2]):
+            assert other == (i + 1, mask)
+            checked.setdefault(i, set()).add(mask)
+        ml = p.to_multilinear()
+        for i in range(1, n):
+            lhs, rhs = compose_closed_form(ml, i), compose_closed_form(ml, i + 1)
+            assert lhs.coeffs.keys() | rhs.coeffs.keys() <= checked[i], (text, i)
 
 
 def test_oracle_config_validation():
