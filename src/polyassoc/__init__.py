@@ -1,28 +1,16 @@
 """Exact associativity analysis of polynomial n-ary operations over Z, Q, Z[i]."""
 
 from .rings import Frac, GaussianInt, Ring
-from .poly import (
-    MultilinearPoly,
-    SparsePoly,
-    elementary_symmetric,
-    from_size_coeffs,
-    grid_points,
-    interpolate_multilinear,
-)
+from .poly import MultilinearPoly, SparsePoly, from_size_coeffs
 from .parse import ParseError, parse_poly
 from .assoc import (
-    AssocVerdict,
-    CompositionWitness,
-    SlotWindows,
     associative_multilinear,
     compose_closed_form,
     compose_substitution,
     is_associative,
 )
 from .classify import (
-    Classification,
     Constant,
-    InternalInvariantError,
     LadderViolation,
     LeftProjection,
     NotAssociative,
@@ -30,17 +18,13 @@ from .classify import (
     ShiftedProduct,
     TranslatedSum,
     TwistedSum,
-    classification_params,
     classify,
-    classify_associative,
     extract_type6,
     reconstruct,
     verify_condpol,
 )
 from .structure import (
-    Reduction,
     SkewMap,
-    StructureReport,
     analyze,
     group_status,
     is_medial,
@@ -50,10 +34,7 @@ from .structure import (
     verify_skew,
 )
 from .oracle import (
-    DEFAULT_SEED,
     BudgetError,
-    CensusRow,
-    EnumerationResult,
     OracleConfig,
     XorShift64Star,
     assoc_pointwise,
@@ -61,37 +42,26 @@ from .oracle import (
     candidates_text,
     census_csv,
     enumerate_associative,
-    polys_equal_oracle,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssocVerdict",
     "BudgetError",
-    "CensusRow",
-    "Classification",
-    "CompositionWitness",
     "Constant",
-    "DEFAULT_SEED",
-    "EnumerationResult",
     "Frac",
     "GaussianInt",
-    "InternalInvariantError",
     "LadderViolation",
     "LeftProjection",
     "MultilinearPoly",
     "NotAssociative",
     "OracleConfig",
     "ParseError",
-    "Reduction",
     "RightProjection",
     "Ring",
     "ShiftedProduct",
     "SkewMap",
-    "SlotWindows",
     "SparsePoly",
-    "StructureReport",
     "TranslatedSum",
     "TwistedSum",
     "XorShift64Star",
@@ -101,23 +71,17 @@ __all__ = [
     "associative_multilinear",
     "candidates_text",
     "census_csv",
-    "classification_params",
     "classify",
-    "classify_associative",
     "compose_closed_form",
     "compose_substitution",
-    "elementary_symmetric",
     "enumerate_associative",
     "extract_type6",
     "from_size_coeffs",
-    "grid_points",
     "group_status",
-    "interpolate_multilinear",
     "is_associative",
     "is_medial",
     "iterate_binary",
     "parse_poly",
-    "polys_equal_oracle",
     "reconstruct",
     "reducibility",
     "skew_is_endomorphism",

@@ -17,41 +17,6 @@ from .poly import Monomial, MultilinearPoly, SparsePoly
 
 
 @dataclass(frozen=True)
-class SlotWindows:
-    """The index windows of the composition at one slot (1-based).
-
-    Variables 1..slot-1 pass through before the nested call, the nested call
-    consumes the n-variable window starting at ``slot``, and the remaining
-    variables pass through after it.  The three masks partition 1..2n-1.
-    """
-
-    n: int
-    slot: int
-
-    def __post_init__(self):
-        if not 1 <= self.slot <= self.n:
-            raise ValueError(f"slot {self.slot} out of range 1..{self.n}")
-
-    @property
-    def prefix_mask(self) -> int:
-        return (1 << (self.slot - 1)) - 1
-
-    @property
-    def window_mask(self) -> int:
-        return ((1 << self.n) - 1) << (self.slot - 1)
-
-    @property
-    def suffix_mask(self) -> int:
-        total = (1 << (2 * self.n - 1)) - 1
-        return total ^ self.prefix_mask ^ self.window_mask
-
-    def place(self, outer: int = 0, inner: int = 0) -> int:
-        """The composed mask of an outer mask (slot bit dropped) and an inner one."""
-        after = (outer >> self.slot) << (self.slot + self.n - 1)
-        return (outer & self.prefix_mask) | after | (inner << (self.slot - 1))
-
-
-@dataclass(frozen=True)
 class CompositionWitness:
     """A monomial whose coefficients differ between two slot compositions.
 
@@ -148,16 +113,19 @@ def compose_closed_form(p: MultilinearPoly, slot: int) -> MultilinearPoly:
     without x_slot passes through as it is.  For t terms that is at most
     t(t+1) contributions, whatever the arity.
     """
-    w = SlotWindows(p.n, slot)
+    n = p.n
+    if not 1 <= slot <= n:
+        raise ValueError(f"slot {slot} out of range 1..{n}")
     slot_bit = 1 << (slot - 1)
     zero, pass_through = p.ring.zero, [(0, p.ring.one)]
-    inners = [(w.place(inner=m), c) for m, c in p.coeffs.items()]
+    inners = [(m << (slot - 1), c) for m, c in p.coeffs.items()]
     coeffs: dict[int, object] = {}
     for outer, a in p.coeffs.items():
-        placed = w.place(outer)
+        # bits below the slot stay; bits above it move past the nested window
+        placed = (outer & (slot_bit - 1)) | ((outer >> slot) << (slot + n - 1))
         for inner, b in inners if outer & slot_bit else pass_through:
             coeffs[placed | inner] = coeffs.get(placed | inner, zero) + a * b
-    return MultilinearPoly(p.ring, 2 * p.n - 1, coeffs)
+    return MultilinearPoly(p.ring, 2 * n - 1, coeffs)
 
 
 def _colex_key(monomial: Monomial) -> tuple[int, ...]:

@@ -20,6 +20,7 @@ import os
 from dataclasses import dataclass, field
 from itertools import product
 from math import prod
+from operator import itemgetter
 
 from .assoc import associative_multilinear
 from .classify import (
@@ -40,12 +41,21 @@ DEFAULT_SEED = 88172645463325252
 
 GRID_GUARD = 1 << 20
 DEFAULT_BUDGET = 1 << 24
+# Python's default limit on int-to-str conversion; any count of at least
+# 2^(4 * MAX_COUNT_DIGITS) has more digits than this.
+MAX_COUNT_DIGITS = 4300
 
 
 class BudgetError(ValueError):
-    """A grid or enumeration would exceed its configured budget."""
+    """A grid or enumeration would exceed its configured budget.
 
-    def __init__(self, message: str, required: int):
+    ``required`` is the smallest budget that admits the request.  An
+    enumeration box of more than ``MAX_COUNT_DIGITS`` decimal digits is not
+    built: ``required`` is then None and the message writes the count as a
+    power, such as ``3^16384``.
+    """
+
+    def __init__(self, message: str, required: int | None):
         super().__init__(message)
         self.required = required
 
@@ -97,33 +107,6 @@ class OracleConfig:
             raise ValueError(f"unknown oracle mode {self.mode!r}")
         if self.samples < 1 or self.value_range < 1:
             raise ValueError("samples and value_range must be positive")
-
-
-def polys_equal_oracle(p: SparsePoly, q: SparsePoly, cfg: OracleConfig) -> bool:
-    """Pointwise equality check, independent of any symbolic normal form.
-
-    Grid mode is conclusive: the grid extends one past the per-variable
-    degree in each variable, and a polynomial over an integral domain
-    vanishing on such a grid is zero.  Random mode only samples.
-    """
-    if p.ring is not q.ring or p.nvars != q.nvars:
-        raise ValueError("polynomials must share ring and arity")
-    if cfg.mode == "grid":
-        sides = [
-            max(p.degree_in_var(j), q.degree_in_var(j)) + 1
-            for j in range(1, p.nvars + 1)
-        ]
-        _check_grid_guard(prod(sides))
-        for point in product(*(range(s) for s in sides)):
-            if p.evaluate(point) != q.evaluate(point):
-                return False
-        return True
-    rng = XorShift64Star(cfg.seed)
-    for _ in range(cfg.samples):
-        point = [rng.element(p.ring, cfg.value_range) for _ in range(p.nvars)]
-        if p.evaluate(point) != q.evaluate(point):
-            return False
-    return True
 
 
 def associated_value(p: SparsePoly, slot: int, point):
@@ -296,68 +279,49 @@ def _value_domain(ring: Ring, bound: int) -> list:
 def _enumerate_chunk(args) -> tuple[int, int, list[MultilinearPoly], list[MultilinearPoly]]:
     """Walk one slice of the coefficient box (split on the top coefficient).
 
-    Masks are assigned from the full subset downward so the pruning filters
-    (degree collapse when the top coefficient is zero, size-uniformity when
-    it is not, and idempotence of the first/last linear coefficients) can
-    cut whole subtrees.  Returns (checked, bulk_rejected, survivors, oracle
+    Masks run from the full subset downward, and for each top value the
+    slice is the product of one value list per mask.  Pruning shortens the
+    lists: a zero top coefficient forces degree <= 1 and idempotent
+    first/last linear coefficients, and a nonzero one forces size-uniform
+    coefficients, one free value per subset size.  Every table left out is
+    rejected wholesale.  Returns (checked, bulk_rejected, survivors, oracle
     mismatches).
     """
     ring, n, bound, first_values, prune, cross_check = args
     domain = _value_domain(ring, bound)
     order = sorted(range(1 << n), key=lambda m: (-m.bit_count(), -m))
-    first_of_size = {}
-    for idx, mask in enumerate(order):
-        first_of_size.setdefault(mask.bit_count(), idx)
-    domain_size = len(domain)
+    sizes = [m.bit_count() for m in order]
     zero = ring.zero
-    full_mask = (1 << n) - 1
-    x1_mask, xn_mask = 1, 1 << (n - 1)
+    idempotents = [v for v in domain if v * v == v]
     checked = 0
-    bulk = 0
     survivors: list[MultilinearPoly] = []
     mismatches: list[MultilinearPoly] = []
-    assignment: list = [None] * len(order)
-
-    def leaf():
-        nonlocal checked
-        checked += 1
-        coeffs = {m: v for m, v in zip(order, assignment) if v}
-        ml = MultilinearPoly(ring, n, coeffs)
-        verdict = associative_multilinear(ml)
-        if cross_check:
-            pointwise = assoc_pointwise(ml.to_sparse(), OracleConfig(mode="grid"))
-            if pointwise != verdict.associative:
-                mismatches.append(ml)
-        if verdict.associative:
-            survivors.append(ml)
-
-    def rec(idx: int):
-        nonlocal bulk
-        if idx == len(order):
-            leaf()
-            return
-        mask = order[idx]
-        size = mask.bit_count()
-        values = first_values if idx == 0 else domain
-        for v in values:
-            if prune and idx > 0:
-                top = assignment[0]
-                if size >= 2 and mask != full_mask and top == zero and v != zero:
-                    bulk += domain_size ** (len(order) - idx - 1)
-                    continue
-                if size >= 1 and top != zero:
-                    ref_idx = first_of_size[size]
-                    if ref_idx < idx and v != assignment[ref_idx]:
-                        bulk += domain_size ** (len(order) - idx - 1)
-                        continue
-                if top == zero and mask in (x1_mask, xn_mask) and v * v != v:
-                    bulk += domain_size ** (len(order) - idx - 1)
-                    continue
-            assignment[idx] = v
-            rec(idx + 1)
-        assignment[idx] = None
-
-    rec(0)
+    for top in first_values:
+        if prune and top != zero:
+            # list j holds the value shared by every mask of size n - j
+            lists = [[top]] + [domain] * n
+            per_mask = itemgetter(*(n - k for k in sizes))
+        else:
+            lists = [[top]]
+            for mask, size in zip(order[1:], sizes[1:]):
+                if not prune or size == 0:
+                    lists.append(domain)
+                elif size >= 2:
+                    lists.append([zero])
+                else:
+                    lists.append(idempotents if mask in (1, 1 << (n - 1)) else domain)
+            per_mask = itemgetter(*range(len(order)))
+        for values in product(*lists):
+            checked += 1
+            ml = MultilinearPoly(ring, n, {m: v for m, v in zip(order, per_mask(values)) if v})
+            verdict = associative_multilinear(ml)
+            if cross_check:
+                pointwise = assoc_pointwise(ml.to_sparse(), OracleConfig(mode="grid"))
+                if pointwise != verdict.associative:
+                    mismatches.append(ml)
+            if verdict.associative:
+                survivors.append(ml)
+    bulk = len(first_values) * len(domain) ** (len(order) - 1) - checked
     return checked, bulk, survivors, mismatches
 
 
@@ -390,14 +354,30 @@ def enumerate_associative(
         raise ValueError("bound must be nonnegative")
     if cross_check and prune:
         raise ValueError("cross_check requires prune=False (every candidate must be visited)")
-    domain = _value_domain(ring, bound)
-    total = len(domain) ** (1 << n)
-    if total > budget:
+    side = 2 * bound + 1
+    d, slots = (side * side if ring is Ring.ZI else side), 1 << n
+    # d ** slots has at least (bit_length(d) - 1) * slots bits.  Past both
+    # the budget's bit length and 4 * MAX_COUNT_DIGITS it is surely over
+    # budget and too long to print, so it is not built.
+    if (d.bit_length() - 1) * slots < max(budget.bit_length(), 4 * MAX_COUNT_DIGITS):
+        total = d**slots
+    else:
+        total = None
+    if total is None or total > budget:
+        required = total if total is not None and total < 10**MAX_COUNT_DIGITS else None
+        shown = f"{d}^{slots}" if required is None else required
         raise BudgetError(
-            f"box holds {total} candidate tables; pass budget={total} or more "
+            f"box holds {shown} candidate tables; pass budget={shown} or more "
             f"(configured budget {budget})",
-            total,
+            required,
         )
+    if slots > budget:
+        raise BudgetError(
+            f"a table holds {slots} coefficients; pass budget={slots} or more "
+            f"(configured budget {budget})",
+            slots,
+        )
+    domain = _value_domain(ring, bound)
     chunks = _split(domain, max(1, jobs))
     args = [(ring, n, bound, chunk, prune, cross_check) for chunk in chunks]
     if len(args) > 1:

@@ -10,7 +10,7 @@ Grammar (whitespace-insensitive, no implicit multiplication):
     atom     :=  INT | 'i' | 'x'<digits> | '(' expr ')'
 
 ``i`` is accepted only over Z[i]; ``/`` only over Q and only with an integer
-literal denominator.  Exponents are capped (default 64) to bound memory.
+literal denominator.  Exponents are capped at ``EXPONENT_CAP`` to bound memory.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 from .poly import SparsePoly
 from .rings import GaussianInt, Ring
 
-DEFAULT_EXPONENT_CAP = 64
+EXPONENT_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -103,12 +103,11 @@ def tokenize(source: str) -> list[Token]:
 
 
 class _Parser:
-    def __init__(self, source: str, nvars: int, ring: Ring, exponent_cap: int):
+    def __init__(self, source: str, nvars: int, ring: Ring):
         self.tokens = tokenize(source)
         self.index = 0
         self.nvars = nvars
         self.ring = ring
-        self.cap = exponent_cap
 
     def peek(self) -> Token:
         return self.tokens[self.index]
@@ -191,8 +190,8 @@ class _Parser:
         value = tok.value
         if self.expect_op("^"):
             value = value ** self.exponent()
-        if value > self.cap:
-            raise ParseError(f"exponent {value} exceeds the cap {self.cap}", tok.pos, ())
+        if value > EXPONENT_CAP:
+            raise ParseError(f"exponent {value} exceeds the cap {EXPONENT_CAP}", tok.pos, ())
         return value
 
     def atom(self) -> SparsePoly:
@@ -225,11 +224,6 @@ class _Parser:
         )
 
 
-def parse_poly(
-    source: str,
-    nvars: int,
-    ring: Ring,
-    exponent_cap: int = DEFAULT_EXPONENT_CAP,
-) -> SparsePoly:
+def parse_poly(source: str, nvars: int, ring: Ring) -> SparsePoly:
     """Parse an expression into a SparsePoly, raising ParseError with position."""
-    return _Parser(source, nvars, ring, exponent_cap).parse()
+    return _Parser(source, nvars, ring).parse()

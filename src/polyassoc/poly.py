@@ -221,17 +221,6 @@ class SparsePoly:
             acc = acc + term
         return acc
 
-    def permute_vars(self, images: Sequence[int]) -> SparsePoly:
-        """Replace x_j by x_images[j-1]; images must be a bijection of 1..nvars."""
-        _check_bijection(images, self.nvars)
-        moved: dict[Monomial, object] = {}
-        for exps, coeff in self.terms.items():
-            new = [0] * self.nvars
-            for j, e in enumerate(exps):
-                new[images[j] - 1] = e
-            moved[tuple(new)] = coeff
-        return SparsePoly(self.ring, self.nvars, moved)
-
     def to_multilinear(self) -> MultilinearPoly | None:
         """The subset-indexed form, or None when some variable has degree >= 2."""
         coeffs: dict[int, object] = {}
@@ -349,19 +338,6 @@ class MultilinearPoly:
             total = total + v
         return total
 
-    def permute_vars(self, images: Sequence[int]) -> MultilinearPoly:
-        _check_bijection(images, self.n)
-        moved: dict[int, object] = {}
-        for mask, coeff in self.coeffs.items():
-            new = 0
-            m = mask
-            while m:
-                j = (m & -m).bit_length() - 1
-                new |= 1 << (images[j] - 1)
-                m &= m - 1
-            moved[new] = coeff
-        return MultilinearPoly(self.ring, self.n, moved)
-
     def is_symmetric(self) -> bool:
         """True iff the coefficient depends only on the subset size: each stored
         size k has one value on all C(n, k) masks (absent sizes are zero)."""
@@ -380,13 +356,6 @@ class MultilinearPoly:
         return [self.coeff((1 << k) - 1) for k in range(self.n + 1)]
 
 
-def elementary_symmetric(ring: Ring, n: int, k: int) -> MultilinearPoly:
-    """Sum of all products of k distinct variables out of n."""
-    if not 0 <= k <= n:
-        raise ValueError(f"degree {k} out of range 0..{n}")
-    return MultilinearPoly(ring, n, dict.fromkeys(_masks_of_size(n, k), 1))
-
-
 def from_size_coeffs(ring: Ring, n: int, size_coeffs: Sequence) -> MultilinearPoly:
     """The symmetric multilinear polynomial sum_k c_k * (elementary symmetric of degree k)."""
     if len(size_coeffs) != n + 1:
@@ -399,54 +368,6 @@ def _masks_of_size(n: int, k: int) -> Iterable[int]:
     """The bit masks of all k-element subsets of 1..n."""
     for subset in combinations(range(n), k):
         yield sum(1 << j for j in subset)
-
-
-def interpolate_multilinear(ring: Ring, n: int, values: Mapping[tuple, object]) -> MultilinearPoly:
-    """The unique multilinear polynomial matching the given {0,1}-grid values.
-
-    Inverts grid evaluation by inclusion-exclusion: the coefficient of a
-    subset J is sum over T <= J of (-1)^|J \\ T| * value(T).  No linear solve
-    is involved, so this stays independent of the evaluation engine.
-    """
-    table: dict[int, object] = {}
-    for key, v in values.items():
-        mask = 0
-        for j, bit in enumerate(key):
-            if bit not in (0, 1):
-                raise ValueError(f"grid point {key} is not a 0/1 vector")
-            if bit:
-                mask |= 1 << j
-        if len(key) != n:
-            raise ValueError(f"grid point {key} has wrong length")
-        table[mask] = ring.coerce(v)
-    if len(table) != 1 << n:
-        raise ValueError(f"need values on all {1 << n} grid points, got {len(table)}")
-    coeffs: dict[int, object] = {}
-    for j_mask in range(1 << n):
-        total = ring.zero
-        t = j_mask
-        while True:
-            v = table[t]
-            if (j_mask ^ t).bit_count() & 1:
-                total = total - v
-            else:
-                total = total + v
-            if t == 0:
-                break
-            t = (t - 1) & j_mask
-        coeffs[j_mask] = total
-    return MultilinearPoly(ring, n, coeffs)
-
-
-def grid_points(n: int) -> Iterable[tuple[int, ...]]:
-    """All {0,1}-vectors of length n, in bit mask order."""
-    for mask in range(1 << n):
-        yield tuple((mask >> j) & 1 for j in range(n))
-
-
-def _check_bijection(images: Sequence[int], n: int) -> None:
-    if sorted(images) != list(range(1, n + 1)):
-        raise ValueError(f"{list(images)} is not a bijection of 1..{n}")
 
 
 def _coeff_grammar_str(ring: Ring, coeff) -> str:

@@ -34,7 +34,6 @@ from polyassoc import (
     is_medial,
     iterate_binary,
     parse_poly,
-    polys_equal_oracle,
     reconstruct,
     reducibility,
     skew_is_endomorphism,

@@ -5,7 +5,6 @@ import pytest
 from polyassoc import (
     MultilinearPoly,
     Ring,
-    SlotWindows,
     SparsePoly,
     XorShift64Star,
     associated_value,
@@ -22,13 +21,15 @@ CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
 def dense_closed_form(p, slot):
     """Reference: the per-mask coefficient formula over all 2^(2n-1) masks."""
     n = p.n
-    w = SlotWindows(n, slot)
     slot_bit = 1 << (slot - 1)
+    prefix = slot_bit - 1
+    window = ((1 << n) - 1) << (slot - 1)
+    suffix = ((1 << (2 * n - 1)) - 1) ^ prefix ^ window
     coeffs = {}
     for s in range(1 << (2 * n - 1)):
-        outer = (s & w.prefix_mask) | ((s & w.suffix_mask) >> (n - 1))
-        inner = (s & w.window_mask) >> (slot - 1)
-        if s & w.window_mask:
+        outer = (s & prefix) | ((s & suffix) >> (n - 1))
+        inner = (s & window) >> (slot - 1)
+        if s & window:
             coeffs[s] = p.coeff(outer | slot_bit) * p.coeff(inner)
         else:
             coeffs[s] = p.coeff(outer | slot_bit) * p.coeff(0) + p.coeff(outer)
@@ -71,18 +72,11 @@ def random_table(rng, ring, n, constant):
     return MultilinearPoly(ring, n, coeffs)
 
 
-def test_slot_windows_partition():
-    for n in range(2, 7):
-        full = (1 << (2 * n - 1)) - 1
-        for slot in range(1, n + 1):
-            w = SlotWindows(n, slot)
-            assert w.prefix_mask & w.window_mask == 0
-            assert w.window_mask & w.suffix_mask == 0
-            assert w.prefix_mask | w.window_mask | w.suffix_mask == full
-        assert SlotWindows(n, 1).prefix_mask == 0
-        assert SlotWindows(n, n).suffix_mask == 0
-    with pytest.raises(ValueError):
-        SlotWindows(3, 4)
+def test_compose_closed_form_rejects_bad_slot():
+    p = parse_poly(CUBIC_EXAMPLE, 3, Ring.Z).to_multilinear()
+    for slot in (0, 4):
+        with pytest.raises(ValueError):
+            compose_closed_form(p, slot)
 
 
 def test_compose_substitution_binary_examples():

@@ -246,6 +246,31 @@ def test_enumerate_budget_exceeded(tmp_path, capsys):
     assert str(19**8) in err
 
 
+@pytest.mark.parametrize("n, shown", [(14, "3^16384"), (20, "3^1048576")])
+def test_enumerate_huge_box_fails_fast(tmp_path, capsys, n, shown):
+    # the count has too many digits to print, so the message gives it as a power
+    start = time.perf_counter()
+    code, _, err = run(
+        capsys, "enumerate", "--ring", "z", "--n", str(n), "--bound", "1",
+        "--out", str(tmp_path / "x"),
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert f"box holds {shown} candidate tables; pass budget={shown} or more" in err
+    assert "Traceback" not in err
+
+
+def test_enumerate_single_table_box_at_wide_arity(tmp_path, capsys):
+    out_dir = tmp_path / "census"
+    code, out, _ = run(
+        capsys, "enumerate", "--ring", "z", "--n", "10", "--bound", "0",
+        "--out", str(out_dir),
+    )
+    assert code == 0
+    assert "candidates: 1" in out
+    assert (out_dir / "census.csv").read_text() == "type,params,count\nconstant,c=0,1\n"
+
+
 def test_analyze_non_associative_input(capsys):
     code, out, _ = run(
         capsys, "analyze", "--ring", "z", "--n", "2", "--poly", "2*x1*x2 + x1",

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,6 @@ from polyassoc import (
     enumerate_associative,
     is_associative,
     parse_poly,
-    polys_equal_oracle,
     reconstruct,
 )
 from polyassoc import oracle
@@ -57,6 +57,31 @@ def test_xorshift_determinism_and_ranges():
     assert XorShift64Star(0).next_u64() == XorShift64Star(1 << 64).next_u64()
     with pytest.raises(ValueError):
         XorShift64Star(1).randint(3, 2)
+
+
+def polys_equal_oracle(p: SparsePoly, q: SparsePoly, cfg: OracleConfig) -> bool:
+    """Reference: pointwise equality, independent of any symbolic normal form.
+
+    Grid mode is conclusive: the grid extends one past the per-variable
+    degree in each variable, and a polynomial over an integral domain
+    vanishing on such a grid is zero.  Random mode only samples.
+    """
+    if p.ring is not q.ring or p.nvars != q.nvars:
+        raise ValueError("polynomials must share ring and arity")
+    if cfg.mode == "grid":
+        sides = [
+            max(p.degree_in_var(j), q.degree_in_var(j)) + 1
+            for j in range(1, p.nvars + 1)
+        ]
+        oracle._check_grid_guard(prod(sides))
+        points = product(*(range(s) for s in sides))
+    else:
+        rng = XorShift64Star(cfg.seed)
+        points = (
+            [rng.element(p.ring, cfg.value_range) for _ in range(p.nvars)]
+            for _ in range(cfg.samples)
+        )
+    return all(p.evaluate(point) == q.evaluate(point) for point in points)
 
 
 def test_polys_equal_oracle_grid():
@@ -338,6 +363,24 @@ def test_pruned_gaussian_ternary_census():
     assert set(Ring.ZI.roots_of_unity(2)) == {GaussianInt(1), GaussianInt(-1)}
 
 
+# (n, ring, bound, total, checked, bulk_rejected) of pruned walks, pinned so
+# that a change to how the walk visits the box cannot move either count.
+PRUNED_WALKS = [
+    (3, Ring.Z, 1, 6561, 90, 6471),
+    (2, Ring.Z, 2, 625, 120, 505),
+    (2, Ring.ZI, 1, 6561, 684, 5877),
+    (2, Ring.ZI, 2, 390625, 15100, 375525),
+    (3, Ring.ZI, 1, 43046721, 6156, 43040565),
+    (4, Ring.Z, 1, 43046721, 270, 43046451),
+]
+
+
+@pytest.mark.parametrize("n, ring, bound, total, checked, bulk", PRUNED_WALKS)
+def test_pruned_walk_counts(n, ring, bound, total, checked, bulk):
+    result = enumerate_associative(n, ring, bound, prune=True, budget=total)
+    assert (result.total, result.checked, result.bulk_rejected) == (total, checked, bulk)
+
+
 def test_enumerate_budget_and_argument_errors():
     with pytest.raises(BudgetError) as err:
         enumerate_associative(3, Ring.Z, 3, budget=1000)
@@ -349,6 +392,27 @@ def test_enumerate_budget_and_argument_errors():
         enumerate_associative(3, Ring.Z, 1, prune=True, cross_check=True)
     with pytest.raises(ValueError):
         enumerate_associative(1, Ring.Z, 1)
+
+
+def test_enumerate_budget_decided_before_building_the_box(monkeypatch):
+    def no_walk(args):
+        raise AssertionError("walked a box over the budget")
+
+    monkeypatch.setattr(oracle, "_enumerate_chunk", no_walk)
+    # a count of up to 4,300 digits stays exact
+    with pytest.raises(BudgetError) as err:
+        enumerate_associative(13, Ring.Z, 1)
+    assert err.value.required == 3**8192
+    # a longer one is written as a power and not built
+    with pytest.raises(BudgetError) as err:
+        enumerate_associative(13, Ring.Z, 2)
+    assert err.value.required is None
+    assert "box holds 5^8192 candidate tables" in str(err.value)
+    # one table of 2^31 coefficients is over budget too
+    with pytest.raises(BudgetError) as err:
+        enumerate_associative(31, Ring.Z, 0)
+    assert err.value.required == 2**31
+    assert f"pass budget={2**31} or more" in str(err.value)
 
 
 def test_enumerate_jobs_deterministic():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import prod
 
 import pytest
@@ -11,9 +12,7 @@ from polyassoc import (
     Ring,
     SparsePoly,
     XorShift64Star,
-    elementary_symmetric,
-    grid_points,
-    interpolate_multilinear,
+    from_size_coeffs,
     parse_poly,
 )
 
@@ -86,29 +85,6 @@ def test_evaluate_ring_mismatch():
         p.evaluate((Fraction(1, 2), 1))
 
 
-def test_permute_vars():
-    p = parse_poly("x1 - x2 + x3", 3, Ring.Z)
-    swapped = p.permute_vars([2, 1, 3])
-    assert swapped == parse_poly("x2 - x1 + x3", 3, Ring.Z)
-    cubic = parse_poly(CUBIC_EXAMPLE, 3, Ring.Z)
-    for sigma in ([2, 1, 3], [1, 3, 2], [3, 2, 1], [2, 3, 1]):
-        assert cubic.permute_vars(sigma) == cubic
-    assert p.permute_vars([1, 2, 3]) == p
-    with pytest.raises(ValueError):
-        p.permute_vars([1, 1, 2])
-
-
-def test_permute_is_group_action():
-    rng = XorShift64Star(31)
-    perms3 = [[1, 2, 3], [2, 1, 3], [1, 3, 2], [3, 2, 1], [2, 3, 1], [3, 1, 2]]
-    for _ in range(40):
-        p = random_sparse(rng, Ring.Z, 3)
-        for sigma in perms3:
-            for tau in perms3:
-                composed = [tau[sigma[j] - 1] for j in range(3)]
-                assert p.permute_vars(sigma).permute_vars(tau) == p.permute_vars(composed)
-
-
 def test_is_symmetric():
     cubic = parse_poly(CUBIC_EXAMPLE, 3, Ring.Z).to_multilinear()
     assert cubic.is_symmetric()
@@ -124,42 +100,20 @@ def test_is_symmetric_matches_transposition_invariance():
     rng = XorShift64Star(37)
     for _ in range(150):
         ml = random_multilinear(rng, Ring.Z, 3, width=1)
-        transpositions = [[2, 1, 3], [1, 3, 2]]
-        invariant = all(ml.permute_vars(s) == ml for s in transpositions)
-        assert ml.is_symmetric() == invariant
+        # symmetric iff the coefficient depends only on the mask's popcount
+        by_size = {}
+        for mask in range(1 << 3):
+            by_size.setdefault(mask.bit_count(), set()).add(ml.coeff(mask))
+        assert ml.is_symmetric() == all(len(values) == 1 for values in by_size.values())
 
 
 def test_elementary_symmetric():
-    p2 = elementary_symmetric(Ring.Z, 3, 2)
-    assert p2.to_sparse() == parse_poly("x1*x2 + x2*x3 + x3*x1", 3, Ring.Z)
-    assert elementary_symmetric(Ring.Z, 3, 0).to_sparse() == SparsePoly.constant(Ring.Z, 3, 1)
-    assert elementary_symmetric(Ring.Z, 2, 2).to_sparse() == parse_poly("x1*x2", 2, Ring.Z)
+    def e(n, k):
+        return from_size_coeffs(Ring.Z, n, [int(j == k) for j in range(n + 1)])
 
-
-def test_interpolate_simple():
-    values = {pt: pt[0] * pt[1] for pt in grid_points(2)}
-    ml = interpolate_multilinear(Ring.Z, 2, values)
-    assert ml.coeffs == {0b11: 1}
-    zero = interpolate_multilinear(Ring.Z, 2, {pt: 0 for pt in grid_points(2)})
-    assert zero.coeffs == {}
-
-
-def test_interpolate_inverts_grid_evaluation():
-    cubic = parse_poly(CUBIC_EXAMPLE, 3, Ring.Z).to_multilinear()
-    values = {pt: cubic.evaluate(pt) for pt in grid_points(3)}
-    assert interpolate_multilinear(Ring.Z, 3, values) == cubic
-    rng = XorShift64Star(41)
-    for ring in (Ring.Z, Ring.Q, Ring.ZI):
-        for n in (1, 2, 3, 4):
-            for _ in range(25):
-                ml = random_multilinear(rng, ring, n)
-                values = {pt: ml.evaluate(pt) for pt in grid_points(n)}
-                assert interpolate_multilinear(ring, n, values) == ml
-
-
-def test_interpolate_requires_full_grid():
-    with pytest.raises(ValueError):
-        interpolate_multilinear(Ring.Z, 2, {(0, 0): 1})
+    assert e(3, 2).to_sparse() == parse_poly("x1*x2 + x2*x3 + x3*x1", 3, Ring.Z)
+    assert e(3, 0).to_sparse() == SparsePoly.constant(Ring.Z, 3, 1)
+    assert e(2, 2).to_sparse() == parse_poly("x1*x2", 2, Ring.Z)
 
 
 def test_grid_equality_iff_coefficient_equality():
@@ -167,7 +121,7 @@ def test_grid_equality_iff_coefficient_equality():
     for _ in range(100):
         a = random_multilinear(rng, Ring.Z, 3, width=2)
         b = random_multilinear(rng, Ring.Z, 3, width=2)
-        grids_agree = all(a.evaluate(pt) == b.evaluate(pt) for pt in grid_points(3))
+        grids_agree = all(a.evaluate(pt) == b.evaluate(pt) for pt in product((0, 1), repeat=3))
         assert grids_agree == (a == b)
 
 
