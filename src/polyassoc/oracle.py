@@ -179,13 +179,19 @@ def _assoc_on_support(p: SparsePoly, masks: list[int]) -> bool:
     bounds = [_slot_bound(masks, s) for s in range(1, n + 1)]
     _check_grid_guard(sum(min(1 << m, a + b) for a, b in zip(bounds, bounds[1:])))
     lhs = _slot_candidates(masks, n, 1)
+    known: dict[int, object] = {}  # slot i's values by mask, from equation i-1
     for i in range(1, n):
         rhs = _slot_candidates(masks, n, i + 1)
+        values: dict[int, object] = {}
         for mask in lhs | rhs:
             point = [(mask >> j) & 1 for j in range(m)]
-            if associated_value(p, i, point) != associated_value(p, i + 1, point):
+            left = known.get(mask)
+            if left is None:
+                left = associated_value(p, i, point)
+            right = values[mask] = associated_value(p, i + 1, point)
+            if left != right:
                 return False
-        lhs = rhs
+        lhs, known = rhs, values
     return True
 
 

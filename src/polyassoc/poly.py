@@ -10,12 +10,13 @@ public API, matching the ``x1 .. xn`` naming of the expression grammar.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .rings import Ring
+from .rings import GaussianInt, Ring
 
 Monomial = tuple[int, ...]
 
@@ -28,8 +29,7 @@ class SparsePoly:
     """Exact sparse polynomial over one of the supported rings.
 
     Instances are immutable: ``terms`` is never written after construction,
-    and the factor list that :meth:`evaluate` builds once and keeps relies
-    on that.
+    and the plan that :meth:`evaluate` builds once and keeps relies on that.
     """
 
     __slots__ = ("ring", "nvars", "terms", "_factors")
@@ -187,22 +187,20 @@ class SparsePoly:
         return all(e <= 1 for exps in self.terms for e in exps)
 
     def evaluate(self, point: Sequence):
+        """The value at ``point``, exact and of the ring's element type.
+
+        The first call builds a plan from the terms and keeps it: over Z the
+        coefficients as they are, over Q integer numerators over their
+        common denominator, over Z[i] ``(re, im)`` integer pairs.  Each call
+        then sums in plain ints and builds one ring element at the end.
+        Every coordinate is validated; a foreign value raises TypeError.
+        """
         if len(point) != self.nvars:
             raise ValueError(f"expected {self.nvars} coordinates, got {len(point)}")
-        coerce = self.ring.coerce
-        point = [coerce(v) for v in point]
         if self._factors is None:
-            self._factors = [
-                (coeff, [(j, e) for j, e in enumerate(exps) if e])
-                for exps, coeff in self.terms.items()
-            ]
-        total = self.ring.zero
-        for coeff, factors in self._factors:
-            v = coeff
-            for j, e in factors:
-                v = v * point[j] if e == 1 else v * point[j] ** e
-            total = total + v
-        return total
+            self._factors = _plan(self.ring, self.terms)
+        kernel, plan = self._factors
+        return kernel(plan, point)
 
     def substitute(self, values: Sequence[SparsePoly]) -> SparsePoly:
         """Substitute a polynomial for every variable (all in the same target arity)."""
@@ -354,6 +352,72 @@ class MultilinearPoly:
         if not self.is_symmetric():
             return None
         return [self.coeff((1 << k) - 1) for k in range(self.n + 1)]
+
+
+def _plan(ring: Ring, terms: dict[Monomial, object]) -> tuple:
+    """The evaluation kernel for ``ring`` and the data it reads: per term the
+    coefficient in ints and its ``(variable, exponent)`` factors."""
+    factors = [[(j, e) for j, e in enumerate(exps) if e] for exps in terms]
+    if ring is Ring.Z:
+        return _evaluate_z, list(zip(terms.values(), factors))
+    if ring is Ring.ZI:
+        return _evaluate_zi, [(c.re, c.im, f) for c, f in zip(terms.values(), factors)]
+    # Over Q every term is scaled up to the total degree, so that at a point
+    # whose coordinates share the denominator V all terms share den * V^degree.
+    den = lcm(*(c.denominator for c in terms.values()))
+    degree = max((sum(exps) for exps in terms), default=0)
+    scaled = [
+        (c.numerator * (den // c.denominator), degree - sum(exps), f)
+        for (exps, c), f in zip(terms.items(), factors)
+    ]
+    return _evaluate_q, (den, degree, scaled)
+
+
+def _evaluate_z(terms: list, point: Sequence) -> int:
+    xs = [v if type(v) is int else Ring.Z.coerce(v) for v in point]
+    total = 0
+    for v, factors in terms:
+        for j, e in factors:
+            v = v * xs[j] if e == 1 else v * xs[j] ** e
+        total += v
+    return total
+
+
+def _evaluate_q(plan: tuple, point: Sequence) -> Fraction:
+    den, degree, terms = plan
+    xs = [v if type(v) is Fraction or type(v) is int else Ring.Q.coerce(v) for v in point]
+    common = lcm(*(v.denominator for v in xs))
+    nums = [v.numerator * (common // v.denominator) for v in xs]
+    powers = [common**k for k in range(degree + 1)]
+    total = 0
+    for v, deficit, factors in terms:
+        v *= powers[deficit]
+        for j, e in factors:
+            v = v * nums[j] if e == 1 else v * nums[j] ** e
+        total += v
+    return Fraction(total, den * powers[degree])
+
+
+def _evaluate_zi(terms: list, point: Sequence) -> GaussianInt:
+    xs = []
+    for v in point:
+        if type(v) is int:
+            xs.append((v, 0))
+        else:
+            v = Ring.ZI.coerce(v)
+            xs.append((v.re, v.im))
+    re_total = im_total = 0
+    for re, im, factors in terms:
+        for j, e in factors:
+            if e == 1:
+                x, y = xs[j]
+            else:
+                g = GaussianInt._trusted(*xs[j]) ** e
+                x, y = g.re, g.im
+            re, im = re * x - im * y, re * y + im * x
+        re_total += re
+        im_total += im
+    return GaussianInt._trusted(re_total, im_total)
 
 
 def from_size_coeffs(ring: Ring, n: int, size_coeffs: Sequence) -> MultilinearPoly:

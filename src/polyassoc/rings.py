@@ -23,6 +23,15 @@ class GaussianInt:
         self.re = int(re)
         self.im = int(im)
 
+    @classmethod
+    def _trusted(cls, re: int, im: int) -> GaussianInt:
+        """Wrap components already of type ``int``, skipping the ``int()``
+        calls of ``__init__``; arithmetic results are built this way."""
+        g = cls.__new__(cls)
+        g.re = re
+        g.im = im
+        return g
+
     def __repr__(self) -> str:
         return f"GaussianInt({self.re}, {self.im})"
 
@@ -51,24 +60,26 @@ class GaussianInt:
         return self.re * self.re + self.im * self.im
 
     def conjugate(self) -> GaussianInt:
-        return GaussianInt(self.re, -self.im)
+        return GaussianInt._trusted(self.re, -self.im)
 
     def __neg__(self) -> GaussianInt:
-        return GaussianInt(-self.re, -self.im)
+        return GaussianInt._trusted(-self.re, -self.im)
 
     def __add__(self, other):
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return GaussianInt(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianInt:
+            other = _as_gauss(other)
+            if other is None:
+                return NotImplemented
+        return GaussianInt._trusted(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return GaussianInt(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianInt:
+            other = _as_gauss(other)
+            if other is None:
+                return NotImplemented
+        return GaussianInt._trusted(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         other = _as_gauss(other)
@@ -77,10 +88,11 @@ class GaussianInt:
         return other - self
 
     def __mul__(self, other):
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return GaussianInt(
+        if type(other) is not GaussianInt:
+            other = _as_gauss(other)
+            if other is None:
+                return NotImplemented
+        return GaussianInt._trusted(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -120,10 +132,14 @@ class GaussianInt:
 
 
 def _as_gauss(x) -> GaussianInt | None:
+    """A foreign operand as a GaussianInt (bools become ints), or None.
+
+    The operators test ``type(other) is GaussianInt`` before calling this,
+    so the common case costs no call."""
     if isinstance(x, GaussianInt):
         return x
     if isinstance(x, int):
-        return GaussianInt(x)
+        return GaussianInt._trusted(int(x), 0)
     return None
 
 

@@ -165,6 +165,73 @@ def test_analyze_golden_json(capsys):
     }
 
 
+SAMPLED_STRUCTURE = {
+    "skew": None,
+    "skew_verified": None,
+    "skew_endomorphism": None,
+    "medial": True,
+    "medial_method": "sampled",
+    "reducible": "out-of-scope",
+    "reduction": None,
+}
+SHIFTED_PRODUCT_REPORTS = {
+    ("q", "2*(x1 + 1/2)*(x2 + 1/2)*(x3 + 1/2)*(x4 + 1/2) - 1/2"): {
+        "ring": "Q",
+        "n": 4,
+        "input": "2*x1*x2*x3*x4 + x1*x2*x3 + x1*x2*x4 + x1*x3*x4 + x2*x3*x4"
+        " + 1/2*x1*x2 + 1/2*x1*x3 + 1/2*x1*x4 + 1/2*x2*x3 + 1/2*x2*x4 + 1/2*x3*x4"
+        " + 1/4*x1 + 1/4*x2 + 1/4*x3 + 1/4*x4 - 3/8",
+        "multilinear": True,
+        "associative": True,
+        "witness": None,
+        "classification": {"type": "shifted-product", "clause": "vi", "a": "2", "b": "1/2"},
+        "structure": {
+            "group": "field-restricted",
+            **SAMPLED_STRUCTURE,
+            "notes": [
+                "group on Q minus {-1/2} only; shifting the domain by the offset reduces it"
+                " to the punctured product case",
+                "shifted-product reducibility is only decided for offset 0 on the punctured"
+                " domain",
+            ],
+        },
+        "oracle": {"mode": "grid", "agrees": True},
+    },
+    ("zi", "(1+i)*(x1 - i)*(x2 - i)*(x3 - i)*(x4 - i) + i"): {
+        "ring": "Z[i]",
+        "n": 4,
+        "input": "(1+i)*x1*x2*x3*x4 + (1-i)*x1*x2*x3 + (1-i)*x1*x2*x4 + (1-i)*x1*x3*x4"
+        " + (1-i)*x2*x3*x4 + (-1-i)*x1*x2 + (-1-i)*x1*x3 + (-1-i)*x1*x4 + (-1-i)*x2*x3"
+        " + (-1-i)*x2*x4 + (-1-i)*x3*x4 + (-1+i)*x1 + (-1+i)*x2 + (-1+i)*x3 + (-1+i)*x4"
+        " + (1+2*i)",
+        "multilinear": True,
+        "associative": True,
+        "witness": None,
+        "classification": {"type": "shifted-product", "clause": "vi", "a": "1+i", "b": "-i"},
+        "structure": {
+            "group": "no",
+            **SAMPLED_STRUCTURE,
+            "notes": [
+                "not a group on all of Z[i]; product-family operations only form groups on"
+                " a punctured domain over a field",
+                "shifted-product reducibility is only decided over a field (Z[i] is not one)",
+            ],
+        },
+        "oracle": {"mode": "grid", "agrees": True},
+    },
+}
+
+
+@pytest.mark.parametrize("ring,poly", list(SHIFTED_PRODUCT_REPORTS))
+def test_analyze_sampled_mediality_golden_json(capsys, ring, poly):
+    # n = 4: mediality is sampled, and the exact oracle runs on support points
+    code, out, _ = run(
+        capsys, "analyze", "--ring", ring, "--n", "4", "--poly", poly, "--format", "json",
+    )
+    assert code == 0
+    assert out == json.dumps(SHIFTED_PRODUCT_REPORTS[ring, poly], indent=2) + "\n"
+
+
 def test_analyze_twisted_and_product_structures(capsys):
     code, out, _ = run(
         capsys, "analyze", "--ring", "z", "--n", "3", "--poly", "x1 - x2 + x3",

@@ -229,14 +229,21 @@ def test_support_points_agree_with_full_grid_on_sparse_inputs(p):
 
 def test_every_monomial_of_both_compositions_is_checked(monkeypatch):
     # The soundness argument needs equation i to reach the indicator point of
-    # every monomial of slot i's and slot i+1's compositions.  A stub that
-    # agrees everywhere makes the scan visit all of its points, one call per
-    # side of each comparison.
-    calls = []
+    # every monomial of slot i's and slot i+1's compositions.  The stub's
+    # values agree everywhere, so the scan visits all of its points, and each
+    # comparison records the two slots and the point it compared.
+    compared = []
+
+    class Value:
+        def __init__(self, slot, mask):
+            self.slot, self.mask = slot, mask
+
+        def __ne__(self, other):
+            compared.append((self.slot, self.mask, other.slot, other.mask))
+            return False
 
     def record(p, slot, point):
-        calls.append((slot, sum(bit << j for j, bit in enumerate(point))))
-        return 0
+        return Value(slot, sum(bit << j for j, bit in enumerate(point)))
 
     monkeypatch.setattr(oracle, "associated_value", record)
     cases = [
@@ -250,16 +257,33 @@ def test_every_monomial_of_both_compositions_is_checked(monkeypatch):
     ]
     for text, n in cases:
         p = parse_poly(text, n, Ring.Z)
-        calls.clear()
+        compared.clear()
         assert assoc_pointwise(p, OracleConfig(mode="grid"))
         checked = {}
-        for (i, mask), other in zip(calls[::2], calls[1::2]):
-            assert other == (i + 1, mask)
+        for i, mask, other, other_mask in compared:
+            assert (other, other_mask) == (i + 1, mask)
             checked.setdefault(i, set()).add(mask)
         ml = p.to_multilinear()
         for i in range(1, n):
             lhs, rhs = compose_closed_form(ml, i), compose_closed_form(ml, i + 1)
             assert lhs.coeffs.keys() | rhs.coeffs.keys() <= checked[i], (text, i)
+
+
+def test_each_slot_is_evaluated_once_per_point(monkeypatch):
+    # Equations i and i+1 share slot i+1; its values are kept between them.
+    calls = []
+
+    def record(p, slot, point):
+        calls.append((slot, tuple(point)))
+        return 0
+
+    monkeypatch.setattr(oracle, "associated_value", record)
+    for text, n in [("x1 + x2 + x3", 3), ("x1*x2*x4 + 2*x3 + x4", 4),
+                    ("-1 + 2*(x1 + 1)*(x2 + 1)*(x3 + 1)*(x4 + 1)", 4)]:
+        calls.clear()
+        assert assoc_pointwise(parse_poly(text, n, Ring.Z), OracleConfig(mode="grid"))
+        assert {slot for slot, _ in calls} == set(range(1, n + 1))
+        assert len(calls) == len(set(calls)), text
 
 
 def test_oracle_config_validation():

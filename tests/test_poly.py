@@ -80,9 +80,20 @@ def test_evaluate():
 
 
 def test_evaluate_ring_mismatch():
-    p = SparsePoly(Ring.Z, 2, {(1, 1): 1})
-    with pytest.raises(TypeError):
-        p.evaluate((Fraction(1, 2), 1))
+    foreign = {
+        Ring.Z: (Fraction(1, 2), GaussianInt(0, 1), 1.5, "1"),
+        Ring.Q: (GaussianInt(1, 1), GaussianInt(2), 1.5, "1"),
+        Ring.ZI: (Fraction(1, 2), Fraction(2), 1.5, "1"),
+    }
+    for ring, values in foreign.items():
+        for value in values:
+            p = SparsePoly(ring, 2, {(1, 1): 1, (0, 2): 3})
+            for _ in range(2):  # before and after the plan is built
+                with pytest.raises(TypeError):
+                    p.evaluate((value, 1))
+                with pytest.raises(TypeError):
+                    p.evaluate((1, value))
+                assert p.evaluate((2, 1)) == 5
 
 
 def test_is_symmetric():
@@ -188,7 +199,7 @@ def ring_values(draw, ring):
     small = st.integers(-5, 5)
     exact = {
         Ring.Z: small,
-        Ring.Q: st.builds(Fraction, small, st.integers(1, 4)),
+        Ring.Q: st.builds(Fraction, small, st.integers(1, 12)),
         Ring.ZI: st.builds(GaussianInt, small, small),
     }[ring]
     return draw(st.one_of(exact, small, st.booleans()))

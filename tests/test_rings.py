@@ -105,6 +105,16 @@ def test_gaussian_arithmetic_basics():
     assert str(GaussianInt(-1, 0)) == "-1"
 
 
+def test_gaussian_results_have_int_components():
+    g = GaussianInt(2, -3)
+    assert type(GaussianInt(True, False).re) is int
+    for x in (True, False, 5, -2, GaussianInt(True, True), g):
+        results = [g + x, x + g, g - x, x - g, g * x, x * g, -g, g.conjugate(), g**2]
+        for r in results:
+            assert type(r) is GaussianInt and type(r.re) is int and type(r.im) is int
+    assert (True + g, g - True, True * g) == (GaussianInt(3, -3), GaussianInt(1, -3), g)
+
+
 def test_gaussian_gcd_divides_and_is_canonical():
     rng = XorShift64Star(5)
     for _ in range(200):

@@ -109,6 +109,11 @@ def test_is_medial_sampled_for_large_arity():
         assert ok and method == "sampled"
 
 
+def test_is_medial_sampled_rejects_non_medial():
+    for text, ring in (("1/2*x1*x2 + x3 - x4", Ring.Q), ("i*x1*x2 + x3^2 + x4", Ring.ZI)):
+        assert is_medial(parse_poly(text, 4, ring)) == (False, "sampled")
+
+
 def test_iterate_binary():
     plus = parse_poly("x1 + x2", 2, Ring.Z)
     assert iterate_binary(plus, 4) == parse_poly("x1 + x2 + x3 + x4", 4, Ring.Z)
