@@ -11,7 +11,6 @@ of terms.  The verdict carries a deterministic witness on failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 
 from .poly import Monomial, MultilinearPoly, SparsePoly
 
@@ -60,49 +59,14 @@ class AssocVerdict:
 
 
 def compose_substitution(p: SparsePoly, slot: int) -> SparsePoly:
-    """The slot composition of p, expanded by direct substitution.
-
-    Result has 2n-1 variables: arguments before ``slot`` stay x1..,
-    the slot argument becomes p applied to the next n variables, and the
-    remaining arguments continue after the window.
-    """
+    """The slot composition p(x1, .., p(x_slot, .., x_(slot+n-1)), .., x_(2n-1)),
+    expanded by substituting into p twice."""
     n = p.nvars
     if not 1 <= slot <= n:
         raise ValueError(f"slot {slot} out of range 1..{n}")
-    m = 2 * n - 1
-    inner = SparsePoly(
-        p.ring,
-        m,
-        {
-            (0,) * (slot - 1) + e + (0,) * (n - slot): c
-            for e, c in p.terms.items()
-        },
-    )
-    inner_powers = {1: inner}
-    out: dict[Monomial, object] = {}
-    for e, c in p.terms.items():
-        base = [0] * m
-        for j in range(n):
-            if j + 1 < slot:
-                base[j] = e[j]
-            elif j + 1 > slot:
-                base[j + n - 1] = e[j]
-        k = e[slot - 1]
-        if k == 0:
-            factor_terms = {(0,) * m: p.ring.one}
-        else:
-            if k not in inner_powers:
-                inner_powers[k] = inner**k
-            factor_terms = inner_powers[k].terms
-        for fe, fc in factor_terms.items():
-            combined = tuple(map(add, base, fe))
-            s = out.get(combined)
-            s = c * fc if s is None else s + c * fc
-            if s:
-                out[combined] = s
-            else:
-                out.pop(combined, None)
-    return SparsePoly(p.ring, m, out)
+    xs = [SparsePoly.variable(p.ring, 2 * n - 1, j) for j in range(1, 2 * n)]
+    inner = p.substitute(xs[slot - 1 : slot - 1 + n])
+    return p.substitute(xs[: slot - 1] + [inner] + xs[slot - 1 + n :])
 
 
 def compose_closed_form(p: MultilinearPoly, slot: int) -> MultilinearPoly:

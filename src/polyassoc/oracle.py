@@ -86,13 +86,14 @@ class XorShift64Star:
                 return lo + u % span
 
     def element(self, ring: Ring, half_width: int):
-        """A ring element with integer coordinates in [-half_width, half_width]."""
+        """A ring element with integer coordinates in [-half_width, half_width]:
+        a ``GaussianInt`` over Z[i], a plain int (which Q accepts as it is) otherwise."""
         if ring is Ring.ZI:
             return GaussianInt(
                 self.randint(-half_width, half_width),
                 self.randint(-half_width, half_width),
             )
-        return ring.coerce(self.randint(-half_width, half_width))
+        return self.randint(-half_width, half_width)
 
 
 @dataclass(frozen=True)

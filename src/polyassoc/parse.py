@@ -15,6 +15,7 @@ literal denominator.  Exponents are capped at ``EXPONENT_CAP`` to bound memory.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,17 +58,13 @@ def tokenize(source: str) -> list[Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
-            j = i
-            while j < length and source[j].isdigit():
-                j += 1
+        if ch.isdecimal():
+            j = _digit_run_end(source, i)
             tokens.append(Token("int", source[i:j], i))
             i = j
             continue
         if ch == "x":
-            j = i + 1
-            while j < length and source[j].isdigit():
-                j += 1
+            j = _digit_run_end(source, i + 1)
             if j == i + 1:
                 raise ParseError("expected digits after 'x'", i, ("variable index",))
             tokens.append(Token("var", source[i:j], i))
@@ -100,6 +97,18 @@ def tokenize(source: str) -> list[Token]:
         raise ParseError(f"unexpected character {ch!r}", i, ())
     tokens.append(Token("end", "", length))
     return tokens
+
+
+def _digit_run_end(source: str, start: int) -> int:
+    """The end of the decimal digit run at ``start``.  A run longer than the
+    interpreter's int conversion limit (0: none) is refused at its first digit."""
+    j = start
+    while j < len(source) and source[j].isdecimal():
+        j += 1
+    limit = sys.get_int_max_str_digits()
+    if limit and j - start > limit:
+        raise ParseError(f"integer literal longer than {limit} digits", start, ())
+    return j
 
 
 class _Parser:

@@ -119,13 +119,7 @@ class SparsePoly:
                 return NotImplemented
         self._compatible(other)
         merged = dict(self.terms)
-        for e, c in other.terms.items():
-            s = merged.get(e)
-            s = c if s is None else s + c
-            if s:
-                merged[e] = s
-            else:
-                merged.pop(e, None)
+        _merge(merged, other.terms)
         return SparsePoly._trusted(self.ring, self.nvars, merged)
 
     __radd__ = __add__
@@ -165,12 +159,13 @@ class SparsePoly:
             raise ValueError("exponent must be a nonnegative integer")
         result = SparsePoly.constant(self.ring, self.nvars, 1)
         base = self
-        while k:
+        while True:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
@@ -203,21 +198,33 @@ class SparsePoly:
         return kernel(plan, point)
 
     def substitute(self, values: Sequence[SparsePoly]) -> SparsePoly:
-        """Substitute a polynomial for every variable (all in the same target arity)."""
+        """Substitute a polynomial for every variable (all in the same target arity).
+
+        Each power ``values[j] ** e`` is computed once per call, and each term
+        multiplies its factors smallest first, so a large factor is multiplied
+        once, by the product of the others.
+        """
         if len(values) != self.nvars:
             raise ValueError(f"expected {self.nvars} substitution values")
         target = values[0].nvars
         for v in values:
             if v.ring is not self.ring or v.nvars != target:
                 raise ValueError("substitution values must share ring and arity")
-        acc = SparsePoly.zero(self.ring, target)
+        constant = (0,) * target
+        powers: dict[tuple[int, int], SparsePoly] = {}
+        out: dict[Monomial, object] = {}
         for exps, coeff in self.terms.items():
-            term = SparsePoly.constant(self.ring, target, coeff)
-            for v, e in zip(values, exps):
+            factors = []
+            for j, e in enumerate(exps):
                 if e:
-                    term = term * v**e
-            acc = acc + term
-        return acc
+                    if (j, e) not in powers:
+                        powers[j, e] = values[j] ** e if e > 1 else values[j]
+                    factors.append(powers[j, e])
+            term = SparsePoly._trusted(self.ring, target, {constant: coeff})
+            for factor in sorted(factors, key=lambda f: len(f.terms)):
+                term = term * factor
+            _merge(out, term.terms)
+        return SparsePoly._trusted(self.ring, target, out)
 
     def to_multilinear(self) -> MultilinearPoly | None:
         """The subset-indexed form, or None when some variable has degree >= 2."""
@@ -321,20 +328,7 @@ class MultilinearPoly:
         return self.to_sparse().render()
 
     def evaluate(self, point: Sequence):
-        if len(point) != self.n:
-            raise ValueError(f"expected {self.n} coordinates, got {len(point)}")
-        coerce = self.ring.coerce
-        point = [coerce(v) for v in point]
-        total = self.ring.zero
-        for mask, coeff in self.coeffs.items():
-            v = coeff
-            m = mask
-            while m:
-                j = (m & -m).bit_length() - 1
-                v = v * point[j]
-                m &= m - 1
-            total = total + v
-        return total
+        return self.to_sparse().evaluate(point)
 
     def is_symmetric(self) -> bool:
         """True iff the coefficient depends only on the subset size: each stored
@@ -352,6 +346,17 @@ class MultilinearPoly:
         if not self.is_symmetric():
             return None
         return [self.coeff((1 << k) - 1) for k in range(self.n + 1)]
+
+
+def _merge(into: dict[Monomial, object], terms: Mapping[Monomial, object]) -> None:
+    """Add ``terms`` into the coefficient dict ``into``, dropping sums that vanish."""
+    for e, c in terms.items():
+        s = into.get(e)
+        s = c if s is None else s + c
+        if s:
+            into[e] = s
+        else:
+            del into[e]
 
 
 def _plan(ring: Ring, terms: dict[Monomial, object]) -> tuple:

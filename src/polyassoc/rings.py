@@ -104,12 +104,13 @@ class GaussianInt:
             raise ValueError("exponent must be a nonnegative integer")
         result = GaussianInt(1)
         base = self
-        while k:
+        while True:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def __divmod__(self, other):
         # Euclidean division by rounding the exact quotient componentwise;

@@ -1,8 +1,13 @@
+from fractions import Fraction
 from itertools import product
+from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyassoc import (
+    GaussianInt,
     MultilinearPoly,
     Ring,
     SparsePoly,
@@ -49,14 +54,30 @@ def dense_first_difference(p):
     return None
 
 
+def expand_composition(p, slot):
+    """Reference: the slot composition expanded outer term by outer term, each
+    times the power of p (moved onto the window x_slot..x_(slot+n-1)) that the
+    term's exponent of x_slot asks for."""
+    n, m = p.nvars, 2 * p.nvars - 1
+    window = {(0,) * (slot - 1) + e + (0,) * (n - slot): c for e, c in p.terms.items()}
+    inner = SparsePoly(p.ring, m, window)
+    out = {}
+    for e, c in p.terms.items():
+        base = e[: slot - 1] + (0,) * n + e[slot:]
+        for fe, fc in (inner ** e[slot - 1]).terms.items():
+            monomial = tuple(map(add, base, fe))
+            out[monomial] = out.get(monomial, p.ring.zero) + c * fc
+    return SparsePoly(p.ring, m, out)
+
+
 def colex_first_difference(p):
     """Reference witness of the substitution route: (slot, monomial, lhs, rhs)
     at the first differing monomial of a full colex-sorted scan, slots in
     order; None when all slots agree."""
-    base = compose_substitution(p, 1).terms
+    base = expand_composition(p, 1).terms
     zero = p.ring.zero
     for slot in range(2, p.nvars + 1):
-        other = compose_substitution(p, slot).terms
+        other = expand_composition(p, slot).terms
         for e in sorted(base.keys() | other.keys(), key=lambda e: tuple(reversed(e))):
             lhs, rhs = base.get(e, zero), other.get(e, zero)
             if lhs != rhs:
@@ -203,6 +224,39 @@ def test_non_multilinear_inputs_disprove_by_expansion():
                 w = is_associative(p).witness
                 got = None if w is None else (w.slot, w.monomial, w.lhs, w.rhs)
                 assert got == colex_first_difference(p)
+
+
+SETTINGS = settings(max_examples=300, deadline=None, database=None)
+
+
+@st.composite
+def sparse_polys(draw, min_nvars=1):
+    """A polynomial over Z, Q or Z[i] in min_nvars..4 variables, exponents 0-3."""
+    ring = draw(st.sampled_from((Ring.Z, Ring.Q, Ring.ZI)))
+    nvars = draw(st.integers(min_nvars, 4))
+    small = st.integers(-3, 3)
+    value = {
+        Ring.Z: small,
+        Ring.Q: st.builds(Fraction, small, st.integers(1, 4)),
+        Ring.ZI: st.builds(GaussianInt, small, small),
+    }[ring]
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    return SparsePoly(ring, nvars, draw(st.dictionaries(exps, value, max_size=4)))
+
+
+@SETTINGS
+@given(sparse_polys())
+def test_compose_substitution_matches_term_expansion(p):
+    for slot in range(1, p.nvars + 1):
+        assert compose_substitution(p, slot) == expand_composition(p, slot)
+
+
+@settings(SETTINGS, max_examples=1000)
+@given(sparse_polys(min_nvars=2))
+def test_witness_matches_term_expansion(p):
+    w = is_associative(p).witness
+    got = None if w is None else (w.slot, w.monomial, w.lhs, w.rhs)
+    assert got == colex_first_difference(p)
 
 
 def test_symmetric_shortcut_agrees_with_full_check():

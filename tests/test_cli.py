@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -61,6 +62,19 @@ def test_parse_error_exit_code_and_position(capsys):
     assert code == 1
     assert out == ""
     assert "position 5" in err
+
+
+@pytest.mark.parametrize(
+    "poly, position",
+    [("9" * 5000 + "*x1", 1), ("x1^" + "9" * 5000, 4), ("x" + "9" * 5000, 2)],
+    ids=["coefficient", "exponent", "variable-index"],
+)
+def test_over_long_integer_literal_is_a_parse_error(capsys, poly, position):
+    code, out, err = run(capsys, "check", "--ring", "z", "--n", "2", "--poly", poly)
+    assert code == 1
+    assert out == ""
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: integer literal longer than {limit} digits at position {position}\n"
 
 
 def test_invalid_flags_exit_code(capsys):

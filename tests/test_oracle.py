@@ -46,6 +46,17 @@ def test_xorshift_pinned_sequence():
     ]
 
 
+def test_element_draws_plain_ints_over_z_and_q():
+    z, q, zi = XorShift64Star(5), XorShift64Star(5), XorShift64Star(5)
+    z_draws = [z.element(Ring.Z, 100) for _ in range(200)]
+    q_draws = [q.element(Ring.Q, 100) for _ in range(200)]
+    assert q_draws == z_draws
+    assert all(type(v) is int for v in q_draws)
+    zi_draws = [zi.element(Ring.ZI, 100) for _ in range(100)]
+    assert all(type(v) is GaussianInt for v in zi_draws)
+    assert [(v.re, v.im) for v in zi_draws] == list(zip(z_draws[::2], z_draws[1::2]))
+
+
 def test_xorshift_determinism_and_ranges():
     a = XorShift64Star(42)
     b = XorShift64Star(42)

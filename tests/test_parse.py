@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,23 @@ def test_malformed_inputs():
     for bad in ["", "()", "(x1", "x1)", "x", "x1 *", "* x1", "$", "3..", "x1 + @"]:
         with pytest.raises(ParseError):
             parse_poly(bad, 2, Ring.Z)
+
+
+def test_digit_runs_up_to_the_int_conversion_limit():
+    limit = sys.get_int_max_str_digits()
+    assert parse_poly("9" * limit + "*x1", 2, Ring.Z) == SparsePoly(
+        Ring.Z, 2, {(1, 0): int("9" * limit)}
+    )
+    with pytest.raises(ParseError) as err:
+        parse_poly("9" * (limit + 1) + "*x1", 2, Ring.Z)
+    assert err.value.position == 0
+
+
+def test_non_decimal_digits_are_not_numbers():
+    for source, position in [("x\u00b2", 0), ("x1 + \u00b2", 5), ("x1^\u00b3", 3)]:
+        with pytest.raises(ParseError) as err:
+            parse_poly(source, 2, Ring.Z)
+        assert err.value.position == position
 
 
 def test_whitespace_insensitive():

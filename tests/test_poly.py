@@ -171,15 +171,50 @@ def test_arithmetic_identities():
     assert p**0 == SparsePoly.constant(Ring.Z, 2, 1)
 
 
+def ring_point(rng, ring, size):
+    """Coordinates of the ring's own element type: over Q with denominators 1-4."""
+    if ring is Ring.Q:
+        return [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(size)]
+    return [ring.coerce(rng.element(ring, 3)) for _ in range(size)]
+
+
 def test_substitute_matches_evaluation():
     rng = XorShift64Star(53)
-    for _ in range(40):
-        p = random_sparse(rng, Ring.Z, 2)
-        u = random_sparse(rng, Ring.Z, 2, max_exp=1)
-        v = random_sparse(rng, Ring.Z, 2, max_exp=1)
-        composed = p.substitute([u, v])
-        for pt in [(0, 0), (1, 2), (-1, 3), (2, -2)]:
-            assert composed.evaluate(pt) == p.evaluate((u.evaluate(pt), v.evaluate(pt)))
+    for ring in (Ring.Z, Ring.Q, Ring.ZI):
+        for max_exp in (1, 2, 3):
+            for _ in range(15):
+                p = random_sparse(rng, ring, 2)
+                u = random_sparse(rng, ring, 2, max_exp=max_exp, terms=3)
+                v = random_sparse(rng, ring, 2, max_exp=max_exp, terms=3)
+                if ring is Ring.Q:
+                    u = u * Fraction(1, rng.randint(1, 5))
+                composed = p.substitute([u, v])
+                for _ in range(4):
+                    pt = ring_point(rng, ring, 2)
+                    assert composed.evaluate(pt) == p.evaluate((u.evaluate(pt), v.evaluate(pt)))
+
+
+@pytest.mark.parametrize("base", [SparsePoly(Ring.Z, 2, {(1, 0): 1, (0, 1): 2}), GaussianInt(1, 2)])
+def test_pow_multiplies_popcount_plus_bit_length_minus_one_times(monkeypatch, base):
+    """Square-and-multiply stops squaring after the top bit of k."""
+    cls = type(base)
+    mul = cls.__mul__
+    one = base**0
+    calls = []
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(cls, "__mul__", counted)
+    for k in range(10):
+        calls.clear()
+        value = base**k
+        assert len(calls) == (k.bit_count() + k.bit_length() - 1 if k else 0)
+        expected = one
+        for _ in range(k):
+            expected = mul(expected, base)
+        assert value == expected
 
 
 def test_arity_cap():
