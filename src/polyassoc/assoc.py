@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import Monomial, MultilinearPoly, SparsePoly
+from .poly import Monomial, MultilinearPoly, SparsePoly, _monomial_str
 
 
 @dataclass(frozen=True)
@@ -41,12 +41,7 @@ class CompositionWitness:
         return self.monomial if self.subset is not None else None
 
     def monomial_str(self) -> str:
-        parts = [
-            f"x{j + 1}" if e == 1 else f"x{j + 1}^{e}"
-            for j, e in enumerate(self.monomial)
-            if e
-        ]
-        return "*".join(parts) if parts else "1"
+        return _monomial_str(self.monomial) or "1"
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,15 @@ exactly one of six families:
     (vi)   shifted product              p = -b + a * prod (xk + b)
 
 with the shifted-product parameters living in the fraction field subject to
-membership conditions (a*b^k in R for k < n, a*b^n - b in R).  This module
-decides the family, extracts exact parameters, and rebuilds the polynomial
-from a classification.
+membership conditions (a*b^k in R for k < n, a*b^n - b in R).  Each family
+defines its coefficient table once, as ``table`` (linear families) or
+``ShiftedProduct.ladder``; deciding the family, extracting exact parameters
+and rebuilding the polynomial all read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import ClassVar, Sequence, Union
 
 from .assoc import CompositionWitness, is_associative
@@ -32,9 +33,13 @@ class InternalInvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class Constant:
-    value: object
+    value: object = field(metadata={"param": "c"})
     clause: ClassVar[str] = "i"
     type_tag: ClassVar[str] = "constant"
+
+    def table(self, ring: Ring, n: int) -> tuple[object, list]:
+        """The constant term and the weights of x1 .. xn."""
+        return ring.coerce(self.value), [ring.zero] * n
 
 
 @dataclass(frozen=True)
@@ -42,33 +47,68 @@ class LeftProjection:
     clause: ClassVar[str] = "ii"
     type_tag: ClassVar[str] = "left-projection"
 
+    def table(self, ring: Ring, n: int) -> tuple[object, list]:
+        return ring.zero, [ring.one] + [ring.zero] * (n - 1)
+
 
 @dataclass(frozen=True)
 class RightProjection:
     clause: ClassVar[str] = "iii"
     type_tag: ClassVar[str] = "right-projection"
 
+    def table(self, ring: Ring, n: int) -> tuple[object, list]:
+        return ring.zero, [ring.zero] * (n - 1) + [ring.one]
+
 
 @dataclass(frozen=True)
 class TranslatedSum:
-    shift: object  # the additive constant
+    shift: object = field(metadata={"param": "c"})  # the additive constant
     clause: ClassVar[str] = "iv"
     type_tag: ClassVar[str] = "translated-sum"
+
+    def table(self, ring: Ring, n: int) -> tuple[object, list]:
+        return ring.coerce(self.shift), [ring.one] * n
 
 
 @dataclass(frozen=True)
 class TwistedSum:
-    omega: object  # root of unity weighting slot k by omega^(k-1)
+    omega: object = field(metadata={"param": "omega"})  # slot k weighs omega^(k-1)
     clause: ClassVar[str] = "v"
     type_tag: ClassVar[str] = "twisted-sum"
+
+    def table(self, ring: Ring, n: int) -> tuple[object, list]:
+        """Raises ValueError unless n >= 3, omega != 1 and omega^(n-1) = 1."""
+        if n < 3:
+            raise ValueError("twisted sums require arity at least 3")
+        omega = ring.coerce(self.omega)
+        if omega == ring.one:
+            raise ValueError("twisted sums require a weight different from 1")
+        if omega ** (n - 1) != ring.one:
+            raise ValueError(
+                f"weight {ring.element_str(omega)} fails w^{n - 1} = 1 at arity {n}"
+            )
+        return ring.zero, [omega**k for k in range(n)]
 
 
 @dataclass(frozen=True)
 class ShiftedProduct:
-    a: object  # ring element, nonzero
-    b: Frac  # fraction-field offset
+    a: object = field(metadata={"param": "a"})  # ring element, nonzero
+    b: Frac = field(metadata={"param": "b"})  # fraction-field offset
     clause: ClassVar[str] = "vi"
     type_tag: ClassVar[str] = "shifted-product"
+
+    def ladder(self, ring: Ring, n: int) -> list[Frac]:
+        """The size coefficients c_0 .. c_n in the fraction field:
+        c_k = a*b^(n-k) for k >= 1 and c_0 = a*b^n - b."""
+        a = ring.coerce(self.a)
+        if not a:
+            raise ValueError("shifted products require a nonzero scale")
+        b = self.b if isinstance(self.b, Frac) else Frac(ring, self.b)
+        if b.ring is not ring:
+            raise ValueError("offset belongs to a different ring")
+        ladder = [b ** (n - k) * a for k in range(n + 1)]
+        ladder[0] = ladder[0] - b
+        return ladder
 
 
 @dataclass(frozen=True)
@@ -91,15 +131,8 @@ class NotAssociative:
     type_tag: ClassVar[str] = "not-associative"
 
 
-Classification = Union[
-    Constant,
-    LeftProjection,
-    RightProjection,
-    TranslatedSum,
-    TwistedSum,
-    ShiftedProduct,
-    NotAssociative,
-]
+LinearFamily = Union[Constant, LeftProjection, RightProjection, TranslatedSum, TwistedSum]
+Classification = Union[LinearFamily, ShiftedProduct, NotAssociative]
 
 
 def classify(p: SparsePoly) -> Classification:
@@ -116,29 +149,21 @@ def classify(p: SparsePoly) -> Classification:
 
 
 def classify_associative(p: MultilinearPoly) -> Classification:
-    """Classify a multilinear operation already known to be associative."""
+    """Classify a multilinear operation already known to be associative.
+
+    A linear one belongs to the family whose table, with parameters read
+    off the input, equals the input's table.
+    """
     ring, n = p.ring, p.n
     if p.degree() <= 1:
-        constant = p.coeff(0)
-        linear = [p.coeff(1 << k) for k in range(n)]
-        matches: list[Classification] = []
-        if not any(linear):
-            matches.append(Constant(constant))
-        if not constant and linear[0] == ring.one and not any(linear[1:]):
-            matches.append(LeftProjection())
-        if not constant and linear[-1] == ring.one and not any(linear[:-1]):
-            matches.append(RightProjection())
-        if all(c == ring.one for c in linear):
-            matches.append(TranslatedSum(constant))
-        if (
-            n >= 3
-            and not constant
-            and linear[0] == ring.one
-            and linear[1] != ring.one
-            and all(linear[k] == linear[1] ** k for k in range(n))
-            and linear[1] ** (n - 1) == ring.one
-        ):
-            matches.append(TwistedSum(linear[1]))
+        c0, linear = p.coeff(0), [p.coeff(1 << k) for k in range(n)]
+        matches, twisted = [], TwistedSum(linear[1])
+        for cls in (Constant(c0), LeftProjection(), RightProjection(), TranslatedSum(c0), twisted):
+            try:
+                if cls.table(ring, n) == (c0, linear):
+                    matches.append(cls)
+            except ValueError:  # parameters outside the family at this arity
+                pass
         if len(matches) != 1:
             raise InternalInvariantError(
                 f"linear associative operation matched {len(matches)} families: {p.render()}"
@@ -156,10 +181,9 @@ def extract_type6(p: MultilinearPoly) -> ShiftedProduct | NotAssociative:
     """Extract shifted-product parameters from a degree > 1 coefficient table.
 
     Requires a symmetric table with nonzero top coefficient; sets a to the
-    top coefficient and b to the ratio of the next size down, then checks
-    the full coefficient ladder c_k = a*b^(n-k) and the constant term
-    c_0 = a*b^n - b, all exactly in the fraction field.  The first violated
-    condition is reported.
+    top coefficient and b to the ratio of the next size down, then compares
+    sizes 1 .. n-1 and then the constant term with ``ShiftedProduct.ladder``,
+    exactly in the fraction field.  The first violated condition is reported.
     """
     ring, n = p.ring, p.n
     if p.degree() <= 1:
@@ -177,12 +201,13 @@ def extract_type6(p: MultilinearPoly) -> ShiftedProduct | NotAssociative:
             )
         )
     b = Frac(ring, size_coeffs[n - 1], a)
+    ladder = ShiftedProduct(a, b).ladder(ring, n)
     for k in range(1, n):
-        if Frac(ring, size_coeffs[k]) != b ** (n - k) * a:
+        if ladder[k] != size_coeffs[k]:
             return NotAssociative(
                 LadderViolation("ladder", k, f"size-{k} coefficient breaks c_k = a*b^(n-k)")
             )
-    if Frac(ring, size_coeffs[0]) != b**n * a - b:
+    if ladder[0] != size_coeffs[0]:
         return NotAssociative(
             LadderViolation("constant-term", 0, "constant term breaks c_0 = a*b^n - b")
         )
@@ -215,65 +240,35 @@ def reconstruct(cls: Classification, n: int, ring: Ring) -> SparsePoly:
         raise ValueError("arity must be at least 2")
     if isinstance(cls, NotAssociative):
         raise ValueError("cannot reconstruct a non-associative classification")
-    if isinstance(cls, Constant):
-        return SparsePoly.constant(ring, n, cls.value)
-    if isinstance(cls, LeftProjection):
-        return SparsePoly.variable(ring, n, 1)
-    if isinstance(cls, RightProjection):
-        return SparsePoly.variable(ring, n, n)
-    if isinstance(cls, TranslatedSum):
-        acc = SparsePoly.constant(ring, n, cls.shift)
-        for k in range(1, n + 1):
-            acc = acc + SparsePoly.variable(ring, n, k)
-        return acc
-    if isinstance(cls, TwistedSum):
-        if n < 3:
-            raise ValueError("twisted sums require arity at least 3")
-        omega = ring.coerce(cls.omega)
-        if omega == ring.one:
-            raise ValueError("twisted sums require a weight different from 1")
-        if omega ** (n - 1) != ring.one:
-            raise ValueError(
-                f"weight {ring.element_str(omega)} fails w^{n - 1} = 1 at arity {n}"
-            )
-        acc = SparsePoly.zero(ring, n)
-        for k in range(1, n + 1):
-            acc = acc + SparsePoly.variable(ring, n, k) * omega ** (k - 1)
-        return acc
     if isinstance(cls, ShiftedProduct):
-        a = ring.coerce(cls.a)
-        if not a:
-            raise ValueError("shifted products require a nonzero scale")
-        b = cls.b if isinstance(cls.b, Frac) else Frac(ring, cls.b)
-        if b.ring is not ring:
-            raise ValueError("offset belongs to a different ring")
-        size_coeffs = []
-        for k in range(n + 1):
-            value = b ** (n - k) * a
-            if k == 0:
-                value = value - b
-            member = value.in_base_ring()
-            if member is None:
-                raise ValueError(
-                    f"parameters a={ring.element_str(a)}, b={b} leave the ring "
-                    f"at subset size {k}"
-                )
-            size_coeffs.append(member)
-        return from_size_coeffs(ring, n, size_coeffs).to_sparse()
-    raise TypeError(f"not a classification: {cls!r}")
+        size_coeffs = [value.in_base_ring() for value in cls.ladder(ring, n)]
+        if None in size_coeffs:
+            raise ValueError(
+                f"parameters a={ring.element_str(cls.a)}, b={cls.b} leave the ring "
+                f"at subset size {size_coeffs.index(None)}"
+            )
+        ml = from_size_coeffs(ring, n, size_coeffs)
+    elif isinstance(cls, LinearFamily):
+        constant, weights = cls.table(ring, n)
+        ml = MultilinearPoly(ring, n, {0: constant, **{1 << k: w for k, w in enumerate(weights)}})
+    else:
+        raise TypeError(f"not a classification: {cls!r}")
+    return ml.to_sparse()
+
+
+def _params(cls: Classification) -> dict[str, object]:
+    """Report name -> value of each field whose "param" metadata names it."""
+    return {f.metadata["param"]: getattr(cls, f.name) for f in fields(cls) if f.metadata}
 
 
 def classification_params(cls: Classification, ring: Ring) -> dict[str, str]:
     """Exact parameter strings for reports and census rows."""
-    if isinstance(cls, Constant):
-        return {"c": ring.element_str(cls.value)}
-    if isinstance(cls, TranslatedSum):
-        return {"c": ring.element_str(cls.shift)}
-    if isinstance(cls, TwistedSum):
-        return {"omega": ring.element_str(cls.omega)}
-    if isinstance(cls, ShiftedProduct):
-        return {"a": ring.element_str(cls.a), "b": str(cls.b)}
-    return {}
+    return {name: _value_str(x, ring) for name, x in _params(cls).items()}
+
+
+def _value_str(x, ring: Ring) -> str:
+    """Display form of a ring or fraction element."""
+    return str(x) if isinstance(x, Frac) else ring.element_str(x)
 
 
 def _value_key(x):
@@ -285,14 +280,5 @@ def _value_key(x):
 
 def param_sort_key(cls: Classification):
     """Deterministic ordering key among classifications of one census run."""
-    order = {"i": 0, "ii": 1, "iii": 2, "iv": 3, "v": 4, "vi": 5, "": 6}
-    params: tuple = ()
-    if isinstance(cls, Constant):
-        params = (_value_key(cls.value),)
-    elif isinstance(cls, TranslatedSum):
-        params = (_value_key(cls.shift),)
-    elif isinstance(cls, TwistedSum):
-        params = (_value_key(cls.omega),)
-    elif isinstance(cls, ShiftedProduct):
-        params = (_value_key(cls.a), _value_key(cls.b))
-    return (order[cls.clause], params)
+    clauses = ("i", "ii", "iii", "iv", "v", "vi", "")
+    return (clauses.index(cls.clause), tuple(map(_value_key, _params(cls).values())))

@@ -40,7 +40,7 @@ from .oracle import (
 )
 from .parse import ParseError, parse_poly
 from .poly import MAX_ARITY, SparsePoly
-from .rings import Ring
+from .rings import GaussianInt, Ring
 from .structure import StructureReport, analyze
 from . import __version__
 
@@ -145,11 +145,33 @@ def _oracle_check(p: SparsePoly, verdict: AssocVerdict) -> dict:
     return {"mode": mode, "agrees": agrees}
 
 
+def _check_printable(values) -> None:
+    """Raise BudgetError when an integer part of a ring element has more
+    digits than ``str`` converts under ``sys.get_int_max_str_digits()``
+    (0 means no limit)."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return
+    for x in values:
+        parts = (x.re, x.im) if isinstance(x, GaussianInt) else (x.numerator, x.denominator)
+        # 2^(3 * limit) < 10^limit, so a shorter value needs no power of ten
+        if any(v.bit_length() > 3 * limit and abs(v) >= 10**limit for v in parts):
+            raise BudgetError(
+                f"a coefficient or witness value has more than {limit} decimal digits, "
+                f"the limit of sys.get_int_max_str_digits()",
+                None,
+            )
+
+
 def _build_report(args, level: str) -> dict:
     ring = Ring(args.ring)
     n = _validated_arity(args.n)
     p = parse_poly(args.poly, n, ring)
     verdict = is_associative(p)
+    values = list(p.terms.values())
+    if verdict.witness is not None:
+        values += [verdict.witness.lhs, verdict.witness.rhs]
+    _check_printable(values)
     cls: Classification | None = None
     structure: StructureReport | None = None
     if level in ("classify", "analyze"):

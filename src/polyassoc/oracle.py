@@ -1,11 +1,12 @@
 """Implementation-independent verification and exhaustive search.
 
-Everything here avoids the closed-form composition machinery: equality and
-associativity are checked by evaluating polynomials at points (exact on a
-large-enough grid or, for multilinear associativity, at the 0/1 points that
-can carry a monomial; probabilistic on random samples), and the enumerator
-walks entire boxes of multilinear coefficient tables, classifying every
-associative candidate into a census.
+The pointwise checks avoid the closed-form composition machinery: equality
+and associativity are checked by evaluating polynomials at points (exact on
+a large-enough grid or, for multilinear associativity, at the 0/1 points
+that can carry a monomial; probabilistic on random samples).  The
+enumerator walks entire boxes of multilinear coefficient tables, decides
+each candidate with ``assoc.associative_multilinear``, and classifies every
+associative one into a census.
 
 Random sampling uses xorshift64*: the 64-bit state evolves by
 ``x ^= x >> 12; x ^= x << 25; x ^= x >> 27`` and the output is
@@ -47,12 +48,13 @@ MAX_COUNT_DIGITS = 4300
 
 
 class BudgetError(ValueError):
-    """A grid or enumeration would exceed its configured budget.
+    """A grid or enumeration would exceed its budget, or a report its int-to-str limit.
 
-    ``required`` is the smallest budget that admits the request.  An
-    enumeration box of more than ``MAX_COUNT_DIGITS`` decimal digits is not
-    built: ``required`` is then None and the message writes the count as a
-    power, such as ``3^16384``.
+    ``required`` is the smallest budget that admits the request, or None when
+    no budget does: an enumeration box of more than ``MAX_COUNT_DIGITS``
+    decimal digits is not built (the message writes the count as a power,
+    such as ``3^16384``), and a report value of more digits than
+    ``sys.get_int_max_str_digits()`` cannot be printed.
     """
 
     def __init__(self, message: str, required: int | None):
@@ -384,24 +386,28 @@ def enumerate_associative(
             f"(configured budget {budget})",
             slots,
         )
-    domain = _value_domain(ring, bound)
-    chunks = _split(domain, max(1, jobs))
-    args = [(ring, n, bound, chunk, prune, cross_check) for chunk in chunks]
-    if len(args) > 1:
-        from multiprocessing import Pool
-
-        with Pool(min(len(args), os.cpu_count() or 1)) as pool:
-            parts = pool.map(_enumerate_chunk, args)
+    if d == 1:
+        # The box is the zero table alone, the constant 0: decided here, not
+        # walked as 2^n one-value lists and sorted by a 2^n-entry key.
+        checked, bulk, found, mismatches = 1, 0, [MultilinearPoly(ring, n)], []
     else:
-        parts = [_enumerate_chunk(a) for a in args]
-    checked = sum(part[0] for part in parts)
-    bulk = sum(part[1] for part in parts)
+        chunks = _split(_value_domain(ring, bound), max(1, jobs))
+        args = [(ring, n, bound, chunk, prune, cross_check) for chunk in chunks]
+        if len(args) > 1:
+            from multiprocessing import Pool
 
-    def table_key(ml: MultilinearPoly) -> list:
-        return [_value_key(ml.coeff(m)) for m in range(1 << n)]
+            with Pool(min(len(args), os.cpu_count() or 1)) as pool:
+                parts = pool.map(_enumerate_chunk, args)
+        else:
+            parts = [_enumerate_chunk(a) for a in args]
+        checked = sum(part[0] for part in parts)
+        bulk = sum(part[1] for part in parts)
 
-    found = sorted((ml for part in parts for ml in part[2]), key=table_key)
-    mismatches = sorted((ml for part in parts for ml in part[3]), key=table_key)
+        def table_key(ml: MultilinearPoly) -> list:
+            return [_value_key(ml.coeff(m)) for m in range(1 << n)]
+
+        found = sorted((ml for part in parts for ml in part[2]), key=table_key)
+        mismatches = sorted((ml for part in parts for ml in part[3]), key=table_key)
     survivors = [(ml, classify_associative(ml)) for ml in found]
     census = _build_census(survivors, ring)
     return EnumerationResult(

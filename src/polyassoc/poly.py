@@ -16,7 +16,7 @@ from math import comb, lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .rings import GaussianInt, Ring
+from .rings import GaussianInt, Ring, _pow
 
 Monomial = tuple[int, ...]
 
@@ -155,17 +155,7 @@ class SparsePoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> SparsePoly:
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = SparsePoly.constant(self.ring, self.nvars, 1)
-        base = self
-        while True:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if not k:
-                return result
-            base = base * base
+        return _pow(self, k, SparsePoly.constant(self.ring, self.nvars, 1))
 
     def degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
@@ -249,11 +239,7 @@ class SparsePoly:
             return "0"
         parts: list[str] = []
         for exps, coeff in self.sorted_terms():
-            mono = "*".join(
-                f"x{j + 1}" if e == 1 else f"x{j + 1}^{e}"
-                for j, e in enumerate(exps)
-                if e
-            )
+            mono = _monomial_str(exps)
             body = _coeff_grammar_str(self.ring, coeff)
             sign = "+"
             if body.startswith("-"):
@@ -439,20 +425,17 @@ def _masks_of_size(n: int, k: int) -> Iterable[int]:
         yield sum(1 << j for j in subset)
 
 
+def _monomial_str(exps: Monomial) -> str:
+    """``x1*x3^2`` for (1, 0, 2); the empty string for the constant monomial."""
+    return "*".join(f"x{j + 1}" if e == 1 else f"x{j + 1}^{e}" for j, e in enumerate(exps) if e)
+
+
 def _coeff_grammar_str(ring: Ring, coeff) -> str:
-    """Coefficient rendering accepted by the expression grammar."""
-    if ring is not Ring.ZI:
-        return str(coeff)
-    if coeff.im == 0:
-        return str(coeff.re)
-    if coeff.im == 1:
-        imag = "i"
-    elif coeff.im == -1:
-        imag = "-i"
-    else:
-        imag = f"{coeff.im}*i"
-    if coeff.re == 0:
-        return imag
-    sign = "+" if coeff.im > 0 else "-"
-    mag = "i" if abs(coeff.im) == 1 else f"{abs(coeff.im)}*i"
-    return f"({coeff.re}{sign}{mag})"
+    """Coefficient rendering accepted by the expression grammar: the display
+    form, with ``*`` before a scaled ``i`` and ``a+bi`` in parentheses."""
+    text = str(coeff)
+    if ring is not Ring.ZI or not coeff.im:
+        return text
+    if text[-2:-1].isdigit():
+        text = text[:-1] + "*i"
+    return f"({text})" if coeff.re else text

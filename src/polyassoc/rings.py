@@ -100,17 +100,7 @@ class GaussianInt:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> GaussianInt:
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = GaussianInt(1)
-        base = self
-        while True:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if not k:
-                return result
-            base = base * base
+        return _pow(self, k, GaussianInt(1))
 
     def __divmod__(self, other):
         # Euclidean division by rounding the exact quotient componentwise;
@@ -142,6 +132,21 @@ def _as_gauss(x) -> GaussianInt | None:
     if isinstance(x, int):
         return GaussianInt._trusted(int(x), 0)
     return None
+
+
+def _pow(base, k: int, one):
+    """base**k by square-and-multiply from ``one``, squaring no further than
+    the top bit of k."""
+    if not isinstance(k, int) or k < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    result = one
+    while True:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if not k:
+            return result
+        base = base * base
 
 
 def _round_div(a: int, b: int) -> int:

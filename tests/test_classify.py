@@ -25,6 +25,7 @@ from polyassoc import (
     reconstruct,
     verify_condpol,
 )
+from polyassoc.classify import InternalInvariantError, classify_associative
 
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
 
@@ -47,6 +48,52 @@ def test_classify_remaining_families():
     assert classify(parse_poly("x3", 3, Ring.Z)) == RightProjection()
     assert classify(parse_poly("x1 + x2 + x3 + 2", 3, Ring.Z)) == TranslatedSum(2)
     assert classify(parse_poly("x1 + x2", 2, Ring.Z)) == TranslatedSum(0)
+
+
+# Parsed text, not reconstruct output, so recognition is checked against
+# tables written out here rather than against the family definitions.
+LINEAR_FIXTURES = [
+    (Ring.Z, 4, "-3", Constant(-3)),
+    (Ring.Z, 2, "0", Constant(0)),
+    (Ring.Q, 3, "2/3", Constant(Fraction(2, 3))),
+    (Ring.ZI, 3, "1 - 2*i", Constant(GaussianInt(1, -2))),
+    (Ring.Z, 4, "x1", LeftProjection()),
+    (Ring.Q, 2, "x1", LeftProjection()),
+    (Ring.ZI, 3, "x1", LeftProjection()),
+    (Ring.Z, 2, "x2", RightProjection()),
+    (Ring.Q, 4, "x4", RightProjection()),
+    (Ring.ZI, 3, "x3", RightProjection()),
+    (Ring.Z, 3, "x1 + x2 + x3 - 5", TranslatedSum(-5)),
+    (Ring.Q, 2, "x1 + x2 + 1/2", TranslatedSum(Fraction(1, 2))),
+    (Ring.ZI, 2, "x1 + x2 + i", TranslatedSum(GaussianInt(0, 1))),
+    (Ring.Z, 5, "x1 - x2 + x3 - x4 + x5", TwistedSum(-1)),
+    (Ring.Q, 3, "x1 - x2 + x3", TwistedSum(Fraction(-1))),
+    (Ring.ZI, 3, "x1 - x2 + x3", TwistedSum(GaussianInt(-1))),
+    (Ring.ZI, 5, "x1 - i*x2 - x3 + i*x4 + x5", TwistedSum(GaussianInt(0, -1))),
+]
+
+
+@pytest.mark.parametrize("ring, n, text, expected", LINEAR_FIXTURES)
+def test_classify_linear_families_from_text(ring, n, text, expected):
+    assert classify(parse_poly(text, n, ring)) == expected
+
+
+@pytest.mark.parametrize(
+    "ring, n, text",
+    [
+        (Ring.Z, 2, "x1 - x2"),  # twisted sums need n >= 3
+        (Ring.ZI, 2, "x1 + i*x2"),
+        (Ring.Z, 4, "x1 - x2 + x3 - x4"),  # (-1)^3 != 1
+        (Ring.Q, 4, "x1 - x2 + x3 - x4"),
+        (Ring.ZI, 3, "x1 + i*x2 - x3"),  # i^2 != 1
+    ],
+)
+def test_twisted_tables_outside_the_family_are_rejected(ring, n, text):
+    p = parse_poly(text, n, ring)
+    assert isinstance(classify(p), NotAssociative)
+    # no family's table matches, so classifying it as associative is an error
+    with pytest.raises(InternalInvariantError):
+        classify_associative(p.to_multilinear())
 
 
 def test_classify_not_associative():
@@ -141,6 +188,9 @@ def test_reconstruct_rejects_invalid_parameters():
         reconstruct(ShiftedProduct(1, Frac(Ring.Z, 1, 2)), 2, Ring.Z)
     with pytest.raises(ValueError):
         reconstruct(NotAssociative(None), 3, Ring.Z)
+    for not_a_classification in ("x1", LadderViolation("ladder", 1), None):
+        with pytest.raises(TypeError):
+            reconstruct(not_a_classification, 3, Ring.Z)
 
 
 def _membership_ok(ring, n, a, b):

@@ -77,6 +77,35 @@ def test_over_long_integer_literal_is_a_parse_error(capsys, poly, position):
     assert err == f"error: integer literal longer than {limit} digits at position {position}\n"
 
 
+@pytest.mark.parametrize(
+    "poly",
+    [
+        "(" + "9" * 70 + ")^64*x1 + x2",  # the input coefficient
+        "c*x1*x2 + c*x1 + x2".replace("c", str(3 * 10**3000)),  # the witness, about c^2
+    ],
+    ids=["input", "witness"],
+)
+def test_value_past_the_int_to_str_limit_is_a_budget_error(capsys, poly):
+    code, out, err = run(capsys, "check", "--ring", "z", "--n", "2", "--poly", poly)
+    assert code == 2
+    assert out == ""
+    limit = sys.get_int_max_str_digits()
+    assert f"more than {limit} decimal digits" in err
+    assert "Traceback" not in err
+
+
+def test_value_at_the_int_to_str_limit_is_printed(capsys):
+    big = "9" * sys.get_int_max_str_digits()
+    code, out, _ = run(
+        capsys, "classify", "--ring", "z", "--n", "2", "--poly", f"{big}*x1*x2",
+        "--format", "json",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["input"] == f"{big}*x1*x2"
+    assert report["classification"]["a"] == big
+
+
 def test_invalid_flags_exit_code(capsys):
     code, _, _ = run(capsys, "check", "--ring", "r", "--n", "3", "--poly", "x1")
     assert code == 2

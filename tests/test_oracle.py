@@ -450,6 +450,20 @@ def test_enumerate_budget_decided_before_building_the_box(monkeypatch):
     assert f"pass budget={2**31} or more" in str(err.value)
 
 
+@pytest.mark.parametrize("ring", [Ring.Z, Ring.ZI])
+def test_one_table_box_is_decided_without_a_walk(monkeypatch, ring):
+    def no_walk(args):
+        raise AssertionError("walked a box that holds only the zero table")
+
+    monkeypatch.setattr(oracle, "_enumerate_chunk", no_walk)
+    # 2^24 coefficients is within the default budget
+    result = enumerate_associative(24, ring, 0)
+    assert (result.total, result.checked, result.bulk_rejected) == (1, 1, 0)
+    assert [cls for _, cls in result.survivors] == [Constant(ring.zero)]
+    assert census_csv(result) == "type,params,count\nconstant,c=0,1\n"
+    assert candidates_text(result) == "0\n"
+
+
 def test_enumerate_jobs_deterministic():
     one = enumerate_associative(2, Ring.Z, 2)
     many = enumerate_associative(2, Ring.Z, 2, jobs=3)
