@@ -10,6 +10,7 @@ flags or budget, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -56,7 +57,10 @@ class UsageError(Exception):
     pass
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it:
+    parsing reads the tree without changing it."""
     parser = argparse.ArgumentParser(
         prog="polyassoc",
         description="Exact associativity analysis of polynomial n-ary operations.",
@@ -288,10 +292,23 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _join_poly_values(argv: list[str]) -> list[str]:
+    """Write ``--poly VALUE`` as ``--poly=VALUE`` when VALUE starts with one
+    ``-``, such as ``-x1`` or ``-1+2*x1*x2``; argparse would read it as an
+    option.  A value starting with ``--`` stays an option."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--poly" and token.startswith("-") and not token.startswith("--"):
+            out[-1] = f"--poly={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = _join_poly_values(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

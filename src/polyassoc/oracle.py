@@ -76,26 +76,37 @@ class XorShift64Star:
         self.state = x
         return (x * _MULTIPLIER) & _MASK64
 
-    def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi], exact via rejection sampling."""
+    def randints(self, lo: int, hi: int, count: int) -> list[int]:
+        """``count`` uniform integers in [lo, hi], exact via rejection sampling."""
         if lo > hi:
             raise ValueError("empty range")
         span = hi - lo + 1
         limit = (1 << 64) - ((1 << 64) % span)
-        while True:
-            u = self.next_u64()
+        next_u64 = self.next_u64
+        draws = []
+        while len(draws) < count:
+            u = next_u64()
             if u < limit:
-                return lo + u % span
+                draws.append(lo + u % span)
+        return draws
+
+    def randint(self, lo: int, hi: int) -> int:
+        """Uniform integer in [lo, hi]: ``randints`` with a count of one."""
+        return self.randints(lo, hi, 1)[0]
+
+    def elements(self, ring: Ring, half_width: int, count: int) -> list:
+        """``count`` ring elements with integer coordinates in [-half_width,
+        half_width]: ``GaussianInt`` values over Z[i], each drawing its real
+        part and then its imaginary part; plain ints (which Q accepts as they
+        are) otherwise."""
+        if ring is Ring.ZI:
+            flat = self.randints(-half_width, half_width, 2 * count)
+            return [GaussianInt._trusted(re, im) for re, im in zip(flat[::2], flat[1::2])]
+        return self.randints(-half_width, half_width, count)
 
     def element(self, ring: Ring, half_width: int):
-        """A ring element with integer coordinates in [-half_width, half_width]:
-        a ``GaussianInt`` over Z[i], a plain int (which Q accepts as it is) otherwise."""
-        if ring is Ring.ZI:
-            return GaussianInt(
-                self.randint(-half_width, half_width),
-                self.randint(-half_width, half_width),
-            )
-        return self.randint(-half_width, half_width)
+        """One ring element: ``elements`` with a count of one."""
+        return self.elements(ring, half_width, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -243,7 +254,7 @@ def assoc_pointwise(p: SparsePoly, cfg: OracleConfig) -> bool:
         return True
     rng = XorShift64Star(cfg.seed)
     for _ in range(cfg.samples):
-        point = [rng.element(p.ring, cfg.value_range) for _ in range(2 * n - 1)]
+        point = rng.elements(p.ring, cfg.value_range, 2 * n - 1)
         values = [associated_value(p, i, point) for i in range(1, n + 1)]
         if any(v != values[0] for v in values[1:]):
             return False

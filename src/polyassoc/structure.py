@@ -148,11 +148,9 @@ def is_medial(p: SparsePoly) -> tuple[bool, str]:
     cfg = OracleConfig(mode="random")
     rng = XorShift64Star(cfg.seed)
     for _ in range(cfg.samples):
-        matrix = [
-            [rng.element(p.ring, cfg.value_range) for _ in range(n)] for _ in range(n)
-        ]
-        by_rows = p.evaluate([p.evaluate(row) for row in matrix])
-        by_cols = p.evaluate([p.evaluate([matrix[r][c] for r in range(n)]) for c in range(n)])
+        flat = rng.elements(p.ring, cfg.value_range, n * n)  # row-major
+        by_rows = p.evaluate([p.evaluate(flat[r * n:(r + 1) * n]) for r in range(n)])
+        by_cols = p.evaluate([p.evaluate(flat[c::n]) for c in range(n)])
         if by_rows != by_cols:
             return False, "sampled"
     return True, "sampled"

@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from polyassoc.cli import main
+import polyassoc.cli as cli
+from polyassoc.cli import build_parser, main
 
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
 
@@ -437,3 +438,47 @@ def test_enumerate_prune_matches_default(tmp_path, capsys):
         "--out", str(b), "--prune",
     )
     assert (a / "census.csv").read_text() == (b / "census.csv").read_text()
+
+
+@pytest.mark.parametrize("poly", ["-x1", "-1+2*x1*x2", "-2*x1*x2"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_poly_value_with_a_leading_minus(capsys, poly, fmt):
+    args = ("check", "--ring", "z", "--n", "2", "--format", fmt)
+    code, out, err = run(capsys, *args, "--poly", poly)
+    assert (code, err) == (0, "")
+    assert run(capsys, *args, f"--poly={poly}") == (code, out, err)
+
+
+def test_poly_followed_by_an_option_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "check", "--ring", "z", "--n", "2", "--poly", "--format", "json"
+    )
+    assert code == 2 and out == ""
+    assert "argument --poly: expected one argument" in err
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_shared_parser_matches_a_fresh_one(tmp_path, capsys, monkeypatch):
+    out_dir = str(tmp_path / "census")
+    usage_error = ("check", "--ring", "r", "--n", "3", "--poly", "x1")
+    enumerate_box = ("enumerate", "--ring", "z", "--n", "2", "--bound", "1", "--out", out_dir)
+    sequence = [
+        usage_error,
+        ("--version",),
+        ("check", "--help"),
+        enumerate_box + ("--prune",),
+        enumerate_box,
+        ("check", "--ring", "z", "--n", "3", "--poly", "x1 - x2 + x3"),
+        usage_error,
+    ]
+    shared = [run(capsys, *argv) for argv in sequence]
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    fresh = [run(capsys, *argv) for argv in sequence]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0, 0, 2]
+    assert "checked individually: 81 " in shared[4][1]
+    assert "usage: polyassoc check" in shared[6][2]
+    assert shared[6] == shared[0]

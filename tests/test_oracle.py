@@ -70,6 +70,45 @@ def test_xorshift_determinism_and_ranges():
         XorShift64Star(1).randint(3, 2)
 
 
+@pytest.mark.parametrize(
+    "lo, hi, count",
+    [(-5, 5, 200), (0, 2**63, 500), (0, 0, 10), (-100, 100, 1), (-3, 3, 0), (1, 2**64, 50)],
+)
+def test_randints_equals_repeated_randint(lo, hi, count):
+    batch, single = XorShift64Star(11), XorShift64Star(11)
+    assert batch.randints(lo, hi, count) == [single.randint(lo, hi) for _ in range(count)]
+    assert batch.state == single.state
+
+
+def test_randints_rejects_often_on_a_half_range():
+    # span 2^63 + 1 leaves a limit just over 2^63, so about half of all draws are rejected
+    class Counting(XorShift64Star):
+        calls = 0
+
+        def next_u64(self):
+            self.calls += 1
+            return super().next_u64()
+
+    rng = Counting(3)
+    draws = rng.randints(0, 2**63, 500)
+    assert all(0 <= v <= 2**63 for v in draws)
+    assert rng.calls > 800
+
+
+def test_randints_empty_range_raises():
+    with pytest.raises(ValueError, match="empty range"):
+        XorShift64Star(1).randints(3, 2, 5)
+
+
+@pytest.mark.parametrize("ring", [Ring.Z, Ring.Q, Ring.ZI])
+def test_elements_equals_repeated_element(ring):
+    batch, single = XorShift64Star(9), XorShift64Star(9)
+    drawn = batch.elements(ring, 100, 300)
+    assert drawn == [single.element(ring, 100) for _ in range(300)]
+    assert [type(v) for v in drawn] == [GaussianInt if ring is Ring.ZI else int] * 300
+    assert batch.state == single.state
+
+
 def polys_equal_oracle(p: SparsePoly, q: SparsePoly, cfg: OracleConfig) -> bool:
     """Reference: pointwise equality, independent of any symbolic normal form.
 
