@@ -16,6 +16,7 @@ from .classify import (
     NotAssociative,
     RightProjection,
     ShiftedProduct,
+    SkewMap,
     TranslatedSum,
     TwistedSum,
     classify,
@@ -24,12 +25,9 @@ from .classify import (
     verify_condpol,
 )
 from .structure import (
-    SkewMap,
     analyze,
-    group_status,
     is_medial,
     iterate_binary,
-    reducibility,
     skew_is_endomorphism,
     verify_skew,
 )
@@ -77,13 +75,11 @@ __all__ = [
     "enumerate_associative",
     "extract_type6",
     "from_size_coeffs",
-    "group_status",
     "is_associative",
     "is_medial",
     "iterate_binary",
     "parse_poly",
     "reconstruct",
-    "reducibility",
     "skew_is_endomorphism",
     "verify_condpol",
     "verify_skew",

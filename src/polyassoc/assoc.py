@@ -84,7 +84,7 @@ def compose_closed_form(p: MultilinearPoly, slot: int) -> MultilinearPoly:
         placed = (outer & (slot_bit - 1)) | ((outer >> slot) << (slot + n - 1))
         for inner, b in inners if outer & slot_bit else pass_through:
             coeffs[placed | inner] = coeffs.get(placed | inner, zero) + a * b
-    return MultilinearPoly(p.ring, 2 * n - 1, coeffs)
+    return MultilinearPoly._trusted(p.ring, 2 * n - 1, {m: c for m, c in coeffs.items() if c})
 
 
 def _colex_key(monomial: Monomial) -> tuple[int, ...]:

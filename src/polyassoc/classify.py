@@ -14,7 +14,9 @@ with the shifted-product parameters living in the fraction field subject to
 membership conditions (a*b^k in R for k < n, a*b^n - b in R).  Each family
 defines its coefficient table once, as ``table`` (linear families) or
 ``ShiftedProduct.ladder``; deciding the family, extracting exact parameters
-and rebuilding the polynomial all read it.
+and rebuilding the polynomial all read it.  Each family also answers its own
+structure questions: ``group`` (is the whole ring an n-ary group, and with
+which skew map) and ``reduction`` (is it the iterate of a binary operation).
 """
 
 from __future__ import annotations
@@ -32,7 +34,49 @@ class InternalInvariantError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Constant:
+class SkewMap:
+    """Affine map x -> alpha*x + beta."""
+
+    alpha: object
+    beta: object
+
+    def as_poly(self, ring: Ring) -> SparsePoly:
+        return SparsePoly(ring, 1, {(1,): self.alpha, (0,): self.beta})
+
+    def render(self, ring: Ring) -> str:
+        return self.as_poly(ring).render().replace("x1", "x").replace(" ", "")
+
+
+@dataclass(frozen=True)
+class Reduction:
+    """A binary operation whose iterate reproduces the n-ary one."""
+
+    binary_op: SparsePoly  # in two variables
+    params: dict[str, str] = field(default_factory=dict)
+
+    def render(self) -> str:
+        return self.binary_op.render().replace("x1", "x").replace("x2", "y")
+
+
+GroupStatus = tuple[str, SkewMap | None, tuple[str, ...]]  # "yes" | "no" | "field-restricted"
+ReductionStatus = tuple[str, Reduction | None, str | None]  # "yes" | "no" | "out-of-scope"
+
+
+class LinearFamily:
+    """An operation c + sum w_k x_k, given by ``table(ring, n)``."""
+
+    def group(self, ring: Ring, n: int) -> GroupStatus:
+        """The whole ring is an n-ary group iff every weight w_k is a unit; the
+        skew solves p(x, .., x, x-bar) = x: x-bar = ((1 - sum_(k<n) w_k)x - c) / w_n."""
+        c, weights = self.table(ring, n)
+        if not all(w and ring.exact_div(ring.one, w) is not None for w in weights):
+            return "no", None, ()
+        alpha = ring.exact_div(ring.one - sum(weights[:-1], ring.zero), weights[-1])
+        return "yes", SkewMap(alpha, ring.exact_div(-c, weights[-1])), ()
+
+
+@dataclass(frozen=True)
+class Constant(LinearFamily):
     value: object = field(metadata={"param": "c"})
     clause: ClassVar[str] = "i"
     type_tag: ClassVar[str] = "constant"
@@ -41,27 +85,37 @@ class Constant:
         """The constant term and the weights of x1 .. xn."""
         return ring.coerce(self.value), [ring.zero] * n
 
+    def reduction(self, ring: Ring, n: int) -> ReductionStatus:
+        op = SparsePoly.constant(ring, 2, self.value)
+        return "yes", Reduction(op, {"c": ring.element_str(self.value)}), None
+
 
 @dataclass(frozen=True)
-class LeftProjection:
+class LeftProjection(LinearFamily):
     clause: ClassVar[str] = "ii"
     type_tag: ClassVar[str] = "left-projection"
 
     def table(self, ring: Ring, n: int) -> tuple[object, list]:
         return ring.zero, [ring.one] + [ring.zero] * (n - 1)
 
+    def reduction(self, ring: Ring, n: int) -> ReductionStatus:
+        return "yes", Reduction(SparsePoly.variable(ring, 2, 1)), None
+
 
 @dataclass(frozen=True)
-class RightProjection:
+class RightProjection(LinearFamily):
     clause: ClassVar[str] = "iii"
     type_tag: ClassVar[str] = "right-projection"
 
     def table(self, ring: Ring, n: int) -> tuple[object, list]:
         return ring.zero, [ring.zero] * (n - 1) + [ring.one]
 
+    def reduction(self, ring: Ring, n: int) -> ReductionStatus:
+        return "yes", Reduction(SparsePoly.variable(ring, 2, 2)), None
+
 
 @dataclass(frozen=True)
-class TranslatedSum:
+class TranslatedSum(LinearFamily):
     shift: object = field(metadata={"param": "c"})  # the additive constant
     clause: ClassVar[str] = "iv"
     type_tag: ClassVar[str] = "translated-sum"
@@ -69,9 +123,18 @@ class TranslatedSum:
     def table(self, ring: Ring, n: int) -> tuple[object, list]:
         return ring.coerce(self.shift), [ring.one] * n
 
+    def reduction(self, ring: Ring, n: int) -> ReductionStatus:
+        """Reduces iff the constant splits as (n-1)*c0, giving x + y + c0."""
+        c0 = ring.exact_div(self.shift, ring.coerce(n - 1))
+        if c0 is None:
+            note = f"constant {ring.element_str(self.shift)} is not divisible by {n - 1}"
+            return "no", None, note
+        op = SparsePoly(ring, 2, {(1, 0): 1, (0, 1): 1, (0, 0): c0})
+        return "yes", Reduction(op, {"c0": ring.element_str(c0)}), None
+
 
 @dataclass(frozen=True)
-class TwistedSum:
+class TwistedSum(LinearFamily):
     omega: object = field(metadata={"param": "omega"})  # slot k weighs omega^(k-1)
     clause: ClassVar[str] = "v"
     type_tag: ClassVar[str] = "twisted-sum"
@@ -88,6 +151,9 @@ class TwistedSum:
                 f"weight {ring.element_str(omega)} fails w^{n - 1} = 1 at arity {n}"
             )
         return ring.zero, [omega**k for k in range(n)]
+
+    def reduction(self, ring: Ring, n: int) -> ReductionStatus:
+        return "no", None, "twisted sums are never iterates of a binary operation"
 
 
 @dataclass(frozen=True)
@@ -110,6 +176,37 @@ class ShiftedProduct:
         ladder[0] = ladder[0] - b
         return ladder
 
+    def group(self, ring: Ring, n: int) -> GroupStatus:
+        """A group only on a punctured domain and only over a field, reported
+        as "field-restricted" (the skew there is not an affine polynomial map,
+        so none is given)."""
+        if ring.is_field:
+            return "field-restricted", None, (
+                f"group on {ring.label} minus {{{-self.b}}} only; shifting the domain "
+                f"by the offset reduces it to the punctured product case",
+            )
+        return "no", None, (
+            f"not a group on all of {ring.label}; product-family operations only form "
+            f"groups on a punctured domain over a field",
+        )
+
+    def reduction(self, ring: Ring, n: int) -> ReductionStatus:
+        """Decided only over a field with offset 0 (on the punctured domain),
+        where it reduces iff some r in the ring has r^(n-1) = a."""
+        scope = "shifted-product reducibility is only decided"
+        if not ring.is_field:
+            return "out-of-scope", None, f"{scope} over a field ({ring.label} is not one)"
+        if self.b != ring.zero:
+            return "out-of-scope", None, f"{scope} for offset 0 on the punctured domain"
+        roots = ring.nth_roots(self.a, n - 1)
+        if not roots:
+            a = ring.element_str(self.a)
+            return "no", None, f"no element r of {ring.label} has r^{n - 1} = {a}"
+        params = {"a0": ring.element_str(roots[0])}
+        if len(roots) > 1:
+            params["roots"] = ", ".join(ring.element_str(r) for r in roots)
+        return "yes", Reduction(SparsePoly(ring, 2, {(1, 1): roots[0]}), params), None
+
 
 @dataclass(frozen=True)
 class LadderViolation:
@@ -131,7 +228,6 @@ class NotAssociative:
     type_tag: ClassVar[str] = "not-associative"
 
 
-LinearFamily = Union[Constant, LeftProjection, RightProjection, TranslatedSum, TwistedSum]
 Classification = Union[LinearFamily, ShiftedProduct, NotAssociative]
 
 

@@ -184,7 +184,7 @@ def _build_report(args, level: str) -> dict:
         else:
             cls = NotAssociative(verdict.witness)
     if level == "analyze" and verdict.associative:
-        structure = analyze(p, cls, ring)
+        structure = analyze(p, cls)
     oracle = _oracle_check(p, verdict)
     if not oracle["agrees"]:
         raise InternalInvariantError("pointwise oracle disagrees with the symbolic verdict")

@@ -333,7 +333,9 @@ def _enumerate_chunk(args) -> tuple[int, int, list[MultilinearPoly], list[Multil
             per_mask = itemgetter(*range(len(order)))
         for values in product(*lists):
             checked += 1
-            ml = MultilinearPoly(ring, n, {m: v for m, v in zip(order, per_mask(values)) if v})
+            ml = MultilinearPoly._trusted(
+                ring, n, {m: v for m, v in zip(order, per_mask(values)) if v}
+            )
             verdict = associative_multilinear(ml)
             if cross_check:
                 pointwise = assoc_pointwise(ml.to_sparse(), OracleConfig(mode="grid"))

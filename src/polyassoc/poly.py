@@ -277,6 +277,16 @@ class MultilinearPoly:
         self.n = n
         self.coeffs = clean
 
+    @classmethod
+    def _trusted(cls, ring: Ring, n: int, coeffs: dict[int, object]) -> MultilinearPoly:
+        """Wrap coefficients already keyed by masks over 1..n with nonzero ring
+        values, skipping the per-mask checks of ``__init__``."""
+        p = cls.__new__(cls)
+        p.ring = ring
+        p.n = n
+        p.coeffs = coeffs
+        return p
+
     def __repr__(self) -> str:
         return f"MultilinearPoly({self.ring.name}, {self.n}, {self.render()!r})"
 

@@ -194,7 +194,6 @@ def gaussian_str(g: GaussianInt) -> str:
 
 
 _UNITS_ZI = (GaussianInt(1), GaussianInt(0, 1), GaussianInt(-1), GaussianInt(0, -1))
-_UNITS_REAL = (1, -1)
 
 
 class Ring(Enum):
@@ -251,14 +250,13 @@ class Ring(Enum):
             return GaussianInt(x)
         raise TypeError(f"{x!r} is not an element of Z[i]")
 
-    def units(self) -> tuple:
-        return _UNITS_ZI if self is Ring.ZI else _UNITS_REAL
-
     def roots_of_unity(self, m: int) -> tuple:
-        """All ring elements w with w**m == 1 (every such w is a unit)."""
+        """All ring elements w with w**m == 1; in Z, Q and Z[i] every root of
+        unity is among 1, i, -1, -i."""
         if m < 1:
             raise ValueError("exponent must be positive")
-        return tuple(u for u in self.units() if u**m == self.one)
+        candidates = _UNITS_ZI if self is Ring.ZI else (self.one, -self.one)
+        return tuple(u for u in candidates if u**m == self.one)
 
     def exact_div(self, a, b):
         """The q with b*q == a when q exists in the ring, else None."""

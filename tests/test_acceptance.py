@@ -29,13 +29,11 @@ from polyassoc import (
     compose_substitution,
     enumerate_associative,
     from_size_coeffs,
-    group_status,
     is_associative,
     is_medial,
     iterate_binary,
     parse_poly,
     reconstruct,
-    reducibility,
     skew_is_endomorphism,
     verify_condpol,
     verify_skew,
@@ -184,21 +182,14 @@ def test_criterion_5_condpol_equivalence():
 
 def test_criterion_6_structure_suite():
     start = time.perf_counter()
-    for n in range(2, 6):
-        for c in range(-3, 4):
-            cls = TranslatedSum(c)
-            p = reconstruct(cls, n, Ring.Z)
-            _, skew, _ = group_status(cls, Ring.Z, n)
-            assert verify_skew(p, skew)
-            assert skew_is_endomorphism(p, skew)
-    for ring in (Ring.Z, Ring.ZI):
-        for n in (3, 4, 5):
-            for omega in ring.roots_of_unity(n - 1):
-                if omega == ring.one:
-                    continue
-                cls = TwistedSum(omega)
+    for ring in (Ring.Z, Ring.Q, Ring.ZI):
+        for n in range(2, 7):
+            groups = [TranslatedSum(ring.coerce(c)) for c in range(-3, 4)]
+            if n >= 3:
+                groups += [TwistedSum(w) for w in ring.roots_of_unity(n - 1) if w != ring.one]
+            for cls in groups:
                 p = reconstruct(cls, n, ring)
-                _, skew, _ = group_status(cls, ring, n)
+                _, skew, _ = cls.group(ring, n)
                 assert verify_skew(p, skew)
                 assert skew_is_endomorphism(p, skew)
 
@@ -230,20 +221,20 @@ def test_criterion_6_structure_suite():
 
 
 def test_criterion_7_reducibility():
-    status, reduction, _ = reducibility(TranslatedSum(4), Ring.Z, 3)
+    status, reduction, _ = TranslatedSum(4).reduction(Ring.Z, 3)
     assert status == "yes" and reduction.params["c0"] == "2"
     assert iterate_binary(reduction.binary_op, 3) == reconstruct(TranslatedSum(4), 3, Ring.Z)
 
-    status, reduction, _ = reducibility(TranslatedSum(1), Ring.Z, 3)
+    status, reduction, _ = TranslatedSum(1).reduction(Ring.Z, 3)
     assert status == "no" and reduction is None
 
     for omega, ring, n in ((-1, Ring.Z, 3), (GaussianInt(0, 1), Ring.ZI, 5)):
-        status, _, _ = reducibility(TwistedSum(ring.coerce(omega)), ring, n)
+        status, _, _ = TwistedSum(ring.coerce(omega)).reduction(ring, n)
         assert status == "no"
 
     from fractions import Fraction
 
-    status, reduction, _ = reducibility(ShiftedProduct(Fraction(4), Frac(Ring.Q, 0)), Ring.Q, 3)
+    status, reduction, _ = ShiftedProduct(Fraction(4), Frac(Ring.Q, 0)).reduction(Ring.Q, 3)
     assert status == "yes"
     assert reduction.params == {"a0": "2", "roots": "2, -2"}
     assert iterate_binary(reduction.binary_op, 3) == reconstruct(

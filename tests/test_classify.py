@@ -1,5 +1,8 @@
+import ast
+import importlib
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +28,7 @@ from polyassoc import (
     reconstruct,
     verify_condpol,
 )
-from polyassoc.classify import InternalInvariantError, classify_associative
+from polyassoc.classify import InternalInvariantError, LinearFamily, classify_associative
 
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
 
@@ -257,3 +260,23 @@ def test_reconstruct_soundness():
     for omega in (GaussianInt(0, 1), GaussianInt(0, -1), GaussianInt(-1)):
         p = reconstruct(TwistedSum(omega), 5, Ring.ZI)
         assert is_associative(p).associative
+
+
+def test_only_classify_dispatches_on_a_family():
+    # each family answers its own questions; NotAssociative is not a family
+    classify_module = importlib.import_module("polyassoc.classify")
+    families = {
+        name for name, obj in vars(classify_module).items()
+        if isinstance(obj, type) and issubclass(obj, (LinearFamily, ShiftedProduct))
+    }
+    assert {"Constant", "LinearFamily", "ShiftedProduct", "TwistedSum"} <= families
+    offenders = []
+    for path in Path(classify_module.__file__).parent.glob("*.py"):
+        if path.name == "classify.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                named = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
+                if named & families:
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

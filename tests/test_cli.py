@@ -296,6 +296,16 @@ def test_analyze_twisted_and_product_structures(capsys):
     assert any("not a group" in note for note in s["notes"])
 
 
+def test_root_note_states_the_power(capsys):
+    for n, power in (("3", "r^2"), ("4", "r^3")):
+        code, out, _ = run(
+            capsys, "analyze", "--ring", "q", "--n", n, "--poly",
+            "*".join(["-4"] + [f"x{k}" for k in range(1, int(n) + 1)]),
+        )
+        assert code == 0
+        assert f"  note: no element r of Q has {power} = -4\n" in out
+
+
 def test_text_format(capsys):
     code, out, _ = run(capsys, "classify", "--ring", "z", "--n", "3", "--poly", CUBIC_EXAMPLE)
     assert code == 0

@@ -18,12 +18,10 @@ from polyassoc import (
     TwistedSum,
     analyze,
     classify,
-    group_status,
     is_medial,
     iterate_binary,
     parse_poly,
     reconstruct,
-    reducibility,
     skew_is_endomorphism,
     verify_skew,
 )
@@ -32,18 +30,31 @@ CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
 
 
 def test_group_status_by_family():
-    group, skew, _ = group_status(TranslatedSum(0), Ring.Z, 3)
-    assert group == "yes" and skew == SkewMap(-1, 0)
-    group, skew, _ = group_status(TwistedSum(-1), Ring.Z, 3)
-    assert group == "yes" and skew == SkewMap(1, 0)
-    group, skew, notes = group_status(ShiftedProduct(Fraction(1), Frac(Ring.Q, 0)), Ring.Q, 3)
-    assert group == "field-restricted" and skew is None and notes
-    group, skew, notes = group_status(ShiftedProduct(9, Frac(Ring.Z, 1, 3)), Ring.Z, 3)
-    assert group == "no" and notes
-    for cls in (Constant(5), LeftProjection(), RightProjection()):
-        assert group_status(cls, Ring.Z, 3)[0] == "no"
-    with pytest.raises(ValueError):
-        group_status(NotAssociative(None), Ring.Z, 3)
+    # expected answers straight from the family formulas: a translated sum
+    # has skew (2-n)x - c, a twisted sum skew x, the rest no skew at all
+    for ring in (Ring.Z, Ring.Q, Ring.ZI):
+        for n in range(2, 7):
+            cases = [(Constant(ring.coerce(5)), "no", None),
+                     (LeftProjection(), "no", None),
+                     (RightProjection(), "no", None)]
+            for c in range(-3, 4):
+                skew = SkewMap(ring.coerce(2 - n), ring.coerce(-c))
+                cases.append((TranslatedSum(ring.coerce(c)), "yes", skew))
+            if n >= 3:
+                for omega in ring.roots_of_unity(n - 1):
+                    if omega != ring.one:
+                        cases.append((TwistedSum(omega), "yes", SkewMap(ring.one, ring.zero)))
+            for cls, expected_group, expected_skew in cases:
+                group, skew, notes = cls.group(ring, n)
+                assert (group, skew, notes) == (expected_group, expected_skew, ())
+                if skew is not None:
+                    assert {type(skew.alpha), type(skew.beta)} == {type(ring.one)}
+            product = ShiftedProduct(ring.coerce(9), Frac(ring, 1, 3))
+            group, skew, notes = product.group(ring, n)
+            assert group == ("field-restricted" if ring.is_field else "no")
+            assert skew is None and len(notes) == 1
+    group, _, _ = TwistedSum(GaussianInt(0, 1)).group(Ring.ZI, 5)
+    assert group == "yes"
 
 
 def test_verify_skew_fixtures():
@@ -62,21 +73,21 @@ def test_skew_is_endomorphism_fixtures():
 
 
 def test_skew_identities_over_grids():
-    for ring in (Ring.Z, Ring.ZI):
-        for n in range(2, 6):
+    for ring in (Ring.Z, Ring.Q, Ring.ZI):
+        for n in range(2, 7):
             for c in range(-3, 4):
                 cls = TranslatedSum(ring.coerce(c))
                 p = reconstruct(cls, n, ring)
-                _, skew, _ = group_status(cls, ring, n)
+                _, skew, _ = cls.group(ring, n)
                 assert verify_skew(p, skew)
                 assert skew_is_endomorphism(p, skew)
-        for n in (3, 4, 5):
+        for n in range(3, 7):
             for omega in ring.roots_of_unity(n - 1):
                 if omega == ring.one:
                     continue
                 cls = TwistedSum(omega)
                 p = reconstruct(cls, n, ring)
-                _, skew, _ = group_status(cls, ring, n)
+                _, skew, _ = cls.group(ring, n)
                 assert verify_skew(p, skew)
                 assert skew_is_endomorphism(p, skew)
 
@@ -124,50 +135,48 @@ def test_iterate_binary():
 
 
 def test_reducibility_translated_sums():
-    status, reduction, _ = reducibility(TranslatedSum(4), Ring.Z, 3)
+    status, reduction, _ = TranslatedSum(4).reduction(Ring.Z, 3)
     assert status == "yes"
     assert reduction.params == {"c0": "2"}
     assert iterate_binary(reduction.binary_op, 3) == reconstruct(TranslatedSum(4), 3, Ring.Z)
-    status, reduction, note = reducibility(TranslatedSum(1), Ring.Z, 3)
+    status, reduction, note = TranslatedSum(1).reduction(Ring.Z, 3)
     assert status == "no" and reduction is None and "not divisible" in note
     # over the rationals division always succeeds
-    status, reduction, _ = reducibility(TranslatedSum(Fraction(1)), Ring.Q, 3)
+    status, reduction, _ = TranslatedSum(Fraction(1)).reduction(Ring.Q, 3)
     assert status == "yes" and reduction.params == {"c0": "1/2"}
 
 
 def test_reducibility_twisted_and_projections():
-    status, _, _ = reducibility(TwistedSum(-1), Ring.Z, 3)
+    status, _, _ = TwistedSum(-1).reduction(Ring.Z, 3)
     assert status == "no"
     for cls, expected in (
         (Constant(5), parse_poly("5", 3, Ring.Z)),
         (LeftProjection(), parse_poly("x1", 3, Ring.Z)),
         (RightProjection(), parse_poly("x3", 3, Ring.Z)),
     ):
-        status, reduction, _ = reducibility(cls, Ring.Z, 3)
+        status, reduction, _ = cls.reduction(Ring.Z, 3)
         assert status == "yes"
         assert iterate_binary(reduction.binary_op, 3) == expected
 
 
 def test_reducibility_shifted_products():
-    status, reduction, _ = reducibility(ShiftedProduct(Fraction(4), Frac(Ring.Q, 0)), Ring.Q, 3)
+    status, reduction, _ = ShiftedProduct(Fraction(4), Frac(Ring.Q, 0)).reduction(Ring.Q, 3)
     assert status == "yes"
     assert reduction.params == {"a0": "2", "roots": "2, -2"}
     assert iterate_binary(reduction.binary_op, 3) == reconstruct(
         ShiftedProduct(Fraction(4), Frac(Ring.Q, 0)), 3, Ring.Q
     )
-    status, _, note = reducibility(ShiftedProduct(Fraction(2), Frac(Ring.Q, 0)), Ring.Q, 3)
-    assert status == "no" and "no exact" in note
-    status, _, note = reducibility(ShiftedProduct(9, Frac(Ring.Z, 1, 3)), Ring.Z, 3)
+    status, _, note = ShiftedProduct(Fraction(2), Frac(Ring.Q, 0)).reduction(Ring.Q, 3)
+    assert status == "no" and note == "no element r of Q has r^2 = 2"
+    status, _, note = ShiftedProduct(9, Frac(Ring.Z, 1, 3)).reduction(Ring.Z, 3)
     assert status == "out-of-scope"
-    status, _, note = reducibility(
-        ShiftedProduct(Fraction(4), Frac(Ring.Q, 1)), Ring.Q, 3
-    )
+    status, _, note = ShiftedProduct(Fraction(4), Frac(Ring.Q, 1)).reduction(Ring.Q, 3)
     assert status == "out-of-scope" and "offset 0" in note
 
 
 def test_analyze_reports():
     p = parse_poly("x1 + x2 + x3 + 4", 3, Ring.Z)
-    report = analyze(p, classify(p), Ring.Z)
+    report = analyze(p, classify(p))
     assert report.group == "yes"
     assert report.skew.render(Ring.Z) == "-x-4"
     assert report.skew_verified and report.skew_endomorphism
@@ -175,12 +184,12 @@ def test_analyze_reports():
     assert report.reducible == "yes" and report.reduction.params == {"c0": "2"}
 
     alt = parse_poly("x1 - x2 + x3", 3, Ring.Z)
-    report = analyze(alt, classify(alt), Ring.Z)
+    report = analyze(alt, classify(alt))
     assert report.group == "yes" and report.skew.render(Ring.Z) == "x"
     assert report.reducible == "no"
 
     cubic = parse_poly(CUBIC_EXAMPLE, 3, Ring.Z)
-    report = analyze(cubic, classify(cubic), Ring.Z)
+    report = analyze(cubic, classify(cubic))
     assert report.group == "no"
     assert report.skew is None
     assert report.medial
@@ -188,7 +197,7 @@ def test_analyze_reports():
     assert report.notes
 
     with pytest.raises(ValueError):
-        analyze(p, NotAssociative(None), Ring.Z)
+        analyze(p, NotAssociative(None))
 
 
 def test_skew_present_iff_group_on_whole_ring():
@@ -201,5 +210,5 @@ def test_skew_present_iff_group_on_whole_ring():
         (ShiftedProduct(1, Frac(Ring.Z, 0)), Ring.Z, 2),
     ]
     for cls, ring, n in cases:
-        group, skew, _ = group_status(cls, ring, n)
+        group, skew, _ = cls.group(ring, n)
         assert (skew is not None) == (group == "yes")
