@@ -343,13 +343,11 @@ def reconstruct(cls: Classification, n: int, ring: Ring) -> SparsePoly:
                 f"parameters a={ring.element_str(cls.a)}, b={cls.b} leave the ring "
                 f"at subset size {size_coeffs.index(None)}"
             )
-        ml = from_size_coeffs(ring, n, size_coeffs)
-    elif isinstance(cls, LinearFamily):
+        return from_size_coeffs(ring, n, size_coeffs)
+    if isinstance(cls, LinearFamily):
         constant, weights = cls.table(ring, n)
-        ml = MultilinearPoly(ring, n, {0: constant, **{1 << k: w for k, w in enumerate(weights)}})
-    else:
-        raise TypeError(f"not a classification: {cls!r}")
-    return ml.to_sparse()
+        return MultilinearPoly(ring, n, {0: constant, **{1 << k: w for k, w in enumerate(weights)}})
+    raise TypeError(f"not a classification: {cls!r}")
 
 
 def _params(cls: Classification) -> dict[str, object]:

@@ -269,13 +269,12 @@ def cmd_enumerate(args) -> int:
     )
     spot_cfg = OracleConfig(mode="random", samples=32, seed=args.seed, value_range=16)
     for ml, _ in result.survivors:
-        sparse = ml.to_sparse()
         for slot in range(1, n + 1):
-            if compose_closed_form(ml, slot).to_sparse() != compose_substitution(sparse, slot):
+            if compose_closed_form(ml, slot) != compose_substitution(ml, slot):
                 raise InternalInvariantError(
                     f"composition paths disagree for {ml.render()} at slot {slot}"
                 )
-        if not assoc_pointwise(sparse, spot_cfg):
+        if not assoc_pointwise(ml, spot_cfg):
             raise InternalInvariantError(f"pointwise spot check rejects {ml.render()}")
     os.makedirs(args.out, exist_ok=True)
     census_path = os.path.join(args.out, "census.csv")

@@ -18,6 +18,7 @@ identical samples everywhere.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, field
 from itertools import product
 from math import prod
@@ -42,19 +43,16 @@ DEFAULT_SEED = 88172645463325252
 
 GRID_GUARD = 1 << 20
 DEFAULT_BUDGET = 1 << 24
-# Python's default limit on int-to-str conversion; any count of at least
-# 2^(4 * MAX_COUNT_DIGITS) has more digits than this.
-MAX_COUNT_DIGITS = 4300
 
 
 class BudgetError(ValueError):
     """A grid or enumeration would exceed its budget, or a report its int-to-str limit.
 
     ``required`` is the smallest budget that admits the request, or None when
-    no budget does: an enumeration box of more than ``MAX_COUNT_DIGITS``
-    decimal digits is not built (the message writes the count as a power,
-    such as ``3^16384``), and a report value of more digits than
-    ``sys.get_int_max_str_digits()`` cannot be printed.
+    the count is not printed: an enumeration box of more decimal digits than
+    ``sys.get_int_max_str_digits()`` (Python's default limit when that is 0)
+    is written as a power, such as ``3^16384``, and a report value of more
+    digits than the live limit is refused.
     """
 
     def __init__(self, message: str, required: int | None):
@@ -338,7 +336,7 @@ def _enumerate_chunk(args) -> tuple[int, int, list[MultilinearPoly], list[Multil
             )
             verdict = associative_multilinear(ml)
             if cross_check:
-                pointwise = assoc_pointwise(ml.to_sparse(), OracleConfig(mode="grid"))
+                pointwise = assoc_pointwise(ml, OracleConfig(mode="grid"))
                 if pointwise != verdict.associative:
                     mismatches.append(ml)
             if verdict.associative:
@@ -378,15 +376,18 @@ def enumerate_associative(
         raise ValueError("cross_check requires prune=False (every candidate must be visited)")
     side = 2 * bound + 1
     d, slots = (side * side if ring is Ring.ZI else side), 1 << n
+    # Counts are printed up to the live int-to-str limit, or Python's
+    # default one when the live setting is 0 (no limit).
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     # d ** slots has at least (bit_length(d) - 1) * slots bits.  Past both
-    # the budget's bit length and 4 * MAX_COUNT_DIGITS it is surely over
-    # budget and too long to print, so it is not built.
-    if (d.bit_length() - 1) * slots < max(budget.bit_length(), 4 * MAX_COUNT_DIGITS):
+    # the budget's bit length and 4 * limit it is surely over budget and
+    # (16^limit > 10^limit) too long to print, so it is not built.
+    if (d.bit_length() - 1) * slots < max(budget.bit_length(), 4 * limit):
         total = d**slots
     else:
         total = None
     if total is None or total > budget:
-        required = total if total is not None and total < 10**MAX_COUNT_DIGITS else None
+        required = total if total is not None and total < 10**limit else None
         shown = f"{d}^{slots}" if required is None else required
         raise BudgetError(
             f"box holds {shown} candidate tables; pass budget={shown} or more "

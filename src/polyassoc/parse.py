@@ -4,13 +4,12 @@ Grammar (whitespace-insensitive, no implicit multiplication):
 
     expr     :=  term (('+' | '-') term)*
     term     :=  unary (('*' | '/') unary)*      '/' only over Q, literal RHS
-    unary    :=  '-' unary | power
-    power    :=  atom (('^' | '**') exponent)?
-    exponent :=  INT (('^' | '**') exponent)?    right-associative, literal only
+    unary    :=  '-'* atom (('^' | '**') INT)*   right-associative literal tower
     atom     :=  INT | 'i' | 'x'<digits> | '(' expr ')'
 
 ``i`` is accepted only over Z[i]; ``/`` only over Q and only with an integer
-literal denominator.  Exponents are capped at ``EXPONENT_CAP`` to bound memory.
+literal denominator.  Exponents are capped at ``EXPONENT_CAP`` to bound memory,
+and parentheses nest at most ``MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
@@ -23,6 +22,9 @@ from .poly import SparsePoly
 from .rings import GaussianInt, Ring
 
 EXPONENT_CAP = 64
+# Each open parenthesis holds four parser frames (expr, term, unary, atom);
+# this many stay well inside Python's default recursion limit of 1000.
+MAX_NESTING = 200
 
 
 @dataclass(frozen=True)
@@ -82,16 +84,9 @@ def tokenize(source: str) -> list[Token]:
                 tokens.append(Token("op", "*", i))
                 i += 1
             continue
-        if ch in "+-/^":
-            tokens.append(Token("op", ch, i))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(Token("lparen", ch, i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(Token("rparen", ch, i))
+        if ch in "+-/^()":
+            kind = "lparen" if ch == "(" else "rparen" if ch == ")" else "op"
+            tokens.append(Token(kind, ch, i))
             i += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", i, ())
@@ -115,6 +110,7 @@ class _Parser:
     def __init__(self, source: str, nvars: int, ring: Ring):
         self.tokens = tokenize(source)
         self.index = 0
+        self.depth = 0  # parentheses open around the current position
         self.nvars = nvars
         self.ring = ring
 
@@ -177,31 +173,26 @@ class _Parser:
                 return poly
 
     def unary(self) -> SparsePoly:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return -self.unary()
-        return self.power()
-
-    def power(self) -> SparsePoly:
+        """Minus signs and exponent towers are read in loops, so a long run
+        of either costs no stack depth."""
+        negate = False
+        while self.expect_op("-"):
+            negate = not negate
         base = self.atom()
-        if self.expect_op("^"):
-            return base ** self.exponent()
-        return base
-
-    def exponent(self) -> int:
-        tok = self.peek()
-        if tok.kind != "int":
-            raise ParseError(
-                "exponent must be a nonnegative integer literal", tok.pos, ("integer",)
-            )
-        self.advance()
-        value = tok.value
-        if self.expect_op("^"):
-            value = value ** self.exponent()
-        if value > EXPONENT_CAP:
-            raise ParseError(f"exponent {value} exceeds the cap {EXPONENT_CAP}", tok.pos, ())
-        return value
+        literals = []
+        while self.expect_op("^"):
+            tok = self.advance()
+            if tok.kind != "int":
+                raise ParseError(
+                    "exponent must be a nonnegative integer literal", tok.pos, ("integer",)
+                )
+            literals.append(tok)
+        if literals:
+            exponent = 1
+            for tok in reversed(literals):  # right-associative
+                exponent = _capped_power(tok, exponent)
+            base = base**exponent
+        return -base if negate else base
 
     def atom(self) -> SparsePoly:
         tok = self.advance()
@@ -221,7 +212,11 @@ class _Parser:
                 )
             return SparsePoly.variable(self.ring, self.nvars, index)
         if tok.kind == "lparen":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.pos, ())
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             closing = self.advance()
             if closing.kind != "rparen":
                 raise ParseError("expected ')'", closing.pos, (")",))
@@ -231,6 +226,18 @@ class _Parser:
             tok.pos,
             ("integer", "variable", "("),
         )
+
+
+def _capped_power(tok: Token, e: int) -> int:
+    """``tok``'s literal raised to ``e``, or a ParseError at ``tok`` when that
+    exceeds EXPONENT_CAP.  The message shows the power, or ``literal^e`` when
+    the power has more digits than ``sys.get_int_max_str_digits()`` allows."""
+    value = tok.value**e  # e <= EXPONENT_CAP: the capped power on its right
+    if value <= EXPONENT_CAP:
+        return value
+    limit = sys.get_int_max_str_digits()
+    shown = f"{tok.text}^{e}" if limit and value >= 10**limit else value
+    raise ParseError(f"exponent {shown} exceeds the cap {EXPONENT_CAP}", tok.pos, ())
 
 
 def parse_poly(source: str, nvars: int, ring: Ring) -> SparsePoly:

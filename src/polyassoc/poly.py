@@ -1,9 +1,9 @@
-"""Sparse multivariate polynomials and their multilinear normal form.
+"""Sparse multivariate polynomials and their multilinear case.
 
 A :class:`SparsePoly` maps exponent tuples to nonzero coefficients, e.g.
 ``x1^2*x2 + 3`` over Z in two variables is ``{(2, 1): 1, (0, 0): 3}``.
-A :class:`MultilinearPoly` stores a polynomial of per-variable degree <= 1
-as a table indexed by variable subsets encoded as bit masks (bit j-1 set
+A :class:`MultilinearPoly` is a SparsePoly of per-variable degree <= 1 that
+is also indexed by variable subsets encoded as bit masks (bit j-1 set
 means variable x_j occurs).  Variable indices are 1-based throughout the
 public API, matching the ``x1 .. xn`` naming of the expression grammar.
 """
@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .rings import GaussianInt, Ring, _pow
 
@@ -67,7 +67,7 @@ class SparsePoly:
 
     @classmethod
     def constant(cls, ring: Ring, nvars: int, value) -> SparsePoly:
-        return cls(ring, nvars, {(0,) * nvars: value})
+        return SparsePoly(ring, nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, ring: Ring, nvars: int, index: int) -> SparsePoly:
@@ -76,10 +76,10 @@ class SparsePoly:
             raise IndexError(f"variable index {index} out of range 1..{nvars}")
         exps = [0] * nvars
         exps[index - 1] = 1
-        return cls(ring, nvars, {tuple(exps): 1})
+        return SparsePoly(ring, nvars, {tuple(exps): 1})
 
     def __repr__(self) -> str:
-        return f"SparsePoly({self.ring.name}, {self.nvars}, {self.render()!r})"
+        return f"{type(self).__name__}({self.ring.name}, {self.nvars}, {self.render()!r})"
 
     def __str__(self) -> str:
         return self.render()
@@ -227,18 +227,18 @@ class SparsePoly:
                 if e:
                     mask |= 1 << j
             coeffs[mask] = coeff
-        return MultilinearPoly(self.ring, self.nvars, coeffs)
-
-    def sorted_terms(self) -> list[tuple[Monomial, object]]:
-        """Terms in descending graded-lexicographic order (display order)."""
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        if self.nvars > MAX_ARITY:
+            raise ValueError(f"arity must be in 1..{MAX_ARITY}")
+        return MultilinearPoly._trusted(self.ring, self.nvars, coeffs, self.terms)
 
     def render(self) -> str:
-        """Canonical text form, re-parseable by the expression grammar."""
+        """Canonical text form, re-parseable by the expression grammar: terms
+        in descending graded-lexicographic order."""
         if not self.terms:
             return "0"
         parts: list[str] = []
-        for exps, coeff in self.sorted_terms():
+        graded = sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        for exps, coeff in graded:
             mono = _monomial_str(exps)
             body = _coeff_grammar_str(self.ring, coeff)
             sign = "+"
@@ -253,78 +253,69 @@ class SparsePoly:
         return "".join(parts)
 
 
-class MultilinearPoly:
-    """Polynomial of per-variable degree <= 1, indexed by variable subsets.
+# SparsePoly's ``terms`` slot, where MultilinearPoly.terms keeps its tuples
+_TERMS = SparsePoly.terms
+
+
+class MultilinearPoly(SparsePoly):
+    """The multilinear case of :class:`SparsePoly`, indexed by variable subsets.
 
     ``coeffs`` maps a bit mask over 1..n to its coefficient; missing masks
-    mean coefficient zero.  The empty mask holds the constant term.
+    mean coefficient zero.  The empty mask holds the constant term.  The
+    exponent-tuple ``terms`` that the inherited methods read are built from
+    ``coeffs`` on first read and kept, so a table that is only decided mask
+    by mask never builds them.
     """
 
-    __slots__ = ("ring", "n", "coeffs")
+    __slots__ = ("coeffs",)
 
     def __init__(self, ring: Ring, n: int, coeffs: Mapping[int, object] | None = None):
         if n < 1 or n > MAX_ARITY:
             raise ValueError(f"arity must be in 1..{MAX_ARITY}")
-        full = (1 << n) - 1
         clean: dict[int, object] = {}
         for mask, coeff in (coeffs or {}).items():
-            if not 0 <= mask <= full:
+            if not 0 <= mask < 1 << n:
                 raise ValueError(f"mask {mask} is not a subset of 1..{n}")
             coeff = ring.coerce(coeff)
             if coeff:
                 clean[mask] = coeff
         self.ring = ring
-        self.n = n
+        self.nvars = n
         self.coeffs = clean
+        self._factors = None
+        _TERMS.__set__(self, None)
 
     @classmethod
-    def _trusted(cls, ring: Ring, n: int, coeffs: dict[int, object]) -> MultilinearPoly:
-        """Wrap coefficients already keyed by masks over 1..n with nonzero ring
-        values, skipping the per-mask checks of ``__init__``."""
+    def _trusted(cls, ring: Ring, n: int, coeffs: dict, terms=None) -> MultilinearPoly:
+        """Wrap nonzero ring values keyed by masks over 1..n, without the checks
+        of ``__init__``; ``terms``, if given, is the same table by exponent tuples."""
         p = cls.__new__(cls)
         p.ring = ring
-        p.n = n
+        p.nvars = n
         p.coeffs = coeffs
+        p._factors = None
+        _TERMS.__set__(p, terms)
         return p
 
-    def __repr__(self) -> str:
-        return f"MultilinearPoly({self.ring.name}, {self.n}, {self.render()!r})"
+    @property
+    def terms(self) -> dict[Monomial, object]:
+        """The exponent-tuple form of ``coeffs``, built on first read."""
+        terms = _TERMS.__get__(self)
+        if terms is None:
+            n = self.nvars
+            terms = {tuple((m >> j) & 1 for j in range(n)): c for m, c in self.coeffs.items()}
+            _TERMS.__set__(self, terms)
+        return terms
 
-    def __str__(self) -> str:
-        return self.render()
+    @property
+    def n(self) -> int:
+        return self.nvars
 
     def __reduce__(self):
-        return (MultilinearPoly, (self.ring, self.n, self.coeffs))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultilinearPoly):
-            return NotImplemented
-        return self.ring is other.ring and self.n == other.n and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.ring, self.n, frozenset(self.coeffs.items())))
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return (MultilinearPoly, (self.ring, self.nvars, self.coeffs))
 
     def coeff(self, mask: int):
         return self.coeffs.get(mask, self.ring.zero)
-
-    def degree(self) -> int:
-        return max((m.bit_count() for m in self.coeffs), default=0)
-
-    def to_sparse(self) -> SparsePoly:
-        terms = {
-            tuple((mask >> j) & 1 for j in range(self.n)): c
-            for mask, c in self.coeffs.items()
-        }
-        return SparsePoly(self.ring, self.n, terms)
-
-    def render(self) -> str:
-        return self.to_sparse().render()
-
-    def evaluate(self, point: Sequence):
-        return self.to_sparse().evaluate(point)
 
     def is_symmetric(self) -> bool:
         """True iff the coefficient depends only on the subset size: each stored
@@ -342,6 +333,12 @@ class MultilinearPoly:
         if not self.is_symmetric():
             return None
         return [self.coeff((1 << k) - 1) for k in range(self.n + 1)]
+
+    def to_multilinear(self) -> MultilinearPoly:
+        return self
+
+    # its own entry, so bench/layertrace.py traces it apart from SparsePoly's
+    evaluate = SparsePoly.evaluate
 
 
 def _merge(into: dict[Monomial, object], terms: Mapping[Monomial, object]) -> None:
@@ -425,14 +422,11 @@ def from_size_coeffs(ring: Ring, n: int, size_coeffs: Sequence) -> MultilinearPo
     """The symmetric multilinear polynomial sum_k c_k * (elementary symmetric of degree k)."""
     if len(size_coeffs) != n + 1:
         raise ValueError(f"expected {n + 1} coefficients")
-    coeffs = {m: c for k, c in enumerate(size_coeffs) if c for m in _masks_of_size(n, k)}
+    coeffs = {
+        sum(1 << j for j in subset): c
+        for k, c in enumerate(size_coeffs) if c for subset in combinations(range(n), k)
+    }
     return MultilinearPoly(ring, n, coeffs)
-
-
-def _masks_of_size(n: int, k: int) -> Iterable[int]:
-    """The bit masks of all k-element subsets of 1..n."""
-    for subset in combinations(range(n), k):
-        yield sum(1 << j for j in subset)
 
 
 def _monomial_str(exps: Monomial) -> str:

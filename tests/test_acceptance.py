@@ -84,9 +84,8 @@ def test_criterion_3_dual_path_composition():
     mismatches = 0
     for table in product((-1, 0, 1), repeat=4):
         ml = MultilinearPoly(Ring.Z, 2, dict(enumerate(table)))
-        sparse = ml.to_sparse()
         for slot in (1, 2):
-            if compose_closed_form(ml, slot).to_sparse() != compose_substitution(sparse, slot):
+            if compose_closed_form(ml, slot) != compose_substitution(ml, slot):
                 mismatches += 1
     rng = XorShift64Star(20177)
     for n in (3, 4):
@@ -94,11 +93,8 @@ def test_criterion_3_dual_path_composition():
             ml = MultilinearPoly(
                 Ring.Z, n, {m: rng.randint(-4, 4) for m in range(1 << n)}
             )
-            sparse = ml.to_sparse()
             for slot in range(1, n + 1):
-                if compose_closed_form(ml, slot).to_sparse() != compose_substitution(
-                    sparse, slot
-                ):
+                if compose_closed_form(ml, slot) != compose_substitution(ml, slot):
                     mismatches += 1
     elapsed = time.perf_counter() - start
     assert mismatches == 0
@@ -134,7 +130,7 @@ def _family_memberships(ml, ring):
     if a != ring.zero:
         b = Frac(ring, ml.coeff((1 << n) - 2), a)
         try:
-            if reconstruct(ShiftedProduct(a, b), n, ring) == ml.to_sparse():
+            if reconstruct(ShiftedProduct(a, b), n, ring) == ml:
                 matches.append("shifted-product")
         except ValueError:
             pass
@@ -171,7 +167,7 @@ def test_criterion_5_condpol_equivalence():
     discrepancies = 0
     for coeffs in product(range(-2, 3), repeat=4):
         ml = from_size_coeffs(Ring.Z, 3, list(coeffs))
-        if verify_condpol(list(coeffs)) != is_associative(ml.to_sparse()).associative:
+        if verify_condpol(list(coeffs)) != is_associative(ml).associative:
             discrepancies += 1
     elapsed = time.perf_counter() - start
     assert discrepancies == 0

@@ -133,11 +133,8 @@ def test_compose_closed_form_single_coefficients():
 def test_closed_form_matches_substitution_exhaustive_binary():
     for c0, c1, c2, c12 in product((-1, 0, 1), repeat=4):
         ml = MultilinearPoly(Ring.Z, 2, {0: c0, 1: c1, 2: c2, 3: c12})
-        sparse = ml.to_sparse()
         for slot in (1, 2):
-            assert compose_closed_form(ml, slot).to_sparse() == compose_substitution(
-                sparse, slot
-            )
+            assert compose_closed_form(ml, slot) == compose_substitution(ml, slot)
 
 
 def test_closed_form_matches_substitution_random():
@@ -155,11 +152,10 @@ def test_closed_form_matches_substitution_random():
             for _ in range(4)
         ]
         for ml in tables:
-            sparse = ml.to_sparse()
             for slot in range(1, ml.n + 1):
                 closed = compose_closed_form(ml, slot)
                 assert closed == dense_closed_form(ml, slot)
-                assert closed.to_sparse() == compose_substitution(sparse, slot)
+                assert closed == compose_substitution(ml, slot)
 
 
 def test_is_associative_positive_fixtures():
@@ -190,8 +186,7 @@ def test_witness_indicator_point_distinguishes():
         found += 1
         w = verdict.witness
         point = w.indicator_point
-        sparse = ml.to_sparse()
-        assert associated_value(sparse, 1, point) != associated_value(sparse, w.slot, point)
+        assert associated_value(ml, 1, point) != associated_value(ml, w.slot, point)
     assert found > 100
 
 

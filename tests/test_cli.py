@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polyassoc.cli as cli
 from polyassoc.cli import build_parser, main
@@ -492,3 +496,83 @@ def test_shared_parser_matches_a_fresh_one(tmp_path, capsys, monkeypatch):
     assert "checked individually: 81 " in shared[4][1]
     assert "usage: polyassoc check" in shared[6][2]
     assert shared[6] == shared[0]
+
+
+@pytest.mark.parametrize(
+    "poly, message",
+    [
+        ("(" * 250 + "x1" + ")" * 250, "parentheses nested deeper than 200 at position 201"),
+        ("-" * 3000 + "x1", None),
+        ("x1" + "^1" * 1500, None),
+        ("x1^" + "9" * 100 + "^64", f"exponent {'9' * 100}^64 exceeds the cap 64 at position 4"),
+    ],
+    ids=["nested-parentheses", "minus-run", "exponent-tower", "long-exponent-literal"],
+)
+def test_deep_or_long_input_exits_with_one_line(capsys, poly, message):
+    code, out, err = run(capsys, "check", "--ring", "z", "--n", "2", f"--poly={poly}")
+    if message is None:
+        assert code == 0 and err == ""
+        assert "input: -x1" in out or "input: x1" in out
+    else:
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+
+def test_enumerate_budget_message_reads_the_live_digit_limit(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    argv = ("enumerate", "--ring", "z", "--n", "12", "--bound", "1", "--out", str(tmp_path))
+    try:
+        sys.set_int_max_str_digits(640)
+        code, out, err = run(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2 and out == ""
+    assert err == (
+        "error: box holds 3^4096 candidate tables; pass budget=3^4096 or more "
+        "(configured budget 16777216)\n"
+    )
+    # 3^4096 has 1,955 digits: printed in full under the default limit
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and f"box holds {3**4096} candidate tables" in err
+    # a limit of 0 (none) prints counts up to Python's default limit
+    try:
+        sys.set_int_max_str_digits(0)
+        small = run(capsys, "enumerate", "--ring", "z", "--n", "5", "--bound", "1",
+                    "--out", str(tmp_path))
+        huge = run(capsys, *argv[:4], "14", *argv[5:])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert small[0] == 2 and "pass budget=1853020188851841 or more" in small[2]
+    assert huge[0] == 2 and "pass budget=3^16384 or more" in huge[2]
+
+
+COEFFS = {
+    "z": st.integers(-3, 3).map(str),
+    "q": st.sampled_from(["1/2", "-2/3", "3", "-1", "0"]),
+    "zi": st.sampled_from(["i", "(1-i)", "-2", "1", "2*i", "(2+i)"]),
+}
+
+
+@st.composite
+def small_requests(draw):
+    """check/classify/analyze argv: n <= 3, exponents <= 3, at most 3 terms."""
+    ring = draw(st.sampled_from(sorted(COEFFS)))
+    n = draw(st.integers(1, 3))
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        factors = [draw(COEFFS[ring])]
+        for _ in range(draw(st.integers(0, 3))):
+            factors.append(f"x{draw(st.integers(1, 3))}^{draw(st.integers(0, 3))}")
+        terms.append("*".join(factors))
+    poly = " + ".join(terms) or draw(st.text("x123i+-*/^() ", max_size=8))
+    command = draw(st.sampled_from(["check", "classify", "analyze"]))
+    fmt = draw(st.sampled_from(["text", "json"]))
+    return [command, "--ring", ring, "--n", str(n), f"--poly={poly}", "--format", fmt]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(small_requests())
+def test_cli_fuzz_exit_codes(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)

@@ -137,8 +137,8 @@ def polys_equal_oracle(p: SparsePoly, q: SparsePoly, cfg: OracleConfig) -> bool:
 def test_polys_equal_oracle_grid():
     cfg = OracleConfig(mode="grid")
     cubic = parse_poly(CUBIC_EXAMPLE, 3, Ring.Z).to_multilinear()
-    closed = compose_closed_form(cubic, 1).to_sparse()
-    expanded = compose_substitution(cubic.to_sparse(), 1)
+    closed = compose_closed_form(cubic, 1)
+    expanded = compose_substitution(cubic, 1)
     assert polys_equal_oracle(closed, expanded, cfg)
     assert polys_equal_oracle(
         parse_poly("x1 + x2", 2, Ring.Z), parse_poly("x2 + x1", 2, Ring.Z), cfg
@@ -234,13 +234,13 @@ def assert_support_route_agrees(p: SparsePoly) -> None:
 
 def test_support_points_agree_with_full_grid_on_z_box():
     for values in product(range(-2, 3), repeat=4):
-        assert_support_route_agrees(MultilinearPoly(Ring.Z, 2, dict(enumerate(values))).to_sparse())
+        assert_support_route_agrees(MultilinearPoly(Ring.Z, 2, dict(enumerate(values))))
 
 
 def test_support_points_agree_with_full_grid_on_gaussian_box():
     units = [GaussianInt(re, im) for re in (-1, 0, 1) for im in (-1, 0, 1)]
     for values in product(units, repeat=4):
-        assert_support_route_agrees(MultilinearPoly(Ring.ZI, 2, dict(enumerate(values))).to_sparse())
+        assert_support_route_agrees(MultilinearPoly(Ring.ZI, 2, dict(enumerate(values))))
 
 
 SMALL = st.integers(-3, 3)
@@ -394,7 +394,7 @@ def test_enumerate_ternary_box():
     twisted = [row for row in result.census if row.type_tag == "twisted-sum"]
     assert twisted == [type(twisted[0])("twisted-sum", "omega=-1", 1)]
     alt = parse_poly("x1 - x2 + x3", 3, Ring.Z)
-    assert any(ml.to_sparse() == alt for ml, _ in result.survivors)
+    assert any(ml == alt for ml, _ in result.survivors)
 
 
 def test_enumerate_gaussian_box():
@@ -590,6 +590,6 @@ def test_dual_path_agreement_for_survivors():
     cfg = OracleConfig(mode="grid")
     for ml, _ in result.survivors:
         for slot in (1, 2):
-            closed = compose_closed_form(ml, slot).to_sparse()
-            expanded = compose_substitution(ml.to_sparse(), slot)
+            closed = compose_closed_form(ml, slot)
+            expanded = compose_substitution(ml, slot)
             assert polys_equal_oracle(closed, expanded, cfg)

@@ -2,8 +2,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyassoc import GaussianInt, ParseError, Ring, SparsePoly, XorShift64Star, parse_poly
+from polyassoc.parse import MAX_NESTING
 
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
 
@@ -166,3 +169,70 @@ def test_parse_total_on_fuzz():
             parse_poly(source, 2, Ring.Q)
         except ParseError as err:
             assert 0 <= err.position <= len(source)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.text("x0123i+-*/^() ", max_size=12), st.sampled_from((Ring.Z, Ring.Q, Ring.ZI)))
+def test_parse_fuzz_round_trips_or_points_into_the_source(source, ring):
+    try:
+        p = parse_poly(source, 3, ring)
+    except ParseError as err:
+        assert 0 <= err.position <= len(source)  # len(source) is the end of input
+    else:
+        assert parse_poly(p.render(), 3, ring) == p
+
+
+def test_deep_input_is_parsed_in_loops():
+    x1 = SparsePoly.variable(Ring.Z, 2, 1)
+    assert parse_poly("-" * 3000 + "x1", 2, Ring.Z) == x1
+    assert parse_poly("-" * 3001 + "x1^2", 2, Ring.Z) == -(x1**2)
+    assert parse_poly("x1" + "^1" * 1500, 2, Ring.Z) == x1
+    assert parse_poly("x1" + "^1" * 1500 + "^2", 2, Ring.Z) == x1
+    # a literal past the cap raised to 0 is 1, not an error
+    assert parse_poly("x1^65^0", 2, Ring.Z) == x1
+    assert parse_poly("x1^100^0", 2, Ring.Z) == x1
+    nested = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
+    assert parse_poly(nested, 2, Ring.Z) == x1
+    assert parse_poly("-(" * MAX_NESTING + "x1" + ")" * MAX_NESTING, 2, Ring.Z) == x1
+
+
+def test_nesting_past_the_limit_is_a_parse_error():
+    for depth in (MAX_NESTING + 1, 250, 5000):
+        with pytest.raises(ParseError) as err:
+            parse_poly("(" * depth + "x1" + ")" * depth, 2, Ring.Z)
+        assert err.value.position == MAX_NESTING  # the first '(' past the limit
+        assert str(err.value) == (
+            f"parentheses nested deeper than {MAX_NESTING} at position {MAX_NESTING + 1}"
+        )
+
+
+def test_exponent_cap_messages():
+    for source, shown, position in [
+        ("x1^65", "65", 3),
+        ("x1^00065", "65", 3),
+        ("x1^2^7", "128", 3),
+        ("x1^0^100", "100", 5),
+        ("x1^3^4", "81", 3),
+        ("x1^99^64", str(99**64), 3),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_poly(source, 2, Ring.Z)
+        assert str(err.value) == f"exponent {shown} exceeds the cap 64 at position {position + 1}"
+
+
+def test_exponent_cap_message_shows_an_unprintable_power_as_written():
+    nines = "9" * 100
+    with pytest.raises(ParseError) as err:
+        parse_poly(f"x1^{nines}^64", 2, Ring.Z)
+    assert str(err.value) == f"exponent {nines}^64 exceeds the cap 64 at position 4"
+    # the power is printed while str() can convert it under the live limit
+    source, power = "x1^" + "9" * 20 + "^64", (10**20 - 1) ** 64  # 1,280 digits
+    limit = sys.get_int_max_str_digits()
+    try:
+        for lowered, shown in ((0, str(power)), (4300, str(power)), (640, "9" * 20 + "^64")):
+            sys.set_int_max_str_digits(lowered)
+            with pytest.raises(ParseError) as err:
+                parse_poly(source, 2, Ring.Z)
+            assert err.value.message == f"exponent {shown} exceeds the cap 64"
+    finally:
+        sys.set_int_max_str_digits(limit)

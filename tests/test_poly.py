@@ -1,3 +1,6 @@
+import ast
+import inspect
+import pickle
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -15,6 +18,7 @@ from polyassoc import (
     from_size_coeffs,
     parse_poly,
 )
+from polyassoc import oracle, poly
 
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
 
@@ -66,7 +70,7 @@ def test_to_multilinear_iff_degrees_at_most_one():
         multilinear = all(p.degree_in_var(j) <= 1 for j in (1, 2, 3))
         assert (p.to_multilinear() is not None) == multilinear
         if multilinear:
-            assert p.to_multilinear().to_sparse() == p
+            assert p.to_multilinear() == p
 
 
 def test_evaluate():
@@ -122,9 +126,9 @@ def test_elementary_symmetric():
     def e(n, k):
         return from_size_coeffs(Ring.Z, n, [int(j == k) for j in range(n + 1)])
 
-    assert e(3, 2).to_sparse() == parse_poly("x1*x2 + x2*x3 + x3*x1", 3, Ring.Z)
-    assert e(3, 0).to_sparse() == SparsePoly.constant(Ring.Z, 3, 1)
-    assert e(2, 2).to_sparse() == parse_poly("x1*x2", 2, Ring.Z)
+    assert e(3, 2) == parse_poly("x1*x2 + x2*x3 + x3*x1", 3, Ring.Z)
+    assert e(3, 0) == SparsePoly.constant(Ring.Z, 3, 1)
+    assert e(2, 2) == parse_poly("x1*x2", 2, Ring.Z)
 
 
 def test_grid_equality_iff_coefficient_equality():
@@ -222,6 +226,9 @@ def test_arity_cap():
         MultilinearPoly(Ring.Z, 63, {})
     with pytest.raises(ValueError):
         SparsePoly(Ring.Z, 0, {})
+    # a multilinear SparsePoly past MAX_ARITY has no mask view either
+    with pytest.raises(ValueError):
+        SparsePoly.variable(Ring.Z, 63, 1).to_multilinear()
 
 
 RINGS = (Ring.Z, Ring.Q, Ring.ZI)
@@ -299,3 +306,68 @@ def test_arithmetic_results_are_clean(data):
         assert_validated(result)
     assert p + (-p) == p * 0 == SparsePoly.zero(ring, n)
     assert p**0 == SparsePoly.constant(ring, n, 1)
+
+
+def test_multilinear_view_equals_and_hashes_like_the_sparse_polynomial():
+    for p in (
+        parse_poly(CUBIC_EXAMPLE, 3, Ring.Z),
+        parse_poly("(1 - i)*x1*x2 - 2", 2, Ring.ZI),
+        parse_poly("x1/2 + 1/3", 2, Ring.Q),
+        SparsePoly.zero(Ring.Q, 2),
+    ):
+        view = p.to_multilinear()
+        assert view.terms is p.terms  # the view reuses the tuple dict
+        fresh = MultilinearPoly(p.ring, p.nvars, view.coeffs)
+        for ml in (view, fresh):
+            assert isinstance(ml, SparsePoly)
+            assert ml == p and p == ml and hash(ml) == hash(p)
+            assert ml.to_multilinear() is ml
+            assert bool(ml) == bool(p) and ml.degree() == p.degree()
+            assert ml.render() == p.render()
+        assert len({p, view, fresh}) == 1
+        assert repr(fresh) == f"MultilinearPoly({p.ring.name}, {p.nvars}, {p.render()!r})"
+        assert repr(p) == f"SparsePoly({p.ring.name}, {p.nvars}, {p.render()!r})"
+    assert MultilinearPoly(Ring.Z, 2, {3: 1}) != SparsePoly(Ring.Z, 2, {(1, 1): 2})
+    assert MultilinearPoly(Ring.Z, 2, {3: 1}) != MultilinearPoly(Ring.Q, 2, {3: 1})
+
+
+def test_multilinear_pickle_keeps_the_class():
+    ml = MultilinearPoly(Ring.ZI, 3, {0: GaussianInt(1, -2), 0b101: 3})
+    assert ml.evaluate([1, 2, 3]) == GaussianInt(10, -2)  # leaves a cached plan
+    back = pickle.loads(pickle.dumps(ml))
+    assert type(back) is MultilinearPoly
+    assert back.coeffs == ml.coeffs and back == ml
+    assert back.evaluate([1, 2, 3]) == GaussianInt(10, -2)
+
+
+def test_deciding_census_candidates_builds_no_exponent_tuples(monkeypatch):
+    def unbuilt(self):
+        raise AssertionError("exponent tuples built")
+
+    monkeypatch.setattr(MultilinearPoly, "terms", property(unbuilt))
+    for ring, n in ((Ring.Z, 3), (Ring.ZI, 2)):
+        domain = oracle._value_domain(ring, 1)
+        checked, _, survivors, _ = oracle._enumerate_chunk((ring, n, 1, domain, False, False))
+        assert checked == len(domain) ** (1 << n) and survivors
+
+
+def test_multilinear_body_defines_only_its_own_index():
+    """MultilinearPoly adds the mask table and nothing that SparsePoly already does."""
+    assert MultilinearPoly.__bases__ == (SparsePoly,)
+    tree = ast.parse(inspect.getsource(poly))
+    (body,) = [
+        node.body for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "MultilinearPoly"
+    ]
+    defined = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets)
+    allowed = {
+        "__slots__", "__init__", "_trusted", "terms", "n", "__reduce__", "coeff",
+        "is_symmetric", "size_coeffs", "to_multilinear", "evaluate",
+    }
+    assert defined <= allowed, sorted(defined - allowed)
