@@ -4,7 +4,7 @@ Subcommands ``check``, ``classify``, and ``analyze`` take ``--ring z|q|zi``,
 ``--n N``, ``--poly EXPR`` and emit a report (``--format text|json``);
 ``enumerate`` walks a coefficient box and writes census files.  Exit codes:
 0 analysis completed (whatever the verdict), 1 parse error, 2 invalid
-flags or budget, 3 internal invariant violation.
+flags, budget or output directory, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -264,10 +264,11 @@ def cmd_enumerate(args) -> int:
         raise UsageError(f"--bound must be nonnegative, got {args.bound}")
     if args.jobs < 1:
         raise UsageError(f"--jobs must be positive, got {args.jobs}")
+    os.makedirs(args.out, exist_ok=True)  # an unusable --out fails before the walk
     result = enumerate_associative(
         n, ring, args.bound, budget=args.budget, prune=args.prune, jobs=args.jobs
     )
-    spot_cfg = OracleConfig(mode="random", samples=32, seed=args.seed, value_range=16)
+    spot_cfg = OracleConfig(mode="random", seed=args.seed)
     for ml, _ in result.survivors:
         for slot in range(1, n + 1):
             if compose_closed_form(ml, slot) != compose_substitution(ml, slot):
@@ -276,7 +277,6 @@ def cmd_enumerate(args) -> int:
                 )
         if not assoc_pointwise(ml, spot_cfg):
             raise InternalInvariantError(f"pointwise spot check rejects {ml.render()}")
-    os.makedirs(args.out, exist_ok=True)
     census_path = os.path.join(args.out, "census.csv")
     with open(census_path, "w") as fh:
         fh.write(census_csv(result))
@@ -315,10 +315,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except UsageError as exc:
+    except (BudgetError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (AssertionError, InternalInvariantError) as exc:

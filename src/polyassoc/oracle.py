@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import count, product
 from math import prod
 from operator import itemgetter
 
@@ -43,6 +43,8 @@ DEFAULT_SEED = 88172645463325252
 
 GRID_GUARD = 1 << 20
 DEFAULT_BUDGET = 1 << 24
+ERROR_BITS = 64  # a sampled check passes a false identity with probability <= 2^-64
+SAMPLE_HALF_WIDTH = 100
 
 
 class BudgetError(ValueError):
@@ -79,6 +81,8 @@ class XorShift64Star:
         if lo > hi:
             raise ValueError("empty range")
         span = hi - lo + 1
+        if span > 1 << 64:
+            raise ValueError("range holds more than 2^64 values")
         limit = (1 << 64) - ((1 << 64) % span)
         next_u64 = self.next_u64
         draws = []
@@ -110,15 +114,32 @@ class XorShift64Star:
 @dataclass(frozen=True)
 class OracleConfig:
     mode: str = "grid"  # "grid" (exact) or "random" (probabilistic)
-    samples: int = 1000
     seed: int = DEFAULT_SEED
-    value_range: int = 100
 
     def __post_init__(self):
         if self.mode not in ("grid", "random"):
             raise ValueError(f"unknown oracle mode {self.mode!r}")
-        if self.samples < 1 or self.value_range < 1:
-            raise ValueError("samples and value_range must be positive")
+
+
+def _samples_agree(ring: Ring, degree: int, width: int, values, seed: int) -> bool:
+    """Whether the list ``values(point)`` is all equal at each of k seeded points.
+
+    A nonzero difference of total degree <= ``degree`` vanishes at a uniform
+    point of S^width with probability at most degree/|S| (Schwartz 1980;
+    Zippel 1979); k is the least count with (degree/|S|)^k <= 2^-ERROR_BITS.
+    S is [-h, h], both parts over Z[i].  h = SAMPLE_HALF_WIDTH while |S| >
+    2*degree, so the points are a prefix of the seeded stream there; else h =
+    degree, after one uncounted point at SAMPLE_HALF_WIDTH: input that is not
+    multilinear is never associative, and a small point shows it cheaply.
+    """
+    dim = 2 if ring is Ring.ZI else 1  # |S| = (2h+1)^dim
+    h, uncounted = SAMPLE_HALF_WIDTH, []
+    if (2 * h + 1) ** dim <= 2 * degree:
+        h, uncounted = degree, [h]
+    k = next(k for k in count(1) if (2 * h + 1) ** (dim * k) >= degree**k << ERROR_BITS)
+    rng = XorShift64Star(seed)
+    points = (rng.elements(ring, half_width, width) for half_width in uncounted + [h] * k)
+    return all(len(set(values(point))) == 1 for point in points)
 
 
 def associated_value(p: SparsePoly, slot: int, point):
@@ -228,11 +249,9 @@ def assoc_pointwise(p: SparsePoly, cfg: OracleConfig) -> bool:
     variable's degree in either composition; the guard bounds each
     equation's grid.
 
-    Random mode compares the n slot compositions at seeded points with
-    coordinates drawn from a finite set S.  A nonzero difference of total
-    degree d vanishes at such a point with probability at most d/|S|
-    (Schwartz 1980; Zippel 1979), so agreement on every sample is evidence,
-    not proof.
+    Random mode compares the n slot compositions at seeded points
+    (``_samples_agree``).  Their differences have degree at most 2*deg(p) - 1
+    for multilinear p, whose slot variable has degree one, else deg(p)^2.
     """
     n = p.nvars
     if n < 2:
@@ -250,13 +269,13 @@ def assoc_pointwise(p: SparsePoly, cfg: OracleConfig) -> bool:
                 if associated_value(p, i, point) != associated_value(p, i + 1, point):
                     return False
         return True
-    rng = XorShift64Star(cfg.seed)
-    for _ in range(cfg.samples):
-        point = rng.elements(p.ring, cfg.value_range, 2 * n - 1)
-        values = [associated_value(p, i, point) for i in range(1, n + 1)]
-        if any(v != values[0] for v in values[1:]):
-            return False
-    return True
+    d = p.degree()
+    d = max(2 * d - 1, 0) if p.is_multilinear else d * d
+
+    def compositions(point):
+        return [associated_value(p, i, point) for i in range(1, n + 1)]
+
+    return _samples_agree(p.ring, d, 2 * n - 1, compositions, cfg.seed)
 
 
 # ---------------------------------------------------------------------------

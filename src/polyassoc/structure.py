@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classify import Classification, NotAssociative, Reduction, SkewMap
-from .oracle import OracleConfig, XorShift64Star
+from .oracle import DEFAULT_SEED, _samples_agree
 from .poly import SparsePoly
 
 
@@ -58,10 +58,9 @@ def is_medial(p: SparsePoly) -> tuple[bool, str]:
     """Row/column interchange identity over an n x n matrix of arguments.
 
     Symbolic in n^2 variables for n <= 3; for larger arities the identity is
-    sampled at seeded random points and the method is reported as such.  A
-    false identity of total degree d holds at a sample with coordinates drawn
-    from a finite set S with probability at most d/|S| (Schwartz 1980;
-    Zippel 1979), so a sampled "medial" is evidence, not proof.
+    sampled at seeded points (``oracle._samples_agree``), each n x n matrix
+    drawn row-major, and the method is reported as such.  Both sides have
+    total degree at most deg(p)^2.
     """
     n = p.nvars
     if n <= 3:
@@ -75,15 +74,12 @@ def is_medial(p: SparsePoly) -> tuple[bool, str]:
             for c in range(n)
         ]
         return p.substitute(rows) == p.substitute(cols), "symbolic"
-    cfg = OracleConfig(mode="random")
-    rng = XorShift64Star(cfg.seed)
-    for _ in range(cfg.samples):
-        flat = rng.elements(p.ring, cfg.value_range, n * n)  # row-major
+
+    def sides(flat):
         by_rows = p.evaluate([p.evaluate(flat[r * n:(r + 1) * n]) for r in range(n)])
-        by_cols = p.evaluate([p.evaluate(flat[c::n]) for c in range(n)])
-        if by_rows != by_cols:
-            return False, "sampled"
-    return True, "sampled"
+        return [by_rows, p.evaluate([p.evaluate(flat[c::n]) for c in range(n)])]
+
+    return _samples_agree(p.ring, p.degree() ** 2, n * n, sides, DEFAULT_SEED), "sampled"
 
 
 def iterate_binary(op: SparsePoly, n: int) -> SparsePoly:

@@ -443,6 +443,22 @@ def test_enumerate_spot_check_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "spot check" in err
 
 
+@pytest.mark.parametrize("kind", ["existing-file", "under-a-file"])
+def test_enumerate_unusable_out_fails_before_the_walk(tmp_path, capsys, monkeypatch, kind):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("box walked before --out was checked")
+
+    monkeypatch.setattr(cli, "enumerate_associative", no_walk)
+    target = tmp_path / "taken"
+    target.write_text("")
+    out = target if kind == "existing-file" else target / "census"
+    code, stdout, err = run(
+        capsys, "enumerate", "--ring", "z", "--n", "2", "--bound", "0", "--out", str(out)
+    )
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_enumerate_prune_matches_default(tmp_path, capsys):
     a = tmp_path / "plain"
     b = tmp_path / "pruned"

@@ -109,28 +109,75 @@ def test_elements_equals_repeated_element(ring):
     assert batch.state == single.state
 
 
+def test_randints_refuses_a_range_wider_than_64_bits():
+    rng = XorShift64Star(1)
+    with pytest.raises(ValueError, match="2\\^64"):
+        rng.randint(0, 2**64)
+    assert rng.state == 1
+    assert rng.randint(0, 2**64 - 1) == 5180492295206395165
+
+
+def sampled_points(ring, degree, width=2, seed=5):
+    """The points ``_samples_agree`` draws when every point agrees."""
+    points = []
+    assert oracle._samples_agree(ring, degree, width, lambda p: points.append(p) or [0], seed)
+    return points
+
+
+@pytest.mark.parametrize(
+    "ring, degree, count",
+    [(ring, d, k) for ring in (Ring.Z, Ring.Q)
+     for d, k in [(0, 1), (1, 9), (19, 19), (25, 22), (100, 64)]]
+    + [(Ring.ZI, 25, 7), (Ring.ZI, 101, 8)],
+)
+def test_sample_count_meets_the_error_bound(ring, degree, count):
+    # k is the least count with |S|^k >= 2^64 * d^k, |S| = 201 or 201^2
+    points = sampled_points(ring, degree, seed=7)
+    assert points == [XorShift64Star(7).elements(ring, 100, 2 * count)[2 * j:2 * j + 2]
+                      for j in range(count)]
+
+
+@pytest.mark.parametrize("ring", [Ring.Z, Ring.Q])
+def test_sampling_widens_past_half_the_set(ring):
+    # |S| = 201 <= 2 * 101: one uncounted point at half-width 100, then 64 at 101
+    rng = XorShift64Star(5)
+    first = rng.elements(ring, 100, 2)
+    widened = rng.elements(ring, 101, 2 * 64)
+    assert sampled_points(ring, 101) == [first] + [widened[j:j + 2] for j in range(0, 128, 2)]
+
+
+def test_sampling_stops_at_the_first_disagreement():
+    points = []
+    assert not oracle._samples_agree(
+        Ring.Z, 1, 3, lambda p: points.append(p) or [0, len(points) // 4], 5
+    )
+    assert len(points) == 4
+
+
 def polys_equal_oracle(p: SparsePoly, q: SparsePoly, cfg: OracleConfig) -> bool:
     """Reference: pointwise equality, independent of any symbolic normal form.
 
     Grid mode is conclusive: the grid extends one past the per-variable
     degree in each variable, and a polynomial over an integral domain
-    vanishing on such a grid is zero.  Random mode only samples.
+    vanishing on such a grid is zero.  Random mode samples, with the
+    difference's degree bound max(deg p, deg q).
     """
     if p.ring is not q.ring or p.nvars != q.nvars:
         raise ValueError("polynomials must share ring and arity")
-    if cfg.mode == "grid":
-        sides = [
-            max(p.degree_in_var(j), q.degree_in_var(j)) + 1
-            for j in range(1, p.nvars + 1)
-        ]
-        oracle._check_grid_guard(prod(sides))
-        points = product(*(range(s) for s in sides))
-    else:
-        rng = XorShift64Star(cfg.seed)
-        points = (
-            [rng.element(p.ring, cfg.value_range) for _ in range(p.nvars)]
-            for _ in range(cfg.samples)
+    if cfg.mode == "random":
+        return oracle._samples_agree(
+            p.ring,
+            max(p.degree(), q.degree()),
+            p.nvars,
+            lambda point: [p.evaluate(point), q.evaluate(point)],
+            cfg.seed,
         )
+    sides = [
+        max(p.degree_in_var(j), q.degree_in_var(j)) + 1
+        for j in range(1, p.nvars + 1)
+    ]
+    oracle._check_grid_guard(prod(sides))
+    points = product(*(range(s) for s in sides))
     return all(p.evaluate(point) == q.evaluate(point) for point in points)
 
 
@@ -153,7 +200,7 @@ def test_polys_equal_oracle_grid():
 
 
 def test_polys_equal_oracle_random():
-    cfg = OracleConfig(mode="random", samples=64, seed=9)
+    cfg = OracleConfig(mode="random", seed=9)
     assert polys_equal_oracle(
         parse_poly("(x1 + x2)^2", 2, Ring.Z),
         parse_poly("x1^2 + 2*x1*x2 + x2^2", 2, Ring.Z),
@@ -184,7 +231,7 @@ def test_grid_guard(monkeypatch):
     with pytest.raises(BudgetError):
         assoc_pointwise(p, OracleConfig(mode="grid"))
     # random mode dodges the guard and still rejects
-    assert not assoc_pointwise(p, OracleConfig(mode="random", samples=50))
+    assert not assoc_pointwise(p, OracleConfig(mode="random"))
     big = SparsePoly(Ring.Z, 2, {(2000, 2000): 1})
     with pytest.raises(BudgetError):
         polys_equal_oracle(big, big, OracleConfig(mode="grid"))
@@ -192,7 +239,7 @@ def test_grid_guard(monkeypatch):
     # so n = 10 stays exact although its nine 2^19-point grids do not fit
     one_term = SparsePoly(Ring.Z, 10, {(1,) * 10: 1})
     assert assoc_pointwise(one_term, OracleConfig(mode="grid"))
-    assert assoc_pointwise(one_term, OracleConfig(mode="random", samples=50))
+    assert assoc_pointwise(one_term, OracleConfig(mode="random"))
 
     # the bound is taken from the term counts before any candidate set is built
     def no_sets(*args):
@@ -339,15 +386,11 @@ def test_each_slot_is_evaluated_once_per_point(monkeypatch):
 def test_oracle_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(mode="exhaustive")
-    with pytest.raises(ValueError):
-        OracleConfig(samples=0)
-    with pytest.raises(ValueError):
-        OracleConfig(value_range=0)
 
 
 def test_oracle_agrees_with_symbolic_on_random_inputs():
     rng = XorShift64Star(113)
-    cfg = OracleConfig(mode="random", samples=40, seed=17)
+    cfg = OracleConfig(mode="random", seed=17)
     for _ in range(80):
         terms = {}
         for _ in range(rng.randint(1, 4)):
@@ -363,6 +406,22 @@ def test_oracle_agrees_with_symbolic_on_random_inputs():
                 assert assoc_pointwise(p, OracleConfig(mode="grid")) == symbolic
             except BudgetError:
                 pass
+
+
+@st.composite
+def small_polys(draw):
+    """Up to four terms with exponents 0..2 at n = 2..4 over Z, Q or Z[i]."""
+    ring = draw(st.sampled_from(list(COEFFS)))
+    n = draw(st.integers(2, 4))
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    return SparsePoly(ring, n, draw(st.dictionaries(exps, COEFFS[ring], max_size=4)))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(small_polys())
+def test_random_oracle_rejects_every_non_associative_input(p):
+    if not is_associative(p).associative:
+        assert not assoc_pointwise(p, OracleConfig(mode="random"))
 
 
 def test_enumerate_binary_box():

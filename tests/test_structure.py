@@ -25,6 +25,7 @@ from polyassoc import (
     skew_is_endomorphism,
     verify_skew,
 )
+from polyassoc import structure
 
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
 
@@ -108,7 +109,7 @@ def test_is_medial_symbolic():
 
 
 def test_is_medial_sampled_for_large_arity():
-    # default config: 1000 samples at the fixed default seed
+    # sized by each input's degree bound, at the fixed default seed
     for p in (
         reconstruct(TranslatedSum(3), 4, Ring.Z),
         reconstruct(Constant(2), 4, Ring.Z),
@@ -118,6 +119,25 @@ def test_is_medial_sampled_for_large_arity():
     ):
         ok, method = is_medial(p)
         assert ok and method == "sampled"
+
+
+def test_is_medial_sampled_count_follows_the_degree_bound(monkeypatch):
+    # SP(5) has degree 5, so the medial identity has degree at most 25 and
+    # 22 points at half-width 100 bound the error by 2^-64
+    calls = []
+
+    def counted(ring, degree, width, values, seed):
+        calls.append((degree, width))
+        drawn = []
+        ok = real(ring, degree, width, lambda point: drawn.append(point) or values(point), seed)
+        calls.append(len(drawn))
+        return ok
+
+    real = structure._samples_agree
+    monkeypatch.setattr(structure, "_samples_agree", counted)
+    p = parse_poly("-1 + 2*" + "*".join(f"(x{i} + 1)" for i in range(1, 6)), 5, Ring.Z)
+    assert is_medial(p) == (True, "sampled")
+    assert calls == [(25, 25), 22]
 
 
 def test_is_medial_sampled_rejects_non_medial():
