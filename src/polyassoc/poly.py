@@ -76,7 +76,7 @@ class SparsePoly:
             raise IndexError(f"variable index {index} out of range 1..{nvars}")
         exps = [0] * nvars
         exps[index - 1] = 1
-        return SparsePoly(ring, nvars, {tuple(exps): 1})
+        return SparsePoly._trusted(ring, nvars, {tuple(exps): ring.one})
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.ring.name}, {self.nvars}, {self.render()!r})"

@@ -100,6 +100,14 @@ def test_compose_closed_form_rejects_bad_slot():
             compose_closed_form(p, slot)
 
 
+@pytest.mark.parametrize("compose", [compose_closed_form, compose_substitution])
+def test_restriction_outside_one_to_2n_minus_1_is_rejected(compose):
+    p = parse_poly(CUBIC_EXAMPLE, 3, Ring.Z).to_multilinear()
+    for k in (0, 6):
+        with pytest.raises(ValueError):
+            compose(p, 1, k)
+
+
 def test_compose_substitution_binary_examples():
     plus = parse_poly("x1 + x2", 2, Ring.Z)
     assert compose_substitution(plus, 1) == parse_poly("x1 + x2 + x3", 3, Ring.Z)
@@ -224,19 +232,60 @@ def test_non_multilinear_inputs_disprove_by_expansion():
 SETTINGS = settings(max_examples=300, deadline=None, database=None)
 
 
-@st.composite
-def sparse_polys(draw, min_nvars=1):
-    """A polynomial over Z, Q or Z[i] in min_nvars..4 variables, exponents 0-3."""
-    ring = draw(st.sampled_from((Ring.Z, Ring.Q, Ring.ZI)))
-    nvars = draw(st.integers(min_nvars, 4))
+def ring_values(ring):
     small = st.integers(-3, 3)
-    value = {
+    return {
         Ring.Z: small,
         Ring.Q: st.builds(Fraction, small, st.integers(1, 4)),
         Ring.ZI: st.builds(GaussianInt, small, small),
     }[ring]
-    exps = st.tuples(*[st.integers(0, 3)] * nvars)
-    return SparsePoly(ring, nvars, draw(st.dictionaries(exps, value, max_size=4)))
+
+
+@st.composite
+def sparse_polys(draw, min_nvars=1, max_exp=3):
+    """A polynomial over Z, Q or Z[i] in min_nvars..4 variables, exponents 0..max_exp."""
+    ring = draw(st.sampled_from((Ring.Z, Ring.Q, Ring.ZI)))
+    nvars = draw(st.integers(min_nvars, 4))
+    exps = st.tuples(*[st.integers(0, max_exp)] * nvars)
+    return SparsePoly(ring, nvars, draw(st.dictionaries(exps, ring_values(ring), max_size=4)))
+
+
+def shifted_product(ring, n, a, b):
+    """-b + a * (x1 + b) * ... * (xn + b), associative for every a and b in R."""
+    p = SparsePoly.constant(ring, n, a)
+    for j in range(1, n + 1):
+        p = p * (SparsePoly.variable(ring, n, j) + b)
+    return p - b
+
+
+@st.composite
+def decision_inputs(draw):
+    """Input for the decision over Z, Q or Z[i] at n = 2..4: an associative
+    family member, the member plus a tail term (a squared last variable or
+    any term of exponents 0-2, so witnesses fall past x1 too), or free
+    sparse input, multilinear or not."""
+    kind = draw(st.sampled_from(("member", "member+square", "member+term", "free", "table")))
+    if kind in ("free", "table"):
+        return draw(sparse_polys(min_nvars=2, max_exp=3 if kind == "free" else 1))
+    ring = draw(st.sampled_from((Ring.Z, Ring.Q, Ring.ZI)))
+    n = draw(st.integers(2, 4))
+    c, a, b = (draw(ring_values(ring)) for _ in range(3))
+    xs = [SparsePoly.variable(ring, n, j) for j in range(1, n + 1)]
+    member = draw(st.sampled_from((
+        SparsePoly.constant(ring, n, c),
+        xs[0],
+        xs[-1],
+        sum(xs, SparsePoly.constant(ring, n, c)),
+        shifted_product(ring, n, a, b),
+    )))
+    if kind == "member":
+        return member
+    coeff = draw(ring_values(ring).filter(bool))
+    if kind == "member+square":
+        exps = (0,) * (n - 1) + (2,)
+    else:
+        exps = draw(st.tuples(*[st.integers(0, 2)] * n))
+    return member + SparsePoly(ring, n, {exps: coeff})
 
 
 @SETTINGS
@@ -247,11 +296,56 @@ def test_compose_substitution_matches_term_expansion(p):
 
 
 @settings(SETTINGS, max_examples=1000)
-@given(sparse_polys(min_nvars=2))
+@given(decision_inputs())
 def test_witness_matches_term_expansion(p):
     w = is_associative(p).witness
     got = None if w is None else (w.slot, w.monomial, w.lhs, w.rhs)
     assert got == colex_first_difference(p)
+    ml = p.to_multilinear()
+    if ml is not None:
+        assert got == dense_first_difference(ml)
+
+
+@pytest.mark.parametrize("text, n, slot, monomial", [
+    ("x1 + x2 + x2^2", 2, 2, (0, 1, 1)),
+    ("x1*x2 + x2^2", 2, 2, (0, 2, 1)),
+    ("1 + x1 + x2 + x3 + x3^2", 3, 2, (0, 0, 2, 0, 0)),
+    ("x1 + x2 + x3 + x4 + 2*x4^2", 4, 2, (0, 0, 0, 2, 0, 0, 0)),
+    ("2*x1*x2 + x1", 2, 2, (1, 0, 1)),
+])
+def test_witness_past_x1_comes_from_the_full_comparison(text, n, slot, monomial):
+    p = parse_poly(text, n, Ring.Z)
+    w = is_associative(p).witness
+    assert (w.slot, w.monomial) == (slot, monomial)
+    assert (w.slot, w.monomial, w.lhs, w.rhs) == colex_first_difference(p)
+    # the x1-restricted compositions of slots 1 and 2 agree
+    assert compose_substitution(p, 1, 1) == compose_substitution(p, 2, 1)
+
+
+def restricted_terms(composition, k):
+    """The composition's terms with every monomial that uses x(k+1).. dropped."""
+    return {e: c for e, c in composition.terms.items() if not any(e[k:])}
+
+
+@SETTINGS
+@given(sparse_polys())
+def test_restricted_substitution_drops_every_monomial_past_x_k(p):
+    for slot in range(1, p.nvars + 1):
+        full = compose_substitution(p, slot)
+        for k in range(1, 2 * p.nvars):
+            assert compose_substitution(p, slot, k).terms == restricted_terms(full, k)
+
+
+@SETTINGS
+@given(sparse_polys(max_exp=1))
+def test_restricted_closed_form_drops_every_monomial_past_x_k(p):
+    ml = p.to_multilinear()
+    for slot in range(1, p.nvars + 1):
+        full = compose_closed_form(ml, slot)
+        for k in range(1, 2 * p.nvars):
+            restricted = compose_closed_form(ml, slot, k)
+            assert restricted.terms == restricted_terms(full, k)
+            assert restricted.coeffs == {m: c for m, c in full.coeffs.items() if m < 1 << k}
 
 
 def test_symmetric_shortcut_agrees_with_full_check():

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import signal
 import sys
 import time
 
@@ -394,6 +395,41 @@ def test_enumerate_single_table_box_at_wide_arity(tmp_path, capsys):
     assert code == 0
     assert "candidates: 1" in out
     assert (out_dir / "census.csv").read_text() == "type,params,count\nconstant,c=0,1\n"
+
+
+@contextlib.contextmanager
+def alarm_after(seconds):
+    """Fail the block with TimeoutError once ``seconds`` of wall time pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("n, power", [(31, 2), (6, 4)])
+def test_wide_power_is_decided_from_the_x1_coefficients(capsys, n, power):
+    poly = "(" + " + ".join(f"x{j}" for j in range(1, n + 1)) + f")^{power}"
+    with alarm_after(3):
+        code, out, _ = run(
+            capsys, "check", "--ring", "z", "--n", str(n), "--poly", poly, "--format", "json"
+        )
+    assert code == 0
+    report = json.loads(out)
+    assert report["associative"] is False
+    assert report["witness"] == {
+        "slot": 2,
+        "monomial": f"x1^{power}",
+        "subset": None,
+        "lhs": "0",
+        "rhs": "1",
+    }
 
 
 def test_analyze_non_associative_input(capsys):
