@@ -11,7 +11,6 @@ from .assoc import (
 )
 from .classify import (
     Constant,
-    LadderViolation,
     LeftProjection,
     NotAssociative,
     RightProjection,
@@ -20,7 +19,6 @@ from .classify import (
     TranslatedSum,
     TwistedSum,
     classify,
-    extract_type6,
     reconstruct,
     verify_condpol,
 )
@@ -49,7 +47,6 @@ __all__ = [
     "Constant",
     "Frac",
     "GaussianInt",
-    "LadderViolation",
     "LeftProjection",
     "MultilinearPoly",
     "NotAssociative",
@@ -73,7 +70,6 @@ __all__ = [
     "compose_closed_form",
     "compose_substitution",
     "enumerate_associative",
-    "extract_type6",
     "from_size_coeffs",
     "is_associative",
     "is_medial",

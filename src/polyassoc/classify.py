@@ -13,10 +13,12 @@ exactly one of six families:
 with the shifted-product parameters living in the fraction field subject to
 membership conditions (a*b^k in R for k < n, a*b^n - b in R).  Each family
 defines its coefficient table once, as ``table`` (linear families) or
-``ShiftedProduct.ladder``; deciding the family, extracting exact parameters
-and rebuilding the polynomial all read it.  Each family also answers its own
-structure questions: ``group`` (is the whole ring an n-ary group, and with
-which skew map) and ``reduction`` (is it the iterate of a binary operation).
+``ShiftedProduct.ladder``, and ``reconstruct`` builds the polynomial from it.
+Recognition reads candidate parameters off the input and keeps the one
+candidate that ``reconstruct`` rebuilds into the input.  Each family also
+answers its own structure questions: ``group`` (is the whole ring an n-ary
+group, and with which skew map) and ``reduction`` (is it the iterate of a
+binary operation).
 """
 
 from __future__ import annotations
@@ -209,21 +211,8 @@ class ShiftedProduct:
 
 
 @dataclass(frozen=True)
-class LadderViolation:
-    """Why a degree->1 coefficient table is not a shifted product.
-
-    ``kind`` is one of "not-symmetric", "zero-top-coefficient", "ladder",
-    "constant-term"; ``index`` is the violating subset size where relevant.
-    """
-
-    kind: str
-    index: int | None = None
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class NotAssociative:
-    witness: Union[CompositionWitness, LadderViolation, None]
+    witness: CompositionWitness | None
     clause: ClassVar[str] = ""
     type_tag: ClassVar[str] = "not-associative"
 
@@ -247,67 +236,36 @@ def classify(p: SparsePoly) -> Classification:
 def classify_associative(p: MultilinearPoly) -> Classification:
     """Classify a multilinear operation already known to be associative.
 
-    A linear one belongs to the family whose table, with parameters read
-    off the input, equals the input's table.
+    The candidates come from p alone.  With a nonzero coefficient a on
+    x1*...*xn, the one candidate is the shifted product with scale a and
+    offset c/a, c being the coefficient on x1*...*x(n-1); otherwise they are
+    the five linear families with parameters read off p.  The family is the
+    one candidate that ``reconstruct`` rebuilds into p.
     """
     ring, n = p.ring, p.n
-    if p.degree() <= 1:
-        c0, linear = p.coeff(0), [p.coeff(1 << k) for k in range(n)]
-        matches, twisted = [], TwistedSum(linear[1])
-        for cls in (Constant(c0), LeftProjection(), RightProjection(), TranslatedSum(c0), twisted):
-            try:
-                if cls.table(ring, n) == (c0, linear):
-                    matches.append(cls)
-            except ValueError:  # parameters outside the family at this arity
-                pass
-        if len(matches) != 1:
-            raise InternalInvariantError(
-                f"linear associative operation matched {len(matches)} families: {p.render()}"
-            )
-        return matches[0]
-    extracted = extract_type6(p)
-    if isinstance(extracted, NotAssociative):
+    if n < 2:
+        raise ValueError("arity must be at least 2")
+    a = p.coeff((1 << n) - 1)
+    if a:
+        candidates = [ShiftedProduct(a, Frac(ring, p.coeff((1 << (n - 1)) - 1), a))]
+    else:
+        c0 = p.coeff(0)
+        candidates = [
+            Constant(c0), LeftProjection(), RightProjection(), TranslatedSum(c0),
+            TwistedSum(p.coeff(0b10)),
+        ]
+    matches = []
+    for cls in candidates:
+        try:
+            if reconstruct(cls, n, ring).coeffs == p.coeffs:
+                matches.append(cls)
+        except ValueError:  # parameters outside the family at this arity
+            pass
+    if len(matches) != 1:
         raise InternalInvariantError(
-            f"associative operation of degree > 1 is not a shifted product: {p.render()}"
+            f"associative operation matched {len(matches)} families: {p.render()}"
         )
-    return extracted
-
-
-def extract_type6(p: MultilinearPoly) -> ShiftedProduct | NotAssociative:
-    """Extract shifted-product parameters from a degree > 1 coefficient table.
-
-    Requires a symmetric table with nonzero top coefficient; sets a to the
-    top coefficient and b to the ratio of the next size down, then compares
-    sizes 1 .. n-1 and then the constant term with ``ShiftedProduct.ladder``,
-    exactly in the fraction field.  The first violated condition is reported.
-    """
-    ring, n = p.ring, p.n
-    if p.degree() <= 1:
-        raise ValueError("expected an operation of degree greater than 1")
-    size_coeffs = p.size_coeffs()
-    if size_coeffs is None:
-        return NotAssociative(
-            LadderViolation("not-symmetric", None, "coefficients vary within a subset size")
-        )
-    a = size_coeffs[n]
-    if not a:
-        return NotAssociative(
-            LadderViolation(
-                "zero-top-coefficient", n, "degree > 1 requires a nonzero full-product term"
-            )
-        )
-    b = Frac(ring, size_coeffs[n - 1], a)
-    ladder = ShiftedProduct(a, b).ladder(ring, n)
-    for k in range(1, n):
-        if ladder[k] != size_coeffs[k]:
-            return NotAssociative(
-                LadderViolation("ladder", k, f"size-{k} coefficient breaks c_k = a*b^(n-k)")
-            )
-    if ladder[0] != size_coeffs[0]:
-        return NotAssociative(
-            LadderViolation("constant-term", 0, "constant term breaks c_0 = a*b^n - b")
-        )
-    return ShiftedProduct(a, b)
+    return matches[0]
 
 
 def verify_condpol(size_coeffs: Sequence) -> bool:

@@ -328,12 +328,6 @@ class MultilinearPoly(SparsePoly):
             entry[1] += 1
         return all(seen == comb(self.n, k) for k, (_, seen) in by_size.items())
 
-    def size_coeffs(self) -> list | None:
-        """[c_0, ..., c_n] when symmetric (coefficient per subset size), else None."""
-        if not self.is_symmetric():
-            return None
-        return [self.coeff((1 << k) - 1) for k in range(self.n + 1)]
-
     def to_multilinear(self) -> MultilinearPoly:
         return self
 

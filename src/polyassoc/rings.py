@@ -36,7 +36,14 @@ class GaussianInt:
         return f"GaussianInt({self.re}, {self.im})"
 
     def __str__(self) -> str:
-        return gaussian_str(self)
+        """Display form ``a+bi`` with explicit signs (``3``, ``i``, ``2-i``, ``1+2i``)."""
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        imag = ("" if abs(im) == 1 else str(abs(im))) + "i"
+        if re == 0:
+            return imag if im > 0 else f"-{imag}"
+        return f"{re}{'+' if im > 0 else '-'}{imag}"
 
     def __bool__(self) -> bool:
         return bool(self.re or self.im)
@@ -176,23 +183,6 @@ def canonical_associate(g: GaussianInt) -> GaussianInt:
     return g * canonical_unit(g) if g else GaussianInt(0)
 
 
-def gaussian_str(g: GaussianInt) -> str:
-    """Display form ``a+bi`` with explicit signs (``3``, ``i``, ``2-i``, ``1+2i``)."""
-    if g.im == 0:
-        return str(g.re)
-    if g.im == 1:
-        imag = "i"
-    elif g.im == -1:
-        imag = "-i"
-    else:
-        imag = f"{g.im}i"
-    if g.re == 0:
-        return imag
-    sign = "+" if g.im > 0 else "-"
-    mag = "i" if abs(g.im) == 1 else f"{abs(g.im)}i"
-    return f"{g.re}{sign}{mag}"
-
-
 _UNITS_ZI = (GaussianInt(1), GaussianInt(0, 1), GaussianInt(-1), GaussianInt(0, -1))
 
 
@@ -295,10 +285,7 @@ class Ring(Enum):
 
     def element_str(self, x) -> str:
         """Exact display rendering: plain for Z, num/den for Q, a+bi for Z[i]."""
-        x = self.coerce(x)
-        if self is Ring.ZI:
-            return gaussian_str(x)
-        return str(x)
+        return str(self.coerce(x))
 
 
 def integer_nth_root(x: int, k: int):

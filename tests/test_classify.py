@@ -10,7 +10,6 @@ from polyassoc import (
     Constant,
     Frac,
     GaussianInt,
-    LadderViolation,
     LeftProjection,
     MultilinearPoly,
     NotAssociative,
@@ -21,7 +20,6 @@ from polyassoc import (
     TranslatedSum,
     TwistedSum,
     classify,
-    extract_type6,
     from_size_coeffs,
     is_associative,
     parse_poly,
@@ -110,10 +108,16 @@ def test_classify_rejects_small_arity():
         classify(SparsePoly(Ring.Z, 1, {(1,): 1}))
 
 
+def test_classify_associative_rejects_small_arity():
+    for coeffs in ({1: 1}, {0: 5}, {}):
+        with pytest.raises(ValueError, match="arity must be at least 2"):
+            classify_associative(MultilinearPoly(Ring.Z, 1, coeffs))
+
+
 def test_extract_type6_cubic_ladder():
-    ml = from_size_coeffs(Ring.Z, 3, [0, 1, 3, 9])
-    cls = extract_type6(ml)
-    assert cls == ShiftedProduct(9, Frac(Ring.Z, 1, 3))
+    # type 6 is the shifted-product family, read off the table by classify_associative
+    cubic = from_size_coeffs(Ring.Z, 3, [0, 1, 3, 9])
+    assert classify_associative(cubic) == ShiftedProduct(9, Frac(Ring.Z, 1, 3))
     # the two ladder identities behind the example
     b = Frac(Ring.Z, 1, 3)
     assert b**2 * 9 == 1
@@ -121,35 +125,44 @@ def test_extract_type6_cubic_ladder():
 
 
 def test_extract_type6_plain_product():
-    ml = from_size_coeffs(Ring.Z, 2, [0, 0, 1])
-    assert extract_type6(ml) == ShiftedProduct(1, Frac(Ring.Z, 0))
+    product_table = from_size_coeffs(Ring.Z, 2, [0, 0, 1])
+    assert classify_associative(product_table) == ShiftedProduct(1, Frac(Ring.Z, 0))
 
 
-def test_extract_type6_ladder_violation():
-    ml = from_size_coeffs(Ring.Z, 3, [0, 1, 0, 1])  # b = 0 forces c_1 = 0
-    rejected = extract_type6(ml)
-    assert isinstance(rejected, NotAssociative)
-    assert rejected.witness == LadderViolation(
-        "ladder", 1, "size-1 coefficient breaks c_k = a*b^(n-k)"
-    )
+@pytest.mark.parametrize(
+    "table",
+    [
+        from_size_coeffs(Ring.Z, 3, [0, 1, 0, 1]),  # b = 0 forces c_1 = 0
+        MultilinearPoly(Ring.Z, 2, {0b11: 1, 0b01: 1}),  # not symmetric
+        from_size_coeffs(Ring.Z, 3, [0, 0, 1, 0]),  # degree 2 with a zero top
+        from_size_coeffs(Ring.Z, 2, [1, 0, 1]),  # c_0 != a*b^n - b
+    ],
+    ids=["ladder", "not-symmetric", "zero-top", "constant-term"],
+)
+def test_tables_no_family_rebuilds_are_internal_errors(table):
+    assert not is_associative(table).associative
+    with pytest.raises(InternalInvariantError):
+        classify_associative(table)
 
 
-def test_extract_type6_other_rejections():
-    asym = MultilinearPoly(Ring.Z, 2, {0b11: 1, 0b01: 1})
-    rejected = extract_type6(asym)
-    assert isinstance(rejected, NotAssociative)
-    assert rejected.witness.kind == "not-symmetric"
+def _box_tables(ring, n, bound):
+    side = range(-bound, bound + 1)
+    values = [GaussianInt(re, im) for re in side for im in side] if ring is Ring.ZI else side
+    for coeffs in product(values, repeat=1 << n):
+        yield MultilinearPoly(ring, n, dict(enumerate(coeffs)))
 
-    no_top = from_size_coeffs(Ring.Z, 3, [0, 0, 1, 0])
-    rejected = extract_type6(no_top)
-    assert rejected.witness.kind == "zero-top-coefficient"
 
-    bad_constant = from_size_coeffs(Ring.Z, 2, [1, 0, 1])
-    rejected = extract_type6(bad_constant)
-    assert rejected.witness.kind == "constant-term"
-
-    with pytest.raises(ValueError):
-        extract_type6(from_size_coeffs(Ring.Z, 2, [1, 1, 0]))
+def test_recognition_agrees_with_the_decision_on_whole_boxes():
+    checked = 0
+    for ring, n, bound in ((Ring.Z, 2, 2), (Ring.Z, 3, 1), (Ring.ZI, 2, 1)):
+        for table in _box_tables(ring, n, bound):
+            checked += 1
+            if not is_associative(table).associative:
+                with pytest.raises(InternalInvariantError):
+                    classify_associative(table)
+                continue
+            assert reconstruct(classify_associative(table), n, ring) == table
+    assert checked == 13_747
 
 
 def test_verify_condpol_fixtures():
@@ -191,7 +204,7 @@ def test_reconstruct_rejects_invalid_parameters():
         reconstruct(ShiftedProduct(1, Frac(Ring.Z, 1, 2)), 2, Ring.Z)
     with pytest.raises(ValueError):
         reconstruct(NotAssociative(None), 3, Ring.Z)
-    for not_a_classification in ("x1", LadderViolation("ladder", 1), None):
+    for not_a_classification in ("x1", None):
         with pytest.raises(TypeError):
             reconstruct(not_a_classification, 3, Ring.Z)
 

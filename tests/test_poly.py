@@ -368,6 +368,6 @@ def test_multilinear_body_defines_only_its_own_index():
             defined.update(t.id for t in targets)
     allowed = {
         "__slots__", "__init__", "_trusted", "terms", "n", "__reduce__", "coeff",
-        "is_symmetric", "size_coeffs", "to_multilinear", "evaluate",
+        "is_symmetric", "to_multilinear", "evaluate",
     }
     assert defined <= allowed, sorted(defined - allowed)

@@ -1,7 +1,9 @@
 import re
 import shlex
 from pathlib import Path
+from types import ModuleType
 
+import polyassoc
 from polyassoc.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -26,3 +28,12 @@ def test_command_line_examples_run(tmp_path, capsys):
             argv[argv.index("--out") + 1] = str(tmp_path)
         assert main(argv) == 0, argv
     assert (tmp_path / "census.csv").exists()
+
+
+def test_package_all_is_sorted_and_lists_every_public_name():
+    public = {
+        name for name, value in vars(polyassoc).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert polyassoc.__all__ == sorted(polyassoc.__all__)
+    assert set(polyassoc.__all__) == public
