@@ -1,10 +1,10 @@
 """Implementation-independent verification and exhaustive search.
 
-The pointwise checks avoid the closed-form composition machinery: equality
-and associativity are checked by evaluating polynomials at points (exact on
-a large-enough grid or, for multilinear associativity, at the 0/1 points
-that can carry a monomial; probabilistic on random samples).  The
-enumerator walks entire boxes of multilinear coefficient tables, decides
+The pointwise checks avoid the closed-form composition machinery: multilinear
+associativity is checked by evaluating the slot compositions at points
+(exact at the 0/1 points that can carry a monomial; probabilistic on random
+samples), and other input, never associative, by its per-variable degrees.
+The enumerator walks entire boxes of multilinear coefficient tables, decides
 each candidate with ``assoc.associative_multilinear``, and classifies every
 associative one into a census.
 
@@ -21,7 +21,6 @@ import os
 import sys
 from dataclasses import dataclass, field
 from itertools import count, product
-from math import prod
 from operator import itemgetter
 
 from .assoc import associative_multilinear
@@ -129,8 +128,10 @@ def _samples_agree(ring: Ring, degree: int, width: int, values, seed: int) -> bo
     Zippel 1979); k is the least count with (degree/|S|)^k <= 2^-ERROR_BITS.
     S is [-h, h], both parts over Z[i].  h = SAMPLE_HALF_WIDTH while |S| >
     2*degree, so the points are a prefix of the seeded stream there; else h =
-    degree, after one uncounted point at SAMPLE_HALF_WIDTH: input that is not
-    multilinear is never associative, and a small point shows it cheaply.
+    degree, after one uncounted point at SAMPLE_HALF_WIDTH.  Only the medial
+    identity of ``structure.is_medial`` reaches the widened case, at deg(p)
+    >= 11 over Z and Q; the slot compositions of multilinear p would need
+    n > 50.
     """
     dim = 2 if ring is Ring.ZI else 1  # |S| = (2h+1)^dim
     h, uncounted = SAMPLE_HALF_WIDTH, []
@@ -154,19 +155,18 @@ def associated_value(p: SparsePoly, slot: int, point):
     return p.evaluate(point[: slot - 1] + [inner] + point[slot - 1 + n :])
 
 
-def _composition_degree_bounds(p: SparsePoly, slot: int) -> list[int]:
-    """Per-variable degree bounds of the slot composition (1-based vars)."""
-    n = p.nvars
-    slot_degree = p.degree_in_var(slot)
-    bounds = []
-    for j in range(1, 2 * n):
-        if slot <= j <= slot + n - 1:
-            bounds.append(p.degree_in_var(j - slot + 1) * slot_degree)
-        elif j < slot:
-            bounds.append(p.degree_in_var(j))
-        else:
-            bounds.append(p.degree_in_var(j - n + 1))
-    return bounds
+def _composition_degrees(degrees: list[int], slot: int) -> list[int]:
+    """The slot composition's degree in each of x1..x_(2n-1), from p's
+    ``degrees`` d_1..d_n: d_j before the nested window, d_s * d_(j-s+1) in it
+    and d_(j-n+1) past it, exact over an integral domain.
+
+    Equal vectors at all n slots force every d_j <= 1: slots s and s+1 agree
+    at x_s and x_(s+n) only if d_s(d_1 - 1) = 0 = d_(s+1)(d_n - 1), so d_1,
+    d_n <= 1, and d_1 = 0 zeroes d_1..d_(n-1); with d_1 = 1, agreement at
+    x_(s+1) gives d_(s+1) = d_s * d_2, so d_n = d_2^(n-1) bounds d_2.
+    """
+    window = [degrees[slot - 1] * d for d in degrees]
+    return degrees[: slot - 1] + window + degrees[slot:]
 
 
 def _check_grid_guard(total: int) -> None:
@@ -231,6 +231,10 @@ def _assoc_on_support(p: SparsePoly, masks: list[int]) -> bool:
 def assoc_pointwise(p: SparsePoly, cfg: OracleConfig) -> bool:
     """Check the n-1 associativity equations at grid or sampled points.
 
+    Input with a squared variable is never associative: in either mode the
+    answer is whether all adjacent slots have equal ``_composition_degrees``,
+    which they never have.  This reads only ``degree_in_var``.
+
     Grid mode is exact.  For multilinear p, equation i (slot i against slot
     i+1) is checked only at the 0/1 indicator points of candidate masks: the
     union of the two slots' candidate sets, each a superset of its
@@ -245,32 +249,21 @@ def assoc_pointwise(p: SparsePoly, cfg: OracleConfig) -> bool:
     most t masks per term containing x_s and one per other term, and an
     equation at most its 2^(2n-1)-point grid.
 
-    Other input is checked on the full grid extending one past each
-    variable's degree in either composition; the guard bounds each
-    equation's grid.
-
-    Random mode compares the n slot compositions at seeded points
-    (``_samples_agree``).  Their differences have degree at most 2*deg(p) - 1
-    for multilinear p, whose slot variable has degree one, else deg(p)^2.
+    Random mode compares the n slot compositions of multilinear p at seeded
+    points (``_samples_agree``).  Their differences have degree at most
+    2*deg(p) - 1, since the slot variable has degree one.
     """
     n = p.nvars
     if n < 2:
         raise ValueError("arity must be at least 2")
+    ml = p.to_multilinear()
+    if ml is None:
+        degrees = [p.degree_in_var(j) for j in range(1, n + 1)]
+        vectors = [_composition_degrees(degrees, s) for s in range(1, n + 1)]
+        return all(a == b for a, b in zip(vectors, vectors[1:]))
     if cfg.mode == "grid":
-        ml = p.to_multilinear()
-        if ml is not None:
-            return _assoc_on_support(p, list(ml.coeffs))
-        for i in range(1, n):
-            lo = _composition_degree_bounds(p, i)
-            hi = _composition_degree_bounds(p, i + 1)
-            sides = [max(a, b) + 1 for a, b in zip(lo, hi)]
-            _check_grid_guard(prod(sides))
-            for point in product(*(range(s) for s in sides)):
-                if associated_value(p, i, point) != associated_value(p, i + 1, point):
-                    return False
-        return True
-    d = p.degree()
-    d = max(2 * d - 1, 0) if p.is_multilinear else d * d
+        return _assoc_on_support(p, list(ml.coeffs))
+    d = max(2 * p.degree() - 1, 0)
 
     def compositions(point):
         return [associated_value(p, i, point) for i in range(1, n + 1)]

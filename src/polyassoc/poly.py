@@ -190,7 +190,9 @@ class SparsePoly:
     def substitute(self, values: Sequence[SparsePoly]) -> SparsePoly:
         """Substitute a polynomial for every variable (all in the same target arity).
 
-        Each power ``values[j] ** e`` is computed once per call, and each term
+        Each power ``values[j] ** e`` with e >= 2 is computed once per call,
+        in ascending order: one product from ``values[j] ** (e - 1)`` when that
+        power is needed too, else by square-and-multiply.  Each term
         multiplies its factors smallest first, so a large factor is multiplied
         once, by the product of the others.
         """
@@ -202,14 +204,12 @@ class SparsePoly:
                 raise ValueError("substitution values must share ring and arity")
         constant = (0,) * target
         powers: dict[tuple[int, int], SparsePoly] = {}
+        for j, e in sorted({(j, e) for exps in self.terms for j, e in enumerate(exps) if e > 1}):
+            below = values[j] if e == 2 else powers.get((j, e - 1))
+            powers[j, e] = values[j] ** e if below is None else below * values[j]
         out: dict[Monomial, object] = {}
         for exps, coeff in self.terms.items():
-            factors = []
-            for j, e in enumerate(exps):
-                if e:
-                    if (j, e) not in powers:
-                        powers[j, e] = values[j] ** e if e > 1 else values[j]
-                    factors.append(powers[j, e])
+            factors = [values[j] if e == 1 else powers[j, e] for j, e in enumerate(exps) if e]
             term = SparsePoly._trusted(self.ring, target, {constant: coeff})
             for factor in sorted(factors, key=lambda f: len(f.terms)):
                 term = term * factor

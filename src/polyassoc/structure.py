@@ -8,7 +8,8 @@ it to the columns); and is it reducible, i.e. the (n-1)-fold iterate of some
 binary semigroup operation.  Each family answers the group and reducibility
 questions itself (``group`` and ``reduction`` in ``classify``); this module
 checks those answers against p by independent routes (``verify_skew``,
-``skew_is_endomorphism``, ``iterate_binary``) and decides mediality from p
+``skew_is_endomorphism``, ``iterate_binary``), raising
+``InternalInvariantError`` when one fails, and decides mediality from p
 alone (``is_medial``).
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import Classification, NotAssociative, Reduction, SkewMap
+from .classify import Classification, InternalInvariantError, NotAssociative, Reduction, SkewMap
 from .oracle import DEFAULT_SEED, _samples_agree
 from .poly import SparsePoly
 
@@ -25,7 +26,7 @@ from .poly import SparsePoly
 class StructureReport:
     group: str  # "yes" | "no" | "field-restricted"
     skew: SkewMap | None
-    skew_verified: bool | None
+    skew_verified: bool | None  # True when there is a skew map, else None
     skew_endomorphism: bool | None
     medial: bool
     medial_method: str  # "symbolic" | "sampled"
@@ -100,21 +101,22 @@ def analyze(p: SparsePoly, cls: Classification) -> StructureReport:
         raise ValueError("structure analysis is defined for associative operations only")
     ring, n = p.ring, p.nvars
     group, skew, notes = cls.group(ring, n)
-    skew_ok = endo_ok = None
-    if skew is not None:
-        skew_ok = verify_skew(p, skew)
-        endo_ok = skew_is_endomorphism(p, skew)
+    if skew is not None and not verify_skew(p, skew):
+        raise InternalInvariantError(f"skew map {skew.render(ring)} fails p(x, .., x, x-bar) = x")
+    if skew is not None and not skew_is_endomorphism(p, skew):
+        raise InternalInvariantError(f"skew map {skew.render(ring)} is not an endomorphism")
+    checked = None if skew is None else True  # a failed check raised above
     medial, method = is_medial(p)
     status, reduction, note = cls.reduction(ring, n)
     if note:
         notes = notes + (note,)
     if reduction is not None and iterate_binary(reduction.binary_op, n) != p:
-        raise AssertionError("reduction iterate does not reproduce the operation")
+        raise InternalInvariantError("reduction iterate does not reproduce the operation")
     return StructureReport(
         group=group,
         skew=skew,
-        skew_verified=skew_ok,
-        skew_endomorphism=endo_ok,
+        skew_verified=checked,
+        skew_endomorphism=checked,
         medial=medial,
         medial_method=method,
         reducible=status,

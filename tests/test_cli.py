@@ -432,6 +432,17 @@ def test_wide_power_is_decided_from_the_x1_coefficients(capsys, n, power):
     }
 
 
+@pytest.mark.parametrize("poly", ["(((x1^64)^64)^64)*x2", "(x1 + x2 + 1)^30"])
+def test_high_powers_are_rejected_by_degrees(capsys, poly):
+    with alarm_after(3):
+        code, out, _ = run(capsys, "check", "--ring", "z", "--n", "2", "--poly", poly,
+                           "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["associative"] is False
+    assert report["oracle"] == {"mode": "degree", "agrees": True}
+
+
 def test_analyze_non_associative_input(capsys):
     code, out, _ = run(
         capsys, "analyze", "--ring", "z", "--n", "2", "--poly", "2*x1*x2 + x1",
@@ -465,6 +476,25 @@ def test_internal_invariant_violation_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "check", "--ring", "z", "--n", "3", "--poly", "x1 - x2 + x3")
     assert code == 3
     assert "internal error" in err
+
+
+def test_oracle_rejects_a_squared_variable_called_associative(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "is_associative", lambda p: cli.AssocVerdict(True))
+    code, out, err = run(capsys, "check", "--ring", "z", "--n", "2", "--poly", "x1^2*x2")
+    assert (code, out) == (3, "")
+    assert err == "internal error: pointwise oracle disagrees with the symbolic verdict\n"
+
+
+@pytest.mark.parametrize("check", ["verify_skew", "skew_is_endomorphism", "iterate_binary"])
+def test_failed_structure_check_exit_code(capsys, monkeypatch, check):
+    import polyassoc.structure as structure
+
+    # the binary operation itself, in two variables, is no iterate of arity 3
+    failed = {"iterate_binary": lambda op, n: op}
+    monkeypatch.setattr(structure, check, failed.get(check, lambda p, skew: False))
+    code, out, err = run(capsys, "analyze", "--ring", "z", "--n", "3", "--poly", "x1 + x2 + x3 + 4")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: ")
 
 
 def test_enumerate_spot_check_failure_exit_code(tmp_path, capsys, monkeypatch):
@@ -622,9 +652,19 @@ def small_requests(draw):
     return [command, "--ring", ring, "--n", str(n), f"--poly={poly}", "--format", fmt]
 
 
-@settings(max_examples=150, deadline=None, database=None)
+@settings(max_examples=150, deadline=5000, database=None)
 @given(small_requests())
 def test_cli_fuzz_exit_codes(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2)
+    if code == 0:
+        text = out.getvalue()
+        if argv[-1] == "json":
+            report = json.loads(text)
+            multilinear, mode = report["multilinear"], report["oracle"]["mode"]
+        else:
+            multilinear = "multilinear: yes\n" in text
+            mode = text.rsplit("oracle: ", 1)[1].split()[0]
+        assert (mode == "degree") == (not multilinear)

@@ -227,11 +227,18 @@ def test_assoc_pointwise():
 
 
 def test_grid_guard(monkeypatch):
-    p = SparsePoly(Ring.Z, 2, {(40, 40): 1, (1, 0): 1})
-    with pytest.raises(BudgetError):
-        assoc_pointwise(p, OracleConfig(mode="grid"))
-    # random mode dodges the guard and still rejects
-    assert not assoc_pointwise(p, OracleConfig(mode="random"))
+    def no_evaluation(*args):
+        raise AssertionError("input with a squared variable evaluated")
+
+    # a squared variable: both modes reject by the slot degrees, evaluating
+    # nothing, where grid mode once raised over the guard
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "associated_value", no_evaluation)
+        for p in [SparsePoly(Ring.Z, 2, {(40, 40): 1, (1, 0): 1}),
+                  parse_poly("(((x1^64)^64)^64)*x2", 2, Ring.Z),
+                  parse_poly("(x1 + x2 + x3 + x4 + 1)^3", 4, Ring.Z)]:
+            assert not assoc_pointwise(p, OracleConfig(mode="grid"))
+            assert not assoc_pointwise(p, OracleConfig(mode="random"))
     big = SparsePoly(Ring.Z, 2, {(2000, 2000): 1})
     with pytest.raises(BudgetError):
         polys_equal_oracle(big, big, OracleConfig(mode="grid"))
@@ -383,6 +390,34 @@ def test_each_slot_is_evaluated_once_per_point(monkeypatch):
         assert len(calls) == len(set(calls)), text
 
 
+@st.composite
+def powers_of_few_terms(draw):
+    """Up to three terms with exponents 0..3 at n = 2..4 over Z, Q or Z[i]."""
+    ring = draw(st.sampled_from(list(COEFFS)))
+    n = draw(st.integers(2, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    return SparsePoly(ring, n, draw(st.dictionaries(exps, COEFFS[ring], max_size=3)))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(powers_of_few_terms())
+def test_composition_degrees_are_exact(p):
+    n = p.nvars
+    degrees = [p.degree_in_var(j) for j in range(1, n + 1)]
+    for slot in range(1, n + 1):
+        composed = compose_substitution(p, slot)
+        assert oracle._composition_degrees(degrees, slot) == [
+            composed.degree_in_var(j) for j in range(1, 2 * n)
+        ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_equal_slot_degrees_only_when_multilinear(n):
+    for degrees in (d for d in product(range(4), repeat=n) if max(d) >= 2):
+        vectors = {tuple(oracle._composition_degrees(list(degrees), s)) for s in range(1, n + 1)}
+        assert len(vectors) > 1, degrees
+
+
 def test_oracle_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(mode="exhaustive")
@@ -402,10 +437,7 @@ def test_oracle_agrees_with_symbolic_on_random_inputs():
             assert assoc_pointwise(p, cfg)
         else:
             # random disagreement is possible in principle but the grid is exact
-            try:
-                assert assoc_pointwise(p, OracleConfig(mode="grid")) == symbolic
-            except BudgetError:
-                pass
+            assert not assoc_pointwise(p, OracleConfig(mode="grid"))
 
 
 @st.composite

@@ -221,6 +221,28 @@ def test_pow_multiplies_popcount_plus_bit_length_minus_one_times(monkeypatch, ba
         assert value == expected
 
 
+def test_substitute_builds_each_power_from_the_one_below(monkeypatch):
+    # p = x1 + x1^2 + ... + x1^9 + x2^5: the powers 2..9 of u take one
+    # product each, v^5 (whose v^4 is not needed) takes square-and-multiply,
+    # 2 + 3 - 1 = 4 products, and each of the ten terms one product by its
+    # coefficient; exponent-1 terms use the value as it is
+    p = SparsePoly(Ring.Z, 2, {**{(e, 0): 1 for e in range(1, 10)}, (0, 5): 1})
+    u = parse_poly("x1 + x2 + 1", 2, Ring.Z)
+    v = parse_poly("x1 - 2", 2, Ring.Z)
+    mul = SparsePoly.__mul__
+    calls = []
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(SparsePoly, "__mul__", counted)
+    composed = p.substitute([u, v])
+    assert len(calls) == 8 + 4 + 10
+    monkeypatch.setattr(SparsePoly, "__mul__", mul)
+    assert composed == sum((u**e for e in range(1, 10)), v**5)
+
+
 def test_arity_cap():
     with pytest.raises(ValueError):
         MultilinearPoly(Ring.Z, 63, {})
