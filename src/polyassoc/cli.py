@@ -140,13 +140,14 @@ def _structure_json(report: StructureReport, ring: Ring) -> dict:
 
 
 def _oracle_check(p: SparsePoly, verdict: AssocVerdict) -> dict:
-    mode = "grid" if p.is_multilinear else "degree"  # a squared variable: by slot degrees
     try:
         agrees = assoc_pointwise(p, OracleConfig(mode="grid")) == verdict.associative
+        mode = "grid"
     except BudgetError:
         agrees = assoc_pointwise(p, OracleConfig(mode="random")) == verdict.associative
         mode = "random"
-    return {"mode": mode, "agrees": agrees}
+    # a squared variable: either mode answers by slot degrees
+    return {"mode": mode if p.is_multilinear else "degree", "agrees": agrees}
 
 
 def _check_printable(values) -> None:

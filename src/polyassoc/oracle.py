@@ -21,6 +21,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from itertools import count, product
+from math import prod
 from operator import itemgetter
 
 from .assoc import associative_multilinear
@@ -233,7 +234,9 @@ def assoc_pointwise(p: SparsePoly, cfg: OracleConfig) -> bool:
 
     Input with a squared variable is never associative: in either mode the
     answer is whether all adjacent slots have equal ``_composition_degrees``,
-    which they never have.  This reads only ``degree_in_var``.
+    which they never have.  This reads only ``degree_in_var``.  Grid mode
+    keeps its guard: equation i raises ``BudgetError`` when the grid one
+    past each variable's degree in either composition would pass it.
 
     Grid mode is exact.  For multilinear p, equation i (slot i against slot
     i+1) is checked only at the 0/1 indicator points of candidate masks: the
@@ -260,7 +263,12 @@ def assoc_pointwise(p: SparsePoly, cfg: OracleConfig) -> bool:
     if ml is None:
         degrees = [p.degree_in_var(j) for j in range(1, n + 1)]
         vectors = [_composition_degrees(degrees, s) for s in range(1, n + 1)]
-        return all(a == b for a, b in zip(vectors, vectors[1:]))
+        for lo, hi in zip(vectors, vectors[1:]):
+            if cfg.mode == "grid":
+                _check_grid_guard(prod(max(a, b) + 1 for a, b in zip(lo, hi)))
+            if lo != hi:
+                return False
+        return True
     if cfg.mode == "grid":
         return _assoc_on_support(p, list(ml.coeffs))
     d = max(2 * p.degree() - 1, 0)

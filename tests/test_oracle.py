@@ -231,12 +231,17 @@ def test_grid_guard(monkeypatch):
         raise AssertionError("input with a squared variable evaluated")
 
     # a squared variable: both modes reject by the slot degrees, evaluating
-    # nothing, where grid mode once raised over the guard
+    # nothing; grid mode still raises where the exact grid passes the guard
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "associated_value", no_evaluation)
         for p in [SparsePoly(Ring.Z, 2, {(40, 40): 1, (1, 0): 1}),
                   parse_poly("(((x1^64)^64)^64)*x2", 2, Ring.Z),
                   parse_poly("(x1 + x2 + x3 + x4 + 1)^3", 4, Ring.Z)]:
+            with pytest.raises(BudgetError):
+                assoc_pointwise(p, OracleConfig(mode="grid"))
+            assert not assoc_pointwise(p, OracleConfig(mode="random"))
+        for p in [parse_poly("x1^2*x2", 2, Ring.Z),
+                  parse_poly("(x1 + x2 + x3 + 1)^2", 3, Ring.Z)]:
             assert not assoc_pointwise(p, OracleConfig(mode="grid"))
             assert not assoc_pointwise(p, OracleConfig(mode="random"))
     big = SparsePoly(Ring.Z, 2, {(2000, 2000): 1})
