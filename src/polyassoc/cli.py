@@ -40,7 +40,7 @@ from .oracle import (
     enumerate_associative,
 )
 from .parse import ParseError, parse_poly
-from .poly import MAX_ARITY, SparsePoly
+from .poly import SparsePoly
 from .rings import GaussianInt, Ring
 from .structure import StructureReport, analyze
 from . import __version__
@@ -50,7 +50,10 @@ EXIT_PARSE_ERROR = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-MAX_CLI_ARITY = (MAX_ARITY + 1) // 2  # compositions live in 2n-1 variables
+# The library takes any arity; the CLI keeps requests fast.  `analyze --ring z`
+# on 2*x1*...*xn took 0.11 s at n = 31, 0.43 s at 64 and 5.2 s at 128 (one run
+# each, Xeon, Python 3.11), and README's exact-oracle guard is stated for n <= 31.
+MAX_CLI_ARITY = 31
 
 
 class UsageError(Exception):

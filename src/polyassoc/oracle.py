@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count, product
 from math import prod
 from operator import itemgetter
@@ -300,8 +300,6 @@ class EnumerationResult:
     bulk_rejected: int  # candidates removed wholesale by pruning filters
     survivors: list[tuple[MultilinearPoly, Classification]]
     census: list[CensusRow]
-    oracle_mismatches: int = 0
-    mismatch_examples: list[MultilinearPoly] = field(default_factory=list)
 
 
 def _value_domain(ring: Ring, bound: int) -> list:
@@ -314,7 +312,7 @@ def _value_domain(ring: Ring, bound: int) -> list:
     ]
 
 
-def _enumerate_chunk(args) -> tuple[int, int, list[MultilinearPoly], list[MultilinearPoly]]:
+def _enumerate_chunk(args) -> tuple[int, int, list[MultilinearPoly]]:
     """Walk one slice of the coefficient box (split on the top coefficient).
 
     Masks run from the full subset downward, and for each top value the
@@ -322,10 +320,9 @@ def _enumerate_chunk(args) -> tuple[int, int, list[MultilinearPoly], list[Multil
     lists: a zero top coefficient forces degree <= 1 and idempotent
     first/last linear coefficients, and a nonzero one forces size-uniform
     coefficients, one free value per subset size.  Every table left out is
-    rejected wholesale.  Returns (checked, bulk_rejected, survivors, oracle
-    mismatches).
+    rejected wholesale.  Returns (checked, bulk_rejected, survivors).
     """
-    ring, n, bound, first_values, prune, cross_check = args
+    ring, n, bound, first_values, prune = args
     domain = _value_domain(ring, bound)
     order = sorted(range(1 << n), key=lambda m: (-m.bit_count(), -m))
     sizes = [m.bit_count() for m in order]
@@ -333,7 +330,6 @@ def _enumerate_chunk(args) -> tuple[int, int, list[MultilinearPoly], list[Multil
     idempotents = [v for v in domain if v * v == v]
     checked = 0
     survivors: list[MultilinearPoly] = []
-    mismatches: list[MultilinearPoly] = []
     for top in first_values:
         if prune and top != zero:
             # list j holds the value shared by every mask of size n - j
@@ -354,15 +350,10 @@ def _enumerate_chunk(args) -> tuple[int, int, list[MultilinearPoly], list[Multil
             ml = MultilinearPoly._trusted(
                 ring, n, {m: v for m, v in zip(order, per_mask(values)) if v}
             )
-            verdict = associative_multilinear(ml)
-            if cross_check:
-                pointwise = assoc_pointwise(ml, OracleConfig(mode="grid"))
-                if pointwise != verdict.associative:
-                    mismatches.append(ml)
-            if verdict.associative:
+            if associative_multilinear(ml).associative:
                 survivors.append(ml)
     bulk = len(first_values) * len(domain) ** (len(order) - 1) - checked
-    return checked, bulk, survivors, mismatches
+    return checked, bulk, survivors
 
 
 def enumerate_associative(
@@ -372,17 +363,13 @@ def enumerate_associative(
     *,
     budget: int = DEFAULT_BUDGET,
     prune: bool = False,
-    cross_check: bool = False,
     jobs: int = 1,
 ) -> EnumerationResult:
     """Classify every multilinear coefficient table in a box.
 
     Walks all tables with entries in [-bound, bound] (both components over
     Z[i]), keeps the associative ones, classifies each, and tallies a census
-    by (family, exact parameters).  ``cross_check`` additionally compares
-    every individually-checked candidate against the pointwise grid oracle
-    and records any disagreement; it requires ``prune=False`` so that every
-    candidate is actually visited.  ``jobs`` splits the box into that many
+    by (family, exact parameters).  ``jobs`` splits the box into that many
     chunks, at most one per value of the top coefficient, mapped over at
     most ``os.cpu_count()`` worker processes.
     """
@@ -392,8 +379,6 @@ def enumerate_associative(
         raise ValueError("enumeration over Q is unsupported (boxes are infinite up to reduction)")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    if cross_check and prune:
-        raise ValueError("cross_check requires prune=False (every candidate must be visited)")
     side = 2 * bound + 1
     d, slots = (side * side if ring is Ring.ZI else side), 1 << n
     # Counts are printed up to the live int-to-str limit, or Python's
@@ -423,10 +408,10 @@ def enumerate_associative(
     if d == 1:
         # The box is the zero table alone, the constant 0: decided here, not
         # walked as 2^n one-value lists and sorted by a 2^n-entry key.
-        checked, bulk, found, mismatches = 1, 0, [MultilinearPoly(ring, n)], []
+        checked, bulk, found = 1, 0, [MultilinearPoly(ring, n)]
     else:
         chunks = _split(_value_domain(ring, bound), max(1, jobs))
-        args = [(ring, n, bound, chunk, prune, cross_check) for chunk in chunks]
+        args = [(ring, n, bound, chunk, prune) for chunk in chunks]
         if len(args) > 1:
             from multiprocessing import Pool
 
@@ -441,7 +426,6 @@ def enumerate_associative(
             return [_value_key(ml.coeff(m)) for m in range(1 << n)]
 
         found = sorted((ml for part in parts for ml in part[2]), key=table_key)
-        mismatches = sorted((ml for part in parts for ml in part[3]), key=table_key)
     survivors = [(ml, classify_associative(ml)) for ml in found]
     census = _build_census(survivors, ring)
     return EnumerationResult(
@@ -453,8 +437,6 @@ def enumerate_associative(
         bulk_rejected=bulk,
         survivors=survivors,
         census=census,
-        oracle_mismatches=len(mismatches),
-        mismatch_examples=mismatches[:10],
     )
 
 

@@ -8,8 +8,9 @@ Grammar (whitespace-insensitive, no implicit multiplication):
     atom     :=  INT | 'i' | 'x'<digits> | '(' expr ')'
 
 ``i`` is accepted only over Z[i]; ``/`` only over Q and only with an integer
-literal denominator.  Exponents are capped at ``EXPONENT_CAP`` to bound memory,
-and parentheses nest at most ``MAX_NESTING`` deep.
+literal denominator.  Exponents are capped at ``EXPONENT_CAP`` to bound memory.
+Parentheses nest to any depth: the parser keeps them on a list, not on the
+Python stack.
 """
 
 from __future__ import annotations
@@ -22,9 +23,6 @@ from .poly import SparsePoly
 from .rings import GaussianInt, Ring
 
 EXPONENT_CAP = 64
-# Each open parenthesis holds four parser frames (expr, term, unary, atom);
-# this many stay well inside Python's default recursion limit of 1000.
-MAX_NESTING = 200
 
 
 @dataclass(frozen=True)
@@ -106,126 +104,114 @@ def _digit_run_end(source: str, start: int) -> int:
     return j
 
 
-class _Parser:
-    def __init__(self, source: str, nvars: int, ring: Ring):
-        self.tokens = tokenize(source)
-        self.index = 0
-        self.depth = 0  # parentheses open around the current position
-        self.nvars = nvars
-        self.ring = ring
+def parse_poly(source: str, nvars: int, ring: Ring) -> SparsePoly:
+    """Parse an expression into a SparsePoly, raising ParseError with position.
 
-    def peek(self) -> Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-    def expect_op(self, text: str) -> bool:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == text:
-            self.index += 1
-            return True
-        return False
-
-    def parse(self) -> SparsePoly:
-        poly = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected {tok.text!r}", tok.pos, ("operator", "end of input"))
-        return poly
-
-    def expr(self) -> SparsePoly:
-        poly = self.term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                rhs = self.term()
-                poly = poly + rhs if tok.text == "+" else poly - rhs
-            else:
-                return poly
-
-    def term(self) -> SparsePoly:
-        poly = self.unary()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "*":
-                self.advance()
-                poly = poly * self.unary()
-            elif tok.kind == "op" and tok.text == "/":
-                if self.ring is not Ring.Q:
-                    raise ParseError(
-                        f"'/' is only available over Q, not {self.ring.label}", tok.pos, ()
-                    )
-                self.advance()
-                lit = self.peek()
-                if lit.kind != "int":
-                    raise ParseError(
-                        "denominator must be an integer literal", lit.pos, ("integer",)
-                    )
-                self.advance()
-                if lit.value == 0:
-                    raise ParseError("division by zero", lit.pos, ())
-                poly = poly * Fraction(1, lit.value)
-            else:
-                return poly
-
-    def unary(self) -> SparsePoly:
-        """Minus signs and exponent towers are read in loops, so a long run
-        of either costs no stack depth."""
-        negate = False
-        while self.expect_op("-"):
+    One loop reads the tokens.  An open parenthesis saves the enclosing
+    partial sum, its pending sign, the partial product and the pending
+    negation on ``stack``; its ``)`` restores them and takes the sum it
+    closes as the next factor, so nesting costs no Python stack."""
+    tokens = tokenize(source)
+    stack: list[tuple] = []
+    total, sign, product, negate = None, "+", None, False
+    i = 0
+    while True:
+        # an operand: minus signs, then '(' or an atom
+        tok = tokens[i]
+        i += 1
+        if tok.kind == "op" and tok.text == "-":
             negate = not negate
-        base = self.atom()
-        literals = []
-        while self.expect_op("^"):
-            tok = self.advance()
-            if tok.kind != "int":
-                raise ParseError(
-                    "exponent must be a nonnegative integer literal", tok.pos, ("integer",)
-                )
-            literals.append(tok)
-        if literals:
-            exponent = 1
-            for tok in reversed(literals):  # right-associative
-                exponent = _capped_power(tok, exponent)
-            base = base**exponent
-        return -base if negate else base
-
-    def atom(self) -> SparsePoly:
-        tok = self.advance()
-        if tok.kind == "int":
-            return SparsePoly.constant(self.ring, self.nvars, int(tok.text))
-        if tok.kind == "imag":
-            if self.ring is not Ring.ZI:
-                raise ParseError(
-                    f"'i' is only available over Z[i], not {self.ring.label}", tok.pos, ()
-                )
-            return SparsePoly.constant(self.ring, self.nvars, GaussianInt(0, 1))
-        if tok.kind == "var":
-            index = tok.value
-            if not 1 <= index <= self.nvars:
-                raise ParseError(
-                    f"unknown variable x{index} (arity is {self.nvars})", tok.pos, ()
-                )
-            return SparsePoly.variable(self.ring, self.nvars, index)
+            continue
         if tok.kind == "lparen":
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.pos, ())
-            self.depth += 1
-            inner = self.expr()
-            self.depth -= 1
-            closing = self.advance()
-            if closing.kind != "rparen":
-                raise ParseError("expected ')'", closing.pos, (")",))
-            return inner
-        raise ParseError(
-            "expected a number, variable, or parenthesized expression",
-            tok.pos,
-            ("integer", "variable", "("),
-        )
+            stack.append((total, sign, product, negate))
+            total, sign, product, negate = None, "+", None, False
+            continue
+        factor = _atom(tok, nvars, ring)
+        while True:
+            # after an operand: its exponents, divisors, then what follows
+            factor, i = _powers(factor, tokens, i)
+            factor = -factor if negate else factor
+            product = factor if product is None else product * factor
+            negate = False
+            product, i = _divisors(product, tokens, i, ring)
+            tok = tokens[i]
+            i += 1
+            if tok.kind == "op" and tok.text == "*":
+                break
+            if total is None:
+                total = product
+            else:
+                total = total + product if sign == "+" else total - product
+            if tok.kind == "op" and tok.text in "+-":
+                sign, product = tok.text, None
+                break
+            if tok.kind == "rparen" and stack:
+                factor = total
+                total, sign, product, negate = stack.pop()
+                continue
+            if stack:
+                raise ParseError("expected ')'", tok.pos, (")",))
+            if tok.kind == "end":
+                return total
+            raise ParseError(f"unexpected {tok.text!r}", tok.pos, ("operator", "end of input"))
+
+
+def _atom(tok: Token, nvars: int, ring: Ring) -> SparsePoly:
+    if tok.kind == "int":
+        return SparsePoly.constant(ring, nvars, int(tok.text))
+    if tok.kind == "imag":
+        if ring is not Ring.ZI:
+            raise ParseError(f"'i' is only available over Z[i], not {ring.label}", tok.pos, ())
+        return SparsePoly.constant(ring, nvars, GaussianInt(0, 1))
+    if tok.kind == "var":
+        index = tok.value
+        if not 1 <= index <= nvars:
+            raise ParseError(f"unknown variable x{index} (arity is {nvars})", tok.pos, ())
+        return SparsePoly.variable(ring, nvars, index)
+    raise ParseError(
+        "expected a number, variable, or parenthesized expression",
+        tok.pos,
+        ("integer", "variable", "("),
+    )
+
+
+def _powers(base: SparsePoly, tokens: list[Token], i: int) -> tuple[SparsePoly, int]:
+    """``base`` raised to the exponent tower at ``tokens[i]``, and the index
+    after it.  The whole tower is read before any exponent is checked
+    against the cap."""
+    literals = []
+    while tokens[i].kind == "op" and tokens[i].text == "^":
+        tok = tokens[i + 1]
+        if tok.kind != "int":
+            raise ParseError(
+                "exponent must be a nonnegative integer literal", tok.pos, ("integer",)
+            )
+        literals.append(tok)
+        i += 2
+    if literals:
+        exponent = 1
+        for tok in reversed(literals):  # right-associative
+            exponent = _capped_power(tok, exponent)
+        base = base**exponent
+    return base, i
+
+
+def _divisors(
+    product: SparsePoly, tokens: list[Token], i: int, ring: Ring
+) -> tuple[SparsePoly, int]:
+    """``product`` divided by each '/' literal at ``tokens[i]``, and the index
+    after them."""
+    while tokens[i].kind == "op" and tokens[i].text == "/":
+        if ring is not Ring.Q:
+            raise ParseError(f"'/' is only available over Q, not {ring.label}", tokens[i].pos, ())
+        lit = tokens[i + 1]
+        if lit.kind != "int":
+            raise ParseError("denominator must be an integer literal", lit.pos, ("integer",))
+        if lit.value == 0:
+            raise ParseError("division by zero", lit.pos, ())
+        product = product * Fraction(1, lit.value)
+        i += 2
+    return product, i
 
 
 def _capped_power(tok: Token, e: int) -> int:
@@ -238,8 +224,3 @@ def _capped_power(tok: Token, e: int) -> int:
     limit = sys.get_int_max_str_digits()
     shown = f"{tok.text}^{e}" if limit and value >= 10**limit else value
     raise ParseError(f"exponent {shown} exceeds the cap {EXPONENT_CAP}", tok.pos, ())
-
-
-def parse_poly(source: str, nvars: int, ring: Ring) -> SparsePoly:
-    """Parse an expression into a SparsePoly, raising ParseError with position."""
-    return _Parser(source, nvars, ring).parse()

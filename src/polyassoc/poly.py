@@ -20,10 +20,6 @@ from .rings import GaussianInt, Ring, _pow
 
 Monomial = tuple[int, ...]
 
-# Bounds input arity (compositions live in 2n-1 variables).  Python ints
-# are unbounded, so masks themselves set no limit.
-MAX_ARITY = 62
-
 
 class SparsePoly:
     """Exact sparse polynomial over one of the supported rings.
@@ -35,8 +31,8 @@ class SparsePoly:
     __slots__ = ("ring", "nvars", "terms", "_factors")
 
     def __init__(self, ring: Ring, nvars: int, terms: Mapping[Monomial, object] | None = None):
-        if nvars < 1 or nvars > 2 * MAX_ARITY:
-            raise ValueError(f"number of variables must be in 1..{2 * MAX_ARITY}")
+        if nvars < 1:
+            raise ValueError("number of variables must be at least 1")
         clean: dict[Monomial, object] = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(exps)
@@ -217,7 +213,8 @@ class SparsePoly:
         return SparsePoly._trusted(self.ring, target, out)
 
     def to_multilinear(self) -> MultilinearPoly | None:
-        """The subset-indexed form, or None when some variable has degree >= 2."""
+        """The subset-indexed form, or None when some variable has degree >= 2.
+        Masks are Python ints, so any arity has a mask view."""
         coeffs: dict[int, object] = {}
         for exps, coeff in self.terms.items():
             mask = 0
@@ -227,8 +224,6 @@ class SparsePoly:
                 if e:
                     mask |= 1 << j
             coeffs[mask] = coeff
-        if self.nvars > MAX_ARITY:
-            raise ValueError(f"arity must be in 1..{MAX_ARITY}")
         return MultilinearPoly._trusted(self.ring, self.nvars, coeffs, self.terms)
 
     def render(self) -> str:
@@ -270,8 +265,8 @@ class MultilinearPoly(SparsePoly):
     __slots__ = ("coeffs",)
 
     def __init__(self, ring: Ring, n: int, coeffs: Mapping[int, object] | None = None):
-        if n < 1 or n > MAX_ARITY:
-            raise ValueError(f"arity must be in 1..{MAX_ARITY}")
+        if n < 1:
+            raise ValueError("arity must be at least 1")
         clean: dict[int, object] = {}
         for mask, coeff in (coeffs or {}).items():
             if not 0 <= mask < 1 << n:

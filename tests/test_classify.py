@@ -13,12 +13,14 @@ from polyassoc import (
     LeftProjection,
     MultilinearPoly,
     NotAssociative,
+    OracleConfig,
     RightProjection,
     Ring,
     ShiftedProduct,
     SparsePoly,
     TranslatedSum,
     TwistedSum,
+    assoc_pointwise,
     classify,
     from_size_coeffs,
     is_associative,
@@ -157,7 +159,10 @@ def test_recognition_agrees_with_the_decision_on_whole_boxes():
     for ring, n, bound in ((Ring.Z, 2, 2), (Ring.Z, 3, 1), (Ring.ZI, 2, 1)):
         for table in _box_tables(ring, n, bound):
             checked += 1
-            if not is_associative(table).associative:
+            associative = is_associative(table).associative
+            if ring is Ring.Z:  # the Z[i] box is checked against the grid in test_oracle
+                assert assoc_pointwise(table, OracleConfig(mode="grid")) == associative
+            if not associative:
                 with pytest.raises(InternalInvariantError):
                     classify_associative(table)
                 continue

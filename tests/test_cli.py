@@ -121,6 +121,11 @@ def test_invalid_flags_exit_code(capsys):
     assert code == 2 and "--n" in err
 
 
+def test_arity_past_the_cli_limit_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "check", "--ring", "z", "--n", "32", "--poly", "x1")
+    assert (code, out, err) == (2, "", "error: --n must be in 2..31, got 32\n")
+
+
 def test_classify_golden_json(capsys):
     code, out, _ = run(
         capsys, "classify", "--ring", "z", "--n", "3", "--poly", CUBIC_EXAMPLE,
@@ -583,7 +588,7 @@ def test_shared_parser_matches_a_fresh_one(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "poly, message",
     [
-        ("(" * 250 + "x1" + ")" * 250, "parentheses nested deeper than 200 at position 201"),
+        ("(" * 250 + "x1" + ")" * 250, None),
         ("-" * 3000 + "x1", None),
         ("x1" + "^1" * 1500, None),
         ("x1^" + "9" * 100 + "^64", f"exponent {'9' * 100}^64 exceeds the cap 64 at position 4"),

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyassoc import GaussianInt, ParseError, Ring, SparsePoly, XorShift64Star, parse_poly
-from polyassoc.parse import MAX_NESTING
 
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
 
@@ -191,19 +190,35 @@ def test_deep_input_is_parsed_in_loops():
     # a literal past the cap raised to 0 is 1, not an error
     assert parse_poly("x1^65^0", 2, Ring.Z) == x1
     assert parse_poly("x1^100^0", 2, Ring.Z) == x1
-    nested = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
-    assert parse_poly(nested, 2, Ring.Z) == x1
-    assert parse_poly("-(" * MAX_NESTING + "x1" + ")" * MAX_NESTING, 2, Ring.Z) == x1
+    assert parse_poly("(" * 200 + "x1" + ")" * 200, 2, Ring.Z) == x1
+    assert parse_poly("-(" * 200 + "x1" + ")" * 200, 2, Ring.Z) == x1
 
 
-def test_nesting_past_the_limit_is_a_parse_error():
-    for depth in (MAX_NESTING + 1, 250, 5000):
-        with pytest.raises(ParseError) as err:
-            parse_poly("(" * depth + "x1" + ")" * depth, 2, Ring.Z)
-        assert err.value.position == MAX_NESTING  # the first '(' past the limit
-        assert str(err.value) == (
-            f"parentheses nested deeper than {MAX_NESTING} at position {MAX_NESTING + 1}"
-        )
+def test_nesting_past_the_old_limit_parses():
+    x1 = SparsePoly.variable(Ring.Z, 2, 1)
+    for depth in (201, 250, 5000):
+        assert parse_poly("(" * depth + "x1" + ")" * depth, 2, Ring.Z) == x1
+
+
+def test_nesting_costs_no_python_stack():
+    x1 = SparsePoly.variable(Ring.Z, 2, 1)
+    assert parse_poly("(" * 100_000 + "x1" + ")" * 100_000, 2, Ring.Z) == x1
+    assert parse_poly("-(" * 100_001 + "x1" + ")" * 100_001, 2, Ring.Z) == -x1
+    unclosed = "(" * 100_000 + "x1"
+    with pytest.raises(ParseError) as err:
+        parse_poly(unclosed, 2, Ring.Z)
+    assert (err.value.message, err.value.position) == ("expected ')'", len(unclosed))
+
+
+def test_nesting_parses_from_a_deep_caller():
+    def from_depth(frames: int) -> SparsePoly:
+        if frames:
+            return from_depth(frames - 1)
+        return parse_poly("(" * 200 + "x1" + ")" * 200, 2, Ring.Z)
+
+    # 250 frames leave too little of the default recursion limit for a
+    # parser that recursed four frames per '('
+    assert from_depth(250) == SparsePoly.variable(Ring.Z, 2, 1)
 
 
 def test_exponent_cap_messages():
