@@ -1,9 +1,11 @@
 """Implementation-independent verification and exhaustive search.
 
 The pointwise checks avoid the closed-form composition machinery: multilinear
-associativity is checked by evaluating the slot compositions at points
-(exact at the 0/1 points that can carry a monomial; probabilistic on random
-samples), and other input, never associative, by its per-variable degrees.
+associativity is checked at points, exactly at the 0/1 points that can carry
+a monomial, where each slot composition is read off subset sums of p's
+coefficients and no composition is evaluated, and probabilistically by
+evaluating the compositions at random samples; other input, never
+associative, is checked by its per-variable degrees.
 The enumerator walks entire boxes of multilinear coefficient tables, decides
 each candidate with ``assoc.associative_multilinear``, and classifies every
 associative one into a census.
@@ -21,7 +23,7 @@ import os
 import sys
 from dataclasses import dataclass
 from itertools import count, product
-from math import prod
+from math import lcm, prod
 from operator import itemgetter
 
 from .assoc import associative_multilinear
@@ -206,23 +208,64 @@ def _slot_candidates(masks: list[int], n: int, slot: int) -> set[int]:
     return out
 
 
-def _assoc_on_support(p: SparsePoly, masks: list[int]) -> bool:
-    """The n-1 equations of multilinear p, whose terms are ``masks``, each at
-    its candidate 0/1 points."""
-    n, m = p.nvars, 2 * p.nvars - 1
+class _SubsetSums(dict):
+    """p(1_S) = the sum of c_T over T within S, by mask S, each computed on
+    first read and kept (Yates 1937; Bjorklund, Husfeldt, Kaski and Koivisto
+    2007).  Over Q the coefficients are scaled once to integers over their
+    common denominator ``den``, so each entry is den * p(1_S); elsewhere
+    ``den`` is 1."""
+
+    def __init__(self, p: MultilinearPoly):
+        super().__init__()
+        if p.ring is Ring.Q:
+            self.den = lcm(*(c.denominator for c in p.coeffs.values()))
+            self.terms = [
+                (m, c.numerator * (self.den // c.denominator)) for m, c in p.coeffs.items()
+            ]
+        else:
+            self.den, self.terms = 1, list(p.coeffs.items())
+
+    def __missing__(self, mask: int):
+        value = self[mask] = _subset_sum(self.terms, mask)
+        return value
+
+
+def _subset_sum(terms: list, mask: int):
+    """The sum of the coefficients of ``terms`` whose masks lie within ``mask``."""
+    return sum(c for t, c in terms if t & mask == t)
+
+
+def _slot_value(sums: _SubsetSums, n: int, slot: int, mask: int):
+    """den^2 times slot ``slot``'s composition at the indicator point of
+    ``mask`` over 2n-1 variables.
+
+    With W the window's bits and O the outer bits, x_slot's cleared, split
+    p = A + x_slot*B, so A(1_O) = p(1_O) and B(1_O) = p(1_(O+slot)) - p(1_O);
+    the composition is A(1_O) + p(1_W) * B(1_O), three table reads.
+    """
+    bit = 1 << (slot - 1)
+    window = (mask >> (slot - 1)) & ((1 << n) - 1)
+    outer = (mask & (bit - 1)) | ((mask >> (slot + n - 1)) << slot)
+    a = sums[outer]
+    return sums.den * a + sums[window] * (sums[outer | bit] - a)
+
+
+def _assoc_on_support(p: MultilinearPoly) -> bool:
+    """The n-1 equations of multilinear p, each at its candidate 0/1 points."""
+    n, m, masks = p.nvars, 2 * p.nvars - 1, list(p.coeffs)
     bounds = [_slot_bound(masks, s) for s in range(1, n + 1)]
     _check_grid_guard(sum(min(1 << m, a + b) for a, b in zip(bounds, bounds[1:])))
+    sums = _SubsetSums(p)
     lhs = _slot_candidates(masks, n, 1)
     known: dict[int, object] = {}  # slot i's values by mask, from equation i-1
     for i in range(1, n):
         rhs = _slot_candidates(masks, n, i + 1)
         values: dict[int, object] = {}
         for mask in lhs | rhs:
-            point = [(mask >> j) & 1 for j in range(m)]
             left = known.get(mask)
             if left is None:
-                left = associated_value(p, i, point)
-            right = values[mask] = associated_value(p, i + 1, point)
+                left = _slot_value(sums, n, i, mask)
+            right = values[mask] = _slot_value(sums, n, i + 1, mask)
             if left != right:
                 return False
         lhs, known = rhs, values
@@ -250,7 +293,9 @@ def assoc_pointwise(p: SparsePoly, cfg: OracleConfig) -> bool:
     D is.  The guard bounds the candidates of all n-1 equations together,
     from the term counts, before any set is built: slot s contributes at
     most t masks per term containing x_s and one per other term, and an
-    equation at most its 2^(2n-1)-point grid.
+    equation at most its 2^(2n-1)-point grid.  No composition is
+    evaluated: each slot's value at a point is read off the subset sums of
+    p's coefficients (``_slot_value``), in integers scaled by den^2 over Q.
 
     Random mode compares the n slot compositions of multilinear p at seeded
     points (``_samples_agree``).  Their differences have degree at most
@@ -270,7 +315,7 @@ def assoc_pointwise(p: SparsePoly, cfg: OracleConfig) -> bool:
                 return False
         return True
     if cfg.mode == "grid":
-        return _assoc_on_support(p, list(ml.coeffs))
+        return _assoc_on_support(ml)
     d = max(2 * p.degree() - 1, 0)
 
     def compositions(point):

@@ -8,9 +8,9 @@ it to the columns); and is it reducible, i.e. the (n-1)-fold iterate of some
 binary semigroup operation.  Each family answers the group and reducibility
 questions itself (``group`` and ``reduction`` in ``classify``); this module
 checks those answers against p by independent routes (``verify_skew``,
-``skew_is_endomorphism``, ``iterate_binary``), raising
-``InternalInvariantError`` when one fails, and decides mediality from p
-alone (``is_medial``).
+``skew_is_endomorphism``, ``iterate_binary``), and checks mediality, which
+every family has over a commutative ring, from p alone (``is_medial``),
+raising ``InternalInvariantError`` when any of them fails.
 """
 
 from __future__ import annotations
@@ -107,6 +107,8 @@ def analyze(p: SparsePoly, cls: Classification) -> StructureReport:
         raise InternalInvariantError(f"skew map {skew.render(ring)} is not an endomorphism")
     checked = None if skew is None else True  # a failed check raised above
     medial, method = is_medial(p)
+    if not medial:  # every family is medial over a commutative ring
+        raise InternalInvariantError("the operation fails the medial identity")
     status, reduction, note = cls.reduction(ring, n)
     if note:
         notes = notes + (note,)

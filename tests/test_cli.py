@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyassoc.cli as cli
+from polyassoc import OracleConfig, Ring, assoc_pointwise, parse_poly
 from polyassoc.cli import build_parser, main
 
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
@@ -448,6 +449,20 @@ def test_high_powers_are_rejected_by_degrees(capsys, poly):
     assert report["oracle"] == {"mode": "degree", "agrees": True}
 
 
+SP8 = "-1 + 2*" + "*".join(f"(x{k} + 1)" for k in range(1, 9))
+
+
+def test_dense_shifted_product_is_checked_exactly_from_subset_sums(capsys):
+    # 2^8 terms: each equation's candidates are its whole 2^15-point grid
+    with alarm_after(3):
+        code, out, _ = run(capsys, "analyze", "--ring", "z", "--n", "8", "--poly", SP8,
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out)["oracle"] == {"mode": "grid", "agrees": True}
+    with alarm_after(3):
+        assert assoc_pointwise(parse_poly(SP8, 8, Ring.Q), OracleConfig(mode="grid"))
+
+
 def test_analyze_non_associative_input(capsys):
     code, out, _ = run(
         capsys, "analyze", "--ring", "z", "--n", "2", "--poly", "2*x1*x2 + x1",
@@ -490,12 +505,14 @@ def test_oracle_rejects_a_squared_variable_called_associative(capsys, monkeypatc
     assert err == "internal error: pointwise oracle disagrees with the symbolic verdict\n"
 
 
-@pytest.mark.parametrize("check", ["verify_skew", "skew_is_endomorphism", "iterate_binary"])
+@pytest.mark.parametrize(
+    "check", ["verify_skew", "skew_is_endomorphism", "iterate_binary", "is_medial"]
+)
 def test_failed_structure_check_exit_code(capsys, monkeypatch, check):
     import polyassoc.structure as structure
 
     # the binary operation itself, in two variables, is no iterate of arity 3
-    failed = {"iterate_binary": lambda op, n: op}
+    failed = {"iterate_binary": lambda op, n: op, "is_medial": lambda p: (False, "sampled")}
     monkeypatch.setattr(structure, check, failed.get(check, lambda p, skew: False))
     code, out, err = run(capsys, "analyze", "--ring", "z", "--n", "3", "--poly", "x1 + x2 + x3 + 4")
     assert (code, out) == (3, "")

@@ -234,6 +234,7 @@ def test_grid_guard(monkeypatch):
     # nothing; grid mode still raises where the exact grid passes the guard
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "associated_value", no_evaluation)
+        patch.setattr(oracle, "_subset_sum", no_evaluation)
         for p in [SparsePoly(Ring.Z, 2, {(40, 40): 1, (1, 0): 1}),
                   parse_poly("(((x1^64)^64)^64)*x2", 2, Ring.Z),
                   parse_poly("(x1 + x2 + x3 + x4 + 1)^3", 4, Ring.Z)]:
@@ -336,6 +337,43 @@ def test_support_points_agree_with_full_grid_on_sparse_inputs(p):
     assert_support_route_agrees(p)
 
 
+@st.composite
+def multilinear_tables(draw, max_n):
+    """A table at n = 2..max_n over Z, Q or Z[i]: every mask drawn, or a
+    family member, as it is or with one term added, since random tables are
+    nearly all rejected at the first point."""
+    ring = draw(st.sampled_from(list(COEFFS)))
+    n = draw(st.integers(2, max_n))
+    if draw(st.booleans()):
+        values = draw(st.lists(COEFFS[ring], min_size=1 << n, max_size=1 << n))
+        return MultilinearPoly(ring, n, dict(enumerate(values)))
+    families = [Constant(draw(SMALL)), LeftProjection(), RightProjection(),
+                TranslatedSum(draw(SMALL)),
+                ShiftedProduct(draw(st.sampled_from([1, -1, 2])), draw(SMALL))]
+    if n % 2:
+        families.append(TwistedSum(-1))
+    coeffs = dict(reconstruct(draw(st.sampled_from(families)), n, ring).to_multilinear().coeffs)
+    if draw(st.booleans()):
+        mask = draw(st.integers(0, (1 << n) - 1))
+        coeffs[mask] = coeffs.get(mask, 0) + draw(COEFFS[ring])
+    return MultilinearPoly(ring, n, coeffs)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(multilinear_tables(6))
+def test_subset_sums_equal_evaluate_at_every_indicator_point(p):
+    sums = oracle._SubsetSums(p)
+    for point in product((0, 1), repeat=p.nvars):
+        mask = sum(bit << j for j, bit in enumerate(point))
+        assert sums[mask] == sums.den * p.evaluate(point)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(multilinear_tables(5))
+def test_grid_mode_equals_full_grid_on_tables(p):
+    assert assoc_pointwise(p, OracleConfig(mode="grid")) == full_grid_assoc(p)
+
+
 def test_every_monomial_of_both_compositions_is_checked(monkeypatch):
     # The soundness argument needs equation i to reach the indicator point of
     # every monomial of slot i's and slot i+1's compositions.  The stub's
@@ -351,10 +389,10 @@ def test_every_monomial_of_both_compositions_is_checked(monkeypatch):
             compared.append((self.slot, self.mask, other.slot, other.mask))
             return False
 
-    def record(p, slot, point):
-        return Value(slot, sum(bit << j for j, bit in enumerate(point)))
+    def record(sums, n, slot, mask):
+        return Value(slot, mask)
 
-    monkeypatch.setattr(oracle, "associated_value", record)
+    monkeypatch.setattr(oracle, "_slot_value", record)
     cases = [
         ("2*x2", 3),
         ("x1*x3 + 2", 3),
@@ -379,20 +417,34 @@ def test_every_monomial_of_both_compositions_is_checked(monkeypatch):
 
 
 def test_each_slot_is_evaluated_once_per_point(monkeypatch):
-    # Equations i and i+1 share slot i+1; its values are kept between them.
-    calls = []
+    # Equations i and i+1 share slot i+1; its values are kept between them,
+    # and each subset sum is kept once computed.
+    calls, sums = [], []
+    subset_sum = oracle._subset_sum
 
-    def record(p, slot, point):
-        calls.append((slot, tuple(point)))
+    def record(table, n, slot, mask):
+        calls.append((slot, mask))
         return 0
 
-    monkeypatch.setattr(oracle, "associated_value", record)
-    for text, n in [("x1 + x2 + x3", 3), ("x1*x2*x4 + 2*x3 + x4", 4),
-                    ("-1 + 2*(x1 + 1)*(x2 + 1)*(x3 + 1)*(x4 + 1)", 4)]:
-        calls.clear()
-        assert assoc_pointwise(parse_poly(text, n, Ring.Z), OracleConfig(mode="grid"))
-        assert {slot for slot, _ in calls} == set(range(1, n + 1))
-        assert len(calls) == len(set(calls)), text
+    def record_sum(terms, mask):
+        sums.append(mask)
+        return subset_sum(terms, mask)
+
+    cases = [("x1 + x2 + x3", 3), ("x1*x2*x4 + 2*x3 + x4", 4),
+             ("-1 + 2*(x1 + 1)*(x2 + 1)*(x3 + 1)*(x4 + 1)", 4)]
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_slot_value", record)
+        for text, n in cases:
+            calls.clear()
+            assert assoc_pointwise(parse_poly(text, n, Ring.Z), OracleConfig(mode="grid"))
+            assert {slot for slot, _ in calls} == set(range(1, n + 1))
+            assert len(calls) == len(set(calls)), text
+    monkeypatch.setattr(oracle, "_subset_sum", record_sum)
+    for text, n in cases:
+        sums.clear()
+        p = parse_poly(text, n, Ring.Z)
+        assert assoc_pointwise(p, OracleConfig(mode="grid")) == is_associative(p).associative
+        assert sums and len(sums) == len(set(sums)), text
 
 
 @st.composite
