@@ -13,7 +13,9 @@ exactly one of six families:
 with the shifted-product parameters living in the fraction field subject to
 membership conditions (a*b^k in R for k < n, a*b^n - b in R).  Each family
 defines its coefficient table once, as ``table`` (linear families) or
-``ShiftedProduct.ladder``, and ``reconstruct`` builds the polynomial from it.
+``ShiftedProduct.ladder`` (in the ring, by exact division; ``ValueError`` at
+the first size that leaves it), and ``reconstruct`` builds the polynomial
+from it.
 Recognition reads candidate parameters off the input and keeps the one
 candidate that ``reconstruct`` rebuilds into the input.  Each family also
 answers its own structure questions: ``group`` (is the whole ring an n-ary
@@ -165,17 +167,25 @@ class ShiftedProduct:
     clause: ClassVar[str] = "vi"
     type_tag: ClassVar[str] = "shifted-product"
 
-    def ladder(self, ring: Ring, n: int) -> list[Frac]:
-        """The size coefficients c_0 .. c_n in the fraction field:
-        c_k = a*b^(n-k) for k >= 1 and c_0 = a*b^n - b."""
+    def ladder(self, ring: Ring, n: int) -> list:
+        """The size coefficients c_0 .. c_n in the ring, by exact division with
+        b = num/den in lowest terms: c_k = a*num^(n-k) / den^(n-k) for k >= 1
+        and c_0 = (a*num^n - num*den^(n-1)) / den^n.  Raises ValueError at the
+        first size k whose c_k leaves the ring."""
         a = ring.coerce(self.a)
         if not a:
             raise ValueError("shifted products require a nonzero scale")
         b = self.b if isinstance(self.b, Frac) else Frac(ring, self.b)
         if b.ring is not ring:
             raise ValueError("offset belongs to a different ring")
-        ladder = [b ** (n - k) * a for k in range(n + 1)]
-        ladder[0] = ladder[0] - b
+        num, den = b.num, b.den
+        ladder = [ring.exact_div(a * num**n - num * den ** (n - 1), den**n)]
+        ladder += [ring.exact_div(a * num ** (n - k), den ** (n - k)) for k in range(1, n + 1)]
+        if None in ladder:
+            raise ValueError(
+                f"parameters a={ring.element_str(a)}, b={self.b} leave the ring "
+                f"at subset size {ladder.index(None)}"
+            )
         return ladder
 
     def group(self, ring: Ring, n: int) -> GroupStatus:
@@ -295,13 +305,7 @@ def reconstruct(cls: Classification, n: int, ring: Ring) -> SparsePoly:
     if isinstance(cls, NotAssociative):
         raise ValueError("cannot reconstruct a non-associative classification")
     if isinstance(cls, ShiftedProduct):
-        size_coeffs = [value.in_base_ring() for value in cls.ladder(ring, n)]
-        if None in size_coeffs:
-            raise ValueError(
-                f"parameters a={ring.element_str(cls.a)}, b={cls.b} leave the ring "
-                f"at subset size {size_coeffs.index(None)}"
-            )
-        return from_size_coeffs(ring, n, size_coeffs)
+        return from_size_coeffs(ring, n, cls.ladder(ring, n))
     if isinstance(cls, LinearFamily):
         constant, weights = cls.table(ring, n)
         return MultilinearPoly(ring, n, {0: constant, **{1 << k: w for k, w in enumerate(weights)}})

@@ -3,9 +3,11 @@
 Three infinite integral domains are available: the integers, the rationals,
 and the Gaussian integers.  Elements are plain Python values -- ``int`` for
 Z, ``fractions.Fraction`` for Q, and :class:`GaussianInt` for Z[i] -- so all
-arithmetic is exact and arbitrary precision.  :class:`Frac` holds a reduced
-numerator/denominator pair over any of the three rings and is used wherever
-a quantity may live in the fraction field rather than the ring itself.
+arithmetic is exact and arbitrary precision; whether a quotient lies in the
+ring is decided by :meth:`Ring.exact_div`.  :class:`Frac` is the normal form
+of a fraction-field value (a reduced numerator/denominator pair over any of
+the three rings), kept for parameters such as a shifted product's offset; it
+does no arithmetic beyond negation.
 """
 
 from __future__ import annotations
@@ -124,9 +126,6 @@ class GaussianInt:
 
     def __mod__(self, other):
         return divmod(self, other)[1]
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
 
 
 def _as_gauss(x) -> GaussianInt | None:
@@ -364,65 +363,25 @@ class Frac:
     def __reduce__(self):
         return (Frac, (self.ring, self.num, self.den))
 
-    def _coerced(self, other) -> Frac | None:
-        if isinstance(other, Frac):
-            return other if other.ring is self.ring else None
-        try:
-            return Frac(self.ring, other)
-        except TypeError:
-            return None
-
     def __eq__(self, other) -> bool:
-        o = self._coerced(other)
-        if o is None:
+        if not isinstance(other, Frac):
+            try:
+                other = Frac(self.ring, other)
+            except TypeError:
+                return NotImplemented
+        elif other.ring is not self.ring:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.ring, self.num, self.den))
+        # agree with the ring element's hash on values in the ring, as __eq__ does
+        return hash(self.num) if self.den == self.ring.one else hash((self.num, self.den))
 
     def __bool__(self) -> bool:
         return bool(self.num)
 
     def __neg__(self) -> Frac:
         return Frac(self.ring, -self.num, self.den)
-
-    def __add__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return Frac(self.ring, self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return Frac(self.ring, self.num * o.den - o.num * self.den, self.den * o.den)
-
-    def __rsub__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return Frac(self.ring, self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> Frac:
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        return Frac(self.ring, self.num**k, self.den**k)
-
-    def in_base_ring(self):
-        """The ring element equal to this fraction, or None if it lies outside R."""
-        return self.num if self.den == self.ring.one else None
 
 
 def _frac_part(ring: Ring, x) -> str:

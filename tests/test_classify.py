@@ -1,10 +1,13 @@
 import ast
 import importlib
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polyassoc import (
     Constant,
@@ -120,10 +123,8 @@ def test_extract_type6_cubic_ladder():
     # type 6 is the shifted-product family, read off the table by classify_associative
     cubic = from_size_coeffs(Ring.Z, 3, [0, 1, 3, 9])
     assert classify_associative(cubic) == ShiftedProduct(9, Frac(Ring.Z, 1, 3))
-    # the two ladder identities behind the example
-    b = Frac(Ring.Z, 1, 3)
-    assert b**2 * 9 == 1
-    assert b**3 * 9 - b == 0
+    # the ladder behind the example: a*b^2 = 1 and a*b^3 - b = 0
+    assert ShiftedProduct(9, Frac(Ring.Z, 1, 3)).ladder(Ring.Z, 3) == [0, 1, 3, 9]
 
 
 def test_extract_type6_plain_product():
@@ -214,14 +215,100 @@ def test_reconstruct_rejects_invalid_parameters():
             reconstruct(not_a_classification, 3, Ring.Z)
 
 
-def _membership_ok(ring, n, a, b):
-    for k in range(n + 1):
-        value = b ** (n - k) * a
-        if k == 0:
-            value = value - b
-        if value.in_base_ring() is None:
-            return False
-    return True
+@dataclass(frozen=True)
+class _GaussianRational:
+    """re + im*i with Fraction parts: a reference fraction field of Z[i]."""
+
+    re: Fraction
+    im: Fraction
+
+    def __mul__(self, other):
+        return _GaussianRational(
+            self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re
+        )
+
+    def __sub__(self, other):
+        return _GaussianRational(self.re - other.re, self.im - other.im)
+
+    def __truediv__(self, other):
+        norm = other.re**2 + other.im**2
+        return self * _GaussianRational(other.re / norm, -other.im / norm)
+
+    def __pow__(self, k):
+        out = _GaussianRational(Fraction(1), Fraction(0))
+        for _ in range(k):
+            out = out * self
+        return out
+
+
+def _reference(ring, x):
+    """A ring element in the test's own fraction field."""
+    if ring is Ring.ZI:
+        return _GaussianRational(Fraction(x.re), Fraction(x.im))
+    return Fraction(x)
+
+
+def _back_in_ring(ring, value):
+    """The ring element equal to a reference value, or None outside the ring."""
+    if ring is Ring.ZI:
+        parts = (value.re, value.im)
+        if any(part.denominator != 1 for part in parts):
+            return None
+        return GaussianInt(*(part.numerator for part in parts))
+    if ring is Ring.Q:
+        return value
+    return value.numerator if value.denominator == 1 else None
+
+
+LADDER_ELEMENTS = {
+    Ring.Z: st.integers(-6, 6),
+    Ring.Q: st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+    Ring.ZI: st.builds(GaussianInt, st.integers(-3, 3), st.integers(-3, 3)),
+}
+
+
+@st.composite
+def shifted_product_params(draw):
+    """(ring, n, a, num, den) with a != 0 and den != 0.  Half the draws are
+    family members whatever den is (num = 1 + den*s, a = den^(n-1)*(1 + den*t));
+    the others scale a by a random power of den, so some sizes stay in R."""
+    ring = draw(st.sampled_from([Ring.Z, Ring.Q, Ring.ZI]))
+    n = draw(st.integers(2, 6))
+    elements = LADDER_ELEMENTS[ring]
+    den = draw(elements.filter(bool))
+    if draw(st.booleans()):
+        num = 1 + den * draw(elements)
+        a = den ** (n - 1) * (1 + den * draw(elements))
+    else:
+        num = draw(elements)
+        a = draw(elements.filter(bool)) * den ** draw(st.integers(0, n))
+    assume(a != 0)
+    return ring, n, a, num, den
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(shifted_product_params())
+def test_ladder_matches_a_fraction_field_reference(params):
+    ring, n, a, num, den = params
+    ref_a, b = _reference(ring, a), _reference(ring, num) / _reference(ring, den)
+    reference = [ref_a * b**n - b] + [ref_a * b ** (n - k) for k in range(1, n + 1)]
+    expected = [_back_in_ring(ring, value) for value in reference]
+    cls = ShiftedProduct(a, Frac(ring, num, den))
+    if None in expected:
+        with pytest.raises(ValueError, match=f"leave the ring at subset size {expected.index(None)}$"):
+            cls.ladder(ring, n)
+        return
+    ladder = cls.ladder(ring, n)
+    assert ladder == expected
+    assert all(type(c) is type(ring.one) for c in ladder)
+
+
+def _membership_ok(n, a, b):
+    """a*b^k in Z for k < n and a*b^n - b in Z, computed in Fraction."""
+    b = Fraction(b.num, b.den)
+    return all((a * b**k).denominator == 1 for k in range(n)) and (
+        (a * b**n - b).denominator == 1
+    )
 
 
 def test_round_trip_over_parameter_grids():
@@ -259,7 +346,7 @@ def test_round_trip_shifted_products():
             if a == 0:
                 continue
             for b in b_values:
-                if not _membership_ok(Ring.Z, n, a, b):
+                if not _membership_ok(n, a, b):
                     continue
                 cls = ShiftedProduct(a, b)
                 p = reconstruct(cls, n, Ring.Z)

@@ -1,5 +1,7 @@
+import ast
 import re
 import shlex
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -37,3 +39,23 @@ def test_package_all_is_sorted_and_lists_every_public_name():
     }
     assert polyassoc.__all__ == sorted(polyassoc.__all__)
     assert set(polyassoc.__all__) == public
+
+
+def test_package_imports_only_the_standard_library():
+    # the package is stdlib-only: every other import is relative, within the package
+    offenders = []
+    for path in sorted(Path(polyassoc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            elif isinstance(node, ast.ImportFrom):
+                tops = [] if node.level == 1 else [f"{'.' * node.level}{node.module}"]
+            else:
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno} {top}" for top in tops
+                if top not in sys.stdlib_module_names
+            ]
+    assert offenders == []
