@@ -232,29 +232,29 @@ Classification = Union[LinearFamily, ShiftedProduct, NotAssociative]
 
 def classify(p: SparsePoly) -> Classification:
     """Decide associativity and name the family with exact parameters."""
-    if p.nvars < 2:
-        raise ValueError("arity must be at least 2")
     verdict = is_associative(p)
     if not verdict.associative:
         return NotAssociative(verdict.witness)
-    ml = p.to_multilinear()
-    if ml is None:
-        raise InternalInvariantError("associative operation with a squared variable")
-    return classify_associative(ml)
+    return classify_associative(p)
 
 
-def classify_associative(p: MultilinearPoly) -> Classification:
-    """Classify a multilinear operation already known to be associative.
+def classify_associative(p: SparsePoly) -> Classification:
+    """Classify an operation already known to be associative.
 
     The candidates come from p alone.  With a nonzero coefficient a on
     x1*...*xn, the one candidate is the shifted product with scale a and
     offset c/a, c being the coefficient on x1*...*x(n-1); otherwise they are
     the five linear families with parameters read off p.  The family is the
-    one candidate that ``reconstruct`` rebuilds into p.
+    one candidate that ``reconstruct`` rebuilds into p.  Raises
+    ``InternalInvariantError`` when p has a squared variable: every
+    associative operation is multilinear.
     """
-    ring, n = p.ring, p.n
+    ring, n = p.ring, p.nvars
     if n < 2:
         raise ValueError("arity must be at least 2")
+    p = p.to_multilinear()
+    if p is None:
+        raise InternalInvariantError("associative operation with a squared variable")
     a = p.coeff((1 << n) - 1)
     if a:
         candidates = [ShiftedProduct(a, Frac(ring, p.coeff((1 << (n - 1)) - 1), a))]

@@ -77,13 +77,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--poly", required=True, help="expression in x1..xn")
     common.add_argument("--format", choices=["text", "json"], default="text")
 
-    for name, handler, blurb in (
-        ("check", cmd_check, "decide associativity"),
-        ("classify", cmd_classify, "decide associativity and name the family"),
-        ("analyze", cmd_analyze, "full report including group structure"),
+    for name, blurb in (
+        ("check", "decide associativity"),
+        ("classify", "decide associativity and name the family"),
+        ("analyze", "full report including group structure"),
     ):
         p = sub.add_parser(name, parents=[common], help=blurb)
-        p.set_defaults(func=handler)
+        p.set_defaults(func=cmd_report)
 
     en = sub.add_parser("enumerate", help="census of associative multilinear operations")
     en.add_argument("--ring", required=True, choices=["z", "zi"])
@@ -171,7 +171,7 @@ def _check_printable(values) -> None:
             )
 
 
-def _build_report(args, level: str) -> dict:
+def _build_report(args) -> dict:
     ring = Ring(args.ring)
     n = _validated_arity(args.n)
     p = parse_poly(args.poly, n, ring)
@@ -182,12 +182,12 @@ def _build_report(args, level: str) -> dict:
     _check_printable(values)
     cls: Classification | None = None
     structure: StructureReport | None = None
-    if level in ("classify", "analyze"):
+    if args.command in ("classify", "analyze"):
         if verdict.associative:
-            cls = classify_associative(p.to_multilinear())
+            cls = classify_associative(p)
         else:
             cls = NotAssociative(verdict.witness)
-    if level == "analyze" and verdict.associative:
+    if args.command == "analyze" and verdict.associative:
         structure = analyze(p, cls)
     oracle = _oracle_check(p, verdict)
     if not oracle["agrees"]:
@@ -246,16 +246,9 @@ def _emit(report: dict, fmt: str) -> int:
     return EXIT_OK
 
 
-def cmd_check(args) -> int:
-    return _emit(_build_report(args, "check"), args.format)
-
-
-def cmd_classify(args) -> int:
-    return _emit(_build_report(args, "classify"), args.format)
-
-
-def cmd_analyze(args) -> int:
-    return _emit(_build_report(args, "analyze"), args.format)
+def cmd_report(args) -> int:
+    """``check``, ``classify`` or ``analyze``, as named by ``args.command``."""
+    return _emit(_build_report(args), args.format)
 
 
 def cmd_enumerate(args) -> int:

@@ -7,6 +7,10 @@ Grammar (whitespace-insensitive, no implicit multiplication):
     unary    :=  '-'* atom (('^' | '**') INT)*   right-associative literal tower
     atom     :=  INT | 'i' | 'x'<digits> | '(' expr ')'
 
+Tokens: a decimal-digit run, ``x`` and its digits, ``i``, ``(``, ``)``, ``**``
+and ``-+*/^``.  Digits and whitespace are the Unicode classes ``str.isdecimal``
+and ``str.isspace`` accept: ``x\u0663`` is x3, a superscript ``\u00b2`` an error.
+
 ``i`` is accepted only over Z[i]; ``/`` only over Q and only with an integer
 literal denominator.  Exponents are capped at ``EXPONENT_CAP`` to bound memory.
 Parentheses nest to any depth: the parser keeps them on a list, not on the
@@ -15,18 +19,24 @@ Python stack.
 
 from __future__ import annotations
 
+import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .poly import SparsePoly
 from .rings import GaussianInt, Ring
 
 EXPONENT_CAP = 64
 
+# One named group per token class; ``bad`` takes any other non-space character.
+_TOKEN = re.compile(
+    r"(?P<int>\d+)|(?P<var>x\d*)|(?P<imag>i)|(?P<lparen>\()|(?P<rparen>\))"
+    r"|(?P<op>\*\*|[-+*/^])|(?P<bad>\S)"
+)
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str  # "int" | "var" | "imag" | "op" | "lparen" | "rparen" | "end"
     text: str
     pos: int  # 0-based offset into the source string
@@ -50,58 +60,22 @@ class ParseError(Exception):
 
 
 def tokenize(source: str) -> list[Token]:
+    """The tokens of ``source`` and an ``end`` token; ``**`` is stored as ``^``.  A
+    digit run past ``sys.get_int_max_str_digits()`` is refused at its first digit."""
     tokens: list[Token] = []
-    i = 0
-    length = len(source)
-    while i < length:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdecimal():
-            j = _digit_run_end(source, i)
-            tokens.append(Token("int", source[i:j], i))
-            i = j
-            continue
-        if ch == "x":
-            j = _digit_run_end(source, i + 1)
-            if j == i + 1:
-                raise ParseError("expected digits after 'x'", i, ("variable index",))
-            tokens.append(Token("var", source[i:j], i))
-            i = j
-            continue
-        if ch == "i":
-            tokens.append(Token("imag", "i", i))
-            i += 1
-            continue
-        if ch == "*":
-            if i + 1 < length and source[i + 1] == "*":
-                tokens.append(Token("op", "^", i))
-                i += 2
-            else:
-                tokens.append(Token("op", "*", i))
-                i += 1
-            continue
-        if ch in "+-/^()":
-            kind = "lparen" if ch == "(" else "rparen" if ch == ")" else "op"
-            tokens.append(Token(kind, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i, ())
-    tokens.append(Token("end", "", length))
-    return tokens
-
-
-def _digit_run_end(source: str, start: int) -> int:
-    """The end of the decimal digit run at ``start``.  A run longer than the
-    interpreter's int conversion limit (0: none) is refused at its first digit."""
-    j = start
-    while j < len(source) and source[j].isdecimal():
-        j += 1
     limit = sys.get_int_max_str_digits()
-    if limit and j - start > limit:
-        raise ParseError(f"integer literal longer than {limit} digits", start, ())
-    return j
+    for m in _TOKEN.finditer(source):
+        kind, text, pos = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", pos, ())
+        if text == "x":
+            raise ParseError("expected digits after 'x'", pos, ("variable index",))
+        if 0 < limit < len(text) - (kind == "var"):  # a digit run, after an 'x' or not
+            first = pos + (kind == "var")
+            raise ParseError(f"integer literal longer than {limit} digits", first, ())
+        tokens.append(Token(kind, "^" if text == "**" else text, pos))
+    tokens.append(Token("end", "", len(source)))
+    return tokens
 
 
 def parse_poly(source: str, nvars: int, ring: Ring) -> SparsePoly:

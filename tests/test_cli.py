@@ -498,11 +498,22 @@ def test_internal_invariant_violation_exit_code(capsys, monkeypatch):
     assert "internal error" in err
 
 
-def test_oracle_rejects_a_squared_variable_called_associative(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("check", "pointwise oracle disagrees with the symbolic verdict"),
+        ("classify", "associative operation with a squared variable"),
+        ("analyze", "associative operation with a squared variable"),
+    ],
+    ids=["check", "classify", "analyze"],
+)
+def test_oracle_rejects_a_squared_variable_called_associative(
+    capsys, monkeypatch, command, message
+):
     monkeypatch.setattr(cli, "is_associative", lambda p: cli.AssocVerdict(True))
-    code, out, err = run(capsys, "check", "--ring", "z", "--n", "2", "--poly", "x1^2*x2")
+    code, out, err = run(capsys, command, "--ring", "z", "--n", "2", "--poly", "x1^2*x2")
     assert (code, out) == (3, "")
-    assert err == "internal error: pointwise oracle disagrees with the symbolic verdict\n"
+    assert err == f"internal error: {message}\n"
 
 
 @pytest.mark.parametrize(

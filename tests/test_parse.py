@@ -130,6 +130,20 @@ def test_non_decimal_digits_are_not_numbers():
         assert err.value.position == position
 
 
+@pytest.mark.parametrize(
+    "source, nvars, rendered",
+    [
+        ("\u0663*x1", 2, "3*x1"),  # ARABIC-INDIC DIGIT THREE is a decimal digit
+        ("x\u0663", 3, "x3"),
+        (" x1\u3000+\xa0x2", 2, "x1 + x2"),  # ideographic and no-break spaces
+        ("x1\x1c+x2", 2, "x1 + x2"),  # FILE SEPARATOR is whitespace to str.isspace
+        ("x1**2", 2, "x1^2"),
+    ],
+)
+def test_unicode_digits_whitespace_and_double_star_are_accepted(source, nvars, rendered):
+    assert parse_poly(source, nvars, Ring.Z).render() == rendered
+
+
 def test_whitespace_insensitive():
     a = parse_poly("x1+x2 * x1", 2, Ring.Z)
     b = parse_poly("  x1 +x2*x1  ", 2, Ring.Z)
@@ -171,7 +185,10 @@ def test_parse_total_on_fuzz():
 
 
 @settings(max_examples=400, deadline=None, database=None)
-@given(st.text("x0123i+-*/^() ", max_size=12), st.sampled_from((Ring.Z, Ring.Q, Ring.ZI)))
+@given(
+    st.text("x0123i+-*/^() \t\u3000\xa0\u0663\u00b2$", max_size=12),
+    st.sampled_from((Ring.Z, Ring.Q, Ring.ZI)),
+)
 def test_parse_fuzz_round_trips_or_points_into_the_source(source, ring):
     try:
         p = parse_poly(source, 3, ring)
