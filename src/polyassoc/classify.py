@@ -30,7 +30,7 @@ from typing import ClassVar, Sequence, Union
 
 from .assoc import CompositionWitness, is_associative
 from .poly import MultilinearPoly, SparsePoly, from_size_coeffs
-from .rings import Frac, GaussianInt, Ring
+from .rings import Frac, Ring
 
 
 class InternalInvariantError(RuntimeError):
@@ -319,22 +319,10 @@ def _params(cls: Classification) -> dict[str, object]:
 
 def classification_params(cls: Classification, ring: Ring) -> dict[str, str]:
     """Exact parameter strings for reports and census rows."""
-    return {name: _value_str(x, ring) for name, x in _params(cls).items()}
+    return {name: ring.element_str(x) for name, x in _params(cls).items()}
 
 
-def _value_str(x, ring: Ring) -> str:
-    """Display form of a ring or fraction element."""
-    return str(x) if isinstance(x, Frac) else ring.element_str(x)
-
-
-def _value_key(x):
-    """Ordering key of a ring or fraction element: Z[i] as (re, im)."""
-    if isinstance(x, Frac):
-        return (_value_key(x.num), _value_key(x.den))
-    return (x.re, x.im) if isinstance(x, GaussianInt) else x
-
-
-def param_sort_key(cls: Classification):
+def param_sort_key(cls: Classification, ring: Ring):
     """Deterministic ordering key among classifications of one census run."""
     clauses = ("i", "ii", "iii", "iv", "v", "vi", "")
-    return (clauses.index(cls.clause), tuple(map(_value_key, _params(cls).values())))
+    return (clauses.index(cls.clause), tuple(map(ring.coords, _params(cls).values())))

@@ -41,7 +41,7 @@ from .oracle import (
 )
 from .parse import ParseError, parse_poly
 from .poly import SparsePoly
-from .rings import GaussianInt, Ring
+from .rings import Ring
 from .structure import StructureReport, analyze
 from . import __version__
 
@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--ring", required=True, choices=["z", "q", "zi"])
+    common.add_argument("--ring", required=True, choices=[r.value for r in Ring])
     common.add_argument("--n", required=True, type=int, help="arity of the operation")
     common.add_argument("--poly", required=True, help="expression in x1..xn")
     common.add_argument("--format", choices=["text", "json"], default="text")
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_report)
 
     en = sub.add_parser("enumerate", help="census of associative multilinear operations")
-    en.add_argument("--ring", required=True, choices=["z", "zi"])
+    en.add_argument("--ring", required=True, choices=[r.value for r in Ring if not r.is_field])
     en.add_argument("--n", required=True, type=int)
     en.add_argument("--bound", required=True, type=int, help="coefficient box half-width")
     en.add_argument("--out", required=True, help="output directory for census files")
@@ -153,7 +153,7 @@ def _oracle_check(p: SparsePoly, verdict: AssocVerdict) -> dict:
     return {"mode": mode if p.is_multilinear else "degree", "agrees": agrees}
 
 
-def _check_printable(values) -> None:
+def _check_printable(ring: Ring, values) -> None:
     """Raise BudgetError when an integer part of a ring element has more
     digits than ``str`` converts under ``sys.get_int_max_str_digits()``
     (0 means no limit)."""
@@ -161,9 +161,8 @@ def _check_printable(values) -> None:
     if not limit:
         return
     for x in values:
-        parts = (x.re, x.im) if isinstance(x, GaussianInt) else (x.numerator, x.denominator)
         # 2^(3 * limit) < 10^limit, so a shorter value needs no power of ten
-        if any(v.bit_length() > 3 * limit and abs(v) >= 10**limit for v in parts):
+        if any(v.bit_length() > 3 * limit and abs(v) >= 10**limit for v in ring.coords(x)):
             raise BudgetError(
                 f"a coefficient or witness value has more than {limit} decimal digits, "
                 f"the limit of sys.get_int_max_str_digits()",
@@ -179,7 +178,7 @@ def _build_report(args) -> dict:
     values = list(p.terms.values())
     if verdict.witness is not None:
         values += [verdict.witness.lhs, verdict.witness.rhs]
-    _check_printable(values)
+    _check_printable(ring, values)
     cls: Classification | None = None
     structure: StructureReport | None = None
     if args.command in ("classify", "analyze"):

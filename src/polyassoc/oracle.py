@@ -23,7 +23,7 @@ import os
 import sys
 from dataclasses import dataclass
 from itertools import count, product
-from math import lcm, prod
+from math import prod
 from operator import itemgetter
 
 from .assoc import associative_multilinear
@@ -32,10 +32,9 @@ from .classify import (
     classification_params,
     classify_associative,
     param_sort_key,
-    _value_key,
 )
 from .poly import MultilinearPoly, SparsePoly
-from .rings import GaussianInt, Ring
+from .rings import Ring
 
 _MASK64 = (1 << 64) - 1
 _MULTIPLIER = 2685821657736338717
@@ -100,13 +99,8 @@ class XorShift64Star:
 
     def elements(self, ring: Ring, half_width: int, count: int) -> list:
         """``count`` ring elements with integer coordinates in [-half_width,
-        half_width]: ``GaussianInt`` values over Z[i], each drawing its real
-        part and then its imaginary part; plain ints (which Q accepts as they
-        are) otherwise."""
-        if ring is Ring.ZI:
-            flat = self.randints(-half_width, half_width, 2 * count)
-            return [GaussianInt._trusted(re, im) for re, im in zip(flat[::2], flat[1::2])]
-        return self.randints(-half_width, half_width, count)
+        half_width], drawn coordinate by coordinate (``Ring.draw``)."""
+        return ring.draw(self.randints, half_width, count)
 
     def element(self, ring: Ring, half_width: int):
         """One ring element: ``elements`` with a count of one."""
@@ -129,18 +123,17 @@ def _samples_agree(ring: Ring, degree: int, width: int, values, seed: int) -> bo
     A nonzero difference of total degree <= ``degree`` vanishes at a uniform
     point of S^width with probability at most degree/|S| (Schwartz 1980;
     Zippel 1979); k is the least count with (degree/|S|)^k <= 2^-ERROR_BITS.
-    S is [-h, h], both parts over Z[i].  h = SAMPLE_HALF_WIDTH while |S| >
-    2*degree, so the points are a prefix of the seeded stream there; else h =
-    degree, after one uncounted point at SAMPLE_HALF_WIDTH.  Only the medial
-    identity of ``structure.is_medial`` reaches the widened case, at deg(p)
-    >= 11 over Z and Q; the slot compositions of multilinear p would need
-    n > 50.
+    S is ``ring.box(h)``, of ``ring.box_size(h)`` elements.  h =
+    SAMPLE_HALF_WIDTH while |S| > 2*degree, so the points are a prefix of the
+    seeded stream there; else h = degree, after one uncounted point at
+    SAMPLE_HALF_WIDTH.  Only the medial identity of ``structure.is_medial``
+    reaches the widened case, at deg(p) >= 11 over Z and Q; the slot
+    compositions of multilinear p would need n > 50.
     """
-    dim = 2 if ring is Ring.ZI else 1  # |S| = (2h+1)^dim
     h, uncounted = SAMPLE_HALF_WIDTH, []
-    if (2 * h + 1) ** dim <= 2 * degree:
+    if ring.box_size(h) <= 2 * degree:
         h, uncounted = degree, [h]
-    k = next(k for k in count(1) if (2 * h + 1) ** (dim * k) >= degree**k << ERROR_BITS)
+    k = next(k for k in count(1) if ring.box_size(h) ** k >= degree**k << ERROR_BITS)
     rng = XorShift64Star(seed)
     points = (rng.elements(ring, half_width, width) for half_width in uncounted + [h] * k)
     return all(len(set(values(point))) == 1 for point in points)
@@ -211,19 +204,14 @@ def _slot_candidates(masks: list[int], n: int, slot: int) -> set[int]:
 class _SubsetSums(dict):
     """p(1_S) = the sum of c_T over T within S, by mask S, each computed on
     first read and kept (Yates 1937; Bjorklund, Husfeldt, Kaski and Koivisto
-    2007).  Over Q the coefficients are scaled once to integers over their
-    common denominator ``den``, so each entry is den * p(1_S); elsewhere
-    ``den`` is 1."""
+    2007).  The coefficients are scaled once to integers over their common
+    denominator ``den`` (``Ring.scaled``), so each entry is den * p(1_S);
+    ``den`` is 1 outside Q."""
 
     def __init__(self, p: MultilinearPoly):
         super().__init__()
-        if p.ring is Ring.Q:
-            self.den = lcm(*(c.denominator for c in p.coeffs.values()))
-            self.terms = [
-                (m, c.numerator * (self.den // c.denominator)) for m, c in p.coeffs.items()
-            ]
-        else:
-            self.den, self.terms = 1, list(p.coeffs.items())
+        self.den, scaled = p.ring.scaled(p.coeffs.values())
+        self.terms = list(zip(p.coeffs, scaled))
 
     def __missing__(self, mask: int):
         value = self[mask] = _subset_sum(self.terms, mask)
@@ -347,16 +335,6 @@ class EnumerationResult:
     census: list[CensusRow]
 
 
-def _value_domain(ring: Ring, bound: int) -> list:
-    if ring is Ring.Z:
-        return list(range(-bound, bound + 1))
-    return [
-        GaussianInt(re, im)
-        for re in range(-bound, bound + 1)
-        for im in range(-bound, bound + 1)
-    ]
-
-
 def _enumerate_chunk(args) -> tuple[int, int, list[MultilinearPoly]]:
     """Walk one slice of the coefficient box (split on the top coefficient).
 
@@ -368,7 +346,7 @@ def _enumerate_chunk(args) -> tuple[int, int, list[MultilinearPoly]]:
     rejected wholesale.  Returns (checked, bulk_rejected, survivors).
     """
     ring, n, bound, first_values, prune = args
-    domain = _value_domain(ring, bound)
+    domain = ring.box(bound)
     order = sorted(range(1 << n), key=lambda m: (-m.bit_count(), -m))
     sizes = [m.bit_count() for m in order]
     zero = ring.zero
@@ -420,12 +398,13 @@ def enumerate_associative(
     """
     if n < 2:
         raise ValueError("arity must be at least 2")
-    if ring is Ring.Q:
-        raise ValueError("enumeration over Q is unsupported (boxes are infinite up to reduction)")
+    if ring.is_field:
+        raise ValueError(
+            f"enumeration over {ring.label} is unsupported (boxes are infinite up to reduction)"
+        )
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    side = 2 * bound + 1
-    d, slots = (side * side if ring is Ring.ZI else side), 1 << n
+    d, slots = ring.box_size(bound), 1 << n
     # Counts are printed up to the live int-to-str limit, or Python's
     # default one when the live setting is 0 (no limit).
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
@@ -455,7 +434,7 @@ def enumerate_associative(
         # walked as 2^n one-value lists and sorted by a 2^n-entry key.
         checked, bulk, found = 1, 0, [MultilinearPoly(ring, n)]
     else:
-        chunks = _split(_value_domain(ring, bound), max(1, jobs))
+        chunks = _split(ring.box(bound), max(1, jobs))
         args = [(ring, n, bound, chunk, prune) for chunk in chunks]
         if len(args) > 1:
             from multiprocessing import Pool
@@ -468,7 +447,7 @@ def enumerate_associative(
         bulk = sum(part[1] for part in parts)
 
         def table_key(ml: MultilinearPoly) -> list:
-            return [_value_key(ml.coeff(m)) for m in range(1 << n)]
+            return [ring.coords(ml.coeff(m)) for m in range(1 << n)]
 
         found = sorted((ml for part in parts for ml in part[2]), key=table_key)
     survivors = [(ml, classify_associative(ml)) for ml in found]
@@ -502,7 +481,7 @@ def _build_census(survivors, ring: Ring) -> list[CensusRow]:
     groups: dict[tuple, list] = {}
     for _, cls in survivors:
         params = " ".join(f"{k}={v}" for k, v in classification_params(cls, ring).items())
-        groups.setdefault((param_sort_key(cls), cls.type_tag, params), []).append(cls)
+        groups.setdefault((param_sort_key(cls, ring), cls.type_tag, params), []).append(cls)
     rows = []
     for (_, type_tag, params), members in sorted(groups.items()):
         rows.append(CensusRow(type_tag, params, len(members)))

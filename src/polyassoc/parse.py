@@ -11,8 +11,9 @@ Tokens: a decimal-digit run, ``x`` and its digits, ``i``, ``(``, ``)``, ``**``
 and ``-+*/^``.  Digits and whitespace are the Unicode classes ``str.isdecimal``
 and ``str.isspace`` accept: ``x\u0663`` is x3, a superscript ``\u00b2`` an error.
 
-``i`` is accepted only over Z[i]; ``/`` only over Q and only with an integer
-literal denominator.  Exponents are capped at ``EXPONENT_CAP`` to bound memory.
+``i`` is accepted only where the ring has it (Z[i]); ``/`` only over a field
+(Q) and only with an integer literal denominator.  Exponents are capped at
+``EXPONENT_CAP`` to bound memory.
 Parentheses nest to any depth: the parser keeps them on a list, not on the
 Python stack.
 """
@@ -21,11 +22,10 @@ from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
 from typing import NamedTuple
 
 from .poly import SparsePoly
-from .rings import GaussianInt, Ring
+from .rings import Ring
 
 EXPONENT_CAP = 64
 
@@ -134,9 +134,9 @@ def _atom(tok: Token, nvars: int, ring: Ring) -> SparsePoly:
     if tok.kind == "int":
         return SparsePoly.constant(ring, nvars, int(tok.text))
     if tok.kind == "imag":
-        if ring is not Ring.ZI:
+        if ring.imaginary_unit is None:
             raise ParseError(f"'i' is only available over Z[i], not {ring.label}", tok.pos, ())
-        return SparsePoly.constant(ring, nvars, GaussianInt(0, 1))
+        return SparsePoly.constant(ring, nvars, ring.imaginary_unit)
     if tok.kind == "var":
         index = tok.value
         if not 1 <= index <= nvars:
@@ -176,14 +176,14 @@ def _divisors(
     """``product`` divided by each '/' literal at ``tokens[i]``, and the index
     after them."""
     while tokens[i].kind == "op" and tokens[i].text == "/":
-        if ring is not Ring.Q:
+        if not ring.is_field:
             raise ParseError(f"'/' is only available over Q, not {ring.label}", tokens[i].pos, ())
         lit = tokens[i + 1]
         if lit.kind != "int":
             raise ParseError("denominator must be an integer literal", lit.pos, ("integer",))
         if lit.value == 0:
             raise ParseError("division by zero", lit.pos, ())
-        product = product * Fraction(1, lit.value)
+        product = product * ring.exact_div(1, lit.value)
         i += 2
     return product, i
 

@@ -10,13 +10,12 @@ public API, matching the ``x1 .. xn`` naming of the expression grammar.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 from operator import add
 from typing import Mapping, Sequence
 
-from .rings import GaussianInt, Ring, _pow
+from .rings import Ring, _pow
 
 Monomial = tuple[int, ...]
 
@@ -170,16 +169,16 @@ class SparsePoly:
     def evaluate(self, point: Sequence):
         """The value at ``point``, exact and of the ring's element type.
 
-        The first call builds a plan from the terms and keeps it: over Z the
-        coefficients as they are, over Q integer numerators over their
-        common denominator, over Z[i] ``(re, im)`` integer pairs.  Each call
-        then sums in plain ints and builds one ring element at the end.
+        The first call asks the ring for its plan of the terms and keeps it
+        (``Ring.plan``): a kernel and the coefficients in plain ints, over Q
+        numerators over their common denominator, over Z[i] ``(re, im)``
+        pairs.  Each call then sums in ints and builds one ring element.
         Every coordinate is validated; a foreign value raises TypeError.
         """
         if len(point) != self.nvars:
             raise ValueError(f"expected {self.nvars} coordinates, got {len(point)}")
         if self._factors is None:
-            self._factors = _plan(self.ring, self.terms)
+            self._factors = self.ring.plan(self.terms)
         kernel, plan = self._factors
         return kernel(plan, point)
 
@@ -235,7 +234,7 @@ class SparsePoly:
         graded = sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
         for exps, coeff in graded:
             mono = _monomial_str(exps)
-            body = _coeff_grammar_str(self.ring, coeff)
+            body = self.ring.grammar_str(coeff)
             sign = "+"
             if body.startswith("-"):
                 sign, body = "-", body[1:]
@@ -341,72 +340,6 @@ def _merge(into: dict[Monomial, object], terms: Mapping[Monomial, object]) -> No
             del into[e]
 
 
-def _plan(ring: Ring, terms: dict[Monomial, object]) -> tuple:
-    """The evaluation kernel for ``ring`` and the data it reads: per term the
-    coefficient in ints and its ``(variable, exponent)`` factors."""
-    factors = [[(j, e) for j, e in enumerate(exps) if e] for exps in terms]
-    if ring is Ring.Z:
-        return _evaluate_z, list(zip(terms.values(), factors))
-    if ring is Ring.ZI:
-        return _evaluate_zi, [(c.re, c.im, f) for c, f in zip(terms.values(), factors)]
-    # Over Q every term is scaled up to the total degree, so that at a point
-    # whose coordinates share the denominator V all terms share den * V^degree.
-    den = lcm(*(c.denominator for c in terms.values()))
-    degree = max((sum(exps) for exps in terms), default=0)
-    scaled = [
-        (c.numerator * (den // c.denominator), degree - sum(exps), f)
-        for (exps, c), f in zip(terms.items(), factors)
-    ]
-    return _evaluate_q, (den, degree, scaled)
-
-
-def _evaluate_z(terms: list, point: Sequence) -> int:
-    xs = [v if type(v) is int else Ring.Z.coerce(v) for v in point]
-    total = 0
-    for v, factors in terms:
-        for j, e in factors:
-            v = v * xs[j] if e == 1 else v * xs[j] ** e
-        total += v
-    return total
-
-
-def _evaluate_q(plan: tuple, point: Sequence) -> Fraction:
-    den, degree, terms = plan
-    xs = [v if type(v) is Fraction or type(v) is int else Ring.Q.coerce(v) for v in point]
-    common = lcm(*(v.denominator for v in xs))
-    nums = [v.numerator * (common // v.denominator) for v in xs]
-    powers = [common**k for k in range(degree + 1)]
-    total = 0
-    for v, deficit, factors in terms:
-        v *= powers[deficit]
-        for j, e in factors:
-            v = v * nums[j] if e == 1 else v * nums[j] ** e
-        total += v
-    return Fraction(total, den * powers[degree])
-
-
-def _evaluate_zi(terms: list, point: Sequence) -> GaussianInt:
-    xs = []
-    for v in point:
-        if type(v) is int:
-            xs.append((v, 0))
-        else:
-            v = Ring.ZI.coerce(v)
-            xs.append((v.re, v.im))
-    re_total = im_total = 0
-    for re, im, factors in terms:
-        for j, e in factors:
-            if e == 1:
-                x, y = xs[j]
-            else:
-                g = GaussianInt._trusted(*xs[j]) ** e
-                x, y = g.re, g.im
-            re, im = re * x - im * y, re * y + im * x
-        re_total += re
-        im_total += im
-    return GaussianInt._trusted(re_total, im_total)
-
-
 def from_size_coeffs(ring: Ring, n: int, size_coeffs: Sequence) -> MultilinearPoly:
     """The symmetric multilinear polynomial sum_k c_k * (elementary symmetric of degree k)."""
     if len(size_coeffs) != n + 1:
@@ -422,13 +355,3 @@ def _monomial_str(exps: Monomial) -> str:
     """``x1*x3^2`` for (1, 0, 2); the empty string for the constant monomial."""
     return "*".join(f"x{j + 1}" if e == 1 else f"x{j + 1}^{e}" for j, e in enumerate(exps) if e)
 
-
-def _coeff_grammar_str(ring: Ring, coeff) -> str:
-    """Coefficient rendering accepted by the expression grammar: the display
-    form, with ``*`` before a scaled ``i`` and ``a+bi`` in parentheses."""
-    text = str(coeff)
-    if ring is not Ring.ZI or not coeff.im:
-        return text
-    if text[-2:-1].isdigit():
-        text = text[:-1] + "*i"
-    return f"({text})" if coeff.re else text

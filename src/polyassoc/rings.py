@@ -1,19 +1,23 @@
-"""Exact arithmetic for the supported coefficient rings.
+"""Exact arithmetic for the supported coefficient rings, and every decision
+that differs between them.
 
 Three infinite integral domains are available: the integers, the rationals,
 and the Gaussian integers.  Elements are plain Python values -- ``int`` for
 Z, ``fractions.Fraction`` for Q, and :class:`GaussianInt` for Z[i] -- so all
-arithmetic is exact and arbitrary precision; whether a quotient lies in the
-ring is decided by :meth:`Ring.exact_div`.  :class:`Frac` is the normal form
-of a fraction-field value (a reduced numerator/denominator pair over any of
-the three rings), kept for parameters such as a shifted product's offset; it
-does no arithmetic beyond negation.
+arithmetic is exact and arbitrary precision.  Each :class:`Ring` member
+holds its ring's class, the one place where that ring's behaviour is
+written; the other modules ask the ring and never test which ring they
+hold.  :class:`Frac` is the normal form of a fraction-field value (a
+reduced numerator/denominator pair over any of the three rings), kept for
+parameters such as a shifted product's offset; no arithmetic but negation.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 
 class GaussianInt:
@@ -111,22 +115,6 @@ class GaussianInt:
     def __pow__(self, k: int) -> GaussianInt:
         return _pow(self, k, GaussianInt(1))
 
-    def __divmod__(self, other):
-        # Euclidean division by rounding the exact quotient componentwise;
-        # the remainder satisfies norm(r) <= norm(other) / 2.
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
-        n = other.norm
-        if n == 0:
-            raise ZeroDivisionError("division by zero")
-        t = self * other.conjugate()
-        q = GaussianInt(_round_div(t.re, n), _round_div(t.im, n))
-        return q, self - q * other
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
 
 def _as_gauss(x) -> GaussianInt | None:
     """A foreign operand as a GaussianInt (bools become ints), or None.
@@ -155,56 +143,197 @@ def _pow(base, k: int, one):
         base = base * base
 
 
-def _round_div(a: int, b: int) -> int:
-    """Nearest integer to a/b for b > 0 (ties rounded up)."""
-    return (2 * a + b) // (2 * b)
+class _RingClass:
+    """One ring's behaviour, held by its :class:`Ring` member and reached only
+    through it.  The defaults fit a Euclidean ring (``divmod``) whose
+    elements are their own single integer coordinate, as Z's are."""
+
+    is_field, dim, imaginary_unit = False, 1, None  # dim: integer coordinates per element
+    grammar_str = staticmethod(str)
+
+    def coords(self, x) -> tuple:
+        return (x,)
+
+    def elements(self, coords: list) -> list:
+        return coords
+
+    def scaled(self, coeffs) -> tuple[int, list]:
+        return 1, list(coeffs)
+
+    def divide(self, a, b):
+        q, r = self.divmod(a, b)
+        return None if r else q
+
+    def fraction(self, num, den) -> tuple:
+        """num/den over the gcd of the two (Euclid's algorithm), times the unit
+        that leaves the denominator's first coordinate positive and the others
+        nonnegative: Z's denominator positive, Z[i]'s in re > 0, im >= 0."""
+        g, r = den, num
+        while r:
+            g, r = r, self.divmod(g, r)[1]
+        num, den = self.divide(num, g), self.divide(den, g)
+        for u in self.units:
+            first, *rest = self.coords(den * u)
+            if first > 0 and min(rest, default=0) >= 0:
+                return num * u, den * u
+        raise AssertionError("unreachable: some unit lands in the canonical quadrant")
 
 
-def gaussian_gcd(a: GaussianInt, b: GaussianInt) -> GaussianInt:
-    """Greatest common divisor in Z[i], normalized to the canonical associate."""
-    while b:
-        a, b = b, a % b
-    return canonical_associate(a)
+class _Integers(_RingClass):
+    type, label, units = int, "Z", (1, -1)
+    divmod = staticmethod(divmod)
+
+    def coerce(self, x):
+        if isinstance(x, int):
+            return int(x)  # flattens bool
+        if isinstance(x, Fraction) and x.denominator == 1:
+            return x.numerator
+        if isinstance(x, GaussianInt) and x.im == 0:
+            return x.re
+        return None
+
+    def root(self, x, k: int):
+        return integer_nth_root(x, k)
+
+    def plan(self, terms: dict, factors: list) -> tuple:
+        return self.evaluate, list(zip(terms.values(), factors))
+
+    @staticmethod
+    def evaluate(terms: list, point) -> int:
+        xs = [v if type(v) is int else Ring.Z.coerce(v) for v in point]
+        total = 0
+        for v, factors in terms:
+            for j, e in factors:
+                v = v * xs[j] if e == 1 else v * xs[j] ** e
+            total += v
+        return total
 
 
-def canonical_unit(g: GaussianInt) -> GaussianInt:
-    """The unit u such that g*u lies in the half-open quadrant re > 0, im >= 0."""
-    if not g:
-        raise ValueError("zero has no canonical unit")
-    for u in _UNITS_ZI:
-        c = g * u
-        if c.re > 0 and c.im >= 0:
-            return u
-    raise AssertionError("unreachable: some rotation lands in the canonical quadrant")
+class _Rationals(_RingClass):
+    """Q: drawn and boxed elements stay ints, which Q takes as they are."""
+
+    type, label, units, is_field = Fraction, "Q", (Fraction(1), Fraction(-1)), True
+
+    def coerce(self, x):
+        return Fraction(x) if isinstance(x, (int, Fraction)) else None
+
+    def divide(self, a, b):
+        return a / b
+
+    def fraction(self, num, den) -> tuple:
+        return num / den, Fraction(1)  # a field is its own fraction field
+
+    def root(self, x, k: int):
+        num, den = integer_nth_root(x.numerator, k), integer_nth_root(x.denominator, k)
+        return None if num is None or den is None else Fraction(num, den)
+
+    def coords(self, x) -> tuple:
+        return x.numerator, x.denominator
+
+    def scaled(self, coeffs) -> tuple[int, list]:
+        coeffs = list(coeffs)
+        den = lcm(*(c.denominator for c in coeffs))
+        return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+    def plan(self, terms: dict, factors: list) -> tuple:
+        # Every term is scaled up to the total degree, so that at a point
+        # whose coordinates share the denominator V all terms share den * V^degree.
+        den, nums = self.scaled(terms.values())
+        degree = max((sum(exps) for exps in terms), default=0)
+        scaled = [(c, degree - sum(exps), f) for c, exps, f in zip(nums, terms, factors)]
+        return self.evaluate, (den, degree, scaled)
+
+    @staticmethod
+    def evaluate(plan: tuple, point) -> Fraction:
+        den, degree, terms = plan
+        xs = [v if type(v) is Fraction or type(v) is int else Ring.Q.coerce(v) for v in point]
+        common = lcm(*(v.denominator for v in xs))
+        nums = [v.numerator * (common // v.denominator) for v in xs]
+        powers = [common**k for k in range(degree + 1)]
+        total = 0
+        for v, deficit, factors in terms:
+            v *= powers[deficit]
+            for j, e in factors:
+                v = v * nums[j] if e == 1 else v * nums[j] ** e
+            total += v
+        return Fraction(total, den * powers[degree])
 
 
-def canonical_associate(g: GaussianInt) -> GaussianInt:
-    return g * canonical_unit(g) if g else GaussianInt(0)
+class _GaussianIntegers(_RingClass):
+    """Z[i]: an element's coordinates are its real and imaginary parts."""
 
+    type, label, dim = GaussianInt, "Z[i]", 2
+    units = (GaussianInt(1), GaussianInt(0, 1), GaussianInt(-1), GaussianInt(0, -1))
+    imaginary_unit = units[1]
 
-_UNITS_ZI = (GaussianInt(1), GaussianInt(0, 1), GaussianInt(-1), GaussianInt(0, -1))
+    def coerce(self, x):
+        return _as_gauss(x)
+
+    def divmod(self, a, b) -> tuple:
+        # t/n rounded componentwise (ties up), so norm(remainder) <= norm(b) / 2
+        n, t = b.norm, a * b.conjugate()
+        q = GaussianInt._trusted((2 * t.re + n) // (2 * n), (2 * t.im + n) // (2 * n))
+        return q, a - q * b
+
+    def root(self, x, k: int):
+        raise NotImplementedError("n-th roots over Z[i] are not needed")
+
+    def coords(self, x) -> tuple:
+        return x.re, x.im
+
+    def elements(self, coords: list) -> list:
+        return [GaussianInt._trusted(re, im) for re, im in zip(coords[::2], coords[1::2])]
+
+    def grammar_str(self, x) -> str:
+        text = str(x)
+        if not x.im:
+            return text
+        if text[-2:-1].isdigit():
+            text = text[:-1] + "*i"  # 2i -> 2*i
+        return f"({text})" if x.re else text
+
+    def plan(self, terms: dict, factors: list) -> tuple:
+        return self.evaluate, [(c.re, c.im, f) for c, f in zip(terms.values(), factors)]
+
+    @staticmethod
+    def evaluate(terms: list, point) -> GaussianInt:
+        xs = []
+        for v in point:
+            if type(v) is int:
+                xs.append((v, 0))
+            else:
+                v = Ring.ZI.coerce(v)
+                xs.append((v.re, v.im))
+        re_total = im_total = 0
+        for re, im, factors in terms:
+            for j, e in factors:
+                if e == 1:
+                    x, y = xs[j]
+                else:
+                    g = GaussianInt._trusted(*xs[j]) ** e
+                    x, y = g.re, g.im
+                re, im = re * x - im * y, re * y + im * x
+            re_total += re
+            im_total += im
+        return GaussianInt._trusted(re_total, im_total)
 
 
 class Ring(Enum):
-    """The available base rings; values double as the CLI ring flags."""
+    """The available base rings; values double as the CLI ring flags.  Each
+    member holds its ring's class and copies its constants: ``label``,
+    ``is_field``, ``dim`` (integer coordinates per element) and
+    ``imaginary_unit`` (i, or None where the ring has no i)."""
 
     Z = "z"
     Q = "q"
     ZI = "zi"
 
     def __init__(self, value):
-        # element type, zero and one, made once per member
-        self._type = {"z": int, "q": Fraction, "zi": GaussianInt}[value]
-        self._zero = self._type(0)
-        self._one = self._type(1)
-
-    @property
-    def label(self) -> str:
-        return {"z": "Z", "q": "Q", "zi": "Z[i]"}[self.value]
-
-    @property
-    def is_field(self) -> bool:
-        return self is Ring.Q
+        # the ring's class, its constants, and zero and one, made once per member
+        ops = self._ops = {"z": _Integers, "q": _Rationals, "zi": _GaussianIntegers}[value]()
+        self._type, self.label, self.is_field, self.dim = ops.type, ops.label, ops.is_field, ops.dim
+        self.imaginary_unit = ops.imaginary_unit
+        self._zero, self._one = self._type(0), self._type(1)
 
     @property
     def zero(self):
@@ -221,70 +350,73 @@ class Ring(Enum):
         """
         if type(x) is self._type:
             return x
-        if self is Ring.Z:
-            if isinstance(x, int):
-                return int(x)  # flattens bool
-            if isinstance(x, Fraction) and x.denominator == 1:
-                return x.numerator
-            if isinstance(x, GaussianInt) and x.im == 0:
-                return x.re
-            raise TypeError(f"{x!r} is not an element of Z")
-        if self is Ring.Q:
-            if isinstance(x, (int, Fraction)):
-                return Fraction(x)
-            raise TypeError(f"{x!r} is not an element of Q")
-        if isinstance(x, GaussianInt):
-            return x
-        if isinstance(x, int):
-            return GaussianInt(x)
-        raise TypeError(f"{x!r} is not an element of Z[i]")
+        y = self._ops.coerce(x)
+        if y is None:
+            raise TypeError(f"{x!r} is not an element of {self.label}")
+        return y
 
     def roots_of_unity(self, m: int) -> tuple:
         """All ring elements w with w**m == 1; in Z, Q and Z[i] every root of
-        unity is among 1, i, -1, -i."""
+        unity is a unit of Z[i]."""
         if m < 1:
             raise ValueError("exponent must be positive")
-        candidates = _UNITS_ZI if self is Ring.ZI else (self.one, -self.one)
-        return tuple(u for u in candidates if u**m == self.one)
+        return tuple(u for u in self._ops.units if u**m == self.one)
 
     def exact_div(self, a, b):
         """The q with b*q == a when q exists in the ring, else None."""
-        a = self.coerce(a)
-        b = self.coerce(b)
+        a, b = self.coerce(a), self.coerce(b)
         if not b:
             raise ZeroDivisionError("division by zero")
-        if self is Ring.Z:
-            q, r = divmod(a, b)
-            return q if r == 0 else None
-        if self is Ring.Q:
-            return a / b
-        n = b.norm
-        t = a * b.conjugate()
-        if t.re % n or t.im % n:
-            return None
-        return GaussianInt(t.re // n, t.im // n)
+        return self._ops.divide(a, b)
 
     def nth_roots(self, x, k: int) -> tuple:
-        """All ring elements r with r**k == x, positive representative first."""
+        """All r with r**k == x, one root times each k-th root of unity, positive first."""
         if k < 1:
             raise ValueError("root index must be positive")
-        x = self.coerce(x)
-        if self is Ring.Z:
-            return _int_nth_roots(x, k)
-        if self is Ring.Q:
-            num = _int_nth_roots(x.numerator, k)
-            den = _int_nth_roots(x.denominator, k)
-            if not num or not den:
-                return ()
-            base = Fraction(num[0], den[0])
-            if k % 2 == 0 and base != 0:
-                return (base, -base)
-            return (base,)
-        raise NotImplementedError("n-th roots over Z[i] are not needed")
+        r = self._ops.root(self.coerce(x), k)
+        if r is None:
+            return ()
+        return tuple(r * u for u in self.roots_of_unity(k)) if r else (r,)
 
     def element_str(self, x) -> str:
-        """Exact display rendering: plain for Z, num/den for Q, a+bi for Z[i]."""
-        return str(self.coerce(x))
+        """Exact display rendering of a ring or fraction element: plain for Z,
+        num/den for Q, a+bi for Z[i]."""
+        return str(x if isinstance(x, Frac) else self.coerce(x))
+
+    def grammar_str(self, x) -> str:
+        """Rendering of element x that the expression grammar reads back."""
+        return self._ops.grammar_str(x)
+
+    def coords(self, x) -> tuple:
+        """Integer coordinates of x, by which elements sort: Z's x, Q's numerator
+        and denominator, Z[i]'s re and im; a fraction's numerator's and denominator's."""
+        if isinstance(x, Frac):
+            return self._ops.coords(x.num), self._ops.coords(x.den)
+        return self._ops.coords(x)
+
+    def draw(self, randints, half_width: int, count: int) -> list:
+        """``count`` elements whose ``dim`` coordinates each are read, in
+        order, from ``randints(-half_width, half_width, dim * count)``."""
+        return self._ops.elements(randints(-half_width, half_width, self.dim * count))
+
+    def box(self, bound: int) -> list:
+        """The ``box_size(bound)`` elements with every coordinate in
+        [-bound, bound], in lexicographic order of their coordinates."""
+        side = range(-bound, bound + 1)
+        return self._ops.elements([c for cs in product(side, repeat=self.dim) for c in cs])
+
+    def box_size(self, bound: int) -> int:
+        return (2 * bound + 1) ** self.dim
+
+    def scaled(self, coeffs) -> tuple[int, list]:
+        """A common denominator of ``coeffs`` (1 outside Q) and each times it, as ints."""
+        return self._ops.scaled(coeffs)
+
+    def plan(self, terms: dict) -> tuple:
+        """The kernel that ``SparsePoly.evaluate`` calls and the data it reads:
+        per term the coefficient in ints and its ``(variable, exponent)`` factors."""
+        factors = [[(j, e) for j, e in enumerate(exps) if e] for exps in terms]
+        return self._ops.plan(terms, factors)
 
 
 def integer_nth_root(x: int, k: int):
@@ -313,17 +445,8 @@ def integer_nth_root(x: int, k: int):
     return None
 
 
-def _int_nth_roots(x: int, k: int) -> tuple:
-    r = integer_nth_root(x, k)
-    if r is None:
-        return ()
-    if k % 2 == 0 and r != 0:
-        return (r, -r)
-    return (r,)
-
-
 class Frac:
-    """Reduced fraction of ring elements with a canonical representative.
+    """Reduced fraction of ring elements in its ring's ``fraction`` normal form.
 
     Over Z the denominator is positive; over Q it is 1 (a field is its own
     fraction field); over Z[i] numerator and denominator are divided by their
@@ -337,20 +460,8 @@ class Frac:
         num = ring.coerce(num)
         if not den:
             raise ZeroDivisionError("zero denominator")
-        if ring is Ring.Q:
-            num, den = num / den, Fraction(1)
-        elif ring is Ring.Z:
-            f = Fraction(num, den)
-            num, den = f.numerator, f.denominator
-        else:
-            g = gaussian_gcd(num, den) if num else canonical_associate(den)
-            num = ring.exact_div(num, g)
-            den = ring.exact_div(den, g)
-            u = canonical_unit(den)
-            num, den = num * u, den * u
         self.ring = ring
-        self.num = num
-        self.den = den
+        self.num, self.den = ring._ops.fraction(num, den)
 
     def __repr__(self) -> str:
         return f"Frac({self.ring.name}, {self.num!r}, {self.den!r})"

@@ -114,8 +114,12 @@ def test_value_at_the_int_to_str_limit_is_printed(capsys):
 
 
 def test_invalid_flags_exit_code(capsys):
-    code, _, _ = run(capsys, "check", "--ring", "r", "--n", "3", "--poly", "x1")
-    assert code == 2
+    code, _, err = run(capsys, "check", "--ring", "r", "--n", "3", "--poly", "x1")
+    assert code == 2 and "--ring {z,q,zi}" in err
+    # enumerate takes only the rings that are not fields
+    code, _, err = run(capsys, "enumerate", "--ring", "q", "--n", "2", "--bound", "1", "--out", ".")
+    assert code == 2 and "--ring {z,zi}" in err
+    assert err.endswith("error: argument --ring: invalid choice: 'q' (choose from 'z', 'zi')\n")
     code, _, _ = run(capsys, "check", "--ring", "z", "--poly", "x1")
     assert code == 2
     code, _, err = run(capsys, "check", "--ring", "z", "--n", "1", "--poly", "x1")

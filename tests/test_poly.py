@@ -369,7 +369,7 @@ def test_deciding_census_candidates_builds_no_exponent_tuples(monkeypatch):
 
     monkeypatch.setattr(MultilinearPoly, "terms", property(unbuilt))
     for ring, n in ((Ring.Z, 3), (Ring.ZI, 2)):
-        domain = oracle._value_domain(ring, 1)
+        domain = ring.box(1)
         checked, _, survivors = oracle._enumerate_chunk((ring, n, 1, domain, False))
         assert checked == len(domain) ** (1 << n) and survivors
 

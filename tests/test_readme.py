@@ -59,3 +59,26 @@ def test_package_imports_only_the_standard_library():
                 if top not in sys.stdlib_module_names
             ]
     assert offenders == []
+
+
+def test_only_rings_knows_which_ring_it_holds():
+    # every per-ring decision lives in rings.py; the package re-exports GaussianInt
+    offenders = []
+    for path in sorted(Path(polyassoc.__file__).parent.glob("*.py")):
+        if path.name == "rings.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                found = node.value.id == "Ring" and node.attr in ("Z", "Q", "ZI")
+            elif isinstance(node, ast.Import):
+                found = any(alias.name == "fractions" for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                found = node.module == "fractions" or (
+                    "GaussianInt" in names and path.name != "__init__.py"
+                )
+            else:
+                continue
+            if found:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from polyassoc import Frac, GaussianInt, Ring, ShiftedProduct, XorShift64Star
-from polyassoc.rings import canonical_associate, gaussian_gcd, integer_nth_root
+from polyassoc import Frac, GaussianInt, Ring, ShiftedProduct, SparsePoly, XorShift64Star, parse_poly
+from polyassoc.rings import integer_nth_root
 
-RINGS = [Ring.Z, Ring.Q, Ring.ZI]
+# Every member: a new ring is covered by these tests without new test code.
+RINGS = list(Ring)
+over_every_ring = pytest.mark.parametrize("ring", RINGS, ids=lambda ring: ring.value)
 
 
 def test_exact_div_integers():
@@ -107,27 +109,37 @@ def test_gaussian_results_have_int_components():
     assert (True + g, g - True, True * g) == (GaussianInt(3, -3), GaussianInt(1, -3), g)
 
 
-def test_gaussian_gcd_divides_and_is_canonical():
+@over_every_ring
+def test_frac_normal_form_and_hash(ring):
+    # one pair per value: scaling numerator and denominator by a common
+    # factor or a unit changes neither the pair nor the hash
     rng = XorShift64Star(5)
+    units = ring.roots_of_unity(4)
     for _ in range(200):
-        a = GaussianInt(rng.randint(-20, 20), rng.randint(-20, 20))
-        b = GaussianInt(rng.randint(-20, 20), rng.randint(-20, 20))
-        if not a and not b:
+        a, b, c = rng.elements(ring, 20, 3)
+        if not b or not c:
             continue
-        g = gaussian_gcd(a, b)
-        assert Ring.ZI.exact_div(a, g) is not None
-        assert Ring.ZI.exact_div(b, g) is not None
-        assert g.re > 0 and g.im >= 0
-        # scaling both arguments scales the gcd norm
-        c = GaussianInt(1, 1)
-        assert gaussian_gcd(a * c, b * c).norm == g.norm * c.norm
+        f = Frac(ring, a, b)
+        assert f.num * b == a * f.den
+        again = Frac(ring, f.num, f.den)
+        assert (again.num, again.den) == (f.num, f.den)
+        for d in (c, *units):
+            g = Frac(ring, a * d, b * d)
+            assert (g.num, g.den) == (f.num, f.den) and g == f and hash(g) == hash(f)
+        if f.den == ring.one:
+            assert f == f.num and hash(f) == hash(f.num)
 
 
-def test_canonical_associate():
-    assert canonical_associate(GaussianInt(-3)) == GaussianInt(3)
-    assert canonical_associate(GaussianInt(0, -2)) == GaussianInt(2)
-    assert canonical_associate(GaussianInt(-1, 2)) == GaussianInt(2, 1)
-    assert canonical_associate(GaussianInt(0)) == GaussianInt(0)
+@over_every_ring
+def test_rendered_elements_reparse(ring):
+    rng = XorShift64Star(11)
+    for _ in range(200):
+        a, b = rng.elements(ring, 30, 2)
+        for c in (a, ring.exact_div(a, b) if b else None):
+            if c is None:
+                continue
+            p = SparsePoly.constant(ring, 2, c) + SparsePoly.variable(ring, 2, 1) * c
+            assert parse_poly(p.render(), 2, ring) == p
 
 
 def test_frac_normalization():
@@ -141,6 +153,15 @@ def test_frac_normalization():
     )
     g = Frac(Ring.ZI, GaussianInt(1), GaussianInt(1, 1))
     assert g.den.re > 0 and g.den.im >= 0
+    # the denominator is the associate in the quadrant re > 0, im >= 0
+    for den, canonical in [
+        (GaussianInt(-3), GaussianInt(3)),
+        (GaussianInt(0, -2), GaussianInt(2)),
+        (GaussianInt(-1, 2), GaussianInt(2, 1)),
+    ]:
+        assert Frac(Ring.ZI, 1, den).den == canonical
+    zero = Frac(Ring.ZI, 0, GaussianInt(0, 3))
+    assert (zero.num, zero.den) == (GaussianInt(0), GaussianInt(1))
 
 
 def test_frac_arithmetic():
