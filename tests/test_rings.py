@@ -153,13 +153,17 @@ def test_frac_normalization():
     )
     g = Frac(Ring.ZI, GaussianInt(1), GaussianInt(1, 1))
     assert g.den.re > 0 and g.den.im >= 0
-    # the denominator is the associate in the quadrant re > 0, im >= 0
+
+
+def test_canonical_associate():
+    # a Gaussian denominator is the associate in the quadrant re > 0, im >= 0
     for den, canonical in [
         (GaussianInt(-3), GaussianInt(3)),
         (GaussianInt(0, -2), GaussianInt(2)),
         (GaussianInt(-1, 2), GaussianInt(2, 1)),
     ]:
         assert Frac(Ring.ZI, 1, den).den == canonical
+    # zero is its own associate; as a numerator it takes the denominator 1
     zero = Frac(Ring.ZI, 0, GaussianInt(0, 3))
     assert (zero.num, zero.den) == (GaussianInt(0), GaussianInt(1))
 
