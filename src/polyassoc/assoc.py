@@ -9,19 +9,27 @@ of terms.  The verdict carries a deterministic witness on failure: the
 first slot whose composition differs from slot 1's, and the first monomial,
 in colex order, where the two differ.
 
-Either composition can be restricted to x1..x_k: terms that would place a
-variable past x_k are dropped before anything is multiplied.  In colex
-order every monomial in x1..x_k comes before every monomial that uses a
-later variable, so the first difference of two restricted compositions is
-the first difference of the full ones.  The decision compares slot 2
-against slot 1 on x1 alone first, which settles most non-associative input
-from the constant and x1 coefficients, and then in full; slots 3..n are
-compared in full.
+The decision compares slot 2 against slot 1 on x1 alone first, then in
+full, and then slots 3..n in full.  In colex order every monomial in x1
+comes before every monomial that uses a later variable, so a difference on
+x1 is the witness the full comparison would find.  That first step settles
+most non-associative input.  For multilinear input it builds no
+composition: a mask M of the slot-s composition splits into W, its window
+bits x_s..x_(s+n-1) shifted down to 1..n, and O, its outer bits mapped back
+to 1..n with x_s clear, and its coefficient is
+
+    [W = 0]*c_O + c_(O | {s})*c_W,
+
+read from p's own coefficients.  So the constant and x1 coefficients of
+slots 1 and 2 come from the four coefficients of 1, x1, x2 and x1*x2.
+Input with a squared variable is substituted with every term that would
+place a variable past x1 dropped first (``k = 1``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .poly import Monomial, MultilinearPoly, SparsePoly, _monomial_str
 
@@ -119,6 +127,17 @@ def compose_closed_form(p: MultilinearPoly, slot: int, k: int | None = None) -> 
     return MultilinearPoly._trusted(p.ring, m, {mask: c for mask, c in coeffs.items() if c})
 
 
+def _pulled_coeff(p: MultilinearPoly, slot: int, mask: int):
+    """The coefficient of ``mask`` in the slot composition of multilinear p,
+    read off p as [W = 0]*c_O + c_(O | {slot})*c_W (see the module docstring)."""
+    n, get, zero = p.nvars, p.coeffs.get, p.ring.zero
+    slot_bit = 1 << (slot - 1)
+    window = (mask >> (slot - 1)) & ((1 << n) - 1)
+    outer = (mask & (slot_bit - 1)) | ((mask >> (slot + n - 1)) << slot)
+    nested = get(outer | slot_bit, zero) * get(window, zero)
+    return nested if window else get(outer, zero) + nested
+
+
 def _check_slot(n: int, slot: int, k: int | None) -> int:
     """The number of variables of a slot composition, 2n-1, after checking
     ``slot`` and ``k`` against it."""
@@ -144,11 +163,10 @@ def _first_difference(lhs: dict, rhs: dict, key=None):
 
 
 def _comparisons(p, compose, symmetric):
-    """Pairs of compositions to compare, as (slot, slot 1's, the slot's), in
-    the order that keeps the witness: slot 2 on x1 alone, slot 2 in full,
-    then, unless ``symmetric()`` holds, slots 3..n in full.  Lazy, so a
-    caller that stops at a difference builds nothing further."""
-    yield 2, compose(p, 1, 1), compose(p, 2, 1)
+    """Full compositions to compare, as (slot, slot 1's, the slot's), in the
+    order that keeps the witness: slot 2, then, unless ``symmetric()``
+    holds, slots 3..n.  Lazy, so a caller that stops at a difference builds
+    nothing further.  Each route compares slots 1 and 2 on x1 before these."""
     base = compose(p, 1)
     yield 2, base, compose(p, 2)
     if p.nvars > 2 and not symmetric():
@@ -156,34 +174,51 @@ def _comparisons(p, compose, symmetric):
             yield slot, base, compose(p, slot)
 
 
+def _mask_witness(slot: int, mask: int, m: int, lhs, rhs) -> AssocVerdict:
+    monomial = tuple((mask >> j) & 1 for j in range(m))
+    return AssocVerdict(False, CompositionWitness(slot, monomial, lhs, rhs))
+
+
 def associative_multilinear(p: MultilinearPoly) -> AssocVerdict:
-    """Associativity for multilinear operations via the closed-form sums."""
+    """Associativity for multilinear operations.
+
+    Slots 1 and 2 are compared first at the masks 0 and 1, whose
+    coefficients are pulled from p by the formula of the module docstring:
+    slot 1 gives c0 + c1*c0 and c1*c1, slot 2 gives c0 + c2*c0 and
+    c1 + c12*c0.  Only a table that agrees there has its compositions built
+    by the closed-form sums.
+    """
     n = p.n
     if n < 2:
         raise ValueError("arity must be at least 2")
+    m = 2 * n - 1
+    for mask in (0, 1):
+        lhs, rhs = _pulled_coeff(p, 1, mask), _pulled_coeff(p, 2, mask)
+        if lhs != rhs:
+            return _mask_witness(2, mask, m, lhs, rhs)
     zero = p.ring.zero
     for slot, base, other in _comparisons(p, compose_closed_form, p.is_symmetric):
         if other.coeffs != base.coeffs:
             mask = _first_difference(base.coeffs, other.coeffs)
-            monomial = tuple((mask >> j) & 1 for j in range(2 * n - 1))
             lhs, rhs = base.coeffs.get(mask, zero), other.coeffs.get(mask, zero)
-            return AssocVerdict(False, CompositionWitness(slot, monomial, lhs, rhs))
+            return _mask_witness(slot, mask, m, lhs, rhs)
     return AssocVerdict(True)
 
 
 def is_associative(p: SparsePoly) -> AssocVerdict:
     """Decide associativity, with a deterministic failure witness.
 
-    Multilinear input goes through the closed-form composition sums, with
+    Multilinear input goes through :func:`associative_multilinear`, with
     a shortcut for symmetric operations (the first two slot compositions
     agreeing already settles the symmetric case).  Anything with a squared
     variable is decided by full substitution expansion, so the verdict is
     about the input itself, not about a normal form.
 
-    Both routes compare slot 2 against slot 1 restricted to x1 first and
-    then in full, and slots 3..n in full.  The restricted comparison holds
-    the constant and x1 coefficients, which come first in colex order, so a
-    difference there is the same witness the full comparison finds.
+    Both routes compare slot 2 against slot 1 on x1 first and then in full,
+    and slots 3..n in full.  The x1 step holds the constant and x1
+    coefficients, which come first in colex order, so a difference there is
+    the same witness the full comparison finds.  The multilinear route
+    reads those coefficients off p; this route substitutes with ``k = 1``.
     """
     n = p.nvars
     if n < 2:
@@ -192,7 +227,8 @@ def is_associative(p: SparsePoly) -> AssocVerdict:
     if ml is not None:
         return associative_multilinear(ml)
     zero = p.ring.zero
-    for slot, base, other in _comparisons(p, compose_substitution, lambda: False):
+    on_x1 = (2, compose_substitution(p, 1, 1), compose_substitution(p, 2, 1))
+    for slot, base, other in chain([on_x1], _comparisons(p, compose_substitution, lambda: False)):
         e = _first_difference(base.terms, other.terms, _colex_key)
         if e is not None:
             lhs, rhs = base.terms.get(e, zero), other.terms.get(e, zero)

@@ -301,6 +301,8 @@ class _GaussianIntegers(_RingClass):
         for v in point:
             if type(v) is int:
                 xs.append((v, 0))
+            elif type(v) is GaussianInt:
+                xs.append((v.re, v.im))
             else:
                 v = Ring.ZI.coerce(v)
                 xs.append((v.re, v.im))

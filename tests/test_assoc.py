@@ -19,6 +19,8 @@ from polyassoc import (
     is_associative,
     parse_poly,
 )
+from polyassoc import assoc
+from polyassoc.assoc import _pulled_coeff
 
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
 
@@ -320,6 +322,46 @@ def test_witness_past_x1_comes_from_the_full_comparison(text, n, slot, monomial)
     assert (w.slot, w.monomial, w.lhs, w.rhs) == colex_first_difference(p)
     # the x1-restricted compositions of slots 1 and 2 agree
     assert compose_substitution(p, 1, 1) == compose_substitution(p, 2, 1)
+
+
+@st.composite
+def multilinear_tables(draw):
+    """A multilinear table over Z, Q or Z[i] at n = 2..5 on any set of masks."""
+    ring = draw(st.sampled_from((Ring.Z, Ring.Q, Ring.ZI)))
+    n = draw(st.integers(2, 5))
+    masks = st.integers(0, (1 << n) - 1)
+    return MultilinearPoly(ring, n, draw(st.dictionaries(masks, ring_values(ring))))
+
+
+@SETTINGS
+@given(multilinear_tables())
+def test_pulled_coefficient_matches_the_closed_form(p):
+    for slot in range(1, p.n + 1):
+        composition = compose_closed_form(p, slot)
+        for mask in range(1 << (2 * p.n - 1)):
+            pulled = _pulled_coeff(p, slot, mask)
+            assert pulled == composition.coeff(mask)
+            assert type(pulled) is type(p.ring.zero)
+
+
+@pytest.mark.parametrize("text, n, mask, lhs, rhs", [
+    ("1 + x1*x2*x3 + x2", 3, 0, 1, 2),
+    ("2*x1 + x2*x3", 3, 1, 4, 2),
+    ("3 + 2*x1 + x2", 2, 0, 9, 6),
+    ("1 + 2*x1 + 2*x2 + x1*x2", 2, 1, 4, 3),
+])
+def test_x1_step_builds_no_composition(monkeypatch, text, n, mask, lhs, rhs):
+    p = parse_poly(text, n, Ring.Z).to_multilinear()
+    expected = associative_multilinear(p)
+
+    def build(*args):
+        raise AssertionError("composition built")
+
+    monkeypatch.setattr(assoc, "compose_closed_form", build)
+    verdict = associative_multilinear(p)
+    assert verdict == expected
+    monomial = (mask,) + (0,) * (2 * n - 2)
+    assert verdict.witness == assoc.CompositionWitness(2, monomial, lhs, rhs)
 
 
 def restricted_terms(composition, k):

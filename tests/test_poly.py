@@ -83,6 +83,20 @@ def test_evaluate():
         p.evaluate((1,))
 
 
+def test_gaussian_points_are_read_without_coercion(monkeypatch):
+    p = parse_poly("(1+2*i)*x1^3*x2 + x2^2 - i*x1", 2, Ring.ZI)
+    points = [(GaussianInt(2, -1), GaussianInt(0, 3)), (GaussianInt(-1, 1), 4)]
+    expected = [p.evaluate(point) for point in points]
+    x, y, i = GaussianInt(2, -1), GaussianInt(0, 3), GaussianInt(0, 1)
+    assert expected[0] == (1 + 2 * i) * x**3 * y + y**2 - i * x
+
+    def no_coercion(ring, x):
+        raise AssertionError(f"coerced {x!r}")
+
+    monkeypatch.setattr(Ring, "coerce", no_coercion)
+    assert [p.evaluate(point) for point in points] == expected
+
+
 def test_evaluate_ring_mismatch():
     foreign = {
         Ring.Z: (Fraction(1, 2), GaussianInt(0, 1), 1.5, "1"),
