@@ -13,23 +13,24 @@ The decision compares slot 2 against slot 1 on x1 alone first, then in
 full, and then slots 3..n in full.  In colex order every monomial in x1
 comes before every monomial that uses a later variable, so a difference on
 x1 is the witness the full comparison would find.  That first step settles
-most non-associative input.  For multilinear input it builds no
-composition: a mask M of the slot-s composition splits into W, its window
-bits x_s..x_(s+n-1) shifted down to 1..n, and O, its outer bits mapped back
-to 1..n with x_s clear, and its coefficient is
+most non-associative input, and on both routes it reads p instead of
+building a composition.  For multilinear input, a mask M of the slot-s
+composition splits into W, its window bits x_s..x_(s+n-1) shifted down to
+1..n, and O, its outer bits mapped back to 1..n with x_s clear, and its
+coefficient is
 
     [W = 0]*c_O + c_(O | {s})*c_W,
 
 read from p's own coefficients.  So the constant and x1 coefficients of
-slots 1 and 2 come from the four coefficients of 1, x1, x2 and x1*x2.
-Input with a squared variable is substituted with every term that would
-place a variable past x1 dropped first (``k = 1``).
+slots 1 and 2 come from the four coefficients of 1, x1, x2 and x1*x2.  For
+input with a squared variable, setting x2..x_(2n-1) to 0 leaves f(f(x1))
+in slot 1, with f = p(x1, 0, .., 0), and p(x1, c, 0, .., 0) in slot 2, with
+c = p(0, .., 0); both are read from p's terms in x1 and x2 alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .poly import Monomial, MultilinearPoly, SparsePoly, _monomial_str
 
@@ -72,56 +73,33 @@ class AssocVerdict:
         return self.associative
 
 
-def compose_substitution(p: SparsePoly, slot: int, k: int | None = None) -> SparsePoly:
+def compose_substitution(p: SparsePoly, slot: int) -> SparsePoly:
     """The slot composition p(x1, .., p(x_slot, .., x_(slot+n-1)), .., x_(2n-1)),
-    expanded by substituting into p twice.
-
-    With ``k``, only its monomials in x1..x_k: the terms of p that would
-    place a variable past x_k, in the nested or the outer copy, are dropped
-    before substituting.
-    """
+    expanded in full by substituting into p twice."""
     n = p.nvars
-    m = _check_slot(n, slot, k)
-    k = m if k is None else k
+    m = _check_slot(n, slot)
     xs = [SparsePoly.variable(p.ring, m, j) for j in range(1, m + 1)]
-    inner = _below(p, range(slot - 1, slot - 1 + n), k)
-    # the nested slot sits at position 0: its value is restricted already
-    outer = _below(p, [*range(slot - 1), 0, *range(slot + n - 1, m)], k)
-    inner = inner.substitute(xs[slot - 1 : slot - 1 + n])
-    return outer.substitute(xs[: slot - 1] + [inner] + xs[slot - 1 + n :])
+    inner = p.substitute(xs[slot - 1 : slot - 1 + n])
+    return p.substitute(xs[: slot - 1] + [inner] + xs[slot - 1 + n :])
 
 
-def _below(p: SparsePoly, positions, k: int) -> SparsePoly:
-    """The terms of p whose every variable j sits at ``positions[j]`` < k."""
-    terms = {
-        exps: c for exps, c in p.terms.items()
-        if all(pos < k for pos, e in zip(positions, exps) if e)
-    }
-    return SparsePoly._trusted(p.ring, p.nvars, terms)
-
-
-def compose_closed_form(p: MultilinearPoly, slot: int, k: int | None = None) -> MultilinearPoly:
-    """The slot composition of multilinear p, summed over its support.
+def compose_closed_form(p: MultilinearPoly, slot: int) -> MultilinearPoly:
+    """The slot composition of multilinear p in full, summed over its support.
 
     An outer term containing x_slot times each inner term gives one product,
     its remaining variables placed around the nested window; an outer term
     without x_slot passes through as it is.  For t terms that is at most
-    t(t+1) contributions, whatever the arity.  With ``k``, only the masks
-    below 2^k: outer and inner terms whose placed mask reaches x_(k+1) are
-    dropped before multiplying.
+    t(t+1) contributions, whatever the arity.
     """
     n = p.n
-    m = _check_slot(n, slot, k)
-    limit = 1 << (m if k is None else k)
+    m = _check_slot(n, slot)
     slot_bit = 1 << (slot - 1)
     zero, pass_through = p.ring.zero, [(0, p.ring.one)]
-    inners = [(mask << (slot - 1), c) for mask, c in p.coeffs.items() if mask << (slot - 1) < limit]
+    inners = [(mask << (slot - 1), c) for mask, c in p.coeffs.items()]
     coeffs: dict[int, object] = {}
     for outer, a in p.coeffs.items():
         # bits below the slot stay; bits above it move past the nested window
         placed = (outer & (slot_bit - 1)) | ((outer >> slot) << (slot + n - 1))
-        if placed >= limit:
-            continue
         for inner, b in inners if outer & slot_bit else pass_through:
             coeffs[placed | inner] = coeffs.get(placed | inner, zero) + a * b
     return MultilinearPoly._trusted(p.ring, m, {mask: c for mask, c in coeffs.items() if c})
@@ -138,15 +116,28 @@ def _pulled_coeff(p: MultilinearPoly, slot: int, mask: int):
     return nested if window else get(outer, zero) + nested
 
 
-def _check_slot(n: int, slot: int, k: int | None) -> int:
-    """The number of variables of a slot composition, 2n-1, after checking
-    ``slot`` and ``k`` against it."""
-    m = 2 * n - 1
+def _check_slot(n: int, slot: int) -> int:
+    """2n-1, the number of variables of a slot composition, after checking ``slot``."""
     if not 1 <= slot <= n:
         raise ValueError(f"slot {slot} out of range 1..{n}")
-    if k is not None and not 1 <= k <= m:
-        raise ValueError(f"k {k} out of range 1..{m}")
-    return m
+    return 2 * n - 1
+
+
+def _x1_parts(p: SparsePoly) -> tuple[dict, dict]:
+    """The monomials in x1 alone of slots 1 and 2, as univariate term dicts,
+    read off p (see the module docstring): f(f(x1)) for the terms f of p in
+    x1 alone, and the sum of a*c^e2*x1^e1 over the terms a*x1^e1*x2^e2 of p
+    in x1 and x2 alone, with c the constant term."""
+    zero = p.ring.zero
+    c = p.terms.get((0,) * p.nvars, zero)
+    f, slot2 = {}, {}
+    for (e1, e2, *rest), a in p.terms.items():
+        if not any(rest):
+            slot2[(e1,)] = slot2.get((e1,), zero) + a * c**e2
+            if not e2:
+                f[(e1,)] = a
+    f = SparsePoly._trusted(p.ring, 1, f)
+    return f.substitute([f]).terms, {e: v for e, v in slot2.items() if v}
 
 
 def _colex_key(monomial: Monomial) -> tuple[int, ...]:
@@ -211,14 +202,16 @@ def is_associative(p: SparsePoly) -> AssocVerdict:
     Multilinear input goes through :func:`associative_multilinear`, with
     a shortcut for symmetric operations (the first two slot compositions
     agreeing already settles the symmetric case).  Anything with a squared
-    variable is decided by full substitution expansion, so the verdict is
-    about the input itself, not about a normal form.
+    variable is decided from p's terms and by substitution, so the verdict
+    is about the input itself, not about a normal form.
 
     Both routes compare slot 2 against slot 1 on x1 first and then in full,
     and slots 3..n in full.  The x1 step holds the constant and x1
     coefficients, which come first in colex order, so a difference there is
-    the same witness the full comparison finds.  The multilinear route
-    reads those coefficients off p; this route substitutes with ``k = 1``.
+    the same witness the full comparison finds.  Both routes read those
+    coefficients off p: the multilinear route through :func:`_pulled_coeff`,
+    this one through :func:`_x1_parts`.  Only the full comparisons build
+    compositions.
     """
     n = p.nvars
     if n < 2:
@@ -227,8 +220,12 @@ def is_associative(p: SparsePoly) -> AssocVerdict:
     if ml is not None:
         return associative_multilinear(ml)
     zero = p.ring.zero
-    on_x1 = (2, compose_substitution(p, 1, 1), compose_substitution(p, 2, 1))
-    for slot, base, other in chain([on_x1], _comparisons(p, compose_substitution, lambda: False)):
+    lhs, rhs = _x1_parts(p)
+    e = _first_difference(lhs, rhs)
+    if e is not None:
+        monomial = e + (0,) * (2 * n - 2)
+        return AssocVerdict(False, CompositionWitness(2, monomial, lhs.get(e, zero), rhs.get(e, zero)))
+    for slot, base, other in _comparisons(p, compose_substitution, lambda: False):
         e = _first_difference(base.terms, other.terms, _colex_key)
         if e is not None:
             lhs, rhs = base.terms.get(e, zero), other.terms.get(e, zero)

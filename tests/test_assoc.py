@@ -20,7 +20,7 @@ from polyassoc import (
     parse_poly,
 )
 from polyassoc import assoc
-from polyassoc.assoc import _pulled_coeff
+from polyassoc.assoc import _pulled_coeff, _x1_parts
 
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
 
@@ -100,14 +100,6 @@ def test_compose_closed_form_rejects_bad_slot():
     for slot in (0, 4):
         with pytest.raises(ValueError):
             compose_closed_form(p, slot)
-
-
-@pytest.mark.parametrize("compose", [compose_closed_form, compose_substitution])
-def test_restriction_outside_one_to_2n_minus_1_is_rejected(compose):
-    p = parse_poly(CUBIC_EXAMPLE, 3, Ring.Z).to_multilinear()
-    for k in (0, 6):
-        with pytest.raises(ValueError):
-            compose(p, 1, k)
 
 
 def test_compose_substitution_binary_examples():
@@ -320,8 +312,9 @@ def test_witness_past_x1_comes_from_the_full_comparison(text, n, slot, monomial)
     w = is_associative(p).witness
     assert (w.slot, w.monomial) == (slot, monomial)
     assert (w.slot, w.monomial, w.lhs, w.rhs) == colex_first_difference(p)
-    # the x1-restricted compositions of slots 1 and 2 agree
-    assert compose_substitution(p, 1, 1) == compose_substitution(p, 2, 1)
+    # the monomials in x1 alone of slots 1 and 2 agree
+    slot1, slot2 = _x1_parts(p)
+    assert slot1 == slot2
 
 
 @st.composite
@@ -364,30 +357,43 @@ def test_x1_step_builds_no_composition(monkeypatch, text, n, mask, lhs, rhs):
     assert verdict.witness == assoc.CompositionWitness(2, monomial, lhs, rhs)
 
 
-def restricted_terms(composition, k):
-    """The composition's terms with every monomial that uses x(k+1).. dropped."""
-    return {e: c for e, c in composition.terms.items() if not any(e[k:])}
+def x1_terms(composition):
+    """The composition's monomials in x1 alone, keyed by their x1 exponent."""
+    return {e[:1]: c for e, c in composition.terms.items() if not any(e[1:])}
 
 
 @SETTINGS
-@given(sparse_polys())
-def test_restricted_substitution_drops_every_monomial_past_x_k(p):
-    for slot in range(1, p.nvars + 1):
-        full = compose_substitution(p, slot)
-        for k in range(1, 2 * p.nvars):
-            assert compose_substitution(p, slot, k).terms == restricted_terms(full, k)
-
-
-@SETTINGS
-@given(sparse_polys(max_exp=1))
-def test_restricted_closed_form_drops_every_monomial_past_x_k(p):
+@given(st.one_of(sparse_polys(min_nvars=2), sparse_polys(min_nvars=2, max_exp=1)))
+def test_x1_reader_matches_the_full_substitution(p):
+    parts = _x1_parts(p)
+    for slot, part in zip((1, 2), parts):
+        full = x1_terms(compose_substitution(p, slot))
+        assert part == full
+        assert [type(c) for c in part.values()] == [type(full[e]) for e in part]
     ml = p.to_multilinear()
-    for slot in range(1, p.nvars + 1):
-        full = compose_closed_form(ml, slot)
-        for k in range(1, 2 * p.nvars):
-            restricted = compose_closed_form(ml, slot, k)
-            assert restricted.terms == restricted_terms(full, k)
-            assert restricted.coeffs == {m: c for m, c in full.coeffs.items() if m < 1 << k}
+    if ml is not None:
+        # both x1 readers give the same constant and x1 coefficients
+        for slot, part in zip((1, 2), parts):
+            assert set(part) <= {(0,), (1,)}
+            for e in (0, 1):
+                assert part.get((e,), p.ring.zero) == _pulled_coeff(ml, slot, e)
+
+
+@pytest.mark.parametrize("text, ring, n, monomial, lhs, rhs", [
+    ("x1^2", Ring.Z, 2, (2, 0, 0), 0, 1),
+    ("(x1+x2+x3+x4)^3", Ring.Z, 4, (3, 0, 0, 0, 0, 0, 0), 0, 1),
+    ("3*x1^3*x2^2 + 2", Ring.ZI, 2, (3, 0, 0), GaussianInt(0), GaussianInt(12)),
+])
+def test_squared_variable_x1_step_builds_no_composition(monkeypatch, text, ring, n, monomial, lhs, rhs):
+    p = parse_poly(text, n, ring)
+
+    def build(*args):
+        raise AssertionError("composition built")
+
+    monkeypatch.setattr(assoc, "compose_substitution", build)
+    w = is_associative(p).witness
+    assert w == assoc.CompositionWitness(2, monomial, lhs, rhs)
+    assert type(w.lhs) is type(w.rhs) is type(ring.zero)
 
 
 def test_symmetric_shortcut_agrees_with_full_check():
