@@ -22,7 +22,9 @@ coefficient is
     [W = 0]*c_O + c_(O | {s})*c_W,
 
 read from p's own coefficients.  So the constant and x1 coefficients of
-slots 1 and 2 come from the four coefficients of 1, x1, x2 and x1*x2.  For
+slots 1 and 2 come from the four coefficients of 1, x1, x2 and x1*x2, and
+``_x1_step`` compares them from those four alone; the census walk calls it
+once per choice of the four, before it builds any table.  For
 input with a squared variable, setting x2..x_(2n-1) to 0 leaves f(f(x1))
 in slot 1, with f = p(x1, 0, .., 0), and p(x1, c, 0, .., 0) in slot 2, with
 c = p(0, .., 0); both are read from p's terms in x1 and x2 alone.
@@ -105,15 +107,22 @@ def compose_closed_form(p: MultilinearPoly, slot: int) -> MultilinearPoly:
     return MultilinearPoly._trusted(p.ring, m, {mask: c for mask, c in coeffs.items() if c})
 
 
-def _pulled_coeff(p: MultilinearPoly, slot: int, mask: int):
-    """The coefficient of ``mask`` in the slot composition of multilinear p,
-    read off p as [W = 0]*c_O + c_(O | {slot})*c_W (see the module docstring)."""
-    n, get, zero = p.nvars, p.coeffs.get, p.ring.zero
-    slot_bit = 1 << (slot - 1)
-    window = (mask >> (slot - 1)) & ((1 << n) - 1)
-    outer = (mask & (slot_bit - 1)) | ((mask >> (slot + n - 1)) << slot)
-    nested = get(outer | slot_bit, zero) * get(window, zero)
-    return nested if window else get(outer, zero) + nested
+def _x1_step(c0, c1, c2, c12):
+    """Slots 1 and 2 of multilinear p compared at the masks 0 and 1, from the
+    coefficients c0, c1, c2 and c12 of 1, x1, x2 and x1*x2 of p.
+
+    By the formula of the module docstring, slot 1 gives c0 + c1*c0 at mask 0
+    and c1*c1 at mask 1, and slot 2 gives c0 + c2*c0 and c1 + c12*c0.
+    Returns None when both masks agree, else the first differing one as
+    (mask, slot 1's coefficient, slot 2's).
+    """
+    lhs, rhs = c1 * c0, c2 * c0  # compared before the common c0 is added
+    if lhs != rhs:
+        return 0, c0 + lhs, c0 + rhs
+    lhs, rhs = c1 * c1, c1 + c12 * c0
+    if lhs != rhs:
+        return 1, lhs, rhs
+    return None
 
 
 def _check_slot(n: int, slot: int) -> int:
@@ -165,7 +174,7 @@ def _comparisons(p, compose, symmetric):
             yield slot, base, compose(p, slot)
 
 
-def _mask_witness(slot: int, mask: int, m: int, lhs, rhs) -> AssocVerdict:
+def _mask_witness(slot: int, m: int, mask: int, lhs, rhs) -> AssocVerdict:
     monomial = tuple((mask >> j) & 1 for j in range(m))
     return AssocVerdict(False, CompositionWitness(slot, monomial, lhs, rhs))
 
@@ -173,26 +182,23 @@ def _mask_witness(slot: int, mask: int, m: int, lhs, rhs) -> AssocVerdict:
 def associative_multilinear(p: MultilinearPoly) -> AssocVerdict:
     """Associativity for multilinear operations.
 
-    Slots 1 and 2 are compared first at the masks 0 and 1, whose
-    coefficients are pulled from p by the formula of the module docstring:
-    slot 1 gives c0 + c1*c0 and c1*c1, slot 2 gives c0 + c2*c0 and
-    c1 + c12*c0.  Only a table that agrees there has its compositions built
-    by the closed-form sums.
+    Slots 1 and 2 are compared first at the masks 0 and 1, by
+    :func:`_x1_step` on four coefficients of p.  Only a table that agrees
+    there has its compositions built by the closed-form sums.
     """
     n = p.n
     if n < 2:
         raise ValueError("arity must be at least 2")
     m = 2 * n - 1
-    for mask in (0, 1):
-        lhs, rhs = _pulled_coeff(p, 1, mask), _pulled_coeff(p, 2, mask)
-        if lhs != rhs:
-            return _mask_witness(2, mask, m, lhs, rhs)
-    zero = p.ring.zero
+    get, zero = p.coeffs.get, p.ring.zero
+    step = _x1_step(get(0, zero), get(1, zero), get(2, zero), get(3, zero))
+    if step is not None:
+        return _mask_witness(2, m, *step)
     for slot, base, other in _comparisons(p, compose_closed_form, p.is_symmetric):
         if other.coeffs != base.coeffs:
             mask = _first_difference(base.coeffs, other.coeffs)
             lhs, rhs = base.coeffs.get(mask, zero), other.coeffs.get(mask, zero)
-            return _mask_witness(slot, mask, m, lhs, rhs)
+            return _mask_witness(slot, m, mask, lhs, rhs)
     return AssocVerdict(True)
 
 
@@ -209,7 +215,7 @@ def is_associative(p: SparsePoly) -> AssocVerdict:
     and slots 3..n in full.  The x1 step holds the constant and x1
     coefficients, which come first in colex order, so a difference there is
     the same witness the full comparison finds.  Both routes read those
-    coefficients off p: the multilinear route through :func:`_pulled_coeff`,
+    coefficients off p: the multilinear route through :func:`_x1_step`,
     this one through :func:`_x1_parts`.  Only the full comparisons build
     compositions.
     """

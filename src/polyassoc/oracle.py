@@ -26,7 +26,7 @@ from itertools import count, product
 from math import prod
 from operator import itemgetter
 
-from .assoc import associative_multilinear
+from .assoc import _x1_step, associative_multilinear
 from .classify import (
     Classification,
     classification_params,
@@ -329,7 +329,7 @@ class EnumerationResult:
     n: int
     bound: int
     total: int  # nominal size of the coefficient box
-    checked: int  # candidates decided individually
+    checked: int  # candidates the decision settles, x1-step rejections included
     bulk_rejected: int  # candidates removed wholesale by pruning filters
     survivors: list[tuple[MultilinearPoly, Classification]]
     census: list[CensusRow]
@@ -338,44 +338,58 @@ class EnumerationResult:
 def _enumerate_chunk(args) -> tuple[int, int, list[MultilinearPoly]]:
     """Walk one slice of the coefficient box (split on the top coefficient).
 
-    Masks run from the full subset downward, and for each top value the
-    slice is the product of one value list per mask.  Pruning shortens the
-    lists: a zero top coefficient forces degree <= 1 and idempotent
-    first/last linear coefficients, and a nonzero one forces size-uniform
-    coefficients, one free value per subset size.  Every table left out is
-    rejected wholesale.  Returns (checked, bulk_rejected, survivors).
+    For each top value the slice is the product of value lists, each setting
+    the masks it is paired with: one list per mask, or, in the pruned walk
+    with a nonzero top, one per subset size, since that forces size-uniform
+    coefficients.  Pruning also shortens the lists: a zero top coefficient
+    forces degree <= 1 and idempotent first/last linear coefficients.  Every
+    table left out is rejected wholesale.
+
+    The head lists, those that set masks 0..3, hold the four coefficients
+    that the decision's x1 step reads (``assoc._x1_step``).  That step runs
+    once per head tuple; where it finds a difference it settles every table
+    of the tail lists' product without building one.  Only the others are
+    built and decided by ``associative_multilinear``.  Returns (checked,
+    bulk_rejected, survivors), ``checked`` counting the tables of both kinds.
     """
     ring, n, bound, first_values, prune = args
     domain = ring.box(bound)
-    order = sorted(range(1 << n), key=lambda m: (-m.bit_count(), -m))
-    sizes = [m.bit_count() for m in order]
     zero = ring.zero
     idempotents = [v for v in domain if v * v == v]
+    top_mask = (1 << n) - 1
     checked = 0
     survivors: list[MultilinearPoly] = []
     for top in first_values:
         if prune and top != zero:
-            # list j holds the value shared by every mask of size n - j
-            lists = [[top]] + [domain] * n
-            per_mask = itemgetter(*(n - k for k in sizes))
+            sizes = [[m for m in range(top_mask) if m.bit_count() == k] for k in range(n)]
+            lists = [([top_mask], [top])] + [(masks, domain) for masks in sizes]
         else:
-            lists = [[top]]
-            for mask, size in zip(order[1:], sizes[1:]):
+            lists = [([top_mask], [top])]
+            for mask in range(top_mask):
+                size = mask.bit_count()
                 if not prune or size == 0:
-                    lists.append(domain)
+                    lists.append(([mask], domain))
                 elif size >= 2:
-                    lists.append([zero])
+                    lists.append(([mask], [zero]))
                 else:
-                    lists.append(idempotents if mask in (1, 1 << (n - 1)) else domain)
-            per_mask = itemgetter(*range(len(order)))
-        for values in product(*lists):
-            checked += 1
-            ml = MultilinearPoly._trusted(
-                ring, n, {m: v for m, v in zip(order, per_mask(values)) if v}
-            )
-            if associative_multilinear(ml).associative:
-                survivors.append(ml)
-    bulk = len(first_values) * len(domain) ** (len(order) - 1) - checked
+                    lists.append(([mask], idempotents if mask in (1, 1 << (n - 1)) else domain))
+        head = [item for item in lists if min(item[0]) < 4]
+        tail = [item for item in lists if min(item[0]) >= 4]
+        where = {m: j for j, (masks, _) in enumerate(head) for m in masks}
+        x1_coeffs = itemgetter(where[0], where[1], where[2], where[3])
+        tail_tables = prod(len(values) for _, values in tail)
+        for head_values in product(*(values for _, values in head)):
+            if _x1_step(*x1_coeffs(head_values)) is not None:
+                checked += tail_tables
+                continue
+            fixed = {m: v for (masks, _), v in zip(head, head_values) if v for m in masks}
+            for tail_values in product(*(values for _, values in tail)):
+                checked += 1
+                rest = {m: v for (masks, _), v in zip(tail, tail_values) if v for m in masks}
+                ml = MultilinearPoly._trusted(ring, n, fixed | rest)
+                if associative_multilinear(ml).associative:
+                    survivors.append(ml)
+    bulk = len(first_values) * len(domain) ** top_mask - checked
     return checked, bulk, survivors
 
 

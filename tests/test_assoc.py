@@ -3,7 +3,7 @@ from itertools import product
 from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyassoc import (
@@ -20,7 +20,7 @@ from polyassoc import (
     parse_poly,
 )
 from polyassoc import assoc
-from polyassoc.assoc import _pulled_coeff, _x1_parts
+from polyassoc.assoc import _x1_parts, _x1_step
 
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
 
@@ -326,6 +326,19 @@ def multilinear_tables(draw):
     return MultilinearPoly(ring, n, draw(st.dictionaries(masks, ring_values(ring))))
 
 
+def _pulled_coeff(p, slot, mask):
+    """Reference: the coefficient of ``mask`` in the slot composition of
+    multilinear p, read off p as [W = 0]*c_O + c_(O | {slot})*c_W, where W is
+    the mask's window part shifted down to 1..n and O its outer part mapped
+    back with x_slot clear (see the assoc module docstring)."""
+    n, get, zero = p.nvars, p.coeffs.get, p.ring.zero
+    slot_bit = 1 << (slot - 1)
+    window = (mask >> (slot - 1)) & ((1 << n) - 1)
+    outer = (mask & (slot_bit - 1)) | ((mask >> (slot + n - 1)) << slot)
+    nested = get(outer | slot_bit, zero) * get(window, zero)
+    return nested if window else get(outer, zero) + nested
+
+
 @SETTINGS
 @given(multilinear_tables())
 def test_pulled_coefficient_matches_the_closed_form(p):
@@ -335,6 +348,21 @@ def test_pulled_coefficient_matches_the_closed_form(p):
             pulled = _pulled_coeff(p, slot, mask)
             assert pulled == composition.coeff(mask)
             assert type(pulled) is type(p.ring.zero)
+
+
+@SETTINGS
+@given(multilinear_tables())
+@example(MultilinearPoly(Ring.ZI, 3, {0: 1, 1: 1, 2: 1, 5: GaussianInt(2, 1)}))  # agrees
+@example(MultilinearPoly(Ring.Q, 2, {0: 1, 1: 2, 2: 2, 3: 1}))  # differs at mask 1 only
+def test_x1_step_matches_the_pulled_coefficients(p):
+    step = _x1_step(*(p.coeff(mask) for mask in range(4)))
+    pulled = [(mask, _pulled_coeff(p, 1, mask), _pulled_coeff(p, 2, mask)) for mask in (0, 1)]
+    differing = [(mask, lhs, rhs) for mask, lhs, rhs in pulled if lhs != rhs]
+    if not differing:
+        assert step is None
+    else:
+        assert step == differing[0]
+        assert [type(c) for c in step] == [type(c) for c in differing[0]]
 
 
 @pytest.mark.parametrize("text, n, mask, lhs, rhs", [

@@ -601,6 +601,72 @@ def test_pruned_walk_counts(n, ring, bound, total, checked, bulk):
     assert (result.total, result.checked, result.bulk_rejected) == (total, checked, bulk)
 
 
+def reference_walk(n, ring, bound, prune):
+    """Reference: (survivors, checked, bulk_rejected) from deciding every
+    table the walk must decide, each built whole and passed to
+    ``associative_multilinear``.  Without pruning that is the whole box; with
+    it, the tables the filters keep: a zero top coefficient with degree <= 1
+    and idempotent coefficients of x1 and x_n, or a nonzero top coefficient
+    with one coefficient per subset size."""
+    domain = ring.box(bound)
+    top = (1 << n) - 1
+    idempotents = [v for v in domain if v * v == v]
+    if not prune:
+        tables = product(domain, repeat=top + 1)
+    else:
+        per_mask = [
+            domain if m == 0
+            else [ring.zero] if m.bit_count() > 1
+            else idempotents if m in (1, 1 << (n - 1))
+            else domain
+            for m in range(top)
+        ]
+        low = [table + (ring.zero,) for table in product(*per_mask)]
+        uniform = [
+            tuple(by_size[m.bit_count()] for m in range(top + 1))
+            for by_size in product(domain, repeat=n + 1)
+            if by_size[n]
+        ]
+        tables = low + uniform
+    checked, survivors = 0, []
+    for table in tables:
+        checked += 1
+        ml = MultilinearPoly(ring, n, dict(enumerate(table)))
+        if oracle.associative_multilinear(ml).associative:
+            survivors.append(ml)
+    survivors.sort(key=lambda ml: [ring.coords(ml.coeff(m)) for m in range(top + 1)])
+    return survivors, checked, len(domain) ** (top + 1) - checked
+
+
+@pytest.mark.parametrize("n, ring, bound, prune", [
+    (3, Ring.Z, 1, False),
+    (2, Ring.ZI, 1, False),
+    (2, Ring.ZI, 2, True),
+    (4, Ring.Z, 1, True),
+])
+def test_walk_matches_deciding_every_table(n, ring, bound, prune):
+    result = enumerate_associative(n, ring, bound, prune=prune, budget=10**8)
+    survivors, checked, bulk = reference_walk(n, ring, bound, prune)
+    assert [ml for ml, _ in result.survivors] == survivors
+    assert (result.checked, result.bulk_rejected) == (checked, bulk)
+
+
+def test_walk_builds_no_table_that_the_x1_step_rejects(monkeypatch):
+    calls = []
+    decide = oracle.associative_multilinear
+
+    def counted(ml):
+        calls.append(ml)
+        return decide(ml)
+
+    monkeypatch.setattr(oracle, "associative_multilinear", counted)
+    result = enumerate_associative(3, Ring.Z, 1)
+    # 22 of the 81 choices of (c0, c1, c2, c12) pass the x1 step, each
+    # with 3^4 tables of the other four coefficients
+    assert len(calls) == 22 * 81 == 1782
+    assert result.checked == 6561
+
+
 def test_enumerate_budget_and_argument_errors():
     with pytest.raises(BudgetError) as err:
         enumerate_associative(3, Ring.Z, 3, budget=1000)
