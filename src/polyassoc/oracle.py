@@ -49,7 +49,8 @@ SAMPLE_HALF_WIDTH = 100
 
 
 class BudgetError(ValueError):
-    """A grid or enumeration would exceed its budget, or a report its int-to-str limit.
+    """A grid or enumeration would exceed its budget, a parsed product or power
+    the parser's term cap (``parse.TERM_CAP``), or a report its int-to-str limit.
 
     ``required`` is the smallest budget that admits the request, or None when
     the count is not printed: an enumeration box of more decimal digits than

@@ -11,6 +11,14 @@ checks those answers against p by independent routes (``verify_skew``,
 ``skew_is_endomorphism``, ``iterate_binary``), and checks mediality, which
 every family has over a commutative ring, from p alone (``is_medial``),
 raising ``InternalInvariantError`` when any of them fails.
+
+Mediality of multilinear p at n <= 3 is exact and expands nothing: with c_0
+the constant term and g(R) = sum over T containing R of c_T * c_0^|T-R|
+(the coefficients of p shifted by c_0), the row side p(p(X_1), .., p(X_n))
+has coefficient g(R) * prod over r in R of c_(M_r) at the n x n 0/1 matrix
+M with nonempty rows R and rows M_r, and the column side the same with
+columns.  Each side has at most 2^(n^2) entries, 512 at n = 3.  At larger
+arities, and on input with a squared variable, the identity is sampled.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from dataclasses import dataclass
 
 from .classify import Classification, InternalInvariantError, NotAssociative, Reduction, SkewMap
 from .oracle import DEFAULT_SEED, _samples_agree
-from .poly import SparsePoly
+from .poly import MultilinearPoly, SparsePoly
 
 
 @dataclass(frozen=True)
@@ -58,29 +66,82 @@ def skew_is_endomorphism(p: SparsePoly, skew: SkewMap) -> bool:
 def is_medial(p: SparsePoly) -> tuple[bool, str]:
     """Row/column interchange identity over an n x n matrix of arguments.
 
-    Symbolic in n^2 variables for n <= 3; for larger arities the identity is
+    For multilinear p at n <= 3 the check is exact and reads both sides
+    off p's coefficients (``_medial_sides``), reported as "symbolic": the
+    row side has coefficient g(R) * prod over r in R of c_(M_r) at the 0/1
+    matrix M with nonempty rows R and rows M_r, for g(R) = sum over T
+    containing R of c_T * c_0^|T-R|, and the column side the same with
+    columns; each side has at most 2^(n^2) entries.  For larger arities,
+    and for input with a squared variable, the identity is
     sampled at seeded points (``oracle._samples_agree``), each n x n matrix
     drawn row-major, and the method is reported as such.  Both sides have
     total degree at most deg(p)^2.
     """
     n = p.nvars
-    if n <= 3:
-        m = n * n
-        rows = [
-            p.substitute([SparsePoly.variable(p.ring, m, r * n + c + 1) for c in range(n)])
-            for r in range(n)
-        ]
-        cols = [
-            p.substitute([SparsePoly.variable(p.ring, m, r * n + c + 1) for r in range(n)])
-            for c in range(n)
-        ]
-        return p.substitute(rows) == p.substitute(cols), "symbolic"
+    ml = p.to_multilinear() if n <= 3 else None
+    if ml is not None:
+        rows, cols = _medial_sides(ml)
+        return rows == cols, "symbolic"
 
     def sides(flat):
         by_rows = p.evaluate([p.evaluate(flat[r * n:(r + 1) * n]) for r in range(n)])
         return [by_rows, p.evaluate([p.evaluate(flat[c::n]) for c in range(n)])]
 
     return _samples_agree(p.ring, p.degree() ** 2, n * n, sides, DEFAULT_SEED), "sampled"
+
+
+def _medial_sides(p: MultilinearPoly) -> tuple[dict, dict]:
+    """Both sides of the medial identity of multilinear p, as dicts from an
+    n x n 0/1 matrix M (entry (r, c) at bit r*n + c) to den^(n+1) times the
+    coefficient of the monomial that M marks, den the common denominator of
+    p's coefficients (``Ring.scaled``; 1 outside Q).
+
+    With c_0 the constant term, p(X_r) = c_0 + y_r, so the row side
+    p(p(X_1), .., p(X_n)) is q(y_1, .., y_n) for q(y) = p(y_1 + c_0, ..,
+    y_n + c_0), whose coefficient at a row set R is
+    g(R) = sum over T containing R of c_T * c_0^|T-R|.  The rows X_r are
+    disjoint blocks of variables, so the row side's coefficient at M is g(R)
+    times the product of c_(M_r) over r in R, where R is the set of M's
+    nonempty rows and M_r is row r of M; the column side is the same with
+    columns.  Each M comes from one R and one term of p per row of R, so no
+    two entries merge, and each side has at most 2^(n^2) entries.  Scaled
+    by den^(n+1), the coefficient at M is the sum over T containing R of
+    den^(n-|T|) * s_T * s_0^|T-R|, times the product of s_(M_r), for
+    s = den * c; so over Q every product is of ints.
+    """
+    n = p.nvars
+    den, scaled = p.ring.scaled(p.coeffs.values())
+    coeffs = dict(zip(p.coeffs, scaled))
+    s0 = coeffs.get(0, 0)
+    powers = [s0**k for k in range(n + 1)]
+    weighted = [(t, s * den ** (n - t.bit_count())) for t, s in coeffs.items()]
+    # A key holds a matrix's row-side mask in its low n^2 bits and its
+    # column-side mask above them.  Term t put in row r of the row side sits
+    # at t << r*n; put in column r of the column side, its bit j sits at (j, r).
+    width = n * n
+    low = (1 << width) - 1
+    places = [
+        [((t << r * n) | sum(1 << (j * n + r) for j in range(n) if t >> j & 1) << width, s)
+         for t, s in coeffs.items() if t]
+        for r in range(n)
+    ]
+    rows: dict[int, object] = {}
+    cols: dict[int, object] = {}
+    for nonempty in range(1 << n):
+        g = sum(
+            w * powers[(t & ~nonempty).bit_count()]
+            for t, w in weighted if t & nonempty == nonempty
+        )
+        if not g:
+            continue
+        side = {0: g}
+        for r in range(n):
+            if nonempty >> r & 1:
+                side = {key | at: v * s for key, v in side.items() for at, s in places[r]}
+        for key, v in side.items():
+            rows[key & low] = v
+            cols[key >> width] = v
+    return rows, cols
 
 
 def iterate_binary(op: SparsePoly, n: int) -> SparsePoly:

@@ -194,19 +194,19 @@ def test_criterion_6_structure_suite():
                 assert skew_is_endomorphism(p, skew)
 
     medial_checked = 0
-    for n in (2, 3):
+    for ring, n in product((Ring.Z, Ring.Q, Ring.ZI), (2, 3)):
         families = []
         for c in range(-2, 3):
-            families.append(reconstruct(Constant(c), n, Ring.Z))
-            families.append(reconstruct(TranslatedSum(c), n, Ring.Z))
-        families.append(reconstruct(LeftProjection(), n, Ring.Z))
-        families.append(reconstruct(RightProjection(), n, Ring.Z))
+            families.append(reconstruct(Constant(ring.coerce(c)), n, ring))
+            families.append(reconstruct(TranslatedSum(ring.coerce(c)), n, ring))
+        families.append(reconstruct(LeftProjection(), n, ring))
+        families.append(reconstruct(RightProjection(), n, ring))
         if n == 3:
-            families.append(reconstruct(TwistedSum(-1), 3, Ring.Z))
+            families.append(reconstruct(TwistedSum(ring.coerce(-1)), 3, ring))
         for a in (-2, -1, 1, 2, 9):
-            for b in (Frac(Ring.Z, 0), Frac(Ring.Z, 1), Frac(Ring.Z, -1), Frac(Ring.Z, 1, 3)):
+            for b in (Frac(ring, 0), Frac(ring, 1), Frac(ring, -1), Frac(ring, 1, 3)):
                 try:
-                    families.append(reconstruct(ShiftedProduct(a, b), n, Ring.Z))
+                    families.append(reconstruct(ShiftedProduct(ring.coerce(a), b), n, ring))
                 except ValueError:
                     continue
         for p in families:

@@ -423,6 +423,20 @@ def alarm_after(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_a_power_past_the_term_cap_exits_2_before_it_multiplies(capsys):
+    # C(25, 20) = 53,130 terms; building them took about 7 s
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "check", "--ring", "z", "--n", "6", "--poly", "(x1+x2+x3+x4+x5+x6)^20"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == (
+        "error: a power may expand to 53130 terms, over the parser's cap of 20000 "
+        "(required 53130)\n"
+    )
+
+
 @pytest.mark.parametrize("n, power", [(31, 2), (6, 4)])
 def test_wide_power_is_decided_from_the_x1_coefficients(capsys, n, power):
     poly = "(" + " + ".join(f"x{j}" for j in range(1, n + 1)) + f")^{power}"

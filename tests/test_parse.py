@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyassoc import GaussianInt, ParseError, Ring, SparsePoly, XorShift64Star, parse_poly
+from polyassoc import (
+    BudgetError,
+    GaussianInt,
+    ParseError,
+    Ring,
+    SparsePoly,
+    XorShift64Star,
+    parse_poly,
+)
 
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
 
@@ -268,3 +276,16 @@ def test_exponent_cap_message_shows_an_unprintable_power_as_written():
             assert err.value.message == f"exponent {shown} exceeds the cap 64"
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_term_cap_bounds_each_product_and_power_before_it_is_built():
+    six = "(x1+x2+x3+x4+x5+x6)"
+    # C(19, 14) = 11,628 terms, under TERM_CAP
+    assert len(parse_poly(f"{six}^14", 6, Ring.Z).terms) == 11_628
+    with pytest.raises(BudgetError) as err:
+        parse_poly(f"{six}^16", 6, Ring.Z)  # C(21, 16) = 20,349
+    assert err.value.required == 20_349
+    # a product is bounded by t1*t2 = 792^2, though it has 11,628 terms
+    with pytest.raises(BudgetError) as err:
+        parse_poly(f"{six}^7*{six}^7", 6, Ring.Z)
+    assert err.value.required == 792 * 792

@@ -1,12 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from polyassoc import (
     Constant,
     Frac,
     GaussianInt,
     LeftProjection,
+    MultilinearPoly,
     NotAssociative,
     OracleConfig,
     RightProjection,
@@ -106,6 +109,105 @@ def test_is_medial_symbolic():
     assert is_medial(parse_poly(CUBIC_EXAMPLE, 3, Ring.Z)) == (True, "symbolic")
     # a non-associative, non-medial operation
     assert is_medial(parse_poly("2*x1*x2 + x1", 2, Ring.Z)) == (False, "symbolic")
+
+
+def _medial_by_substitution(p):
+    """Reference: both sides of the medial identity expanded in n^2 variables."""
+    n = p.nvars
+    m = n * n
+    rows = [
+        p.substitute([SparsePoly.variable(p.ring, m, r * n + c + 1) for c in range(n)])
+        for r in range(n)
+    ]
+    cols = [
+        p.substitute([SparsePoly.variable(p.ring, m, r * n + c + 1) for r in range(n)])
+        for c in range(n)
+    ]
+    return p.substitute(rows) == p.substitute(cols)
+
+
+def _ring_values(ring, nonzero=False):
+    small = st.integers(-3, 3)
+    num = st.sampled_from((-3, -2, -1, 1, 2, 3)) if nonzero else small
+    return {
+        Ring.Z: num,
+        Ring.Q: st.builds(Fraction, num, st.integers(1, 4)),
+        Ring.ZI: st.builds(GaussianInt, num, small),
+    }[ring]
+
+
+def _family_members(ring, n):
+    members = [LeftProjection(), RightProjection()]
+    for c in range(-2, 3):
+        members += [Constant(ring.coerce(c)), TranslatedSum(ring.coerce(c))]
+    for a in (-2, 1, 3):
+        for b in (0, 1, -2):
+            members.append(ShiftedProduct(ring.coerce(a), Frac(ring, b)))
+    if n == 3:
+        members += [TwistedSum(ring.coerce(-1)), ShiftedProduct(ring.coerce(9), Frac(ring, 1, 3))]
+    return [reconstruct(cls, n, ring) for cls in members]
+
+
+@st.composite
+def medial_inputs(draw):
+    """A multilinear table over Z, Q or Z[i] at n = 2 or 3: sparse or dense,
+    with a zero or nonzero constant term; a family member; or a family
+    member plus one multilinear term."""
+    ring = draw(st.sampled_from((Ring.Z, Ring.Q, Ring.ZI)))
+    n = draw(st.sampled_from((2, 3)))
+    values, nonzero = _ring_values(ring), _ring_values(ring, nonzero=True)
+    kind = draw(st.sampled_from(("sparse", "dense", "member", "member+term")))
+    if kind in ("member", "member+term"):
+        p = draw(st.sampled_from(_family_members(ring, n)))
+        if kind == "member":
+            return p
+        exps = draw(st.tuples(*[st.integers(0, 1)] * n))
+        return p + SparsePoly(ring, n, {exps: draw(nonzero)})
+    masks = range(1, 1 << n)
+    if kind == "dense":
+        coeffs = {mask: draw(nonzero) for mask in masks}
+    else:
+        coeffs = draw(st.dictionaries(st.sampled_from(masks), values, max_size=3))
+    if draw(st.booleans()):
+        coeffs[0] = draw(nonzero)
+    return MultilinearPoly(ring, n, coeffs)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(medial_inputs())
+def test_is_medial_matches_the_substitution(p):
+    expected = _medial_by_substitution(p)
+    event("medial" if expected else "not medial")
+    assert is_medial(p) == (expected, "symbolic")
+
+
+def test_is_medial_reads_multilinear_input_without_substituting(monkeypatch):
+    def ternary_product(a, b):
+        return "-" + b + " + " + a + "*" + "*".join(f"(x{j} + {b})" for j in (1, 2, 3))
+
+    cases = [
+        parse_poly(CUBIC_EXAMPLE, 3, Ring.Z),
+        parse_poly("2*x1*x2 + x1", 2, Ring.Z),
+        parse_poly(ternary_product("3/2", "1/2"), 3, Ring.Q),
+        parse_poly(ternary_product("(1 + i)", "(2 - i)"), 3, Ring.ZI),
+        parse_poly(ternary_product("3/2", "1/2") + " + x1*x2", 3, Ring.Q),
+        parse_poly(ternary_product("(1 + i)", "(2 - i)") + " + i*x3", 3, Ring.ZI),
+    ]
+    expected = [_medial_by_substitution(p) for p in cases]
+    assert expected == [True, False, True, True, False, False]
+
+    def refuse(*args):
+        raise AssertionError("is_medial expanded or sampled multilinear input")
+
+    monkeypatch.setattr(SparsePoly, "substitute", refuse)
+    monkeypatch.setattr(structure, "_samples_agree", refuse)
+    assert [is_medial(p) for p in cases] == [(e, "symbolic") for e in expected]
+
+
+def test_is_medial_samples_a_squared_variable():
+    # x1^2 is medial: both sides are x11^4; x1^2 + x2 is not
+    assert is_medial(parse_poly("x1^2", 2, Ring.Z)) == (True, "sampled")
+    assert is_medial(parse_poly("x1^2 + x2", 2, Ring.Z)) == (False, "sampled")
 
 
 def test_is_medial_sampled_for_large_arity():
