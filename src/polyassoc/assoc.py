@@ -21,10 +21,10 @@ coefficient is
 
     [W = 0]*c_O + c_(O | {s})*c_W,
 
-read from p's own coefficients.  So the constant and x1 coefficients of
-slots 1 and 2 come from the four coefficients of 1, x1, x2 and x1*x2, and
-``_x1_step`` compares them from those four alone; the census walk calls it
-once per choice of the four, before it builds any table.  For
+read from p's own coefficients (``_pulled_masks``).  So the constant and
+x1 coefficients of slots 1 and 2 come from the four coefficients of 1, x1,
+x2 and x1*x2, and ``_x1_step`` compares them from those four alone.  The
+census walk checks every equation between adjacent slots this way.  For
 input with a squared variable, setting x2..x_(2n-1) to 0 leaves f(f(x1))
 in slot 1, with f = p(x1, 0, .., 0), and p(x1, c, 0, .., 0) in slot 2, with
 c = p(0, .., 0); both are read from p's terms in x1 and x2 alone.
@@ -123,6 +123,13 @@ def _x1_step(c0, c1, c2, c12):
     if lhs != rhs:
         return 1, lhs, rhs
     return None
+
+
+def _pulled_masks(n: int, slot: int, mask: int) -> tuple[int, int, int]:
+    """The masks (O, O | {slot}, W) of p whose coefficients give the slot
+    composition's coefficient at ``mask`` by the module docstring's formula."""
+    outer = (mask & ((1 << (slot - 1)) - 1)) | ((mask >> (slot + n - 1)) << slot)
+    return outer, outer | (1 << (slot - 1)), (mask >> (slot - 1)) & ((1 << n) - 1)
 
 
 def _check_slot(n: int, slot: int) -> int:

@@ -6,9 +6,10 @@ a monomial, where each slot composition is read off subset sums of p's
 coefficients and no composition is evaluated, and probabilistically by
 evaluating the compositions at random samples; other input, never
 associative, is checked by its per-variable degrees.
-The enumerator walks entire boxes of multilinear coefficient tables, decides
-each candidate with ``assoc.associative_multilinear``, and classifies every
-associative one into a census.
+The enumerator walks entire boxes of multilinear coefficient tables, checks
+each slot composition equation once its coefficients are set, so a failure
+settles a whole sub-box, confirms each table that passes them all with
+``assoc.associative_multilinear``, and classifies those into a census.
 
 Random sampling uses xorshift64*: the 64-bit state evolves by
 ``x ^= x >> 12; x ^= x << 25; x ^= x >> 27`` and the output is
@@ -22,13 +23,13 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
-from itertools import count, product
+from itertools import count
 from math import prod
-from operator import itemgetter
 
-from .assoc import _x1_step, associative_multilinear
+from .assoc import _pulled_masks, associative_multilinear
 from .classify import (
     Classification,
+    InternalInvariantError,
     classification_params,
     classify_associative,
     param_sort_key,
@@ -330,68 +331,90 @@ class EnumerationResult:
     n: int
     bound: int
     total: int  # nominal size of the coefficient box
-    checked: int  # candidates the decision settles, x1-step rejections included
+    checked: int  # tables the walk settles, those a failed equation settles unbuilt included
     bulk_rejected: int  # candidates removed wholesale by pruning filters
     survivors: list[tuple[MultilinearPoly, Classification]]
     census: list[CensusRow]
 
 
+def _equations(n: int, lists: list) -> list[list[tuple]]:
+    """The equations "slot s = slot s+1 at M" (s < n, M over 2n-1 variables)
+    by the deepest of ``lists`` they read, as list indices (a, b, c, d, e, f)
+    for c_a + c_b*c_c = c_d + c_e*c_f (``assoc._pulled_masks``; a = -1: no c_O).
+    Those with equal sides (by commutativity, or one list sets both masks) go."""
+    where = {m: j for j, (masks, _) in enumerate(lists) for m in masks}
+    by_list: list[dict] = [{} for _ in lists]
+    for s in range(1, n):
+        for mask in range(1 << (2 * n - 1)):
+            lhs, rhs = sorted(
+                (-1 if window else where[outer], *sorted((where[nested], where[window])))
+                for outer, nested, window in (_pulled_masks(n, t, mask) for t in (s, s + 1))
+            )
+            if lhs != rhs:
+                by_list[max(lhs + rhs)][lhs + rhs] = None
+    return [list(equations) for equations in by_list]
+
+
 def _enumerate_chunk(args) -> tuple[int, int, list[MultilinearPoly]]:
     """Walk one slice of the coefficient box (split on the top coefficient).
 
-    For each top value the slice is the product of value lists, each setting
-    the masks it is paired with: one list per mask, or, in the pruned walk
-    with a nonzero top, one per subset size, since that forces size-uniform
-    coefficients.  Pruning also shortens the lists: a zero top coefficient
-    forces degree <= 1 and idempotent first/last linear coefficients.  Every
-    table left out is rejected wholesale.
-
-    The head lists, those that set masks 0..3, hold the four coefficients
-    that the decision's x1 step reads (``assoc._x1_step``).  That step runs
-    once per head tuple; where it finds a difference it settles every table
-    of the tail lists' product without building one.  Only the others are
-    built and decided by ``associative_multilinear``.  Returns (checked,
-    bulk_rejected, survivors), ``checked`` counting the tables of both kinds.
+    The slice is the product of value lists, each setting the masks it is
+    paired with: the top's, then one per mask, or, pruned with a nonzero
+    top, one per subset size (the coefficients are then size-uniform).
+    Pruning also shortens the lists: a zero top forces degree <= 1 and
+    idempotent first/last linear coefficients.  Every table left out is
+    rejected wholesale.  Each list structure is walked depth first: value v
+    of list j goes to slot j, where the ``_equations`` list j completes are
+    checked, and a failure settles every table of the later lists at once.
+    A leaf passes them all; it is built, confirmed by
+    ``associative_multilinear`` and kept.  Returns (checked, bulk_rejected,
+    survivors), ``checked`` counting the tables of both kinds.
     """
     ring, n, bound, first_values, prune = args
-    domain = ring.box(bound)
-    zero = ring.zero
+    domain, zero = ring.box(bound), ring.zero
     idempotents = [v for v in domain if v * v == v]
     top_mask = (1 << n) - 1
     checked = 0
     survivors: list[MultilinearPoly] = []
+    tops_by_kind: dict[bool, list] = {}  # keyed by "pruned and nonzero"
     for top in first_values:
-        if prune and top != zero:
-            sizes = [[m for m in range(top_mask) if m.bit_count() == k] for k in range(n)]
-            lists = [([top_mask], [top])] + [(masks, domain) for masks in sizes]
+        tops_by_kind.setdefault(bool(prune and top), []).append(top)
+    for grouped, tops in tops_by_kind.items():
+        lists = [([top_mask], tops)]
+        if grouped:
+            lists += [([m for m in range(top_mask) if m.bit_count() == k], domain)
+                      for k in range(n)]
         else:
-            lists = [([top_mask], [top])]
             for mask in range(top_mask):
                 size = mask.bit_count()
-                if not prune or size == 0:
-                    lists.append(([mask], domain))
-                elif size >= 2:
-                    lists.append(([mask], [zero]))
-                else:
-                    lists.append(([mask], idempotents if mask in (1, 1 << (n - 1)) else domain))
-        head = [item for item in lists if min(item[0]) < 4]
-        tail = [item for item in lists if min(item[0]) >= 4]
-        where = {m: j for j, (masks, _) in enumerate(head) for m in masks}
-        x1_coeffs = itemgetter(where[0], where[1], where[2], where[3])
-        tail_tables = prod(len(values) for _, values in tail)
-        for head_values in product(*(values for _, values in head)):
-            if _x1_step(*x1_coeffs(head_values)) is not None:
-                checked += tail_tables
+                kept = not prune or size == 0 or (size == 1 and mask not in (1, 1 << (n - 1)))
+                lists.append(([mask], domain if kept else idempotents if size == 1 else [zero]))
+        equations, values = _equations(n, lists), [vs for _, vs in lists]
+        later = [prod(map(len, values[j + 1 :])) for j in range(len(values))]
+        slot = [zero] * (len(values) + 1)  # slot[-1] stays zero: an absent c_O
+        j, pos = 0, [-1] * len(values)
+        while j >= 0:
+            pos[j] += 1
+            if pos[j] == len(values[j]):
+                pos[j], j = -1, j - 1
                 continue
-            fixed = {m: v for (masks, _), v in zip(head, head_values) if v for m in masks}
-            for tail_values in product(*(values for _, values in tail)):
+            slot[j] = values[j][pos[j]]
+            for a, b, c, d, e, f in equations[j]:
+                if slot[a] + slot[b] * slot[c] != slot[d] + slot[e] * slot[f]:
+                    checked += later[j]
+                    break
+            else:
+                if j + 1 < len(values):
+                    j += 1
+                    continue
                 checked += 1
-                rest = {m: v for (masks, _), v in zip(tail, tail_values) if v for m in masks}
-                ml = MultilinearPoly._trusted(ring, n, fixed | rest)
-                if associative_multilinear(ml).associative:
-                    survivors.append(ml)
-    bulk = len(first_values) * len(domain) ** top_mask - checked
-    return checked, bulk, survivors
+                table = {m: v for (masks, _), v in zip(lists, slot) if v for m in masks}
+                ml = MultilinearPoly._trusted(ring, n, table)
+                if not associative_multilinear(ml).associative:
+                    message = f"census walk keeps {ml.render()}, which the decision rejects"
+                    raise InternalInvariantError(message)
+                survivors.append(ml)
+    return checked, len(first_values) * len(domain) ** top_mask - checked, survivors
 
 
 def enumerate_associative(

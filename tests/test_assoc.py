@@ -20,7 +20,7 @@ from polyassoc import (
     parse_poly,
 )
 from polyassoc import assoc
-from polyassoc.assoc import _x1_parts, _x1_step
+from polyassoc.assoc import _pulled_masks, _x1_parts, _x1_step
 
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
 
@@ -327,16 +327,13 @@ def multilinear_tables(draw):
 
 
 def _pulled_coeff(p, slot, mask):
-    """Reference: the coefficient of ``mask`` in the slot composition of
-    multilinear p, read off p as [W = 0]*c_O + c_(O | {slot})*c_W, where W is
-    the mask's window part shifted down to 1..n and O its outer part mapped
-    back with x_slot clear (see the assoc module docstring)."""
-    n, get, zero = p.nvars, p.coeffs.get, p.ring.zero
-    slot_bit = 1 << (slot - 1)
-    window = (mask >> (slot - 1)) & ((1 << n) - 1)
-    outer = (mask & (slot_bit - 1)) | ((mask >> (slot + n - 1)) << slot)
-    nested = get(outer | slot_bit, zero) * get(window, zero)
-    return nested if window else get(outer, zero) + nested
+    """The coefficient of ``mask`` in the slot composition of multilinear p,
+    read off p as [W = 0]*c_O + c_(O | {slot})*c_W from the masks that
+    ``_pulled_masks`` names (see the assoc module docstring)."""
+    get, zero = p.coeffs.get, p.ring.zero
+    outer, nested, window = _pulled_masks(p.nvars, slot, mask)
+    product = get(nested, zero) * get(window, zero)
+    return product if window else get(outer, zero) + product
 
 
 @SETTINGS

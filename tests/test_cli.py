@@ -351,6 +351,52 @@ def test_enumerate_writes_census(tmp_path, capsys):
     assert not (out_dir / "candidates.txt").exists()
 
 
+# Over Z at bound 1, by the theorem: 3 constants, 2 projections, 3
+# translated sums, the twisted sum with omega = -1 at odd n only, and 4
+# shifted products (a = +-1 with b = 0, and the two with b = +-1 and a*b^n = b).
+@pytest.mark.parametrize("n, budget, census", [
+    (4, "43046721", """type,params,count
+constant,c=-1,1
+constant,c=0,1
+constant,c=1,1
+left-projection,,1
+right-projection,,1
+translated-sum,c=-1,1
+translated-sum,c=0,1
+translated-sum,c=1,1
+shifted-product,a=-1 b=-1,1
+shifted-product,a=-1 b=0,1
+shifted-product,a=1 b=0,1
+shifted-product,a=1 b=1,1
+"""),
+    (5, "1853020188851841", """type,params,count
+constant,c=-1,1
+constant,c=0,1
+constant,c=1,1
+left-projection,,1
+right-projection,,1
+translated-sum,c=-1,1
+translated-sum,c=0,1
+translated-sum,c=1,1
+twisted-sum,omega=-1,1
+shifted-product,a=-1 b=0,1
+shifted-product,a=1 b=-1,1
+shifted-product,a=1 b=0,1
+shifted-product,a=1 b=1,1
+"""),
+], ids=["n4", "n5"])
+def test_enumerate_walks_whole_boxes_past_arity_three(tmp_path, capsys, n, budget, census):
+    out_dir = tmp_path / "census"
+    code, out, _ = run(
+        capsys, "enumerate", "--ring", "z", "--n", str(n), "--bound", "1",
+        "--budget", budget, "--out", str(out_dir),
+    )
+    assert code == 0
+    assert f"checked individually: {budget} (bulk rejected: 0)" in out
+    assert f"associative: {census.count(chr(10)) - 1}" in out
+    assert (out_dir / "census.csv").read_text() == census
+
+
 def test_enumerate_dump_candidates(tmp_path, capsys):
     out_dir = tmp_path / "census"
     code, _, _ = run(
@@ -558,6 +604,30 @@ def test_enumerate_spot_check_failure_exit_code(tmp_path, capsys, monkeypatch):
     )
     assert code == 3
     assert "spot check" in err
+
+
+@pytest.mark.parametrize("n, slot, table", [
+    (2, 2, "-x1*x2 - x1 - x2 - 1"),
+    (3, 3, "-x3 - 1"),
+])
+def test_enumerate_walk_missing_a_slot_pair_exits_3_at_a_leaf(
+    tmp_path, capsys, monkeypatch, n, slot, table
+):
+    import polyassoc.oracle as oracle
+
+    # the equation builder reads ``slot`` as slot - 1, so the equations of
+    # that slot pair have equal sides and are dropped; the leaves the walk
+    # then keeps are confirmed by the decision, which rejects one
+    reads = oracle._pulled_masks
+    monkeypatch.setattr(
+        oracle, "_pulled_masks", lambda n, s, mask: reads(n, s - (s == slot), mask)
+    )
+    code, out, err = run(
+        capsys, "enumerate", "--ring", "z", "--n", str(n), "--bound", "1",
+        "--out", str(tmp_path / "census"),
+    )
+    assert (code, out) == (3, "")
+    assert err == f"internal error: census walk keeps {table}, which the decision rejects\n"
 
 
 @pytest.mark.parametrize("kind", ["existing-file", "under-a-file"])

@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
@@ -642,7 +643,10 @@ def reference_walk(n, ring, bound, prune):
     (3, Ring.Z, 1, False),
     (2, Ring.ZI, 1, False),
     (2, Ring.ZI, 2, True),
+    (3, Ring.ZI, 1, True),
     (4, Ring.Z, 1, True),
+    (2, Ring.ZI, 1, True),
+    (2, Ring.Z, 2, False),
 ])
 def test_walk_matches_deciding_every_table(n, ring, bound, prune):
     result = enumerate_associative(n, ring, bound, prune=prune, budget=10**8)
@@ -651,7 +655,7 @@ def test_walk_matches_deciding_every_table(n, ring, bound, prune):
     assert (result.checked, result.bulk_rejected) == (checked, bulk)
 
 
-def test_walk_builds_no_table_that_the_x1_step_rejects(monkeypatch):
+def test_walk_builds_only_the_associative_tables(monkeypatch):
     calls = []
     decide = oracle.associative_multilinear
 
@@ -661,10 +665,42 @@ def test_walk_builds_no_table_that_the_x1_step_rejects(monkeypatch):
 
     monkeypatch.setattr(oracle, "associative_multilinear", counted)
     result = enumerate_associative(3, Ring.Z, 1)
-    # 22 of the 81 choices of (c0, c1, c2, c12) pass the x1 step, each
-    # with 3^4 tables of the other four coefficients
-    assert len(calls) == 22 * 81 == 1782
+    # every table a failed equation leaves out is settled unbuilt; only the
+    # 13 leaves are built, each confirmed once
+    assert len(calls) == len(result.survivors) == 13
     assert result.checked == 6561
+
+
+def test_equations_are_built_once_per_list_structure(monkeypatch):
+    built = []
+    equations = oracle._equations
+
+    def counted(n, lists):
+        built.append([masks for masks, _ in lists])
+        return equations(n, lists)
+
+    monkeypatch.setattr(oracle, "_equations", counted)
+    ring = Ring.ZI
+    oracle._enumerate_chunk((ring, 2, 1, ring.box(1), True))
+    # one structure per kind of top, in the order of the box: nonzero (a
+    # list per subset size), then zero (a list per mask)
+    assert built == [[[3], [0], [1, 2]], [[3], [0], [1], [2]]]
+
+
+def test_equations_drop_what_commutativity_or_one_list_settles():
+    # slot 1 = slot 2 at n = 2, one list per mask: list 0 sets the top, list
+    # m + 1 mask m.  Of the 8 masks, 2, 3, 6 and 7 read c_1*c_2 against
+    # c_2*c_1 or the like on both sides, and are dropped
+    per_mask = oracle._equations(2, [([3], []), ([0], []), ([1], []), ([2], [])])
+    assert per_mask == [[], [], [(-1, 2, 2, 2, 0, 1)], [  # mask 1: c1*c1 = c1 + c12*c0
+        (1, 1, 2, 1, 1, 3),  # mask 0: c0 + c1*c0 = c0 + c2*c0
+        (-1, 3, 3, 3, 0, 1),  # mask 4: c2*c2 = c2 + c12*c0
+        (-1, 0, 2, -1, 0, 3),  # mask 5: c12*c1 = c12*c2
+    ]]
+    # one list per subset size sets c1 = c2: masks 0 and 5 then read equal
+    # sides, and mask 4 repeats mask 1
+    per_size = oracle._equations(2, [([3], []), ([0], []), ([1, 2], [])])
+    assert per_size == [[], [], [(-1, 2, 2, 2, 0, 1)]]
 
 
 def test_enumerate_budget_and_argument_errors():
@@ -721,9 +757,11 @@ def test_enumerate_jobs_deterministic():
     assert census_csv(one) == census_csv(many)
 
 
-def test_enumerate_pool_capped_at_cpu_count(monkeypatch):
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replace ``multiprocessing.Pool`` by a stand-in that maps in this
+    process; returns the list of pool sizes asked for."""
     import multiprocessing
-    import os
 
     sizes = []
 
@@ -741,39 +779,38 @@ def test_enumerate_pool_capped_at_cpu_count(monkeypatch):
             return list(map(fn, items))
 
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    return sizes
+
+
+def test_enumerate_pool_capped_at_cpu_count(monkeypatch, serial_pool):
     one = enumerate_associative(2, Ring.ZI, 1, prune=True)
     for cpus, expected in ((2, 2), (None, 1)):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         many = enumerate_associative(2, Ring.ZI, 1, prune=True, jobs=10_000)
-        assert sizes.pop() == expected
+        assert serial_pool.pop() == expected
         assert census_csv(many) == census_csv(one)
         assert candidates_text(many) == candidates_text(one)
         assert (many.checked, many.bulk_rejected) == (one.checked, one.bulk_rejected)
-    assert sizes == []
+    assert serial_pool == []
 
 
-def test_enumerate_chunk_count_bounded_by_domain(monkeypatch):
-    import multiprocessing
+def test_enumerate_chunk_count_bounded_by_domain(serial_pool):
     import time
 
-    class SerialPool:
-        def __init__(self, processes):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return list(map(fn, items))
-
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     one = enumerate_associative(2, Ring.Z, 1, prune=True)
     start = time.perf_counter()
     many = enumerate_associative(2, Ring.Z, 1, prune=True, jobs=10**12)
     assert time.perf_counter() - start < 5.0
+    assert census_csv(many) == census_csv(one)
+    assert candidates_text(many) == candidates_text(one)
+
+
+def test_walk_jobs_deterministic_at_arity_four(serial_pool):
+    one = enumerate_associative(4, Ring.Z, 1, budget=3**16)
+    many = enumerate_associative(4, Ring.Z, 1, budget=3**16, jobs=3)
+    assert serial_pool == [min(3, os.cpu_count() or 1)]
+    assert [ml for ml, _ in many.survivors] == [ml for ml, _ in one.survivors]
+    assert (many.checked, many.bulk_rejected) == (one.checked, one.bulk_rejected) == (3**16, 0)
     assert census_csv(many) == census_csv(one)
     assert candidates_text(many) == candidates_text(one)
 
