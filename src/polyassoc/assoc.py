@@ -9,25 +9,21 @@ of terms.  The verdict carries a deterministic witness on failure: the
 first slot whose composition differs from slot 1's, and the first monomial,
 in colex order, where the two differ.
 
-The decision compares slot 2 against slot 1 on x1 alone first, then in
-full, and then slots 3..n in full.  In colex order every monomial in x1
-comes before every monomial that uses a later variable, so a difference on
-x1 is the witness the full comparison would find.  That first step settles
-most non-associative input, and on both routes it reads p instead of
-building a composition.  For multilinear input, a mask M of the slot-s
-composition splits into W, its window bits x_s..x_(s+n-1) shifted down to
-1..n, and O, its outer bits mapped back to 1..n with x_s clear, and its
-coefficient is
+The decision compares slot 2 against slot 1, then slots 3..n.  For
+multilinear input, a mask M of the slot-s composition splits into W, its
+window bits x_s..x_(s+n-1) shifted down to 1..n, and O, its outer bits
+mapped back to 1..n with x_s clear, and its coefficient is
 
     [W = 0]*c_O + c_(O | {s})*c_W,
 
-read from p's own coefficients (``_pulled_masks``).  So the constant and
-x1 coefficients of slots 1 and 2 come from the four coefficients of 1, x1,
-x2 and x1*x2, and ``_x1_step`` compares them from those four alone.  The
-census walk checks every equation between adjacent slots this way.  For
-input with a squared variable, setting x2..x_(2n-1) to 0 leaves f(f(x1))
-in slot 1, with f = p(x1, 0, .., 0), and p(x1, c, 0, .., 0) in slot 2, with
-c = p(0, .., 0); both are read from p's terms in x1 and x2 alone.
+read from p's own coefficients (``_pulled_masks``).  The census walk checks
+every equation between adjacent slots this way.  Input with a squared
+variable is first compared on x1 alone: in colex order every monomial in x1
+comes before every monomial that uses a later variable, so a difference
+there is the witness the full comparison would find.  Setting x2..x_(2n-1)
+to 0 leaves f(f(x1)) in slot 1, with f = p(x1, 0, .., 0), and
+p(x1, c, 0, .., 0) in slot 2, with c = p(0, .., 0); both are read from p's
+terms in x1 and x2 alone.
 """
 
 from __future__ import annotations
@@ -107,24 +103,6 @@ def compose_closed_form(p: MultilinearPoly, slot: int) -> MultilinearPoly:
     return MultilinearPoly._trusted(p.ring, m, {mask: c for mask, c in coeffs.items() if c})
 
 
-def _x1_step(c0, c1, c2, c12):
-    """Slots 1 and 2 of multilinear p compared at the masks 0 and 1, from the
-    coefficients c0, c1, c2 and c12 of 1, x1, x2 and x1*x2 of p.
-
-    By the formula of the module docstring, slot 1 gives c0 + c1*c0 at mask 0
-    and c1*c1 at mask 1, and slot 2 gives c0 + c2*c0 and c1 + c12*c0.
-    Returns None when both masks agree, else the first differing one as
-    (mask, slot 1's coefficient, slot 2's).
-    """
-    lhs, rhs = c1 * c0, c2 * c0  # compared before the common c0 is added
-    if lhs != rhs:
-        return 0, c0 + lhs, c0 + rhs
-    lhs, rhs = c1 * c1, c1 + c12 * c0
-    if lhs != rhs:
-        return 1, lhs, rhs
-    return None
-
-
 def _pulled_masks(n: int, slot: int, mask: int) -> tuple[int, int, int]:
     """The masks (O, O | {slot}, W) of p whose coefficients give the slot
     composition's coefficient at ``mask`` by the module docstring's formula."""
@@ -173,7 +151,7 @@ def _comparisons(p, compose, symmetric):
     """Full compositions to compare, as (slot, slot 1's, the slot's), in the
     order that keeps the witness: slot 2, then, unless ``symmetric()``
     holds, slots 3..n.  Lazy, so a caller that stops at a difference builds
-    nothing further.  Each route compares slots 1 and 2 on x1 before these."""
+    nothing further."""
     base = compose(p, 1)
     yield 2, base, compose(p, 2)
     if p.nvars > 2 and not symmetric():
@@ -181,31 +159,19 @@ def _comparisons(p, compose, symmetric):
             yield slot, base, compose(p, slot)
 
 
-def _mask_witness(slot: int, m: int, mask: int, lhs, rhs) -> AssocVerdict:
-    monomial = tuple((mask >> j) & 1 for j in range(m))
-    return AssocVerdict(False, CompositionWitness(slot, monomial, lhs, rhs))
-
-
 def associative_multilinear(p: MultilinearPoly) -> AssocVerdict:
-    """Associativity for multilinear operations.
-
-    Slots 1 and 2 are compared first at the masks 0 and 1, by
-    :func:`_x1_step` on four coefficients of p.  Only a table that agrees
-    there has its compositions built by the closed-form sums.
-    """
+    """Associativity for multilinear operations, comparing the slot
+    compositions built by the closed-form sums."""
     n = p.n
     if n < 2:
         raise ValueError("arity must be at least 2")
-    m = 2 * n - 1
-    get, zero = p.coeffs.get, p.ring.zero
-    step = _x1_step(get(0, zero), get(1, zero), get(2, zero), get(3, zero))
-    if step is not None:
-        return _mask_witness(2, m, *step)
+    zero = p.ring.zero
     for slot, base, other in _comparisons(p, compose_closed_form, p.is_symmetric):
         if other.coeffs != base.coeffs:
             mask = _first_difference(base.coeffs, other.coeffs)
+            monomial = tuple((mask >> j) & 1 for j in range(2 * n - 1))
             lhs, rhs = base.coeffs.get(mask, zero), other.coeffs.get(mask, zero)
-            return _mask_witness(slot, m, mask, lhs, rhs)
+            return AssocVerdict(False, CompositionWitness(slot, monomial, lhs, rhs))
     return AssocVerdict(True)
 
 
@@ -218,13 +184,10 @@ def is_associative(p: SparsePoly) -> AssocVerdict:
     variable is decided from p's terms and by substitution, so the verdict
     is about the input itself, not about a normal form.
 
-    Both routes compare slot 2 against slot 1 on x1 first and then in full,
-    and slots 3..n in full.  The x1 step holds the constant and x1
-    coefficients, which come first in colex order, so a difference there is
-    the same witness the full comparison finds.  Both routes read those
-    coefficients off p: the multilinear route through :func:`_x1_step`,
-    this one through :func:`_x1_parts`.  Only the full comparisons build
-    compositions.
+    Both routes compare slot 2 against slot 1, then slots 3..n.  The
+    squared-variable route first compares slots 1 and 2 on x1 alone, read
+    off p by :func:`_x1_parts`; those monomials come first in colex order,
+    so a difference there is the same witness the full comparison finds.
     """
     n = p.nvars
     if n < 2:

@@ -16,6 +16,8 @@ and ``str.isspace`` accept: ``x\u0663`` is x3, a superscript ``\u00b2`` an error
 ``EXPONENT_CAP``, and every product and power is sized before it is built:
 t1*t2 terms for a product and C(t+k-1, k) for the k-th power of t terms
 bound the result, and a bound over ``TERM_CAP`` raises ``BudgetError``.
+Past the cap a product's bound also counts the monomials it can hold (see
+``_product_bound``), since merging can leave far fewer than t1*t2 terms.
 Parentheses nest to any depth: the parser keeps them on a list, not on the
 Python stack.
 """
@@ -116,7 +118,7 @@ def parse_poly(source: str, nvars: int, ring: Ring) -> SparsePoly:
             if product is None:
                 product = factor
             else:
-                _check_terms(len(product.terms) * len(factor.terms), "product")
+                _check_terms(_product_bound(product, factor), "product")
                 product = product * factor
             negate = False
             product, i = _divisors(product, tokens, i, ring)
@@ -200,6 +202,20 @@ def _divisors(
         product = product * ring.exact_div(1, lit.value)
         i += 2
     return product, i
+
+
+def _product_bound(f: SparsePoly, g: SparsePoly) -> int:
+    """A bound on the term count of f*g: t1*t2, and once that passes TERM_CAP
+    the smaller of it and C(v+D, v) - C(v+L-1, v), the number of monomials
+    in the v variables f or g uses whose total degree lies between L and D,
+    the sums of the factors' lowest and highest total degrees."""
+    bound = len(f.terms) * len(g.terms)
+    if bound <= TERM_CAP:
+        return bound
+    v = sum(map(any, zip(*f.terms, *g.terms)))
+    low = min(map(sum, f.terms)) + min(map(sum, g.terms))
+    high = f.degree() + g.degree()
+    return min(bound, comb(v + high, v) - comb(v + low - 1, v))
 
 
 def _check_terms(bound: int, what: str) -> None:

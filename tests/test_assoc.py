@@ -3,7 +3,7 @@ from itertools import product
 from operator import add
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyassoc import (
@@ -20,7 +20,7 @@ from polyassoc import (
     parse_poly,
 )
 from polyassoc import assoc
-from polyassoc.assoc import _pulled_masks, _x1_parts, _x1_step
+from polyassoc.assoc import _pulled_masks, _x1_parts
 
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
 
@@ -347,39 +347,25 @@ def test_pulled_coefficient_matches_the_closed_form(p):
             assert type(pulled) is type(p.ring.zero)
 
 
-@SETTINGS
-@given(multilinear_tables())
-@example(MultilinearPoly(Ring.ZI, 3, {0: 1, 1: 1, 2: 1, 5: GaussianInt(2, 1)}))  # agrees
-@example(MultilinearPoly(Ring.Q, 2, {0: 1, 1: 2, 2: 2, 3: 1}))  # differs at mask 1 only
-def test_x1_step_matches_the_pulled_coefficients(p):
-    step = _x1_step(*(p.coeff(mask) for mask in range(4)))
-    pulled = [(mask, _pulled_coeff(p, 1, mask), _pulled_coeff(p, 2, mask)) for mask in (0, 1)]
-    differing = [(mask, lhs, rhs) for mask, lhs, rhs in pulled if lhs != rhs]
-    if not differing:
-        assert step is None
-    else:
-        assert step == differing[0]
-        assert [type(c) for c in step] == [type(c) for c in differing[0]]
-
-
-@pytest.mark.parametrize("text, n, mask, lhs, rhs", [
-    ("1 + x1*x2*x3 + x2", 3, 0, 1, 2),
-    ("2*x1 + x2*x3", 3, 1, 4, 2),
-    ("3 + 2*x1 + x2", 2, 0, 9, 6),
-    ("1 + 2*x1 + 2*x2 + x1*x2", 2, 1, 4, 3),
+@pytest.mark.parametrize("text, ring, n, mask, lhs, rhs", [
+    ("1 + x1*x2*x3 + x2", Ring.Z, 3, 0, 1, 2),
+    ("2*x1 + x2*x3", Ring.Z, 3, 1, 4, 2),
+    ("3 + 2*x1 + x2", Ring.Z, 2, 0, 9, 6),
+    ("1 + 2*x1 + 2*x2 + x1*x2", Ring.Z, 2, 1, 4, 3),
+    ("1/2 + x1/3 + x2", Ring.Q, 2, 0, Fraction(2, 3), 1),
+    ("1 + x1/2 + x2/2 + x1*x2", Ring.Q, 2, 1, Fraction(1, 4), Fraction(3, 2)),
+    ("i + x1 + i*x2*x3", Ring.ZI, 3, 0, GaussianInt(0, 2), GaussianInt(0, 1)),
+    ("i*x1 + x2*x3", Ring.ZI, 3, 1, GaussianInt(-1), GaussianInt(0, 1)),
 ])
-def test_x1_step_builds_no_composition(monkeypatch, text, n, mask, lhs, rhs):
-    p = parse_poly(text, n, Ring.Z).to_multilinear()
-    expected = associative_multilinear(p)
-
-    def build(*args):
-        raise AssertionError("composition built")
-
-    monkeypatch.setattr(assoc, "compose_closed_form", build)
-    verdict = associative_multilinear(p)
-    assert verdict == expected
+def test_witness_at_mask_0_or_1(text, ring, n, mask, lhs, rhs):
+    # masks 0 and 1 come first in colex order, so the first difference of
+    # slot 2 there is the witness
+    p = parse_poly(text, n, ring).to_multilinear()
+    w = associative_multilinear(p).witness
     monomial = (mask,) + (0,) * (2 * n - 2)
-    assert verdict.witness == assoc.CompositionWitness(2, monomial, lhs, rhs)
+    assert w == assoc.CompositionWitness(2, monomial, lhs, rhs)
+    assert (w.slot, w.monomial, w.lhs, w.rhs) == dense_first_difference(p)
+    assert type(w.lhs) is type(w.rhs) is type(ring.zero)
 
 
 def x1_terms(composition):

@@ -1,5 +1,6 @@
 import sys
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from polyassoc import (
     XorShift64Star,
     parse_poly,
 )
+from polyassoc import parse
 
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
 
@@ -285,7 +287,43 @@ def test_term_cap_bounds_each_product_and_power_before_it_is_built():
     with pytest.raises(BudgetError) as err:
         parse_poly(f"{six}^16", 6, Ring.Z)  # C(21, 16) = 20,349
     assert err.value.required == 20_349
-    # a product is bounded by t1*t2 = 792^2, though it has 11,628 terms
+    # t1*t2 = 792^2 passes the cap, but the product has only the
+    # C(20, 6) - C(19, 6) = 11,628 monomials of degree 14 in 6 variables
+    assert parse_poly(f"{six}^7*{six}^7", 6, Ring.Z) == parse_poly(f"{six}^14", 6, Ring.Z)
     with pytest.raises(BudgetError) as err:
-        parse_poly(f"{six}^7*{six}^7", 6, Ring.Z)
-    assert err.value.required == 792 * 792
+        parse_poly(f"{six}^8*{six}^8", 6, Ring.Z)  # C(22, 6) - C(21, 6)
+    assert err.value.required == 20_349
+
+
+@st.composite
+def products_of_sums(draw):
+    """Two polynomials over Z, Q or Z[i] in 1..4 variables, each a product of
+    one to three random sums of up to four terms with exponents 0..3, in
+    its own subset of the variables."""
+    ring = draw(st.sampled_from((Ring.Z, Ring.Q, Ring.ZI)))
+    nvars = draw(st.integers(1, 4))
+    small = st.integers(-3, 3)
+    values = {
+        Ring.Z: small,
+        Ring.Q: st.builds(Fraction, small, st.integers(1, 4)),
+        Ring.ZI: st.builds(GaussianInt, small, small),
+    }[ring]
+    factors = []
+    for _ in range(2):
+        used = draw(st.sets(st.integers(0, nvars - 1)))
+        exps = st.tuples(*[st.integers(0, 3 if j in used else 0) for j in range(nvars)])
+        p = SparsePoly.constant(ring, nvars, 1)
+        for _ in range(draw(st.integers(1, 3))):
+            p = p * SparsePoly(ring, nvars, draw(st.dictionaries(exps, values, max_size=4)))
+        factors.append(p)
+    return factors
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(products_of_sums())
+def test_product_bound_is_never_below_the_built_product(factors):
+    f, g = factors
+    # a cap of 1 applies the monomial count to every product but one of two
+    # constants, whose v = 0 variables a real cap never reaches
+    with patch.object(parse, "TERM_CAP", 1):
+        assert parse._product_bound(f, g) >= len((f * g).terms)
