@@ -6,10 +6,13 @@ a monomial, where each slot composition is read off subset sums of p's
 coefficients and no composition is evaluated, and probabilistically by
 evaluating the compositions at random samples; other input, never
 associative, is checked by its per-variable degrees.
-The enumerator walks entire boxes of multilinear coefficient tables, checks
-each slot composition equation once its coefficients are set, so a failure
-settles a whole sub-box, confirms each table that passes them all with
-``assoc.associative_multilinear``, and classifies those into a census.
+The enumerator walks entire boxes of multilinear coefficient tables, one
+value list at a time with c_0's last, checks each slot composition equation
+once its coefficients are set, so a failure settles a whole sub-box, and
+solves each list's value from one equation linear in it, so only one value
+is tried where its coefficient A is nonzero (one root at most, R being an
+integral domain).  It confirms each table that passes every equation with
+``assoc.associative_multilinear`` and classifies those into a census.
 
 Random sampling uses xorshift64*: the 64-bit state evolves by
 ``x ^= x >> 12; x ^= x << 25; x ^= x >> 27`` and the output is
@@ -343,16 +346,50 @@ def _equations(n: int, lists: list) -> list[list[tuple]]:
     for c_a + c_b*c_c = c_d + c_e*c_f (``assoc._pulled_masks``; a = -1: no c_O).
     Those with equal sides (by commutativity, or one list sets both masks) go."""
     where = {m: j for j, (masks, _) in enumerate(lists) for m in masks}
-    by_list: list[dict] = [{} for _ in lists]
-    for s in range(1, n):
+    sides = []  # per slot, each mask's side (a, b, c), b <= c
+    for t in range(1, n + 1):
+        row = []
         for mask in range(1 << (2 * n - 1)):
-            lhs, rhs = sorted(
-                (-1 if window else where[outer], *sorted((where[nested], where[window])))
-                for outer, nested, window in (_pulled_masks(n, t, mask) for t in (s, s + 1))
-            )
+            outer, nested, window = _pulled_masks(n, t, mask)
+            b, c = where[nested], where[window]
+            row.append((-1 if window else where[outer], *((b, c) if b <= c else (c, b))))
+        sides.append(row)
+    by_list: list[dict] = [{} for _ in lists]
+    for lo, hi in zip(sides, sides[1:]):
+        for lhs, rhs in zip(lo, hi):
             if lhs != rhs:
-                by_list[max(lhs + rhs)][lhs + rhs] = None
+                eq = lhs + rhs if lhs < rhs else rhs + lhs
+                by_list[max(eq)][eq] = None
     return [list(equations) for equations in by_list]
+
+
+def _solver(j: int, equations: list[tuple]):
+    """List j's solving equation, or None, and the rest of ``equations``.
+
+    An equation c_a + c_b*c_c = c_d + c_e*c_f in which x, list j's value,
+    never multiplies itself reads A*x + B = 0, with A and B set by earlier
+    lists.  It is returned as slot indices (p, q, r, u, a, b, c, d, e, f):
+    A = s[p] + s[q] - s[r] - s[u] and B = s[a] + s[b]*s[c] - s[d] - s[e]*s[f],
+    where s[-2] is one and s[-1] zero.  The last such equation whose A is
+    not zero by its form is taken: unpruned, that more than halves the nodes
+    the walk visits over Z[i] at n = 2, bound 1, and cuts them by a seventh
+    over Z at n = 6, bound 1, against the first.
+    """
+    for eq in reversed(equations):
+        a, b, c, d, e, f = eq
+        if b == c == j or e == f == j:
+            continue
+        p, r = -2 if a == j else -1, -2 if d == j else -1
+        q, u = b if c == j else -1, e if f == j else -1
+        if p != r or q != u:
+            break
+    else:
+        return None, equations
+    solver = (
+        p, q, r, u, -1 if a == j else a, *((-1, -1) if c == j else (b, c)),
+        -1 if d == j else d, *((-1, -1) if f == j else (e, f)),
+    )
+    return solver, [other for other in equations if other is not eq]
 
 
 def _enumerate_chunk(args) -> tuple[int, int, list[MultilinearPoly]]:
@@ -363,12 +400,18 @@ def _enumerate_chunk(args) -> tuple[int, int, list[MultilinearPoly]]:
     top, one per subset size (the coefficients are then size-uniform).
     Pruning also shortens the lists: a zero top forces degree <= 1 and
     idempotent first/last linear coefficients.  Every table left out is
-    rejected wholesale.  Each list structure is walked depth first: value v
-    of list j goes to slot j, where the ``_equations`` list j completes are
-    checked, and a failure settles every table of the later lists at once.
-    A leaf passes them all; it is built, confirmed by
-    ``associative_multilinear`` and kept.  Returns (checked, bulk_rejected,
-    survivors), ``checked`` counting the tables of both kinds.
+    rejected wholesale.  c_0's list comes last: c_0 only ever multiplies
+    some c_(O | {s}), never itself, so every equation that reads it is
+    linear in it.  Each list structure is walked depth first.  On entering
+    list j, its solving equation (``_solver``) is read as A*x + B = 0 from
+    the lists already set.  R is an integral domain, so A != 0 leaves one
+    possible value, -B/A (``Ring.exact_div``), and A = 0 leaves all values
+    or none; the values left out are settled at once.  Value v then goes to
+    slot j, where the other ``_equations`` list j completes are checked,
+    and a failure settles every table of the later lists at once.  A leaf
+    passes them all; it is built, confirmed by ``associative_multilinear``
+    and kept.  Returns (checked, bulk_rejected, survivors), ``checked``
+    counting the tables of both kinds.
     """
     ring, n, bound, first_values, prune = args
     domain, zero = ring.box(bound), ring.zero
@@ -383,22 +426,35 @@ def _enumerate_chunk(args) -> tuple[int, int, list[MultilinearPoly]]:
         lists = [([top_mask], tops)]
         if grouped:
             lists += [([m for m in range(top_mask) if m.bit_count() == k], domain)
-                      for k in range(n)]
+                      for k in range(1, n)] + [([0], domain)]
         else:
-            for mask in range(top_mask):
+            for mask in range(1, top_mask):
                 size = mask.bit_count()
-                kept = not prune or size == 0 or (size == 1 and mask not in (1, 1 << (n - 1)))
+                kept = not prune or (size == 1 and mask not in (1, 1 << (n - 1)))
                 lists.append(([mask], domain if kept else idempotents if size == 1 else [zero]))
-        equations, values = _equations(n, lists), [vs for _, vs in lists]
+            lists.append(([0], domain))
+        values = [vs for _, vs in lists]
+        solvers, equations = zip(*map(_solver, count(), _equations(n, lists)))
+        value_sets = [set(vs) for vs in values]
         later = [prod(map(len, values[j + 1 :])) for j in range(len(values))]
-        slot = [zero] * (len(values) + 1)  # slot[-1] stays zero: an absent c_O
-        j, pos = 0, [-1] * len(values)
+        slot = [zero] * len(values) + [ring.one, zero]  # slot[-2] one, slot[-1] zero
+        j, pos, trying = 0, [-1] * len(values), list(values)
         while j >= 0:
             pos[j] += 1
-            if pos[j] == len(values[j]):
+            if not pos[j] and solvers[j]:
+                p, q, r, u, a, b, c, d, e, f = solvers[j]
+                lead = slot[p] + slot[q] - slot[r] - slot[u]
+                rest = slot[a] + slot[b] * slot[c] - slot[d] - slot[e] * slot[f]
+                if lead:
+                    x = ring.exact_div(-rest, lead)
+                    trying[j] = [x] if x in value_sets[j] else []
+                else:
+                    trying[j] = [] if rest else values[j]
+                checked += (len(values[j]) - len(trying[j])) * later[j]
+            if pos[j] == len(trying[j]):
                 pos[j], j = -1, j - 1
                 continue
-            slot[j] = values[j][pos[j]]
+            slot[j] = trying[j][pos[j]]
             for a, b, c, d, e, f in equations[j]:
                 if slot[a] + slot[b] * slot[c] != slot[d] + slot[e] * slot[f]:
                     checked += later[j]

@@ -16,8 +16,8 @@ and ``str.isspace`` accept: ``x\u0663`` is x3, a superscript ``\u00b2`` an error
 ``EXPONENT_CAP``, and every product and power is sized before it is built:
 t1*t2 terms for a product and C(t+k-1, k) for the k-th power of t terms
 bound the result, and a bound over ``TERM_CAP`` raises ``BudgetError``.
-Past the cap a product's bound also counts the monomials it can hold (see
-``_product_bound``), since merging can leave far fewer than t1*t2 terms.
+Past the cap a product's or power's bound also counts the monomials it can
+hold (see ``_monomial_count``), since merging can leave far fewer terms.
 Parentheses nest to any depth: the parser keeps them on a list, not on the
 Python stack.
 """
@@ -180,8 +180,7 @@ def _powers(base: SparsePoly, tokens: list[Token], i: int) -> tuple[SparsePoly, 
         exponent = 1
         for tok in reversed(literals):  # right-associative
             exponent = _capped_power(tok, exponent)
-        t = max(len(base.terms), 1)
-        _check_terms(comb(t + exponent - 1, exponent), "power")
+        _check_terms(_power_bound(base, exponent), "power")
         base = base**exponent
     return base, i
 
@@ -206,16 +205,33 @@ def _divisors(
 
 def _product_bound(f: SparsePoly, g: SparsePoly) -> int:
     """A bound on the term count of f*g: t1*t2, and once that passes TERM_CAP
-    the smaller of it and C(v+D, v) - C(v+L-1, v), the number of monomials
-    in the v variables f or g uses whose total degree lies between L and D,
-    the sums of the factors' lowest and highest total degrees."""
+    the smaller of it and the ``_monomial_count`` of f's and g's terms with L
+    and D the sums of the factors' lowest and highest total degrees."""
     bound = len(f.terms) * len(g.terms)
     if bound <= TERM_CAP:
         return bound
-    v = sum(map(any, zip(*f.terms, *g.terms)))
     low = min(map(sum, f.terms)) + min(map(sum, g.terms))
-    high = f.degree() + g.degree()
-    return min(bound, comb(v + high, v) - comb(v + low - 1, v))
+    return min(bound, _monomial_count([*f.terms, *g.terms], low, f.degree() + g.degree()))
+
+
+def _power_bound(base: SparsePoly, k: int) -> int:
+    """A bound on the term count of base^k: C(t+k-1, k), the multisets of k
+    of base's t terms, and once that passes TERM_CAP the smaller of it and
+    the ``_monomial_count`` of base's terms with L and D k times base's
+    lowest and highest total degrees."""
+    bound = comb(max(len(base.terms), 1) + k - 1, k)
+    if bound <= TERM_CAP:
+        return bound
+    low = k * min(map(sum, base.terms))
+    return min(bound, _monomial_count(list(base.terms), low, k * base.degree()))
+
+
+def _monomial_count(terms: list, low: int, high: int) -> int:
+    """C(v+D, v) - C(v+L-1, v), with D = ``high`` and L = ``low``: the number of
+    monomials in the v variables ``terms`` use whose total degree lies
+    between L and D."""
+    v = sum(map(any, zip(*terms)))
+    return comb(v + high, v) - comb(v + low - 1, v)
 
 
 def _check_terms(bound: int, what: str) -> None:

@@ -655,6 +655,15 @@ def test_walk_matches_deciding_every_table(n, ring, bound, prune):
     assert (result.checked, result.bulk_rejected) == (checked, bulk)
 
 
+# (n, ring, bound, prune, checked) of the four boxes the census benchmark walks
+CENSUS_BOXES = [
+    (3, Ring.Z, 1, False, 6561),
+    (2, Ring.ZI, 1, False, 6561),
+    (2, Ring.ZI, 2, True, 15100),
+    (3, Ring.ZI, 1, True, 6156),
+]
+
+
 def test_walk_builds_only_the_associative_tables(monkeypatch):
     calls = []
     decide = oracle.associative_multilinear
@@ -664,11 +673,29 @@ def test_walk_builds_only_the_associative_tables(monkeypatch):
         return decide(ml)
 
     monkeypatch.setattr(oracle, "associative_multilinear", counted)
-    result = enumerate_associative(3, Ring.Z, 1)
-    # every table a failed equation leaves out is settled unbuilt; only the
-    # 13 leaves are built, each confirmed once
-    assert len(calls) == len(result.survivors) == 13
-    assert result.checked == 6561
+    for n, ring, bound, prune, checked in CENSUS_BOXES:
+        calls.clear()
+        result = enumerate_associative(n, ring, bound, prune=prune, budget=10**8)
+        # every table a failed or solved equation leaves out is settled
+        # unbuilt; only the leaves are built, each confirmed once
+        assert sorted(map(str, calls)) == sorted(str(ml) for ml, _ in result.survivors)
+        assert result.checked == checked
+
+
+def test_a_wrong_root_makes_the_walk_differ_from_deciding_every_table(monkeypatch):
+    exact_div = Ring.exact_div
+
+    def off_by_one(self, a, b):
+        q = exact_div(self, a, b)
+        return None if q is None else q + self.one
+
+    ring, n, bound = Ring.Z, 3, 1
+    survivors, _, _ = reference_walk(n, ring, bound, False)
+    monkeypatch.setattr(Ring, "exact_div", off_by_one)
+    _, _, found = oracle._enumerate_chunk((ring, n, bound, ring.box(bound), False))
+    # a list whose solve is off never tries its true root, so the tables
+    # through that root are lost; each table still kept is associative
+    assert {ml.render() for ml in found} < {ml.render() for ml in survivors}
 
 
 def test_equations_are_built_once_per_list_structure(monkeypatch):
@@ -683,8 +710,9 @@ def test_equations_are_built_once_per_list_structure(monkeypatch):
     ring = Ring.ZI
     oracle._enumerate_chunk((ring, 2, 1, ring.box(1), True))
     # one structure per kind of top, in the order of the box: nonzero (a
-    # list per subset size), then zero (a list per mask)
-    assert built == [[[3], [0], [1, 2]], [[3], [0], [1], [2]]]
+    # list per subset size), then zero (a list per mask); c_0's list comes
+    # last in both, since every equation is linear in c_0
+    assert built == [[[3], [1, 2], [0]], [[3], [1], [2], [0]]]
 
 
 def test_equations_drop_what_commutativity_or_one_list_settles():
@@ -811,6 +839,16 @@ def test_walk_jobs_deterministic_at_arity_four(serial_pool):
     assert serial_pool == [min(3, os.cpu_count() or 1)]
     assert [ml for ml, _ in many.survivors] == [ml for ml, _ in one.survivors]
     assert (many.checked, many.bulk_rejected) == (one.checked, one.bulk_rejected) == (3**16, 0)
+    assert census_csv(many) == census_csv(one)
+    assert candidates_text(many) == candidates_text(one)
+
+
+def test_walk_jobs_deterministic_on_a_pruned_gaussian_box(serial_pool):
+    one = enumerate_associative(2, Ring.ZI, 2, prune=True)
+    many = enumerate_associative(2, Ring.ZI, 2, prune=True, jobs=3)
+    assert serial_pool == [min(3, os.cpu_count() or 1)]
+    assert [ml for ml, _ in many.survivors] == [ml for ml, _ in one.survivors]
+    assert (many.checked, many.bulk_rejected) == (one.checked, one.bulk_rejected)
     assert census_csv(many) == census_csv(one)
     assert candidates_text(many) == candidates_text(one)
 

@@ -293,6 +293,11 @@ def test_term_cap_bounds_each_product_and_power_before_it_is_built():
     with pytest.raises(BudgetError) as err:
         parse_poly(f"{six}^8*{six}^8", 6, Ring.Z)  # C(22, 6) - C(21, 6)
     assert err.value.required == 20_349
+    # C(30, 10) = 30,045,015 multisets of ten of U's 21 terms, but U^10 has
+    # only the 201 monomials x1^0..x1^200
+    u = "(" + "+".join(["1", "x1"] + [f"x1^{e}" for e in range(2, 21)]) + ")"
+    assert len(parse_poly(f"{u}^10", 2, Ring.Z).terms) == 201
+    assert parse_poly(f"{u}^5*{u}^5", 2, Ring.Z) == parse_poly(f"{u}^10", 2, Ring.Z)
 
 
 @st.composite
@@ -327,3 +332,12 @@ def test_product_bound_is_never_below_the_built_product(factors):
     # constants, whose v = 0 variables a real cap never reaches
     with patch.object(parse, "TERM_CAP", 1):
         assert parse._product_bound(f, g) >= len((f * g).terms)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(products_of_sums(), st.integers(0, 4))
+def test_power_bound_is_never_below_the_built_power(factors, k):
+    base = factors[0]
+    # a cap of 1 applies the monomial count to every power of two or more terms
+    with patch.object(parse, "TERM_CAP", 1):
+        assert parse._power_bound(base, k) >= len((base**k).terms)
