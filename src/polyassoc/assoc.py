@@ -86,20 +86,25 @@ def compose_closed_form(p: MultilinearPoly, slot: int) -> MultilinearPoly:
 
     An outer term containing x_slot times each inner term gives one product,
     its remaining variables placed around the nested window; an outer term
-    without x_slot passes through as it is.  For t terms that is at most
-    t(t+1) contributions, whatever the arity.
+    without x_slot is added as it is, with no product.  For t terms that is
+    at most t(t+1) contributions, whatever the arity; a mask's first
+    contribution is stored as it is, not added to zero.
     """
     n = p.n
     m = _check_slot(n, slot)
     slot_bit = 1 << (slot - 1)
-    zero, pass_through = p.ring.zero, [(0, p.ring.one)]
     inners = [(mask << (slot - 1), c) for mask, c in p.coeffs.items()]
     coeffs: dict[int, object] = {}
     for outer, a in p.coeffs.items():
         # bits below the slot stay; bits above it move past the nested window
         placed = (outer & (slot_bit - 1)) | ((outer >> slot) << (slot + n - 1))
-        for inner, b in inners if outer & slot_bit else pass_through:
-            coeffs[placed | inner] = coeffs.get(placed | inner, zero) + a * b
+        if not outer & slot_bit:
+            s = coeffs.get(placed)
+            coeffs[placed] = a if s is None else s + a
+            continue
+        for inner, b in inners:
+            s = coeffs.get(placed | inner)
+            coeffs[placed | inner] = a * b if s is None else s + a * b
     return MultilinearPoly._trusted(p.ring, m, {mask: c for mask, c in coeffs.items() if c})
 
 

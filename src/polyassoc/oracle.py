@@ -26,6 +26,7 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import count
 from math import prod
 
@@ -128,20 +129,35 @@ def _samples_agree(ring: Ring, degree: int, width: int, values, seed: int) -> bo
     A nonzero difference of total degree <= ``degree`` vanishes at a uniform
     point of S^width with probability at most degree/|S| (Schwartz 1980;
     Zippel 1979); k is the least count with (degree/|S|)^k <= 2^-ERROR_BITS.
+    The points are drawn once per key (``_sample_points``); each reaches
+    ``values`` as a fresh list, and the check stops at the first point
+    whose values differ.
+    """
+    points = _sample_points(ring, degree, width, seed)
+    return all(len(set(values(list(point)))) == 1 for point in points)
+
+
+# Keys are few: one `enumerate` call spot-checks every survivor with one
+# seed, at three degrees, and sampled mediality uses one key per (deg(p), n).
+# 16 keeps a mixed run's keys while holding at most 16 sets of <= 65 points.
+@lru_cache(maxsize=16)
+def _sample_points(ring: Ring, degree: int, width: int, seed: int) -> tuple[tuple, ...]:
+    """The k points of ``_samples_agree``, in the order the seeded stream gives them.
+
     S is ``ring.box(h)``, of ``ring.box_size(h)`` elements.  h =
     SAMPLE_HALF_WIDTH while |S| > 2*degree, so the points are a prefix of the
     seeded stream there; else h = degree, after one uncounted point at
     SAMPLE_HALF_WIDTH.  Only the medial identity of ``structure.is_medial``
     reaches the widened case, at deg(p) >= 11 over Z and Q; the slot
-    compositions of multilinear p would need n > 50.
+    compositions of multilinear p would need n > 50.  Either way k <= 64,
+    as |S| > 2*degree.
     """
     h, uncounted = SAMPLE_HALF_WIDTH, []
     if ring.box_size(h) <= 2 * degree:
         h, uncounted = degree, [h]
     k = next(k for k in count(1) if ring.box_size(h) ** k >= degree**k << ERROR_BITS)
     rng = XorShift64Star(seed)
-    points = (rng.elements(ring, half_width, width) for half_width in uncounted + [h] * k)
-    return all(len(set(values(point))) == 1 for point in points)
+    return tuple(tuple(rng.elements(ring, hw, width)) for hw in uncounted + [h] * k)
 
 
 def associated_value(p: SparsePoly, slot: int, point):

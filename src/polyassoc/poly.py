@@ -135,17 +135,7 @@ class SparsePoly:
                 self.ring, self.nvars, {e: c * scalar for e, c in self.terms.items()}
             )
         self._compatible(other)
-        product: dict[Monomial, object] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                s = product.get(e)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s:
-                    product[e] = s
-                else:
-                    product.pop(e, None)
-        return SparsePoly._trusted(self.ring, self.nvars, product)
+        return SparsePoly._trusted(self.ring, self.nvars, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -187,9 +177,11 @@ class SparsePoly:
 
         Each power ``values[j] ** e`` with e >= 2 is computed once per call,
         in ascending order: one product from ``values[j] ** (e - 1)`` when that
-        power is needed too, else by square-and-multiply.  Each term
-        multiplies its factors smallest first, so a large factor is multiplied
-        once, by the product of the others.
+        power is needed too, else by square-and-multiply.  Each term folds its
+        one-term factors (a variable, a monomial, a power of one) into its own
+        monomial and coefficient, then multiplies the factors of two or more
+        terms into it smallest first (``_mul_terms``), so a large factor is
+        multiplied once, by the product of the others.
         """
         if len(values) != self.nvars:
             raise ValueError(f"expected {self.nvars} substitution values")
@@ -204,11 +196,19 @@ class SparsePoly:
             powers[j, e] = values[j] ** e if below is None else below * values[j]
         out: dict[Monomial, object] = {}
         for exps, coeff in self.terms.items():
-            factors = [values[j] if e == 1 else powers[j, e] for j, e in enumerate(exps) if e]
-            term = SparsePoly._trusted(self.ring, target, {constant: coeff})
-            for factor in sorted(factors, key=lambda f: len(f.terms)):
-                term = term * factor
-            _merge(out, term.terms)
+            mono, wide = constant, []
+            for j, e in enumerate(exps):
+                if e:
+                    factor = (values[j] if e == 1 else powers[j, e]).terms
+                    if len(factor) == 1:
+                        [(f, c)] = factor.items()
+                        mono, coeff = tuple(map(add, mono, f)), coeff * c
+                    else:
+                        wide.append(factor)
+            term = {mono: coeff}
+            for factor in sorted(wide, key=len):
+                term = _mul_terms(term, factor)
+            _merge(out, term)
         return SparsePoly._trusted(self.ring, target, out)
 
     def to_multilinear(self) -> MultilinearPoly | None:
@@ -327,6 +327,21 @@ class MultilinearPoly(SparsePoly):
 
     # its own entry, so bench/layertrace.py traces it apart from SparsePoly's
     evaluate = SparsePoly.evaluate
+
+
+def _mul_terms(a: Mapping[Monomial, object], b: Mapping[Monomial, object]) -> dict:
+    """The product of two term dicts, dropping sums that vanish."""
+    product: dict[Monomial, object] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            s = product.get(e)
+            s = c1 * c2 if s is None else s + c1 * c2
+            if s:
+                product[e] = s
+            else:
+                product.pop(e, None)
+    return product
 
 
 def _merge(into: dict[Monomial, object], terms: Mapping[Monomial, object]) -> None:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyassoc.cli as cli
-from polyassoc import OracleConfig, Ring, assoc_pointwise, parse_poly
+from polyassoc import OracleConfig, Ring, assoc_pointwise, enumerate_associative, parse_poly
 from polyassoc.cli import build_parser, main
 
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
@@ -604,6 +604,48 @@ def test_enumerate_spot_check_failure_exit_code(tmp_path, capsys, monkeypatch):
     )
     assert code == 3
     assert "spot check" in err
+
+
+def test_enumerate_composition_paths_disagreeing_exit_3(tmp_path, capsys, monkeypatch):
+    # substitution made wrong at slot 2 by one added term; the first survivor
+    # of the walk is the first table checked against it
+    substitute = cli.compose_substitution
+    monkeypatch.setattr(
+        cli, "compose_substitution",
+        lambda p, slot: substitute(p, slot) + int(slot == 2),
+    )
+    code, out, err = run(
+        capsys, "enumerate", "--ring", "z", "--n", "2", "--bound", "1",
+        "--out", str(tmp_path / "census"),
+    )
+    first = enumerate_associative(2, Ring.Z, 1).survivors[0][0]
+    assert (code, out) == (3, "")
+    assert err == (
+        f"internal error: composition paths disagree for {first.render()} at slot 2\n"
+    )
+
+
+def test_enumerate_draws_each_sample_set_once(tmp_path, capsys, monkeypatch):
+    # the survivors' random checks use three degrees, 0, 1 and 3, so three
+    # point sets, each drawn by one generator
+    import polyassoc.oracle as oracle
+
+    made = []
+
+    class Counted(oracle.XorShift64Star):
+        def __init__(self, seed):
+            made.append(seed)
+            super().__init__(seed)
+
+    oracle._sample_points.cache_clear()
+    monkeypatch.setattr(oracle, "XorShift64Star", Counted)
+    code, _, _ = run(
+        capsys, "enumerate", "--ring", "zi", "--n", "2", "--bound", "1",
+        "--out", str(tmp_path / "census"),
+    )
+    assert code == 0
+    assert made == [oracle.DEFAULT_SEED] * 3
+    oracle._sample_points.cache_clear()
 
 
 @pytest.mark.parametrize("n, slot, table", [

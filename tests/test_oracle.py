@@ -147,6 +147,21 @@ def test_sampling_widens_past_half_the_set(ring):
     assert sampled_points(ring, 101) == [first] + [widened[j:j + 2] for j in range(0, 128, 2)]
 
 
+def test_sample_points_are_drawn_once_per_key(monkeypatch):
+    # a second check with the same (ring, degree, width, seed) reads the same
+    # stream points without a generator, whatever the first did to its lists;
+    # k = 5 at d = 3 over Z[i], as 201^10 >= 2^64 * 3^5 and 201^8 < 2^64 * 3^4
+    oracle._sample_points.cache_clear()
+    stream = XorShift64Star(13).elements(Ring.ZI, 100, 5 * 3)
+    expected = [stream[j:j + 3] for j in range(0, 15, 3)]
+    first = sampled_points(Ring.ZI, 3, width=3, seed=13)
+    for point in first:
+        point.clear()
+    monkeypatch.setattr(oracle, "XorShift64Star", None)
+    assert sampled_points(Ring.ZI, 3, width=3, seed=13) == expected
+    oracle._sample_points.cache_clear()
+
+
 def test_sampling_stops_at_the_first_disagreement():
     points = []
     assert not oracle._samples_agree(

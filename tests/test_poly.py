@@ -196,20 +196,36 @@ def ring_point(rng, ring, size):
     return [ring.coerce(rng.element(ring, 3)) for _ in range(size)]
 
 
+def one_term(rng, ring, nvars):
+    """c * x^e with c neither 0 nor 1 (over Q then divided by 2..5) and each
+    exponent in 0..3: a constant, a variable, a monomial or a power of one."""
+    c = rng.element(ring, 4)
+    while not c or c == 1:
+        c = rng.element(ring, 4)
+    if ring is Ring.Q:
+        c = Fraction(c, rng.randint(2, 5))
+    return SparsePoly(ring, nvars, {tuple(rng.randint(0, 3) for _ in range(nvars)): c})
+
+
 def test_substitute_matches_evaluation():
+    # one-term values are folded into each term's monomial, the others
+    # multiplied; p's exponents up to 3 take powers of both kinds
     rng = XorShift64Star(53)
     for ring in (Ring.Z, Ring.Q, Ring.ZI):
         for max_exp in (1, 2, 3):
             for _ in range(15):
-                p = random_sparse(rng, ring, 2)
+                p = random_sparse(rng, ring, 2, max_exp=3)
                 u = random_sparse(rng, ring, 2, max_exp=max_exp, terms=3)
                 v = random_sparse(rng, ring, 2, max_exp=max_exp, terms=3)
                 if ring is Ring.Q:
                     u = u * Fraction(1, rng.randint(1, 5))
-                composed = p.substitute([u, v])
-                for _ in range(4):
-                    pt = ring_point(rng, ring, 2)
-                    assert composed.evaluate(pt) == p.evaluate((u.evaluate(pt), v.evaluate(pt)))
+                w, w2 = one_term(rng, ring, 2), one_term(rng, ring, 2)
+                for values in ([u, v], [w, v], [u, w], [w, w2]):
+                    composed = p.substitute(values)
+                    for _ in range(4):
+                        pt = ring_point(rng, ring, 2)
+                        expected = p.evaluate([value.evaluate(pt) for value in values])
+                        assert composed.evaluate(pt) == expected
 
 
 @pytest.mark.parametrize("base", [SparsePoly(Ring.Z, 2, {(1, 0): 1, (0, 1): 2}), GaussianInt(1, 2)])
@@ -238,21 +254,28 @@ def test_pow_multiplies_popcount_plus_bit_length_minus_one_times(monkeypatch, ba
 def test_substitute_builds_each_power_from_the_one_below(monkeypatch):
     # p = x1 + x1^2 + ... + x1^9 + x2^5: the powers 2..9 of u take one
     # product each, v^5 (whose v^4 is not needed) takes square-and-multiply,
-    # 2 + 3 - 1 = 4 products, and each of the ten terms one product by its
-    # coefficient; exponent-1 terms use the value as it is
+    # 2 + 3 - 1 = 4 products, all through SparsePoly.__mul__; each of the ten
+    # terms takes one product of term dicts by its coefficient, which
+    # __mul__'s twelve also go through; exponent-1 terms use the value as it is
     p = SparsePoly(Ring.Z, 2, {**{(e, 0): 1 for e in range(1, 10)}, (0, 5): 1})
     u = parse_poly("x1 + x2 + 1", 2, Ring.Z)
     v = parse_poly("x1 - 2", 2, Ring.Z)
-    mul = SparsePoly.__mul__
-    calls = []
+    mul, mul_terms = SparsePoly.__mul__, poly._mul_terms
+    calls, term_products = [], []
 
     def counted(self, other):
         calls.append(other)
         return mul(self, other)
 
+    def counted_terms(a, b):
+        term_products.append(b)
+        return mul_terms(a, b)
+
     monkeypatch.setattr(SparsePoly, "__mul__", counted)
+    monkeypatch.setattr(poly, "_mul_terms", counted_terms)
     composed = p.substitute([u, v])
-    assert len(calls) == 8 + 4 + 10
+    assert len(calls) == 8 + 4
+    assert len(term_products) == 8 + 4 + 10
     monkeypatch.setattr(SparsePoly, "__mul__", mul)
     assert composed == sum((u**e for e in range(1, 10)), v**5)
 
