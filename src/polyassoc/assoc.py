@@ -73,12 +73,15 @@ class AssocVerdict:
 
 def compose_substitution(p: SparsePoly, slot: int) -> SparsePoly:
     """The slot composition p(x1, .., p(x_slot, .., x_(slot+n-1)), .., x_(2n-1)),
-    expanded in full by substituting into p twice."""
+    expanded in full by one substitution into p: the nested call is p's terms
+    shifted into the window x_slot..x_(slot+n-1), the other slots take the
+    outer variables."""
     n = p.nvars
     m = _check_slot(n, slot)
-    xs = [SparsePoly.variable(p.ring, m, j) for j in range(1, m + 1)]
-    inner = p.substitute(xs[slot - 1 : slot - 1 + n])
-    return p.substitute(xs[: slot - 1] + [inner] + xs[slot - 1 + n :])
+    before, after = (0,) * (slot - 1), (0,) * (n - slot)
+    inner = SparsePoly._trusted(p.ring, m, {before + e + after: c for e, c in p.terms.items()})
+    outer = [SparsePoly.variable(p.ring, m, j) for j in (*range(1, slot), *range(slot + n, m + 1))]
+    return p.substitute(outer[: slot - 1] + [inner] + outer[slot - 1 :])
 
 
 def compose_closed_form(p: MultilinearPoly, slot: int) -> MultilinearPoly:

@@ -264,7 +264,9 @@ def cmd_enumerate(args) -> int:
     spot_cfg = OracleConfig(mode="random", seed=args.seed)
     for ml, _ in result.survivors:
         for slot in range(1, n + 1):
-            if compose_closed_form(ml, slot) != compose_substitution(ml, slot):
+            # compared on masks; a squared variable (None) disagrees
+            substituted = compose_substitution(ml, slot).to_multilinear()
+            if compose_closed_form(ml, slot) != substituted:
                 raise InternalInvariantError(
                     f"composition paths disagree for {ml.render()} at slot {slot}"
                 )

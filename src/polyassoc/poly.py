@@ -308,6 +308,19 @@ class MultilinearPoly(SparsePoly):
     def __reduce__(self):
         return (MultilinearPoly, (self.ring, self.nvars, self.coeffs))
 
+    def __eq__(self, other) -> bool:
+        """Equality as polynomials; against another MultilinearPoly it compares
+        masks and never builds ``terms``."""
+        if not isinstance(other, MultilinearPoly):
+            return SparsePoly.__eq__(self, other)
+        return (
+            self.ring is other.ring
+            and self.nvars == other.nvars
+            and self.coeffs == other.coeffs
+        )
+
+    __hash__ = SparsePoly.__hash__  # defining __eq__ alone would unset it
+
     def coeff(self, mask: int):
         return self.coeffs.get(mask, self.ring.zero)
 

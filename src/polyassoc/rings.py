@@ -20,6 +20,9 @@ from itertools import product
 from math import lcm
 
 
+_new = object.__new__  # builds a GaussianInt without __init__, bound once
+
+
 class GaussianInt:
     """Gaussian integer ``re + im*i`` with arbitrary-precision components."""
 
@@ -32,8 +35,8 @@ class GaussianInt:
     @classmethod
     def _trusted(cls, re: int, im: int) -> GaussianInt:
         """Wrap components already of type ``int``, skipping the ``int()``
-        calls of ``__init__``; arithmetic results are built this way."""
-        g = cls.__new__(cls)
+        calls of ``__init__``; the operators below build theirs the same way, inline."""
+        g = _new(cls)
         g.re = re
         g.im = im
         return g
@@ -73,17 +76,26 @@ class GaussianInt:
         return self.re * self.re + self.im * self.im
 
     def conjugate(self) -> GaussianInt:
-        return GaussianInt._trusted(self.re, -self.im)
+        g = _new(GaussianInt)
+        g.re = self.re
+        g.im = -self.im
+        return g
 
     def __neg__(self) -> GaussianInt:
-        return GaussianInt._trusted(-self.re, -self.im)
+        g = _new(GaussianInt)
+        g.re = -self.re
+        g.im = -self.im
+        return g
 
     def __add__(self, other):
         if type(other) is not GaussianInt:
             other = _as_gauss(other)
             if other is None:
                 return NotImplemented
-        return GaussianInt._trusted(self.re + other.re, self.im + other.im)
+        g = _new(GaussianInt)
+        g.re = self.re + other.re
+        g.im = self.im + other.im
+        return g
 
     __radd__ = __add__
 
@@ -92,7 +104,10 @@ class GaussianInt:
             other = _as_gauss(other)
             if other is None:
                 return NotImplemented
-        return GaussianInt._trusted(self.re - other.re, self.im - other.im)
+        g = _new(GaussianInt)
+        g.re = self.re - other.re
+        g.im = self.im - other.im
+        return g
 
     def __rsub__(self, other):
         other = _as_gauss(other)
@@ -105,10 +120,10 @@ class GaussianInt:
             other = _as_gauss(other)
             if other is None:
                 return NotImplemented
-        return GaussianInt._trusted(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        g = _new(GaussianInt)
+        g.re = self.re * other.re - self.im * other.im
+        g.im = self.re * other.im + self.im * other.re
+        return g
 
     __rmul__ = __mul__
 

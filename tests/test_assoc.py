@@ -289,6 +289,24 @@ def test_compose_substitution_matches_term_expansion(p):
         assert compose_substitution(p, slot) == expand_composition(p, slot)
 
 
+def two_substitution_composition(p, slot):
+    """Reference: the slot composition by its literal definition, the nested
+    call p(x_slot, .., x_(slot+n-1)) substituted first, then p of it and the
+    outer variables."""
+    n, m = p.nvars, 2 * p.nvars - 1
+    xs = [SparsePoly.variable(p.ring, m, j) for j in range(1, m + 1)]
+    inner = p.substitute(xs[slot - 1 : slot - 1 + n])
+    return p.substitute(xs[: slot - 1] + [inner] + xs[slot - 1 + n :])
+
+
+@SETTINGS
+@given(st.one_of(sparse_polys(min_nvars=2), sparse_polys(min_nvars=2, max_exp=1)))
+def test_compose_substitution_matches_the_two_substitution_definition(p):
+    for slot in range(1, p.nvars + 1):
+        got, want = compose_substitution(p, slot), two_substitution_composition(p, slot)
+        assert (got.ring, got.nvars, got.terms) == (want.ring, want.nvars, want.terms)
+
+
 @settings(SETTINGS, max_examples=1000)
 @given(decision_inputs())
 def test_witness_matches_term_expansion(p):

@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyassoc.cli as cli
-from polyassoc import OracleConfig, Ring, assoc_pointwise, enumerate_associative, parse_poly
+from polyassoc import (
+    OracleConfig,
+    Ring,
+    SparsePoly,
+    assoc_pointwise,
+    enumerate_associative,
+    parse_poly,
+)
 from polyassoc.cli import build_parser, main
 
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
@@ -623,6 +630,67 @@ def test_enumerate_composition_paths_disagreeing_exit_3(tmp_path, capsys, monkey
     assert err == (
         f"internal error: composition paths disagree for {first.render()} at slot 2\n"
     )
+
+
+@pytest.mark.parametrize("wrong", ["squared-variable", "arity", "ring"])
+def test_enumerate_compares_the_composition_paths_as_polynomials(
+    tmp_path, capsys, monkeypatch, wrong
+):
+    # substitution made wrong at slot 2 of the first nonconstant survivor, in
+    # ways that keep the variables each term uses: every exponent doubled,
+    # one variable more, or the same coefficients over Q (1 == Fraction(1))
+    substitute = cli.compose_substitution
+
+    def wrong_substitute(p, slot):
+        q = substitute(p, slot)
+        if slot != 2 or not p.degree():
+            return q
+        if wrong == "squared-variable":
+            return SparsePoly(q.ring, q.nvars, {tuple(2 * e for e in x): c for x, c in q.terms.items()})
+        if wrong == "arity":
+            return SparsePoly(q.ring, q.nvars + 1, {x + (0,): c for x, c in q.terms.items()})
+        return SparsePoly(Ring.Q, q.nvars, q.terms)
+
+    monkeypatch.setattr(cli, "compose_substitution", wrong_substitute)
+    code, out, err = run(
+        capsys, "enumerate", "--ring", "z", "--n", "2", "--bound", "1",
+        "--out", str(tmp_path / "census"),
+    )
+    first = next(p for p, _ in enumerate_associative(2, Ring.Z, 1).survivors if p.degree())
+    assert (code, out) == (3, "")
+    assert err == (
+        f"internal error: composition paths disagree for {first.render()} at slot 2\n"
+    )
+
+
+def test_enumerate_spot_checks_every_survivor_by_every_route(tmp_path, capsys, monkeypatch):
+    # counted through cli, so the leaf confirmation's own compositions in the
+    # walk do not count
+    calls = []
+
+    def counted(name):
+        f = getattr(cli, name)
+
+        def wrapper(p, arg):
+            calls.append((name, p.render(), arg))
+            return f(p, arg)
+
+        return wrapper
+
+    for name in ("compose_closed_form", "compose_substitution", "assoc_pointwise"):
+        monkeypatch.setattr(cli, name, counted(name))
+    code, _, _ = run(
+        capsys, "enumerate", "--ring", "z", "--n", "3", "--bound", "1", "--seed", "77",
+        "--out", str(tmp_path / "census"),
+    )
+    survivors = [p.render() for p, _ in enumerate_associative(3, Ring.Z, 1).survivors]
+    assert code == 0 and len(survivors) == 13
+    for name in ("compose_closed_form", "compose_substitution"):
+        got = sorted((p, slot) for f, p, slot in calls if f == name)
+        assert got == sorted((p, slot) for p in survivors for slot in (1, 2, 3))
+    checks = [(p, cfg) for f, p, cfg in calls if f == "assoc_pointwise"]
+    assert sorted(p for p, _ in checks) == sorted(survivors)
+    assert {(cfg.mode, cfg.seed) for _, cfg in checks} == {("random", 77)}
 
 
 def test_enumerate_draws_each_sample_set_once(tmp_path, capsys, monkeypatch):

@@ -428,6 +428,6 @@ def test_multilinear_body_defines_only_its_own_index():
             defined.update(t.id for t in targets)
     allowed = {
         "__slots__", "__init__", "_trusted", "terms", "n", "__reduce__", "coeff",
-        "is_symmetric", "to_multilinear", "evaluate",
+        "is_symmetric", "to_multilinear", "evaluate", "__eq__", "__hash__",
     }
     assert defined <= allowed, sorted(defined - allowed)

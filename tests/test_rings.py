@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyassoc import Frac, GaussianInt, Ring, ShiftedProduct, SparsePoly, XorShift64Star, parse_poly
 from polyassoc.rings import integer_nth_root
@@ -107,6 +109,46 @@ def test_gaussian_results_have_int_components():
         for r in results:
             assert type(r) is GaussianInt and type(r.re) is int and type(r.im) is int
     assert (True + g, g - True, True * g) == (GaussianInt(3, -3), GaussianInt(1, -3), g)
+
+
+def _pair_mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _assert_pair(g, pair):
+    assert type(g) is GaussianInt and type(g.re) is int and type(g.im) is int
+    assert (g.re, g.im) == pair
+
+
+# hypothesis's integers() reach past 64 bits now and then; the second range
+# always does
+COMPONENTS = st.one_of(st.integers(), st.integers(-(2**200), 2**200))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    COMPONENTS, COMPONENTS, st.one_of(st.tuples(COMPONENTS, COMPONENTS), COMPONENTS, st.booleans())
+)
+def test_gaussian_operators_match_integer_pair_formulas(re, im, other):
+    """Each operator against its formula on (re, im) pairs; commutativity and
+    associativity alone would pass the split-complex product (ac+bd, ad+bc)."""
+    g, a = GaussianInt(re, im), (re, im)
+    if isinstance(other, tuple):
+        x, b = GaussianInt(*other), other
+    else:
+        x, b = other, (int(other), 0)
+    _assert_pair(g + x, (a[0] + b[0], a[1] + b[1]))
+    _assert_pair(x + g, (a[0] + b[0], a[1] + b[1]))
+    _assert_pair(g - x, (a[0] - b[0], a[1] - b[1]))
+    _assert_pair(x - g, (b[0] - a[0], b[1] - a[1]))
+    _assert_pair(g * x, _pair_mul(a, b))
+    _assert_pair(x * g, _pair_mul(a, b))
+    _assert_pair(-g, (-a[0], -a[1]))
+    _assert_pair(g.conjugate(), (a[0], -a[1]))
+    power = (1, 0)
+    for k in range(6):
+        _assert_pair(g**k, power)
+        power = _pair_mul(power, a)
 
 
 @over_every_ring
