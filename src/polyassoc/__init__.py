@@ -29,8 +29,8 @@ from .structure import (
     skew_is_endomorphism,
     verify_skew,
 )
+from .errors import BudgetError, InternalInvariantError
 from .oracle import (
-    BudgetError,
     OracleConfig,
     XorShift64Star,
     assoc_pointwise,
@@ -47,6 +47,7 @@ __all__ = [
     "Constant",
     "Frac",
     "GaussianInt",
+    "InternalInvariantError",
     "LeftProjection",
     "MultilinearPoly",
     "NotAssociative",

@@ -167,20 +167,32 @@ def _comparisons(p, compose, symmetric):
             yield slot, base, compose(p, slot)
 
 
-def associative_multilinear(p: MultilinearPoly) -> AssocVerdict:
-    """Associativity for multilinear operations, comparing the slot
-    compositions built by the closed-form sums."""
-    n = p.n
-    if n < 2:
-        raise ValueError("arity must be at least 2")
+def _multilinear_verdict(p: MultilinearPoly, compose) -> AssocVerdict:
+    """The verdict on multilinear p from ``_comparisons`` of its closed forms,
+    each ``compose(p, slot)``, with the witness at the first difference."""
     zero = p.ring.zero
-    for slot, base, other in _comparisons(p, compose_closed_form, p.is_symmetric):
+    for slot, base, other in _comparisons(p, compose, p.is_symmetric):
         if other.coeffs != base.coeffs:
             mask = _first_difference(base.coeffs, other.coeffs)
-            monomial = tuple((mask >> j) & 1 for j in range(2 * n - 1))
+            monomial = tuple((mask >> j) & 1 for j in range(2 * p.n - 1))
             lhs, rhs = base.coeffs.get(mask, zero), other.coeffs.get(mask, zero)
             return AssocVerdict(False, CompositionWitness(slot, monomial, lhs, rhs))
     return AssocVerdict(True)
+
+
+def associative_multilinear(p: MultilinearPoly) -> AssocVerdict:
+    """Associativity for multilinear operations, comparing the slot
+    compositions built by the closed-form sums."""
+    if p.n < 2:
+        raise ValueError("arity must be at least 2")
+    return _multilinear_verdict(p, compose_closed_form)
+
+
+def _closed_forms_verdict(p: MultilinearPoly) -> tuple[AssocVerdict, tuple]:
+    """The n closed-form slot compositions of p, slots 1..n, each built once,
+    and :func:`associative_multilinear`'s verdict decided from them."""
+    forms = tuple(compose_closed_form(p, slot) for slot in range(1, p.n + 1))
+    return _multilinear_verdict(p, lambda _, slot: forms[slot - 1]), forms
 
 
 def is_associative(p: SparsePoly) -> AssocVerdict:

@@ -29,12 +29,9 @@ from dataclasses import dataclass, field, fields
 from typing import ClassVar, Sequence, Union
 
 from .assoc import CompositionWitness, is_associative
-from .poly import MultilinearPoly, SparsePoly, from_size_coeffs
+from .errors import InternalInvariantError
+from .poly import MultilinearPoly, SparsePoly, _size_table
 from .rings import Frac, Ring
-
-
-class InternalInvariantError(RuntimeError):
-    """An internal consistency check failed; reported as exit code 3 by the CLI."""
 
 
 @dataclass(frozen=True)
@@ -304,12 +301,16 @@ def reconstruct(cls: Classification, n: int, ring: Ring) -> SparsePoly:
         raise ValueError("arity must be at least 2")
     if isinstance(cls, NotAssociative):
         raise ValueError("cannot reconstruct a non-associative classification")
+    # ``ladder`` and ``table`` give ring elements: wrapped as they are, zeros dropped
     if isinstance(cls, ShiftedProduct):
-        return from_size_coeffs(ring, n, cls.ladder(ring, n))
-    if isinstance(cls, LinearFamily):
+        coeffs = _size_table(n, cls.ladder(ring, n))
+    elif isinstance(cls, LinearFamily):
         constant, weights = cls.table(ring, n)
-        return MultilinearPoly(ring, n, {0: constant, **{1 << k: w for k, w in enumerate(weights)}})
-    raise TypeError(f"not a classification: {cls!r}")
+        table = [(0, constant)] + [(1 << k, w) for k, w in enumerate(weights)]
+        coeffs = {m: c for m, c in table if c}
+    else:
+        raise TypeError(f"not a classification: {cls!r}")
+    return MultilinearPoly._trusted(ring, n, coeffs)
 
 
 def _params(cls: Classification) -> dict[str, object]:

@@ -18,7 +18,6 @@ import sys
 from .assoc import (
     AssocVerdict,
     CompositionWitness,
-    compose_closed_form,
     compose_substitution,
     is_associative,
 )
@@ -262,11 +261,11 @@ def cmd_enumerate(args) -> int:
         n, ring, args.bound, budget=args.budget, prune=args.prune, jobs=args.jobs
     )
     spot_cfg = OracleConfig(mode="random", seed=args.seed)
-    for ml, _ in result.survivors:
-        for slot in range(1, n + 1):
-            # compared on masks; a squared variable (None) disagrees
-            substituted = compose_substitution(ml, slot).to_multilinear()
-            if compose_closed_form(ml, slot) != substituted:
+    for (ml, _), forms in zip(result.survivors, result.compositions):
+        for slot, closed in enumerate(forms, 1):
+            # the walk's own closed form, compared on masks; a squared
+            # variable (None) disagrees
+            if closed != compose_substitution(ml, slot).to_multilinear():
                 raise InternalInvariantError(
                     f"composition paths disagree for {ml.render()} at slot {slot}"
                 )

@@ -11,8 +11,9 @@ value list at a time with c_0's last, checks each slot composition equation
 once its coefficients are set, so a failure settles a whole sub-box, and
 solves each list's value from one equation linear in it, so only one value
 is tried where its coefficient A is nonzero (one root at most, R being an
-integral domain).  It confirms each table that passes every equation with
-``assoc.associative_multilinear`` and classifies those into a census.
+integral domain).  It confirms each table that passes every equation by
+``assoc.associative_multilinear``'s decision, from the table's n closed-form
+slot compositions, which it keeps, and classifies the tables into a census.
 
 Random sampling uses xorshift64*: the 64-bit state evolves by
 ``x ^= x >> 12; x ^= x << 25; x ^= x >> 27`` and the output is
@@ -30,14 +31,10 @@ from functools import lru_cache
 from itertools import count
 from math import prod
 
-from .assoc import _pulled_masks, associative_multilinear
-from .classify import (
-    Classification,
-    InternalInvariantError,
-    classification_params,
-    classify_associative,
-    param_sort_key,
-)
+# associative_multilinear: the walk's decision, bound here for its readers
+from .assoc import _closed_forms_verdict, _pulled_masks, associative_multilinear
+from .classify import Classification, classification_params, classify_associative, param_sort_key
+from .errors import BudgetError, InternalInvariantError
 from .poly import MultilinearPoly, SparsePoly
 from .rings import Ring
 
@@ -51,22 +48,6 @@ GRID_GUARD = 1 << 20
 DEFAULT_BUDGET = 1 << 24
 ERROR_BITS = 64  # a sampled check passes a false identity with probability <= 2^-64
 SAMPLE_HALF_WIDTH = 100
-
-
-class BudgetError(ValueError):
-    """A grid or enumeration would exceed its budget, a parsed product or power
-    the parser's term cap (``parse.TERM_CAP``), or a report its int-to-str limit.
-
-    ``required`` is the smallest budget that admits the request, or None when
-    the count is not printed: an enumeration box of more decimal digits than
-    ``sys.get_int_max_str_digits()`` (Python's default limit when that is 0)
-    is written as a power, such as ``3^16384``, and a report value of more
-    digits than the live limit is refused.
-    """
-
-    def __init__(self, message: str, required: int | None):
-        super().__init__(message)
-        self.required = required
 
 
 class XorShift64Star:
@@ -353,6 +334,8 @@ class EnumerationResult:
     checked: int  # tables the walk settles, those a failed equation settles unbuilt included
     bulk_rejected: int  # candidates removed wholesale by pruning filters
     survivors: list[tuple[MultilinearPoly, Classification]]
+    # by survivor, its closed-form compositions at slots 1..n, built by the walk
+    compositions: list[tuple[MultilinearPoly, ...]]
     census: list[CensusRow]
 
 
@@ -408,7 +391,7 @@ def _solver(j: int, equations: list[tuple]):
     return solver, [other for other in equations if other is not eq]
 
 
-def _enumerate_chunk(args) -> tuple[int, int, list[MultilinearPoly]]:
+def _enumerate_chunk(args) -> tuple[int, int, list[tuple]]:
     """Walk one slice of the coefficient box (split on the top coefficient).
 
     The slice is the product of value lists, each setting the masks it is
@@ -425,9 +408,10 @@ def _enumerate_chunk(args) -> tuple[int, int, list[MultilinearPoly]]:
     or none; the values left out are settled at once.  Value v then goes to
     slot j, where the other ``_equations`` list j completes are checked,
     and a failure settles every table of the later lists at once.  A leaf
-    passes them all; it is built, confirmed by ``associative_multilinear``
-    and kept.  Returns (checked, bulk_rejected, survivors), ``checked``
-    counting the tables of both kinds.
+    passes them all; it is built, confirmed from its n closed-form slot
+    compositions (``assoc._closed_forms_verdict``) and kept with them.
+    Returns (checked, bulk_rejected, survivors), each survivor a (table,
+    compositions) pair and ``checked`` counting the tables of both kinds.
     """
     ring, n, bound, first_values, prune = args
     domain, zero = ring.box(bound), ring.zero
@@ -482,10 +466,11 @@ def _enumerate_chunk(args) -> tuple[int, int, list[MultilinearPoly]]:
                 checked += 1
                 table = {m: v for (masks, _), v in zip(lists, slot) if v for m in masks}
                 ml = MultilinearPoly._trusted(ring, n, table)
-                if not associative_multilinear(ml).associative:
+                verdict, forms = _closed_forms_verdict(ml)
+                if not verdict.associative:
                     message = f"census walk keeps {ml.render()}, which the decision rejects"
                     raise InternalInvariantError(message)
-                survivors.append(ml)
+                survivors.append((ml, forms))
     return checked, len(first_values) * len(domain) ** top_mask - checked, survivors
 
 
@@ -542,7 +527,8 @@ def enumerate_associative(
     if d == 1:
         # The box is the zero table alone, the constant 0: decided here, not
         # walked as 2^n one-value lists and sorted by a 2^n-entry key.
-        checked, bulk, found = 1, 0, [MultilinearPoly(ring, n)]
+        zero = MultilinearPoly(ring, n)
+        checked, bulk, found = 1, 0, [(zero, _closed_forms_verdict(zero)[1])]
     else:
         chunks = _split(ring.box(bound), max(1, jobs))
         args = [(ring, n, bound, chunk, prune) for chunk in chunks]
@@ -556,11 +542,11 @@ def enumerate_associative(
         checked = sum(part[0] for part in parts)
         bulk = sum(part[1] for part in parts)
 
-        def table_key(ml: MultilinearPoly) -> list:
-            return [ring.coords(ml.coeff(m)) for m in range(1 << n)]
+        def table_key(leaf: tuple) -> list:
+            return [ring.coords(leaf[0].coeff(m)) for m in range(1 << n)]
 
-        found = sorted((ml for part in parts for ml in part[2]), key=table_key)
-    survivors = [(ml, classify_associative(ml)) for ml in found]
+        found = sorted((leaf for part in parts for leaf in part[2]), key=table_key)
+    survivors = [(ml, classify_associative(ml)) for ml, _ in found]
     census = _build_census(survivors, ring)
     return EnumerationResult(
         ring=ring,
@@ -570,6 +556,7 @@ def enumerate_associative(
         checked=checked,
         bulk_rejected=bulk,
         survivors=survivors,
+        compositions=[forms for _, forms in found],
         census=census,
     )
 

@@ -29,7 +29,7 @@ import sys
 from math import comb
 from typing import NamedTuple
 
-from .oracle import BudgetError
+from .errors import BudgetError
 from .poly import SparsePoly
 from .rings import Ring
 

@@ -179,9 +179,10 @@ class SparsePoly:
         in ascending order: one product from ``values[j] ** (e - 1)`` when that
         power is needed too, else by square-and-multiply.  Each term folds its
         one-term factors (a variable, a monomial, a power of one) into its own
-        monomial and coefficient, then multiplies the factors of two or more
-        terms into it smallest first (``_mul_terms``), so a large factor is
-        multiplied once, by the product of the others.
+        monomial and coefficient.  With at most one factor of two or more terms
+        left, each product term goes straight into the result; two or more are
+        multiplied into it smallest first (``_mul_terms``), so a large factor
+        is multiplied once, by the product of the others.
         """
         if len(values) != self.nvars:
             raise ValueError(f"expected {self.nvars} substitution values")
@@ -205,10 +206,22 @@ class SparsePoly:
                         mono, coeff = tuple(map(add, mono, f)), coeff * c
                     else:
                         wide.append(factor)
-            term = {mono: coeff}
-            for factor in sorted(wide, key=len):
-                term = _mul_terms(term, factor)
-            _merge(out, term)
+            if len(wide) > 1:
+                term = {mono: coeff}
+                for factor in sorted(wide, key=len):
+                    term = _mul_terms(term, factor)
+                products = term.items()
+            elif wide:  # each product term goes straight into ``out``
+                products = ((tuple(map(add, mono, f)), coeff * c) for f, c in wide[0].items())
+            else:
+                products = ((mono, coeff),)
+            for e, c in products:
+                s = out.get(e)
+                s = c if s is None else s + c
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
         return SparsePoly._trusted(self.ring, target, out)
 
     def to_multilinear(self) -> MultilinearPoly | None:
@@ -372,11 +385,15 @@ def from_size_coeffs(ring: Ring, n: int, size_coeffs: Sequence) -> MultilinearPo
     """The symmetric multilinear polynomial sum_k c_k * (elementary symmetric of degree k)."""
     if len(size_coeffs) != n + 1:
         raise ValueError(f"expected {n + 1} coefficients")
-    coeffs = {
+    return MultilinearPoly(ring, n, _size_table(n, size_coeffs))
+
+
+def _size_table(n: int, size_coeffs: Sequence) -> dict[int, object]:
+    """c_k on every mask of size k, for the sizes k whose c_k is nonzero only."""
+    return {
         sum(1 << j for j in subset): c
         for k, c in enumerate(size_coeffs) if c for subset in combinations(range(n), k)
     }
-    return MultilinearPoly(ring, n, coeffs)
 
 
 def _monomial_str(exps: Monomial) -> str:

@@ -384,7 +384,7 @@ class Ring(Enum):
         a, b = self.coerce(a), self.coerce(b)
         if not b:
             raise ZeroDivisionError("division by zero")
-        return self._ops.divide(a, b)
+        return a if b == self._one else self._ops.divide(a, b)
 
     def nth_roots(self, x, k: int) -> tuple:
         """All r with r**k == x, one root times each k-th root of unity, positive first."""

@@ -664,13 +664,15 @@ def test_enumerate_compares_the_composition_paths_as_polynomials(
 
 
 def test_enumerate_spot_checks_every_survivor_by_every_route(tmp_path, capsys, monkeypatch):
-    # counted through cli, so the leaf confirmation's own compositions in the
-    # walk do not count
+    # each name is counted at every module that binds it, so a closed form
+    # built for the leaf's decision in the walk counts as well as one built
+    # for the spot check
+    import polyassoc.assoc as assoc
+    import polyassoc.oracle as oracle
+
     calls = []
 
-    def counted(name):
-        f = getattr(cli, name)
-
+    def counted(name, f):
         def wrapper(p, arg):
             calls.append((name, p.render(), arg))
             return f(p, arg)
@@ -678,19 +680,57 @@ def test_enumerate_spot_checks_every_survivor_by_every_route(tmp_path, capsys, m
         return wrapper
 
     for name in ("compose_closed_form", "compose_substitution", "assoc_pointwise"):
-        monkeypatch.setattr(cli, name, counted(name))
+        original = getattr(assoc, name, None) or getattr(oracle, name)
+        wrapper = counted(name, original)
+        for module in (assoc, oracle, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
     code, _, _ = run(
         capsys, "enumerate", "--ring", "z", "--n", "3", "--bound", "1", "--seed", "77",
         "--out", str(tmp_path / "census"),
     )
+    monkeypatch.undo()
     survivors = [p.render() for p, _ in enumerate_associative(3, Ring.Z, 1).survivors]
     assert code == 0 and len(survivors) == 13
+    # one closed form per (survivor, slot) in the whole run, one substitution too
     for name in ("compose_closed_form", "compose_substitution"):
         got = sorted((p, slot) for f, p, slot in calls if f == name)
         assert got == sorted((p, slot) for p in survivors for slot in (1, 2, 3))
     checks = [(p, cfg) for f, p, cfg in calls if f == "assoc_pointwise"]
     assert sorted(p for p, _ in checks) == sorted(survivors)
     assert {(cfg.mode, cfg.seed) for _, cfg in checks} == {("random", 77)}
+
+
+@pytest.mark.parametrize("slots, message", [
+    ({2}, "census walk keeps {}, which the decision rejects"),
+    ({1, 2, 3}, "composition paths disagree for {} at slot 1"),
+])
+def test_enumerate_checks_the_closed_forms_the_walk_kept(
+    tmp_path, capsys, monkeypatch, slots, message
+):
+    # the closed form made wrong, by one added constant, at the given slots
+    # of the first nonconstant survivor: wrong at slot 2 alone, the leaf's
+    # decision rejects the table; wrong alike at every slot, the decision
+    # holds and the spot check finds the kept slot-1 form wrong
+    import polyassoc.assoc as assoc
+    from polyassoc import MultilinearPoly
+
+    first = next(p for p, _ in enumerate_associative(3, Ring.Z, 1).survivors if p.degree())
+    closed_form = assoc.compose_closed_form
+
+    def wrong_closed_form(p, slot):
+        q = closed_form(p, slot)
+        if slot not in slots or p != first:
+            return q
+        return MultilinearPoly(q.ring, q.n, {**q.coeffs, 0: q.coeff(0) + 1})
+
+    monkeypatch.setattr(assoc, "compose_closed_form", wrong_closed_form)
+    code, out, err = run(
+        capsys, "enumerate", "--ring", "z", "--n", "3", "--bound", "1",
+        "--out", str(tmp_path / "census"),
+    )
+    assert (code, out) == (3, "")
+    assert err == f"internal error: {message.format(first.render())}\n"
 
 
 def test_enumerate_draws_each_sample_set_once(tmp_path, capsys, monkeypatch):

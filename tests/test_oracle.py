@@ -681,13 +681,13 @@ CENSUS_BOXES = [
 
 def test_walk_builds_only_the_associative_tables(monkeypatch):
     calls = []
-    decide = oracle.associative_multilinear
+    decide = oracle._closed_forms_verdict
 
     def counted(ml):
         calls.append(ml)
         return decide(ml)
 
-    monkeypatch.setattr(oracle, "associative_multilinear", counted)
+    monkeypatch.setattr(oracle, "_closed_forms_verdict", counted)
     for n, ring, bound, prune, checked in CENSUS_BOXES:
         calls.clear()
         result = enumerate_associative(n, ring, bound, prune=prune, budget=10**8)
@@ -710,7 +710,7 @@ def test_a_wrong_root_makes_the_walk_differ_from_deciding_every_table(monkeypatc
     _, _, found = oracle._enumerate_chunk((ring, n, bound, ring.box(bound), False))
     # a list whose solve is off never tries its true root, so the tables
     # through that root are lost; each table still kept is associative
-    assert {ml.render() for ml in found} < {ml.render() for ml in survivors}
+    assert {ml.render() for ml, _ in found} < {ml.render() for ml in survivors}
 
 
 def test_equations_are_built_once_per_list_structure(monkeypatch):

@@ -254,9 +254,10 @@ def test_pow_multiplies_popcount_plus_bit_length_minus_one_times(monkeypatch, ba
 def test_substitute_builds_each_power_from_the_one_below(monkeypatch):
     # p = x1 + x1^2 + ... + x1^9 + x2^5: the powers 2..9 of u take one
     # product each, v^5 (whose v^4 is not needed) takes square-and-multiply,
-    # 2 + 3 - 1 = 4 products, all through SparsePoly.__mul__; each of the ten
-    # terms takes one product of term dicts by its coefficient, which
-    # __mul__'s twelve also go through; exponent-1 terms use the value as it is
+    # 2 + 3 - 1 = 4 products, all through SparsePoly.__mul__, which multiplies
+    # term dicts; each of the ten terms has one factor of two or more terms,
+    # so its products go straight into the result, not through a product of
+    # term dicts; exponent-1 terms use the value as it is
     p = SparsePoly(Ring.Z, 2, {**{(e, 0): 1 for e in range(1, 10)}, (0, 5): 1})
     u = parse_poly("x1 + x2 + 1", 2, Ring.Z)
     v = parse_poly("x1 - 2", 2, Ring.Z)
@@ -275,7 +276,7 @@ def test_substitute_builds_each_power_from_the_one_below(monkeypatch):
     monkeypatch.setattr(poly, "_mul_terms", counted_terms)
     composed = p.substitute([u, v])
     assert len(calls) == 8 + 4
-    assert len(term_products) == 8 + 4 + 10
+    assert len(term_products) == 8 + 4
     monkeypatch.setattr(SparsePoly, "__mul__", mul)
     assert composed == sum((u**e for e in range(1, 10)), v**5)
 
@@ -366,6 +367,59 @@ def test_arithmetic_results_are_clean(data):
         assert_validated(result)
     assert p + (-p) == p * 0 == SparsePoly.zero(ring, n)
     assert p**0 == SparsePoly.constant(ring, n, 1)
+
+
+def literal_substitution(p, values):
+    """The sum over p's terms of c * prod(values[j] ** e_j), each power a
+    run of SparsePoly products and the sum built by +."""
+    ring, target = p.ring, values[0].nvars
+    total = SparsePoly.zero(ring, target)
+    for exps, c in p.terms.items():
+        term = SparsePoly.constant(ring, target, c)
+        for value, e in zip(values, exps):
+            for _ in range(e):
+                term = term * value
+        total = total + term
+    return total
+
+
+@st.composite
+def substitutions(draw):
+    """p (exponents up to 3) and one value per variable: one term, two or
+    three terms, zero, or the negative of an earlier value, so sums cancel;
+    p may gain a term in every variable, whose factors are then all multi-term
+    when the values are."""
+    ring = draw(st.sampled_from(RINGS))
+    nvars, target = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    p = draw(sparse_polys(ring, nvars, top=3))
+    if draw(st.booleans()):
+        full = tuple(draw(st.integers(1, 3)) for _ in range(nvars))
+        p = p + SparsePoly(ring, nvars, {full: draw(ring_values(ring).filter(bool))})
+    top = draw(st.sampled_from((1, 3)))
+    exps = st.tuples(*[st.integers(0, top)] * target)
+    values = []
+    for _ in range(nvars):
+        kind = draw(st.sampled_from(("one", "multi", "zero", "negated")))
+        if kind == "zero":
+            values.append(SparsePoly.zero(ring, target))
+        elif kind == "negated" and values:
+            values.append(-draw(st.sampled_from(values)))
+        else:
+            size = 1 if kind == "one" else min(draw(st.integers(2, 3)), (top + 1) ** target)
+            terms = draw(st.dictionaries(
+                exps, ring_values(ring).filter(bool), min_size=size, max_size=size
+            ))
+            values.append(SparsePoly(ring, target, terms))
+    return p, values
+
+
+@SETTINGS
+@given(substitutions())
+def test_substitute_matches_its_literal_definition(case):
+    p, values = case
+    got = p.substitute(values)
+    assert_validated(got)
+    assert got == literal_substitution(p, values)
 
 
 def test_multilinear_view_equals_and_hashes_like_the_sparse_polynomial():

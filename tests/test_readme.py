@@ -1,9 +1,13 @@
 import ast
 import re
 import shlex
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 from types import ModuleType
+
+import pytest
 
 import polyassoc
 from polyassoc.cli import main
@@ -82,3 +86,37 @@ def test_only_rings_knows_which_ring_it_holds():
             if found:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_errors_imports_nothing_from_the_package():
+    # every layer can raise the package's exceptions because errors.py
+    # imports no other layer
+    tree = ast.parse((Path(polyassoc.__file__).parent / "errors.py").read_text())
+    modules = [
+        "." * node.level + (node.module or "") if isinstance(node, ast.ImportFrom) else alias.name
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert [m for m in modules if m.startswith((".", "polyassoc"))] == []
+
+
+@pytest.mark.parametrize("line, imports", [
+    ("from .errors import BudgetError, InternalInvariantError", True),
+    # the old home of BudgetError imports assoc itself: a circular import
+    ("from .oracle import BudgetError", False),
+])
+def test_assoc_can_import_the_exceptions_from_errors(tmp_path, line, imports):
+    # a copy of the package whose assoc.py gains the import, imported fresh
+    copy = tmp_path / "polyassoc"
+    shutil.copytree(
+        Path(polyassoc.__file__).parent, copy, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    assoc = copy / "assoc.py"
+    assoc.write_text(assoc.read_text().replace("from .poly import", f"{line}\nfrom .poly import", 1))
+    run = subprocess.run(
+        [sys.executable, "-c", "import polyassoc.assoc"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert (run.returncode == 0) == imports, run.stderr
+    if not imports:
+        assert "partially initialized module" in run.stderr
