@@ -148,9 +148,20 @@ def associated_value(p: SparsePoly, slot: int, point):
         raise ValueError(f"slot {slot} out of range 1..{n}")
     if len(point) != 2 * n - 1:
         raise ValueError(f"expected {2 * n - 1} coordinates")
-    point = list(point)
-    inner = p.evaluate(point[slot - 1 : slot - 1 + n])
-    return p.evaluate(point[: slot - 1] + [inner] + point[slot - 1 + n :])
+    return p.ring.element(_compositions(p, [slot - 1])(point)[0])
+
+
+def _compositions(p: SparsePoly, slots):
+    """A point in 2n-1 coordinates -> the native values of p's compositions at
+    the 0-based ``slots``: one conversion per point, no ring element built."""
+    kernel, plan = p.plan()
+    natives, n = p.ring.natives, p.nvars
+
+    def values(point):
+        xs = natives(point)
+        return [kernel(plan, xs[:s] + [kernel(plan, xs[s:s + n])] + xs[s + n:]) for s in slots]
+
+    return values
 
 
 def _composition_degrees(degrees: list[int], slot: int) -> list[int]:
@@ -208,21 +219,22 @@ class _SubsetSums(dict):
     first read and kept (Yates 1937; Bjorklund, Husfeldt, Kaski and Koivisto
     2007).  The coefficients are scaled once to integers over their common
     denominator ``den`` (``Ring.scaled``), so each entry is den * p(1_S);
-    ``den`` is 1 outside Q."""
+    ``den`` is 1 outside Q.  Each sum starts from zero in the scaled coefficients' type."""
 
     def __init__(self, p: MultilinearPoly):
         super().__init__()
-        self.den, scaled = p.ring.scaled(p.coeffs.values())
-        self.terms = list(zip(p.coeffs, scaled))
+        self.den, (zero, *scaled) = p.ring.scaled([p.ring.zero, *p.coeffs.values()])
+        self.terms = zero, list(zip(p.coeffs, scaled))
 
     def __missing__(self, mask: int):
         value = self[mask] = _subset_sum(self.terms, mask)
         return value
 
 
-def _subset_sum(terms: list, mask: int):
-    """The sum of the coefficients of ``terms`` whose masks lie within ``mask``."""
-    return sum(c for t, c in terms if t & mask == t)
+def _subset_sum(terms: tuple, mask: int):
+    """Zero plus the coefficients whose masks lie within ``mask``, for ``terms`` = (zero, pairs)."""
+    zero, pairs = terms
+    return sum((c for t, c in pairs if t & mask == t), zero)
 
 
 def _slot_value(sums: _SubsetSums, n: int, slot: int, mask: int):
@@ -237,7 +249,7 @@ def _slot_value(sums: _SubsetSums, n: int, slot: int, mask: int):
     window = (mask >> (slot - 1)) & ((1 << n) - 1)
     outer = (mask & (bit - 1)) | ((mask >> (slot + n - 1)) << slot)
     a = sums[outer]
-    return sums.den * a + sums[window] * (sums[outer | bit] - a)
+    return (a if sums.den == 1 else sums.den * a) + sums[window] * (sums[outer | bit] - a)
 
 
 def _assoc_on_support(p: MultilinearPoly) -> bool:
@@ -287,9 +299,10 @@ def assoc_pointwise(p: SparsePoly, cfg: OracleConfig) -> bool:
     evaluated: each slot's value at a point is read off the subset sums of
     p's coefficients (``_slot_value``), in integers scaled by den^2 over Q.
 
-    Random mode compares the n slot compositions of multilinear p at seeded
-    points (``_samples_agree``).  Their differences have degree at most
-    2*deg(p) - 1, since the slot variable has degree one.
+    Random mode compares the n slot compositions of multilinear p, in native
+    values (``_compositions``), at seeded points (``_samples_agree``).  Their
+    differences have degree at most 2*deg(p) - 1, since the slot variable
+    has degree one.
     """
     n = p.nvars
     if n < 2:
@@ -307,11 +320,7 @@ def assoc_pointwise(p: SparsePoly, cfg: OracleConfig) -> bool:
     if cfg.mode == "grid":
         return _assoc_on_support(ml)
     d = max(2 * p.degree() - 1, 0)
-
-    def compositions(point):
-        return [associated_value(p, i, point) for i in range(1, n + 1)]
-
-    return _samples_agree(p.ring, d, 2 * n - 1, compositions, cfg.seed)
+    return _samples_agree(p.ring, d, 2 * n - 1, _compositions(ml, range(n)), cfg.seed)
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,10 @@ class SparsePoly:
     """Exact sparse polynomial over one of the supported rings.
 
     Instances are immutable: ``terms`` is never written after construction,
-    and the plan that :meth:`evaluate` builds once and keeps relies on that.
+    and the plan that :meth:`plan` builds once and keeps relies on that.
     """
 
-    __slots__ = ("ring", "nvars", "terms", "_factors")
+    __slots__ = ("ring", "nvars", "terms", "_plan")
 
     def __init__(self, ring: Ring, nvars: int, terms: Mapping[Monomial, object] | None = None):
         if nvars < 1:
@@ -43,7 +43,7 @@ class SparsePoly:
         self.ring = ring
         self.nvars = nvars
         self.terms = clean
-        self._factors = None
+        self._plan = None
 
     @classmethod
     def _trusted(cls, ring: Ring, nvars: int, terms: dict[Monomial, object]) -> SparsePoly:
@@ -53,7 +53,7 @@ class SparsePoly:
         p.ring = ring
         p.nvars = nvars
         p.terms = terms
-        p._factors = None
+        p._plan = None
         return p
 
     @classmethod
@@ -157,20 +157,26 @@ class SparsePoly:
         return all(e <= 1 for exps in self.terms for e in exps)
 
     def evaluate(self, point: Sequence):
-        """The value at ``point``, exact and of the ring's element type.
-
-        The first call asks the ring for its plan of the terms and keeps it
-        (``Ring.plan``): a kernel and the coefficients in plain ints, over Q
-        numerators over their common denominator, over Z[i] ``(re, im)``
-        pairs.  Each call then sums in ints and builds one ring element.
-        Every coordinate is validated; a foreign value raises TypeError.
-        """
+        """The value at ``point``, exact and of the ring's element type: ``plan``'s
+        kernel on ``Ring.natives(point)``, which raises TypeError on a foreign
+        coordinate, wrapped by ``Ring.element``."""
         if len(point) != self.nvars:
             raise ValueError(f"expected {self.nvars} coordinates, got {len(point)}")
-        if self._factors is None:
-            self._factors = self.ring.plan(self.terms)
-        kernel, plan = self._factors
-        return kernel(plan, point)
+        kernel, plan = self.plan()
+        return self.ring.element(kernel(plan, self.ring.natives(point)))
+
+    def plan(self) -> tuple:
+        """The ring's kernel and its data (``Ring.plan``), built on the first
+        call and kept; a MultilinearPoly reads the indices off its masks."""
+        if self._plan is None:
+            if isinstance(self, MultilinearPoly):
+                coeffs = self.coeffs
+                indices = [[j for j in range(m.bit_length()) if m >> j & 1] for m in coeffs]
+            else:
+                coeffs = self.terms
+                indices = [[j for j, e in enumerate(exps) for _ in range(e)] for exps in coeffs]
+            self._plan = self.ring.plan(coeffs.values(), indices)
+        return self._plan
 
     def substitute(self, values: Sequence[SparsePoly]) -> SparsePoly:
         """Substitute a polynomial for every variable (all in the same target arity).
@@ -289,7 +295,7 @@ class MultilinearPoly(SparsePoly):
         self.ring = ring
         self.nvars = n
         self.coeffs = clean
-        self._factors = None
+        self._plan = None
         _TERMS.__set__(self, None)
 
     @classmethod
@@ -300,7 +306,7 @@ class MultilinearPoly(SparsePoly):
         p.ring = ring
         p.nvars = n
         p.coeffs = coeffs
-        p._factors = None
+        p._plan = None
         _TERMS.__set__(p, terms)
         return p
 

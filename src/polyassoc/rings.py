@@ -128,7 +128,10 @@ class GaussianInt:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> GaussianInt:
-        return _pow(self, k, GaussianInt(1))
+        return _pow(self, k, _ONE)
+
+
+_ONE = GaussianInt._trusted(1, 0)  # every power starts here; no operator writes its operands
 
 
 def _as_gauss(x) -> GaussianInt | None:
@@ -175,6 +178,12 @@ class _RingClass:
     def scaled(self, coeffs) -> tuple[int, list]:
         return 1, list(coeffs)
 
+    def plan(self, coeffs, indices: list) -> tuple:
+        return self.kernel, list(zip(self.natives(coeffs), indices))
+
+    def element(self, value):
+        return value
+
     def divide(self, a, b):
         q, r = self.divmod(a, b)
         return None if r else q
@@ -210,16 +219,15 @@ class _Integers(_RingClass):
     def root(self, x, k: int):
         return integer_nth_root(x, k)
 
-    def plan(self, terms: dict, factors: list) -> tuple:
-        return self.evaluate, list(zip(terms.values(), factors))
+    def natives(self, point) -> list:
+        return [v if type(v) is int else Ring.Z.coerce(v) for v in point]
 
     @staticmethod
-    def evaluate(terms: list, point) -> int:
-        xs = [v if type(v) is int else Ring.Z.coerce(v) for v in point]
+    def kernel(terms: list, xs: list) -> int:
         total = 0
-        for v, factors in terms:
-            for j, e in factors:
-                v = v * xs[j] if e == 1 else v * xs[j] ** e
+        for v, indices in terms:
+            for j in indices:
+                v *= xs[j]
             total += v
         return total
 
@@ -250,26 +258,27 @@ class _Rationals(_RingClass):
         den = lcm(*(c.denominator for c in coeffs))
         return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
-    def plan(self, terms: dict, factors: list) -> tuple:
+    def natives(self, point) -> list:
+        return [v if type(v) is Fraction or type(v) is int else Ring.Q.coerce(v) for v in point]
+
+    def plan(self, coeffs, indices: list) -> tuple:
         # Every term is scaled up to the total degree, so that at a point
         # whose coordinates share the denominator V all terms share den * V^degree.
-        den, nums = self.scaled(terms.values())
-        degree = max((sum(exps) for exps in terms), default=0)
-        scaled = [(c, degree - sum(exps), f) for c, exps, f in zip(nums, terms, factors)]
-        return self.evaluate, (den, degree, scaled)
+        den, nums = self.scaled(coeffs)
+        degree = max(map(len, indices), default=0)
+        return self.kernel, (den, degree, [(c, degree - len(f), f) for c, f in zip(nums, indices)])
 
     @staticmethod
-    def evaluate(plan: tuple, point) -> Fraction:
+    def kernel(plan: tuple, xs: list) -> Fraction:
         den, degree, terms = plan
-        xs = [v if type(v) is Fraction or type(v) is int else Ring.Q.coerce(v) for v in point]
         common = lcm(*(v.denominator for v in xs))
         nums = [v.numerator * (common // v.denominator) for v in xs]
         powers = [common**k for k in range(degree + 1)]
         total = 0
-        for v, deficit, factors in terms:
+        for v, deficit, indices in terms:
             v *= powers[deficit]
-            for j, e in factors:
-                v = v * nums[j] if e == 1 else v * nums[j] ** e
+            for j in indices:
+                v *= nums[j]
             total += v
         return Fraction(total, den * powers[degree])
 
@@ -307,49 +316,49 @@ class _GaussianIntegers(_RingClass):
             text = text[:-1] + "*i"  # 2i -> 2*i
         return f"({text})" if x.re else text
 
-    def plan(self, terms: dict, factors: list) -> tuple:
-        return self.evaluate, [(c.re, c.im, f) for c, f in zip(terms.values(), factors)]
+    def natives(self, point) -> list:
+        point = [v if type(v) in (GaussianInt, int) else Ring.ZI.coerce(v) for v in point]
+        return [(v, 0) if type(v) is int else (v.re, v.im) for v in point]
+
+    def element(self, value: tuple) -> GaussianInt:
+        return GaussianInt._trusted(*value)
 
     @staticmethod
-    def evaluate(terms: list, point) -> GaussianInt:
-        xs = []
-        for v in point:
-            if type(v) is int:
-                xs.append((v, 0))
-            elif type(v) is GaussianInt:
-                xs.append((v.re, v.im))
-            else:
-                v = Ring.ZI.coerce(v)
-                xs.append((v.re, v.im))
+    def kernel(terms: list, xs: list) -> tuple[int, int]:
         re_total = im_total = 0
-        for re, im, factors in terms:
-            for j, e in factors:
-                if e == 1:
-                    x, y = xs[j]
-                else:
-                    g = GaussianInt._trusted(*xs[j]) ** e
-                    x, y = g.re, g.im
+        for (re, im), indices in terms:
+            for j in indices:
+                x, y = xs[j]
                 re, im = re * x - im * y, re * y + im * x
             re_total += re
             im_total += im
-        return GaussianInt._trusted(re_total, im_total)
+        return re_total, im_total
 
 
 class Ring(Enum):
     """The available base rings; values double as the CLI ring flags.  Each
     member holds its ring's class and copies its constants: ``label``,
     ``is_field``, ``dim`` (integer coordinates per element) and
-    ``imaginary_unit`` (i, or None where the ring has no i)."""
+    ``imaginary_unit`` (i, or None where the ring has no i).  It binds the
+    class's ``grammar_str`` (the form the grammar reads back), ``scaled`` (a
+    common denominator, 1 outside Q, and each coefficient times it) and its
+    evaluation in three steps: ``natives(point)``, the coordinates checked
+    (TypeError) and converted, ints over Z, ``Fraction``s or ints over Q,
+    ``(re, im)`` pairs over Z[i]; ``plan(coeffs, indices)``, the kernel from
+    native coordinates to a native value and its data, each term's variable
+    indices repeated by exponent; and ``element(value)``, the ring element."""
 
     Z = "z"
     Q = "q"
     ZI = "zi"
 
     def __init__(self, value):
-        # the ring's class, its constants, and zero and one, made once per member
+        # the ring's class, its constants, its bound steps, and zero and one, made once
         ops = self._ops = {"z": _Integers, "q": _Rationals, "zi": _GaussianIntegers}[value]()
         self._type, self.label, self.is_field, self.dim = ops.type, ops.label, ops.is_field, ops.dim
         self.imaginary_unit = ops.imaginary_unit
+        self.grammar_str, self.scaled = ops.grammar_str, ops.scaled
+        self.natives, self.plan, self.element = ops.natives, ops.plan, ops.element
         self._zero, self._one = self._type(0), self._type(1)
 
     @property
@@ -400,10 +409,6 @@ class Ring(Enum):
         num/den for Q, a+bi for Z[i]."""
         return str(x if isinstance(x, Frac) else self.coerce(x))
 
-    def grammar_str(self, x) -> str:
-        """Rendering of element x that the expression grammar reads back."""
-        return self._ops.grammar_str(x)
-
     def coords(self, x) -> tuple:
         """Integer coordinates of x, by which elements sort: Z's x, Q's numerator
         and denominator, Z[i]'s re and im; a fraction's numerator's and denominator's."""
@@ -424,17 +429,6 @@ class Ring(Enum):
 
     def box_size(self, bound: int) -> int:
         return (2 * bound + 1) ** self.dim
-
-    def scaled(self, coeffs) -> tuple[int, list]:
-        """A common denominator of ``coeffs`` (1 outside Q) and each times it, as ints."""
-        return self._ops.scaled(coeffs)
-
-    def plan(self, terms: dict) -> tuple:
-        """The kernel that ``SparsePoly.evaluate`` calls and the data it reads:
-        per term the coefficient in ints and its ``(variable, exponent)`` factors."""
-        factors = [[(j, e) for j, e in enumerate(exps) if e] for exps in terms]
-        return self._ops.plan(terms, factors)
-
 
 def integer_nth_root(x: int, k: int):
     """Exact integer k-th root of x (sign-aware), or None."""

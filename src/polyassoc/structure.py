@@ -82,12 +82,21 @@ def is_medial(p: SparsePoly) -> tuple[bool, str]:
     if ml is not None:
         rows, cols = _medial_sides(ml)
         return rows == cols, "symbolic"
+    return _samples_agree(p.ring, p.degree()**2, n * n, _sampled_sides(p), DEFAULT_SEED), "sampled"
+
+
+def _sampled_sides(p: SparsePoly):
+    """An n x n matrix, flat and row-major -> the native values of both medial
+    sides there: one conversion per matrix, no ring element built."""
+    kernel, plan = p.plan()
+    natives, n = p.ring.natives, p.nvars
 
     def sides(flat):
-        by_rows = p.evaluate([p.evaluate(flat[r * n:(r + 1) * n]) for r in range(n)])
-        return [by_rows, p.evaluate([p.evaluate(flat[c::n]) for c in range(n)])]
+        xs = natives(flat)
+        by_rows = kernel(plan, [kernel(plan, xs[r * n:(r + 1) * n]) for r in range(n)])
+        return [by_rows, kernel(plan, [kernel(plan, xs[c::n]) for c in range(n)])]
 
-    return _samples_agree(p.ring, p.degree() ** 2, n * n, sides, DEFAULT_SEED), "sampled"
+    return sides
 
 
 def _medial_sides(p: MultilinearPoly) -> tuple[dict, dict]:

@@ -32,7 +32,7 @@ from polyassoc import (
     parse_poly,
     reconstruct,
 )
-from polyassoc import oracle
+from polyassoc import oracle, structure
 
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
 
@@ -233,6 +233,58 @@ def test_associated_value_fixture():
     assert associated_value(p, 2, (1, 0, 1)) == 1
 
 
+def literal_value(p: SparsePoly, point):
+    """p at ``point`` by the ring's element operators alone: the sum over the
+    terms of c * x_j * .. * x_j, each x_j multiplied in e_j times."""
+    total = p.ring.zero
+    for exps, c in p.terms.items():
+        for x, e in zip(map(p.ring.coerce, point), exps):
+            for _ in range(e):
+                c = c * x
+        total = total + c
+    return total
+
+
+@st.composite
+def points_of_polynomials(draw):
+    """p over Z, Q or Z[i] at n = 2..5, multilinear (by masks or by exponent
+    tuples) or with exponents up to 3, and n*n coordinates, each an int, a
+    bool or a ring element."""
+    ring = draw(st.sampled_from(list(COEFFS)))
+    n = draw(st.integers(2, 5))
+    top = draw(st.sampled_from([1, 3]))
+    exps = st.tuples(*[st.integers(0, top)] * n)
+    p = SparsePoly(ring, n, draw(st.dictionaries(exps, COEFFS[ring], max_size=4)))
+    if top == 1 and draw(st.booleans()):
+        p = MultilinearPoly(ring, n, p.to_multilinear().coeffs)
+    coordinate = st.one_of(SMALL, st.booleans(), COEFFS[ring])
+    return p, draw(st.lists(coordinate, min_size=n * n, max_size=n * n))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(points_of_polynomials())
+def test_native_chains_equal_the_nested_definition(case):
+    # the compositions and the medial sides, chained in native values and
+    # wrapped once, against nested evaluations by the ring's own operators
+    p, flat = case
+    ring, n = p.ring, p.nvars
+    point = flat[: 2 * n - 1]
+    nested = [
+        literal_value(p, point[:s] + [literal_value(p, point[s:s + n])] + point[s + n:])
+        for s in range(n)
+    ]
+    chained = [ring.element(v) for v in oracle._compositions(p, range(n))(point)]
+    assert chained == nested
+    assert [associated_value(p, s, point) for s in range(1, n + 1)] == nested
+    assert p.evaluate(point[:n]) == literal_value(p, point[:n])
+    rows = literal_value(p, [literal_value(p, flat[r * n:(r + 1) * n]) for r in range(n)])
+    cols = literal_value(p, [literal_value(p, flat[c::n]) for c in range(n)])
+    sides = [ring.element(v) for v in structure._sampled_sides(p)(flat)]
+    assert sides == [rows, cols]
+    for value in chained + sides + [p.evaluate(point[:n])]:
+        assert type(value) is type(ring.one)
+
+
 def test_assoc_pointwise():
     cfg = OracleConfig(mode="grid")
     assert assoc_pointwise(parse_poly(CUBIC_EXAMPLE, 3, Ring.Z), cfg)
@@ -249,7 +301,8 @@ def test_grid_guard(monkeypatch):
     # a squared variable: both modes reject by the slot degrees, evaluating
     # nothing; grid mode still raises where the exact grid passes the guard
     with monkeypatch.context() as patch:
-        patch.setattr(oracle, "associated_value", no_evaluation)
+        patch.setattr(oracle, "_compositions", no_evaluation)
+        patch.setattr(SparsePoly, "plan", no_evaluation)  # every kernel's data
         patch.setattr(oracle, "_subset_sum", no_evaluation)
         for p in [SparsePoly(Ring.Z, 2, {(40, 40): 1, (1, 0): 1}),
                   parse_poly("(((x1^64)^64)^64)*x2", 2, Ring.Z),

@@ -151,6 +151,16 @@ def test_gaussian_operators_match_integer_pair_formulas(re, im, other):
         power = _pair_mul(power, a)
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(COMPONENTS, COMPONENTS, st.integers(0, 12))
+def test_gaussian_power_is_repeated_multiplication(re, im, k):
+    g, expected = GaussianInt(re, im), GaussianInt(1)
+    for _ in range(k):
+        expected = expected * g
+    _assert_pair(g**k, (expected.re, expected.im))
+    assert g**0 == GaussianInt(1)  # the one every power starts from is unchanged
+
+
 @over_every_ring
 def test_frac_normal_form_and_hash(ring):
     # one pair per value: scaling numerator and denominator by a common
