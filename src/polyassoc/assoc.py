@@ -18,18 +18,15 @@ mapped back to 1..n with x_s clear, and its coefficient is
 
 read from p's own coefficients (``_pulled_masks``).  The census walk checks
 every equation between adjacent slots this way.  Input with a squared
-variable is first compared on x1 alone: in colex order every monomial in x1
-comes before every monomial that uses a later variable, so a difference
-there is the witness the full comparison would find.  Setting x2..x_(2n-1)
-to 0 leaves f(f(x1)) in slot 1, with f = p(x1, 0, .., 0), and
-p(x1, c, 0, .., 0) in slot 2, with c = p(0, .., 0); both are read from p's
-terms in x1 and x2 alone.
+variable is compared on colex prefixes (:func:`is_associative`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
+from .errors import InternalInvariantError
 from .poly import Monomial, MultilinearPoly, SparsePoly, _monomial_str
 
 
@@ -76,12 +73,28 @@ def compose_substitution(p: SparsePoly, slot: int) -> SparsePoly:
     expanded in full by one substitution into p: the nested call is p's terms
     shifted into the window x_slot..x_(slot+n-1), the other slots take the
     outer variables."""
-    n = p.nvars
-    m = _check_slot(n, slot)
+    return _cut(p, slot, _check_slot(p.nvars, slot))
+
+
+def _cut(p: SparsePoly, slot: int, k: int) -> SparsePoly:
+    """The slot composition with x_(k+1)..x_(2n-1) set to zero, in x1..xk.
+    The nested call keeps p's terms in arguments 1..width, those placed in
+    x1..xk; the outer arguments placed past x_k are zero, so only p's terms
+    in 1..min(k, slot-1) and slot..last are substituted."""
+    n, ring = p.nvars, p.ring
     before, after = (0,) * (slot - 1), (0,) * (n - slot)
-    inner = SparsePoly._trusted(p.ring, m, {before + e + after: c for e, c in p.terms.items()})
-    outer = [SparsePoly.variable(p.ring, m, j) for j in (*range(1, slot), *range(slot + n, m + 1))]
-    return p.substitute(outer[: slot - 1] + [inner] + outer[slot - 1 :])
+    width, last = max(0, k - slot + 1), max(slot, k - n + 1)
+    unread, gap, past = (0,) * (n - width), before[k:], after[last - slot :]
+    inner = {(before + e + after)[:k]: c for e, c in p.terms.items() if e[width:] == unread}
+    outer = p
+    if gap or past:
+        kept = {e: c for e, c in p.terms.items() if e[last:] == past and e[k : slot - 1] == gap}
+        outer = SparsePoly._trusted(ring, n, kept)
+    zero, x = SparsePoly._trusted(ring, k, {}), partial(SparsePoly.variable, ring, k)
+    values = [x(j) if j <= k else zero for j in range(1, slot)]
+    values.append(SparsePoly._trusted(ring, k, inner))
+    values += [x(j + n - 1) for j in range(slot + 1, last + 1)] + [zero] * (n - last)
+    return outer.substitute(values)
 
 
 def compose_closed_form(p: MultilinearPoly, slot: int) -> MultilinearPoly:
@@ -125,23 +138,6 @@ def _check_slot(n: int, slot: int) -> int:
     return 2 * n - 1
 
 
-def _x1_parts(p: SparsePoly) -> tuple[dict, dict]:
-    """The monomials in x1 alone of slots 1 and 2, as univariate term dicts,
-    read off p (see the module docstring): f(f(x1)) for the terms f of p in
-    x1 alone, and the sum of a*c^e2*x1^e1 over the terms a*x1^e1*x2^e2 of p
-    in x1 and x2 alone, with c the constant term."""
-    zero = p.ring.zero
-    c = p.terms.get((0,) * p.nvars, zero)
-    f, slot2 = {}, {}
-    for (e1, e2, *rest), a in p.terms.items():
-        if not any(rest):
-            slot2[(e1,)] = slot2.get((e1,), zero) + a * c**e2
-            if not e2:
-                f[(e1,)] = a
-    f = SparsePoly._trusted(p.ring, 1, f)
-    return f.substitute([f]).terms, {e: v for e, v in slot2.items() if v}
-
-
 def _colex_key(monomial: Monomial) -> tuple[int, ...]:
     # Colex order on exponent vectors restricts to numeric mask order on
     # 0/1 vectors, which fixes the deterministic witness tie-break.
@@ -155,23 +151,16 @@ def _first_difference(lhs: dict, rhs: dict, key=None):
     return min(differing, key=key, default=None)
 
 
-def _comparisons(p, compose, symmetric):
-    """Full compositions to compare, as (slot, slot 1's, the slot's), in the
-    order that keeps the witness: slot 2, then, unless ``symmetric()``
-    holds, slots 3..n.  Lazy, so a caller that stops at a difference builds
-    nothing further."""
-    base = compose(p, 1)
-    yield 2, base, compose(p, 2)
-    if p.nvars > 2 and not symmetric():
-        for slot in range(3, p.nvars + 1):
-            yield slot, base, compose(p, slot)
-
-
 def _multilinear_verdict(p: MultilinearPoly, compose) -> AssocVerdict:
-    """The verdict on multilinear p from ``_comparisons`` of its closed forms,
-    each ``compose(p, slot)``, with the witness at the first difference."""
+    """The verdict on multilinear p from its closed forms, each
+    ``compose(p, slot)``: slot 2 against slot 1, then, unless p is symmetric,
+    slots 3..n, with the witness at the first difference (no later slot is built)."""
     zero = p.ring.zero
-    for slot, base, other in _comparisons(p, compose, p.is_symmetric):
+    base = compose(p, 1)
+    for slot in range(2, p.n + 1):
+        if slot == 3 and p.is_symmetric():
+            break
+        other = compose(p, slot)
         if other.coeffs != base.coeffs:
             mask = _first_difference(base.coeffs, other.coeffs)
             monomial = tuple((mask >> j) & 1 for j in range(2 * p.n - 1))
@@ -200,14 +189,20 @@ def is_associative(p: SparsePoly) -> AssocVerdict:
 
     Multilinear input goes through :func:`associative_multilinear`, with
     a shortcut for symmetric operations (the first two slot compositions
-    agreeing already settles the symmetric case).  Anything with a squared
-    variable is decided from p's terms and by substitution, so the verdict
-    is about the input itself, not about a normal form.
+    agreeing already settles the symmetric case).
 
-    Both routes compare slot 2 against slot 1, then slots 3..n.  The
-    squared-variable route first compares slots 1 and 2 on x1 alone, read
-    off p by :func:`_x1_parts`; those monomials come first in colex order,
-    so a difference there is the same witness the full comparison finds.
+    Input with a squared variable is never associative.  Over an integral
+    domain slot s's degree in x_j is d_j before the nested window,
+    d_s * d_(j-s+1) in it and d_(j-n+1) past it, for p's degrees d_1..d_n;
+    equal degrees at all slots force every d_j <= 1 (slots s and s+1 agree
+    at x_s and x_(s+n) only if d_s(d_1 - 1) = 0 = d_(s+1)(d_n - 1); d_1 = 0
+    zeroes d_1..d_(n-1), and d_1 = 1 gives d_(s+1) = d_s * d_2 at x_(s+1),
+    so d_n = d_2^(n-1) bounds d_2).  So only the witness is searched for:
+    for slot s = 2..n and k upward over the variables slot 1's or slot s's
+    composition can hold, both are cut to x1..xk (:func:`_cut`).  Monomials
+    in x1..xk come first in colex order, so the first difference at the
+    first k with one is the full comparison's.  A walk that finds none
+    raises ``InternalInvariantError``.
     """
     n = p.nvars
     if n < 2:
@@ -215,15 +210,20 @@ def is_associative(p: SparsePoly) -> AssocVerdict:
     ml = p.to_multilinear()
     if ml is not None:
         return associative_multilinear(ml)
-    zero = p.ring.zero
-    lhs, rhs = _x1_parts(p)
-    e = _first_difference(lhs, rhs)
-    if e is not None:
-        monomial = e + (0,) * (2 * n - 2)
-        return AssocVerdict(False, CompositionWitness(2, monomial, lhs.get(e, zero), rhs.get(e, zero)))
-    for slot, base, other in _comparisons(p, compose_substitution, lambda: False):
-        e = _first_difference(base.terms, other.terms, _colex_key)
-        if e is not None:
-            lhs, rhs = base.terms.get(e, zero), other.terms.get(e, zero)
-            return AssocVerdict(False, CompositionWitness(slot, e, lhs, rhs))
-    return AssocVerdict(True)
+    zero, m = p.ring.zero, 2 * n - 1
+    read = [j for j in range(1, n + 1) if any(e[j - 1] for e in p.terms)]
+    bases: dict[int, dict] = {}
+    for slot in range(2, n + 1):
+        # slot s's composition can hold x_j for an argument j read before
+        # s, x_(j+n-1) for one after s, and x_(s+i-1) when p reads x_s
+        held = {j if j < s else j + n - 1 for s in (1, slot) for j in read if j != s}
+        held.update(s + i - 1 for s in (1, slot) if s in read for i in read)
+        for k in sorted(held):
+            if k not in bases:
+                bases[k] = _cut(p, 1, k).terms
+            base, other = bases[k], _cut(p, slot, k).terms
+            e = _first_difference(base, other, _colex_key)
+            if e is not None:
+                lhs, rhs = base.get(e, zero), other.get(e, zero)
+                return AssocVerdict(False, CompositionWitness(slot, e + (0,) * (m - k), lhs, rhs))
+    raise InternalInvariantError(f"slot compositions of {p.render()} agree with a squared variable")

@@ -20,7 +20,7 @@ from polyassoc import (
     parse_poly,
 )
 from polyassoc import assoc
-from polyassoc.assoc import _pulled_masks, _x1_parts
+from polyassoc.assoc import _cut, _pulled_masks
 
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
 
@@ -330,9 +330,8 @@ def test_witness_past_x1_comes_from_the_full_comparison(text, n, slot, monomial)
     w = is_associative(p).witness
     assert (w.slot, w.monomial) == (slot, monomial)
     assert (w.slot, w.monomial, w.lhs, w.rhs) == colex_first_difference(p)
-    # the monomials in x1 alone of slots 1 and 2 agree
-    slot1, slot2 = _x1_parts(p)
-    assert slot1 == slot2
+    # slots 1 and 2 agree at k = 1
+    assert _cut(p, 1, 1) == _cut(p, 2, 1)
 
 
 @st.composite
@@ -386,23 +385,22 @@ def test_witness_at_mask_0_or_1(text, ring, n, mask, lhs, rhs):
     assert type(w.lhs) is type(w.rhs) is type(ring.zero)
 
 
-def x1_terms(composition):
-    """The composition's monomials in x1 alone, keyed by their x1 exponent."""
-    return {e[:1]: c for e, c in composition.terms.items() if not any(e[1:])}
-
-
 @SETTINGS
 @given(st.one_of(sparse_polys(min_nvars=2), sparse_polys(min_nvars=2, max_exp=1)))
-def test_x1_reader_matches_the_full_substitution(p):
-    parts = _x1_parts(p)
-    for slot, part in zip((1, 2), parts):
-        full = x1_terms(compose_substitution(p, slot))
-        assert part == full
-        assert [type(c) for c in part.values()] == [type(full[e]) for e in part]
+def test_prefix_cut_matches_the_full_substitution(p):
+    for slot in range(1, p.nvars + 1):
+        full = compose_substitution(p, slot).terms
+        for k in range(1, 2 * p.nvars):
+            cut = _cut(p, slot, k)
+            want = {e[:k]: c for e, c in full.items() if not any(e[k:])}
+            assert (cut.ring, cut.nvars, cut.terms) == (p.ring, k, want)
+            assert [type(c) for c in cut.terms.values()] == [type(want[e]) for e in cut.terms]
     ml = p.to_multilinear()
     if ml is not None:
-        # both x1 readers give the same constant and x1 coefficients
-        for slot, part in zip((1, 2), parts):
+        # the cut at k = 1 and the pulled coefficients give the same
+        # constant and x1 coefficients
+        for slot in (1, 2):
+            part = _cut(p, slot, 1).terms
             assert set(part) <= {(0,), (1,)}
             for e in (0, 1):
                 assert part.get((e,), p.ring.zero) == _pulled_coeff(ml, slot, e)
@@ -415,14 +413,19 @@ def test_x1_reader_matches_the_full_substitution(p):
 ])
 def test_squared_variable_x1_step_builds_no_composition(monkeypatch, text, ring, n, monomial, lhs, rhs):
     p = parse_poly(text, n, ring)
+    cuts = []
 
-    def build(*args):
-        raise AssertionError("composition built")
+    def cut(p, slot, k):
+        cuts.append(k)
+        return _cut(p, slot, k)
 
-    monkeypatch.setattr(assoc, "compose_substitution", build)
+    monkeypatch.setattr(assoc, "_cut", cut)
     w = is_associative(p).witness
     assert w == assoc.CompositionWitness(2, monomial, lhs, rhs)
     assert type(w.lhs) is type(w.rhs) is type(ring.zero)
+    # no cut goes past the witness's last variable, so no full composition is built
+    last = max(j + 1 for j, e in enumerate(monomial) if e)
+    assert cuts and max(cuts) <= last
 
 
 def test_symmetric_shortcut_agrees_with_full_check():

@@ -16,6 +16,7 @@ from polyassoc import (
     SparsePoly,
     assoc_pointwise,
     enumerate_associative,
+    is_associative,
     parse_poly,
 )
 from polyassoc.cli import build_parser, main
@@ -507,6 +508,34 @@ def test_wide_power_is_decided_from_the_x1_coefficients(capsys, n, power):
         "lhs": "0",
         "rhs": "1",
     }
+
+
+def test_witness_past_x1_is_found_without_expanding_a_composition(capsys):
+    # slot 2 nests (x3+...+x7)^6 + x2 + x8+...+x11 in a sixth power: expanded
+    # in full it ran for more than 20 s
+    with alarm_after(3):
+        code, out, _ = run(
+            capsys, "check", "--ring", "z", "--n", "6", "--poly", "(x2+x3+x4+x5+x6)^6 + x1"
+        )
+    assert code == 0
+    assert "witness: slot 2 vs slot 1 at x2^5*x3: 6 != 0\n" in out
+
+
+def test_witness_at_a_later_slot_is_found_in_a_few_variables():
+    # slots 1 and 2 agree; expanding whole compositions took 17.6 s
+    p = parse_poly("(x3+x4+x5+x6)^8", 6, Ring.Z)
+    with alarm_after(3):
+        w = is_associative(p).witness
+    assert (w.slot, w.monomial_str(), w.lhs, w.rhs) == (3, "x5^64", 0, 1)
+
+
+def test_squared_variable_with_no_difference_found_exits_3(capsys, monkeypatch):
+    import polyassoc.assoc as assoc
+
+    monkeypatch.setattr(assoc, "_first_difference", lambda lhs, rhs, key=None: None)
+    code, out, err = run(capsys, "check", "--ring", "z", "--n", "2", "--poly", "x1^2 + x2")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: slot compositions of x1^2 + x2 agree")
 
 
 @pytest.mark.parametrize("poly", ["(((x1^64)^64)^64)*x2", "(x1 + x2 + 1)^30"])

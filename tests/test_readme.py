@@ -100,6 +100,17 @@ def test_errors_imports_nothing_from_the_package():
     assert [m for m in modules if m.startswith((".", "polyassoc"))] == []
 
 
+def test_assoc_imports_only_errors_and_poly_from_the_package():
+    # the decision keeps clear of the oracle's route code and of classify
+    tree = ast.parse((Path(polyassoc.__file__).parent / "assoc.py").read_text())
+    modules = {
+        "." * node.level + (node.module or "") if isinstance(node, ast.ImportFrom) else alias.name
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert {m for m in modules if m.startswith((".", "polyassoc"))} <= {".errors", ".poly"}
+
+
 @pytest.mark.parametrize("line, imports", [
     ("from .errors import BudgetError, InternalInvariantError", True),
     # the old home of BudgetError imports assoc itself: a circular import
