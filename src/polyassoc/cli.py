@@ -300,8 +300,11 @@ def _join_poly_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = _join_poly_values(sys.argv[1:] if argv is None else list(argv))
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        if getattr(args, "poly", "") == []:  # argparse strips the value of "--poly=--"
+            parser.error("argument --poly: expected one argument")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

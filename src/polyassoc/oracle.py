@@ -1,11 +1,11 @@
 """Implementation-independent verification and exhaustive search.
 
 The pointwise checks avoid the closed-form composition machinery: multilinear
-associativity is checked at points, exactly at the 0/1 points that can carry
-a monomial, where each slot composition is read off subset sums of p's
-coefficients and no composition is evaluated, and probabilistically by
-evaluating the compositions at random samples; other input, never
-associative, is checked by its per-variable degrees.
+associativity is checked exactly at the 0/1 points that can carry a
+monomial, a family of points at a time, each composition affine in one
+subset sum of p's coefficients there, and probabilistically by evaluating
+the compositions at random samples; other input, never associative, is
+checked by its per-variable degrees.
 The enumerator walks entire boxes of multilinear coefficient tables, one
 value list at a time with c_0's last, checks each slot composition equation
 once its coefficients are set, so a failure settles a whole sub-box, and
@@ -192,28 +192,6 @@ def _slot_bound(masks: list[int], slot: int) -> int:
     return with_slot * len(masks) + len(masks) - with_slot
 
 
-def _slot_candidates(masks: list[int], n: int, slot: int) -> set[int]:
-    """A superset of the support of the slot composition, as masks over 2n-1
-    variables.
-
-    Substituting p for x_slot multiplies each term containing x_slot by
-    every term of the nested call, whose variables sit in the window
-    slot..slot+n-1; a term without x_slot passes through.  Either way the
-    term's other variables keep their place before the window or move past
-    it, and the window is disjoint from them, so each product is one mask.
-    """
-    bit = 1 << (slot - 1)
-    inner = [m << (slot - 1) for m in masks]
-    out: set[int] = set()
-    for m in masks:
-        placed = (m & (bit - 1)) | ((m >> slot) << (slot + n - 1))
-        if m & bit:
-            out.update(placed | i for i in inner)
-        else:
-            out.add(placed)
-    return out
-
-
 class _SubsetSums(dict):
     """p(1_S) = the sum of c_T over T within S, by mask S, each computed on
     first read and kept (Yates 1937; Bjorklund, Husfeldt, Kaski and Koivisto
@@ -237,41 +215,93 @@ def _subset_sum(terms: tuple, mask: int):
     return sum((c for t, c in pairs if t & mask == t), zero)
 
 
-def _slot_value(sums: _SubsetSums, n: int, slot: int, mask: int):
-    """den^2 times slot ``slot``'s composition at the indicator point of
-    ``mask`` over 2n-1 variables.
+def _families(masks: list[int], lo: int, hi: int, ends: tuple) -> dict[int, int]:
+    """Equation s's families by n-bit key k (slot s+1's outer variables, a = x_s
+    at ``lo``, b = x_(s+n) at ``hi``) with their source kinds: 1 (2) for a term t
+    with x_s (x_(s+1)), at each a (b) in ``ends``; 4 for t lacking one, at k = t."""
+    a0, a1, b0, b1 = 0 in ends[0], 1 in ends[0], 0 in ends[1], 1 in ends[1]
+    families: dict[int, int] = {}
+    get = families.get
+    for t in masks:
+        if t & lo:
+            if a0:
+                families[t ^ lo] = get(t ^ lo, 0) | 1
+            if a1:
+                families[t] = get(t, 0) | 1
+        if t & hi:
+            if b0:
+                families[t ^ hi] = get(t ^ hi, 0) | 2
+            if b1:
+                families[t] = get(t, 0) | 2
+        if ~t & (lo | hi):
+            families[t] = get(t, 0) | 4
+    return families
 
-    With W the window's bits and O the outer bits, x_slot's cleared, split
-    p = A + x_slot*B, so A(1_O) = p(1_O) and B(1_O) = p(1_(O+slot)) - p(1_O);
-    the composition is A(1_O) + p(1_W) * B(1_O), three table reads.
-    """
-    bit = 1 << (slot - 1)
-    window = (mask >> (slot - 1)) & ((1 << n) - 1)
-    outer = (mask & (bit - 1)) | ((mask >> (slot + n - 1)) << slot)
-    a = sums[outer]
-    return (a if sums.den == 1 else sums.den * a) + sums[window] * (sums[outer | bit] - a)
+
+def _window_parts(masks: list[int], n: int, key: int) -> set[int]:
+    """The parts C = x_(s+1)..x_(s+n-1) a family of ``key`` = a | b << 1 | kinds << 2
+    is checked at: w >> 1 for terms w & 1 = a, w mod 2^(n-1) for w >> (n-1) = b, 0."""
+    a, b, kinds = key & 1, key >> 1 & 1, key >> 2
+    parts = {0} if kinds & 4 else set()
+    if kinds & 1:
+        parts.update(w >> 1 for w in masks if w & 1 == a)
+    if kinds & 2:
+        parts.update(w & ((1 << (n - 1)) - 1) for w in masks if w >> (n - 1) == b)
+    return parts
+
+
+def _relation(sums: _SubsetSums, n: int, key: int, parts: set[int]) -> tuple:
+    """(u(C0), v(C0), pivot) on the ``parts`` of a family of ``key``, u(C) = S(a | C << 1),
+    v(C) = S(C | b << (n-1)), U = u - u(C0), V = v - v(C0): pivot is None when (U, V)
+    vanishes there, the first nonzero (U, V) when U and V are proportional, else False."""
+    a, top = key & 1, (key >> 1 & 1) << (n - 1)
+    c0, *rest = parts
+    u0, v0, pivot = sums[a | c0 << 1], sums[c0 | top], None
+    for c in rest:
+        du, dv = sums[a | c << 1] - u0, sums[c | top] - v0
+        if pivot is None:
+            pivot = (du, dv) if du or dv else None
+        elif du * pivot[1] != dv * pivot[0]:
+            return u0, v0, False
+    return u0, v0, pivot
 
 
 def _assoc_on_support(p: MultilinearPoly) -> bool:
-    """The n-1 equations of multilinear p, each at its candidate 0/1 points."""
+    """The n-1 equations of multilinear p, each checked once per family of its
+    candidate 0/1 points (``assoc_pointwise``)."""
     n, m, masks = p.nvars, 2 * p.nvars - 1, list(p.coeffs)
     bounds = [_slot_bound(masks, s) for s in range(1, n + 1)]
     _check_grid_guard(sum(min(1 << m, a + b) for a, b in zip(bounds, bounds[1:])))
     sums = _SubsetSums(p)
-    lhs = _slot_candidates(masks, n, 1)
-    known: dict[int, object] = {}  # slot i's values by mask, from equation i-1
-    for i in range(1, n):
-        rhs = _slot_candidates(masks, n, i + 1)
-        values: dict[int, object] = {}
-        for mask in lhs | rhs:
-            left = known.get(mask)
-            if left is None:
-                left = _slot_value(sums, n, i, mask)
-            right = values[mask] = _slot_value(sums, n, i + 1, mask)
-            if left != right:
+    ends = {w & 1 for w in masks}, {w >> (n - 1) for w in masks}  # the a's and b's of terms
+    relations: dict[int, tuple] = {}  # by key, shared by all equations
+    for s in range(1, n):
+        lo, hi = 1 << (s - 1), 1 << s
+        for k, kinds in _families(masks, lo, hi, ends).items():
+            key = k >> (s - 1) & 3 | kinds << 2
+            relation = relations.get(key)
+            if relation is None:
+                relation = relations[key] = _relation(sums, n, key, _window_parts(masks, n, key))
+            if not _family_holds(sums, lo, hi, k, relation):
                 return False
-        lhs, known = rhs, values
     return True
+
+
+def _family_holds(sums: _SubsetSums, lo: int, hi: int, k: int, relation: tuple) -> bool:
+    """Whether equation s (x_s at ``lo``, x_(s+1) at ``hi``) holds on all of family k:
+    alpha + beta*u(C0) = gamma + delta*v(C0), and beta*U = delta*V as ``relation`` says."""
+    u0, v0, pivot = relation
+    alpha, gamma = sums[k & ~lo], sums[k & ~hi]
+    beta, delta = sums[k | lo] - alpha, sums[k | hi] - gamma
+    if sums.den != 1:
+        alpha, gamma = sums.den * alpha, sums.den * gamma
+    if beta and u0:  # sparse input leaves many zeros; skip their products
+        alpha += beta * u0
+    if delta and v0:
+        gamma += delta * v0
+    if alpha != gamma or pivot is None:
+        return alpha == gamma
+    return not (beta or delta) if pivot is False else beta * pivot[0] == delta * pivot[1]
 
 
 def assoc_pointwise(p: SparsePoly, cfg: OracleConfig) -> bool:
@@ -283,21 +313,25 @@ def assoc_pointwise(p: SparsePoly, cfg: OracleConfig) -> bool:
     keeps its guard: equation i raises ``BudgetError`` when the grid one
     past each variable's degree in either composition would pass it.
 
-    Grid mode is exact.  For multilinear p, equation i (slot i against slot
-    i+1) is checked only at the 0/1 indicator points of candidate masks: the
-    union of the two slots' candidate sets, each a superset of its
-    composition's support that follows from substitution alone.  That
-    suffices (the minimal-monomial argument of sparse identity testing;
-    Klivans and Spielman 2001): let D be a nonzero multilinear difference of
-    the two compositions and S an inclusion-minimal monomial of D.  At the
-    indicator point 1_S every other monomial of D vanishes, so D(1_S) is
-    coef(S), which is nonzero, and S is a candidate since every monomial of
-    D is.  The guard bounds the candidates of all n-1 equations together,
-    from the term counts, before any set is built: slot s contributes at
-    most t masks per term containing x_s and one per other term, and an
-    equation at most its 2^(2n-1)-point grid.  No composition is
-    evaluated: each slot's value at a point is read off the subset sums of
-    p's coefficients (``_slot_value``), in integers scaled by den^2 over Q.
+    Grid mode is exact.  For multilinear p, equation s (slot s against slot
+    s+1) need only hold at the 0/1 indicator points of the masks that either
+    composition can hold by substitution: at the point 1_S of an
+    inclusion-minimal monomial S of a nonzero difference D of the two, every
+    other monomial of D vanishes, so D(1_S) = coef(S) != 0 (the
+    minimal-monomial argument; Klivans and Spielman 2001).  The guard bounds
+    these candidates over all n-1 equations, from the term counts, before
+    any subset sum is read: t masks per term with x_s and one per other
+    term, at most 2^(2n-1) per equation.  They are checked by family
+    (``_families``), the points that agree outside C = x_(s+1)..x_(s+n-1).
+    With S(T) = den * p(1_T), a subset sum of p's scaled coefficients, and
+    p = A + x_s B, den^2 times the two sides there are alpha + beta * u(C)
+    and gamma + delta * v(C), where u(C) = S(a | C << 1) and v(C) = S(C | b
+    << (n-1)) depend on the family's bits a = x_s and b = x_(s+n) alone.
+    Over an integral domain that holds at every C of the family iff it holds
+    at one C0 and beta * U = delta * V, for U = u - u(C0), V = v - v(C0):
+    one product comparison at a C1 where (U, V) != 0 when U and V are
+    proportional on the family's C's, else beta = delta = 0 (``_relation``).
+    No composition is evaluated; a dense table costs (n-1) * 2^n family checks.
 
     Random mode compares the n slot compositions of multilinear p, in native
     values (``_compositions``), at seeded points (``_samples_agree``).  Their

@@ -181,14 +181,14 @@ class SparsePoly:
     def substitute(self, values: Sequence[SparsePoly]) -> SparsePoly:
         """Substitute a polynomial for every variable (all in the same target arity).
 
-        Each power ``values[j] ** e`` with e >= 2 is computed once per call,
-        in ascending order: one product from ``values[j] ** (e - 1)`` when that
-        power is needed too, else by square-and-multiply.  Each term folds its
-        one-term factors (a variable, a monomial, a power of one) into its own
-        monomial and coefficient.  With at most one factor of two or more terms
-        left, each product term goes straight into the result; two or more are
-        multiplied into it smallest first (``_mul_terms``), so a large factor
-        is multiplied once, by the product of the others.
+        A one-term value c*x^f (a variable, a monomial, a constant) folds
+        into each term as f*e and c**e at exponent e, with no power built.
+        Each power ``values[j] ** e``, e >= 2, of another value is computed
+        once per call, in ascending order: one product from ``values[j] **
+        (e - 1)`` when that power is needed too, else by square-and-multiply.
+        With at most one factor of two or more terms left, each product term
+        goes straight into the result; two or more are multiplied into it
+        smallest first (``_mul_terms``), so a large one is multiplied once.
         """
         if len(values) != self.nvars:
             raise ValueError(f"expected {self.nvars} substitution values")
@@ -199,19 +199,22 @@ class SparsePoly:
         constant = (0,) * target
         powers: dict[tuple[int, int], SparsePoly] = {}
         for j, e in sorted({(j, e) for exps in self.terms for j, e in enumerate(exps) if e > 1}):
-            below = values[j] if e == 2 else powers.get((j, e - 1))
-            powers[j, e] = values[j] ** e if below is None else below * values[j]
+            if len(values[j].terms) != 1:
+                below = values[j] if e == 2 else powers.get((j, e - 1))
+                powers[j, e] = values[j] ** e if below is None else below * values[j]
         out: dict[Monomial, object] = {}
         for exps, coeff in self.terms.items():
             mono, wide = constant, []
             for j, e in enumerate(exps):
                 if e:
-                    factor = (values[j] if e == 1 else powers[j, e]).terms
-                    if len(factor) == 1:
-                        [(f, c)] = factor.items()
-                        mono, coeff = tuple(map(add, mono, f)), coeff * c
-                    else:
-                        wide.append(factor)
+                    factor = values[j].terms
+                    if len(factor) != 1:
+                        wide.append(factor if e == 1 else powers[j, e].terms)
+                        continue
+                    [(f, c)] = factor.items()
+                    if e > 1:
+                        f, c = [g * e for g in f], c**e
+                    mono, coeff = tuple(map(add, mono, f)), coeff * c
             if len(wide) > 1:
                 term = {mono: coeff}
                 for factor in sorted(wide, key=len):

@@ -428,6 +428,23 @@ def test_squared_variable_x1_step_builds_no_composition(monkeypatch, text, ring,
     assert cuts and max(cuts) <= last
 
 
+def test_substitution_folds_one_term_values_without_multiplying(monkeypatch):
+    # A variable or a constant substituted into a power folds into the term;
+    # only values of two or more terms are multiplied.
+    p = parse_poly("(x1 + x2 + x3 + x4 + 2)^3", 4, Ring.Z)
+    expected = is_associative(p)
+    operands = []
+    mul = SparsePoly.__mul__
+
+    def record(self, other):
+        operands.append((len(self.terms), len(other.terms)))
+        return mul(self, other)
+
+    monkeypatch.setattr(SparsePoly, "__mul__", record)
+    assert is_associative(p) == expected
+    assert operands and all(min(sizes) >= 2 for sizes in operands), operands
+
+
 def test_symmetric_shortcut_agrees_with_full_check():
     rng = XorShift64Star(103)
     for _ in range(120):

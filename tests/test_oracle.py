@@ -1,4 +1,5 @@
 import os
+import signal
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
@@ -28,11 +29,12 @@ from polyassoc import (
     compose_closed_form,
     compose_substitution,
     enumerate_associative,
+    from_size_coeffs,
     is_associative,
     parse_poly,
     reconstruct,
 )
-from polyassoc import oracle, structure
+from polyassoc import assoc, oracle, structure
 
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
 
@@ -323,11 +325,11 @@ def test_grid_guard(monkeypatch):
     assert assoc_pointwise(one_term, OracleConfig(mode="grid"))
     assert assoc_pointwise(one_term, OracleConfig(mode="random"))
 
-    # the bound is taken from the term counts before any candidate set is built
-    def no_sets(*args):
-        raise AssertionError("candidate set built over the guard")
+    # the bound is taken from the term counts before any subset sum is read
+    def no_sums(*args):
+        raise AssertionError("subset sum read over the guard")
 
-    monkeypatch.setattr(oracle, "_slot_candidates", no_sets)
+    monkeypatch.setattr(oracle, "_subset_sum", no_sums)
     # n = 14, every subset of size <= 3: 470 terms, 92 of them with x_s, so
     # each slot may give 92 * 470 + 378 masks and each equation twice that
     small_sets = {
@@ -407,13 +409,14 @@ def test_support_points_agree_with_full_grid_on_sparse_inputs(p):
 
 
 @st.composite
-def multilinear_tables(draw, max_n):
+def multilinear_tables(draw, max_n, near=False):
     """A table at n = 2..max_n over Z, Q or Z[i]: every mask drawn, or a
     family member, as it is or with one term added, since random tables are
-    nearly all rejected at the first point."""
+    nearly all rejected at the first point.  ``near``: a family member with
+    one coefficient changed, always."""
     ring = draw(st.sampled_from(list(COEFFS)))
     n = draw(st.integers(2, max_n))
-    if draw(st.booleans()):
+    if not near and draw(st.booleans()):
         values = draw(st.lists(COEFFS[ring], min_size=1 << n, max_size=1 << n))
         return MultilinearPoly(ring, n, dict(enumerate(values)))
     families = [Constant(draw(SMALL)), LeftProjection(), RightProjection(),
@@ -422,9 +425,10 @@ def multilinear_tables(draw, max_n):
     if n % 2:
         families.append(TwistedSum(-1))
     coeffs = dict(reconstruct(draw(st.sampled_from(families)), n, ring).to_multilinear().coeffs)
-    if draw(st.booleans()):
+    if near or draw(st.booleans()):
         mask = draw(st.integers(0, (1 << n) - 1))
-        coeffs[mask] = coeffs.get(mask, 0) + draw(COEFFS[ring])
+        change = COEFFS[ring].filter(bool) if near else COEFFS[ring]
+        coeffs[mask] = coeffs.get(mask, 0) + draw(change)
     return MultilinearPoly(ring, n, coeffs)
 
 
@@ -438,30 +442,31 @@ def test_subset_sums_equal_evaluate_at_every_indicator_point(p):
 
 
 @settings(max_examples=100, deadline=None, database=None)
-@given(multilinear_tables(5))
+@given(st.one_of(multilinear_tables(5), multilinear_tables(6, near=True)))
 def test_grid_mode_equals_full_grid_on_tables(p):
     assert assoc_pointwise(p, OracleConfig(mode="grid")) == full_grid_assoc(p)
 
 
 def test_every_monomial_of_both_compositions_is_checked(monkeypatch):
-    # The soundness argument needs equation i to reach the indicator point of
-    # every monomial of slot i's and slot i+1's compositions.  The stub's
-    # values agree everywhere, so the scan visits all of its points, and each
-    # comparison records the two slots and the point it compared.
-    compared = []
+    # The soundness argument needs equation s to reach the indicator point of
+    # every monomial of slot s's and slot s+1's compositions.  Each
+    # equation's families are recorded with their source kinds, and each set
+    # of window parts with its key, the family bits a, b and the kinds; the
+    # stub passes every family, so that each is reached.
+    families, parts = {}, {}
+    find_families, window_parts = oracle._families, oracle._window_parts
 
-    class Value:
-        def __init__(self, slot, mask):
-            self.slot, self.mask = slot, mask
+    def record_families(masks, lo, hi, ends):
+        found = families[lo.bit_length()] = find_families(masks, lo, hi, ends)
+        return found
 
-        def __ne__(self, other):
-            compared.append((self.slot, self.mask, other.slot, other.mask))
-            return False
+    def record_parts(masks, n, key):
+        found = parts[key] = window_parts(masks, n, key)
+        return found
 
-    def record(sums, n, slot, mask):
-        return Value(slot, mask)
-
-    monkeypatch.setattr(oracle, "_slot_value", record)
+    monkeypatch.setattr(oracle, "_families", record_families)
+    monkeypatch.setattr(oracle, "_window_parts", record_parts)
+    monkeypatch.setattr(oracle, "_family_holds", lambda *args: True)
     cases = [
         ("2*x2", 3),
         ("x1*x3 + 2", 3),
@@ -469,31 +474,102 @@ def test_every_monomial_of_both_compositions_is_checked(monkeypatch):
         ("x1*x2*x4 + 2*x3 + x4", 4),
         ("x1 + x2 + x3 + x4 + 1", 4),
         ("x1 - x2 + x3 - x4 + x5", 5),
+        ("-1 + 2*(x1 + 1)*(x2 + 1)*(x3 + 1)*(x4 + 1)", 4),
         (CUBIC_EXAMPLE, 3),
     ]
     for text, n in cases:
         p = parse_poly(text, n, Ring.Z)
-        compared.clear()
+        families.clear()
+        parts.clear()
         assert assoc_pointwise(p, OracleConfig(mode="grid"))
-        checked = {}
-        for i, mask, other, other_mask in compared:
-            assert (other, other_mask) == (i + 1, mask)
-            checked.setdefault(i, set()).add(mask)
         ml = p.to_multilinear()
-        for i in range(1, n):
-            lhs, rhs = compose_closed_form(ml, i), compose_closed_form(ml, i + 1)
-            assert lhs.coeffs.keys() | rhs.coeffs.keys() <= checked[i], (text, i)
+        for s in range(1, n):
+            checked = {
+                (k, c)
+                for k, kinds in families[s].items()
+                for c in parts[k >> (s - 1) & 3 | kinds << 2]
+            }
+            for slot in (s, s + 1):
+                for mask in compose_closed_form(ml, slot).coeffs:
+                    # x1..x_s, then x_(s+n) on: the family; x_(s+1)..x_(s+n-1): C
+                    k = mask & ((1 << s) - 1) | mask >> (s + n - 1) << s
+                    c = mask >> s & ((1 << (n - 1)) - 1)
+                    assert (k, c) in checked, (text, s, slot, mask)
 
 
-def test_each_slot_is_evaluated_once_per_point(monkeypatch):
-    # Equations i and i+1 share slot i+1; its values are kept between them,
-    # and each subset sum is kept once computed.
-    calls, sums = [], []
+# Every family of both equations of this table holds at its first window
+# part and has U and V not proportional, with beta and delta not both zero:
+# only the beta = delta = 0 test rejects it.
+NON_PROPORTIONAL = "x1*x2*x3 - x1*x2 + x1*x3 - 2*x2*x3 + x1 - x2 + x3"
+
+
+def test_family_check_equals_its_points(monkeypatch):
+    # A family passes iff the equation holds at each of its points, read by
+    # evaluating both compositions there.  Every family is recorded with its
+    # verdict, and the route is told that each holds, so that it goes on.
+    families, seen = {}, []
+    find_families, family_holds = oracle._families, oracle._family_holds
+
+    def record_families(masks, lo, hi, ends):
+        found = families[lo.bit_length()] = find_families(masks, lo, hi, ends)
+        return found
+
+    def record(sums, lo, hi, k, relation):
+        seen.append((lo.bit_length(), k, family_holds(sums, lo, hi, k, relation)))
+        return True
+
+    monkeypatch.setattr(oracle, "_families", record_families)
+    monkeypatch.setattr(oracle, "_family_holds", record)
+    cases = [(NON_PROPORTIONAL, 3, Ring.Z), ("x1*x2 + 2*x2*x3 + x1 - x3", 3, Ring.Q),
+             ("x1 + i*x2 - x3 + (1+i)*x2*x4", 4, Ring.ZI),
+             ("-1 + 2*(x1 + 1)*(x2 + 1)*(x3 + 1) + x2*x3", 3, Ring.Z)]
+    for text, n, ring in cases:
+        p = parse_poly(text, n, ring)
+        masks = list(p.to_multilinear().coeffs)
+        seen.clear()
+        assert assoc_pointwise(p, OracleConfig(mode="grid"))
+        assert not all(holds for _, _, holds in seen), text
+        for s, k, holds in seen:
+            points = [
+                [mask >> j & 1 for j in range(2 * n - 1)]
+                for c in oracle._window_parts(masks, n, k >> (s - 1) & 3 | families[s][k] << 2)
+                for mask in [k & ((1 << s) - 1) | c << s | k >> s << (s + n - 1)]
+            ]
+            assert holds == all(
+                associated_value(p, s, x) == associated_value(p, s + 1, x) for x in points
+            ), (text, s, k)
+
+
+def test_non_proportional_families_reject():
+    p = parse_poly(NON_PROPORTIONAL, 3, Ring.Z)
+    assert not is_associative(p).associative
+    assert not assoc_pointwise(p, OracleConfig(mode="grid"))
+
+
+def test_grid_mode_reads_subset_sums_alone(monkeypatch):
+    # The grid route shares no code with the decision's closed form or with
+    # substitution, and evaluates nothing: with those patched to raise it
+    # gives the decision's answers.
+    cases = [reconstruct(ShiftedProduct(2, 1), 5, ring) for ring in COEFFS]
+    cases += [reconstruct(TranslatedSum(3), 5, Ring.Z), reconstruct(TwistedSum(-1), 5, Ring.ZI),
+              parse_poly(NON_PROPORTIONAL, 3, Ring.Z)]
+    expected = [is_associative(p).associative for p in cases]
+    assert expected == [True] * 5 + [False]
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the grid route left its subset sums")
+
+    for module, name in [(assoc, "compose_closed_form"), (oracle, "_pulled_masks"),
+                         (oracle, "_closed_forms_verdict"), (SparsePoly, "substitute"),
+                         (SparsePoly, "plan")]:
+        monkeypatch.setattr(module, name, unreachable)
+    assert [assoc_pointwise(p, OracleConfig(mode="grid")) for p in cases] == expected
+
+
+def test_each_subset_sum_is_computed_once(monkeypatch):
+    # each subset sum is kept once computed, across all equations
+    sums = []
     subset_sum = oracle._subset_sum
-
-    def record(table, n, slot, mask):
-        calls.append((slot, mask))
-        return 0
 
     def record_sum(terms, mask):
         sums.append(mask)
@@ -501,19 +577,29 @@ def test_each_slot_is_evaluated_once_per_point(monkeypatch):
 
     cases = [("x1 + x2 + x3", 3), ("x1*x2*x4 + 2*x3 + x4", 4),
              ("-1 + 2*(x1 + 1)*(x2 + 1)*(x3 + 1)*(x4 + 1)", 4)]
-    with monkeypatch.context() as patch:
-        patch.setattr(oracle, "_slot_value", record)
-        for text, n in cases:
-            calls.clear()
-            assert assoc_pointwise(parse_poly(text, n, Ring.Z), OracleConfig(mode="grid"))
-            assert {slot for slot, _ in calls} == set(range(1, n + 1))
-            assert len(calls) == len(set(calls)), text
     monkeypatch.setattr(oracle, "_subset_sum", record_sum)
     for text, n in cases:
         sums.clear()
         p = parse_poly(text, n, Ring.Z)
         assert assoc_pointwise(p, OracleConfig(mode="grid")) == is_associative(p).associative
         assert sums and len(sums) == len(set(sums)), text
+
+
+def test_dense_shifted_product_grid_finishes_quickly():
+    # SP(9) = -1 + 2*(x1 + 1)*...*(x9 + 1): 512 terms, every equation's whole
+    # 2^17-point grid a candidate, so (n-1) * 2^n family checks
+    p = from_size_coeffs(Ring.Z, 9, [1] + [2] * 9)
+
+    def expire(signum, frame):
+        raise TimeoutError("SP(9) still checked after 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(1)
+    try:
+        assert assoc_pointwise(p, OracleConfig(mode="grid"))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @st.composite
