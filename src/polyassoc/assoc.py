@@ -23,15 +23,13 @@ variable is compared on colex prefixes (:func:`is_associative`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 from .errors import InternalInvariantError
-from .poly import Monomial, MultilinearPoly, SparsePoly, _monomial_str
+from .poly import Monomial, MultilinearPoly, SparsePoly, _monomial_str, _Value
 
 
-@dataclass(frozen=True)
-class CompositionWitness:
+class CompositionWitness(_Value):
     """A monomial whose coefficients differ between two slot compositions.
 
     ``lhs`` is the coefficient in the slot-1 composition, ``rhs`` the one in
@@ -39,10 +37,10 @@ class CompositionWitness:
     0/1 vector; ``subset`` and ``indicator_point`` expose that view.
     """
 
-    slot: int
-    monomial: Monomial
-    lhs: object
-    rhs: object
+    __slots__ = ("slot", "monomial", "lhs", "rhs")
+
+    def __init__(self, slot: int, monomial: Monomial, lhs, rhs):
+        _Value.__init__(self, slot, monomial, lhs, rhs)
 
     @property
     def subset(self) -> tuple[int, ...] | None:
@@ -59,10 +57,11 @@ class CompositionWitness:
         return _monomial_str(self.monomial) or "1"
 
 
-@dataclass(frozen=True)
-class AssocVerdict:
-    associative: bool
-    witness: CompositionWitness | None = None
+class AssocVerdict(_Value):
+    __slots__ = ("associative", "witness")
+
+    def __init__(self, associative: bool, witness: CompositionWitness | None = None):
+        _Value.__init__(self, associative, witness)
 
     def __bool__(self) -> bool:
         return self.associative

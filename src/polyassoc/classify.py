@@ -25,21 +25,21 @@ binary operation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import ClassVar, Sequence, Union
+from collections.abc import Sequence
 
 from .assoc import CompositionWitness, is_associative
 from .errors import InternalInvariantError
-from .poly import MultilinearPoly, SparsePoly, _size_table
+from .poly import MultilinearPoly, SparsePoly, _size_table, _Value
 from .rings import Frac, Ring
 
 
-@dataclass(frozen=True)
-class SkewMap:
+class SkewMap(_Value):
     """Affine map x -> alpha*x + beta."""
 
-    alpha: object
-    beta: object
+    __slots__ = ("alpha", "beta")
+
+    def __init__(self, alpha, beta):
+        _Value.__init__(self, alpha, beta)
 
     def as_poly(self, ring: Ring) -> SparsePoly:
         return SparsePoly(ring, 1, {(1,): self.alpha, (0,): self.beta})
@@ -48,12 +48,13 @@ class SkewMap:
         return self.as_poly(ring).render().replace("x1", "x").replace(" ", "")
 
 
-@dataclass(frozen=True)
-class Reduction:
-    """A binary operation whose iterate reproduces the n-ary one."""
+class Reduction(_Value):
+    """A binary operation, in two variables, whose iterate reproduces the n-ary one."""
 
-    binary_op: SparsePoly  # in two variables
-    params: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("binary_op", "params")
+
+    def __init__(self, binary_op: SparsePoly, params: dict[str, str] | None = None):
+        _Value.__init__(self, binary_op, {} if params is None else params)
 
     def render(self) -> str:
         return self.binary_op.render().replace("x1", "x").replace("x2", "y")
@@ -63,8 +64,12 @@ GroupStatus = tuple[str, SkewMap | None, tuple[str, ...]]  # "yes" | "no" | "fie
 ReductionStatus = tuple[str, Reduction | None, str | None]  # "yes" | "no" | "out-of-scope"
 
 
-class LinearFamily:
-    """An operation c + sum w_k x_k, given by ``table(ring, n)``."""
+class LinearFamily(_Value):
+    """An operation c + sum w_k x_k, given by ``table(ring, n)``.  Each family
+    names the report parameter of each of its fields in ``param_names``."""
+
+    __slots__ = ()
+    param_names: tuple[str, ...] = ()
 
     def group(self, ring: Ring, n: int) -> GroupStatus:
         """The whole ring is an n-ary group iff every weight w_k is a unit; the
@@ -76,11 +81,14 @@ class LinearFamily:
         return "yes", SkewMap(alpha, ring.exact_div(-c, weights[-1])), ()
 
 
-@dataclass(frozen=True)
 class Constant(LinearFamily):
-    value: object = field(metadata={"param": "c"})
-    clause: ClassVar[str] = "i"
-    type_tag: ClassVar[str] = "constant"
+    __slots__ = ("value",)
+    param_names = ("c",)
+    clause = "i"
+    type_tag = "constant"
+
+    def __init__(self, value):
+        _Value.__init__(self, value)
 
     def table(self, ring: Ring, n: int) -> tuple[object, list]:
         """The constant term and the weights of x1 .. xn."""
@@ -91,10 +99,10 @@ class Constant(LinearFamily):
         return "yes", Reduction(op, {"c": ring.element_str(self.value)}), None
 
 
-@dataclass(frozen=True)
 class LeftProjection(LinearFamily):
-    clause: ClassVar[str] = "ii"
-    type_tag: ClassVar[str] = "left-projection"
+    __slots__ = ()
+    clause = "ii"
+    type_tag = "left-projection"
 
     def table(self, ring: Ring, n: int) -> tuple[object, list]:
         return ring.zero, [ring.one] + [ring.zero] * (n - 1)
@@ -103,10 +111,10 @@ class LeftProjection(LinearFamily):
         return "yes", Reduction(SparsePoly.variable(ring, 2, 1)), None
 
 
-@dataclass(frozen=True)
 class RightProjection(LinearFamily):
-    clause: ClassVar[str] = "iii"
-    type_tag: ClassVar[str] = "right-projection"
+    __slots__ = ()
+    clause = "iii"
+    type_tag = "right-projection"
 
     def table(self, ring: Ring, n: int) -> tuple[object, list]:
         return ring.zero, [ring.zero] * (n - 1) + [ring.one]
@@ -115,11 +123,14 @@ class RightProjection(LinearFamily):
         return "yes", Reduction(SparsePoly.variable(ring, 2, 2)), None
 
 
-@dataclass(frozen=True)
 class TranslatedSum(LinearFamily):
-    shift: object = field(metadata={"param": "c"})  # the additive constant
-    clause: ClassVar[str] = "iv"
-    type_tag: ClassVar[str] = "translated-sum"
+    __slots__ = ("shift",)  # the additive constant
+    param_names = ("c",)
+    clause = "iv"
+    type_tag = "translated-sum"
+
+    def __init__(self, shift):
+        _Value.__init__(self, shift)
 
     def table(self, ring: Ring, n: int) -> tuple[object, list]:
         return ring.coerce(self.shift), [ring.one] * n
@@ -134,11 +145,14 @@ class TranslatedSum(LinearFamily):
         return "yes", Reduction(op, {"c0": ring.element_str(c0)}), None
 
 
-@dataclass(frozen=True)
 class TwistedSum(LinearFamily):
-    omega: object = field(metadata={"param": "omega"})  # slot k weighs omega^(k-1)
-    clause: ClassVar[str] = "v"
-    type_tag: ClassVar[str] = "twisted-sum"
+    __slots__ = ("omega",)  # slot k weighs omega^(k-1)
+    param_names = ("omega",)
+    clause = "v"
+    type_tag = "twisted-sum"
+
+    def __init__(self, omega):
+        _Value.__init__(self, omega)
 
     def table(self, ring: Ring, n: int) -> tuple[object, list]:
         """Raises ValueError unless n >= 3, omega != 1 and omega^(n-1) = 1."""
@@ -157,12 +171,14 @@ class TwistedSum(LinearFamily):
         return "no", None, "twisted sums are never iterates of a binary operation"
 
 
-@dataclass(frozen=True)
-class ShiftedProduct:
-    a: object = field(metadata={"param": "a"})  # ring element, nonzero
-    b: Frac = field(metadata={"param": "b"})  # fraction-field offset
-    clause: ClassVar[str] = "vi"
-    type_tag: ClassVar[str] = "shifted-product"
+class ShiftedProduct(_Value):
+    __slots__ = ("a", "b")  # a nonzero ring element, a fraction-field offset
+    param_names = ("a", "b")
+    clause = "vi"
+    type_tag = "shifted-product"
+
+    def __init__(self, a, b: Frac):
+        _Value.__init__(self, a, b)
 
     def ladder(self, ring: Ring, n: int) -> list:
         """The size coefficients c_0 .. c_n in the ring, by exact division with
@@ -217,14 +233,17 @@ class ShiftedProduct:
         return "yes", Reduction(SparsePoly(ring, 2, {(1, 1): roots[0]}), params), None
 
 
-@dataclass(frozen=True)
-class NotAssociative:
-    witness: CompositionWitness | None
-    clause: ClassVar[str] = ""
-    type_tag: ClassVar[str] = "not-associative"
+class NotAssociative(_Value):
+    __slots__ = ("witness",)
+    param_names = ()
+    clause = ""
+    type_tag = "not-associative"
+
+    def __init__(self, witness: CompositionWitness | None):
+        _Value.__init__(self, witness)
 
 
-Classification = Union[LinearFamily, ShiftedProduct, NotAssociative]
+Classification = LinearFamily | ShiftedProduct | NotAssociative
 
 
 def classify(p: SparsePoly) -> Classification:
@@ -314,8 +333,8 @@ def reconstruct(cls: Classification, n: int, ring: Ring) -> SparsePoly:
 
 
 def _params(cls: Classification) -> dict[str, object]:
-    """Report name -> value of each field whose "param" metadata names it."""
-    return {f.metadata["param"]: getattr(cls, f.name) for f in fields(cls) if f.metadata}
+    """Report name -> value of each field that ``param_names`` names, in order."""
+    return dict(zip(cls.param_names, cls._fields()))
 
 
 def classification_params(cls: Classification, ring: Ring) -> dict[str, str]:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
 from math import prod
@@ -35,7 +34,7 @@ from math import prod
 from .assoc import _closed_forms_verdict, _pulled_masks, associative_multilinear
 from .classify import Classification, classification_params, classify_associative, param_sort_key
 from .errors import BudgetError, InternalInvariantError
-from .poly import MultilinearPoly, SparsePoly
+from .poly import MultilinearPoly, SparsePoly, _Value
 from .rings import Ring
 
 _MASK64 = (1 << 64) - 1
@@ -94,14 +93,14 @@ class XorShift64Star:
         return self.elements(ring, half_width, 1)[0]
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    mode: str = "grid"  # "grid" (exact) or "random" (probabilistic)
-    seed: int = DEFAULT_SEED
+class OracleConfig(_Value):
+    __slots__ = ("mode", "seed")
 
-    def __post_init__(self):
-        if self.mode not in ("grid", "random"):
-            raise ValueError(f"unknown oracle mode {self.mode!r}")
+    def __init__(self, mode: str = "grid", seed: int = DEFAULT_SEED):
+        """``mode`` is "grid" (exact) or "random" (probabilistic)."""
+        if mode not in ("grid", "random"):
+            raise ValueError(f"unknown oracle mode {mode!r}")
+        _Value.__init__(self, mode, seed)
 
 
 def _samples_agree(ring: Ring, degree: int, width: int, values, seed: int) -> bool:
@@ -361,25 +360,28 @@ def assoc_pointwise(p: SparsePoly, cfg: OracleConfig) -> bool:
 # Exhaustive enumeration of multilinear coefficient tables
 
 
-@dataclass(frozen=True)
-class CensusRow:
-    type_tag: str
-    params: str
-    count: int
+class CensusRow(_Value):
+    __slots__ = ("type_tag", "params", "count")
+
+    def __init__(self, type_tag: str, params: str, count: int):
+        _Value.__init__(self, type_tag, params, count)
 
 
-@dataclass
-class EnumerationResult:
-    ring: Ring
-    n: int
-    bound: int
-    total: int  # nominal size of the coefficient box
-    checked: int  # tables the walk settles, those a failed equation settles unbuilt included
-    bulk_rejected: int  # candidates removed wholesale by pruning filters
-    survivors: list[tuple[MultilinearPoly, Classification]]
-    # by survivor, its closed-form compositions at slots 1..n, built by the walk
-    compositions: list[tuple[MultilinearPoly, ...]]
-    census: list[CensusRow]
+class EnumerationResult(_Value):
+    """``total``: the nominal size of the coefficient box; ``checked``: the
+    tables the walk settles, those a failed equation settles unbuilt included;
+    ``bulk_rejected``: candidates removed wholesale by pruning filters;
+    ``compositions``: by survivor, its closed-form compositions at slots
+    1..n, built by the walk."""
+
+    __slots__ = ("ring", "n", "bound", "total", "checked", "bulk_rejected", "survivors",
+                 "compositions", "census")
+
+    def __init__(self, ring: Ring, n: int, bound: int, total: int, checked: int,
+                 bulk_rejected: int, survivors: list[tuple[MultilinearPoly, Classification]],
+                 compositions: list[tuple[MultilinearPoly, ...]], census: list[CensusRow]):
+        _Value.__init__(self, ring, n, bound, total, checked, bulk_rejected, survivors,
+                        compositions, census)
 
 
 def _equations(n: int, lists: list) -> list[list[tuple]]:

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import re
 import sys
+from collections import namedtuple
 from math import comb
-from typing import NamedTuple
 
 from .errors import BudgetError
 from .poly import SparsePoly
@@ -46,10 +46,11 @@ _TOKEN = re.compile(
 )
 
 
-class Token(NamedTuple):
-    kind: str  # "int" | "var" | "imag" | "op" | "lparen" | "rparen" | "end"
-    text: str
-    pos: int  # 0-based offset into the source string
+class Token(namedtuple("Token", ("kind", "text", "pos"))):
+    """``kind`` is "int", "var", "imag", "op", "lparen", "rparen" or "end";
+    ``pos`` is the 0-based offset into the source string."""
+
+    __slots__ = ()
 
     @property
     def value(self) -> int:

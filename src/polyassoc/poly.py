@@ -10,10 +10,10 @@ public API, matching the ``x1 .. xn`` naming of the expression grammar.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from itertools import combinations
 from math import comb
 from operator import add
-from typing import Mapping, Sequence
 
 from .rings import Ring, _pow
 
@@ -409,3 +409,38 @@ def _monomial_str(exps: Monomial) -> str:
     """``x1*x3^2`` for (1, 0, 2); the empty string for the constant monomial."""
     return "*".join(f"x{j + 1}" if e == 1 else f"x{j + 1}^{e}" for j, e in enumerate(exps) if e)
 
+
+class _Value:
+    """Base of the package's immutable value objects: verdicts, classifications,
+    reports.  A subclass names its fields in ``__slots__`` and its ``__init__``
+    passes them here in that order.  Instances are equal when of one class with
+    equal fields, hash by their fields and repr as ``Name(field=value, ...)``."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()

@@ -23,24 +23,24 @@ arities, and on input with a squared variable, the identity is sampled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .classify import Classification, InternalInvariantError, NotAssociative, Reduction, SkewMap
 from .oracle import DEFAULT_SEED, _samples_agree
-from .poly import MultilinearPoly, SparsePoly
+from .poly import MultilinearPoly, SparsePoly, _Value
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    group: str  # "yes" | "no" | "field-restricted"
-    skew: SkewMap | None
-    skew_verified: bool | None  # True when there is a skew map, else None
-    skew_endomorphism: bool | None
-    medial: bool
-    medial_method: str  # "symbolic" | "sampled"
-    reducible: str  # "yes" | "no" | "out-of-scope"
-    reduction: Reduction | None
-    notes: tuple[str, ...] = ()
+class StructureReport(_Value):
+    """``group`` is "yes", "no" or "field-restricted"; ``skew_verified`` is
+    True when there is a skew map, else None; ``medial_method`` is "symbolic"
+    or "sampled"; ``reducible`` is "yes", "no" or "out-of-scope"."""
+
+    __slots__ = ("group", "skew", "skew_verified", "skew_endomorphism", "medial",
+                 "medial_method", "reducible", "reduction", "notes")
+
+    def __init__(self, group: str, skew: SkewMap | None, skew_verified: bool | None,
+                 skew_endomorphism: bool | None, medial: bool, medial_method: str,
+                 reducible: str, reduction: Reduction | None, notes: tuple[str, ...] = ()):
+        _Value.__init__(self, group, skew, skew_verified, skew_endomorphism, medial,
+                        medial_method, reducible, reduction, notes)
 
 
 def verify_skew(p: SparsePoly, skew: SkewMap) -> bool:

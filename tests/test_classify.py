@@ -1,5 +1,6 @@
 import ast
 import importlib
+import pickle
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -20,6 +21,7 @@ from polyassoc import (
     RightProjection,
     Ring,
     ShiftedProduct,
+    SkewMap,
     SparsePoly,
     TranslatedSum,
     TwistedSum,
@@ -31,7 +33,10 @@ from polyassoc import (
     reconstruct,
     verify_condpol,
 )
-from polyassoc.classify import InternalInvariantError, LinearFamily, classify_associative
+from polyassoc.assoc import AssocVerdict, CompositionWitness
+from polyassoc.classify import InternalInvariantError, LinearFamily, Reduction, classify_associative
+from polyassoc.oracle import CensusRow, EnumerationResult
+from polyassoc.structure import StructureReport
 
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
 
@@ -385,3 +390,62 @@ def test_only_classify_dispatches_on_a_family():
                 if named & families:
                     offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_value_objects_compare_hash_and_pickle_by_fields():
+    b = Frac(Ring.Z, 1, 3)
+    witness = CompositionWitness(2, (1, 0, 1), 3, -1)
+    builds = [
+        lambda: ShiftedProduct(9, Frac(Ring.Z, 1, 3)),
+        lambda: TwistedSum(GaussianInt(0, 1)),
+        lambda: Constant(Fraction(2, 3)),
+        LeftProjection,
+        lambda: SkewMap(-1, 2),
+        lambda: CompositionWitness(2, (1, 0, 1), 3, -1),
+        lambda: AssocVerdict(False, CompositionWitness(2, (1, 0, 1), 3, -1)),
+        lambda: AssocVerdict(True),
+        lambda: NotAssociative(witness),
+        lambda: CensusRow("constant", "c=0", 1),
+        lambda: OracleConfig("random", 5),
+    ]
+    for build in builds:
+        value, copy = build(), build()
+        assert value is not copy and value == copy and hash(value) == hash(copy)
+        assert not value != copy
+        assert pickle.loads(pickle.dumps(value)) == value
+    # equal fields in different classes differ; a different field differs
+    assert Constant(3) != TranslatedSum(3) and LeftProjection() != RightProjection()
+    assert ShiftedProduct(9, b) != ShiftedProduct(3, b)
+    assert AssocVerdict(True) != AssocVerdict(False)
+    back = pickle.loads(pickle.dumps(ShiftedProduct(9, b)))
+    assert type(back.b) is Frac and back.b.ring is Ring.Z and back == ShiftedProduct(9, b)
+    assert repr(ShiftedProduct(9, 2)) == "ShiftedProduct(a=9, b=2)"
+    assert repr(witness) == "CompositionWitness(slot=2, monomial=(1, 0, 1), lhs=3, rhs=-1)"
+    assert repr(LeftProjection()) == "LeftProjection()"
+    for value, name in [(witness, "lhs"), (Constant(3), "value"), (SkewMap(1, 0), "alpha")]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 0
+
+
+def test_value_object_constructors_take_keywords():
+    assert OracleConfig(mode="random", seed=3) == OracleConfig("random", 3)
+    assert OracleConfig().mode == "grid"
+    report = StructureReport(
+        group="no", skew=None, skew_verified=None, skew_endomorphism=None, medial=True,
+        medial_method="symbolic", reducible="out-of-scope", reduction=None,
+    )
+    assert report.notes == () and report.medial_method == "symbolic"
+    result = EnumerationResult(
+        ring=Ring.Z, n=2, bound=0, total=1, checked=1, bulk_rejected=0,
+        survivors=[], compositions=[], census=[],
+    )
+    assert result.total == 1 and result.census == []
+    with pytest.raises(TypeError):
+        hash(result)
+    op = SparsePoly.variable(Ring.Z, 2, 1)
+    first, second = Reduction(op), Reduction(op)
+    assert first.params == {} and first.params is not second.params

@@ -631,8 +631,9 @@ def test_equal_slot_degrees_only_when_multilinear(n):
 
 
 def test_oracle_config_validation():
-    with pytest.raises(ValueError):
-        OracleConfig(mode="exhaustive")
+    for mode in ("exhaustive", "exact"):
+        with pytest.raises(ValueError, match=mode):
+            OracleConfig(mode=mode)
 
 
 def test_oracle_agrees_with_symbolic_on_random_inputs():

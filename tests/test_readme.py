@@ -100,6 +100,19 @@ def test_errors_imports_nothing_from_the_package():
     assert [m for m in modules if m.startswith((".", "polyassoc"))] == []
 
 
+def test_cli_import_leaves_out_dataclasses_inspect_and_typing():
+    # start-up cost: each of these takes milliseconds to import and nothing needs it;
+    # -S keeps site from importing typing on its own
+    src = Path(polyassoc.__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import polyassoc.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
 def test_assoc_imports_only_errors_and_poly_from_the_package():
     # the decision keeps clear of the oracle's route code and of classify
     tree = ast.parse((Path(polyassoc.__file__).parent / "assoc.py").read_text())
