@@ -50,8 +50,8 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 # The library takes any arity; the CLI keeps requests fast.  `analyze --ring z`
-# on 2*x1*...*xn took 0.11 s at n = 31, 0.43 s at 64 and 5.2 s at 128 (one run
-# each, Xeon, Python 3.11), and README's exact-oracle guard is stated for n <= 31.
+# on 2*x1*...*xn took 0.015 s at n = 31, 0.23 s at 64 and 2.6 s at 128 (best of 2
+# or 3, 2-core Xeon, Python 3.11); README's exact-oracle guard is stated for n <= 31.
 MAX_CLI_ARITY = 31
 
 

@@ -4,7 +4,8 @@ so that every layer can raise them."""
 
 class BudgetError(ValueError):
     """A grid or enumeration would exceed its budget, a parsed product or power
-    the parser's term cap (``parse.TERM_CAP``), or a report its int-to-str limit.
+    the parser's term cap (``parse.TERM_CAP``), a report its int-to-str limit,
+    or a sampled check's degree half its sample set (``oracle._sample_points``).
 
     ``required`` is the smallest budget that admits the request, or None when
     the count is not printed: an enumeration box of more decimal digits than

@@ -46,7 +46,7 @@ DEFAULT_SEED = 88172645463325252
 GRID_GUARD = 1 << 20
 DEFAULT_BUDGET = 1 << 24
 ERROR_BITS = 64  # a sampled check passes a false identity with probability <= 2^-64
-SAMPLE_HALF_WIDTH = 100
+SAMPLE_HALF_WIDTH = (1 << 63) - 1  # the widest that XorShift64Star.randints accepts
 
 
 class XorShift64Star:
@@ -119,25 +119,24 @@ def _samples_agree(ring: Ring, degree: int, width: int, values, seed: int) -> bo
 
 # Keys are few: one `enumerate` call spot-checks every survivor with one
 # seed, at three degrees, and sampled mediality uses one key per (deg(p), n).
-# 16 keeps a mixed run's keys while holding at most 16 sets of <= 65 points.
+# 16 keeps a mixed run's keys while holding at most 16 sets of <= 64 points.
 @lru_cache(maxsize=16)
 def _sample_points(ring: Ring, degree: int, width: int, seed: int) -> tuple[tuple, ...]:
-    """The k points of ``_samples_agree``, in the order the seeded stream gives them.
+    """The k points of ``_samples_agree``: a prefix of the seeded stream.
 
-    S is ``ring.box(h)``, of ``ring.box_size(h)`` elements.  h =
-    SAMPLE_HALF_WIDTH while |S| > 2*degree, so the points are a prefix of the
-    seeded stream there; else h = degree, after one uncounted point at
-    SAMPLE_HALF_WIDTH.  Only the medial identity of ``structure.is_medial``
-    reaches the widened case, at deg(p) >= 11 over Z and Q; the slot
-    compositions of multilinear p would need n > 50.  Either way k <= 64,
-    as |S| > 2*degree.
+    S is ``ring.box(SAMPLE_HALF_WIDTH)``, of 2^64 - 1 elements over Z and Q
+    and (2^64 - 1)^2 over Z[i], so k <= 2 over Z and Q below degree 2^32 and
+    k = 1 over Z[i] below degree 2^64 - 1.  A degree with |S| <= 2*degree
+    raises BudgetError before any draw; below it, k <= 64.
     """
-    h, uncounted = SAMPLE_HALF_WIDTH, []
-    if ring.box_size(h) <= 2 * degree:
-        h, uncounted = degree, [h]
-    k = next(k for k in count(1) if ring.box_size(h) ** k >= degree**k << ERROR_BITS)
+    size = ring.box_size(SAMPLE_HALF_WIDTH)
+    if size <= 2 * degree:
+        raise BudgetError(
+            f"a sampled check of degree {degree} needs more than {size} sample values", None
+        )
+    k = next(k for k in count(1) if size**k >= degree**k << ERROR_BITS)
     rng = XorShift64Star(seed)
-    return tuple(tuple(rng.elements(ring, hw, width)) for hw in uncounted + [h] * k)
+    return tuple(tuple(rng.elements(ring, SAMPLE_HALF_WIDTH, width)) for _ in range(k))
 
 
 def associated_value(p: SparsePoly, slot: int, point):

@@ -5,7 +5,7 @@ from itertools import combinations, product
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from polyassoc import (
@@ -127,35 +127,62 @@ def sampled_points(ring, degree, width=2, seed=5):
     return points
 
 
+def sample_set_size(ring):
+    """|S| at half-width 2^63 - 1: 2^64 - 1 over Z and Q, (2^64 - 1)^2 over Z[i]."""
+    return (2**64 - 1) ** (2 if ring is Ring.ZI else 1)
+
+
+def least_count(ring, degree):
+    """The least k with |S|^k >= 2^64 * degree^k."""
+    size = sample_set_size(ring)
+    return next(k for k in range(1, 65) if size**k >= 2**64 * degree**k)
+
+
 @pytest.mark.parametrize(
-    "ring, degree, count",
-    [(ring, d, k) for ring in (Ring.Z, Ring.Q)
-     for d, k in [(0, 1), (1, 9), (19, 19), (25, 22), (100, 64)]]
+    "ring, degree, width",
+    [(ring, d, w) for ring in (Ring.Z, Ring.Q)
+     for d, w in [(0, 1), (1, 9), (19, 19), (25, 22), (100, 64), (961, 2)]]
     + [(Ring.ZI, 25, 7), (Ring.ZI, 101, 8)],
 )
-def test_sample_count_meets_the_error_bound(ring, degree, count):
-    # k is the least count with |S|^k >= 2^64 * d^k, |S| = 201 or 201^2
-    points = sampled_points(ring, degree, seed=7)
-    assert points == [XorShift64Star(7).elements(ring, 100, 2 * count)[2 * j:2 * j + 2]
-                      for j in range(count)]
+def test_sample_count_meets_the_error_bound(ring, degree, width):
+    # the points are the first k of the seeded stream, each of ``width`` coordinates
+    k = least_count(ring, degree)
+    points = sampled_points(ring, degree, width, seed=7)
+    stream = XorShift64Star(7).elements(ring, 2**63 - 1, k * width)
+    assert points == [stream[j * width:(j + 1) * width] for j in range(k)]
 
 
-@pytest.mark.parametrize("ring", [Ring.Z, Ring.Q])
-def test_sampling_widens_past_half_the_set(ring):
-    # |S| = 201 <= 2 * 101: one uncounted point at half-width 100, then 64 at 101
-    rng = XorShift64Star(5)
-    first = rng.elements(ring, 100, 2)
-    widened = rng.elements(ring, 101, 2 * 64)
-    assert sampled_points(ring, 101) == [first] + [widened[j:j + 2] for j in range(0, 128, 2)]
+@pytest.mark.parametrize("ring, degree, count", [
+    (Ring.Z, 0, 1), (Ring.Q, 0, 1), (Ring.ZI, 0, 1),
+    (Ring.Z, 1, 2), (Ring.Q, 25, 2), (Ring.Z, 961, 2), (Ring.Q, 2**32 - 1, 2),
+    (Ring.Z, 2**32, 3), (Ring.ZI, 1, 1), (Ring.ZI, 2**64 - 2, 1), (Ring.ZI, 2**64 - 1, 2),
+])
+def test_sample_count_by_degree(ring, degree, count):
+    assert least_count(ring, degree) == len(sampled_points(ring, degree)) == count
+
+
+@pytest.mark.parametrize("ring", [Ring.Z, Ring.Q, Ring.ZI])
+def test_sampling_refuses_a_degree_past_half_the_set(ring, monkeypatch):
+    # |S| <= 2d leaves no valid box: refused before a generator is built;
+    # one degree below, the 64 points of the widest bound are drawn
+    size = sample_set_size(ring)
+    assert len(sampled_points(ring, size // 2)) == 64
+
+    def refuse(seed):
+        raise AssertionError("a point was drawn")
+
+    oracle._sample_points.cache_clear()
+    monkeypatch.setattr(oracle, "XorShift64Star", refuse)
+    with pytest.raises(BudgetError, match=f"degree {size // 2 + 1} needs more than {size}"):
+        sampled_points(ring, size // 2 + 1)
 
 
 def test_sample_points_are_drawn_once_per_key(monkeypatch):
     # a second check with the same (ring, degree, width, seed) reads the same
     # stream points without a generator, whatever the first did to its lists;
-    # k = 5 at d = 3 over Z[i], as 201^10 >= 2^64 * 3^5 and 201^8 < 2^64 * 3^4
+    # k = 1 at d = 3 over Z[i], as (2^64 - 1)^2 >= 2^64 * 3
     oracle._sample_points.cache_clear()
-    stream = XorShift64Star(13).elements(Ring.ZI, 100, 5 * 3)
-    expected = [stream[j:j + 3] for j in range(0, 15, 3)]
+    expected = [XorShift64Star(13).elements(Ring.ZI, 2**63 - 1, 3)]
     first = sampled_points(Ring.ZI, 3, width=3, seed=13)
     for point in first:
         point.clear()
@@ -165,11 +192,14 @@ def test_sample_points_are_drawn_once_per_key(monkeypatch):
 
 
 def test_sampling_stops_at_the_first_disagreement():
-    points = []
-    assert not oracle._samples_agree(
-        Ring.Z, 1, 3, lambda p: points.append(p) or [0, len(points) // 4], 5
-    )
-    assert len(points) == 4
+    # k = 2 at d = 1 over Z: values that differ at the first point stop the
+    # check there, and values that differ at the second fail it
+    for first_differing in (1, 2):
+        points = []
+        assert not oracle._samples_agree(
+            Ring.Z, 1, 3, lambda p: points.append(p) or [0, len(points) // first_differing], 5
+        )
+        assert len(points) == first_differing
 
 
 def polys_equal_oracle(p: SparsePoly, q: SparsePoly, cfg: OracleConfig) -> bool:
@@ -445,6 +475,16 @@ def test_subset_sums_equal_evaluate_at_every_indicator_point(p):
 @given(st.one_of(multilinear_tables(5), multilinear_tables(6, near=True)))
 def test_grid_mode_equals_full_grid_on_tables(p):
     assert assoc_pointwise(p, OracleConfig(mode="grid")) == full_grid_assoc(p)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.one_of(multilinear_tables(5), multilinear_tables(5, near=True)),
+       st.integers(1, 2**64 - 1))
+def test_random_mode_equals_grid_mode_on_tables(p, seed):
+    # one or two points of the full 64-bit box catch every failing table
+    expected = assoc_pointwise(p, OracleConfig(mode="grid"))
+    event("associative" if expected else "not associative")
+    assert assoc_pointwise(p, OracleConfig(mode="random", seed=seed)) == expected
 
 
 def test_every_monomial_of_both_compositions_is_checked(monkeypatch):

@@ -181,6 +181,18 @@ def test_is_medial_matches_the_substitution(p):
     assert is_medial(p) == (expected, "symbolic")
 
 
+@settings(max_examples=300, deadline=None, database=None)
+@given(medial_inputs(), st.integers(1, 2**64 - 1))
+def test_sampled_medial_check_equals_the_symbolic_verdict(p, seed):
+    # one or two points of the full 64-bit box separate the medial tables
+    # from the rest, at any seed
+    rows, cols = structure._medial_sides(p.to_multilinear())
+    event("medial" if rows == cols else "not medial")
+    sides = structure._sampled_sides(p)
+    ok = structure._samples_agree(p.ring, p.degree() ** 2, p.nvars ** 2, sides, seed)
+    assert ok == (rows == cols)
+
+
 def test_is_medial_reads_multilinear_input_without_substituting(monkeypatch):
     def ternary_product(a, b):
         return "-" + b + " + " + a + "*" + "*".join(f"(x{j} + {b})" for j in (1, 2, 3))
@@ -224,8 +236,8 @@ def test_is_medial_sampled_for_large_arity():
 
 
 def test_is_medial_sampled_count_follows_the_degree_bound(monkeypatch):
-    # SP(5) has degree 5, so the medial identity has degree at most 25 and
-    # 22 points at half-width 100 bound the error by 2^-64
+    # SP(5) has degree 5, so the medial identity has degree at most 25, and
+    # 2 points at half-width 2^63 - 1 bound the error by 2^-64
     calls = []
 
     def counted(ring, degree, width, values, seed):
@@ -239,7 +251,7 @@ def test_is_medial_sampled_count_follows_the_degree_bound(monkeypatch):
     monkeypatch.setattr(structure, "_samples_agree", counted)
     p = parse_poly("-1 + 2*" + "*".join(f"(x{i} + 1)" for i in range(1, 6)), 5, Ring.Z)
     assert is_medial(p) == (True, "sampled")
-    assert calls == [(25, 25), 22]
+    assert calls == [(25, 25), 2]
 
 
 def test_is_medial_sampled_rejects_non_medial():
