@@ -23,10 +23,10 @@ variable is compared on colex prefixes (:func:`is_associative`).
 
 from __future__ import annotations
 
-from functools import partial
+from collections.abc import Container
 
 from .errors import InternalInvariantError
-from .poly import Monomial, MultilinearPoly, SparsePoly, _monomial_str, _Value
+from .poly import Monomial, MultilinearPoly, SparsePoly, _monomial_str, _occupied, _unpack, _Value
 
 
 class CompositionWitness(_Value):
@@ -75,25 +75,26 @@ def compose_substitution(p: SparsePoly, slot: int) -> SparsePoly:
     return _cut(p, slot, _check_slot(p.nvars, slot))
 
 
-def _cut(p: SparsePoly, slot: int, k: int) -> SparsePoly:
+def _cut(p: SparsePoly, slot: int, k: int, read: Container[int] | None = None) -> SparsePoly:
     """The slot composition with x_(k+1)..x_(2n-1) set to zero, in x1..xk.
-    The nested call keeps p's terms in arguments 1..width, those placed in
-    x1..xk; the outer arguments placed past x_k are zero, so only p's terms
-    in 1..min(k, slot-1) and slot..last are substituted."""
-    n, ring = p.nvars, p.ring
-    before, after = (0,) * (slot - 1), (0,) * (n - slot)
-    width, last = max(0, k - slot + 1), max(slot, k - n + 1)
-    unread, gap, past = (0,) * (n - width), before[k:], after[last - slot :]
-    inner = {(before + e + after)[:k]: c for e, c in p.terms.items() if e[width:] == unread}
-    outer = p
-    if gap or past:
-        kept = {e: c for e, c in p.terms.items() if e[last:] == past and e[k : slot - 1] == gap}
-        outer = SparsePoly._trusted(ring, n, kept)
-    zero, x = SparsePoly._trusted(ring, k, {}), partial(SparsePoly.variable, ring, k)
-    values = [x(j) if j <= k else zero for j in range(1, slot)]
-    values.append(SparsePoly._trusted(ring, k, inner))
-    values += [x(j + n - 1) for j in range(slot + 1, last + 1)] + [zero] * (n - last)
-    return outer.substitute(values)
+    The nested call keeps p's terms in arguments 1..inside, those placed in
+    x1..xk; the outer arguments placed past x_k are zero, and so is an
+    argument not in ``read``, when given, which p never reads.  Every value
+    is packed at p's width; the exponents are at most top * max(top, 1)
+    (d_s * d_i in the window)."""
+    n, ring, w = p.nvars, p.ring, p.width
+    inside, values = max(0, k - slot + 1), []
+    zero = SparsePoly._trusted(ring, k, {}, 0, w)
+    for j in range(1, n + 1):
+        at = j if j < slot else j + n - 1  # where argument j is placed
+        if at > k and j != slot or read is not None and j not in read:
+            values.append(zero)
+        elif j == slot:
+            inner = {e << w * (j - 1): c for e, c in p.coeffs.items() if not e >> w * inside}
+            values.append(SparsePoly._trusted(ring, k, inner, p.top, w))
+        else:
+            values.append(SparsePoly._trusted(ring, k, {1 << w * (at - 1): ring.one}, 1, w))
+    return p.substitute(values, p.top * max(p.top, 1))
 
 
 def compose_closed_form(p: MultilinearPoly, slot: int) -> MultilinearPoly:
@@ -137,17 +138,11 @@ def _check_slot(n: int, slot: int) -> int:
     return 2 * n - 1
 
 
-def _colex_key(monomial: Monomial) -> tuple[int, ...]:
-    # Colex order on exponent vectors restricts to numeric mask order on
-    # 0/1 vectors, which fixes the deterministic witness tie-break.
-    return tuple(reversed(monomial))
-
-
-def _first_difference(lhs: dict, rhs: dict, key=None):
-    """The smallest key (ordered by ``key``) whose coefficient differs between
-    two coefficient dicts, or None; a missing key holds zero."""
+def _first_difference(lhs: dict, rhs: dict):
+    """The smallest key, the first monomial in colex order, whose coefficient
+    differs between two coefficient dicts of one width, or None (zero if missing)."""
     differing = (k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k))
-    return min(differing, key=key, default=None)
+    return min(differing, default=None)
 
 
 def _multilinear_verdict(p: MultilinearPoly, compose) -> AssocVerdict:
@@ -162,7 +157,7 @@ def _multilinear_verdict(p: MultilinearPoly, compose) -> AssocVerdict:
         other = compose(p, slot)
         if other.coeffs != base.coeffs:
             mask = _first_difference(base.coeffs, other.coeffs)
-            monomial = tuple((mask >> j) & 1 for j in range(2 * p.n - 1))
+            monomial = _unpack(mask, 2 * p.n - 1, 1)
             lhs, rhs = base.coeffs.get(mask, zero), other.coeffs.get(mask, zero)
             return AssocVerdict(False, CompositionWitness(slot, monomial, lhs, rhs))
     return AssocVerdict(True)
@@ -209,9 +204,11 @@ def is_associative(p: SparsePoly) -> AssocVerdict:
     ml = p.to_multilinear()
     if ml is not None:
         return associative_multilinear(ml)
-    zero, m = p.ring.zero, 2 * n - 1
-    read = [j for j in range(1, n + 1) if any(e[j - 1] for e in p.terms)]
-    bases: dict[int, dict] = {}
+    width = (p.top * p.top).bit_length()  # that of every cut's bound (``_cut``)
+    p = SparsePoly._trusted(p.ring, n, p._at(width), p.top, width, p.terms)
+    zero, m, occupied = p.ring.zero, 2 * n - 1, _occupied(p.coeffs, n, width)
+    read = [j for j in range(1, n + 1) if occupied >> width * j - 1 & 1]
+    bases: dict[int, SparsePoly] = {}
     for slot in range(2, n + 1):
         # slot s's composition can hold x_j for an argument j read before
         # s, x_(j+n-1) for one after s, and x_(s+i-1) when p reads x_s
@@ -219,10 +216,10 @@ def is_associative(p: SparsePoly) -> AssocVerdict:
         held.update(s + i - 1 for s in (1, slot) if s in read for i in read)
         for k in sorted(held):
             if k not in bases:
-                bases[k] = _cut(p, 1, k).terms
-            base, other = bases[k], _cut(p, slot, k).terms
-            e = _first_difference(base, other, _colex_key)
+                bases[k] = _cut(p, 1, k, read)
+            base, other = bases[k].coeffs, _cut(p, slot, k, read).coeffs  # both at ``width``
+            e = _first_difference(base, other)
             if e is not None:
                 lhs, rhs = base.get(e, zero), other.get(e, zero)
-                return AssocVerdict(False, CompositionWitness(slot, e + (0,) * (m - k), lhs, rhs))
+                return AssocVerdict(False, CompositionWitness(slot, _unpack(e, m, width), lhs, rhs))
     raise InternalInvariantError(f"slot compositions of {p.render()} agree with a squared variable")

@@ -174,7 +174,7 @@ def _build_report(args) -> dict:
     n = _validated_arity(args.n)
     p = parse_poly(args.poly, n, ring)
     verdict = is_associative(p)
-    values = list(p.terms.values())
+    values = list(p.coeffs.values())
     if verdict.witness is not None:
         values += [verdict.witness.lhs, verdict.witness.rhs]
     _check_printable(ring, values)

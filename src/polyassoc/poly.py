@@ -1,19 +1,21 @@
 """Sparse multivariate polynomials and their multilinear case.
 
-A :class:`SparsePoly` maps exponent tuples to nonzero coefficients, e.g.
-``x1^2*x2 + 3`` over Z in two variables is ``{(2, 1): 1, (0, 0): 3}``.
-A :class:`MultilinearPoly` is a SparsePoly of per-variable degree <= 1 that
-is also indexed by variable subsets encoded as bit masks (bit j-1 set
-means variable x_j occurs).  Variable indices are 1-based throughout the
-public API, matching the ``x1 .. xn`` naming of the expression grammar.
+A :class:`SparsePoly` maps packed monomials to nonzero coefficients: x1^e1*...*xn^en
+is the sum of e_j << width*(j-1), so multiplying monomials adds ints and numeric
+order is colex order (Kronecker substitution; Monagan and Pearce, CASC 2007).
+``top`` bounds every exponent and the width holds it: ``x1^2*x2 + 3`` over Z has
+top 2, width 2 and ``coeffs`` ``{0b0110: 1, 0: 3}``.  A :class:`MultilinearPoly`
+is the width-1 case, keyed by variable masks; ``terms`` is the exponent-tuple
+view.  Variable indices are 1-based, as ``x1 .. xn`` in the expression grammar.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from functools import reduce
 from itertools import combinations
 from math import comb
-from operator import add
+from operator import or_
 
 from .rings import Ring, _pow
 
@@ -23,11 +25,11 @@ Monomial = tuple[int, ...]
 class SparsePoly:
     """Exact sparse polynomial over one of the supported rings.
 
-    Instances are immutable: ``terms`` is never written after construction,
-    and the plan that :meth:`plan` builds once and keeps relies on that.
+    Instances are immutable: ``coeffs`` is never written after construction,
+    and the tuple view and the plan that are built once and kept rely on that.
     """
 
-    __slots__ = ("ring", "nvars", "terms", "_plan")
+    __slots__ = ("ring", "nvars", "coeffs", "top", "width", "_terms", "_plan")
 
     def __init__(self, ring: Ring, nvars: int, terms: Mapping[Monomial, object] | None = None):
         if nvars < 1:
@@ -40,20 +42,20 @@ class SparsePoly:
             coeff = ring.coerce(coeff)
             if coeff:
                 clean[exps] = coeff
-        self.ring = ring
-        self.nvars = nvars
-        self.terms = clean
-        self._plan = None
+        top = max(map(max, clean), default=0)
+        w = top.bit_length() or 1
+        self.ring, self.nvars, self.top, self.width = ring, nvars, top, w
+        self.coeffs = {sum(x << w * j for j, x in enumerate(e)): c for e, c in clean.items()}
+        self._terms, self._plan = clean, None
 
     @classmethod
-    def _trusted(cls, ring: Ring, nvars: int, terms: dict[Monomial, object]) -> SparsePoly:
-        """Wrap terms already keyed by valid exponent tuples with nonzero ring
-        values, skipping the per-term checks of ``__init__``."""
+    def _trusted(cls, ring: Ring, nvars: int, coeffs: dict, top=1, width=0, terms=None):
+        """Wrap nonzero ring values keyed by monomials packed at ``width`` (by
+        default the least that holds ``top``, a bound on every exponent);
+        ``terms``, if given, is the same table by exponent tuples."""
         p = cls.__new__(cls)
-        p.ring = ring
-        p.nvars = nvars
-        p.terms = terms
-        p._plan = None
+        p.ring, p.nvars, p.coeffs, p.top = ring, nvars, coeffs, top
+        p.width, p._terms, p._plan = width or top.bit_length() or 1, terms, None
         return p
 
     @classmethod
@@ -62,16 +64,25 @@ class SparsePoly:
 
     @classmethod
     def constant(cls, ring: Ring, nvars: int, value) -> SparsePoly:
-        return SparsePoly(ring, nvars, {(0,) * nvars: value})
+        if nvars < 1:
+            raise ValueError("number of variables must be at least 1")
+        value = ring.coerce(value)
+        return SparsePoly._trusted(ring, nvars, {0: value} if value else {}, 0)
 
     @classmethod
     def variable(cls, ring: Ring, nvars: int, index: int) -> SparsePoly:
         """The polynomial x_index (1-based)."""
         if not 1 <= index <= nvars:
             raise IndexError(f"variable index {index} out of range 1..{nvars}")
-        exps = [0] * nvars
-        exps[index - 1] = 1
-        return SparsePoly._trusted(ring, nvars, {tuple(exps): ring.one})
+        return SparsePoly._trusted(ring, nvars, {1 << index - 1: ring.one})
+
+    @property
+    def terms(self) -> dict[Monomial, object]:
+        """The exponent-tuple view of ``coeffs``, built on first read and kept."""
+        if self._terms is None:
+            n, width = self.nvars, self.width
+            self._terms = {_unpack(k, n, width): c for k, c in self.coeffs.items()}
+        return self._terms
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.ring.name}, {self.nvars}, {self.render()!r})"
@@ -80,22 +91,20 @@ class SparsePoly:
         return self.render()
 
     def __reduce__(self):
-        return (SparsePoly, (self.ring, self.nvars, self.terms))
+        return type(self)._trusted, (self.ring, self.nvars, self.coeffs, self.top, self.width)
 
-    def __eq__(self, other) -> bool:
+    def __eq__(self, other) -> bool:  # compared at the wider width
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        return (
-            self.ring is other.ring
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
+        width = max(self.width, other.width)
+        return self.ring is other.ring and self.nvars == other.nvars and (
+            self._at(width) == other._at(width))
 
     def __hash__(self):
         return hash((self.ring, self.nvars, frozenset(self.terms.items())))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.coeffs)
 
     def _compatible(self, other: SparsePoly) -> None:
         if self.ring is not other.ring:
@@ -103,8 +112,15 @@ class SparsePoly:
         if self.nvars != other.nvars:
             raise ValueError("arity mismatch")
 
+    def _at(self, width: int) -> dict:
+        """``coeffs`` packed at ``width``, which must hold every exponent."""
+        if width == self.width or not self.top:  # a constant's key is 0 at every width
+            return self.coeffs
+        return {_repack(k, self.width, width): c for k, c in self.coeffs.items()}
+
     def __neg__(self) -> SparsePoly:
-        return SparsePoly._trusted(self.ring, self.nvars, {e: -c for e, c in self.terms.items()})
+        negated = {e: -c for e, c in self.coeffs.items()}
+        return SparsePoly._trusted(self.ring, self.nvars, negated, self.top, self.width)
 
     def __add__(self, other):
         if not isinstance(other, SparsePoly):
@@ -113,9 +129,10 @@ class SparsePoly:
             except TypeError:
                 return NotImplemented
         self._compatible(other)
-        merged = dict(self.terms)
-        _merge(merged, other.terms)
-        return SparsePoly._trusted(self.ring, self.nvars, merged)
+        width = max(self.width, other.width)
+        merged = dict(self._at(width))
+        _merge(merged, other._at(width).items())
+        return SparsePoly._trusted(self.ring, self.nvars, merged, max(self.top, other.top), width)
 
     __radd__ = __add__
 
@@ -131,11 +148,19 @@ class SparsePoly:
                 scalar = self.ring.coerce(other)
             except TypeError:
                 return NotImplemented
-            return SparsePoly(
-                self.ring, self.nvars, {e: c * scalar for e, c in self.terms.items()}
-            )
+            scaled = {e: c * scalar for e, c in self.coeffs.items()} if scalar else {}
+            return SparsePoly._trusted(self.ring, self.nvars, scaled, self.top, self.width)
         self._compatible(other)
-        return SparsePoly._trusted(self.ring, self.nvars, _mul_terms(self.terms, other.terms))
+        n, width = self.nvars, max(self.width, other.width)
+        a, b = self._at(width), other._at(width)
+        # a variable of one factor only keeps its exponent in the product
+        top = self.top + other.top
+        if not _occupied(a, n, width) & _occupied(b, n, width):
+            top = max(self.top, other.top)
+        if top >> width:
+            width = top.bit_length()
+            a, b = self._at(width), other._at(width)
+        return SparsePoly._trusted(self.ring, n, _mul_terms(a, b), top, width)
 
     __rmul__ = __mul__
 
@@ -154,7 +179,7 @@ class SparsePoly:
 
     @property
     def is_multilinear(self) -> bool:
-        return all(e <= 1 for exps in self.terms for e in exps)
+        return self.width == 1 or all(e <= 1 for exps in self.terms for e in exps)
 
     def evaluate(self, point: Sequence):
         """The value at ``point``, exact and of the ring's element type: ``plan``'s
@@ -167,90 +192,94 @@ class SparsePoly:
 
     def plan(self) -> tuple:
         """The ring's kernel and its data (``Ring.plan``), built on the first
-        call and kept; a MultilinearPoly reads the indices off its masks."""
+        call and kept; each term's indices are read off its exponent tuple."""
         if self._plan is None:
-            if isinstance(self, MultilinearPoly):
-                coeffs = self.coeffs
-                indices = [[j for j in range(m.bit_length()) if m >> j & 1] for m in coeffs]
-            else:
-                coeffs = self.terms
-                indices = [[j for j, e in enumerate(exps) for _ in range(e)] for exps in coeffs]
-            self._plan = self.ring.plan(coeffs.values(), indices)
+            indices = [[j for j, e in enumerate(exps) for _ in range(e)] for exps in self.terms]
+            self._plan = self.ring.plan(self.terms.values(), indices)
         return self._plan
 
-    def substitute(self, values: Sequence[SparsePoly]) -> SparsePoly:
+    def substitute(self, values: Sequence[SparsePoly], top: int | None = None) -> SparsePoly:
         """Substitute a polynomial for every variable (all in the same target arity).
 
-        A one-term value c*x^f (a variable, a monomial, a constant) folds
-        into each term as f*e and c**e at exponent e, with no power built.
-        Each power ``values[j] ** e``, e >= 2, of another value is computed
-        once per call, in ascending order: one product from ``values[j] **
-        (e - 1)`` when that power is needed too, else by square-and-multiply.
-        With at most one factor of two or more terms left, each product term
-        goes straight into the result; two or more are multiplied into it
-        smallest first (``_mul_terms``), so a large one is multiplied once.
+        ``top`` bounds the result's exponents; by default it is p's bound times
+        the sum of the values' bounds, or their largest when no two values share
+        a variable.  A one-term value c*x^f folds into each term as f*e and c**e
+        at exponent e.  Each power ``values[j] ** e``, e >= 2, of another value
+        is computed once, in ascending order: one product from the power below
+        when that is needed too, else by square-and-multiply.  With at most one
+        factor of two or more terms left, each product term goes straight into
+        the result; two or more are multiplied into it smallest first.
         """
         if len(values) != self.nvars:
             raise ValueError(f"expected {self.nvars} substitution values")
-        target = values[0].nvars
+        target, width = values[0].nvars, max([v.width for v in values])
         for v in values:
             if v.ring is not self.ring or v.nvars != target:
                 raise ValueError("substitution values must share ring and arity")
-        constant = (0,) * target
+        if top is None:
+            tops = [v.top for v in values]
+            top, seen, shared = self.top * sum(tops), 0, 0
+            if top >> width:  # past the values' width: look for a tighter bound
+                for v in values:
+                    used = _occupied(v.coeffs if v.width == width else v._at(width), target, width)
+                    shared, seen = shared | seen & used, seen | used
+                top = top if shared else self.top * max(tops)
+        width = max(width, top.bit_length())
+        tables = [v.coeffs if v.width == width else v._at(width) for v in values]
+        n, step, field = self.nvars, self.width, (1 << self.width) - 1
+        # a term that holds the variable of a zero value vanishes
+        dead = 0 if all(tables) else sum(field << step * j for j in range(n) if not tables[j])
+        live = [(k, c) for k, c in self.coeffs.items() if not k & dead]
         powers: dict[tuple[int, int], SparsePoly] = {}
-        for j, e in sorted({(j, e) for exps in self.terms for j, e in enumerate(exps) if e > 1}):
-            if len(values[j].terms) != 1:
-                below = values[j] if e == 2 else powers.get((j, e - 1))
-                powers[j, e] = values[j] ** e if below is None else below * values[j]
-        out: dict[Monomial, object] = {}
-        for exps, coeff in self.terms.items():
-            mono, wide = constant, []
-            for j, e in enumerate(exps):
-                if e:
-                    factor = values[j].terms
-                    if len(factor) != 1:
-                        wide.append(factor if e == 1 else powers[j, e].terms)
-                        continue
-                    [(f, c)] = factor.items()
-                    if e > 1:
-                        f, c = [g * e for g in f], c**e
-                    mono, coeff = tuple(map(add, mono, f)), coeff * c
+        raised: dict[tuple[int, int], dict] = {}
+        if step > 1:  # at width 1 every exponent is 0 or 1
+            for j, e in sorted({(j, k >> step * j & field) for k, _ in live for j in range(n)}):
+                if e > 1 and len(tables[j]) > 1:
+                    below = values[j] if e == 2 else powers.get((j, e - 1))
+                    powers[j, e] = values[j] ** e if below is None else below * values[j]
+                    raised[j, e] = powers[j, e]._at(width)
+        out: dict[int, object] = {}
+        one = self.ring.one
+        for key, coeff in live:
+            mono, wide = 0, []
+            while key:  # each variable of the term, at its lowest set bit
+                j = ((key & -key).bit_length() - 1) // step
+                e = key >> step * j & field
+                key ^= e << step * j
+                factor = tables[j]
+                if len(factor) > 1:
+                    wide.append(factor if e == 1 else raised[j, e])
+                    continue
+                [(f, c)] = factor.items()
+                if e > 1:
+                    f, c = f * e, c**e
+                mono += f
+                if c is not one:  # as a variable's is
+                    coeff = coeff * c
             if len(wide) > 1:
                 term = {mono: coeff}
                 for factor in sorted(wide, key=len):
                     term = _mul_terms(term, factor)
                 products = term.items()
             elif wide:  # each product term goes straight into ``out``
-                products = ((tuple(map(add, mono, f)), coeff * c) for f, c in wide[0].items())
+                products = [(mono + f, coeff * c) for f, c in wide[0].items()]
             else:
                 products = ((mono, coeff),)
-            for e, c in products:
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return SparsePoly._trusted(self.ring, target, out)
+            _merge(out, products)
+        return SparsePoly._trusted(self.ring, target, out, top, width)
 
     def to_multilinear(self) -> MultilinearPoly | None:
         """The subset-indexed form, or None when some variable has degree >= 2.
-        Masks are Python ints, so any arity has a mask view."""
-        coeffs: dict[int, object] = {}
-        for exps, coeff in self.terms.items():
-            mask = 0
-            for j, e in enumerate(exps):
-                if e > 1:
-                    return None
-                if e:
-                    mask |= 1 << j
-            coeffs[mask] = coeff
-        return MultilinearPoly._trusted(self.ring, self.nvars, coeffs, self.terms)
+        At width 1 it wraps ``coeffs`` as it is; masks are Python ints, so any
+        arity has a mask view."""
+        if not self.is_multilinear:
+            return None
+        return MultilinearPoly._trusted(self.ring, self.nvars, self._at(1), 1, 1, self._terms)
 
     def render(self) -> str:
         """Canonical text form, re-parseable by the expression grammar: terms
         in descending graded-lexicographic order."""
-        if not self.terms:
+        if not self.coeffs:
             return "0"
         parts: list[str] = []
         graded = sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
@@ -269,21 +298,15 @@ class SparsePoly:
         return "".join(parts)
 
 
-# SparsePoly's ``terms`` slot, where MultilinearPoly.terms keeps its tuples
-_TERMS = SparsePoly.terms
-
-
 class MultilinearPoly(SparsePoly):
-    """The multilinear case of :class:`SparsePoly`, indexed by variable subsets.
+    """The multilinear case of :class:`SparsePoly`, at width 1.
 
-    ``coeffs`` maps a bit mask over 1..n to its coefficient; missing masks
-    mean coefficient zero.  The empty mask holds the constant term.  The
-    exponent-tuple ``terms`` that the inherited methods read are built from
-    ``coeffs`` on first read and kept, so a table that is only decided mask
-    by mask never builds them.
+    ``coeffs`` maps a bit mask over 1..n, the variables of a monomial, to its
+    coefficient; missing masks mean coefficient zero.  The empty mask holds
+    the constant term.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, ring: Ring, n: int, coeffs: Mapping[int, object] | None = None):
         if n < 1:
@@ -295,53 +318,12 @@ class MultilinearPoly(SparsePoly):
             coeff = ring.coerce(coeff)
             if coeff:
                 clean[mask] = coeff
-        self.ring = ring
-        self.nvars = n
-        self.coeffs = clean
-        self._plan = None
-        _TERMS.__set__(self, None)
-
-    @classmethod
-    def _trusted(cls, ring: Ring, n: int, coeffs: dict, terms=None) -> MultilinearPoly:
-        """Wrap nonzero ring values keyed by masks over 1..n, without the checks
-        of ``__init__``; ``terms``, if given, is the same table by exponent tuples."""
-        p = cls.__new__(cls)
-        p.ring = ring
-        p.nvars = n
-        p.coeffs = coeffs
-        p._plan = None
-        _TERMS.__set__(p, terms)
-        return p
-
-    @property
-    def terms(self) -> dict[Monomial, object]:
-        """The exponent-tuple form of ``coeffs``, built on first read."""
-        terms = _TERMS.__get__(self)
-        if terms is None:
-            n = self.nvars
-            terms = {tuple((m >> j) & 1 for j in range(n)): c for m, c in self.coeffs.items()}
-            _TERMS.__set__(self, terms)
-        return terms
+        self.ring, self.nvars, self.coeffs, self.top, self.width = ring, n, clean, 1, 1
+        self._terms = self._plan = None
 
     @property
     def n(self) -> int:
         return self.nvars
-
-    def __reduce__(self):
-        return (MultilinearPoly, (self.ring, self.nvars, self.coeffs))
-
-    def __eq__(self, other) -> bool:
-        """Equality as polynomials; against another MultilinearPoly it compares
-        masks and never builds ``terms``."""
-        if not isinstance(other, MultilinearPoly):
-            return SparsePoly.__eq__(self, other)
-        return (
-            self.ring is other.ring
-            and self.nvars == other.nvars
-            and self.coeffs == other.coeffs
-        )
-
-    __hash__ = SparsePoly.__hash__  # defining __eq__ alone would unset it
 
     def coeff(self, mask: int):
         return self.coeffs.get(mask, self.ring.zero)
@@ -364,27 +346,48 @@ class MultilinearPoly(SparsePoly):
     evaluate = SparsePoly.evaluate
 
 
-def _mul_terms(a: Mapping[Monomial, object], b: Mapping[Monomial, object]) -> dict:
-    """The product of two term dicts, dropping sums that vanish."""
-    product: dict[Monomial, object] = {}
+def _repack(key: int, old: int, new: int) -> int:
+    """``key`` moved from fields of ``old`` bits to fields of ``new`` bits."""
+    field, out = (1 << old) - 1, 0
+    while key:  # each nonzero field, at its lowest set bit
+        j = ((key & -key).bit_length() - 1) // old
+        e = key >> old * j & field
+        key ^= e << old * j
+        out |= e << new * j
+    return out
+
+
+def _occupied(table, n: int, width: int) -> int:
+    """The high bit of each of n fields of ``width`` bits that some key of
+    ``table`` holds nonzero: the field's low bits plus all ones carry into it."""
+    used = reduce(or_, table, 0)
+    high = ((1 << width * n) - 1) // ((1 << width) - 1) << width - 1
+    low = high - (high >> width - 1)
+    return ((used & low) + low | used) & high
+
+
+def _unpack(key: int, n: int, width: int) -> Monomial:
+    """The exponent vector of a key packed at ``width`` in n variables."""
+    field = (1 << width) - 1
+    return tuple([key >> width * j & field for j in range(n)])
+
+
+def _mul_terms(a: Mapping[int, object], b: Mapping[int, object]) -> dict:
+    """The product of two coefficient dicts packed at one width, dropping
+    sums that vanish."""
+    product: dict[int, object] = {}
     for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
-            s = product.get(e)
-            s = c1 * c2 if s is None else s + c1 * c2
-            if s:
-                product[e] = s
-            else:
-                product.pop(e, None)
+        _merge(product, [(e1 + e2, c1 * c2) for e2, c2 in b.items()])
     return product
 
 
-def _merge(into: dict[Monomial, object], terms: Mapping[Monomial, object]) -> None:
-    """Add ``terms`` into the coefficient dict ``into``, dropping sums that vanish."""
-    for e, c in terms.items():
+def _merge(into: dict[int, object], terms) -> None:
+    """Add the (key, nonzero value) pairs ``terms`` into ``into``; drop sums that vanish."""
+    for e, c in terms:
         s = into.get(e)
-        s = c if s is None else s + c
-        if s:
+        if s is None:
+            into[e] = c
+        elif s := s + c:
             into[e] = s
         else:
             del into[e]

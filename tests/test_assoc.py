@@ -160,6 +160,22 @@ def test_closed_form_matches_substitution_random():
                 assert closed == compose_substitution(ml, slot)
 
 
+def test_census_spot_check_substitutes_on_masks():
+    # the multilinear case of substitution stays at width 1, so the spot
+    # check's view of it wraps the substitution's own mask table
+    rng = XorShift64Star(59)
+    for ring in (Ring.Z, Ring.Q, Ring.ZI):
+        for n in range(2, 7):
+            for constant in (False, True):
+                ml = random_table(rng, ring, n, constant)
+                for slot in range(1, n + 1):
+                    composed = compose_substitution(ml, slot)
+                    view = composed.to_multilinear()
+                    assert composed.width == 1 and type(view) is MultilinearPoly
+                    assert view.coeffs is composed.coeffs
+                    assert view == compose_closed_form(ml, slot)
+
+
 def test_is_associative_positive_fixtures():
     assert is_associative(parse_poly(CUBIC_EXAMPLE, 3, Ring.Z)).associative
     assert is_associative(parse_poly("x1 - x2 + x3", 3, Ring.Z)).associative
@@ -392,6 +408,8 @@ def test_prefix_cut_matches_the_full_substitution(p):
         full = compose_substitution(p, slot).terms
         for k in range(1, 2 * p.nvars):
             cut = _cut(p, slot, k)
+            read = [j for j in range(1, p.nvars + 1) if p.degree_in_var(j)]
+            assert _cut(p, slot, k, read) == cut  # zero for what p never reads
             want = {e[:k]: c for e, c in full.items() if not any(e[k:])}
             assert (cut.ring, cut.nvars, cut.terms) == (p.ring, k, want)
             assert [type(c) for c in cut.terms.values()] == [type(want[e]) for e in cut.terms]
@@ -415,9 +433,9 @@ def test_squared_variable_x1_step_builds_no_composition(monkeypatch, text, ring,
     p = parse_poly(text, n, ring)
     cuts = []
 
-    def cut(p, slot, k):
+    def cut(p, slot, k, read):
         cuts.append(k)
-        return _cut(p, slot, k)
+        return _cut(p, slot, k, read)
 
     monkeypatch.setattr(assoc, "_cut", cut)
     w = is_associative(p).witness

@@ -430,7 +430,7 @@ def test_multilinear_view_equals_and_hashes_like_the_sparse_polynomial():
         SparsePoly.zero(Ring.Q, 2),
     ):
         view = p.to_multilinear()
-        assert view.terms is p.terms  # the view reuses the tuple dict
+        assert p.width == 1 and view.coeffs is p.coeffs  # the view wraps the packed dict
         fresh = MultilinearPoly(p.ring, p.nvars, view.coeffs)
         for ml in (view, fresh):
             assert isinstance(ml, SparsePoly)
@@ -485,3 +485,102 @@ def test_multilinear_body_defines_only_its_own_index():
         "is_symmetric", "to_multilinear", "evaluate", "__eq__", "__hash__",
     }
     assert defined <= allowed, sorted(defined - allowed)
+
+
+# Exponents on both sides of the field-width boundaries 2^w - 1 | 2^w, w = 1, 2, 3
+BOUNDARY = (0, 1, 2, 3, 4, 7, 8)
+
+
+@st.composite
+def packed_polys(draw, ring, nvars, max_terms=4):
+    """A polynomial and its exponent-tuple table, packed at its least width or
+    at up to two bits wider, so operands of one test differ in width."""
+    exps = st.tuples(*[st.sampled_from(BOUNDARY)] * nvars)
+    table = draw(st.dictionaries(exps, ring_values(ring), max_size=max_terms))
+    p = SparsePoly(ring, nvars, table)
+    width = p.width + draw(st.integers(0, 2))
+    wide = SparsePoly._trusted(ring, nvars, p._at(width), p.top, width)
+    return wide, {e: ring.coerce(c) for e, c in table.items() if c}
+
+
+def tuple_sum(ring, a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, ring.zero) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def tuple_product(ring, a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, ring.zero) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def tuple_substitution(ring, target, p, values):
+    total = {}
+    for exps, c in p.items():
+        term = {(0,) * target: c}
+        for value, e in zip(values, exps):
+            for _ in range(e):
+                term = tuple_product(ring, term, value)
+        total = tuple_sum(ring, total, term)
+    return total
+
+
+def assert_matches(got, ring, nvars, want):
+    """``got`` holds the tuple table ``want`` in every view the package reads,
+    under an exponent bound that its width holds."""
+    assert got.terms == want
+    assert max((x for e in want for x in e), default=0) <= got.top < 1 << got.width
+    rebuilt = SparsePoly(ring, nvars, want)  # at the least width
+    assert got == rebuilt and rebuilt == got and hash(got) == hash(rebuilt)
+    assert got.render() == rebuilt.render()
+    for j in range(1, nvars + 1):
+        assert got.degree_in_var(j) == max((e[j - 1] for e in want), default=0)
+    ml = got.to_multilinear()
+    assert (ml is None) == any(x > 1 for e in want for x in e)
+    if ml is not None:
+        masks = {sum(1 << j for j, x in enumerate(e) if x): c for e, c in want.items()}
+        assert ml.coeffs == masks and ml == got and hash(ml) == hash(got)
+
+
+@SETTINGS
+@given(st.data())
+def test_packed_arithmetic_matches_a_tuple_reference(data):
+    ring, n = data.draw(st.sampled_from(RINGS)), data.draw(st.integers(1, 3))
+    (p, pt), (q, qt) = data.draw(packed_polys(ring, n)), data.draw(packed_polys(ring, n))
+    minus = {e: -c for e, c in qt.items()}
+    assert_matches(p + q, ring, n, tuple_sum(ring, pt, qt))
+    assert_matches(p - q, ring, n, tuple_sum(ring, pt, minus))
+    assert_matches(p * q, ring, n, tuple_product(ring, pt, qt))
+    k = data.draw(st.integers(0, 3))
+    power = {(0,) * n: ring.one}
+    for _ in range(k):
+        power = tuple_product(ring, power, pt)
+    assert_matches(p**k, ring, n, power)
+    assert_matches(p, ring, n, pt)
+    assert (p == q) == (pt == qt)
+    target = data.draw(st.integers(1, 2))
+    (outer, table), *values = [data.draw(packed_polys(ring, m, 2)) for m in [n] + [target] * n]
+    got = outer.substitute([v for v, _ in values])
+    want = tuple_substitution(ring, target, table, [t for _, t in values])
+    assert_matches(got, ring, target, want)
+    for poly in (p, got, got.to_multilinear()):
+        if poly is not None:
+            back = pickle.loads(pickle.dumps(poly))
+            assert type(back) is type(poly) and back == poly and hash(back) == hash(poly)
+
+
+def test_substitution_bounds_values_that_share_a_variable():
+    for ring in RINGS:
+        # x1^128 passes the 7 bits that p's bound times one value's bound, 64, needs
+        x = SparsePoly(ring, 1, {(8,): 2})
+        got = SparsePoly(ring, 2, {(8, 8): 1}).substitute([x, x])
+        assert got.terms == {(128,): ring.coerce(2**16)} and got.width == 8
+        # x1 packed at width 3 holds the sum of the bounds, and the result keeps it
+        x = SparsePoly._trusted(ring, 1, {1: ring.one}, 1, 3)
+        got = SparsePoly(ring, 2, {(1, 1): 1}).substitute([x, x])
+        assert got.terms == {(2,): ring.one} and got.top == 2 and got.width == 3
