@@ -145,37 +145,24 @@ def _first_difference(lhs: dict, rhs: dict):
     return min(differing, default=None)
 
 
-def _multilinear_verdict(p: MultilinearPoly, compose) -> AssocVerdict:
-    """The verdict on multilinear p from its closed forms, each
-    ``compose(p, slot)``: slot 2 against slot 1, then, unless p is symmetric,
-    slots 3..n, with the witness at the first difference (no later slot is built)."""
+def associative_multilinear(p: MultilinearPoly) -> AssocVerdict:
+    """Associativity for multilinear operations from the closed-form slot
+    compositions: slot 2 against slot 1, then, unless p is symmetric, slots
+    3..n, with the witness at the first difference (no later slot is built)."""
+    if p.n < 2:
+        raise ValueError("arity must be at least 2")
     zero = p.ring.zero
-    base = compose(p, 1)
+    base = compose_closed_form(p, 1)
     for slot in range(2, p.n + 1):
         if slot == 3 and p.is_symmetric():
             break
-        other = compose(p, slot)
+        other = compose_closed_form(p, slot)
         if other.coeffs != base.coeffs:
             mask = _first_difference(base.coeffs, other.coeffs)
             monomial = _unpack(mask, 2 * p.n - 1, 1)
             lhs, rhs = base.coeffs.get(mask, zero), other.coeffs.get(mask, zero)
             return AssocVerdict(False, CompositionWitness(slot, monomial, lhs, rhs))
     return AssocVerdict(True)
-
-
-def associative_multilinear(p: MultilinearPoly) -> AssocVerdict:
-    """Associativity for multilinear operations, comparing the slot
-    compositions built by the closed-form sums."""
-    if p.n < 2:
-        raise ValueError("arity must be at least 2")
-    return _multilinear_verdict(p, compose_closed_form)
-
-
-def _closed_forms_verdict(p: MultilinearPoly) -> tuple[AssocVerdict, tuple]:
-    """The n closed-form slot compositions of p, slots 1..n, each built once,
-    and :func:`associative_multilinear`'s verdict decided from them."""
-    forms = tuple(compose_closed_form(p, slot) for slot in range(1, p.n + 1))
-    return _multilinear_verdict(p, lambda _, slot: forms[slot - 1]), forms
 
 
 def is_associative(p: SparsePoly) -> AssocVerdict:

@@ -216,8 +216,11 @@ class ShiftedProduct(_Value):
         )
 
     def reduction(self, ring: Ring, n: int) -> ReductionStatus:
-        """Decided only over a field with offset 0 (on the punctured domain),
-        where it reduces iff some r in the ring has r^(n-1) = a."""
+        """At n = 2 the operation is its own 1-fold iterate (a0 = a).  Above, it is decided
+        over a field with offset 0 alone: it reduces iff some r in R has r^(n-1) = a."""
+        if n == 2:
+            params = {"a0": ring.element_str(self.a)}
+            return "yes", Reduction(reconstruct(self, 2, ring), params), None
         scope = "shifted-product reducibility is only decided"
         if not ring.is_field:
             return "out-of-scope", None, f"{scope} over a field ({ring.label} is not one)"

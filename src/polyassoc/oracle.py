@@ -11,9 +11,10 @@ value list at a time with c_0's last, checks each slot composition equation
 once its coefficients are set, so a failure settles a whole sub-box, and
 solves each list's value from one equation linear in it, so only one value
 is tried where its coefficient A is nonzero (one root at most, R being an
-integral domain).  It confirms each table that passes every equation by
-``assoc.associative_multilinear``'s decision, from the table's n closed-form
-slot compositions, which it keeps, and classifies the tables into a census.
+integral domain).  Each table that passes every equation is checked where
+the walk finds it: its n closed-form slot compositions must be equal, and
+each must equal the slot's substitution (``_leaf_check``).  The tables are
+then classified into a census.
 
 Random sampling uses xorshift64*: the 64-bit state evolves by
 ``x ^= x >> 12; x ^= x << 25; x ^= x >> 27`` and the output is
@@ -30,8 +31,8 @@ from functools import lru_cache
 from itertools import count
 from math import prod
 
-# associative_multilinear: the walk's decision, bound here for its readers
-from .assoc import _closed_forms_verdict, _pulled_masks, associative_multilinear
+# associative_multilinear is unused here: bench and test code read this binding
+from .assoc import _pulled_masks, associative_multilinear, compose_closed_form, compose_substitution
 from .classify import Classification, classification_params, classify_associative, param_sort_key
 from .errors import BudgetError, InternalInvariantError
 from .poly import MultilinearPoly, SparsePoly, _Value
@@ -370,17 +371,14 @@ class EnumerationResult(_Value):
     """``total``: the nominal size of the coefficient box; ``checked``: the
     tables the walk settles, those a failed equation settles unbuilt included;
     ``bulk_rejected``: candidates removed wholesale by pruning filters;
-    ``compositions``: by survivor, its closed-form compositions at slots
-    1..n, built by the walk."""
+    ``survivors``: each table, checked by ``_leaf_check``, with its class."""
 
-    __slots__ = ("ring", "n", "bound", "total", "checked", "bulk_rejected", "survivors",
-                 "compositions", "census")
+    __slots__ = ("ring", "n", "bound", "total", "checked", "bulk_rejected", "survivors", "census")
 
     def __init__(self, ring: Ring, n: int, bound: int, total: int, checked: int,
                  bulk_rejected: int, survivors: list[tuple[MultilinearPoly, Classification]],
-                 compositions: list[tuple[MultilinearPoly, ...]], census: list[CensusRow]):
-        _Value.__init__(self, ring, n, bound, total, checked, bulk_rejected, survivors,
-                        compositions, census)
+                 census: list[CensusRow]):
+        _Value.__init__(self, ring, n, bound, total, checked, bulk_rejected, survivors, census)
 
 
 def _equations(n: int, lists: list) -> list[list[tuple]]:
@@ -435,7 +433,23 @@ def _solver(j: int, equations: list[tuple]):
     return solver, [other for other in equations if other is not eq]
 
 
-def _enumerate_chunk(args) -> tuple[int, int, list[tuple]]:
+def _leaf_check(ml: MultilinearPoly) -> MultilinearPoly:
+    """``ml``, a table the walk keeps, once its n closed-form slot compositions, each
+    built once, are equal (a decision on their coefficients alone) and each equals
+    the slot's substitution, compared on masks; else ``InternalInvariantError``."""
+    forms = [compose_closed_form(ml, slot) for slot in range(1, ml.n + 1)]
+    if any(form.coeffs != forms[0].coeffs for form in forms[1:]):
+        raise InternalInvariantError(f"census walk keeps {ml.render()}, which the decision rejects")
+    for slot, closed in enumerate(forms, 1):
+        # a squared variable (None) disagrees
+        if closed != compose_substitution(ml, slot).to_multilinear():
+            raise InternalInvariantError(
+                f"composition paths disagree for {ml.render()} at slot {slot}"
+            )
+    return ml
+
+
+def _enumerate_chunk(args) -> tuple[int, int, list[MultilinearPoly]]:
     """Walk one slice of the coefficient box (split on the top coefficient).
 
     The slice is the product of value lists, each setting the masks it is
@@ -452,10 +466,9 @@ def _enumerate_chunk(args) -> tuple[int, int, list[tuple]]:
     or none; the values left out are settled at once.  Value v then goes to
     slot j, where the other ``_equations`` list j completes are checked,
     and a failure settles every table of the later lists at once.  A leaf
-    passes them all; it is built, confirmed from its n closed-form slot
-    compositions (``assoc._closed_forms_verdict``) and kept with them.
-    Returns (checked, bulk_rejected, survivors), each survivor a (table,
-    compositions) pair and ``checked`` counting the tables of both kinds.
+    passes them all; it is built, checked (``_leaf_check``) and kept.
+    Returns (checked, bulk_rejected, survivors), the survivors in walk order
+    and ``checked`` counting the tables of both kinds.
     """
     ring, n, bound, first_values, prune = args
     domain, zero = ring.box(bound), ring.zero
@@ -509,12 +522,7 @@ def _enumerate_chunk(args) -> tuple[int, int, list[tuple]]:
                     continue
                 checked += 1
                 table = {m: v for (masks, _), v in zip(lists, slot) if v for m in masks}
-                ml = MultilinearPoly._trusted(ring, n, table)
-                verdict, forms = _closed_forms_verdict(ml)
-                if not verdict.associative:
-                    message = f"census walk keeps {ml.render()}, which the decision rejects"
-                    raise InternalInvariantError(message)
-                survivors.append((ml, forms))
+                survivors.append(_leaf_check(MultilinearPoly._trusted(ring, n, table)))
     return checked, len(first_values) * len(domain) ** top_mask - checked, survivors
 
 
@@ -571,8 +579,7 @@ def enumerate_associative(
     if d == 1:
         # The box is the zero table alone, the constant 0: decided here, not
         # walked as 2^n one-value lists and sorted by a 2^n-entry key.
-        zero = MultilinearPoly(ring, n)
-        checked, bulk, found = 1, 0, [(zero, _closed_forms_verdict(zero)[1])]
+        checked, bulk, found = 1, 0, [_leaf_check(MultilinearPoly(ring, n))]
     else:
         chunks = _split(ring.box(bound), max(1, jobs))
         args = [(ring, n, bound, chunk, prune) for chunk in chunks]
@@ -586,11 +593,11 @@ def enumerate_associative(
         checked = sum(part[0] for part in parts)
         bulk = sum(part[1] for part in parts)
 
-        def table_key(leaf: tuple) -> list:
-            return [ring.coords(leaf[0].coeff(m)) for m in range(1 << n)]
+        def table_key(ml: MultilinearPoly) -> list:
+            return [ring.coords(ml.coeff(m)) for m in range(1 << n)]
 
         found = sorted((leaf for part in parts for leaf in part[2]), key=table_key)
-    survivors = [(ml, classify_associative(ml)) for ml, _ in found]
+    survivors = [(ml, classify_associative(ml)) for ml in found]
     census = _build_census(survivors, ring)
     return EnumerationResult(
         ring=ring,
@@ -600,7 +607,6 @@ def enumerate_associative(
         checked=checked,
         bulk_rejected=bulk,
         survivors=survivors,
-        compositions=[forms for _, forms in found],
         census=census,
     )
 

@@ -441,7 +441,7 @@ def test_value_object_constructors_take_keywords():
     assert report.notes == () and report.medial_method == "symbolic"
     result = EnumerationResult(
         ring=Ring.Z, n=2, bound=0, total=1, checked=1, bulk_rejected=0,
-        survivors=[], compositions=[], census=[],
+        survivors=[], census=[],
     )
     assert result.total == 1 and result.census == []
     with pytest.raises(TypeError):

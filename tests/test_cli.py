@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyassoc.cli as cli
+import polyassoc.oracle as oracle
 from polyassoc import (
     OracleConfig,
     Ring,
@@ -329,6 +330,21 @@ def test_root_note_states_the_power(capsys):
         assert f"  note: no element r of Q has {power} = -4\n" in out
 
 
+@pytest.mark.parametrize("ring, poly, reduction", [
+    ("z", "x1*x2 + 2*x1 + 2*x2 + 2", "x*y -> x*y + 2*x + 2*y + 2 (a0 = 1)"),
+    ("zi", "2*i*x1*x2 + x1 + x2", "x*y -> 2*i*x*y + x + y (a0 = 2i)"),
+    ("q", "3/2*x1*x2 + 3*x1 + 3*x2 + 4", "x*y -> 3/2*x*y + 3*x + 3*y + 4 (a0 = 3/2)"),
+    ("q", "4*x1*x2", "x*y -> 4*x*y (a0 = 4)"),  # offset 0 over a field, as before
+])
+def test_every_binary_shifted_product_is_its_own_iterate(capsys, ring, poly, reduction):
+    # at n = 2 the 1-fold iterate is the operation itself, whatever the ring
+    # and the offset; analyze expands it and compares it with p
+    code, out, _ = run(capsys, "analyze", "--ring", ring, "--n", "2", "--poly", poly)
+    assert code == 0 and "classification: shifted-product (vi)" in out
+    assert f"  reducible: yes; {reduction}\n" in out
+    assert "only decided" not in out
+
+
 def test_text_format(capsys):
     code, out, _ = run(capsys, "classify", "--ring", "z", "--n", "3", "--poly", CUBIC_EXAMPLE)
     assert code == 0
@@ -643,19 +659,24 @@ def test_enumerate_spot_check_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "spot check" in err
 
 
+def walk_order(n: int, ring: Ring, bound: int) -> list:
+    """The survivors of an unpruned box in the order the walk finds them (one chunk)."""
+    return oracle._enumerate_chunk((ring, n, bound, ring.box(bound), False))[2]
+
+
 def test_enumerate_composition_paths_disagreeing_exit_3(tmp_path, capsys, monkeypatch):
-    # substitution made wrong at slot 2 by one added term; the first survivor
-    # of the walk is the first table checked against it
-    substitute = cli.compose_substitution
+    # the leaf's substitution made wrong at slot 2 by one added term; the
+    # walk's first table is the first checked against it
+    first = walk_order(2, Ring.Z, 1)[0]
+    substitute = oracle.compose_substitution
     monkeypatch.setattr(
-        cli, "compose_substitution",
+        oracle, "compose_substitution",
         lambda p, slot: substitute(p, slot) + int(slot == 2),
     )
     code, out, err = run(
         capsys, "enumerate", "--ring", "z", "--n", "2", "--bound", "1",
         "--out", str(tmp_path / "census"),
     )
-    first = enumerate_associative(2, Ring.Z, 1).survivors[0][0]
     assert (code, out) == (3, "")
     assert err == (
         f"internal error: composition paths disagree for {first.render()} at slot 2\n"
@@ -666,10 +687,12 @@ def test_enumerate_composition_paths_disagreeing_exit_3(tmp_path, capsys, monkey
 def test_enumerate_compares_the_composition_paths_as_polynomials(
     tmp_path, capsys, monkeypatch, wrong
 ):
-    # substitution made wrong at slot 2 of the first nonconstant survivor, in
-    # ways that keep the variables each term uses: every exponent doubled,
-    # one variable more, or the same coefficients over Q (1 == Fraction(1))
-    substitute = cli.compose_substitution
+    # the leaf's substitution made wrong at slot 2 of the walk's first
+    # nonconstant table, in ways that keep the variables each term uses: every
+    # exponent doubled, one variable more, or the same coefficients over Q
+    # (1 == Fraction(1))
+    first = next(p for p in walk_order(2, Ring.Z, 1) if p.degree())
+    substitute = oracle.compose_substitution
 
     def wrong_substitute(p, slot):
         q = substitute(p, slot)
@@ -681,12 +704,11 @@ def test_enumerate_compares_the_composition_paths_as_polynomials(
             return SparsePoly(q.ring, q.nvars + 1, {x + (0,): c for x, c in q.terms.items()})
         return SparsePoly(Ring.Q, q.nvars, q.terms)
 
-    monkeypatch.setattr(cli, "compose_substitution", wrong_substitute)
+    monkeypatch.setattr(oracle, "compose_substitution", wrong_substitute)
     code, out, err = run(
         capsys, "enumerate", "--ring", "z", "--n", "2", "--bound", "1",
         "--out", str(tmp_path / "census"),
     )
-    first = next(p for p, _ in enumerate_associative(2, Ring.Z, 1).survivors if p.degree())
     assert (code, out) == (3, "")
     assert err == (
         f"internal error: composition paths disagree for {first.render()} at slot 2\n"
@@ -738,15 +760,14 @@ def test_enumerate_spot_checks_every_survivor_by_every_route(tmp_path, capsys, m
 def test_enumerate_checks_the_closed_forms_the_walk_kept(
     tmp_path, capsys, monkeypatch, slots, message
 ):
-    # the closed form made wrong, by one added constant, at the given slots
-    # of the first nonconstant survivor: wrong at slot 2 alone, the leaf's
-    # decision rejects the table; wrong alike at every slot, the decision
-    # holds and the spot check finds the kept slot-1 form wrong
-    import polyassoc.assoc as assoc
+    # the leaf's closed form made wrong, by one added constant, at the given
+    # slots of the first nonconstant survivor: wrong at slot 2 alone, the
+    # leaf's decision rejects the table; wrong alike at every slot, the
+    # decision holds and substitution finds the slot-1 form wrong
     from polyassoc import MultilinearPoly
 
     first = next(p for p, _ in enumerate_associative(3, Ring.Z, 1).survivors if p.degree())
-    closed_form = assoc.compose_closed_form
+    closed_form = oracle.compose_closed_form
 
     def wrong_closed_form(p, slot):
         q = closed_form(p, slot)
@@ -754,7 +775,7 @@ def test_enumerate_checks_the_closed_forms_the_walk_kept(
             return q
         return MultilinearPoly(q.ring, q.n, {**q.coeffs, 0: q.coeff(0) + 1})
 
-    monkeypatch.setattr(assoc, "compose_closed_form", wrong_closed_form)
+    monkeypatch.setattr(oracle, "compose_closed_form", wrong_closed_form)
     code, out, err = run(
         capsys, "enumerate", "--ring", "z", "--n", "3", "--bound", "1",
         "--out", str(tmp_path / "census"),

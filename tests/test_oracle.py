@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import signal
 from fractions import Fraction
@@ -35,6 +36,7 @@ from polyassoc import (
     reconstruct,
 )
 from polyassoc import assoc, oracle, structure
+from polyassoc.cli import main
 
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
 
@@ -600,7 +602,7 @@ def test_grid_mode_reads_subset_sums_alone(monkeypatch):
         raise AssertionError("the grid route left its subset sums")
 
     for module, name in [(assoc, "compose_closed_form"), (oracle, "_pulled_masks"),
-                         (oracle, "_closed_forms_verdict"), (SparsePoly, "substitute"),
+                         (oracle, "_leaf_check"), (SparsePoly, "substitute"),
                          (SparsePoly, "plan")]:
         monkeypatch.setattr(module, name, unreachable)
     assert [assoc_pointwise(p, OracleConfig(mode="grid")) for p in cases] == expected
@@ -861,13 +863,13 @@ CENSUS_BOXES = [
 
 def test_walk_builds_only_the_associative_tables(monkeypatch):
     calls = []
-    decide = oracle._closed_forms_verdict
+    leaf_check = oracle._leaf_check
 
     def counted(ml):
         calls.append(ml)
-        return decide(ml)
+        return leaf_check(ml)
 
-    monkeypatch.setattr(oracle, "_closed_forms_verdict", counted)
+    monkeypatch.setattr(oracle, "_leaf_check", counted)
     for n, ring, bound, prune, checked in CENSUS_BOXES:
         calls.clear()
         result = enumerate_associative(n, ring, bound, prune=prune, budget=10**8)
@@ -890,7 +892,39 @@ def test_a_wrong_root_makes_the_walk_differ_from_deciding_every_table(monkeypatc
     _, _, found = oracle._enumerate_chunk((ring, n, bound, ring.box(bound), False))
     # a list whose solve is off never tries its true root, so the tables
     # through that root are lost; each table still kept is associative
-    assert {ml.render() for ml, _ in found} < {ml.render() for ml in survivors}
+    assert {ml.render() for ml in found} < {ml.render() for ml in survivors}
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_all_start_methods()[0] != "fork",
+    reason="the workers must inherit the patched binding by fork",
+)
+def test_the_walk_compares_both_composition_routes(monkeypatch, tmp_path, capsys):
+    # the leaf's substitution made wrong at slot 2 by one added term: the
+    # library call fails at the first table the walk keeps, without the CLI
+    ring, box = Ring.Z, Ring.Z.box(1)
+    firsts = [oracle._enumerate_chunk((ring, 2, 1, chunk, False))[2][0]
+              for chunk in oracle._split(box, 2)]
+    first = oracle._enumerate_chunk((ring, 2, 1, box, False))[2][0]
+    substitute = oracle.compose_substitution
+    monkeypatch.setattr(
+        oracle, "compose_substitution", lambda p, slot: substitute(p, slot) + int(slot == 2)
+    )
+    message = "composition paths disagree for {} at slot 2"
+    with pytest.raises(oracle.InternalInvariantError) as serial:
+        enumerate_associative(2, ring, 1)
+    assert str(serial.value) == message.format(first.render())
+    with pytest.raises(oracle.InternalInvariantError) as zero_box:
+        enumerate_associative(2, ring, 0)
+    assert str(zero_box.value) == message.format("0")
+    # two workers: either chunk may fail first, each at its first table
+    with pytest.raises(oracle.InternalInvariantError) as forked:
+        enumerate_associative(2, ring, 1, jobs=2)
+    assert str(forked.value) in {message.format(p.render()) for p in firsts}
+    argv = ["enumerate", "--ring", "z", "--n", "2", "--bound", "1", "--jobs", "2",
+            "--out", str(tmp_path / "census")]
+    assert main(argv) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_equations_are_built_once_per_list_structure(monkeypatch):

@@ -124,6 +124,17 @@ def test_assoc_imports_only_errors_and_poly_from_the_package():
     assert {m for m in modules if m.startswith((".", "polyassoc"))} <= {".errors", ".poly"}
 
 
+def test_cli_imports_only_the_verdict_and_its_witness_from_assoc():
+    # the census walk compares the composition routes; the front end builds none
+    tree = ast.parse((Path(polyassoc.__file__).parent / "cli.py").read_text())
+    names = {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        and (node.level, node.module) in ((1, "assoc"), (0, "polyassoc.assoc"))
+        for alias in node.names
+    }
+    assert names == {"AssocVerdict", "CompositionWitness", "is_associative"}
+
+
 @pytest.mark.parametrize("line, imports", [
     ("from .errors import BudgetError, InternalInvariantError", True),
     # the old home of BudgetError imports assoc itself: a circular import
