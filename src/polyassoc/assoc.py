@@ -23,10 +23,8 @@ variable is compared on colex prefixes (:func:`is_associative`).
 
 from __future__ import annotations
 
-from collections.abc import Container
-
 from .errors import InternalInvariantError
-from .poly import Monomial, MultilinearPoly, SparsePoly, _monomial_str, _occupied, _unpack, _Value
+from .poly import Monomial, MultilinearPoly, SparsePoly, _monomial_str, _unpack, _Value
 
 
 class CompositionWitness(_Value):
@@ -75,19 +73,18 @@ def compose_substitution(p: SparsePoly, slot: int) -> SparsePoly:
     return _cut(p, slot, _check_slot(p.nvars, slot))
 
 
-def _cut(p: SparsePoly, slot: int, k: int, read: Container[int] | None = None) -> SparsePoly:
+def _cut(p: SparsePoly, slot: int, k: int) -> SparsePoly:
     """The slot composition with x_(k+1)..x_(2n-1) set to zero, in x1..xk.
     The nested call keeps p's terms in arguments 1..inside, those placed in
-    x1..xk; the outer arguments placed past x_k are zero, and so is an
-    argument not in ``read``, when given, which p never reads.  Every value
-    is packed at p's width; the exponents are at most top * max(top, 1)
+    x1..xk; the outer arguments placed past x_k are zero.  Every value is
+    packed at p's width; the exponents are at most top * max(top, 1)
     (d_s * d_i in the window)."""
     n, ring, w = p.nvars, p.ring, p.width
     inside, values = max(0, k - slot + 1), []
     zero = SparsePoly._trusted(ring, k, {}, 0, w)
     for j in range(1, n + 1):
         at = j if j < slot else j + n - 1  # where argument j is placed
-        if at > k and j != slot or read is not None and j not in read:
+        if at > k and j != slot:
             values.append(zero)
         elif j == slot:
             inner = {e << w * (j - 1): c for e, c in p.coeffs.items() if not e >> w * inside}
@@ -192,9 +189,9 @@ def is_associative(p: SparsePoly) -> AssocVerdict:
     if ml is not None:
         return associative_multilinear(ml)
     width = (p.top * p.top).bit_length()  # that of every cut's bound (``_cut``)
-    p = SparsePoly._trusted(p.ring, n, p._at(width), p.top, width, p.terms)
-    zero, m, occupied = p.ring.zero, 2 * n - 1, _occupied(p.coeffs, n, width)
-    read = [j for j in range(1, n + 1) if occupied >> width * j - 1 & 1]
+    p = SparsePoly._trusted(p.ring, n, p._at(width), p.top, width)
+    zero, m = p.ring.zero, 2 * n - 1
+    read = [j for j in range(1, n + 1) if p.degree_in_var(j)]
     bases: dict[int, SparsePoly] = {}
     for slot in range(2, n + 1):
         # slot s's composition can hold x_j for an argument j read before
@@ -203,8 +200,8 @@ def is_associative(p: SparsePoly) -> AssocVerdict:
         held.update(s + i - 1 for s in (1, slot) if s in read for i in read)
         for k in sorted(held):
             if k not in bases:
-                bases[k] = _cut(p, 1, k, read)
-            base, other = bases[k].coeffs, _cut(p, slot, k, read).coeffs  # both at ``width``
+                bases[k] = _cut(p, 1, k)
+            base, other = bases[k].coeffs, _cut(p, slot, k).coeffs  # both at ``width``
             e = _first_difference(base, other)
             if e is not None:
                 lhs, rhs = base.get(e, zero), other.get(e, zero)

@@ -58,13 +58,12 @@ class Token(namedtuple("Token", ("kind", "text", "pos"))):
 
 
 class ParseError(Exception):
-    """Syntax or ring error, carrying a 0-based position and the expected set."""
+    """Syntax or ring error, carrying a 0-based position."""
 
-    def __init__(self, message: str, position: int, expected: tuple[str, ...] = ()):
+    def __init__(self, message: str, position: int):
         super().__init__(message)
         self.message = message
         self.position = position
-        self.expected = expected
 
     def __str__(self) -> str:
         return f"{self.message} at position {self.position + 1}"
@@ -78,12 +77,12 @@ def tokenize(source: str) -> list[Token]:
     for m in _TOKEN.finditer(source):
         kind, text, pos = m.lastgroup, m.group(), m.start()
         if kind == "bad":
-            raise ParseError(f"unexpected character {text!r}", pos, ())
+            raise ParseError(f"unexpected character {text!r}", pos)
         if text == "x":
-            raise ParseError("expected digits after 'x'", pos, ("variable index",))
+            raise ParseError("expected digits after 'x'", pos)
         if 0 < limit < len(text) - (kind == "var"):  # a digit run, after an 'x' or not
             first = pos + (kind == "var")
-            raise ParseError(f"integer literal longer than {limit} digits", first, ())
+            raise ParseError(f"integer literal longer than {limit} digits", first)
         tokens.append(Token(kind, "^" if text == "**" else text, pos))
     tokens.append(Token("end", "", len(source)))
     return tokens
@@ -139,10 +138,10 @@ def parse_poly(source: str, nvars: int, ring: Ring) -> SparsePoly:
                 total, sign, product, negate = stack.pop()
                 continue
             if stack:
-                raise ParseError("expected ')'", tok.pos, (")",))
+                raise ParseError("expected ')'", tok.pos)
             if tok.kind == "end":
                 return total
-            raise ParseError(f"unexpected {tok.text!r}", tok.pos, ("operator", "end of input"))
+            raise ParseError(f"unexpected {tok.text!r}", tok.pos)
 
 
 def _atom(tok: Token, nvars: int, ring: Ring) -> SparsePoly:
@@ -150,18 +149,14 @@ def _atom(tok: Token, nvars: int, ring: Ring) -> SparsePoly:
         return SparsePoly.constant(ring, nvars, int(tok.text))
     if tok.kind == "imag":
         if ring.imaginary_unit is None:
-            raise ParseError(f"'i' is only available over Z[i], not {ring.label}", tok.pos, ())
+            raise ParseError(f"'i' is only available over Z[i], not {ring.label}", tok.pos)
         return SparsePoly.constant(ring, nvars, ring.imaginary_unit)
     if tok.kind == "var":
         index = tok.value
         if not 1 <= index <= nvars:
-            raise ParseError(f"unknown variable x{index} (arity is {nvars})", tok.pos, ())
+            raise ParseError(f"unknown variable x{index} (arity is {nvars})", tok.pos)
         return SparsePoly.variable(ring, nvars, index)
-    raise ParseError(
-        "expected a number, variable, or parenthesized expression",
-        tok.pos,
-        ("integer", "variable", "("),
-    )
+    raise ParseError("expected a number, variable, or parenthesized expression", tok.pos)
 
 
 def _powers(base: SparsePoly, tokens: list[Token], i: int) -> tuple[SparsePoly, int]:
@@ -172,9 +167,7 @@ def _powers(base: SparsePoly, tokens: list[Token], i: int) -> tuple[SparsePoly, 
     while tokens[i].kind == "op" and tokens[i].text == "^":
         tok = tokens[i + 1]
         if tok.kind != "int":
-            raise ParseError(
-                "exponent must be a nonnegative integer literal", tok.pos, ("integer",)
-            )
+            raise ParseError("exponent must be a nonnegative integer literal", tok.pos)
         literals.append(tok)
         i += 2
     if literals:
@@ -193,12 +186,12 @@ def _divisors(
     after them."""
     while tokens[i].kind == "op" and tokens[i].text == "/":
         if not ring.is_field:
-            raise ParseError(f"'/' is only available over Q, not {ring.label}", tokens[i].pos, ())
+            raise ParseError(f"'/' is only available over Q, not {ring.label}", tokens[i].pos)
         lit = tokens[i + 1]
         if lit.kind != "int":
-            raise ParseError("denominator must be an integer literal", lit.pos, ("integer",))
+            raise ParseError("denominator must be an integer literal", lit.pos)
         if lit.value == 0:
-            raise ParseError("division by zero", lit.pos, ())
+            raise ParseError("division by zero", lit.pos)
         product = product * ring.exact_div(1, lit.value)
         i += 2
     return product, i
@@ -255,4 +248,4 @@ def _capped_power(tok: Token, e: int) -> int:
         return value
     limit = sys.get_int_max_str_digits()
     shown = f"{tok.text}^{e}" if limit and value >= 10**limit else value
-    raise ParseError(f"exponent {shown} exceeds the cap {EXPONENT_CAP}", tok.pos, ())
+    raise ParseError(f"exponent {shown} exceeds the cap {EXPONENT_CAP}", tok.pos)

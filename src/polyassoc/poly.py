@@ -26,10 +26,10 @@ class SparsePoly:
     """Exact sparse polynomial over one of the supported rings.
 
     Instances are immutable: ``coeffs`` is never written after construction,
-    and the tuple view and the plan that are built once and kept rely on that.
+    and the plan that is built once and kept relies on that.
     """
 
-    __slots__ = ("ring", "nvars", "coeffs", "top", "width", "_terms", "_plan")
+    __slots__ = ("ring", "nvars", "coeffs", "top", "width", "_plan")
 
     def __init__(self, ring: Ring, nvars: int, terms: Mapping[Monomial, object] | None = None):
         if nvars < 1:
@@ -46,16 +46,15 @@ class SparsePoly:
         w = top.bit_length() or 1
         self.ring, self.nvars, self.top, self.width = ring, nvars, top, w
         self.coeffs = {sum(x << w * j for j, x in enumerate(e)): c for e, c in clean.items()}
-        self._terms, self._plan = clean, None
+        self._plan = None
 
     @classmethod
-    def _trusted(cls, ring: Ring, nvars: int, coeffs: dict, top=1, width=0, terms=None):
+    def _trusted(cls, ring: Ring, nvars: int, coeffs: dict, top=1, width=0):
         """Wrap nonzero ring values keyed by monomials packed at ``width`` (by
-        default the least that holds ``top``, a bound on every exponent);
-        ``terms``, if given, is the same table by exponent tuples."""
+        default the least that holds ``top``, a bound on every exponent)."""
         p = cls.__new__(cls)
         p.ring, p.nvars, p.coeffs, p.top = ring, nvars, coeffs, top
-        p.width, p._terms, p._plan = width or top.bit_length() or 1, terms, None
+        p.width, p._plan = width or top.bit_length() or 1, None
         return p
 
     @classmethod
@@ -78,11 +77,9 @@ class SparsePoly:
 
     @property
     def terms(self) -> dict[Monomial, object]:
-        """The exponent-tuple view of ``coeffs``, built on first read and kept."""
-        if self._terms is None:
-            n, width = self.nvars, self.width
-            self._terms = {_unpack(k, n, width): c for k, c in self.coeffs.items()}
-        return self._terms
+        """The exponent-tuple view of ``coeffs``, built on each read."""
+        n, width = self.nvars, self.width
+        return {_unpack(k, n, width): c for k, c in self.coeffs.items()}
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.ring.name}, {self.nvars}, {self.render()!r})"
@@ -169,17 +166,22 @@ class SparsePoly:
 
     def degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=0)
+        if self.width == 1:
+            return max((k.bit_count() for k in self.coeffs), default=0)
+        return max((sum(_unpack(k, self.nvars, self.width)) for k in self.coeffs), default=0)
 
     def degree_in_var(self, index: int) -> int:
         """Largest exponent of x_index (1-based); 0 for the zero polynomial."""
         if not 1 <= index <= self.nvars:
             raise IndexError(f"variable index {index} out of range 1..{self.nvars}")
-        return max((e[index - 1] for e in self.terms), default=0)
+        shift, field = self.width * (index - 1), (1 << self.width) - 1
+        return max((k >> shift & field for k in self.coeffs), default=0)
 
     @property
     def is_multilinear(self) -> bool:
-        return self.width == 1 or all(e <= 1 for exps in self.terms for e in exps)
+        """True iff no key sets a bit above the low bit of one of its fields."""
+        low = ((1 << self.width * self.nvars) - 1) // ((1 << self.width) - 1)
+        return self.width == 1 or not any(k & ~low for k in self.coeffs)
 
     def evaluate(self, point: Sequence):
         """The value at ``point``, exact and of the ring's element type: ``plan``'s
@@ -192,23 +194,24 @@ class SparsePoly:
 
     def plan(self) -> tuple:
         """The ring's kernel and its data (``Ring.plan``), built on the first
-        call and kept; each term's indices are read off its exponent tuple."""
+        call and kept; each term's indices are read off its packed key."""
         if self._plan is None:
-            indices = [[j for j, e in enumerate(exps) for _ in range(e)] for exps in self.terms]
-            self._plan = self.ring.plan(self.terms.values(), indices)
+            n, w, table = self.nvars, self.width, self.coeffs
+            field = (1 << w) - 1
+            indices = [[j for j in range(n) for _ in range(k >> w * j & field)] for k in table]
+            self._plan = self.ring.plan(table.values(), indices)
         return self._plan
 
     def substitute(self, values: Sequence[SparsePoly], top: int | None = None) -> SparsePoly:
         """Substitute a polynomial for every variable (all in the same target arity).
 
-        ``top`` bounds the result's exponents; by default it is p's bound times
-        the sum of the values' bounds, or their largest when no two values share
-        a variable.  A one-term value c*x^f folds into each term as f*e and c**e
-        at exponent e.  Each power ``values[j] ** e``, e >= 2, of another value
-        is computed once, in ascending order: one product from the power below
-        when that is needed too, else by square-and-multiply.  With at most one
-        factor of two or more terms left, each product term goes straight into
-        the result; two or more are multiplied into it smallest first.
+        ``top`` bounds the result's exponents; by default it is p's bound times the
+        sum of the values' bounds.  A one-term value c*x^f folds into each term as
+        f*e and c**e at exponent e.  Each power ``values[j] ** e``, e >= 2, of
+        another value is computed once, in ascending order: one product from the
+        power below when that is needed too, else by square-and-multiply.  With at
+        most one factor of two or more terms left, each product term goes straight
+        into the result; two or more are multiplied into it smallest first.
         """
         if len(values) != self.nvars:
             raise ValueError(f"expected {self.nvars} substitution values")
@@ -217,13 +220,7 @@ class SparsePoly:
             if v.ring is not self.ring or v.nvars != target:
                 raise ValueError("substitution values must share ring and arity")
         if top is None:
-            tops = [v.top for v in values]
-            top, seen, shared = self.top * sum(tops), 0, 0
-            if top >> width:  # past the values' width: look for a tighter bound
-                for v in values:
-                    used = _occupied(v.coeffs if v.width == width else v._at(width), target, width)
-                    shared, seen = shared | seen & used, seen | used
-                top = top if shared else self.top * max(tops)
+            top = self.top * sum(v.top for v in values)
         width = max(width, top.bit_length())
         tables = [v.coeffs if v.width == width else v._at(width) for v in values]
         n, step, field = self.nvars, self.width, (1 << self.width) - 1
@@ -274,7 +271,7 @@ class SparsePoly:
         arity has a mask view."""
         if not self.is_multilinear:
             return None
-        return MultilinearPoly._trusted(self.ring, self.nvars, self._at(1), 1, 1, self._terms)
+        return MultilinearPoly._trusted(self.ring, self.nvars, self._at(1), 1, 1)
 
     def render(self) -> str:
         """Canonical text form, re-parseable by the expression grammar: terms
@@ -319,7 +316,7 @@ class MultilinearPoly(SparsePoly):
             if coeff:
                 clean[mask] = coeff
         self.ring, self.nvars, self.coeffs, self.top, self.width = ring, n, clean, 1, 1
-        self._terms = self._plan = None
+        self._plan = None
 
     @property
     def n(self) -> int:

@@ -408,8 +408,6 @@ def test_prefix_cut_matches_the_full_substitution(p):
         full = compose_substitution(p, slot).terms
         for k in range(1, 2 * p.nvars):
             cut = _cut(p, slot, k)
-            read = [j for j in range(1, p.nvars + 1) if p.degree_in_var(j)]
-            assert _cut(p, slot, k, read) == cut  # zero for what p never reads
             want = {e[:k]: c for e, c in full.items() if not any(e[k:])}
             assert (cut.ring, cut.nvars, cut.terms) == (p.ring, k, want)
             assert [type(c) for c in cut.terms.values()] == [type(want[e]) for e in cut.terms]
@@ -433,9 +431,9 @@ def test_squared_variable_x1_step_builds_no_composition(monkeypatch, text, ring,
     p = parse_poly(text, n, ring)
     cuts = []
 
-    def cut(p, slot, k, read):
+    def cut(p, slot, k):
         cuts.append(k)
-        return _cut(p, slot, k, read)
+        return _cut(p, slot, k)
 
     monkeypatch.setattr(assoc, "_cut", cut)
     w = is_associative(p).witness

@@ -452,6 +452,20 @@ def test_enumerate_budget_exceeded(tmp_path, capsys):
     assert str(19**8) in err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--bound", "-1", "--bound must be nonnegative, got -1"),
+    ("--jobs", "0", "--jobs must be positive, got 0"),
+])
+def test_enumerate_rejects_a_negative_bound_or_no_jobs(tmp_path, capsys, flag, value, message):
+    argv = {"--bound": "1", "--jobs": "1", flag: value}
+    code, out, err = run(
+        capsys, "enumerate", "--ring", "z", "--n", "2", "--out", str(tmp_path / "x"),
+        *[x for item in argv.items() for x in item],
+    )
+    assert code == 2 and out == "" and message in err
+    assert "Traceback" not in err and not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("n, shown", [(14, "3^16384"), (20, "3^1048576")])
 def test_enumerate_huge_box_fails_fast(tmp_path, capsys, n, shown):
     # the count has too many digits to print, so the message gives it as a power

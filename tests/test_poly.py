@@ -16,6 +16,7 @@ from polyassoc import (
     SparsePoly,
     XorShift64Star,
     from_size_coeffs,
+    is_associative,
     parse_poly,
 )
 from polyassoc import oracle, poly
@@ -205,6 +206,22 @@ def one_term(rng, ring, nvars):
     if ring is Ring.Q:
         c = Fraction(c, rng.randint(2, 5))
     return SparsePoly(ring, nvars, {tuple(rng.randint(0, 3) for _ in range(nvars)): c})
+
+
+def test_operands_of_another_ring_or_arity_are_refused():
+    p = SparsePoly(Ring.Z, 2, {(1, 1): 1})
+    x = SparsePoly.variable(Ring.Z, 1, 1)
+    for other, message in ((SparsePoly(Ring.Q, 2, {(1, 0): 1}), "ring mismatch"),
+                           (SparsePoly(Ring.Z, 3, {(1, 0, 0): 1}), "arity mismatch")):
+        for op in (p.__add__, p.__mul__, p.__sub__):
+            with pytest.raises(ValueError, match=message):
+                op(other)
+    with pytest.raises(ValueError, match="expected 2 substitution values"):
+        p.substitute([x])
+    for stranger in (SparsePoly.variable(Ring.Q, 1, 1), SparsePoly.variable(Ring.Z, 2, 1)):
+        for values in ([x, stranger], [stranger, x]):
+            with pytest.raises(ValueError, match="must share ring and arity"):
+                p.substitute(values)
 
 
 def test_substitute_matches_evaluation():
@@ -465,6 +482,33 @@ def test_deciding_census_candidates_builds_no_exponent_tuples(monkeypatch):
         assert checked == len(domain) ** (1 << n) and survivors
 
 
+@pytest.mark.parametrize("text, ring, n", [
+    ("x1*x2 + 2*x1 + 2*x2 + 2", Ring.Z, 2),
+    ("x1 + x2 + x3 + (1+i)", Ring.ZI, 3),
+    ("x1*x2^3 + x2*x3/2 + x1^2", Ring.Q, 3),
+    ("(x1 + x2 + x3 + x4)^3 + x1", Ring.Z, 4),
+])
+def test_decisions_and_degrees_read_only_the_packed_table(monkeypatch, text, ring, n):
+    p = parse_poly(text, n, ring)
+    tuples, verdict = p.terms, is_associative(p)
+
+    def unbuilt(self):
+        raise AssertionError("exponent tuples built")
+
+    monkeypatch.setattr(SparsePoly, "terms", property(unbuilt))
+    assert is_associative(p) == verdict
+    assert p.degree() == max(sum(e) for e in tuples)
+    degrees = [max(e[j] for e in tuples) for j in range(n)]
+    assert [p.degree_in_var(j + 1) for j in range(n)] == degrees
+    ml = p.to_multilinear()
+    assert p.is_multilinear == (ml is not None) == all(x <= 1 for e in tuples for x in e)
+    if ml is not None:
+        assert is_associative(ml) == verdict and ml.degree() == p.degree()
+    point = [ring.coerce(j + 2) for j in range(n)]
+    want = sum(c * prod(x**e for x, e in zip(point, exps)) for exps, c in tuples.items())
+    assert p.evaluate(point) == want  # through ``plan``
+
+
 def test_multilinear_body_defines_only_its_own_index():
     """MultilinearPoly adds the mask table and nothing that SparsePoly already does."""
     assert MultilinearPoly.__bases__ == (SparsePoly,)
@@ -538,6 +582,7 @@ def assert_matches(got, ring, nvars, want):
     rebuilt = SparsePoly(ring, nvars, want)  # at the least width
     assert got == rebuilt and rebuilt == got and hash(got) == hash(rebuilt)
     assert got.render() == rebuilt.render()
+    assert got.degree() == max((sum(e) for e in want), default=0)
     for j in range(1, nvars + 1):
         assert got.degree_in_var(j) == max((e[j - 1] for e in want), default=0)
     ml = got.to_multilinear()
