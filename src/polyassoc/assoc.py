@@ -23,6 +23,8 @@ variable is compared on colex prefixes (:func:`is_associative`).
 
 from __future__ import annotations
 
+from functools import lru_cache, reduce
+
 from .errors import InternalInvariantError
 from .poly import Monomial, MultilinearPoly, SparsePoly, _monomial_str, _unpack, _Value
 
@@ -80,18 +82,20 @@ def _cut(p: SparsePoly, slot: int, k: int) -> SparsePoly:
     packed at p's width; the exponents are at most top * max(top, 1)
     (d_s * d_i in the window)."""
     n, ring, w = p.nvars, p.ring, p.width
-    inside, values = max(0, k - slot + 1), []
-    zero = SparsePoly._trusted(ring, k, {}, 0, w)
-    for j in range(1, n + 1):
-        at = j if j < slot else j + n - 1  # where argument j is placed
-        if at > k and j != slot:
-            values.append(zero)
-        elif j == slot:
-            inner = {e << w * (j - 1): c for e, c in p.coeffs.items() if not e >> w * inside}
-            values.append(SparsePoly._trusted(ring, k, inner, p.top, w))
-        else:
-            values.append(SparsePoly._trusted(ring, k, {1 << w * (at - 1): ring.one}, 1, w))
+    inside, placed = max(0, k - slot + 1), _placed(ring, k, w)
+    inner = {e << w * (slot - 1): c for e, c in p.coeffs.items() if not e >> w * inside}
+    at = [j if j < slot else j + n - 1 for j in range(1, n + 1)]  # where argument j is placed
+    values = [placed[a if a <= k else 0] for a in at]
+    values[slot - 1] = SparsePoly._trusted(ring, k, inner, p.top, w)
     return p.substitute(values, p.top * max(p.top, 1))
+
+
+@lru_cache(maxsize=128)
+def _placed(ring, k: int, w: int) -> tuple[SparsePoly, ...]:
+    """0, x1, .., xk in arity k packed at width w, built once and shared by
+    every cut that places arguments there (a ``SparsePoly`` is immutable)."""
+    xs = [SparsePoly._trusted(ring, k, {1 << w * i: ring.one}, 1, w) for i in range(k)]
+    return (SparsePoly._trusted(ring, k, {}, 0, w), *xs)
 
 
 def compose_closed_form(p: MultilinearPoly, slot: int) -> MultilinearPoly:
@@ -190,8 +194,8 @@ def is_associative(p: SparsePoly) -> AssocVerdict:
         return associative_multilinear(ml)
     width = (p.top * p.top).bit_length()  # that of every cut's bound (``_cut``)
     p = SparsePoly._trusted(p.ring, n, p._at(width), p.top, width)
-    zero, m = p.ring.zero, 2 * n - 1
-    read = [j for j in range(1, n + 1) if p.degree_in_var(j)]
+    zero, m, used, field = p.ring.zero, 2 * n - 1, reduce(int.__or__, p.coeffs, 0), (1 << width) - 1
+    read = [j for j in range(1, n + 1) if used >> width * (j - 1) & field]  # the arguments p reads
     bases: dict[int, SparsePoly] = {}
     for slot in range(2, n + 1):
         # slot s's composition can hold x_j for an argument j read before

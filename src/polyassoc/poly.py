@@ -166,8 +166,6 @@ class SparsePoly:
 
     def degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
-        if self.width == 1:
-            return max((k.bit_count() for k in self.coeffs), default=0)
         return max((sum(_unpack(k, self.nvars, self.width)) for k in self.coeffs), default=0)
 
     def degree_in_var(self, index: int) -> int:
