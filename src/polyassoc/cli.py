@@ -45,8 +45,10 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 # The library takes any arity; the CLI keeps requests fast.  `analyze --ring z`
-# on 2*x1*...*xn took 0.015 s at n = 31, 0.23 s at 64 and 2.6 s at 128 (best of 2
-# or 3, 2-core Xeon, Python 3.11); README's exact-oracle guard is stated for n <= 31.
+# on 2*x1*...*xn took 0.007-0.014 s at n = 31, 0.11-0.20 s at 64 and 1.2-1.7 s
+# at 128 through cli.main, the cap raised in-process past 31 (process time, best
+# of 3 in each of several processes, 2-core Xeon, Python 3.11); README's
+# exact-oracle guard is stated for n <= 31.
 MAX_CLI_ARITY = 31
 
 

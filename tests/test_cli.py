@@ -507,17 +507,28 @@ def alarm_after(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_a_power_past_the_term_cap_exits_2_before_it_multiplies(capsys):
-    # C(25, 20) = 53,130 terms; building them took about 7 s
+@pytest.mark.parametrize(
+    "power, required",
+    [
+        # S6^16 passes the budget at its last product, 6 * (C(21, 6) - 1) pairs;
+        # S6^20 stops at the same product
+        ("S6^16", 325_578),
+        ("S6^20", 325_578),
+        # each S6^8 takes 6 * (C(13, 6) - 1) = 10,290 pairs, their product 1,287^2
+        ("S6^8*S6^8", 2 * 10_290 + 1_287**2),
+    ],
+)
+def test_a_power_past_the_pair_budget_exits_2_within_a_second(capsys, power, required):
     start = time.perf_counter()
     code, out, err = run(
-        capsys, "check", "--ring", "z", "--n", "6", "--poly", "(x1+x2+x3+x4+x5+x6)^20"
+        capsys, "check", "--ring", "z", "--n", "6", "--poly",
+        power.replace("S6", "(x1+x2+x3+x4+x5+x6)"),
     )
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err == (
-        "error: a power may expand to 53130 terms, over the parser's cap of 20000 "
-        "(required 53130)\n"
+        f"error: parsing would multiply {required} term pairs, over the parser's budget "
+        f"of 262144 (required {required})\n"
     )
 
 

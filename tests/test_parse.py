@@ -15,7 +15,7 @@ from polyassoc import (
     XorShift64Star,
     parse_poly,
 )
-from polyassoc import parse
+from polyassoc import parse, poly
 
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
 
@@ -280,64 +280,95 @@ def test_exponent_cap_message_shows_an_unprintable_power_as_written():
         sys.set_int_max_str_digits(limit)
 
 
-def test_term_cap_bounds_each_product_and_power_before_it_is_built():
-    six = "(x1+x2+x3+x4+x5+x6)"
-    # C(19, 14) = 11,628 terms, under TERM_CAP
-    assert len(parse_poly(f"{six}^14", 6, Ring.Z).terms) == 11_628
-    with pytest.raises(BudgetError) as err:
-        parse_poly(f"{six}^16", 6, Ring.Z)  # C(21, 16) = 20,349
-    assert err.value.required == 20_349
-    # t1*t2 = 792^2 passes the cap, but the product has only the
-    # C(20, 6) - C(19, 6) = 11,628 monomials of degree 14 in 6 variables
-    assert parse_poly(f"{six}^7*{six}^7", 6, Ring.Z) == parse_poly(f"{six}^14", 6, Ring.Z)
-    with pytest.raises(BudgetError) as err:
-        parse_poly(f"{six}^8*{six}^8", 6, Ring.Z)  # C(22, 6) - C(21, 6)
-    assert err.value.required == 20_349
-    # C(30, 10) = 30,045,015 multisets of ten of U's 21 terms, but U^10 has
-    # only the 201 monomials x1^0..x1^200
-    u = "(" + "+".join(["1", "x1"] + [f"x1^{e}" for e in range(2, 21)]) + ")"
-    assert len(parse_poly(f"{u}^10", 2, Ring.Z).terms) == 201
-    assert parse_poly(f"{u}^5*{u}^5", 2, Ring.Z) == parse_poly(f"{u}^10", 2, Ring.Z)
+S6 = "(x1+x2+x3+x4+x5+x6)"
+# 21 terms; its powers merge to few monomials, U^10 to the 201 of x1^0..x1^200
+U = "(" + "+".join(["1", "x1"] + [f"x1^{e}" for e in range(2, 21)]) + ")"
+
+
+def test_pair_budget_charges_each_product_before_it_is_built():
+    # S6^k is k-1 products by S6, the j-th multiplying C(j+5, 5) * 6 pairs:
+    # S6^15 takes 6 * (C(20, 6) - 1) = 232,554, under PAIR_BUDGET
+    assert len(parse_poly(f"{S6}^14", 6, Ring.Z).coeffs) == 11_628
+    assert len(parse_poly(f"{S6}^15", 6, Ring.Z).coeffs) == 15_504
+    for source, required in (
+        (f"{S6}^16", 6 * (54_264 - 1)),  # C(21, 6) = 54,264
+        # each S6^8 takes 6 * (C(13, 6) - 1) = 10,290 pairs, their product 1,287^2
+        (f"{S6}^8*{S6}^8", 2 * 10_290 + 1_287**2),
+        # each S6^7 takes 6 * (C(12, 6) - 1) = 5,538 pairs, their product 792^2,
+        # though it merges to the 11,628 terms of S6^14
+        (f"{S6}^7*{S6}^7", 2 * 5_538 + 792**2),
+    ):
+        with pytest.raises(BudgetError) as err:
+            parse_poly(source, 6, Ring.Z)
+        assert err.value.required == required > parse.PAIR_BUDGET
+    # U^10 takes 21 * (21 + 41 + ... + 181) = 19,089 pairs
+    assert len(parse_poly(f"{U}^10", 2, Ring.Z).coeffs) == 201
+    assert parse_poly(f"{U}^5*{U}^5", 2, Ring.Z) == parse_poly(f"{U}^10", 2, Ring.Z)
+
+
+def test_parse_reads_only_the_packed_table():
+    def refuse(*args):
+        raise AssertionError("parse read more than SparsePoly.coeffs")
+
+    with patch.object(SparsePoly, "terms", property(refuse)), \
+            patch.object(SparsePoly, "degree", refuse):
+        assert len(parse_poly(f"{U}^10", 2, Ring.Z).coeffs) == 201
+        assert len(parse_poly(f"{U}^5*{U}^5", 2, Ring.Z).coeffs) == 201
+        assert len(parse_poly(f"{S6}^15", 6, Ring.Z).coeffs) == 15_504
+
+
+def _tower_in_cap(exponents):
+    """True when the right-associative tower is at most ``EXPONENT_CAP``."""
+    value = 1
+    for e in reversed(exponents):
+        value = e**value
+    return value <= parse.EXPONENT_CAP
 
 
 @st.composite
-def products_of_sums(draw):
-    """Two polynomials over Z, Q or Z[i] in 1..4 variables, each a product of
-    one to three random sums of up to four terms with exponents 0..3, in
-    its own subset of the variables."""
+def budgeted_sources(draw):
+    """A ring, an arity of 1..4 and an expression in it: sums of two to four
+    and products of two or three operands, and powers, nested up to three
+    deep over variables and small constants, each power a tower of one or
+    two exponents 0..6 within the cap."""
     ring = draw(st.sampled_from((Ring.Z, Ring.Q, Ring.ZI)))
     nvars = draw(st.integers(1, 4))
-    small = st.integers(-3, 3)
-    values = {
-        Ring.Z: small,
-        Ring.Q: st.builds(Fraction, small, st.integers(1, 4)),
-        Ring.ZI: st.builds(GaussianInt, small, small),
-    }[ring]
-    factors = []
-    for _ in range(2):
-        used = draw(st.sets(st.integers(0, nvars - 1)))
-        exps = st.tuples(*[st.integers(0, 3 if j in used else 0) for j in range(nvars)])
-        p = SparsePoly.constant(ring, nvars, 1)
-        for _ in range(draw(st.integers(1, 3))):
-            p = p * SparsePoly(ring, nvars, draw(st.dictionaries(exps, values, max_size=4)))
-        factors.append(p)
-    return factors
+    atoms = [f"x{j}" for j in range(1, nvars + 1)]
+    atoms += ["2", {Ring.Z: "3", Ring.Q: "1/2", Ring.ZI: "i"}[ring]]
+    towers = st.lists(st.integers(0, 6), min_size=1, max_size=2).filter(_tower_in_cap)
+
+    def expression(depth):
+        kind = draw(st.sampled_from(("atom", "sum", "product", "power")[: 4 if depth else 1]))
+        if kind == "atom":
+            return draw(st.sampled_from(atoms))
+        if kind == "power":
+            return f"({expression(depth - 1)})^" + "^".join(map(str, draw(towers)))
+        count = draw(st.integers(2, 3 if kind == "product" else 4))
+        operands = [expression(depth - 1) for _ in range(count)]
+        return "(" + ("+" if kind == "sum" else ")*(").join(operands) + ")"
+
+    return ring, nvars, expression(3)
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(products_of_sums())
-def test_product_bound_is_never_below_the_built_product(factors):
-    f, g = factors
-    # a cap of 1 applies the monomial count to every product but one of two
-    # constants, whose v = 0 variables a real cap never reaches
-    with patch.object(parse, "TERM_CAP", 1):
-        assert parse._product_bound(f, g) >= len((f * g).terms)
+@given(budgeted_sources(), st.integers(0, 100))
+def test_no_parse_multiplies_more_pairs_than_the_budget(case, budget):
+    # budgets this small refuse about two sources in five
+    ring, nvars, source = case
+    counted = 0
+    mul_terms = poly._mul_terms
 
+    def counting(a, b):
+        nonlocal counted
+        counted += len(a) * len(b)
+        return mul_terms(a, b)
 
-@settings(max_examples=300, deadline=None, database=None)
-@given(products_of_sums(), st.integers(0, 4))
-def test_power_bound_is_never_below_the_built_power(factors, k):
-    base = factors[0]
-    # a cap of 1 applies the monomial count to every power of two or more terms
-    with patch.object(parse, "TERM_CAP", 1):
-        assert parse._power_bound(base, k) >= len((base**k).terms)
+    with patch.object(parse, "PAIR_BUDGET", budget), patch.object(poly, "_mul_terms", counting):
+        try:
+            got = parse_poly(source, nvars, ring)
+        except BudgetError as err:
+            assert err.required > budget
+            got = None
+    assert counted <= budget
+    if got is not None:
+        assert got == parse_poly(source, nvars, ring)
