@@ -23,7 +23,7 @@ variable is compared on colex prefixes (:func:`is_associative`).
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import reduce
 
 from .errors import InternalInvariantError
 from .poly import Monomial, MultilinearPoly, SparsePoly, _monomial_str, _unpack, _Value
@@ -78,24 +78,15 @@ def compose_substitution(p: SparsePoly, slot: int) -> SparsePoly:
 def _cut(p: SparsePoly, slot: int, k: int) -> SparsePoly:
     """The slot composition with x_(k+1)..x_(2n-1) set to zero, in x1..xk.
     The nested call keeps p's terms in arguments 1..inside, those placed in
-    x1..xk; the outer arguments placed past x_k are zero.  Every value is
-    packed at p's width; the exponents are at most top * max(top, 1)
-    (d_s * d_i in the window)."""
-    n, ring, w = p.nvars, p.ring, p.width
-    inside, placed = max(0, k - slot + 1), _placed(ring, k, w)
-    inner = {e << w * (slot - 1): c for e, c in p.coeffs.items() if not e >> w * inside}
+    x1..xk; the outer arguments placed past x_k are zero.  Each value is a
+    plain table packed at the width of the bound top * max(top, 1) on the
+    exponents (d_s * d_i in the window), expanded by ``SparsePoly._substituted``."""
+    n, one, top = p.nvars, p.ring.one, p.top * max(p.top, 1)
+    w, inside = max(p.width, top.bit_length()), max(0, k - slot + 1)
     at = [j if j < slot else j + n - 1 for j in range(1, n + 1)]  # where argument j is placed
-    values = [placed[a if a <= k else 0] for a in at]
-    values[slot - 1] = SparsePoly._trusted(ring, k, inner, p.top, w)
-    return p.substitute(values, p.top * max(p.top, 1))
-
-
-@lru_cache(maxsize=128)
-def _placed(ring, k: int, w: int) -> tuple[SparsePoly, ...]:
-    """0, x1, .., xk in arity k packed at width w, built once and shared by
-    every cut that places arguments there (a ``SparsePoly`` is immutable)."""
-    xs = [SparsePoly._trusted(ring, k, {1 << w * i: ring.one}, 1, w) for i in range(k)]
-    return (SparsePoly._trusted(ring, k, {}, 0, w), *xs)
+    tables = [{1 << w * (a - 1): one} if a <= k else {} for a in at]
+    tables[slot - 1] = {e << w * (slot - 1): c for e, c in p._at(w).items() if not e >> w * inside}
+    return p._substituted(tables, k, top, w)
 
 
 def compose_closed_form(p: MultilinearPoly, slot: int) -> MultilinearPoly:

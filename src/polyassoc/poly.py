@@ -165,8 +165,10 @@ class SparsePoly:
         return _pow(self, k, SparsePoly.constant(self.ring, self.nvars, 1))
 
     def degree(self) -> int:
-        """Total degree; 0 for the zero polynomial."""
-        return max((sum(_unpack(k, self.nvars, self.width)) for k in self.coeffs), default=0)
+        """Total degree, 0 for zero: key k's fields sum to sum_b 2^b * popcount(k & low << b)."""
+        w, low = self.width, ((1 << self.width * self.nvars) - 1) // ((1 << self.width) - 1)
+        sums = (sum((k & low << b).bit_count() << b for b in range(w)) for k in self.coeffs)
+        return max(sums, default=0)
 
     def degree_in_var(self, index: int) -> int:
         """Largest exponent of x_index (1-based); 0 for the zero polynomial."""
@@ -200,39 +202,37 @@ class SparsePoly:
             self._plan = self.ring.plan(table.values(), indices)
         return self._plan
 
-    def substitute(self, values: Sequence[SparsePoly], top: int | None = None) -> SparsePoly:
-        """Substitute a polynomial for every variable (all in the same target arity).
-
-        ``top`` bounds the result's exponents; by default it is p's bound times the
-        sum of the values' bounds.  A one-term value c*x^f folds into each term as
-        f*e and c**e at exponent e.  Each power ``values[j] ** e``, e >= 2, of
-        another value is computed once, in ascending order: one product from the
-        power below when that is needed too, else by square-and-multiply.  With at
-        most one factor of two or more terms left, each product term goes straight
-        into the result; two or more are multiplied into it smallest first.
-        """
+    def substitute(self, values: Sequence[SparsePoly]) -> SparsePoly:
+        """Substitute a polynomial for every variable (all in the same target arity):
+        :meth:`_substituted` on the values repacked at the width that holds the
+        result's bound, p's bound times the sum of the values' bounds."""
         if len(values) != self.nvars:
             raise ValueError(f"expected {self.nvars} substitution values")
-        target, width = values[0].nvars, max([v.width for v in values])
+        target = values[0].nvars
         for v in values:
             if v.ring is not self.ring or v.nvars != target:
                 raise ValueError("substitution values must share ring and arity")
-        if top is None:
-            top = self.top * sum(v.top for v in values)
-        width = max(width, top.bit_length())
-        tables = [v.coeffs if v.width == width else v._at(width) for v in values]
+        top = self.top * sum(v.top for v in values)
+        width = max(top.bit_length(), *(v.width for v in values))
+        return self._substituted([v._at(width) for v in values], target, top, width)
+
+    def _substituted(self, tables: list[dict], target: int, top: int, width: int) -> SparsePoly:
+        """p with the value ``tables[j]``, packed at ``width``, for x_(j+1): a polynomial
+        in ``target`` variables whose exponents ``top`` bounds.  A one-term value c*x^f
+        folds into each term as f*e and c**e at exponent e.  Each power e >= 2 of another
+        value is one product from the power below, up to the largest exponent p's terms
+        give it: for sparse values in several variables that multiplies fewer term pairs
+        than squaring (Fateman, "On the computation of powers of sparse polynomials",
+        1974).  With at most one factor of two or more terms left, each product term goes
+        straight into the result; two or more are multiplied into it smallest first."""
         n, step, field = self.nvars, self.width, (1 << self.width) - 1
         # a term that holds the variable of a zero value vanishes
         dead = 0 if all(tables) else sum(field << step * j for j in range(n) if not tables[j])
         live = [(k, c) for k, c in self.coeffs.items() if not k & dead]
-        powers: dict[tuple[int, int], SparsePoly] = {}
-        raised: dict[tuple[int, int], dict] = {}
-        if step > 1:  # at width 1 every exponent is 0 or 1
-            for j, e in sorted({(j, k >> step * j & field) for k, _ in live for j in range(n)}):
-                if e > 1 and len(tables[j]) > 1:
-                    below = values[j] if e == 2 else powers.get((j, e - 1))
-                    powers[j, e] = values[j] ** e if below is None else below * values[j]
-                    raised[j, e] = powers[j, e]._at(width)
+        powers = {j: [None, t] for j, t in enumerate(tables) if len(t) > 1}  # [j][e] is t^e
+        for j, chain in powers.items() if step > 1 else ():  # at width 1 every exponent is 0 or 1
+            for _ in range(1, max([k >> step * j & field for k, _ in live], default=1)):
+                chain.append(_mul_terms(chain[-1], chain[1]))  # t^e = t^(e-1) * t
         out: dict[int, object] = {}
         one = self.ring.one
         for key, coeff in live:
@@ -243,7 +243,7 @@ class SparsePoly:
                 key ^= e << step * j
                 factor = tables[j]
                 if len(factor) > 1:
-                    wide.append(factor if e == 1 else raised[j, e])
+                    wide.append(powers[j][e])
                     continue
                 [(f, c)] = factor.items()
                 if e > 1:

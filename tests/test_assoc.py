@@ -19,7 +19,7 @@ from polyassoc import (
     is_associative,
     parse_poly,
 )
-from polyassoc import assoc
+from polyassoc import assoc, poly
 from polyassoc.assoc import _cut, _pulled_masks
 
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
@@ -446,19 +446,50 @@ def test_squared_variable_x1_step_builds_no_composition(monkeypatch, text, ring,
 
 def test_substitution_folds_one_term_values_without_multiplying(monkeypatch):
     # A variable or a constant substituted into a power folds into the term;
-    # only values of two or more terms are multiplied.
+    # only values of two or more terms are multiplied, as packed tables, and
+    # no cut multiplies SparsePoly values.
     p = parse_poly("(x1 + x2 + x3 + x4 + 2)^3", 4, Ring.Z)
     expected = is_associative(p)
     operands = []
-    mul = SparsePoly.__mul__
+    mul_terms = poly._mul_terms
 
-    def record(self, other):
-        operands.append((len(self.terms), len(other.terms)))
-        return mul(self, other)
+    def record(a, b):
+        operands.append((len(a), len(b)))
+        return mul_terms(a, b)
 
-    monkeypatch.setattr(SparsePoly, "__mul__", record)
+    def refuse(self, other):
+        raise AssertionError("a cut multiplied SparsePoly values")
+
+    monkeypatch.setattr(poly, "_mul_terms", record)
+    monkeypatch.setattr(SparsePoly, "__mul__", refuse)
     assert is_associative(p) == expected
     assert operands and all(min(sizes) >= 2 for sizes in operands), operands
+
+
+@pytest.mark.parametrize("text, n", [
+    ("(x1 + x2 + x3 + x4 + 2)^3", 4),
+    ("x1 + x2 + x3 + x4 + x5 + x5^2 + 3", 5),  # a witness at x5: ten cuts
+])
+def test_each_cut_builds_one_polynomial_its_result(monkeypatch, text, n):
+    # the values of a cut are plain tables: one polynomial per cut, plus the
+    # up-front repack of p at the cuts' width
+    p = parse_poly(text, n, Ring.Z)
+    expected = is_associative(p)
+    trusted, cut = SparsePoly._trusted.__func__, assoc._cut
+    built, cuts = [], []
+
+    def count_built(cls, *args, **kwargs):
+        built.append(cls)
+        return trusted(cls, *args, **kwargs)
+
+    def count_cuts(p, slot, k):
+        cuts.append(k)
+        return cut(p, slot, k)
+
+    monkeypatch.setattr(SparsePoly, "_trusted", classmethod(count_built))
+    monkeypatch.setattr(assoc, "_cut", count_cuts)
+    assert is_associative(p) == expected
+    assert cuts and len(built) == len(cuts) + 1
 
 
 def test_symmetric_shortcut_agrees_with_full_check():
