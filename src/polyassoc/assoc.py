@@ -17,16 +17,33 @@ mapped back to 1..n with x_s clear, and its coefficient is
     [W = 0]*c_O + c_(O | {s})*c_W,
 
 read from p's own coefficients (``_pulled_masks``).  The census walk checks
-every equation between adjacent slots this way.  Input with a squared
-variable is compared on colex prefixes (:func:`is_associative`).
+every equation between adjacent slots this way, and the prefix step
+(:func:`_prefix_witness`) compares slots 1 and 2 this way at the masks
+below 2^n, in O(t) reads, before any composition is built.  The full
+comparison builds whole closed forms, each charged its term pairs against
+``DECISION_BUDGET`` first.  Input with a squared variable is compared on
+colex prefixes (:func:`is_associative`).
+
+``classify.classify`` decides multilinear input without this module's full
+comparison when it can: after the prefix step, recognition of a family
+proves associativity, since over an infinite integral domain the six
+families are exactly the associative operations.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 
-from .errors import InternalInvariantError
+from .errors import BudgetError, InternalInvariantError
 from .poly import Monomial, MultilinearPoly, SparsePoly, _monomial_str, _unpack, _Value
+
+
+# Term pairs the full multilinear comparison may multiply, summed over the
+# closed forms it builds.  The dense shifted product at n = 12 charges
+# 2 * (2^11 * 2^12 + 2^11) = 16,781,312 pairs over its two forms and is
+# decided, in 9.2 s and 1.7 GB on a 2-core Xeon VM; at n = 13 the first form
+# alone charges 33,558,528, and each added arity costs about 4 times as much.
+DECISION_BUDGET = 1 << 25
 
 
 class CompositionWitness(_Value):
@@ -130,6 +147,13 @@ def _check_slot(n: int, slot: int) -> int:
     return 2 * n - 1
 
 
+def _slot_bound(masks, slot: int) -> int:
+    """The term pairs of the slot's closed form over p's ``masks``, and so a
+    bound on its masks: t per term that contains x_slot, one per other term."""
+    with_slot = sum((m >> (slot - 1)) & 1 for m in masks)
+    return with_slot * len(masks) + len(masks) - with_slot
+
+
 def _first_difference(lhs: dict, rhs: dict):
     """The smallest key, the first monomial in colex order, whose coefficient
     differs between two coefficient dicts of one width, or None (zero if missing)."""
@@ -137,22 +161,79 @@ def _first_difference(lhs: dict, rhs: dict):
     return min(differing, default=None)
 
 
+def _prefix_witness(p: MultilinearPoly) -> CompositionWitness | None:
+    """Slot 2 against slot 1 at every mask M < 2^n, or None where they agree.
+
+    Such an M is a monomial in x1..xn alone, and in colex order it comes
+    before any monomial with a later variable, so the least M where the two
+    differ is the witness of the full comparison.  By the module's formula
+    slot 1 is [M = 0]*c_0 + c_1*c_M there and slot 2, with O = M & 1 and
+    W = M >> 1, is [W = 0]*c_O + c_(O | 2)*c_W.  So both are zero unless
+    M <= 1, M is a term of p and c_1 != 0, or M = 2T + b for a term T and
+    c_(2 | b) != 0: at most 3t + 2 masks, each read through ``_pulled_masks``.
+    """
+    n, c, zero = p.n, p.coeffs, p.ring.zero
+    masks = {0, 1}
+    if 1 in c:
+        masks.update(c)
+    for b in (0, 1):
+        if 2 | b in c:
+            masks.update(2 * t + b for t in c if t >> (n - 1) == 0)
+    get = c.get
+    for mask in sorted(masks):
+        lhs, rhs = _pulled(get, zero, n, 1, mask), _pulled(get, zero, n, 2, mask)
+        if lhs != rhs:
+            return CompositionWitness(2, _unpack(mask, 2 * n - 1, 1), lhs, rhs)
+    return None
+
+
+def _pulled(get, zero, n: int, slot: int, mask: int):
+    """The slot composition's coefficient at ``mask``, [W = 0]*c_O + c_(O | {s})*c_W,
+    read through p's ``get``; a missing product is not formed."""
+    outer, nested, window = _pulled_masks(n, slot, mask)
+    a, w = get(nested), get(window)
+    product = None if a is None or w is None else a * w
+    if window:
+        return zero if product is None else product
+    value = get(outer, zero)
+    return value if product is None else value + product
+
+
 def associative_multilinear(p: MultilinearPoly) -> AssocVerdict:
-    """Associativity for multilinear operations from the closed-form slot
-    compositions: slot 2 against slot 1, then, unless p is symmetric, slots
-    3..n, with the witness at the first difference (no later slot is built)."""
+    """Associativity for multilinear operations: the prefix step
+    (:func:`_prefix_witness`), then the full comparison
+    (:func:`_compare_closed_forms`)."""
     if p.n < 2:
         raise ValueError("arity must be at least 2")
-    zero = p.ring.zero
-    base = compose_closed_form(p, 1)
-    for slot in range(2, p.n + 1):
+    witness = _prefix_witness(p)
+    return AssocVerdict(False, witness) if witness is not None else _compare_closed_forms(p)
+
+
+def _compare_closed_forms(p: MultilinearPoly) -> AssocVerdict:
+    """The full comparison, for p whose prefix step found no witness: the
+    closed-form slot compositions, slot 2 against slot 1, then, unless p is
+    symmetric, slots 3..n, with the witness at the first difference (no later
+    slot is built).  Each closed form is charged its term pairs
+    (``_slot_bound``) before it is built; once the charges pass
+    ``DECISION_BUDGET`` it raises ``BudgetError``."""
+    zero, pairs, base = p.ring.zero, 0, None
+    for slot in range(1, p.n + 1):
         if slot == 3 and p.is_symmetric():
             break
-        other = compose_closed_form(p, slot)
-        if other.coeffs != base.coeffs:
-            mask = _first_difference(base.coeffs, other.coeffs)
+        pairs += _slot_bound(p.coeffs, slot)
+        if pairs > DECISION_BUDGET:
+            raise BudgetError(
+                f"the slot compositions would multiply {pairs} term pairs, over the "
+                f"decision's budget of {DECISION_BUDGET} (required {pairs})",
+                pairs,
+            )
+        other = compose_closed_form(p, slot).coeffs
+        if base is None:
+            base = other
+        elif other != base:
+            mask = _first_difference(base, other)
             monomial = _unpack(mask, 2 * p.n - 1, 1)
-            lhs, rhs = base.coeffs.get(mask, zero), other.coeffs.get(mask, zero)
+            lhs, rhs = base.get(mask, zero), other.get(mask, zero)
             return AssocVerdict(False, CompositionWitness(slot, monomial, lhs, rhs))
     return AssocVerdict(True)
 
@@ -160,9 +241,13 @@ def associative_multilinear(p: MultilinearPoly) -> AssocVerdict:
 def is_associative(p: SparsePoly) -> AssocVerdict:
     """Decide associativity, with a deterministic failure witness.
 
-    Multilinear input goes through :func:`associative_multilinear`, with
-    a shortcut for symmetric operations (the first two slot compositions
-    agreeing already settles the symmetric case).
+    Multilinear input goes through :func:`associative_multilinear`: the
+    prefix step, then full closed forms under ``DECISION_BUDGET``, with a
+    shortcut for symmetric operations (the first two slot compositions
+    agreeing already settles the symmetric case).  ``check`` decides by this
+    route on every input; ``classify`` and ``analyze`` (``classify.classify``)
+    run the prefix step and, only when it finds no witness and no family
+    rebuilds p, the full comparison.
 
     Input with a squared variable is never associative.  Over an integral
     domain slot s's degree in x_j is d_j before the nested window,

@@ -17,7 +17,18 @@ defines its coefficient table once, as ``table`` (linear families) or
 the first size that leaves it), and ``reconstruct`` builds the polynomial
 from it.
 Recognition reads candidate parameters off the input and keeps the one
-candidate that ``reconstruct`` rebuilds into the input.  Each family also
+candidate whose reconstruction is the input (``_families``; a shifted
+product is compared with its ladder, size by size, without building its
+table).
+
+The theorem is an equivalence: over an infinite commutative integral domain
+the six families are exactly the associative polynomial operations.  So
+``classify`` decides multilinear input by recognition: a family that
+rebuilds p proves it associative, and no slot composition is built.  It
+runs the decision's O(t) prefix step first (``assoc._prefix_witness``),
+and the full comparison (``assoc._compare_closed_forms``) only when no
+family matches, for the witness.  The ``check`` command decides by
+composition alone (``is_associative``).  Each family also
 answers its own structure questions: ``group`` (is the whole ring an n-ary
 group, and with which skew map) and ``reduction`` (is it the iterate of a
 binary operation).
@@ -26,8 +37,9 @@ binary operation).
 from __future__ import annotations
 
 from collections.abc import Sequence
+from math import comb
 
-from .assoc import CompositionWitness, is_associative
+from .assoc import CompositionWitness, _compare_closed_forms, _prefix_witness, is_associative
 from .errors import InternalInvariantError
 from .poly import MultilinearPoly, SparsePoly, _size_table, _Value
 from .rings import Frac, Ring
@@ -250,51 +262,97 @@ Classification = LinearFamily | ShiftedProduct | NotAssociative
 
 
 def classify(p: SparsePoly) -> Classification:
-    """Decide associativity and name the family with exact parameters."""
-    verdict = is_associative(p)
-    if not verdict.associative:
-        return NotAssociative(verdict.witness)
-    return classify_associative(p)
+    """Decide associativity and name the family with exact parameters.
 
-
-def classify_associative(p: SparsePoly) -> Classification:
-    """Classify an operation already known to be associative.
-
-    The candidates come from p alone.  With a nonzero coefficient a on
-    x1*...*xn, the one candidate is the shifted product with scale a and
-    offset c/a, c being the coefficient on x1*...*x(n-1); otherwise they are
-    the five linear families with parameters read off p.  The family is the
-    one candidate that ``reconstruct`` rebuilds into p.  Raises
-    ``InternalInvariantError`` when p has a squared variable: every
-    associative operation is multilinear.
+    Multilinear p is decided in three steps.  A witness of the prefix step
+    (``assoc._prefix_witness``) gives ``NotAssociative``.  Otherwise a family
+    that rebuilds p (``_families``) is the answer, p being associative by the
+    theorem.  With no family, p is not associative, and the full comparison
+    (``assoc._compare_closed_forms``) finds the witness; if it finds none, the
+    theorem and the code disagree, an ``InternalInvariantError``.  Input with
+    a squared variable is never associative and goes to ``is_associative``.
     """
-    ring, n = p.ring, p.nvars
-    if n < 2:
+    ml = p.to_multilinear()
+    if ml is None:
+        verdict = is_associative(p)
+        if verdict.associative:
+            return classify_associative(p)  # raises: a squared variable
+        return NotAssociative(verdict.witness)
+    if ml.n < 2:
         raise ValueError("arity must be at least 2")
-    p = p.to_multilinear()
-    if p is None:
+    witness = _prefix_witness(ml)
+    if witness is None:
+        families = _families(ml)
+        if families:
+            # through classify_associative, whose calls bench/layertrace.py
+            # counts as the recognitions of a traced run
+            return classify_associative(ml, families)
+        witness = _compare_closed_forms(ml).witness
+        if witness is None:
+            raise InternalInvariantError(
+                f"slot compositions agree but no family rebuilds {p.render()}"
+            )
+    return NotAssociative(witness)
+
+
+def classify_associative(
+    p: SparsePoly, families: list[Classification] | None = None
+) -> Classification:
+    """Classify an operation already known to be associative: the one family
+    that rebuilds it (``_families``, or ``families`` when the caller has
+    already listed them).  Raises ``InternalInvariantError`` when p has a
+    squared variable (every associative operation is multilinear) or when
+    not exactly one family rebuilds it.
+    """
+    if p.nvars < 2:
+        raise ValueError("arity must be at least 2")
+    ml = p.to_multilinear()
+    if ml is None:
         raise InternalInvariantError("associative operation with a squared variable")
+    matches = _families(ml) if families is None else families
+    if len(matches) != 1:
+        raise InternalInvariantError(
+            f"associative operation matched {len(matches)} families: {ml.render()}"
+        )
+    return matches[0]
+
+
+def _families(p: MultilinearPoly) -> list[Classification]:
+    """The candidates, read off p alone, whose reconstruction is p.
+
+    With a nonzero coefficient a on x1*...*xn, the one candidate is the
+    shifted product with scale a and offset c/a, c being the coefficient on
+    x1*...*x(n-1); it rebuilds p iff p holds exactly the masks of the sizes
+    its ladder gives a nonzero c_k, each with that c_k, so no table of up to
+    2^n masks is built.  Otherwise the candidates are the five linear
+    families with parameters read off p, each compared with its reconstruction.
+    """
+    ring, n, coeffs = p.ring, p.n, p.coeffs
     a = p.coeff((1 << n) - 1)
     if a:
-        candidates = [ShiftedProduct(a, Frac(ring, p.coeff((1 << (n - 1)) - 1), a))]
-    else:
-        c0 = p.coeff(0)
-        candidates = [
-            Constant(c0), LeftProjection(), RightProjection(), TranslatedSum(c0),
-            TwistedSum(p.coeff(0b10)),
-        ]
+        product = ShiftedProduct(a, Frac(ring, p.coeff((1 << (n - 1)) - 1), a))
+        try:
+            ladder = product.ladder(ring, n)
+        except ValueError:  # the offset leaves the ring at some size
+            return []
+        masks = sum(comb(n, k) for k, c in enumerate(ladder) if c)
+        rebuilt = len(coeffs) == masks and all(
+            c == ladder[m.bit_count()] for m, c in coeffs.items()
+        )
+        return [product] if rebuilt else []
+    c0 = p.coeff(0)
+    candidates = [
+        Constant(c0), LeftProjection(), RightProjection(), TranslatedSum(c0),
+        TwistedSum(p.coeff(0b10)),
+    ]
     matches = []
     for cls in candidates:
         try:
-            if reconstruct(cls, n, ring).coeffs == p.coeffs:
+            if reconstruct(cls, n, ring).coeffs == coeffs:
                 matches.append(cls)
         except ValueError:  # parameters outside the family at this arity
             pass
-    if len(matches) != 1:
-        raise InternalInvariantError(
-            f"associative operation matched {len(matches)} families: {p.render()}"
-        )
-    return matches[0]
+    return matches
 
 
 def verify_condpol(size_coeffs: Sequence) -> bool:

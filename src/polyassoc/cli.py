@@ -21,13 +21,14 @@ from .classify import (
     InternalInvariantError,
     NotAssociative,
     classification_params,
-    classify_associative,
+    classify,
 )
 from .oracle import (
     DEFAULT_BUDGET,
     DEFAULT_SEED,
     BudgetError,
     OracleConfig,
+    _compositions,
     assoc_pointwise,
     candidates_text,
     census_csv,
@@ -138,6 +139,20 @@ def _structure_json(report: StructureReport, ring: Ring) -> dict:
     }
 
 
+def _witness_holds(p: SparsePoly, witness: CompositionWitness) -> bool:
+    """Whether slot 1 minus the witness's slot, evaluated at its 0/1 point 1_M
+    (``indicator_point``) by nested evaluation (``oracle._compositions``), is
+    lhs - rhs.  For multilinear p a composition at 1_M is the sum of its
+    coefficients on the subsets of M, and those below M agree, M being the
+    first difference in colex order.  With a squared variable 1_M does not
+    isolate one coefficient, so such input keeps its degree check alone (True)."""
+    if not p.is_multilinear:
+        return True
+    point = list(witness.indicator_point)
+    first, other = map(p.ring.element, _compositions(p, [0, witness.slot - 1])(point))
+    return first - other == witness.lhs - witness.rhs
+
+
 def _oracle_check(p: SparsePoly, verdict: AssocVerdict) -> dict:
     try:
         agrees = assoc_pointwise(p, OracleConfig(mode="grid")) == verdict.associative
@@ -170,23 +185,25 @@ def _build_report(args) -> dict:
     ring = Ring(args.ring)
     n = _validated_arity(args.n)
     p = parse_poly(args.poly, n, ring)
-    verdict = is_associative(p)
+    cls: Classification | None = None
+    structure: StructureReport | None = None
+    if args.command == "check":  # the composition route
+        verdict = is_associative(p)
+    else:  # recognition, which decides as it classifies
+        cls = classify(p)
+        failed = isinstance(cls, NotAssociative)
+        verdict = AssocVerdict(not failed, cls.witness if failed else None)
     values = list(p.coeffs.values())
     if verdict.witness is not None:
         values += [verdict.witness.lhs, verdict.witness.rhs]
     _check_printable(ring, values)
-    cls: Classification | None = None
-    structure: StructureReport | None = None
-    if args.command in ("classify", "analyze"):
-        if verdict.associative:
-            cls = classify_associative(p)
-        else:
-            cls = NotAssociative(verdict.witness)
     if args.command == "analyze" and verdict.associative:
         structure = analyze(p, cls)
     oracle = _oracle_check(p, verdict)
     if not oracle["agrees"]:
         raise InternalInvariantError("pointwise oracle disagrees with the symbolic verdict")
+    if verdict.witness is not None and not _witness_holds(p, verdict.witness):
+        raise InternalInvariantError("the compositions disagree with the witness at its point")
     return {
         "ring": ring.label,
         "n": n,

@@ -4,11 +4,14 @@ so that every layer can raise them."""
 
 class BudgetError(ValueError):
     """A grid or enumeration would exceed its budget, parsing the term pairs it
-    may multiply (``parse.PAIR_BUDGET``), a report its int-to-str limit,
-    or a sampled check's degree half its sample set (``oracle._sample_points``).
+    may multiply (``parse.PAIR_BUDGET``), the multilinear decision those of
+    its closed forms (``assoc.DECISION_BUDGET``), a report its int-to-str
+    limit, or a sampled check's degree half its sample set
+    (``oracle._sample_points``).
 
-    ``required`` is the smallest budget that admits the request (for parsing,
-    the pairs charged up to the refused product, a lower bound), or None when
+    ``required`` is the smallest budget that admits the request (for parsing
+    and the decision, the pairs charged up to the refused product or form, a
+    lower bound), or None when
     the count is not printed: an enumeration box of more decimal digits than
     ``sys.get_int_max_str_digits()`` (Python's default limit when that is 0)
     is written as a power, such as ``3^16384``, and a report value of more

@@ -32,7 +32,9 @@ from itertools import count
 from math import prod
 
 # associative_multilinear is unused here: bench and test code read this binding
-from .assoc import _pulled_masks, associative_multilinear, compose_closed_form, compose_substitution
+from .assoc import (
+    _pulled_masks, _slot_bound, associative_multilinear, compose_closed_form, compose_substitution,
+)
 from .classify import Classification, classification_params, classify_associative, param_sort_key
 from .errors import BudgetError, InternalInvariantError
 from .poly import MultilinearPoly, SparsePoly, _Value
@@ -182,13 +184,6 @@ def _check_grid_guard(total: int) -> None:
         raise BudgetError(
             f"grid of {total} points exceeds the {GRID_GUARD}-point guard", total
         )
-
-
-def _slot_bound(masks: list[int], slot: int) -> int:
-    """How many masks the candidate set of a slot can hold: t per term that
-    contains x_slot, one per term that does not."""
-    with_slot = sum((m >> (slot - 1)) & 1 for m in masks)
-    return with_slot * len(masks) + len(masks) - with_slot
 
 
 class _SubsetSums(dict):

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 from itertools import product
 from operator import add
@@ -7,20 +8,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyassoc import (
+    BudgetError,
+    Frac,
     GaussianInt,
     MultilinearPoly,
+    NotAssociative,
     Ring,
+    ShiftedProduct,
     SparsePoly,
     XorShift64Star,
     associated_value,
     associative_multilinear,
+    classify,
     compose_closed_form,
     compose_substitution,
+    from_size_coeffs,
     is_associative,
     parse_poly,
+    reconstruct,
 )
 from polyassoc import assoc, poly
-from polyassoc.assoc import _cut, _pulled_masks
+from polyassoc.assoc import _cut, _first_difference, _prefix_witness, _pulled_masks
+
+# the module, which the package's classify() hides
+classify_module = importlib.import_module("polyassoc.classify")
 
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
 
@@ -399,6 +410,95 @@ def test_witness_at_mask_0_or_1(text, ring, n, mask, lhs, rhs):
     assert w == assoc.CompositionWitness(2, monomial, lhs, rhs)
     assert (w.slot, w.monomial, w.lhs, w.rhs) == dense_first_difference(p)
     assert type(w.lhs) is type(w.rhs) is type(ring.zero)
+
+
+@st.composite
+def prefix_inputs(draw):
+    """A multilinear table over Z, Q or Z[i] at n = 2..6: any table, or a
+    shifted product or translated sum with one coefficient changed, which
+    often agrees with slot 1 on every mask below 2^n."""
+    ring = draw(st.sampled_from((Ring.Z, Ring.Q, Ring.ZI)))
+    n = draw(st.integers(2, 6))
+    masks = st.integers(0, (1 << n) - 1)
+    if draw(st.booleans()):
+        return MultilinearPoly(ring, n, draw(st.dictionaries(masks, ring_values(ring))))
+    a, b = draw(ring_values(ring).filter(bool)), draw(ring_values(ring))
+    if draw(st.booleans()):
+        coeffs = dict(reconstruct(ShiftedProduct(a, Frac(ring, ring.coerce(b))), n, ring).coeffs)
+    else:
+        coeffs = {0: b, **{1 << j: 1 for j in range(n)}}
+    mask = draw(masks)
+    coeffs[mask] = coeffs.get(mask, 0) + draw(ring_values(ring))
+    return MultilinearPoly(ring, n, coeffs)
+
+
+@settings(SETTINGS, max_examples=600)
+@given(prefix_inputs())
+def test_prefix_witness_is_the_full_comparisons_witness(p):
+    # the full comparison's first difference of slots 1 and 2; the prefix step
+    # finds exactly those below 2^n, the masks in x1..xn alone
+    base, other = compose_closed_form(p, 1).coeffs, compose_closed_form(p, 2).coeffs
+    mask, zero = _first_difference(base, other), p.ring.zero
+    w = _prefix_witness(p)
+    if mask is None or mask >> p.n:
+        assert w is None
+        return
+    monomial = tuple((mask >> j) & 1 for j in range(2 * p.n - 1))
+    assert w == assoc.CompositionWitness(2, monomial, base.get(mask, zero), other.get(mask, zero))
+    assert type(w.lhs) is type(w.rhs) is type(zero)
+    assert associative_multilinear(p).witness == w
+
+
+@SETTINGS
+@given(prefix_inputs())
+def test_a_shifted_product_candidate_is_matched_by_its_ladder_as_by_its_table(p):
+    # _families compares the candidate with its ladder, size by size, instead of
+    # building the table; the answer must be the table comparison's
+    a = p.coeff((1 << p.n) - 1)
+    if not a:
+        return
+    candidate = ShiftedProduct(a, Frac(p.ring, p.coeff((1 << (p.n - 1)) - 1), a))
+    try:
+        rebuilt = reconstruct(candidate, p.n, p.ring).coeffs == p.coeffs
+    except ValueError:  # the offset leaves the ring
+        rebuilt = False
+    assert classify_module._families(p) == ([candidate] if rebuilt else [])
+
+
+def shifted_product_table(n):
+    """-1 + 2*(x1+1)*...*(xn+1): a = 2, b = 1, all 2^n masks."""
+    return from_size_coeffs(Ring.Z, n, [1] + [2] * n)
+
+
+def test_decision_charges_each_closed_form_before_building_it(monkeypatch):
+    built, closed_form = [], assoc.compose_closed_form
+    monkeypatch.setattr(
+        assoc, "compose_closed_form", lambda p, s: built.append(s) or closed_form(p, s)
+    )
+    # two forms, then the symmetric shortcut; at n = 12 they charge 2^11 * 2^12 + 2^11
+    # pairs each, within the budget, and at n = 13 the first form alone passes it
+    assert is_associative(shifted_product_table(8)).associative and built == [1, 2]
+    assert 2 * (2**11 * 2**12 + 2**11) <= assoc.DECISION_BUDGET
+    built.clear()
+    with pytest.raises(BudgetError) as err:
+        is_associative(shifted_product_table(13))
+    assert err.value.required == 2**12 * 2**13 + 2**12 > assoc.DECISION_BUDGET
+    assert built == []
+
+
+@pytest.mark.parametrize("n", [13, 16])
+def test_prefix_step_finds_a_witness_at_x_n_without_compositions(monkeypatch, n):
+    # SP(n) + x_n differs from slot 1 at x_n, below 2^n
+    p = shifted_product_table(n) + SparsePoly.variable(Ring.Z, n, n)
+    monkeypatch.setattr(assoc, "compose_closed_form", None)
+    w = is_associative(p).witness
+    assert (w.slot, w.monomial_str(), w.lhs, w.rhs) == (2, f"x{n}", 6, 4)
+    assert classify(p) == NotAssociative(w)
+
+
+def test_classify_recognises_a_dense_shifted_product_without_compositions(monkeypatch):
+    monkeypatch.setattr(assoc, "compose_closed_form", None)
+    assert classify(shifted_product_table(12)) == ShiftedProduct(2, Frac(Ring.Z, 1))
 
 
 @SETTINGS

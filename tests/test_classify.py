@@ -27,6 +27,7 @@ from polyassoc import (
     TwistedSum,
     assoc_pointwise,
     classify,
+    compose_closed_form,
     from_size_coeffs,
     is_associative,
     parse_poly,
@@ -160,19 +161,40 @@ def _box_tables(ring, n, bound):
         yield MultilinearPoly(ring, n, dict(enumerate(coeffs)))
 
 
+def _composition_witness(forms):
+    """(slot, mask, lhs, rhs) at the first mask, slots in order, where a
+    closed-form composition differs from slot 1's; None when all agree."""
+    base, zero = forms[0].coeffs, forms[0].ring.zero
+    for slot, form in enumerate(forms[1:], 2):
+        other = form.coeffs
+        differing = [m for m in base.keys() | other.keys() if base.get(m) != other.get(m)]
+        if differing:
+            mask = min(differing)
+            return slot, mask, base.get(mask, zero), other.get(mask, zero)
+    return None
+
+
 def test_recognition_agrees_with_the_decision_on_whole_boxes():
+    # the decision here is composition equality at every slot, not is_associative,
+    # which classify() itself calls when no family matches
     checked = 0
     for ring, n, bound in ((Ring.Z, 2, 2), (Ring.Z, 3, 1), (Ring.ZI, 2, 1)):
         for table in _box_tables(ring, n, bound):
             checked += 1
-            associative = is_associative(table).associative
+            want = _composition_witness([compose_closed_form(table, s) for s in range(1, n + 1)])
             if ring is Ring.Z:  # the Z[i] box is checked against the grid in test_oracle
-                assert assoc_pointwise(table, OracleConfig(mode="grid")) == associative
-            if not associative:
+                assert assoc_pointwise(table, OracleConfig(mode="grid")) == (want is None)
+            cls = classify(table)
+            if want is not None:
+                assert isinstance(cls, NotAssociative)
+                w = cls.witness
+                mask = sum(e << j for j, e in enumerate(w.monomial))
+                assert (w.slot, mask, w.lhs, w.rhs) == want
                 with pytest.raises(InternalInvariantError):
                     classify_associative(table)
                 continue
-            assert reconstruct(classify_associative(table), n, ring) == table
+            assert cls == classify_associative(table)
+            assert reconstruct(cls, n, ring) == table
     assert checked == 13_747
 
 

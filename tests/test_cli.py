@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import signal
@@ -20,7 +21,11 @@ from polyassoc import (
     is_associative,
     parse_poly,
 )
+from polyassoc.assoc import CompositionWitness
 from polyassoc.cli import build_parser, main
+
+# the module, which the package's classify() hides
+classify_module = importlib.import_module("polyassoc.classify")
 
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
 
@@ -641,21 +646,97 @@ def test_internal_invariant_violation_exit_code(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "command, message",
+    "command, decision, message",
     [
-        ("check", "pointwise oracle disagrees with the symbolic verdict"),
-        ("classify", "associative operation with a squared variable"),
-        ("analyze", "associative operation with a squared variable"),
+        ("check", cli, "pointwise oracle disagrees with the symbolic verdict"),
+        ("classify", classify_module, "associative operation with a squared variable"),
+        ("analyze", classify_module, "associative operation with a squared variable"),
     ],
     ids=["check", "classify", "analyze"],
 )
 def test_oracle_rejects_a_squared_variable_called_associative(
-    capsys, monkeypatch, command, message
+    capsys, monkeypatch, command, decision, message
 ):
-    monkeypatch.setattr(cli, "is_associative", lambda p: cli.AssocVerdict(True))
+    # check reads cli's binding; classify and analyze decide in classify(), which reads its own
+    monkeypatch.setattr(decision, "is_associative", lambda p: cli.AssocVerdict(True))
     code, out, err = run(capsys, command, "--ring", "z", "--n", "2", "--poly", "x1^2*x2")
     assert (code, out) == (3, "")
     assert err == f"internal error: {message}\n"
+
+
+def _off_by_one(w: CompositionWitness, change: str) -> CompositionWitness:
+    """The witness with lhs raised by one, or its monomial's last variable dropped."""
+    if change == "lhs":
+        return CompositionWitness(w.slot, w.monomial, w.lhs + 1, w.rhs)
+    last = max(j for j, e in enumerate(w.monomial) if e)
+    monomial = tuple(0 if j == last else e for j, e in enumerate(w.monomial))
+    return CompositionWitness(w.slot, monomial, w.lhs, w.rhs)
+
+
+@pytest.mark.parametrize("change", ["lhs", "mask"])
+@pytest.mark.parametrize("command, poly", [
+    ("check", "x1 + x2 + x3 + x1*x3"),  # the witness of the full comparison
+    ("classify", "x1*x2 + x3"),  # the witness of the prefix step
+])
+def test_a_witness_its_indicator_point_contradicts_exits_3(
+    capsys, monkeypatch, command, poly, change
+):
+    assert run(capsys, command, "--ring", "z", "--n", "3", "--poly", poly)[0] == 0
+    if command == "check":
+        decide = cli.is_associative
+        wrong = lambda p: cli.AssocVerdict(False, _off_by_one(decide(p).witness, change))
+        monkeypatch.setattr(cli, "is_associative", wrong)
+    else:
+        prefix = classify_module._prefix_witness
+        wrong = lambda p: _off_by_one(prefix(p), change)
+        monkeypatch.setattr(classify_module, "_prefix_witness", wrong)
+    code, out, err = run(capsys, command, "--ring", "z", "--n", "3", "--poly", poly)
+    assert (code, out) == (3, "")
+    assert err == "internal error: the compositions disagree with the witness at its point\n"
+
+
+@pytest.mark.parametrize("command", ["classify", "analyze"])
+def test_no_family_with_agreeing_compositions_exits_3(capsys, monkeypatch, command):
+    # not associative, but slots 1 and 2 agree below 2^n (the witness is at x5)
+    poly = "-x1*x3 - x3 - 1"
+    monkeypatch.setattr(classify_module, "_compare_closed_forms", lambda p: cli.AssocVerdict(True))
+    code, out, err = run(capsys, command, "--ring", "z", "--n", "3", "--poly", poly)
+    assert (code, out) == (3, "")
+    assert err == f"internal error: slot compositions agree but no family rebuilds {poly}\n"
+
+
+@pytest.mark.parametrize("command", ["classify", "analyze"])
+def test_sparse_input_whose_candidate_table_is_dense_is_decided_without_it(
+    capsys, monkeypatch, command
+):
+    # a = c = 1 makes the candidate ShiftedProduct(1, 1), whose table holds all
+    # 2^31 - 1 nonempty masks; its ladder rules it out, so no table is built
+    monkeypatch.setattr(classify_module, "reconstruct", None)
+    monkeypatch.setattr(classify_module, "_size_table", None)
+    poly = "*".join(f"x{j}" for j in range(1, 32)) + " + " + "*".join(f"x{j}" for j in range(1, 31))
+    code, out, _ = run(capsys, command, "--ring", "z", "--n", "31", "--poly", poly, "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["associative"] is False
+    assert report["classification"]["type"] == "not-associative"
+    w = report["witness"]
+    want = [*range(1, 32), *range(33, 61)]  # past the prefix step: the full comparison's
+    assert (w["slot"], w["subset"], w["lhs"], w["rhs"]) == (2, want, "0", "1")
+    assert report == json.loads(run(capsys, "check", "--ring", "z", "--n", "31", "--poly", poly,
+                                    "--format", "json")[1]) | {"classification": report["classification"]}
+
+
+def test_check_past_the_decision_budget_exits_2(capsys):
+    # -1 + 2*(x1+1)*...*(x13+1): the first closed form alone would multiply
+    # 2^12 * 2^13 + 2^12 term pairs; classify recognises it without one
+    poly = "-1 + 2*" + "*".join(f"(x{j} + 1)" for j in range(1, 14))
+    code, out, err = run(capsys, "check", "--ring", "z", "--n", "13", "--poly", poly)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the slot compositions would multiply 33558528 term pairs, over the "
+        "decision's budget of 33554432 (required 33558528)\n"
+    )
+    code, out, _ = run(capsys, "classify", "--ring", "z", "--n", "13", "--poly", poly)
+    assert code == 0 and "classification: shifted-product (vi); a = 2; b = 1" in out
 
 
 @pytest.mark.parametrize(

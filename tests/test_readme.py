@@ -41,6 +41,11 @@ def test_readme_states_the_parsers_pair_budget():
     assert f"{polyassoc.parse.PAIR_BUDGET:,} pairs (`parse.PAIR_BUDGET`)" in text
 
 
+def test_readme_states_the_decisions_pair_budget():
+    text = " ".join(README.read_text().split())
+    assert f"{polyassoc.assoc.DECISION_BUDGET:,} pairs (`assoc.DECISION_BUDGET`)" in text
+
+
 def test_package_all_is_sorted_and_lists_every_public_name():
     public = {
         name for name, value in vars(polyassoc).items()
