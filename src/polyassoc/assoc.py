@@ -223,8 +223,8 @@ def _compare_closed_forms(p: MultilinearPoly) -> AssocVerdict:
         pairs += _slot_bound(p.coeffs, slot)
         if pairs > DECISION_BUDGET:
             raise BudgetError(
-                f"the slot compositions would multiply {pairs} term pairs, over the "
-                f"decision's budget of {DECISION_BUDGET} (required {pairs})",
+                f"the slot compositions would multiply at least {pairs} term pairs, "
+                f"over the decision's budget of {DECISION_BUDGET}",
                 pairs,
             )
         other = compose_closed_form(p, slot).coeffs

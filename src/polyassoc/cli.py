@@ -5,15 +5,20 @@ Subcommands ``check``, ``classify``, and ``analyze`` take ``--ring z|q|zi``,
 ``enumerate`` walks a coefficient box and writes census files.  Exit codes:
 0 analysis completed (whatever the verdict), 1 parse error, 2 invalid
 flags, budget or output directory, 3 internal invariant violation.
+
+A report request written as ``--flag value`` pairs, each flag once and no
+value starting with ``-``, is read by one scan of the argument list
+(``_scan``); every other argument list, and ``enumerate``, goes to argparse,
+which is imported and built only then.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .assoc import AssocVerdict, CompositionWitness, is_associative
 from .classify import (
@@ -53,14 +58,25 @@ EXIT_INTERNAL = 3
 MAX_CLI_ARITY = 31
 
 
+REPORT_COMMANDS = {
+    "check": "decide associativity",
+    "classify": "decide associativity and name the family",
+    "analyze": "full report including group structure",
+}
+RINGS = tuple(r.value for r in Ring)
+FORMATS = ("text", "json")
+
+
 class UsageError(Exception):
     pass
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared after it:
-    parsing reads the tree without changing it."""
+def build_parser():
+    """The ``argparse.ArgumentParser``, built on the first call and shared
+    after it: parsing reads the tree without changing it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="polyassoc",
         description="Exact associativity analysis of polynomial n-ary operations.",
@@ -69,16 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--ring", required=True, choices=[r.value for r in Ring])
+    common.add_argument("--ring", required=True, choices=RINGS)
     common.add_argument("--n", required=True, type=int, help="arity of the operation")
     common.add_argument("--poly", required=True, help="expression in x1..xn")
-    common.add_argument("--format", choices=["text", "json"], default="text")
+    common.add_argument("--format", choices=FORMATS, default=FORMATS[0])
 
-    for name, blurb in (
-        ("check", "decide associativity"),
-        ("classify", "decide associativity and name the family"),
-        ("analyze", "full report including group structure"),
-    ):
+    for name, blurb in REPORT_COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=blurb)
         p.set_defaults(func=cmd_report)
 
@@ -305,15 +317,45 @@ def _join_poly_values(argv: list[str]) -> list[str]:
     return out
 
 
-def main(argv=None) -> int:
-    argv = _join_poly_values(sys.argv[1:] if argv is None else list(argv))
-    parser = build_parser()
+def _scan(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse builds for ``check``, ``classify`` or ``analyze``
+    followed by ``--ring``, ``--n``, ``--poly`` and optionally ``--format``,
+    each once and as a separate token, when no value starts with ``-``, the
+    ring and format are among the parser's choices and ``int`` accepts the
+    arity; None for any other argument list, which argparse reads."""
+    if len(argv) not in (7, 9) or argv[0] not in REPORT_COMMANDS:
+        return None
+    pairs = dict(zip(argv[1::2], argv[2::2]))
+    if 2 * len(pairs) + 1 != len(argv) or any(v.startswith("-") for v in pairs.values()):
+        return None  # a repeated flag, or a value argparse would read as an option
+    values = {"--format": FORMATS[0], **pairs}
+    if (
+        values.keys() != {"--ring", "--n", "--poly", "--format"}
+        or values["--ring"] not in RINGS
+        or values["--format"] not in FORMATS
+    ):
+        return None
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "poly", "") == []:  # argparse strips the value of "--poly=--"
-            parser.error("argument --poly: expected one argument")
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        n = int(values["--n"])
+    except ValueError:
+        return None
+    return SimpleNamespace(
+        command=argv[0], ring=values["--ring"], n=n, poly=values["--poly"],
+        format=values["--format"], func=cmd_report,
+    )
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _scan(argv)
+    if args is None:
+        parser = build_parser()
+        try:
+            args = parser.parse_args(_join_poly_values(argv))
+            if getattr(args, "poly", "") == []:  # argparse strips the value of "--poly=--"
+                parser.error("argument --poly: expected one argument")
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return args.func(args)
     except ParseError as exc:

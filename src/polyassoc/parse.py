@@ -102,8 +102,8 @@ def parse_poly(source: str, nvars: int, ring: Ring) -> SparsePoly:
         pairs += len(f.coeffs) * len(g.coeffs)
         if pairs > PAIR_BUDGET:
             raise BudgetError(
-                f"parsing would multiply {pairs} term pairs, over the parser's budget "
-                f"of {PAIR_BUDGET} (required {pairs})",
+                f"parsing would multiply at least {pairs} term pairs, over the parser's "
+                f"budget of {PAIR_BUDGET}",
                 pairs,
             )
         return f * g

@@ -5,9 +5,10 @@ import json
 import signal
 import sys
 import time
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polyassoc.cli as cli
@@ -516,7 +517,8 @@ def alarm_after(seconds):
     "power, required",
     [
         # S6^16 passes the budget at its last product, 6 * (C(21, 6) - 1) pairs;
-        # S6^20 stops at the same product
+        # S6^20 stops at the same product, short of the 6 * (C(25, 6) - 1) =
+        # 1,062,594 pairs it needs, so the count is a lower bound
         ("S6^16", 325_578),
         ("S6^20", 325_578),
         # each S6^8 takes 6 * (C(13, 6) - 1) = 10,290 pairs, their product 1,287^2
@@ -532,8 +534,8 @@ def test_a_power_past_the_pair_budget_exits_2_within_a_second(capsys, power, req
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err == (
-        f"error: parsing would multiply {required} term pairs, over the parser's budget "
-        f"of 262144 (required {required})\n"
+        f"error: parsing would multiply at least {required} term pairs, over the parser's "
+        f"budget of 262144\n"
     )
 
 
@@ -727,13 +729,14 @@ def test_sparse_input_whose_candidate_table_is_dense_is_decided_without_it(
 
 def test_check_past_the_decision_budget_exits_2(capsys):
     # -1 + 2*(x1+1)*...*(x13+1): the first closed form alone would multiply
-    # 2^12 * 2^13 + 2^12 term pairs; classify recognises it without one
+    # 2^12 * 2^13 + 2^12 term pairs, a lower bound, as slot 2's form is not
+    # charged; classify recognises it without one
     poly = "-1 + 2*" + "*".join(f"(x{j} + 1)" for j in range(1, 14))
     code, out, err = run(capsys, "check", "--ring", "z", "--n", "13", "--poly", poly)
     assert (code, out) == (2, "")
     assert err == (
-        "error: the slot compositions would multiply 33558528 term pairs, over the "
-        "decision's budget of 33554432 (required 33558528)\n"
+        "error: the slot compositions would multiply at least 33558528 term pairs, "
+        "over the decision's budget of 33554432\n"
     )
     code, out, _ = run(capsys, "classify", "--ring", "z", "--n", "13", "--poly", poly)
     assert code == 0 and "classification: shifted-product (vi); a = 2; b = 1" in out
@@ -1008,6 +1011,60 @@ def test_shared_parser_matches_a_fresh_one(tmp_path, capsys, monkeypatch):
     assert "checked individually: 81 " in shared[4][1]
     assert "usage: polyassoc check" in shared[6][2]
     assert shared[6] == shared[0]
+
+
+SCAN_VALUES = {
+    "--ring": ["z", "q", "zi", "r", "Z", " z", "-z"],
+    "--n": ["3", "-3", "+3", " 3", "\u0663", "3.0", "", "-x1", "3_0"],
+    "--poly": ["x1", "x1 + x2", "-x1", "", "3", "x1*x2 + x3"],
+    "--format": ["text", "json", "xml", "-x1", ""],
+}
+SCAN_TOKENS = [
+    "check", "classify", "analyze", "enumerate", "chekc",
+    "--ring", "--n", "--poly", "--format", "--form", "--ri", "--poly=x1", "--format=json",
+    "-h", "--help", "--version", "--", "z", "json", "3", "-3", "x1 + x2",
+]
+
+
+@st.composite
+def report_like_argvs(draw):
+    """A report request in shuffled flag order, then up to three token edits."""
+    flags = draw(st.permutations(list(SCAN_VALUES)))
+    if draw(st.booleans()):
+        flags.remove("--format")
+    argv = [draw(st.sampled_from(["check", "classify", "analyze", "enumerate", "chekc"]))]
+    for flag in flags:
+        argv += [flag, draw(st.sampled_from(SCAN_VALUES[flag]))]
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(argv) - 1))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        token = draw(st.sampled_from(SCAN_TOKENS))
+        argv[k:k + (edit != "insert")] = [] if edit == "delete" else [token]
+    return argv
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(report_like_argvs())
+@example(["check", "--ring", "z", "--n", "3", "--format", "json"])
+@example(["check", "--ring", "r", "--ring", "z", "--n", "3", "--poly", "x1"])
+@example(["analyze", "--poly", "", "--format", "json", "--n", "+3", "--ring", "zi"])
+def test_scan_builds_the_namespace_argparse_builds(argv):
+    scanned = cli._scan(argv)
+    if scanned is not None:
+        assert vars(build_parser().parse_args(argv)) == vars(scanned)
+
+
+def test_scan_reads_every_benchmark_request_and_no_census_box():
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import workloads
+
+    for workload in ("verdict-wide", "analyze-dense"):
+        for request in workloads.request_list(workload, 1):
+            assert cli._scan(list(request.argv)) is not None, request.argv
+    for box in workloads.CENSUS_BOXES:
+        assert cli._scan(box.argv("out", 1)) is None
 
 
 @pytest.mark.parametrize(

@@ -112,15 +112,31 @@ def test_errors_imports_nothing_from_the_package():
 
 def test_cli_import_leaves_out_dataclasses_inspect_and_typing():
     # start-up cost: each of these takes milliseconds to import and nothing needs it;
-    # -S keeps site from importing typing on its own
+    # -S keeps site from importing typing on its own.  A scanned request leaves
+    # argparse out too, and a usage error after it loads argparse for its message.
     src = Path(polyassoc.__file__).resolve().parents[1]
-    code = (
-        f"import sys; sys.path.insert(0, {str(src)!r}); import polyassoc.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
-    )
-    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    cases = [  # (code after the import, its stdout, the tail of its stderr)
+        ("print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))", "[]", ""),
+        (
+            "from polyassoc.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['check', '--ring', 'z', '--n', '2', '--poly', 'x1'])\n"
+            "print(code, 'argparse' in sys.modules)\n"
+            "print(main(['check', '--ring', 'r', '--n', '2', '--poly', 'x1']))",
+            "0 False\n2",
+            "polyassoc check: error: argument --ring: invalid choice: 'r' "
+            "(choose from 'z', 'q', 'zi')\n",
+        ),
+    ]
+    for then, out, err_tail in cases:
+        code = (
+            f"import contextlib, io, sys; sys.path.insert(0, {str(src)!r}); "
+            f"import polyassoc.cli\n{then}"
+        )
+        run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == out
+        assert run.stderr.endswith(err_tail)
 
 
 def test_assoc_imports_only_errors_and_poly_from_the_package():
