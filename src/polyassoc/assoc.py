@@ -24,10 +24,9 @@ comparison builds whole closed forms, each charged its term pairs against
 ``DECISION_BUDGET`` first.  Input with a squared variable is compared on
 colex prefixes (:func:`is_associative`).
 
-``classify.classify`` decides multilinear input without this module's full
-comparison when it can: after the prefix step, recognition of a family
-proves associativity, since over an infinite integral domain the six
-families are exactly the associative operations.
+``classify._decide`` runs the prefix step, then recognises a family, which
+proves associativity by the paper's theorem; it runs the full comparison
+only on non-associative input that passes the prefix step.
 """
 
 from __future__ import annotations
@@ -244,10 +243,8 @@ def is_associative(p: SparsePoly) -> AssocVerdict:
     Multilinear input goes through :func:`associative_multilinear`: the
     prefix step, then full closed forms under ``DECISION_BUDGET``, with a
     shortcut for symmetric operations (the first two slot compositions
-    agreeing already settles the symmetric case).  ``check`` decides by this
-    route on every input; ``classify`` and ``analyze`` (``classify.classify``)
-    run the prefix step and, only when it finds no witness and no family
-    rebuilds p, the full comparison.
+    agreeing already settles the symmetric case).  The report commands decide
+    by recognition instead (``classify._decide``).
 
     Input with a squared variable is never associative.  Over an integral
     domain slot s's degree in x_j is d_j before the nested window,

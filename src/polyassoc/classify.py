@@ -23,15 +23,13 @@ table).
 
 The theorem is an equivalence: over an infinite commutative integral domain
 the six families are exactly the associative polynomial operations.  So
-``classify`` decides multilinear input by recognition: a family that
-rebuilds p proves it associative, and no slot composition is built.  It
-runs the decision's O(t) prefix step first (``assoc._prefix_witness``),
-and the full comparison (``assoc._compare_closed_forms``) only when no
-family matches, for the witness.  The ``check`` command decides by
-composition alone (``is_associative``).  Each family also
-answers its own structure questions: ``group`` (is the whole ring an n-ary
-group, and with which skew map) and ``reduction`` (is it the iterate of a
-binary operation).
+multilinear input is decided by recognition (``_decide``): a family that
+rebuilds p proves it associative, and no slot composition is built.  The
+O(t) prefix step (``assoc._prefix_witness``) runs first, and the full
+comparison (``assoc._compare_closed_forms``) only when no family matches,
+for the witness.  Each family also answers its own structure questions:
+``group`` (is the whole ring an n-ary group, and with which skew map) and
+``reduction`` (is it the iterate of a binary operation).
 """
 
 from __future__ import annotations
@@ -262,37 +260,39 @@ Classification = LinearFamily | ShiftedProduct | NotAssociative
 
 
 def classify(p: SparsePoly) -> Classification:
-    """Decide associativity and name the family with exact parameters.
+    """Decide associativity (``_decide``) and name the family with exact parameters."""
+    witness, families = _decide(p)
+    if witness is not None:
+        return NotAssociative(witness)
+    # through classify_associative, whose calls bench/layertrace.py counts as
+    # the recognitions of a traced run; it raises on a squared variable
+    return classify_associative(p, families)
+
+
+def _decide(p: SparsePoly) -> tuple[CompositionWitness | None, list[Classification]]:
+    """The witness that p is not associative, or None and the families that
+    rebuild p.
 
     Multilinear p is decided in three steps.  A witness of the prefix step
-    (``assoc._prefix_witness``) gives ``NotAssociative``.  Otherwise a family
-    that rebuilds p (``_families``) is the answer, p being associative by the
-    theorem.  With no family, p is not associative, and the full comparison
+    (``assoc._prefix_witness``) is the answer.  Otherwise a family that
+    rebuilds p (``_families``) proves p associative, by the theorem.  With no
+    family, p is not associative, and the full comparison
     (``assoc._compare_closed_forms``) finds the witness; if it finds none, the
     theorem and the code disagree, an ``InternalInvariantError``.  Input with
     a squared variable is never associative and goes to ``is_associative``.
     """
     ml = p.to_multilinear()
     if ml is None:
-        verdict = is_associative(p)
-        if verdict.associative:
-            return classify_associative(p)  # raises: a squared variable
-        return NotAssociative(verdict.witness)
+        return is_associative(p).witness, []
     if ml.n < 2:
         raise ValueError("arity must be at least 2")
     witness = _prefix_witness(ml)
-    if witness is None:
-        families = _families(ml)
-        if families:
-            # through classify_associative, whose calls bench/layertrace.py
-            # counts as the recognitions of a traced run
-            return classify_associative(ml, families)
+    families = _families(ml) if witness is None else []
+    if witness is None and not families:
         witness = _compare_closed_forms(ml).witness
         if witness is None:
-            raise InternalInvariantError(
-                f"slot compositions agree but no family rebuilds {p.render()}"
-            )
-    return NotAssociative(witness)
+            raise InternalInvariantError(f"slot compositions agree but no family rebuilds {p.render()}")
+    return witness, families
 
 
 def classify_associative(

@@ -20,13 +20,15 @@ import os
 import sys
 from types import SimpleNamespace
 
+# is_associative is unused here: bench/layertrace.py wraps this binding
 from .assoc import AssocVerdict, CompositionWitness, is_associative
 from .classify import (
     Classification,
     InternalInvariantError,
     NotAssociative,
+    _decide,
     classification_params,
-    classify,
+    classify_associative,
 )
 from .oracle import (
     DEFAULT_BUDGET,
@@ -197,14 +199,12 @@ def _build_report(args) -> dict:
     ring = Ring(args.ring)
     n = _validated_arity(args.n)
     p = parse_poly(args.poly, n, ring)
+    witness, families = _decide(p)
+    verdict = AssocVerdict(witness is None, witness)
     cls: Classification | None = None
     structure: StructureReport | None = None
-    if args.command == "check":  # the composition route
-        verdict = is_associative(p)
-    else:  # recognition, which decides as it classifies
-        cls = classify(p)
-        failed = isinstance(cls, NotAssociative)
-        verdict = AssocVerdict(not failed, cls.witness if failed else None)
+    if args.command != "check":  # name what the decision recognised
+        cls = classify_associative(p, families) if witness is None else NotAssociative(witness)
     values = list(p.coeffs.values())
     if verdict.witness is not None:
         values += [verdict.witness.lhs, verdict.witness.rhs]

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import polyassoc.assoc as assoc
 import polyassoc.cli as cli
 import polyassoc.oracle as oracle
 from polyassoc import (
+    BudgetError,
     OracleConfig,
     Ring,
     SparsePoly,
@@ -648,19 +650,19 @@ def test_internal_invariant_violation_exit_code(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "command, decision, message",
+    "command, message",
     [
-        ("check", cli, "pointwise oracle disagrees with the symbolic verdict"),
-        ("classify", classify_module, "associative operation with a squared variable"),
-        ("analyze", classify_module, "associative operation with a squared variable"),
+        ("check", "pointwise oracle disagrees with the symbolic verdict"),
+        ("classify", "associative operation with a squared variable"),
+        ("analyze", "associative operation with a squared variable"),
     ],
     ids=["check", "classify", "analyze"],
 )
 def test_oracle_rejects_a_squared_variable_called_associative(
-    capsys, monkeypatch, command, decision, message
+    capsys, monkeypatch, command, message
 ):
-    # check reads cli's binding; classify and analyze decide in classify(), which reads its own
-    monkeypatch.setattr(decision, "is_associative", lambda p: cli.AssocVerdict(True))
+    # every command decides in classify._decide, which reads classify's binding
+    monkeypatch.setattr(classify_module, "is_associative", lambda p: cli.AssocVerdict(True))
     code, out, err = run(capsys, command, "--ring", "z", "--n", "2", "--poly", "x1^2*x2")
     assert (code, out) == (3, "")
     assert err == f"internal error: {message}\n"
@@ -677,21 +679,20 @@ def _off_by_one(w: CompositionWitness, change: str) -> CompositionWitness:
 
 @pytest.mark.parametrize("change", ["lhs", "mask"])
 @pytest.mark.parametrize("command, poly", [
-    ("check", "x1 + x2 + x3 + x1*x3"),  # the witness of the full comparison
-    ("classify", "x1*x2 + x3"),  # the witness of the prefix step
+    ("check", "x1 + x2 + x3 + x1*x3"),  # the witness of the prefix step
+    ("classify", "x1*x2 + x3"),  # the same
+    ("check", "-x1*x3 - x3 - 1"),  # the witness of the full comparison, at x5
 ])
 def test_a_witness_its_indicator_point_contradicts_exits_3(
     capsys, monkeypatch, command, poly, change
 ):
     assert run(capsys, command, "--ring", "z", "--n", "3", "--poly", poly)[0] == 0
-    if command == "check":
-        decide = cli.is_associative
-        wrong = lambda p: cli.AssocVerdict(False, _off_by_one(decide(p).witness, change))
-        monkeypatch.setattr(cli, "is_associative", wrong)
-    else:
-        prefix = classify_module._prefix_witness
-        wrong = lambda p: _off_by_one(prefix(p), change)
-        monkeypatch.setattr(classify_module, "_prefix_witness", wrong)
+    # every command takes its witness from one of these two steps of classify._decide
+    prefix, compare = classify_module._prefix_witness, classify_module._compare_closed_forms
+    wrong_prefix = lambda p: None if (w := prefix(p)) is None else _off_by_one(w, change)
+    wrong_compare = lambda p: cli.AssocVerdict(False, _off_by_one(compare(p).witness, change))
+    monkeypatch.setattr(classify_module, "_prefix_witness", wrong_prefix)
+    monkeypatch.setattr(classify_module, "_compare_closed_forms", wrong_compare)
     code, out, err = run(capsys, command, "--ring", "z", "--n", "3", "--poly", poly)
     assert (code, out) == (3, "")
     assert err == "internal error: the compositions disagree with the witness at its point\n"
@@ -727,18 +728,35 @@ def test_sparse_input_whose_candidate_table_is_dense_is_decided_without_it(
                                     "--format", "json")[1]) | {"classification": report["classification"]}
 
 
-def test_check_past_the_decision_budget_exits_2(capsys):
-    # -1 + 2*(x1+1)*...*(x13+1): the first closed form alone would multiply
-    # 2^12 * 2^13 + 2^12 term pairs, a lower bound, as slot 2's form is not
-    # charged; classify recognises it without one
-    poly = "-1 + 2*" + "*".join(f"(x{j} + 1)" for j in range(1, 14))
-    code, out, err = run(capsys, "check", "--ring", "z", "--n", "13", "--poly", poly)
+def test_check_past_the_decision_budget_exits_2(capsys, monkeypatch):
+    # slots 1 and 2 agree below 2^3 and no family rebuilds the input, so the
+    # full comparison runs; slot 1's closed form alone charges 1*3 + 2 = 5
+    # term pairs, a lower bound, as slot 2's form is not charged
+    poly = "-x1*x3 - x3 - 1"
+    monkeypatch.setattr(assoc, "DECISION_BUDGET", 4)
+    with pytest.raises(BudgetError) as refused:
+        classify_module._decide(parse_poly(poly, 3, Ring.Z))
+    assert refused.value.required == 5
+    code, out, err = run(capsys, "check", "--ring", "z", "--n", "3", "--poly", poly)
     assert (code, out) == (2, "")
     assert err == (
-        "error: the slot compositions would multiply at least 33558528 term pairs, "
-        "over the decision's budget of 33554432\n"
+        "error: the slot compositions would multiply at least 5 term pairs, "
+        "over the decision's budget of 4\n"
     )
-    code, out, _ = run(capsys, "classify", "--ring", "z", "--n", "13", "--poly", poly)
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_check_on_a_dense_shifted_product_builds_no_closed_form(capsys, monkeypatch, n):
+    # -1 + 2*(x1+1)*...*(xn+1): recognised, where the full comparison would
+    # multiply at least 2^(n-1) * 2^n term pairs
+    def refuse(p, slot):
+        raise AssertionError("a closed form was built")
+
+    monkeypatch.setattr(assoc, "compose_closed_form", refuse)
+    poly = "-1 + 2*" + "*".join(f"(x{j} + 1)" for j in range(1, n + 1))
+    code, out, _ = run(capsys, "check", "--ring", "z", "--n", str(n), "--poly", poly)
+    assert code == 0 and "associative: yes" in out.splitlines()
+    code, out, _ = run(capsys, "classify", "--ring", "z", "--n", str(n), "--poly", poly)
     assert code == 0 and "classification: shifted-product (vi); a = 2; b = 1" in out
 
 

@@ -7,8 +7,11 @@ wrote).  The records are
 
 - every ``verdict-wide`` and ``analyze-dense`` request of the benchmark
   (``bench/workloads.request_list``) at seeds 1 and 2, in both formats;
+- every such ``analyze-dense`` request re-run as ``check`` and as
+  ``classify``, in both formats;
 - the four census boxes (``CENSUS_BOXES``): stdout with the output
-  directory masked as ``<out>``, and ``census.csv``;
+  directory masked as ``<out>``, and ``census.csv``; then each box again
+  with ``--dump-candidates``, and the ``candidates.txt`` it wrote;
 - argvs that end in argparse: usage errors, help and version, a ``--poly``
   value starting with ``-``, abbreviated and repeated flags, at
   ``COLUMNS=80``.
@@ -94,6 +97,13 @@ def compute() -> list[dict]:
                         argv = _format(request.argv, fmt)
                         label = f"{workload}:seed{seed}:{k}:{request.label}:{fmt}"
                         add(label, argv, _digest(*_call(argv)))
+        for seed in SEEDS:
+            for k, request in enumerate(workloads.request_list("analyze-dense", seed)):
+                for command in ("check", "classify"):
+                    for fmt in ("json", "text"):
+                        argv = _format((command,) + request.argv[1:], fmt)
+                        label = f"analyze-dense:seed{seed}:{k}:{request.label}:as-{command}:{fmt}"
+                        add(label, argv, _digest(*_call(argv)))
         with tempfile.TemporaryDirectory() as tmp:
             seed = workloads.census_seed(CENSUS_SEED)
             for box in workloads.CENSUS_BOXES:
@@ -103,6 +113,12 @@ def compute() -> list[dict]:
                 add(f"{box.label}:stdout", argv, _digest(code, out.replace(out_dir, OUT), err))
                 with open(os.path.join(out_dir, "census.csv")) as fh:
                     add(f"{box.label}:census.csv", argv, _digest(fh.read()))
+            for box in workloads.CENSUS_BOXES:
+                out_dir = os.path.join(tmp, box.label.replace(":", "-"))
+                _call(box.argv(out_dir, seed) + ["--dump-candidates"])
+                argv = box.argv(OUT, seed) + ["--dump-candidates"]
+                with open(os.path.join(out_dir, "candidates.txt")) as fh:
+                    add(f"{box.label}:candidates.txt", argv, _digest(fh.read()))
         for k, argv in enumerate(ARGPARSE_ARGVS):
             add(f"argv:{k}", argv, _digest(*_call(argv)))
     return records
