@@ -325,7 +325,8 @@ def _families(p: MultilinearPoly) -> list[Classification]:
     x1*...*x(n-1); it rebuilds p iff p holds exactly the masks of the sizes
     its ladder gives a nonzero c_k, each with that c_k, so no table of up to
     2^n masks is built.  Otherwise the candidates are the five linear
-    families with parameters read off p, each compared with its reconstruction.
+    families with parameters read off p, each compared with its reconstruction,
+    and a mask of two or more variables rules them all out at once.
     """
     ring, n, coeffs = p.ring, p.n, p.coeffs
     a = p.coeff((1 << n) - 1)
@@ -340,6 +341,8 @@ def _families(p: MultilinearPoly) -> list[Classification]:
             c == ladder[m.bit_count()] for m, c in coeffs.items()
         )
         return [product] if rebuilt else []
+    if any(m & (m - 1) for m in coeffs):  # every linear family's masks have at most one bit
+        return []
     c0 = p.coeff(0)
     candidates = [
         Constant(c0), LeftProjection(), RightProjection(), TranslatedSum(c0),

@@ -165,7 +165,10 @@ class SparsePoly:
         return _pow(self, k, SparsePoly.constant(self.ring, self.nvars, 1))
 
     def degree(self) -> int:
-        """Total degree, 0 for zero: key k's fields sum to sum_b 2^b * popcount(k & low << b)."""
+        """Total degree, 0 for zero: a width-1 key's popcount; a wider key k's fields
+        sum to sum_b 2^b * popcount(k & low << b)."""
+        if self.width == 1:
+            return max(map(int.bit_count, self.coeffs), default=0)
         w, low = self.width, ((1 << self.width * self.nvars) - 1) // ((1 << self.width) - 1)
         sums = (sum((k & low << b).bit_count() << b for b in range(w)) for k in self.coeffs)
         return max(sums, default=0)
@@ -193,14 +196,32 @@ class SparsePoly:
         return self.ring.element(kernel(plan, self.ring.natives(point)))
 
     def plan(self) -> tuple:
-        """The ring's kernel and its data (``Ring.plan``), built on the first
-        call and kept; each term's indices are read off its packed key."""
+        """The ring's kernel and its data, built on the first call and kept: the
+        term order (``Ring.plan``), each term's indices read off its packed key,
+        unless a multilinear table's sum |T| products pass n*d + n (d = ``degree``)
+        and it is symmetric; then the elementary-symmetric order
+        (``Ring.symmetric_plan``), at most n*d products.  Symmetry is tested only then."""
         if self._plan is None:
             n, w, table = self.nvars, self.width, self.coeffs
-            field = (1 << w) - 1
-            indices = [[j for j in range(n) for _ in range(k >> w * j & field)] for k in table]
-            self._plan = self.ring.plan(table.values(), indices)
+            counted = w == 1 and sum(map(int.bit_count, table)) > n * self.degree() + n
+            if counted and (sizes := self._size_coeffs()):
+                self._plan = self.ring.symmetric_plan(sizes)
+            else:
+                field = (1 << w) - 1
+                indices = [[j for j in range(n) for _ in range(k >> w * j & field)] for k in table]
+                self._plan = self.ring.plan(table.values(), indices)
         return self._plan
+
+    def _size_coeffs(self) -> list | None:
+        """c_0 .. c_d when the width-1 table is symmetric, p = sum c_k e_k (the
+        coefficient depends on the mask's size alone, absent sizes zero), else None."""
+        sizes: dict[int, object] = {}
+        for mask, c in self.coeffs.items():
+            if sizes.setdefault(mask.bit_count(), c) != c:
+                return None
+        full = len(self.coeffs) == sum(comb(self.nvars, k) for k in sizes)
+        top = max(sizes, default=0)
+        return [sizes.get(k, self.ring.zero) for k in range(top + 1)] if full else None
 
     def substitute(self, values: Sequence[SparsePoly]) -> SparsePoly:
         """Substitute a polynomial for every variable (all in the same target arity):
@@ -326,13 +347,7 @@ class MultilinearPoly(SparsePoly):
     def is_symmetric(self) -> bool:
         """True iff the coefficient depends only on the subset size: each stored
         size k has one value on all C(n, k) masks (absent sizes are zero)."""
-        by_size: dict[int, list] = {}  # size -> [value, masks seen]
-        for mask, c in self.coeffs.items():
-            entry = by_size.setdefault(mask.bit_count(), [c, 0])
-            if entry[0] != c:
-                return False
-            entry[1] += 1
-        return all(seen == comb(self.n, k) for k, (_, seen) in by_size.items())
+        return self._size_coeffs() is not None
 
     def to_multilinear(self) -> MultilinearPoly:
         return self

@@ -18,6 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import mul
 
 
 _new = object.__new__  # builds a GaussianInt without __init__, bound once
@@ -161,6 +162,16 @@ def _pow(base, k: int, one):
         base = base * base
 
 
+def _elementary(xs: list, degree: int) -> list:
+    """e_0 .. e_degree of the ints xs, one variable at a time by e_k <- e_k + x * e_(k-1),
+    for the k <= j that can be nonzero after j variables: at most n*degree products."""
+    e = [1] + [0] * degree
+    for j, x in enumerate(xs, 1):
+        for k in range(min(j, degree), 0, -1):
+            e[k] += x * e[k - 1]
+    return e
+
+
 class _RingClass:
     """One ring's behaviour, held by its :class:`Ring` member and reached only
     through it.  The defaults fit a Euclidean ring (``divmod``) whose
@@ -180,6 +191,17 @@ class _RingClass:
 
     def plan(self, coeffs, indices: list) -> tuple:
         return self.kernel, list(zip(self.natives(coeffs), indices))
+
+    def symmetric_plan(self, sizes: list) -> tuple:
+        return self.symmetric_kernel, self.natives(sizes)
+
+    @staticmethod
+    def products(values: list, factors: list) -> list:
+        return [v * f for v in values for f in factors]
+
+    @staticmethod
+    def dot(values, factors):
+        return sum(map(mul, values, factors))
 
     def element(self, value):
         return value
@@ -230,6 +252,10 @@ class _Integers(_RingClass):
                 v *= xs[j]
             total += v
         return total
+
+    @staticmethod
+    def symmetric_kernel(sizes: list, xs: list) -> int:
+        return sum(map(mul, sizes, _elementary(xs, len(sizes) - 1)))
 
 
 class _Rationals(_RingClass):
@@ -282,6 +308,18 @@ class _Rationals(_RingClass):
             total += v
         return Fraction(total, den * powers[degree])
 
+    def symmetric_plan(self, sizes: list) -> tuple:
+        return self.symmetric_kernel, self.scaled(sizes)
+
+    @staticmethod
+    def symmetric_kernel(plan: tuple, xs: list) -> Fraction:
+        # over the common denominator V, e_k of the numerators is V^k e_k(x)
+        (den, sizes), common, total = plan, lcm(*(v.denominator for v in xs)), 0
+        nums = [v.numerator * (common // v.denominator) for v in xs]
+        for c, e in zip(sizes, _elementary(nums, len(sizes) - 1)):
+            total = total * common + c * e  # sum of c_k V^k e_k V^(d - k), by Horner
+        return Fraction(total, den * common ** (len(sizes) - 1))
+
 
 class _GaussianIntegers(_RingClass):
     """Z[i]: an element's coordinates are its real and imaginary parts."""
@@ -294,10 +332,12 @@ class _GaussianIntegers(_RingClass):
         return _as_gauss(x)
 
     def divmod(self, a, b) -> tuple:
-        # t/n rounded componentwise (ties up), so norm(remainder) <= norm(b) / 2
-        n, t = b.norm, a * b.conjugate()
-        q = GaussianInt._trusted((2 * t.re + n) // (2 * n), (2 * t.im + n) // (2 * n))
-        return q, a - q * b
+        # t = a * conj(b) over n = norm(b), rounded componentwise (ties up), so
+        # norm(remainder) <= n / 2; in coordinates, building no intermediate element
+        x, y, u, v, n = a.re, a.im, b.re, b.im, b.norm
+        qx, qy = (2 * (x * u + y * v) + n) // (2 * n), (2 * (y * u - x * v) + n) // (2 * n)
+        r = GaussianInt._trusted(x - qx * u + qy * v, y - qx * v - qy * u)
+        return GaussianInt._trusted(qx, qy), r
 
     def root(self, x, k: int):
         raise NotImplementedError("n-th roots over Z[i] are not needed")
@@ -334,6 +374,29 @@ class _GaussianIntegers(_RingClass):
             im_total += im
         return re_total, im_total
 
+    @staticmethod
+    def symmetric_kernel(sizes: list, xs: list) -> tuple[int, int]:
+        degree = len(sizes) - 1
+        re, im = [1] + [0] * degree, [0] * (degree + 1)
+        for j, (x, y) in enumerate(xs, 1):  # as _elementary does, in coordinates
+            for k in range(min(j, degree), 0, -1):
+                a, b = re[k - 1], im[k - 1]
+                re[k] += x * a - y * b
+                im[k] += x * b + y * a
+        return _GaussianIntegers.dot(sizes, zip(re, im))
+
+    @staticmethod
+    def products(values: list, factors: list) -> list:
+        return [(a * c - b * d, a * d + b * c) for a, b in values for c, d in factors]
+
+    @staticmethod
+    def dot(values, factors) -> tuple[int, int]:
+        re = im = 0
+        for (a, b), (c, d) in zip(values, factors):
+            re += a * c - b * d
+            im += a * d + b * c
+        return re, im
+
 
 class Ring(Enum):
     """The available base rings; values double as the CLI ring flags.  Each
@@ -346,7 +409,10 @@ class Ring(Enum):
     (TypeError) and converted, ints over Z, ``Fraction``s or ints over Q,
     ``(re, im)`` pairs over Z[i]; ``plan(coeffs, indices)``, the kernel from
     native coordinates to a native value and its data, each term's variable
-    indices repeated by exponent; and ``element(value)``, the ring element."""
+    indices repeated by exponent, or ``symmetric_plan(sizes)``, the same for
+    p = sum c_k e_k from c_0 .. c_d; and ``element(value)``, the ring element.
+    On native values it also binds ``products`` (each value times each
+    factor) and ``dot`` (the sum of pairwise products)."""
 
     Z = "z"
     Q = "q"
@@ -359,6 +425,7 @@ class Ring(Enum):
         self.imaginary_unit = ops.imaginary_unit
         self.grammar_str, self.scaled = ops.grammar_str, ops.scaled
         self.natives, self.plan, self.element = ops.natives, ops.plan, ops.element
+        self.symmetric_plan, self.products, self.dot = ops.symmetric_plan, ops.products, ops.dot
         self._zero, self._one = self._type(0), self._type(1)
 
     @property

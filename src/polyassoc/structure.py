@@ -19,6 +19,8 @@ has coefficient g(R) * prod over r in R of c_(M_r) at the n x n 0/1 matrix
 M with nonempty rows R and rows M_r, and the column side the same with
 columns.  Each side has at most 2^(n^2) entries, 512 at n = 3.  At larger
 arities, and on input with a squared variable, the identity is sampled.
+Both routes run in the ring's native values (ints, or (re, im) pairs over
+Z[i]) and multiply no ring element.
 """
 
 from __future__ import annotations
@@ -67,21 +69,20 @@ def is_medial(p: SparsePoly) -> tuple[bool, str]:
     """Row/column interchange identity over an n x n matrix of arguments.
 
     For multilinear p at n <= 3 the check is exact and reads both sides
-    off p's coefficients (``_medial_sides``), reported as "symbolic": the
-    row side has coefficient g(R) * prod over r in R of c_(M_r) at the 0/1
-    matrix M with nonempty rows R and rows M_r, for g(R) = sum over T
-    containing R of c_T * c_0^|T-R|, and the column side the same with
-    columns; each side has at most 2^(n^2) entries.  For larger arities,
-    and for input with a squared variable, the identity is
+    off p's coefficients (``_medial_sides``, see the module docstring),
+    reported as "symbolic"; each side has at most 2^(n^2) entries.  For
+    larger arities, and for input with a squared variable, the identity is
     sampled at seeded points (``oracle._samples_agree``), each n x n matrix
-    drawn row-major, and the method is reported as such.  Both sides have
-    total degree at most deg(p)^2.
+    drawn row-major, in the evaluation order ``SparsePoly.plan`` picks, and
+    the method is reported as such.  Both sides have total degree at most deg(p)^2.
     """
     n = p.nvars
     ml = p.to_multilinear() if n <= 3 else None
     if ml is not None:
-        rows, cols = _medial_sides(ml)
-        return rows == cols, "symbolic"
+        # each side's keys are distinct: the sides agree iff each column entry is the row one
+        row_keys, col_keys, values = _medial_sides(ml)
+        rows = dict(zip(row_keys, values))
+        return list(map(rows.get, col_keys)) == values, "symbolic"
     return _samples_agree(p.ring, p.degree()**2, n * n, _sampled_sides(p), DEFAULT_SEED), "sampled"
 
 
@@ -99,11 +100,12 @@ def _sampled_sides(p: SparsePoly):
     return sides
 
 
-def _medial_sides(p: MultilinearPoly) -> tuple[dict, dict]:
-    """Both sides of the medial identity of multilinear p, as dicts from an
-    n x n 0/1 matrix M (entry (r, c) at bit r*n + c) to den^(n+1) times the
-    coefficient of the monomial that M marks, den the common denominator of
-    p's coefficients (``Ring.scaled``; 1 outside Q).
+def _medial_sides(p: MultilinearPoly) -> tuple[list, list, list]:
+    """Both sides of the medial identity of multilinear p: entry i is den^(n+1)
+    times the coefficient ``values[i]``, in native values, of the monomial that
+    n x n 0/1 matrix ``row_keys[i]`` marks on the row side and ``col_keys[i]`` on
+    the column side (entry (r, c) at bit r*n + c); den is the common
+    denominator of p's coefficients (``Ring.scaled``; 1 outside Q).
 
     With c_0 the constant term, p(X_r) = c_0 + y_r, so the row side
     p(p(X_1), .., p(X_n)) is q(y_1, .., y_n) for q(y) = p(y_1 + c_0, ..,
@@ -115,42 +117,42 @@ def _medial_sides(p: MultilinearPoly) -> tuple[dict, dict]:
     columns.  Each M comes from one R and one term of p per row of R, so no
     two entries merge, and each side has at most 2^(n^2) entries.  Scaled
     by den^(n+1), the coefficient at M is the sum over T containing R of
-    den^(n-|T|) * s_T * s_0^|T-R|, times the product of s_(M_r), for
-    s = den * c; so over Q every product is of ints.
+    s_T * s_0^|T-R| * den^(n-|T|), times the product of s_(M_r), for
+    s = den * c; the ring's native steps (``Ring.dot``, ``Ring.products``)
+    build both, and no ring element is multiplied.
     """
-    n = p.nvars
-    den, scaled = p.ring.scaled(p.coeffs.values())
-    coeffs = dict(zip(p.coeffs, scaled))
-    s0 = coeffs.get(0, 0)
-    powers = [s0**k for k in range(n + 1)]
-    weighted = [(t, s * den ** (n - t.bit_count())) for t, s in coeffs.items()]
-    # A key holds a matrix's row-side mask in its low n^2 bits and its
-    # column-side mask above them.  Term t put in row r of the row side sits
-    # at t << r*n; put in column r of the column side, its bit j sits at (j, r).
-    width = n * n
-    low = (1 << width) - 1
-    places = [
-        [((t << r * n) | sum(1 << (j * n + r) for j in range(n) if t >> j & 1) << width, s)
-         for t, s in coeffs.items() if t]
-        for r in range(n)
-    ]
-    rows: dict[int, object] = {}
-    cols: dict[int, object] = {}
-    for nonempty in range(1 << n):
-        g = sum(
-            w * powers[(t & ~nonempty).bit_count()]
-            for t, w in weighted if t & nonempty == nonempty
-        )
-        if not g:
+    ring, n = p.ring, p.nvars
+    den, scaled = ring.scaled(p.coeffs.values())
+    coeffs = dict(zip(p.coeffs, ring.natives(scaled)))
+    zero, den = ring.natives([0, den])
+    s0 = coeffs.get(0, zero)
+    # g(R) one variable j at a time: g(R) <- den * g(R) + s_0 * g(R + j) for R
+    # without j, unless both are zero
+    g = [coeffs.get(m, zero) for m in range(1 << n)]
+    for j in range(n):
+        bit = 1 << j
+        g = [v if m & bit or v == zero == g[m | bit] else ring.dot((v, g[m | bit]), (den, s0))
+             for m, v in enumerate(g)]
+    # Term t put in row r of the row side sits at t << r*n; put in column r of
+    # the column side, its bit j sits at (j, r), so at its bits spread n apart, << r.
+    terms = [t for t in coeffs if t]
+    factors = [coeffs[t] for t in terms]
+    spread = [sum(1 << j * n for j in range(n) if t >> j & 1) for t in terms]
+    places = [([t << r * n for t in terms], [t << r for t in spread]) for r in range(n)]
+    row_keys, col_keys, values = [], [], []
+    for nonempty, shifted in enumerate(g):
+        if shifted == zero:
             continue
-        side = {0: g}
-        for r in range(n):
+        rows, cols, side = [0], [0], [shifted]
+        for r, (row_at, col_at) in enumerate(places):
             if nonempty >> r & 1:
-                side = {key | at: v * s for key, v in side.items() for at, s in places[r]}
-        for key, v in side.items():
-            rows[key & low] = v
-            cols[key >> width] = v
-    return rows, cols
+                rows = [key + at for key in rows for at in row_at]
+                cols = [key + at for key in cols for at in col_at]
+                side = ring.products(side, factors)
+        row_keys += rows
+        col_keys += cols
+        values += side
+    return row_keys, col_keys, values
 
 
 def iterate_binary(op: SparsePoly, n: int) -> SparsePoly:

@@ -635,3 +635,81 @@ def test_substitution_bounds_values_that_share_a_variable():
         x = SparsePoly._trusted(ring, 1, {1: ring.one}, 1, 3)
         got = SparsePoly(ring, 2, {(1, 1): 1}).substitute([x, x])
         assert got.terms == {(2,): ring.one} and got.top == 2 and got.width == 3
+
+
+def _value_by_operators(p: SparsePoly, point):
+    """p at ``point`` by the ring's element operators, term by term."""
+    total = p.ring.zero
+    for exps, c in p.terms.items():
+        for x, e in zip(point, exps):
+            c = c * x**e
+        total = total + c
+    return total
+
+
+@st.composite
+def symmetric_points(draw):
+    """A symmetric multilinear p = sum c_k e_k over Z, Q or Z[i] at n = 1..7,
+    dense (every c_k nonzero), sparse (some c_k zero) or one-term (one c_k),
+    with a point of n coordinates."""
+    ring = draw(st.sampled_from([Ring.Z, Ring.Q, Ring.ZI]))
+    n = draw(st.integers(1, 7))
+    big = st.integers(-(2**70), 2**70)
+    if ring is Ring.Q:
+        element = st.builds(Fraction, big, st.integers(1, 2**40))
+    elif ring is Ring.ZI:
+        element = st.builds(GaussianInt, big, big)
+    else:
+        element = big
+    kind = draw(st.sampled_from(["dense", "sparse", "one-term"]))
+    sizes = [draw(element) for _ in range(n + 1)]
+    if kind == "sparse":
+        sizes = [c if draw(st.booleans()) else 0 for c in sizes]
+    elif kind == "one-term":
+        k = draw(st.integers(0, n))
+        sizes = [c if j == k else 0 for j, c in enumerate(sizes)]
+    return from_size_coeffs(ring, n, sizes), [draw(element) for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(symmetric_points())
+def test_both_evaluation_orders_equal_evaluate(case):
+    p, point = case
+    ring = p.ring
+    indices = [[j for j in range(p.nvars) if mask >> j & 1] for mask in p.coeffs]
+    term_kernel, term_plan = ring.plan(p.coeffs.values(), indices)
+    sizes = p._size_coeffs()
+    assert sizes is not None
+    symmetric_kernel, symmetric_plan = ring.symmetric_plan(sizes)
+    xs = ring.natives(point)
+    expected = _value_by_operators(p, point)
+    assert p.evaluate(point) == expected
+    assert ring.element(term_kernel(term_plan, xs)) == expected
+    assert ring.element(symmetric_kernel(symmetric_plan, xs)) == expected
+
+
+def test_plan_takes_the_symmetric_order_only_where_the_counts_favour_it(monkeypatch):
+    ops = Ring.Z._ops
+    dense = [from_size_coeffs(Ring.Z, n, [1] + [2] * n) for n in range(1, 9)]
+    assert [p.plan()[0] is ops.symmetric_kernel for p in dense] == [False] * 3 + [True] * 5
+    # counted out before symmetry is tested: sum |T| <= n * (degree + 1)
+    monkeypatch.setattr(SparsePoly, "_size_coeffs", lambda self: pytest.fail("symmetry tested"))
+    small = [
+        from_size_coeffs(Ring.Z, 3, [1, 2, 2, 2]),  # a census survivor's size
+        parse_poly("x1 + x2 + x3 + x4 + x5 + x6 + 1", 6, Ring.Z),
+        parse_poly("3*x1*x2*x3*x4*x5*x6*x7*x8", 8, Ring.Z),
+        parse_poly("x1^2*x2^2*x3^2*x4^2*x5^2 + x1*x2*x3*x4*x5 + 1", 5, Ring.Z),
+    ]
+    assert all(p.plan()[0] is ops.kernel for p in small)
+    monkeypatch.undo()
+    skewed = from_size_coeffs(Ring.Z, 5, [1] + [2] * 5) + parse_poly("x1*x2", 5, Ring.Z)
+    assert skewed.plan()[0] is ops.kernel  # counted in, then not symmetric
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 12), st.lists(st.integers(0, 2**12 - 1), max_size=40))
+def test_width_one_degree_is_the_bit_plane_sum(n, masks):
+    ml = MultilinearPoly(Ring.Z, n, {m & (1 << n) - 1: 1 for m in masks})
+    # the same table packed at width 3 takes the bit-plane sum
+    wide = SparsePoly._trusted(Ring.Z, n, ml._at(3), 1, 3)
+    assert ml.degree() == wide.degree() == max((sum(e) for e in ml.terms), default=0)

@@ -300,3 +300,39 @@ def test_zero_and_one_are_stored_once():
         assert ring.zero is ring.zero
         assert ring.one is ring.one
         assert (ring.zero, ring.one) == (ring.coerce(0), ring.coerce(1))
+
+
+def _divmod_by_elements(a: GaussianInt, b: GaussianInt) -> tuple:
+    """The Gaussian division by the element operators: t = a * conj(b) over
+    n = norm(b), rounded componentwise with ties up."""
+    n, t = b.norm, a * b.conjugate()
+    q = GaussianInt((2 * t.re + n) // (2 * n), (2 * t.im + n) // (2 * n))
+    return q, a - q * b
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(COMPONENTS, COMPONENTS, COMPONENTS, COMPONENTS)
+def test_gaussian_divmod_matches_the_element_formula(are, aim, bre, bim):
+    a, b = GaussianInt(are, aim), GaussianInt(bre, bim)
+    if not b:
+        b = GaussianInt(1, bim)
+    q, r = Ring.ZI._ops.divmod(a, b)
+    expected = _divmod_by_elements(a, b)
+    _assert_pair(q, (expected[0].re, expected[0].im))
+    _assert_pair(r, (expected[1].re, expected[1].im))
+    assert 2 * r.norm <= b.norm
+
+
+def test_gaussian_divmod_rounds_ties_up_in_every_quadrant():
+    # t / norm(b) lands halfway between two integers in one or both parts for
+    # divisors of even norm; every sign of a's parts is swept
+    ties = 0
+    for b in (GaussianInt(2), GaussianInt(0, 2), GaussianInt(1, 1), GaussianInt(-1, 1),
+              GaussianInt(2, 2), GaussianInt(3, 1), GaussianInt(-3, -1)):
+        for are in range(-6, 7):
+            for aim in range(-6, 7):
+                a = GaussianInt(are, aim)
+                t = a * b.conjugate()
+                ties += (2 * t.re) % (2 * b.norm) == b.norm or (2 * t.im) % (2 * b.norm) == b.norm
+                assert Ring.ZI._ops.divmod(a, b) == _divmod_by_elements(a, b)
+    assert ties > 100

@@ -186,11 +186,12 @@ def test_is_medial_matches_the_substitution(p):
 def test_sampled_medial_check_equals_the_symbolic_verdict(p, seed):
     # one or two points of the full 64-bit box separate the medial tables
     # from the rest, at any seed
-    rows, cols = structure._medial_sides(p.to_multilinear())
-    event("medial" if rows == cols else "not medial")
+    row_keys, col_keys, values = structure._medial_sides(p.to_multilinear())
+    medial = dict(zip(row_keys, values)) == dict(zip(col_keys, values))
+    event("medial" if medial else "not medial")
     sides = structure._sampled_sides(p)
     ok = structure._samples_agree(p.ring, p.degree() ** 2, p.nvars ** 2, sides, seed)
-    assert ok == (rows == cols)
+    assert ok == medial
 
 
 def test_is_medial_reads_multilinear_input_without_substituting(monkeypatch):
@@ -346,3 +347,19 @@ def test_skew_present_iff_group_on_whole_ring():
     for cls, ring, n in cases:
         group, skew, _ = cls.group(ring, n)
         assert (skew is not None) == (group == "yes")
+
+
+def test_exact_medial_route_multiplies_no_gaussian_integer(monkeypatch):
+    # the Z[i] shifted product of the benchmark's analyze requests at n = 3
+    p = parse_poly("(-1-i)*(x1 + (-1-2*i))*(x2 + (-1-2*i))*(x3 + (-1-2*i)) - (-1-2*i)", 3, Ring.ZI)
+    skewed = p + parse_poly("i*x1*x2", 3, Ring.ZI)
+
+    def refuse(self, other):
+        raise AssertionError("a GaussianInt was multiplied")
+
+    monkeypatch.setattr(GaussianInt, "__mul__", refuse)
+    monkeypatch.setattr(GaussianInt, "__rmul__", refuse)
+    row_keys, col_keys, values = structure._medial_sides(p.to_multilinear())
+    assert len(values) == 2**9 and {type(v) for v in values} == {tuple}
+    assert is_medial(p) == (True, "symbolic")
+    assert is_medial(skewed) == (False, "symbolic")
