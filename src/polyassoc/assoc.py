@@ -170,8 +170,13 @@ def _prefix_witness(p: MultilinearPoly) -> CompositionWitness | None:
     W = M >> 1, is [W = 0]*c_O + c_(O | 2)*c_W.  So both are zero unless
     M <= 1, M is a term of p and c_1 != 0, or M = 2T + b for a term T and
     c_(2 | b) != 0: at most 3t + 2 masks, each read through ``_pulled_masks``.
+    The coefficients are read scaled to integers over their common
+    denominator den (``Ring.scaled``), so both sides are den^2 times their
+    value; a witness's are divided back.
     """
-    n, c, zero = p.n, p.coeffs, p.ring.zero
+    ring, n = p.ring, p.n
+    den, (zero, *scaled) = ring.scaled([ring.zero, *p.coeffs.values()])
+    c = dict(zip(p.coeffs, scaled))
     masks = {0, 1}
     if 1 in c:
         masks.update(c)
@@ -180,21 +185,25 @@ def _prefix_witness(p: MultilinearPoly) -> CompositionWitness | None:
             masks.update(2 * t + b for t in c if t >> (n - 1) == 0)
     get = c.get
     for mask in sorted(masks):
-        lhs, rhs = _pulled(get, zero, n, 1, mask), _pulled(get, zero, n, 2, mask)
+        lhs, rhs = _pulled(get, zero, den, n, 1, mask), _pulled(get, zero, den, n, 2, mask)
         if lhs != rhs:
+            lhs, rhs = ring.exact_div(lhs, den * den), ring.exact_div(rhs, den * den)
             return CompositionWitness(2, _unpack(mask, 2 * n - 1, 1), lhs, rhs)
     return None
 
 
-def _pulled(get, zero, n: int, slot: int, mask: int):
-    """The slot composition's coefficient at ``mask``, [W = 0]*c_O + c_(O | {s})*c_W,
-    read through p's ``get``; a missing product is not formed."""
+def _pulled(get, zero, den: int, n: int, slot: int, mask: int):
+    """den^2 times the slot composition's coefficient at ``mask``, [W = 0]*den*c_O
+    + c_(O | {s})*c_W, read through ``get`` of p's coefficients scaled by den;
+    a missing product is not formed."""
     outer, nested, window = _pulled_masks(n, slot, mask)
     a, w = get(nested), get(window)
     product = None if a is None or w is None else a * w
     if window:
         return zero if product is None else product
     value = get(outer, zero)
+    if den != 1:
+        value *= den
     return value if product is None else value + product
 
 

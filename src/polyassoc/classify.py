@@ -324,9 +324,10 @@ def _families(p: MultilinearPoly) -> list[Classification]:
     shifted product with scale a and offset c/a, c being the coefficient on
     x1*...*x(n-1); it rebuilds p iff p holds exactly the masks of the sizes
     its ladder gives a nonzero c_k, each with that c_k, so no table of up to
-    2^n masks is built.  Otherwise the candidates are the five linear
-    families with parameters read off p, each compared with its reconstruction,
-    and a mask of two or more variables rules them all out at once.
+    2^n masks is built.  Otherwise the candidates are the linear families
+    whose masks have p's shape (constant: none of one bit; projection:
+    exactly one; sum: all n), with parameters read off p, each compared with
+    its reconstruction, and a mask of two or more variables rules them all out.
     """
     ring, n, coeffs = p.ring, p.n, p.coeffs
     a = p.coeff((1 << n) - 1)
@@ -343,11 +344,12 @@ def _families(p: MultilinearPoly) -> list[Classification]:
         return [product] if rebuilt else []
     if any(m & (m - 1) for m in coeffs):  # every linear family's masks have at most one bit
         return []
-    c0 = p.coeff(0)
-    candidates = [
-        Constant(c0), LeftProjection(), RightProjection(), TranslatedSum(c0),
-        TwistedSum(p.coeff(0b10)),
-    ]
+    c0, singles = p.coeff(0), len(coeffs) - (0 in coeffs)  # the masks of one bit
+    candidates = [Constant(c0)] if not singles else []
+    if singles == 1:
+        candidates += [LeftProjection(), RightProjection()]
+    elif singles == n:  # a sum's weights are all nonzero
+        candidates += [TranslatedSum(c0), TwistedSum(p.coeff(0b10))]
     matches = []
     for cls in candidates:
         try:

@@ -1,11 +1,12 @@
 """Implementation-independent verification and exhaustive search.
 
 The pointwise checks avoid the closed-form composition machinery: multilinear
-associativity is checked exactly at the 0/1 points that can carry a
-monomial, a family of points at a time, each composition affine in one
-subset sum of p's coefficients there, and probabilistically by evaluating
-the compositions at random samples; other input, never associative, is
-checked by its per-variable degrees.
+associativity is checked exactly on the 0/1 grid, for a symmetric p from its
+n+1 point values and otherwise at the points that can carry a monomial, a
+family of points at a time, each composition affine in one subset sum of p's
+coefficients there, and probabilistically by evaluating the compositions at
+random samples; other input, never associative, is checked by its
+per-variable degrees.
 The enumerator walks entire boxes of multilinear coefficient tables, one
 value list at a time with c_0's last, checks each slot composition equation
 once its coefficients are set, so a failure settles a whole sub-box, and
@@ -261,6 +262,22 @@ def _relation(sums: _SubsetSums, n: int, key: int, parts: set[int]) -> tuple:
 
 
 def _assoc_on_support(p: MultilinearPoly) -> bool:
+    """The n-1 equations of multilinear p on the 0/1 grid: from p's n+1 point
+    values when p is symmetric, else by family (``assoc_pointwise``)."""
+    sizes = p._size_coeffs()
+    if sizes is None:
+        return _assoc_by_families(p)
+    den, diffs = p.ring.scaled(sizes + [p.ring.zero] * (p.n + 1 - len(sizes)))
+    values = []  # S_j = den * p(1_j), the value at j ones, by forward differences
+    while diffs:
+        values.append(diffs[0])
+        diffs = [x + y for x, y in zip(diffs, diffs[1:])]
+    steps = [y - x for x, y in zip(values, values[1:])]  # T_j = S_(j+1) - S_j
+    lowered = [v - den for v in values[1:]]
+    return all(t * w == u * v for t, u in zip(steps, steps[1:]) for v, w in zip(values, lowered))
+
+
+def _assoc_by_families(p: MultilinearPoly) -> bool:
     """The n-1 equations of multilinear p, each checked once per family of its
     candidate 0/1 points (``assoc_pointwise``)."""
     n, m, masks = p.nvars, 2 * p.nvars - 1, list(p.coeffs)
@@ -307,15 +324,24 @@ def assoc_pointwise(p: SparsePoly, cfg: OracleConfig) -> bool:
     keeps its guard: equation i raises ``BudgetError`` when the grid one
     past each variable's degree in either composition would pass it.
 
-    Grid mode is exact.  For multilinear p, equation s (slot s against slot
-    s+1) need only hold at the 0/1 indicator points of the masks that either
-    composition can hold by substitution: at the point 1_S of an
-    inclusion-minimal monomial S of a nonzero difference D of the two, every
-    other monomial of D vanishes, so D(1_S) = coef(S) != 0 (the
-    minimal-monomial argument; Klivans and Spielman 2001).  The guard bounds
-    these candidates over all n-1 equations, from the term counts, before
-    any subset sum is read: t masks per term with x_s and one per other
-    term, at most 2^(2n-1) per equation.  They are checked by family
+    Grid mode is exact.  A multilinear difference that vanishes on {0,1}^(2n-1)
+    is zero.  Symmetric p (``SparsePoly._size_coeffs``, O(t)) takes the value
+    S_j / den at any point with j ones (S_j by forward differences of the
+    scaled size coefficients, ``Ring.scaled``).  At a point with a = x_s,
+    b = x_(s+n), m ones in x_(s+1)..x_(s+n-1) and r elsewhere, den^2 times
+    slot s is den * S_(r+b) + T_(r+b) * S_(a+m), T_j = S_(j+1) - S_j, and slot
+    s+1 swaps a and b.  So every equation holds iff T_r * (S_(m+1) - den) =
+    T_(r+1) * S_m for all r < n-1 and m < n: n(n-1) comparisons, no guard.
+
+    Any other multilinear p is checked by family (``_assoc_by_families``).
+    Equation s (slot s against slot s+1) need only hold at the 0/1 indicator
+    points of the masks that either composition can hold by substitution: at
+    the point 1_S of an inclusion-minimal monomial S of a nonzero difference
+    D of the two, every other monomial of D vanishes, so D(1_S) = coef(S) !=
+    0 (the minimal-monomial argument; Klivans and Spielman 2001).  The guard
+    bounds these candidates over all n-1 equations, from the term counts,
+    before any subset sum is read: t masks per term with x_s and one per
+    other term, at most 2^(2n-1) per equation.  They are checked by family
     (``_families``), the points that agree outside C = x_(s+1)..x_(s+n-1).
     With S(T) = den * p(1_T), a subset sum of p's scaled coefficients, and
     p = A + x_s B, den^2 times the two sides there are alpha + beta * u(C)
@@ -325,7 +351,8 @@ def assoc_pointwise(p: SparsePoly, cfg: OracleConfig) -> bool:
     at one C0 and beta * U = delta * V, for U = u - u(C0), V = v - v(C0):
     one product comparison at a C1 where (U, V) != 0 when U and V are
     proportional on the family's C's, else beta = delta = 0 (``_relation``).
-    No composition is evaluated; a dense table costs (n-1) * 2^n family checks.
+    No composition is evaluated; a dense non-symmetric table costs (n-1) * 2^n
+    family checks.
 
     Random mode compares the n slot compositions of multilinear p, in native
     values (``_compositions``), at seeded points (``_samples_agree``).  Their

@@ -603,8 +603,9 @@ SP8 = "-1 + 2*" + "*".join(f"(x{k} + 1)" for k in range(1, 9))
 
 
 def test_dense_shifted_product_is_checked_exactly_from_subset_sums(capsys):
-    # 2^8 terms: each equation's candidates are its whole 2^15-point grid,
-    # checked as 2^8 families of 2^7 points each
+    # 2^8 terms, each equation's whole 2^15-point grid: symmetric, so the grid
+    # oracle checks it from its nine point values (the subset-sum family route
+    # on the same table is timed in test_oracle.py)
     with alarm_after(3):
         code, out, _ = run(capsys, "analyze", "--ring", "z", "--n", "8", "--poly", SP8,
                            "--format", "json")

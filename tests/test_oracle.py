@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import os
 import signal
@@ -34,6 +35,7 @@ from polyassoc import (
     is_associative,
     parse_poly,
     reconstruct,
+    verify_condpol,
 )
 from polyassoc import assoc, oracle, structure
 from polyassoc.cli import main
@@ -352,8 +354,10 @@ def test_grid_guard(monkeypatch):
     with pytest.raises(BudgetError):
         polys_equal_oracle(big, big, OracleConfig(mode="grid"))
     # multilinear: a one-term product needs at most two points per equation,
-    # so n = 10 stays exact although its nine 2^19-point grids do not fit
+    # so n = 10 stays exact by family although its nine 2^19-point grids do
+    # not fit; being symmetric, it is also exact by its point values
     one_term = SparsePoly(Ring.Z, 10, {(1,) * 10: 1})
+    assert oracle._assoc_by_families(one_term.to_multilinear())
     assert assoc_pointwise(one_term, OracleConfig(mode="grid"))
     assert assoc_pointwise(one_term, OracleConfig(mode="random"))
 
@@ -363,19 +367,23 @@ def test_grid_guard(monkeypatch):
 
     monkeypatch.setattr(oracle, "_subset_sum", no_sums)
     # n = 14, every subset of size <= 3: 470 terms, 92 of them with x_s, so
-    # each slot may give 92 * 470 + 378 masks and each equation twice that
+    # each slot may give 92 * 470 + 378 masks and each equation twice that;
+    # x1's coefficient 2 keeps the table off the symmetric route
     small_sets = {
         tuple(1 if j in s else 0 for j in range(14)): 1
         for k in range(4)
         for s in combinations(range(14), k)
     }
+    small_sets[(1,) + (0,) * 13] = 2
     with pytest.raises(BudgetError) as err:
         assoc_pointwise(SparsePoly(Ring.Z, 14, small_sets), OracleConfig(mode="grid"))
     assert err.value.required == 13 * 2 * (92 * 470 + 378)
-    # the dense table at n = 10: each equation is capped by its 2^19-point grid
-    dense = SparsePoly(Ring.Z, 10, {e: 1 for e in product((0, 1), repeat=10)})
+    # the dense table at n = 10, x1's coefficient 2: each equation is capped
+    # by its 2^19-point grid
+    dense = {e: 1 for e in product((0, 1), repeat=10)}
+    dense[(1,) + (0,) * 9] = 2
     with pytest.raises(BudgetError) as err:
-        assoc_pointwise(dense, OracleConfig(mode="grid"))
+        assoc_pointwise(SparsePoly(Ring.Z, 10, dense), OracleConfig(mode="grid"))
     assert err.value.required == 9 * 2**19
 
 
@@ -494,7 +502,8 @@ def test_every_monomial_of_both_compositions_is_checked(monkeypatch):
     # every monomial of slot s's and slot s+1's compositions.  Each
     # equation's families are recorded with their source kinds, and each set
     # of window parts with its key, the family bits a, b and the kinds; the
-    # stub passes every family, so that each is reached.
+    # stub passes every family, so that each is reached.  The family route
+    # is called directly, since symmetric tables do not reach it.
     families, parts = {}, {}
     find_families, window_parts = oracle._families, oracle._window_parts
 
@@ -523,8 +532,8 @@ def test_every_monomial_of_both_compositions_is_checked(monkeypatch):
         p = parse_poly(text, n, Ring.Z)
         families.clear()
         parts.clear()
-        assert assoc_pointwise(p, OracleConfig(mode="grid"))
         ml = p.to_multilinear()
+        assert oracle._assoc_by_families(ml)
         for s in range(1, n):
             checked = {
                 (k, c)
@@ -609,7 +618,7 @@ def test_grid_mode_reads_subset_sums_alone(monkeypatch):
 
 
 def test_each_subset_sum_is_computed_once(monkeypatch):
-    # each subset sum is kept once computed, across all equations
+    # each subset sum of the family route is kept once computed, across all equations
     sums = []
     subset_sum = oracle._subset_sum
 
@@ -623,13 +632,13 @@ def test_each_subset_sum_is_computed_once(monkeypatch):
     for text, n in cases:
         sums.clear()
         p = parse_poly(text, n, Ring.Z)
-        assert assoc_pointwise(p, OracleConfig(mode="grid")) == is_associative(p).associative
+        assert oracle._assoc_by_families(p.to_multilinear()) == is_associative(p).associative
         assert sums and len(sums) == len(set(sums)), text
 
 
 def test_dense_shifted_product_grid_finishes_quickly():
     # SP(9) = -1 + 2*(x1 + 1)*...*(x9 + 1): 512 terms, every equation's whole
-    # 2^17-point grid a candidate, so (n-1) * 2^n family checks
+    # 2^17-point grid a candidate, so (n-1) * 2^n family checks on the family route
     p = from_size_coeffs(Ring.Z, 9, [1] + [2] * 9)
 
     def expire(signum, frame):
@@ -638,10 +647,59 @@ def test_dense_shifted_product_grid_finishes_quickly():
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(1)
     try:
-        assert assoc_pointwise(p, OracleConfig(mode="grid"))
+        assert oracle._assoc_by_families(p)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@st.composite
+def symmetric_sizes(draw):
+    """c_0 .. c_n of a symmetric table at n = 2..7 over Z, Q or Z[i]: a shifted
+    product, one with a size coefficient changed, a translated sum, or a
+    random list."""
+    ring = draw(st.sampled_from(list(COEFFS)))
+    n, coeffs = draw(st.integers(2, 7)), COEFFS[ring]
+    kind = draw(st.sampled_from(["product", "changed", "sum", "random"]))
+    if kind == "sum":
+        return ring, n, [draw(coeffs), 1] + [0] * (n - 1)
+    if kind == "random":
+        return ring, n, draw(st.lists(coeffs, min_size=n + 1, max_size=n + 1))
+    a, b = draw(coeffs.filter(bool)), draw(coeffs)
+    sizes = [a * b**n - b] + [a * b ** (n - k) for k in range(1, n + 1)]
+    if kind == "changed":
+        sizes[draw(st.integers(0, n))] += draw(coeffs.filter(bool))
+    return ring, n, sizes
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(symmetric_sizes())
+def test_symmetric_route_agrees_with_the_families_and_the_decision(case):
+    ring, n, sizes = case
+    p = from_size_coeffs(ring, n, sizes)
+    assert p._size_coeffs() is not None
+    expected = is_associative(p).associative
+    event("associative" if expected else "not associative")
+    assert oracle._assoc_on_support(p) == expected
+    assert oracle._assoc_by_families(p) == expected
+    assert verify_condpol([ring.coerce(c) for c in sizes]) == expected
+
+
+def test_symmetric_tables_take_no_family_work(monkeypatch, capsys):
+    # SP(n) is checked from its n+1 point values at every arity: no subset
+    # sum is read and no family checked, so no guard applies
+    def unreachable(*args):
+        raise AssertionError("a symmetric table reached the family route")
+
+    monkeypatch.setattr(oracle, "_subset_sum", unreachable)
+    monkeypatch.setattr(oracle, "_family_holds", unreachable)
+    for n in range(4, 15):
+        sp = from_size_coeffs(Ring.Z, n, [1] + [2] * n)
+        assert assoc_pointwise(sp, OracleConfig(mode="grid"))
+    for n in range(10, 14):
+        text = "-1 + 2*" + "*".join(f"(x{j} + 1)" for j in range(1, n + 1))
+        assert main(["check", "--ring", "z", "--n", str(n), "--poly", text, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["oracle"] == {"mode": "grid", "agrees": True}
 
 
 @st.composite

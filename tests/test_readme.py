@@ -1,4 +1,5 @@
 import ast
+import json
 import re
 import shlex
 import shutil
@@ -34,6 +35,20 @@ def test_command_line_examples_run(tmp_path, capsys):
             argv[argv.index("--out") + 1] = str(tmp_path)
         assert main(argv) == 0, argv
     assert (tmp_path / "census.csv").exists()
+
+
+def test_oracle_mode_examples_report_their_modes(capsys):
+    # each grid or random example the README states is run and reports its mode
+    text = README.read_text()
+    section = text[text.index("## Randomness"):]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    examples = [re.fullmatch(r'(.*?)\s*# "mode": "(\w+)"', line) for line in block.splitlines()]
+    assert len(examples) == 3 and all(examples)
+    for command, mode in (m.groups() for m in examples):
+        argv = shlex.split(command)
+        assert argv[0] == "polyassoc"
+        assert main(argv[1:] + ["--format", "json"]) == 0, command
+        assert json.loads(capsys.readouterr().out)["oracle"] == {"mode": mode, "agrees": True}
 
 
 def test_readme_states_the_parsers_pair_budget():
