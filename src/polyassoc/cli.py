@@ -6,10 +6,10 @@ Subcommands ``check``, ``classify``, and ``analyze`` take ``--ring z|q|zi``,
 0 analysis completed (whatever the verdict), 1 parse error, 2 invalid
 flags, budget or output directory, 3 internal invariant violation.
 
-A report request written as ``--flag value`` pairs, each flag once and no
-value starting with ``-``, is read by one scan of the argument list
-(``_scan``); every other argument list, and ``enumerate``, goes to argparse,
-which is imported and built only then.
+A request whose flags are written in full, each once, with no value
+starting with ``-`` and every value valid, is read by one scan of the
+argument list (``_scan``); every other argument list goes to argparse, which
+is imported and built only then.
 """
 
 from __future__ import annotations
@@ -67,6 +67,25 @@ REPORT_COMMANDS = {
 }
 RINGS = tuple(r.value for r in Ring)
 FORMATS = ("text", "json")
+
+
+# What ``_scan`` reads, by command: each flag's kind (str, int, the tuple of
+# its choices, or bool for a switch) and default, as ``build_parser`` has them.
+REQUIRED = object()
+_REPORT_FLAGS = {
+    "--ring": (RINGS, REQUIRED), "--n": (int, REQUIRED), "--poly": (str, REQUIRED),
+    "--format": (FORMATS, FORMATS[0]),
+}
+SCAN_FLAGS = {
+    **dict.fromkeys(REPORT_COMMANDS, _REPORT_FLAGS),
+    "enumerate": {
+        "--ring": (tuple(r.value for r in Ring if not r.is_field), REQUIRED),
+        "--n": (int, REQUIRED), "--bound": (int, REQUIRED), "--out": (str, REQUIRED),
+        "--jobs": (int, 1), "--seed": (int, DEFAULT_SEED), "--budget": (int, DEFAULT_BUDGET),
+        "--prune": (bool, False), "--dump-candidates": (bool, False),
+    },
+}
+_DESTS = {f: f[2:].replace("-", "_") for flags in SCAN_FLAGS.values() for f in flags}
 
 
 class UsageError(Exception):
@@ -318,31 +337,35 @@ def _join_poly_values(argv: list[str]) -> list[str]:
 
 
 def _scan(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace argparse builds for ``check``, ``classify`` or ``analyze``
-    followed by ``--ring``, ``--n``, ``--poly`` and optionally ``--format``,
-    each once and as a separate token, when no value starts with ``-``, the
-    ring and format are among the parser's choices and ``int`` accepts the
-    arity; None for any other argument list, which argparse reads."""
-    if len(argv) not in (7, 9) or argv[0] not in REPORT_COMMANDS:
+    """The namespace argparse builds for a command whose flags (``SCAN_FLAGS``)
+    are each given at most once, by full name, as separate tokens, with the
+    required ones present, no value starting with ``-``, every choice among
+    the parser's and every ``int`` value accepted by ``int``; None for any
+    other argument list, which argparse reads."""
+    flags = SCAN_FLAGS.get(argv[0]) if argv else None
+    if flags is None:
         return None
-    pairs = dict(zip(argv[1::2], argv[2::2]))
-    if 2 * len(pairs) + 1 != len(argv) or any(v.startswith("-") for v in pairs.values()):
-        return None  # a repeated flag, or a value argparse would read as an option
-    values = {"--format": FORMATS[0], **pairs}
-    if (
-        values.keys() != {"--ring", "--n", "--poly", "--format"}
-        or values["--ring"] not in RINGS
-        or values["--format"] not in FORMATS
-    ):
+    values: dict = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag not in flags or flag in values:
+            return None  # a repeated, abbreviated or unknown flag
+        kind = flags[flag][0]
+        if kind is bool:
+            values[flag] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-") or (type(kind) is tuple and value not in kind):
+            return None  # no value, one argparse would read as an option, or a refused choice
+        try:
+            values[flag] = int(value) if kind is int else value
+        except ValueError:
+            return None
+    args = {_DESTS[f]: values.get(f, default) for f, (_, default) in flags.items()}
+    if REQUIRED in args.values():
         return None
-    try:
-        n = int(values["--n"])
-    except ValueError:
-        return None
-    return SimpleNamespace(
-        command=argv[0], ring=values["--ring"], n=n, poly=values["--poly"],
-        format=values["--format"], func=cmd_report,
-    )
+    func = cmd_enumerate if argv[0] == "enumerate" else cmd_report
+    return SimpleNamespace(command=argv[0], **args, func=func)
 
 
 def main(argv=None) -> int:

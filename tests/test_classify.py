@@ -36,7 +36,7 @@ from polyassoc import (
 )
 from polyassoc.assoc import AssocVerdict, CompositionWitness
 from polyassoc.classify import InternalInvariantError, LinearFamily, Reduction, classify_associative
-from polyassoc.oracle import CensusRow, EnumerationResult
+from polyassoc.census import CensusRow, EnumerationResult
 from polyassoc.structure import StructureReport
 
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"

@@ -8,10 +8,11 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import polyassoc.assoc as assoc
+import polyassoc.census as census
 import polyassoc.cli as cli
 import polyassoc.oracle as oracle
 from polyassoc import (
@@ -789,16 +790,16 @@ def test_enumerate_spot_check_failure_exit_code(tmp_path, capsys, monkeypatch):
 
 def walk_order(n: int, ring: Ring, bound: int) -> list:
     """The survivors of an unpruned box in the order the walk finds them (one chunk)."""
-    return oracle._enumerate_chunk((ring, n, bound, ring.box(bound), False))[2]
+    return census._enumerate_chunk((ring, n, bound, ring.box(bound), False))[2]
 
 
 def test_enumerate_composition_paths_disagreeing_exit_3(tmp_path, capsys, monkeypatch):
     # the leaf's substitution made wrong at slot 2 by one added term; the
     # walk's first table is the first checked against it
     first = walk_order(2, Ring.Z, 1)[0]
-    substitute = oracle.compose_substitution
+    substitute = census.compose_substitution
     monkeypatch.setattr(
-        oracle, "compose_substitution",
+        census, "compose_substitution",
         lambda p, slot: substitute(p, slot) + int(slot == 2),
     )
     code, out, err = run(
@@ -820,7 +821,7 @@ def test_enumerate_compares_the_composition_paths_as_polynomials(
     # exponent doubled, one variable more, or the same coefficients over Q
     # (1 == Fraction(1))
     first = next(p for p in walk_order(2, Ring.Z, 1) if p.degree())
-    substitute = oracle.compose_substitution
+    substitute = census.compose_substitution
 
     def wrong_substitute(p, slot):
         q = substitute(p, slot)
@@ -832,7 +833,7 @@ def test_enumerate_compares_the_composition_paths_as_polynomials(
             return SparsePoly(q.ring, q.nvars + 1, {x + (0,): c for x, c in q.terms.items()})
         return SparsePoly(Ring.Q, q.nvars, q.terms)
 
-    monkeypatch.setattr(oracle, "compose_substitution", wrong_substitute)
+    monkeypatch.setattr(census, "compose_substitution", wrong_substitute)
     code, out, err = run(
         capsys, "enumerate", "--ring", "z", "--n", "2", "--bound", "1",
         "--out", str(tmp_path / "census"),
@@ -862,7 +863,7 @@ def test_enumerate_spot_checks_every_survivor_by_every_route(tmp_path, capsys, m
     for name in ("compose_closed_form", "compose_substitution", "assoc_pointwise"):
         original = getattr(assoc, name, None) or getattr(oracle, name)
         wrapper = counted(name, original)
-        for module in (assoc, oracle, cli):
+        for module in (assoc, census, oracle, cli):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapper)
     code, _, _ = run(
@@ -895,7 +896,7 @@ def test_enumerate_checks_the_closed_forms_the_walk_kept(
     from polyassoc import MultilinearPoly
 
     first = next(p for p, _ in enumerate_associative(3, Ring.Z, 1).survivors if p.degree())
-    closed_form = oracle.compose_closed_form
+    closed_form = census.compose_closed_form
 
     def wrong_closed_form(p, slot):
         q = closed_form(p, slot)
@@ -903,7 +904,7 @@ def test_enumerate_checks_the_closed_forms_the_walk_kept(
             return q
         return MultilinearPoly(q.ring, q.n, {**q.coeffs, 0: q.coeff(0) + 1})
 
-    monkeypatch.setattr(oracle, "compose_closed_form", wrong_closed_form)
+    monkeypatch.setattr(census, "compose_closed_form", wrong_closed_form)
     code, out, err = run(
         capsys, "enumerate", "--ring", "z", "--n", "3", "--bound", "1",
         "--out", str(tmp_path / "census"),
@@ -942,14 +943,12 @@ def test_enumerate_draws_each_sample_set_once(tmp_path, capsys, monkeypatch):
 def test_enumerate_walk_missing_a_slot_pair_exits_3_at_a_leaf(
     tmp_path, capsys, monkeypatch, n, slot, table
 ):
-    import polyassoc.oracle as oracle
-
     # the equation builder reads ``slot`` as slot - 1, so the equations of
     # that slot pair have equal sides and are dropped; the leaves the walk
     # then keeps are confirmed by the decision, which rejects one
-    reads = oracle._pulled_masks
+    reads = census._pulled_masks
     monkeypatch.setattr(
-        oracle, "_pulled_masks", lambda n, s, mask: reads(n, s - (s == slot), mask)
+        census, "_pulled_masks", lambda n, s, mask: reads(n, s - (s == slot), mask)
     )
     code, out, err = run(
         capsys, "enumerate", "--ring", "z", "--n", str(n), "--bound", "1",
@@ -1062,18 +1061,64 @@ def report_like_argvs(draw):
     return argv
 
 
-@settings(max_examples=400, deadline=None, database=None)
-@given(report_like_argvs())
+ENUMERATE_VALUES = {  # flag: (values argparse accepts, values it refuses or reads as options)
+    "--ring": (["z", "zi"], ["q", "Z", "-z"]),
+    "--n": (["3", "+3", " 3", "\u0663"], ["-3", "3.0", ""]),
+    "--bound": (["1", "0", "1_0"], ["-1", "b"]),
+    "--out": (["out", "census/", "", "a=b", "x y"], ["-o"]),
+    "--jobs": (["1", "2", "0"], ["-1", "two"]),
+    "--seed": (["77", "5 "], ["-5", "0x10"]),
+    "--budget": (["1000"], ["1e6", "-1"]),
+}
+ENUMERATE_OPTIONALS = ["--jobs", "--seed", "--budget", "--prune", "--dump-candidates"]
+ENUMERATE_TOKENS = [
+    "enumerate", "check", "--prune", "--dump-candidates", "--pru", "--dump", "--bo", "--n",
+    "--ring", "--seed=5", "--ring=zi", "--out=x", "--poly", "-h", "--", "q", "zi", "3", "-1",
+]
+
+
+@st.composite
+def enumerate_like_argvs(draw):
+    """An enumerate request in shuffled flag order, with optional flags dropped,
+    then up to three token edits (a repeated switch, ``--flag=value``, ...)."""
+    flags = list(ENUMERATE_VALUES) + ["--prune", "--dump-candidates"]
+    flags = [f for f in draw(st.permutations(flags))
+             if f not in ENUMERATE_OPTIONALS or draw(st.booleans())]
+    argv = ["enumerate" if draw(st.integers(0, 5)) else "check"]
+    for flag in flags:
+        if flag in ENUMERATE_VALUES:
+            valid, odd = ENUMERATE_VALUES[flag]
+            argv += [flag, draw(st.sampled_from(valid if draw(st.integers(0, 5)) else odd))]
+        else:
+            argv.append(flag)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        k = draw(st.integers(0, len(argv) - 1))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        token = draw(st.sampled_from(ENUMERATE_TOKENS))
+        argv[k:k + (edit != "insert")] = [] if edit == "delete" else [token]
+    return argv
+
+
+@settings(max_examples=800, deadline=None, database=None)
+@given(st.one_of(report_like_argvs(), enumerate_like_argvs()))
 @example(["check", "--ring", "z", "--n", "3", "--format", "json"])
 @example(["check", "--ring", "r", "--ring", "z", "--n", "3", "--poly", "x1"])
 @example(["analyze", "--poly", "", "--format", "json", "--n", "+3", "--ring", "zi"])
+@example(["enumerate", "--out", "x y", "--prune", "--n", "+3", "--bound", "0", "--ring", "zi"])
+@example(["enumerate", "--ring", "z", "--n", "2", "--bound", "1", "--out", "o", "--prune",
+          "--prune"])
+@example(["enumerate", "--ring", "q", "--n", "2", "--bound", "1", "--out", "o"])
+@example(["enumerate", "--ring", "z", "--n", "2", "--bo", "1", "--out", "o"])
+@example(["enumerate", "--ring=z", "--n", "2", "--bound", "1", "--out", "o"])
+@example(["enumerate", "--ring", "z", "--n", "2", "--bound", "-1", "--out", "o"])
 def test_scan_builds_the_namespace_argparse_builds(argv):
     scanned = cli._scan(argv)
+    event("scanned" if scanned is not None else "left to argparse")
     if scanned is not None:
         assert vars(build_parser().parse_args(argv)) == vars(scanned)
 
 
-def test_scan_reads_every_benchmark_request_and_no_census_box():
+def test_scan_reads_every_benchmark_request_and_every_census_box():
     bench = str(Path(__file__).resolve().parents[1] / "bench")
     if bench not in sys.path:
         sys.path.insert(0, bench)
@@ -1083,7 +1128,8 @@ def test_scan_reads_every_benchmark_request_and_no_census_box():
         for request in workloads.request_list(workload, 1):
             assert cli._scan(list(request.argv)) is not None, request.argv
     for box in workloads.CENSUS_BOXES:
-        assert cli._scan(box.argv("out", 1)) is None
+        argv = box.argv("out", 1)
+        assert vars(cli._scan(argv)) == vars(build_parser().parse_args(argv)), argv
 
 
 @pytest.mark.parametrize(

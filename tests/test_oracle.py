@@ -4,7 +4,7 @@ import os
 import signal
 from fractions import Fraction
 from itertools import combinations, product
-from math import prod
+from math import comb, prod
 
 import pytest
 from hypothesis import event, given, settings
@@ -37,7 +37,7 @@ from polyassoc import (
     reconstruct,
     verify_condpol,
 )
-from polyassoc import assoc, oracle, structure
+from polyassoc import assoc, census, oracle, structure
 from polyassoc.cli import main
 
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
@@ -610,8 +610,8 @@ def test_grid_mode_reads_subset_sums_alone(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the grid route left its subset sums")
 
-    for module, name in [(assoc, "compose_closed_form"), (oracle, "_pulled_masks"),
-                         (oracle, "_leaf_check"), (SparsePoly, "substitute"),
+    for module, name in [(assoc, "compose_closed_form"), (assoc, "_pulled_masks"),
+                         (census, "_leaf_check"), (SparsePoly, "substitute"),
                          (SparsePoly, "plan")]:
         monkeypatch.setattr(module, name, unreachable)
     assert [assoc_pointwise(p, OracleConfig(mode="grid")) for p in cases] == expected
@@ -683,6 +683,25 @@ def test_symmetric_route_agrees_with_the_families_and_the_decision(case):
     assert oracle._assoc_on_support(p) == expected
     assert oracle._assoc_by_families(p) == expected
     assert verify_condpol([ring.coerce(c) for c in sizes]) == expected
+
+
+def test_symmetric_pivot_agrees_with_every_pair_of_pairs():
+    # the grid check compares 2n-1 pairs with the first nonzero one; the
+    # equations read T_r * (S_(m+1) - 1) = T_(r+1) * S_m for every r < n-1
+    # and m < n, n(n-1) comparisons.  Every Z table of size coefficients in
+    # [-3, 3] at n = 2, 3, [-2, 2] at n = 4 and [-1, 1] at n = 5: 6,598 tables
+    tables = 0
+    for n, width in ((2, 3), (3, 3), (4, 2), (5, 1)):
+        for sizes in product(range(-width, width + 1), repeat=n + 1):
+            values = [sum(comb(j, k) * c for k, c in enumerate(sizes)) for j in range(n + 1)]
+            steps = [y - x for x, y in zip(values, values[1:])]
+            expected = all(
+                steps[r] * (values[m + 1] - 1) == steps[r + 1] * values[m]
+                for r in range(n - 1) for m in range(n)
+            )
+            assert oracle._assoc_on_support(from_size_coeffs(Ring.Z, n, list(sizes))) == expected
+            tables += 1
+    assert tables == 6598
 
 
 def test_symmetric_tables_take_no_family_work(monkeypatch, capsys):
@@ -921,13 +940,13 @@ CENSUS_BOXES = [
 
 def test_walk_builds_only_the_associative_tables(monkeypatch):
     calls = []
-    leaf_check = oracle._leaf_check
+    leaf_check = census._leaf_check
 
     def counted(ml):
         calls.append(ml)
         return leaf_check(ml)
 
-    monkeypatch.setattr(oracle, "_leaf_check", counted)
+    monkeypatch.setattr(census, "_leaf_check", counted)
     for n, ring, bound, prune, checked in CENSUS_BOXES:
         calls.clear()
         result = enumerate_associative(n, ring, bound, prune=prune, budget=10**8)
@@ -947,7 +966,7 @@ def test_a_wrong_root_makes_the_walk_differ_from_deciding_every_table(monkeypatc
     ring, n, bound = Ring.Z, 3, 1
     survivors, _, _ = reference_walk(n, ring, bound, False)
     monkeypatch.setattr(Ring, "exact_div", off_by_one)
-    _, _, found = oracle._enumerate_chunk((ring, n, bound, ring.box(bound), False))
+    _, _, found = census._enumerate_chunk((ring, n, bound, ring.box(bound), False))
     # a list whose solve is off never tries its true root, so the tables
     # through that root are lost; each table still kept is associative
     assert {ml.render() for ml in found} < {ml.render() for ml in survivors}
@@ -961,22 +980,22 @@ def test_the_walk_compares_both_composition_routes(monkeypatch, tmp_path, capsys
     # the leaf's substitution made wrong at slot 2 by one added term: the
     # library call fails at the first table the walk keeps, without the CLI
     ring, box = Ring.Z, Ring.Z.box(1)
-    firsts = [oracle._enumerate_chunk((ring, 2, 1, chunk, False))[2][0]
-              for chunk in oracle._split(box, 2)]
-    first = oracle._enumerate_chunk((ring, 2, 1, box, False))[2][0]
-    substitute = oracle.compose_substitution
+    firsts = [census._enumerate_chunk((ring, 2, 1, chunk, False))[2][0]
+              for chunk in census._split(box, 2)]
+    first = census._enumerate_chunk((ring, 2, 1, box, False))[2][0]
+    substitute = census.compose_substitution
     monkeypatch.setattr(
-        oracle, "compose_substitution", lambda p, slot: substitute(p, slot) + int(slot == 2)
+        census, "compose_substitution", lambda p, slot: substitute(p, slot) + int(slot == 2)
     )
     message = "composition paths disagree for {} at slot 2"
-    with pytest.raises(oracle.InternalInvariantError) as serial:
+    with pytest.raises(census.InternalInvariantError) as serial:
         enumerate_associative(2, ring, 1)
     assert str(serial.value) == message.format(first.render())
-    with pytest.raises(oracle.InternalInvariantError) as zero_box:
+    with pytest.raises(census.InternalInvariantError) as zero_box:
         enumerate_associative(2, ring, 0)
     assert str(zero_box.value) == message.format("0")
     # two workers: either chunk may fail first, each at its first table
-    with pytest.raises(oracle.InternalInvariantError) as forked:
+    with pytest.raises(census.InternalInvariantError) as forked:
         enumerate_associative(2, ring, 1, jobs=2)
     assert str(forked.value) in {message.format(p.render()) for p in firsts}
     argv = ["enumerate", "--ring", "z", "--n", "2", "--bound", "1", "--jobs", "2",
@@ -987,15 +1006,15 @@ def test_the_walk_compares_both_composition_routes(monkeypatch, tmp_path, capsys
 
 def test_equations_are_built_once_per_list_structure(monkeypatch):
     built = []
-    equations = oracle._equations
+    equations = census._equations
 
     def counted(n, lists):
         built.append([masks for masks, _ in lists])
         return equations(n, lists)
 
-    monkeypatch.setattr(oracle, "_equations", counted)
+    monkeypatch.setattr(census, "_equations", counted)
     ring = Ring.ZI
-    oracle._enumerate_chunk((ring, 2, 1, ring.box(1), True))
+    census._enumerate_chunk((ring, 2, 1, ring.box(1), True))
     # one structure per kind of top, in the order of the box: nonzero (a
     # list per subset size), then zero (a list per mask); c_0's list comes
     # last in both, since every equation is linear in c_0
@@ -1006,7 +1025,7 @@ def test_equations_drop_what_commutativity_or_one_list_settles():
     # slot 1 = slot 2 at n = 2, one list per mask: list 0 sets the top, list
     # m + 1 mask m.  Of the 8 masks, 2, 3, 6 and 7 read c_1*c_2 against
     # c_2*c_1 or the like on both sides, and are dropped
-    per_mask = oracle._equations(2, [([3], []), ([0], []), ([1], []), ([2], [])])
+    per_mask = census._equations(2, [([3], []), ([0], []), ([1], []), ([2], [])])
     assert per_mask == [[], [], [(-1, 2, 2, 2, 0, 1)], [  # mask 1: c1*c1 = c1 + c12*c0
         (1, 1, 2, 1, 1, 3),  # mask 0: c0 + c1*c0 = c0 + c2*c0
         (-1, 3, 3, 3, 0, 1),  # mask 4: c2*c2 = c2 + c12*c0
@@ -1014,7 +1033,7 @@ def test_equations_drop_what_commutativity_or_one_list_settles():
     ]]
     # one list per subset size sets c1 = c2: masks 0 and 5 then read equal
     # sides, and mask 4 repeats mask 1
-    per_size = oracle._equations(2, [([3], []), ([0], []), ([1, 2], [])])
+    per_size = census._equations(2, [([3], []), ([0], []), ([1, 2], [])])
     assert per_size == [[], [], [(-1, 2, 2, 2, 0, 1)]]
 
 
@@ -1033,7 +1052,7 @@ def test_enumerate_budget_decided_before_building_the_box(monkeypatch):
     def no_walk(args):
         raise AssertionError("walked a box over the budget")
 
-    monkeypatch.setattr(oracle, "_enumerate_chunk", no_walk)
+    monkeypatch.setattr(census, "_enumerate_chunk", no_walk)
     # a count of up to 4,300 digits stays exact
     with pytest.raises(BudgetError) as err:
         enumerate_associative(13, Ring.Z, 1)
@@ -1055,7 +1074,7 @@ def test_one_table_box_is_decided_without_a_walk(monkeypatch, ring):
     def no_walk(args):
         raise AssertionError("walked a box that holds only the zero table")
 
-    monkeypatch.setattr(oracle, "_enumerate_chunk", no_walk)
+    monkeypatch.setattr(census, "_enumerate_chunk", no_walk)
     # 2^24 coefficients is within the default budget
     result = enumerate_associative(24, ring, 0)
     assert (result.total, result.checked, result.bulk_rejected) == (1, 1, 0)

@@ -19,7 +19,7 @@ from polyassoc import (
     is_associative,
     parse_poly,
 )
-from polyassoc import oracle, poly
+from polyassoc import census, poly
 
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
 
@@ -484,7 +484,7 @@ def test_deciding_census_candidates_builds_no_exponent_tuples(monkeypatch):
     monkeypatch.setattr(MultilinearPoly, "terms", property(unbuilt))
     for ring, n in ((Ring.Z, 3), (Ring.ZI, 2)):
         domain = ring.box(1)
-        checked, _, survivors = oracle._enumerate_chunk((ring, n, 1, domain, False))
+        checked, _, survivors = census._enumerate_chunk((ring, n, 1, domain, False))
         assert checked == len(domain) ** (1 << n) and survivors
 
 

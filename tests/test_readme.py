@@ -154,6 +154,50 @@ def test_cli_import_leaves_out_dataclasses_inspect_and_typing():
         assert run.stderr.endswith(err_tail)
 
 
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    # a report request leaves the census walk uncompiled; a well-formed
+    # enumerate loads it and is scanned without argparse, and a bad ring still
+    # gets argparse's message and exit code
+    src = Path(polyassoc.__file__).resolve().parents[1]
+    box = ["enumerate", "--n", "2", "--bound", "1", "--out", str(tmp_path / "census")]
+    code = (
+        f"import contextlib, io, sys; sys.path.insert(0, {str(src)!r})\n"
+        "from polyassoc.cli import main\n"
+        "def loaded(argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    print(code, 'polyassoc.census' in sys.modules, 'argparse' in sys.modules)\n"
+        "loaded(['check', '--ring', 'z', '--n', '3', '--poly', 'x1 + x2', '--format', 'text'])\n"
+        f"loaded({[*box, '--ring', 'z', '--prune']!r})\n"
+        f"print(main({[*box, '--ring', 'q']!r}))\n"
+    )
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["0 False False", "0 True False", "2"]
+    assert run.stderr.endswith(
+        "polyassoc enumerate: error: argument --ring: invalid choice: 'q' (choose from 'z', 'zi')\n"
+    )
+    assert (tmp_path / "census" / "census.csv").is_file()
+
+
+def test_oracle_imports_no_census_or_decision_code():
+    # report requests compile oracle.py, so it leaves the census walk and
+    # classify to census.py; of assoc it takes the grid guard's bound and the
+    # binding the tracer reads
+    tree = ast.parse((Path(polyassoc.__file__).parent / "oracle.py").read_text())
+    imported = set()  # (module, name), the module's last dotted part; "*" for a module
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            imported |= {(module, a.name) if module else (a.name, "*") for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {(alias.name.split(".")[-1], "*") for alias in node.names}
+    assert {name for module, name in imported if module == "assoc"} == {
+        "_slot_bound", "associative_multilinear"
+    }
+    assert {module for module, _ in imported} & {"classify", "census"} == set()
+
+
 def test_assoc_imports_only_errors_and_poly_from_the_package():
     # the decision keeps clear of the oracle's route code and of classify
     tree = ast.parse((Path(polyassoc.__file__).parent / "assoc.py").read_text())
