@@ -20,7 +20,7 @@ from itertools import count
 from math import prod
 
 from .assoc import _pulled_masks, compose_closed_form, compose_substitution
-from .classify import Classification, classification_params, classify_associative, param_sort_key
+from .classify import CLAUSES, Classification, classify_associative
 from .errors import BudgetError, InternalInvariantError
 from .poly import MultilinearPoly, _Value
 from .rings import Ring
@@ -102,13 +102,12 @@ def _solver(j: int, equations: list[tuple]):
 def _leaf_check(ml: MultilinearPoly) -> MultilinearPoly:
     """``ml``, a table the walk keeps, once its n closed-form slot compositions, each
     built once, are equal (a decision on their coefficients alone) and each equals
-    the slot's substitution, compared on masks; else ``InternalInvariantError``."""
+    the slot's substitution, compared by ``SparsePoly.__eq__``; else ``InternalInvariantError``."""
     forms = [compose_closed_form(ml, slot) for slot in range(1, ml.n + 1)]
     if any(form.coeffs != forms[0].coeffs for form in forms[1:]):
         raise InternalInvariantError(f"census walk keeps {ml.render()}, which the decision rejects")
     for slot, closed in enumerate(forms, 1):
-        # a squared variable (None) disagrees
-        if closed != compose_substitution(ml, slot).to_multilinear():
+        if closed != compose_substitution(ml, slot):
             raise InternalInvariantError(
                 f"composition paths disagree for {ml.render()} at slot {slot}"
             )
@@ -245,8 +244,11 @@ def _enumerate(n: int, ring: Ring, bound: int, budget: int, prune: bool,
         checked = sum(part[0] for part in parts)
         bulk = sum(part[1] for part in parts)
 
+        coords, zero, masks = ring.coords, ring.zero, range(1 << n)
+
         def table_key(ml: MultilinearPoly) -> list:
-            return [ring.coords(ml.coeff(m)) for m in range(1 << n)]
+            get = ml.coeffs.get
+            return [coords(get(m, zero)) for m in masks]
 
         found = sorted((leaf for part in parts for leaf in part[2]), key=table_key)
     survivors = [(ml, classify_associative(ml)) for ml in found]
@@ -263,9 +265,13 @@ def _split(domain: list, parts: int) -> list[list]:
 
 
 def _build_census(survivors, ring: Ring) -> list[CensusRow]:
+    order = {clause: k for k, clause in enumerate(CLAUSES)}
+    text, coords = ring.element_str, ring.coords
     groups: dict[tuple, list] = {}
-    for _, cls in survivors:
-        params = " ".join(f"{k}={v}" for k, v in classification_params(cls, ring).items())
-        groups.setdefault((param_sort_key(cls, ring), cls.type_tag, params), []).append(cls)
+    for _, cls in survivors:  # as ``classification_params`` and ``param_sort_key``, read once
+        values = cls._fields()
+        params = " ".join([f"{k}={text(v)}" for k, v in zip(cls.param_names, values)])
+        key = (order[cls.clause], tuple(map(coords, values)))
+        groups.setdefault((key, cls.type_tag, params), []).append(cls)
     return [CensusRow(type_tag, params, len(members))
             for (_, type_tag, params), members in sorted(groups.items())]

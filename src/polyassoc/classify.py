@@ -13,8 +13,9 @@ exactly one of six families:
 with the shifted-product parameters living in the fraction field subject to
 membership conditions (a*b^k in R for k < n, a*b^n - b in R).  Each family
 defines its coefficient table once, as ``table`` (linear families) or
-``ShiftedProduct.ladder`` (in the ring, by exact division; ``ValueError`` at
-the first size that leaves it), and ``reconstruct`` builds the polynomial
+``ShiftedProduct.ladder`` (in the ring, from one table of powers, by exact
+division only for an offset outside the ring; ``ValueError`` at the first
+size that leaves it), and ``reconstruct`` builds the polynomial
 from it.
 Recognition reads candidate parameters off the input and keeps the one
 candidate whose reconstruction is the input (``_families``; a shifted
@@ -35,7 +36,9 @@ for the witness.  Each family also answers its own structure questions:
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import accumulate
 from math import comb
+from operator import mul
 
 from .assoc import CompositionWitness, _compare_closed_forms, _prefix_witness, is_associative
 from .errors import InternalInvariantError
@@ -191,10 +194,11 @@ class ShiftedProduct(_Value):
         _Value.__init__(self, a, b)
 
     def ladder(self, ring: Ring, n: int) -> list:
-        """The size coefficients c_0 .. c_n in the ring, by exact division with
-        b = num/den in lowest terms: c_k = a*num^(n-k) / den^(n-k) for k >= 1
-        and c_0 = (a*num^n - num*den^(n-1)) / den^n.  Raises ValueError at the
-        first size k whose c_k leaves the ring."""
+        """The size coefficients c_0 .. c_n in the ring, with b = num/den in
+        lowest terms: c_k = a*num^(n-k) / den^(n-k) for k >= 1 and c_0 =
+        (a*num^n - num*den^(n-1)) / den^n, from a*num^j and den^j, j <= n, by n
+        products each.  With den = 1 (b in the ring) nothing is divided; else
+        ValueError is raised at the first size k whose c_k leaves the ring."""
         a = ring.coerce(self.a)
         if not a:
             raise ValueError("shifted products require a nonzero scale")
@@ -202,8 +206,12 @@ class ShiftedProduct(_Value):
         if b.ring is not ring:
             raise ValueError("offset belongs to a different ring")
         num, den = b.num, b.den
-        ladder = [ring.exact_div(a * num**n - num * den ** (n - 1), den**n)]
-        ladder += [ring.exact_div(a * num ** (n - k), den ** (n - k)) for k in range(1, n + 1)]
+        nums = list(accumulate([num] * n, mul, initial=a))  # nums[j] = a*num^j
+        if den == ring.one:
+            return [nums[n] - num] + nums[n - 1::-1]
+        dens = list(accumulate([den] * n, mul, initial=ring.one))
+        ladder = [ring.exact_div(nums[n] - num * dens[n - 1], dens[n])]
+        ladder += [ring.exact_div(nums[n - k], dens[n - k]) for k in range(1, n + 1)]
         if None in ladder:
             raise ValueError(
                 f"parameters a={ring.element_str(a)}, b={self.b} leave the ring "
@@ -257,6 +265,7 @@ class NotAssociative(_Value):
 
 
 Classification = LinearFamily | ShiftedProduct | NotAssociative
+CLAUSES = ("i", "ii", "iii", "iv", "v", "vi", "")  # the census order of the families
 
 
 def classify(p: SparsePoly) -> Classification:
@@ -410,5 +419,4 @@ def classification_params(cls: Classification, ring: Ring) -> dict[str, str]:
 
 def param_sort_key(cls: Classification, ring: Ring):
     """Deterministic ordering key among classifications of one census run."""
-    clauses = ("i", "ii", "iii", "iv", "v", "vi", "")
-    return (clauses.index(cls.clause), tuple(map(ring.coords, _params(cls).values())))
+    return (CLAUSES.index(cls.clause), tuple(map(ring.coords, _params(cls).values())))

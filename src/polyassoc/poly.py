@@ -254,6 +254,7 @@ class SparsePoly:
         for j, chain in powers.items() if step > 1 else ():  # at width 1 every exponent is 0 or 1
             for _ in range(1, max([k >> step * j & field for k, _ in live], default=1)):
                 chain.append(_mul_terms(chain[-1], chain[1]))  # t^e = t^(e-1) * t
+        single = [next(iter(t.items())) if len(t) == 1 else None for t in tables]
         out: dict[int, object] = {}
         one = self.ring.one
         for key, coeff in live:
@@ -262,11 +263,10 @@ class SparsePoly:
                 j = ((key & -key).bit_length() - 1) // step
                 e = key >> step * j & field
                 key ^= e << step * j
-                factor = tables[j]
-                if len(factor) > 1:
+                if single[j] is None:
                     wide.append(powers[j][e])
                     continue
-                [(f, c)] = factor.items()
+                f, c = single[j]
                 if e > 1:
                     f, c = f * e, c**e
                 mono += f

@@ -100,6 +100,11 @@ def _sampled_sides(p: SparsePoly):
     return sides
 
 
+# The g transform's steps at n <= 3: (R, R + j) for each R without j, j ascending
+_PAIRS = {n: [(m, m | 1 << j) for j in range(n) for m in range(1 << n) if not m >> j & 1]
+          for n in (1, 2, 3)}
+
+
 def _medial_sides(p: MultilinearPoly) -> tuple[list, list, list]:
     """Both sides of the medial identity of multilinear p: entry i is den^(n+1)
     times the coefficient ``values[i]``, in native values, of the monomial that
@@ -123,16 +128,15 @@ def _medial_sides(p: MultilinearPoly) -> tuple[list, list, list]:
     """
     ring, n = p.ring, p.nvars
     den, scaled = ring.scaled(p.coeffs.values())
-    coeffs = dict(zip(p.coeffs, ring.natives(scaled)))
-    zero, den = ring.natives([0, den])
+    zero, one, den, *scaled = ring.natives([0, 1, den, *scaled])
+    coeffs = dict(zip(p.coeffs, scaled))
     s0 = coeffs.get(0, zero)
-    # g(R) one variable j at a time: g(R) <- den * g(R) + s_0 * g(R + j) for R
-    # without j, unless both are zero
+    # g(R) one variable j at a time, in place: g(R) <- den * g(R) + s_0 * g(R + j)
+    # for R without j, where that changes it (with den one: s_0 and g(R + j) nonzero)
     g = [coeffs.get(m, zero) for m in range(1 << n)]
-    for j in range(n):
-        bit = 1 << j
-        g = [v if m & bit or v == zero == g[m | bit] else ring.dot((v, g[m | bit]), (den, s0))
-             for m, v in enumerate(g)]
+    for m, up in _PAIRS[n] if s0 != zero or den != one else ():
+        if g[up] != zero or den != one and g[m] != zero:
+            g[m] = ring.dot((g[m], g[up]), (den, s0))
     # Term t put in row r of the row side sits at t << r*n; put in column r of
     # the column side, its bit j sits at (j, r), so at its bits spread n apart, << r.
     terms = [t for t in coeffs if t]

@@ -296,13 +296,14 @@ LADDER_ELEMENTS = {
 
 @st.composite
 def shifted_product_params(draw):
-    """(ring, n, a, num, den) with a != 0 and den != 0.  Half the draws are
+    """(ring, n, a, num, den) with a != 0, n = 2..7 and den = 1 in half the
+    draws (always over Q), any nonzero den in the others.  Half the draws are
     family members whatever den is (num = 1 + den*s, a = den^(n-1)*(1 + den*t));
     the others scale a by a random power of den, so some sizes stay in R."""
     ring = draw(st.sampled_from([Ring.Z, Ring.Q, Ring.ZI]))
-    n = draw(st.integers(2, 6))
+    n = draw(st.integers(2, 7))
     elements = LADDER_ELEMENTS[ring]
-    den = draw(elements.filter(bool))
+    den = ring.one if ring is Ring.Q or draw(st.booleans()) else draw(elements.filter(bool))
     if draw(st.booleans()):
         num = 1 + den * draw(elements)
         a = den ** (n - 1) * (1 + den * draw(elements))
@@ -313,17 +314,23 @@ def shifted_product_params(draw):
     return ring, n, a, num, den
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=600, deadline=None, database=None)
 @given(shifted_product_params())
 def test_ladder_matches_a_fraction_field_reference(params):
+    # c_k = a*b^(n-k) for k >= 1 and c_0 = a*b^n - b in the test's own fraction
+    # field (Fractions, or pairs of them over Z[i]); each in the ring, or the
+    # ValueError naming the first size that leaves it
     ring, n, a, num, den = params
-    ref_a, b = _reference(ring, a), _reference(ring, num) / _reference(ring, den)
-    reference = [ref_a * b**n - b] + [ref_a * b ** (n - k) for k in range(1, n + 1)]
+    ref_a, ref_b = _reference(ring, a), _reference(ring, num) / _reference(ring, den)
+    reference = [ref_a * ref_b**n - ref_b] + [ref_a * ref_b ** (n - k) for k in range(1, n + 1)]
     expected = [_back_in_ring(ring, value) for value in reference]
-    cls = ShiftedProduct(a, Frac(ring, num, den))
+    b = Frac(ring, num, den)
+    cls = ShiftedProduct(a, b)
     if None in expected:
-        with pytest.raises(ValueError, match=f"leave the ring at subset size {expected.index(None)}$"):
+        with pytest.raises(ValueError) as raised:
             cls.ladder(ring, n)
+        message = f"parameters a={ring.element_str(a)}, b={b} leave the ring at subset size"
+        assert str(raised.value) == f"{message} {expected.index(None)}"
         return
     ladder = cls.ladder(ring, n)
     assert ladder == expected

@@ -38,6 +38,7 @@ from polyassoc import (
     verify_condpol,
 )
 from polyassoc import assoc, census, oracle, structure
+from polyassoc.classify import classification_params, param_sort_key
 from polyassoc.cli import main
 
 CUBIC_EXAMPLE = "9*x1*x2*x3 + 3*(x1*x2 + x2*x3 + x3*x1) + x1 + x2 + x3"
@@ -941,19 +942,48 @@ CENSUS_BOXES = [
 def test_walk_builds_only_the_associative_tables(monkeypatch):
     calls = []
     leaf_check = census._leaf_check
+    work = {}
 
     def counted(ml):
         calls.append(ml)
         return leaf_check(ml)
 
+    def tallied(name):
+        f = getattr(census, name)
+
+        def wrapper(*args):
+            work[name] = work.get(name, 0) + 1
+            return f(*args)
+
+        return wrapper
+
     monkeypatch.setattr(census, "_leaf_check", counted)
+    for name in ("compose_closed_form", "compose_substitution", "classify_associative"):
+        monkeypatch.setattr(census, name, tallied(name))
     for n, ring, bound, prune, checked in CENSUS_BOXES:
         calls.clear()
+        work.clear()
         result = enumerate_associative(n, ring, bound, prune=prune, budget=10**8)
         # every table a failed or solved equation leaves out is settled
         # unbuilt; only the leaves are built, each confirmed once
         assert sorted(map(str, calls)) == sorted(str(ml) for ml, _ in result.survivors)
         assert result.checked == checked
+        # each survivor costs n closed forms, n substitutions and one recognition
+        kept = len(result.survivors)
+        assert work == {"compose_closed_form": n * kept, "compose_substitution": n * kept,
+                        "classify_associative": kept}
+        assert result.census == _census_rows_by_reference(result.survivors, ring)
+
+
+def _census_rows_by_reference(survivors, ring):
+    """The census rows from ``classification_params`` and ``param_sort_key``,
+    each class read by both, grouped and sorted by (key, type, text)."""
+    groups = {}
+    for _, cls in survivors:
+        text = " ".join(f"{k}={v}" for k, v in classification_params(cls, ring).items())
+        groups.setdefault((param_sort_key(cls, ring), cls.type_tag, text), []).append(cls)
+    return [census.CensusRow(tag, text, len(members))
+            for (_, tag, text), members in sorted(groups.items())]
 
 
 def test_a_wrong_root_makes_the_walk_differ_from_deciding_every_table(monkeypatch):
