@@ -202,6 +202,8 @@ def _enumerate(n: int, ring: Ring, bound: int, budget: int, prune: bool,
         )
     if bound < 0:
         raise ValueError("bound must be nonnegative")
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
     d, slots = ring.box_size(bound), 1 << n
     # Counts are printed up to the live int-to-str limit, or Python's
     # default one when the live setting is 0 (no limit).
@@ -232,7 +234,7 @@ def _enumerate(n: int, ring: Ring, bound: int, budget: int, prune: bool,
         # walked as 2^n one-value lists and sorted by a 2^n-entry key.
         checked, bulk, found = 1, 0, [_leaf_check(MultilinearPoly(ring, n))]
     else:
-        chunks = _split(ring.box(bound), max(1, jobs))
+        chunks = _split(ring.box(bound), jobs)
         args = [(ring, n, bound, chunk, prune) for chunk in chunks]
         if len(args) > 1:
             from multiprocessing import Pool

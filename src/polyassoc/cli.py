@@ -6,10 +6,11 @@ Subcommands ``check``, ``classify``, and ``analyze`` take ``--ring z|q|zi``,
 0 analysis completed (whatever the verdict), 1 parse error, 2 invalid
 flags, budget or output directory, 3 internal invariant violation.
 
-A request whose flags are written in full, each once, with no value
-starting with ``-`` and every value valid, is read by one scan of the
+Each command's help line, handler and flags are declared once, in
+``COMMANDS``.  A request whose flags are written in full, each once, with no
+value starting with ``-`` and every value valid, is read by one scan of the
 argument list (``_scan``); every other argument list goes to argparse, which
-is imported and built only then.
+is imported and built from the same table only then.
 """
 
 from __future__ import annotations
@@ -24,16 +25,15 @@ from types import SimpleNamespace
 from .assoc import AssocVerdict, CompositionWitness, is_associative
 from .classify import (
     Classification,
-    InternalInvariantError,
     NotAssociative,
     _decide,
     classification_params,
     classify_associative,
 )
+from .errors import BudgetError, InternalInvariantError
 from .oracle import (
     DEFAULT_BUDGET,
     DEFAULT_SEED,
-    BudgetError,
     OracleConfig,
     _compositions,
     assoc_pointwise,
@@ -60,73 +60,8 @@ EXIT_INTERNAL = 3
 MAX_CLI_ARITY = 31
 
 
-REPORT_COMMANDS = {
-    "check": "decide associativity",
-    "classify": "decide associativity and name the family",
-    "analyze": "full report including group structure",
-}
-RINGS = tuple(r.value for r in Ring)
-FORMATS = ("text", "json")
-
-
-# What ``_scan`` reads, by command: each flag's kind (str, int, the tuple of
-# its choices, or bool for a switch) and default, as ``build_parser`` has them.
-REQUIRED = object()
-_REPORT_FLAGS = {
-    "--ring": (RINGS, REQUIRED), "--n": (int, REQUIRED), "--poly": (str, REQUIRED),
-    "--format": (FORMATS, FORMATS[0]),
-}
-SCAN_FLAGS = {
-    **dict.fromkeys(REPORT_COMMANDS, _REPORT_FLAGS),
-    "enumerate": {
-        "--ring": (tuple(r.value for r in Ring if not r.is_field), REQUIRED),
-        "--n": (int, REQUIRED), "--bound": (int, REQUIRED), "--out": (str, REQUIRED),
-        "--jobs": (int, 1), "--seed": (int, DEFAULT_SEED), "--budget": (int, DEFAULT_BUDGET),
-        "--prune": (bool, False), "--dump-candidates": (bool, False),
-    },
-}
-_DESTS = {f: f[2:].replace("-", "_") for flags in SCAN_FLAGS.values() for f in flags}
-
-
 class UsageError(Exception):
     pass
-
-
-@functools.cache
-def build_parser():
-    """The ``argparse.ArgumentParser``, built on the first call and shared
-    after it: parsing reads the tree without changing it."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="polyassoc",
-        description="Exact associativity analysis of polynomial n-ary operations.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--ring", required=True, choices=RINGS)
-    common.add_argument("--n", required=True, type=int, help="arity of the operation")
-    common.add_argument("--poly", required=True, help="expression in x1..xn")
-    common.add_argument("--format", choices=FORMATS, default=FORMATS[0])
-
-    for name, blurb in REPORT_COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=blurb)
-        p.set_defaults(func=cmd_report)
-
-    en = sub.add_parser("enumerate", help="census of associative multilinear operations")
-    en.add_argument("--ring", required=True, choices=[r.value for r in Ring if not r.is_field])
-    en.add_argument("--n", required=True, type=int)
-    en.add_argument("--bound", required=True, type=int, help="coefficient box half-width")
-    en.add_argument("--out", required=True, help="output directory for census files")
-    en.add_argument("--jobs", type=int, default=1)
-    en.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for spot checks")
-    en.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    en.add_argument("--prune", action="store_true", help="use sound search-space filters")
-    en.add_argument("--dump-candidates", action="store_true")
-    en.set_defaults(func=cmd_enumerate)
-    return parser
 
 
 def _validated_arity(n: int) -> int:
@@ -323,6 +258,62 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+# Each command's help line, handler and flags; each flag's kind (str, int,
+# the tuple of its choices, or bool for a switch), default (REQUIRED when it
+# must be given) and help text.  ``_scan`` and ``build_parser`` both read it.
+REQUIRED = object()
+_REPORT_FLAGS = {
+    "--ring": (tuple(r.value for r in Ring), REQUIRED, None),
+    "--n": (int, REQUIRED, "arity of the operation"),
+    "--poly": (str, REQUIRED, "expression in x1..xn"),
+    "--format": (("text", "json"), "text", None),
+}
+COMMANDS = {
+    "check": ("decide associativity", cmd_report, _REPORT_FLAGS),
+    "classify": ("decide associativity and name the family", cmd_report, _REPORT_FLAGS),
+    "analyze": ("full report including group structure", cmd_report, _REPORT_FLAGS),
+    "enumerate": ("census of associative multilinear operations", cmd_enumerate, {
+        "--ring": (tuple(r.value for r in Ring if not r.is_field), REQUIRED, None),
+        "--n": (int, REQUIRED, None),
+        "--bound": (int, REQUIRED, "coefficient box half-width"),
+        "--out": (str, REQUIRED, "output directory for census files"),
+        "--jobs": (int, 1, None),
+        "--seed": (int, DEFAULT_SEED, "seed for spot checks"),
+        "--budget": (int, DEFAULT_BUDGET, None),
+        "--prune": (bool, False, "use sound search-space filters"),
+        "--dump-candidates": (bool, False, None),
+    }),
+}
+
+
+@functools.cache
+def build_parser():
+    """The ``argparse.ArgumentParser`` for ``COMMANDS``, built on the first
+    call and shared after it: parsing reads the tree without changing it."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="polyassoc",
+        description="Exact associativity analysis of polynomial n-ary operations.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (blurb, func, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=blurb)
+        for flag, (kind, default, text) in flags.items():
+            if kind is bool:
+                p.add_argument(flag, action="store_true", help=text)
+            else:
+                p.add_argument(
+                    flag, type=int if kind is int else None,
+                    choices=kind if type(kind) is tuple else None,
+                    required=default is REQUIRED, default=None if default is REQUIRED else default,
+                    help=text,
+                )
+        p.set_defaults(func=func)
+    return parser
+
+
 def _join_poly_values(argv: list[str]) -> list[str]:
     """Write ``--poly VALUE`` as ``--poly=VALUE`` when VALUE starts with one
     ``-``, such as ``-x1`` or ``-1+2*x1*x2``; argparse would read it as an
@@ -337,14 +328,15 @@ def _join_poly_values(argv: list[str]) -> list[str]:
 
 
 def _scan(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace argparse builds for a command whose flags (``SCAN_FLAGS``)
+    """The namespace argparse builds for a command whose flags (``COMMANDS``)
     are each given at most once, by full name, as separate tokens, with the
     required ones present, no value starting with ``-``, every choice among
     the parser's and every ``int`` value accepted by ``int``; None for any
     other argument list, which argparse reads."""
-    flags = SCAN_FLAGS.get(argv[0]) if argv else None
-    if flags is None:
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
         return None
+    _, func, flags = command
     values: dict = {}
     tokens = iter(argv[1:])
     for flag in tokens:
@@ -361,10 +353,10 @@ def _scan(argv: list[str]) -> SimpleNamespace | None:
             values[flag] = int(value) if kind is int else value
         except ValueError:
             return None
-    args = {_DESTS[f]: values.get(f, default) for f, (_, default) in flags.items()}
+    args = {f[2:].replace("-", "_"): values.get(f, default)
+            for f, (_, default, _) in flags.items()}
     if REQUIRED in args.values():
         return None
-    func = cmd_enumerate if argv[0] == "enumerate" else cmd_report
     return SimpleNamespace(command=argv[0], **args, func=func)
 
 

@@ -381,8 +381,9 @@ def enumerate_associative(n: int, ring: Ring, bound: int, *, budget: int = DEFAU
     Walks all tables with entries in [-bound, bound] (both components over
     Z[i]), keeps the associative ones, classifies each, and tallies a census
     by (family, exact parameters): a ``census.EnumerationResult``.  ``jobs``
-    splits the box into that many chunks, at most one per value of the top
-    coefficient, mapped over at most ``os.cpu_count()`` worker processes.
+    (at least 1) splits the box into that many chunks, at most one per value
+    of the top coefficient, mapped over at most ``os.cpu_count()`` worker
+    processes.
     """
     from .census import _enumerate
 

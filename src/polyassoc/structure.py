@@ -25,7 +25,8 @@ Z[i]) and multiply no ring element.
 
 from __future__ import annotations
 
-from .classify import Classification, InternalInvariantError, NotAssociative, Reduction, SkewMap
+from .classify import Classification, NotAssociative, Reduction, SkewMap
+from .errors import InternalInvariantError
 from .oracle import DEFAULT_SEED, _samples_agree
 from .poly import MultilinearPoly, SparsePoly, _Value
 

@@ -2,10 +2,12 @@ import contextlib
 import importlib
 import io
 import json
+import re
 import signal
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -15,6 +17,7 @@ import polyassoc.assoc as assoc
 import polyassoc.census as census
 import polyassoc.cli as cli
 import polyassoc.oracle as oracle
+import polyassoc.parse as parse
 from polyassoc import (
     BudgetError,
     OracleConfig,
@@ -1220,3 +1223,29 @@ def test_cli_fuzz_exit_codes(argv):
             multilinear = "multilinear: yes\n" in text
             mode = text.rsplit("oracle: ", 1)[1].split()[0]
         assert (mode == "degree") == (not multilinear)
+
+
+BUDGET_REFUSAL = re.compile(
+    r"error: \w.* would multiply at least (\d+) term pairs, "
+    r"over the (parser|decision)'s budget of (\d+)\n"
+)
+
+
+@settings(max_examples=150, deadline=5000, database=None)
+@given(small_requests(), st.integers(0, 16), st.integers(0, 64))
+@example(["check", "--ring", "z", "--n", "3", "--poly=-x1*x3 - x3 - 1", "--format", "text"], 16, 4)
+def test_cli_fuzz_up_to_the_budgets(argv, pair_budget, decision_budget):
+    # patched in the body: hypothesis runs a function-scoped fixture once for all examples
+    err = io.StringIO()
+    with mock.patch.object(parse, "PAIR_BUDGET", pair_budget), \
+            mock.patch.object(assoc, "DECISION_BUDGET", decision_budget), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2 and argv[4] != "1":  # n = 1 is refused by its range, before parsing
+        refusal = BUDGET_REFUSAL.fullmatch(err.getvalue())
+        assert refusal is not None, err.getvalue()
+        required, budget = int(refusal[1]), int(refusal[3])
+        assert budget == {"parser": pair_budget, "decision": decision_budget}[refusal[2]]
+        assert required > budget
+        event(f"refused by the {refusal[2]}'s budget")

@@ -1169,6 +1169,13 @@ def test_enumerate_chunk_count_bounded_by_domain(serial_pool):
     assert candidates_text(many) == candidates_text(one)
 
 
+def test_enumerate_refuses_a_nonpositive_jobs(serial_pool):
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs must be positive"):
+            enumerate_associative(2, Ring.Z, 1, jobs=jobs)
+    assert serial_pool == []
+
+
 def test_walk_jobs_deterministic_at_arity_four(serial_pool):
     one = enumerate_associative(4, Ring.Z, 1, budget=3**16)
     many = enumerate_associative(4, Ring.Z, 1, budget=3**16, jobs=3)

@@ -61,6 +61,13 @@ def test_readme_states_the_decisions_pair_budget():
     assert f"{polyassoc.assoc.DECISION_BUDGET:,} pairs (`assoc.DECISION_BUDGET`)" in text
 
 
+def test_version_is_the_one_pyproject_declares():
+    # `--version` prints polyassoc.__version__
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(README.parent / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == polyassoc.__version__
+
+
 def test_package_all_is_sorted_and_lists_every_public_name():
     public = {
         name for name, value in vars(polyassoc).items()
@@ -123,6 +130,21 @@ def test_errors_imports_nothing_from_the_package():
         for alias in node.names
     ]
     assert [m for m in modules if m.startswith((".", "polyassoc"))] == []
+
+
+def test_every_module_imports_the_exceptions_from_errors():
+    # an exception taken through another layer ties the importer to that layer's imports
+    package = Path(polyassoc.__file__).parent
+    tree = ast.parse((package / "errors.py").read_text())
+    exceptions = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    offenders = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module not in ("errors", "polyassoc.errors")
+        for alias in node.names if alias.name in exceptions
+    ]
+    assert offenders == []
 
 
 def test_cli_import_leaves_out_dataclasses_inspect_and_typing():
