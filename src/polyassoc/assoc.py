@@ -24,9 +24,9 @@ comparison builds whole closed forms, each charged its term pairs against
 ``DECISION_BUDGET`` first.  Input with a squared variable is compared on
 colex prefixes (:func:`is_associative`).
 
-``classify._decide`` runs the prefix step, then recognises a family, which
-proves associativity by the paper's theorem; it runs the full comparison
-only on non-associative input that passes the prefix step.
+``classify._decide`` recognises a family first, which proves associativity
+by the paper's theorem, and calls :func:`is_associative` only for the
+witness of input that no family rebuilds.
 """
 
 from __future__ import annotations
@@ -209,21 +209,16 @@ def _pulled(get, zero, den: int, n: int, slot: int, mask: int):
 
 def associative_multilinear(p: MultilinearPoly) -> AssocVerdict:
     """Associativity for multilinear operations: the prefix step
-    (:func:`_prefix_witness`), then the full comparison
-    (:func:`_compare_closed_forms`)."""
+    (:func:`_prefix_witness`), then the full comparison, the closed-form slot
+    compositions, slot 2 against slot 1, then, unless p is symmetric, slots
+    3..n, with the witness at the first difference (no later slot is built).
+    Each closed form is charged its term pairs (``_slot_bound``) before it is
+    built; once the charges pass ``DECISION_BUDGET`` it raises ``BudgetError``."""
     if p.n < 2:
         raise ValueError("arity must be at least 2")
     witness = _prefix_witness(p)
-    return AssocVerdict(False, witness) if witness is not None else _compare_closed_forms(p)
-
-
-def _compare_closed_forms(p: MultilinearPoly) -> AssocVerdict:
-    """The full comparison, for p whose prefix step found no witness: the
-    closed-form slot compositions, slot 2 against slot 1, then, unless p is
-    symmetric, slots 3..n, with the witness at the first difference (no later
-    slot is built).  Each closed form is charged its term pairs
-    (``_slot_bound``) before it is built; once the charges pass
-    ``DECISION_BUDGET`` it raises ``BudgetError``."""
+    if witness is not None:
+        return AssocVerdict(False, witness)
     zero, pairs, base = p.ring.zero, 0, None
     for slot in range(1, p.n + 1):
         if slot == 3 and p.is_symmetric():
@@ -252,16 +247,14 @@ def is_associative(p: SparsePoly) -> AssocVerdict:
     Multilinear input goes through :func:`associative_multilinear`: the
     prefix step, then full closed forms under ``DECISION_BUDGET``, with a
     shortcut for symmetric operations (the first two slot compositions
-    agreeing already settles the symmetric case).  The report commands decide
-    by recognition instead (``classify._decide``).
+    agreeing already settles the symmetric case).  The report commands
+    recognise a family first (``classify._decide``) and come here only for
+    the witness of input that no family rebuilds.
 
-    Input with a squared variable is never associative.  Over an integral
-    domain slot s's degree in x_j is d_j before the nested window,
-    d_s * d_(j-s+1) in it and d_(j-n+1) past it, for p's degrees d_1..d_n;
-    equal degrees at all slots force every d_j <= 1 (slots s and s+1 agree
-    at x_s and x_(s+n) only if d_s(d_1 - 1) = 0 = d_(s+1)(d_n - 1); d_1 = 0
-    zeroes d_1..d_(n-1), and d_1 = 1 gives d_(s+1) = d_s * d_2 at x_(s+1),
-    so d_n = d_2^(n-1) bounds d_2).  So only the witness is searched for:
+    Input with a squared variable is never associative: the slot
+    compositions' degrees in each variable never agree at every slot (the
+    degree argument of ``oracle._composition_degrees``).  So only the
+    witness is searched for:
     for slot s = 2..n and k upward over the variables slot 1's or slot s's
     composition can hold, both are cut to x1..xk (:func:`_cut`).  Monomials
     in x1..xk come first in colex order, so the first difference at the

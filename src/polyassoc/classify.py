@@ -24,11 +24,10 @@ table).
 
 The theorem is an equivalence: over an infinite commutative integral domain
 the six families are exactly the associative polynomial operations.  So
-multilinear input is decided by recognition (``_decide``): a family that
-rebuilds p proves it associative, and no slot composition is built.  The
-O(t) prefix step (``assoc._prefix_witness``) runs first, and the full
-comparison (``assoc._compare_closed_forms``) only when no family matches,
-for the witness.  Each family also answers its own structure questions:
+input is decided by recognition (``_decide``): a family that rebuilds p
+proves it associative, and no slot composition is built.  Only when no
+family matches is the witness searched for, by ``assoc.is_associative``.
+Each family also answers its own structure questions:
 ``group`` (is the whole ring an n-ary group, and with which skew map) and
 ``reduction`` (is it the iterate of a binary operation).
 """
@@ -40,7 +39,7 @@ from itertools import accumulate
 from math import comb
 from operator import mul
 
-from .assoc import CompositionWitness, _compare_closed_forms, _prefix_witness, is_associative
+from .assoc import CompositionWitness, is_associative
 from .errors import InternalInvariantError
 from .poly import MultilinearPoly, SparsePoly, _size_table, _Value
 from .rings import Frac, Ring
@@ -282,26 +281,21 @@ def _decide(p: SparsePoly) -> tuple[CompositionWitness | None, list[Classificati
     """The witness that p is not associative, or None and the families that
     rebuild p.
 
-    Multilinear p is decided in three steps.  A witness of the prefix step
-    (``assoc._prefix_witness``) is the answer.  Otherwise a family that
-    rebuilds p (``_families``) proves p associative, by the theorem.  With no
-    family, p is not associative, and the full comparison
-    (``assoc._compare_closed_forms``) finds the witness; if it finds none, the
-    theorem and the code disagree, an ``InternalInvariantError``.  Input with
-    a squared variable is never associative and goes to ``is_associative``.
+    A family that rebuilds multilinear p (``_families``) proves p
+    associative, by the theorem.  With none, or with a squared variable, p is
+    not associative, and ``is_associative`` finds the witness; if it finds
+    none, the theorem and the code disagree, an ``InternalInvariantError``.
     """
-    ml = p.to_multilinear()
-    if ml is None:
-        return is_associative(p).witness, []
-    if ml.n < 2:
+    if p.nvars < 2:
         raise ValueError("arity must be at least 2")
-    witness = _prefix_witness(ml)
-    families = _families(ml) if witness is None else []
-    if witness is None and not families:
-        witness = _compare_closed_forms(ml).witness
-        if witness is None:
-            raise InternalInvariantError(f"slot compositions agree but no family rebuilds {p.render()}")
-    return witness, families
+    ml = p.to_multilinear()
+    families = [] if ml is None else _families(ml)
+    if families:
+        return None, families
+    witness = is_associative(p if ml is None else ml).witness
+    if witness is None:
+        raise InternalInvariantError(f"slot compositions agree but no family rebuilds {p.render()}")
+    return witness, []
 
 
 def classify_associative(

@@ -159,10 +159,12 @@ def _composition_degrees(degrees: list[int], slot: int) -> list[int]:
     ``degrees`` d_1..d_n: d_j before the nested window, d_s * d_(j-s+1) in it
     and d_(j-n+1) past it, exact over an integral domain.
 
-    Equal vectors at all n slots force every d_j <= 1: slots s and s+1 agree
-    at x_s and x_(s+n) only if d_s(d_1 - 1) = 0 = d_(s+1)(d_n - 1), so d_1,
-    d_n <= 1, and d_1 = 0 zeroes d_1..d_(n-1); with d_1 = 1, agreement at
-    x_(s+1) gives d_(s+1) = d_s * d_2, so d_n = d_2^(n-1) bounds d_2.
+    Equal vectors at all n slots force every d_j <= 1, so input with a
+    squared variable is never associative (``assoc.is_associative`` relies on
+    this): slots s and s+1 agree at x_s and x_(s+n) only if d_s(d_1 - 1) = 0
+    = d_(s+1)(d_n - 1), so d_1, d_n <= 1, and d_1 = 0 zeroes d_1..d_(n-1);
+    with d_1 = 1, agreement at x_(s+1) gives d_(s+1) = d_s * d_2, so d_n =
+    d_2^(n-1) bounds d_2.
     """
     window = [degrees[slot - 1] * d for d in degrees]
     return degrees[: slot - 1] + window + degrees[slot:]

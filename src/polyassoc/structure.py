@@ -32,18 +32,17 @@ from .poly import MultilinearPoly, SparsePoly, _Value
 
 
 class StructureReport(_Value):
-    """``group`` is "yes", "no" or "field-restricted"; ``skew_verified`` is
-    True when there is a skew map, else None; ``medial_method`` is "symbolic"
-    or "sampled"; ``reducible`` is "yes", "no" or "out-of-scope"."""
+    """``group`` is "yes", "no" or "field-restricted"; ``medial_method`` is
+    "symbolic" or "sampled"; ``reducible`` is "yes", "no" or "out-of-scope".
+    A report holds only what passed its checks (``analyze`` raises
+    otherwise), so its skew map, if any, is verified and an endomorphism,
+    and the operation is medial."""
 
-    __slots__ = ("group", "skew", "skew_verified", "skew_endomorphism", "medial",
-                 "medial_method", "reducible", "reduction", "notes")
+    __slots__ = ("group", "skew", "medial_method", "reducible", "reduction", "notes")
 
-    def __init__(self, group: str, skew: SkewMap | None, skew_verified: bool | None,
-                 skew_endomorphism: bool | None, medial: bool, medial_method: str,
+    def __init__(self, group: str, skew: SkewMap | None, medial_method: str,
                  reducible: str, reduction: Reduction | None, notes: tuple[str, ...] = ()):
-        _Value.__init__(self, group, skew, skew_verified, skew_endomorphism, medial,
-                        medial_method, reducible, reduction, notes)
+        _Value.__init__(self, group, skew, medial_method, reducible, reduction, notes)
 
 
 def verify_skew(p: SparsePoly, skew: SkewMap) -> bool:
@@ -182,7 +181,6 @@ def analyze(p: SparsePoly, cls: Classification) -> StructureReport:
         raise InternalInvariantError(f"skew map {skew.render(ring)} fails p(x, .., x, x-bar) = x")
     if skew is not None and not skew_is_endomorphism(p, skew):
         raise InternalInvariantError(f"skew map {skew.render(ring)} is not an endomorphism")
-    checked = None if skew is None else True  # a failed check raised above
     medial, method = is_medial(p)
     if not medial:  # every family is medial over a commutative ring
         raise InternalInvariantError("the operation fails the medial identity")
@@ -194,9 +192,6 @@ def analyze(p: SparsePoly, cls: Classification) -> StructureReport:
     return StructureReport(
         group=group,
         skew=skew,
-        skew_verified=checked,
-        skew_endomorphism=checked,
-        medial=medial,
         medial_method=method,
         reducible=status,
         reduction=reduction,

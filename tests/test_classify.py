@@ -198,6 +198,35 @@ def test_recognition_agrees_with_the_decision_on_whole_boxes():
     assert checked == 13_747
 
 
+def _sum_weights(ring, n):
+    """The twisted-sum weights w != 1 with w^(n-1) = 1 that ``ring`` holds."""
+    units = [-1] if ring is not Ring.ZI else [-1, GaussianInt(0, 1), GaussianInt(0, -1)]
+    return [w for w in units if n >= 3 and ring.coerce(w) ** (n - 1) == ring.one]
+
+
+def test_associative_multilinear_input_is_decided_by_recognition_alone(monkeypatch, capsys):
+    # a family that rebuilds p settles it: no prefix-step read, no closed form
+    import polyassoc.assoc as assoc
+    from polyassoc.cli import main
+
+    def refuse(*args):
+        raise AssertionError("the slot compositions were read")
+
+    monkeypatch.setattr(assoc, "_pulled", refuse)
+    monkeypatch.setattr(assoc, "compose_closed_form", refuse)
+    for ring in (Ring.Z, Ring.Q, Ring.ZI):
+        for n in range(2, 14):
+            product_family = ShiftedProduct(2, Frac(ring, 1))
+            assert classify(reconstruct(product_family, n, ring)) == product_family
+        for n in range(2, 7):
+            linear = [Constant(3), LeftProjection(), RightProjection(), TranslatedSum(-2)]
+            for family in linear + [TwistedSum(w) for w in _sum_weights(ring, n)]:
+                assert classify(reconstruct(family, n, ring)) == family
+    sp13 = "-1 + 2*" + "*".join(f"(x{k} + 1)" for k in range(1, 14))
+    assert main(["check", "--ring", "z", "--n", "13", "--poly", sp13]) == 0
+    assert "associative: yes\n" in capsys.readouterr().out
+
+
 def test_verify_condpol_fixtures():
     assert verify_condpol([0, 1, 3, 9])
     assert not verify_condpol([1, 0, 1])  # j=1, k=0 gives 1 != 0
@@ -464,8 +493,7 @@ def test_value_object_constructors_take_keywords():
     assert OracleConfig(mode="random", seed=3) == OracleConfig("random", 3)
     assert OracleConfig().mode == "grid"
     report = StructureReport(
-        group="no", skew=None, skew_verified=None, skew_endomorphism=None, medial=True,
-        medial_method="symbolic", reducible="out-of-scope", reduction=None,
+        group="no", skew=None, medial_method="symbolic", reducible="out-of-scope", reduction=None,
     )
     assert report.notes == () and report.medial_method == "symbolic"
     result = EnumerationResult(

@@ -666,8 +666,9 @@ def test_internal_invariant_violation_exit_code(capsys, monkeypatch):
 def test_oracle_rejects_a_squared_variable_called_associative(
     capsys, monkeypatch, command, message
 ):
-    # every command decides in classify._decide, which reads classify's binding
-    monkeypatch.setattr(classify_module, "is_associative", lambda p: cli.AssocVerdict(True))
+    # a decision that calls the squared input associative, with no family:
+    # check's oracle and classify_associative each catch it
+    monkeypatch.setattr(cli, "_decide", lambda p: (None, []))
     code, out, err = run(capsys, command, "--ring", "z", "--n", "2", "--poly", "x1^2*x2")
     assert (code, out) == (3, "")
     assert err == f"internal error: {message}\n"
@@ -692,23 +693,25 @@ def test_a_witness_its_indicator_point_contradicts_exits_3(
     capsys, monkeypatch, command, poly, change
 ):
     assert run(capsys, command, "--ring", "z", "--n", "3", "--poly", poly)[0] == 0
-    # every command takes its witness from one of these two steps of classify._decide
-    prefix, compare = classify_module._prefix_witness, classify_module._compare_closed_forms
-    wrong_prefix = lambda p: None if (w := prefix(p)) is None else _off_by_one(w, change)
-    wrong_compare = lambda p: cli.AssocVerdict(False, _off_by_one(compare(p).witness, change))
-    monkeypatch.setattr(classify_module, "_prefix_witness", wrong_prefix)
-    monkeypatch.setattr(classify_module, "_compare_closed_forms", wrong_compare)
+    # every command takes its witness from classify's binding of is_associative
+    search = classify_module.is_associative
+    wrong = lambda p: cli.AssocVerdict(False, _off_by_one(search(p).witness, change))
+    monkeypatch.setattr(classify_module, "is_associative", wrong)
     code, out, err = run(capsys, command, "--ring", "z", "--n", "3", "--poly", poly)
     assert (code, out) == (3, "")
     assert err == "internal error: the compositions disagree with the witness at its point\n"
 
 
-@pytest.mark.parametrize("command", ["classify", "analyze"])
-def test_no_family_with_agreeing_compositions_exits_3(capsys, monkeypatch, command):
-    # not associative, but slots 1 and 2 agree below 2^n (the witness is at x5)
-    poly = "-x1*x3 - x3 - 1"
-    monkeypatch.setattr(classify_module, "_compare_closed_forms", lambda p: cli.AssocVerdict(True))
-    code, out, err = run(capsys, command, "--ring", "z", "--n", "3", "--poly", poly)
+@pytest.mark.parametrize("command, n, poly", [
+    ("classify", 3, "-x1*x3 - x3 - 1"),
+    ("analyze", 3, "-x1*x3 - x3 - 1"),
+    ("check", 2, "x1^2*x2"),
+], ids=["classify", "analyze", "check-squared-variable"])
+def test_no_family_with_agreeing_compositions_exits_3(capsys, monkeypatch, command, n, poly):
+    # not associative (a witness at x5; a squared variable), and a witness
+    # search that finds none
+    monkeypatch.setattr(classify_module, "is_associative", lambda p: cli.AssocVerdict(True))
+    code, out, err = run(capsys, command, "--ring", "z", "--n", str(n), "--poly", poly)
     assert (code, out) == (3, "")
     assert err == f"internal error: slot compositions agree but no family rebuilds {poly}\n"
 

@@ -232,14 +232,42 @@ def test_assoc_imports_only_errors_and_poly_from_the_package():
 
 
 def test_cli_imports_only_the_verdict_and_its_witness_from_assoc():
-    # the census walk compares the composition routes; the front end builds none
-    tree = ast.parse((Path(polyassoc.__file__).parent / "cli.py").read_text())
-    names = {
-        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-        and (node.level, node.module) in ((1, "assoc"), (0, "polyassoc.assoc"))
-        for alias in node.names
+    # the census walk compares the composition routes; the front end builds
+    # none, and classify takes the witness from the library's one search
+    wanted = {
+        "cli.py": {"AssocVerdict", "CompositionWitness", "is_associative"},
+        "classify.py": {"CompositionWitness", "is_associative"},
     }
-    assert names == {"AssocVerdict", "CompositionWitness", "is_associative"}
+    for module, want in wanted.items():
+        tree = ast.parse((Path(polyassoc.__file__).parent / module).read_text())
+        names = {
+            alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and (node.level, node.module) in ((1, "assoc"), (0, "polyassoc.assoc"))
+            for alias in node.names
+        }
+        assert names == want, module
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # the package re-exports its names, and bench/layertrace.py wraps the
+    # two bindings kept for it
+    kept = {("cli.py", "is_associative"), ("oracle.py", "associative_multilinear")}
+    offenders = []
+    for path in sorted(Path(polyassoc.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read and (path.name, name) not in kept:
+                        offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert offenders == []
 
 
 @pytest.mark.parametrize("line, imports", [
