@@ -35,8 +35,8 @@ from .oracle import (
     DEFAULT_BUDGET,
     DEFAULT_SEED,
     OracleConfig,
-    _compositions,
     assoc_pointwise,
+    associated_value,
     candidates_text,
     census_csv,
     enumerate_associative,
@@ -110,15 +110,15 @@ def _structure_json(report: StructureReport, ring: Ring) -> dict:
 
 def _witness_holds(p: SparsePoly, witness: CompositionWitness) -> bool:
     """Whether slot 1 minus the witness's slot, evaluated at its 0/1 point 1_M
-    (``indicator_point``) by nested evaluation (``oracle._compositions``), is
+    (``indicator_point``) by nested evaluation (``oracle.associated_value``), is
     lhs - rhs.  For multilinear p a composition at 1_M is the sum of its
     coefficients on the subsets of M, and those below M agree, M being the
     first difference in colex order.  With a squared variable 1_M does not
     isolate one coefficient, so such input keeps its degree check alone (True)."""
     if not p.is_multilinear:
         return True
-    point = list(witness.indicator_point)
-    first, other = map(p.ring.element, _compositions(p, [0, witness.slot - 1])(point))
+    point = witness.indicator_point
+    first, other = associated_value(p, 1, point), associated_value(p, witness.slot, point)
     return first - other == witness.lhs - witness.rhs
 
 

@@ -2,11 +2,10 @@
 
 The pointwise checks avoid the closed-form composition machinery: multilinear
 associativity is checked exactly on the 0/1 grid, for a symmetric p from its
-n+1 point values and otherwise at the points that can carry a monomial, a
-family of points at a time, each composition affine in one subset sum of p's
-coefficients there, and probabilistically by evaluating the compositions at
-random samples; other input, never associative, is checked by its
-per-variable degrees.
+n+1 point values and otherwise by families of points keyed by p's terms, each
+composition affine in one subset sum of p's coefficients there, and
+probabilistically by evaluating the compositions at random samples; other
+input, never associative, is checked by its per-variable degrees.
 The exhaustive search of coefficient boxes (``enumerate_associative``) lives
 in ``census``, imported on its first call.
 
@@ -200,46 +199,24 @@ def _subset_sum(terms: tuple, mask: int):
     return sum((c for t, c in pairs if t & mask == t), zero)
 
 
-def _families(masks: list[int], lo: int, hi: int, ends: tuple) -> dict[int, int]:
+def _families(masks: list[int], lo: int, hi: int) -> set[int]:
     """Equation s's families by n-bit key k (slot s+1's outer variables, a = x_s
-    at ``lo``, b = x_(s+n) at ``hi``) with their source kinds: 1 (2) for a term t
-    with x_s (x_(s+1)), at each a (b) in ``ends``; 4 for t lacking one, at k = t."""
-    a0, a1, b0, b1 = 0 in ends[0], 1 in ends[0], 0 in ends[1], 1 in ends[1]
-    families: dict[int, int] = {}
-    get = families.get
-    for t in masks:
-        if t & lo:
-            if a0:
-                families[t ^ lo] = get(t ^ lo, 0) | 1
-            if a1:
-                families[t] = get(t, 0) | 1
-        if t & hi:
-            if b0:
-                families[t ^ hi] = get(t ^ hi, 0) | 2
-            if b1:
-                families[t] = get(t, 0) | 2
-        if ~t & (lo | hi):
-            families[t] = get(t, 0) | 4
-    return families
+    at ``lo``, b = x_(s+n) at ``hi``): each term t, t without x_s, t without x_(s+1)."""
+    return {k for t in masks for k in (t, t & ~lo, t & ~hi)}
 
 
-def _window_parts(masks: list[int], n: int, key: int) -> set[int]:
-    """The parts C = x_(s+1)..x_(s+n-1) a family of ``key`` = a | b << 1 | kinds << 2
-    is checked at: w >> 1 for terms w & 1 = a, w mod 2^(n-1) for w >> (n-1) = b, 0."""
-    a, b, kinds = key & 1, key >> 1 & 1, key >> 2
-    parts = {0} if kinds & 4 else set()
-    if kinds & 1:
-        parts.update(w >> 1 for w in masks if w & 1 == a)
-    if kinds & 2:
-        parts.update(w & ((1 << (n - 1)) - 1) for w in masks if w >> (n - 1) == b)
-    return parts
+def _window_parts(masks: list[int], n: int) -> set[int]:
+    """The parts C = x_(s+1)..x_(s+n-1) every family is checked at: 0, and
+    w >> 1 and w mod 2^(n-1) for each term w."""
+    low = (1 << (n - 1)) - 1
+    return {0, *(w >> 1 for w in masks), *(w & low for w in masks)}
 
 
 def _relation(sums: _SubsetSums, n: int, key: int, parts: set[int]) -> tuple:
-    """(u(C0), v(C0), pivot) on the ``parts`` of a family of ``key``, u(C) = S(a | C << 1),
-    v(C) = S(C | b << (n-1)), U = u - u(C0), V = v - v(C0): pivot is None when (U, V)
-    vanishes there, the first nonzero (U, V) when U and V are proportional, else False."""
-    a, top = key & 1, (key >> 1 & 1) << (n - 1)
+    """(u(C0), v(C0), pivot) on ``parts`` for family bits ``key`` = a | b << 1, u(C) =
+    S(a | C << 1), v(C) = S(C | b << (n-1)), U = u - u(C0), V = v - v(C0): pivot is None when
+    (U, V) vanishes there, the first nonzero (U, V) when U and V are proportional, else False."""
+    a, top = key & 1, key >> 1 << (n - 1)
     c0, *rest = parts
     u0, v0, pivot = sums[a | c0 << 1], sums[c0 | top], None
     for c in rest:
@@ -274,16 +251,15 @@ def _assoc_by_families(p: MultilinearPoly) -> bool:
     n, m, masks = p.nvars, 2 * p.nvars - 1, list(p.coeffs)
     bounds = [_slot_bound(masks, s) for s in range(1, n + 1)]
     _check_grid_guard(sum(min(1 << m, a + b) for a, b in zip(bounds, bounds[1:])))
-    sums = _SubsetSums(p)
-    ends = {w & 1 for w in masks}, {w >> (n - 1) for w in masks}  # the a's and b's of terms
-    relations: dict[int, tuple] = {}  # by key, shared by all equations
+    sums, parts = _SubsetSums(p), _window_parts(masks, n)
+    relations: dict[int, tuple] = {}  # by the family bits a | b << 1, shared by all equations
     for s in range(1, n):
         lo, hi = 1 << (s - 1), 1 << s
-        for k, kinds in _families(masks, lo, hi, ends).items():
-            key = k >> (s - 1) & 3 | kinds << 2
+        for k in _families(masks, lo, hi):
+            key = k >> (s - 1) & 3
             relation = relations.get(key)
             if relation is None:
-                relation = relations[key] = _relation(sums, n, key, _window_parts(masks, n, key))
+                relation = relations[key] = _relation(sums, n, key, parts)
             if not _family_holds(sums, lo, hi, k, relation):
                 return False
     return True
@@ -336,16 +312,20 @@ def assoc_pointwise(p: SparsePoly, cfg: OracleConfig) -> bool:
     bounds these candidates over all n-1 equations, from the term counts,
     before any subset sum is read: t masks per term with x_s and one per
     other term, at most 2^(2n-1) per equation.  They are checked by family
-    (``_families``), the points that agree outside C = x_(s+1)..x_(s+n-1).
-    With S(T) = den * p(1_T), a subset sum of p's scaled coefficients, and
-    p = A + x_s B, den^2 times the two sides there are alpha + beta * u(C)
-    and gamma + delta * v(C), where u(C) = S(a | C << 1) and v(C) = S(C | b
-    << (n-1)) depend on the family's bits a = x_s and b = x_(s+n) alone.
-    Over an integral domain that holds at every C of the family iff it holds
-    at one C0 and beta * U = delta * V, for U = u - u(C0), V = v - v(C0):
-    one product comparison at a C1 where (U, V) != 0 when U and V are
-    proportional on the family's C's, else beta = delta = 0 (``_relation``).
-    No composition is evaluated; a dense non-symmetric table costs (n-1) * 2^n
+    (``_families``), the points that agree outside C = x_(s+1)..x_(s+n-1):
+    a candidate's family is a term t, or t without x_s or x_(s+1), and its C
+    is 0, w >> 1 or w mod 2^(n-1) for a term w (``_window_parts``).  Every
+    family is checked at all these C's, a superset of its candidates, which
+    is sound: equal compositions agree at every point.  With S(T) = den *
+    p(1_T), a subset sum of p's scaled coefficients, and p = A + x_s B,
+    den^2 times the two sides there are alpha + beta * u(C) and gamma +
+    delta * v(C), where u(C) = S(a | C << 1) and v(C) = S(C | b << (n-1))
+    depend on the family's bits a = x_s and b = x_(s+n) alone.  Over an
+    integral domain that holds at every C iff it holds at one C0 and beta *
+    U = delta * V, for U = u - u(C0), V = v - v(C0): one product comparison
+    at a C1 where (U, V) != 0 when U and V are proportional on the C's, else
+    beta = delta = 0 (``_relation``, at most four per call, one per (a, b)).
+    No composition is evaluated; an equation costs at most min(3t, 2^n)
     family checks.
 
     Random mode compares the n slot compositions of multilinear p, in native

@@ -501,20 +501,19 @@ def test_random_mode_equals_grid_mode_on_tables(p, seed):
 def test_every_monomial_of_both_compositions_is_checked(monkeypatch):
     # The soundness argument needs equation s to reach the indicator point of
     # every monomial of slot s's and slot s+1's compositions.  Each
-    # equation's families are recorded with their source kinds, and each set
-    # of window parts with its key, the family bits a, b and the kinds; the
-    # stub passes every family, so that each is reached.  The family route
-    # is called directly, since symmetric tables do not reach it.
-    families, parts = {}, {}
+    # equation's families are recorded, and the call's one set of window
+    # parts; the stub passes every family, so that each is reached.  The
+    # family route is called directly, since symmetric tables do not reach it.
+    families, parts = {}, []
     find_families, window_parts = oracle._families, oracle._window_parts
 
-    def record_families(masks, lo, hi, ends):
-        found = families[lo.bit_length()] = find_families(masks, lo, hi, ends)
+    def record_families(masks, lo, hi):
+        found = families[lo.bit_length()] = find_families(masks, lo, hi)
         return found
 
-    def record_parts(masks, n, key):
-        found = parts[key] = window_parts(masks, n, key)
-        return found
+    def record_parts(masks, n):
+        parts.append(window_parts(masks, n))
+        return parts[-1]
 
     monkeypatch.setattr(oracle, "_families", record_families)
     monkeypatch.setattr(oracle, "_window_parts", record_parts)
@@ -535,12 +534,9 @@ def test_every_monomial_of_both_compositions_is_checked(monkeypatch):
         parts.clear()
         ml = p.to_multilinear()
         assert oracle._assoc_by_families(ml)
+        assert len(parts) == 1, text
         for s in range(1, n):
-            checked = {
-                (k, c)
-                for k, kinds in families[s].items()
-                for c in parts[k >> (s - 1) & 3 | kinds << 2]
-            }
+            checked = {(k, c) for k in families[s] for c in parts[0]}
             for slot in (s, s + 1):
                 for mask in compose_closed_form(ml, slot).coeffs:
                     # x1..x_s, then x_(s+n) on: the family; x_(s+1)..x_(s+n-1): C
@@ -559,37 +555,70 @@ def test_family_check_equals_its_points(monkeypatch):
     # A family passes iff the equation holds at each of its points, read by
     # evaluating both compositions there.  Every family is recorded with its
     # verdict, and the route is told that each holds, so that it goes on.
-    families, seen = {}, []
-    find_families, family_holds = oracle._families, oracle._family_holds
-
-    def record_families(masks, lo, hi, ends):
-        found = families[lo.bit_length()] = find_families(masks, lo, hi, ends)
-        return found
+    seen = []
+    family_holds = oracle._family_holds
 
     def record(sums, lo, hi, k, relation):
         seen.append((lo.bit_length(), k, family_holds(sums, lo, hi, k, relation)))
         return True
 
-    monkeypatch.setattr(oracle, "_families", record_families)
     monkeypatch.setattr(oracle, "_family_holds", record)
     cases = [(NON_PROPORTIONAL, 3, Ring.Z), ("x1*x2 + 2*x2*x3 + x1 - x3", 3, Ring.Q),
              ("x1 + i*x2 - x3 + (1+i)*x2*x4", 4, Ring.ZI),
              ("-1 + 2*(x1 + 1)*(x2 + 1)*(x3 + 1) + x2*x3", 3, Ring.Z)]
     for text, n, ring in cases:
         p = parse_poly(text, n, ring)
-        masks = list(p.to_multilinear().coeffs)
+        parts = oracle._window_parts(list(p.to_multilinear().coeffs), n)
         seen.clear()
         assert assoc_pointwise(p, OracleConfig(mode="grid"))
         assert not all(holds for _, _, holds in seen), text
         for s, k, holds in seen:
             points = [
                 [mask >> j & 1 for j in range(2 * n - 1)]
-                for c in oracle._window_parts(masks, n, k >> (s - 1) & 3 | families[s][k] << 2)
+                for c in parts
                 for mask in [k & ((1 << s) - 1) | c << s | k >> s << (s + n - 1)]
             ]
             assert holds == all(
                 associated_value(p, s, x) == associated_value(p, s + 1, x) for x in points
             ), (text, s, k)
+
+
+def test_family_route_work_follows_the_terms(monkeypatch):
+    # Work counts, not time: with every family passing, so that each is
+    # reached, a call builds at most four (U, V) relations, one per family
+    # bits (a, b), and equation s checks at most min(3t, 2^n) families: the
+    # terms, each without x_s, each without x_(s+1).
+    relations, checks = [], {}
+    build_relation = oracle._relation
+
+    def count_relation(sums, n, key, parts):
+        relations.append(key)
+        return build_relation(sums, n, key, parts)
+
+    def count_check(sums, lo, hi, k, relation):
+        checks[lo] = checks.get(lo, 0) + 1
+        return True
+
+    monkeypatch.setattr(oracle, "_relation", count_relation)
+    monkeypatch.setattr(oracle, "_family_holds", count_check)
+    sp8 = "-1 + 2*" + "*".join(f"(x{j} + 1)" for j in range(1, 9))
+    cases = [
+        parse_poly("3*x1*x2*x3*x5 + 3*x2*x3*x4 + x1*x5 + x3*x5 + x4*x5 + 3*x1 + 2*x4 + 2*x5",
+                   5, Ring.Z),
+        parse_poly("x1*x2*x3 + x4", 12, Ring.Z),
+        parse_poly("x31", 31, Ring.Z),
+        reconstruct(TwistedSum(-1), 5, Ring.Z),
+        reconstruct(TwistedSum(GaussianInt(0, 1)), 5, Ring.ZI),
+        parse_poly(sp8 + " + x1*x2", 8, Ring.Z),
+    ]
+    for p in cases:
+        ml = p.to_multilinear()
+        relations.clear()
+        checks.clear()
+        assert oracle._assoc_by_families(ml)
+        assert len(relations) == len(set(relations)) <= 4, (p.render(), relations)
+        bound = min(3 * len(ml.coeffs), 1 << ml.n)
+        assert len(checks) == ml.n - 1 and max(checks.values()) <= bound, (p.render(), checks)
 
 
 def test_non_proportional_families_reject():

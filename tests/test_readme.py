@@ -248,6 +248,18 @@ def test_cli_imports_only_the_verdict_and_its_witness_from_assoc():
         assert names == want, module
 
 
+def test_cli_imports_no_private_name_from_oracle():
+    # the front end checks a witness through the oracle's public evaluation
+    tree = ast.parse((Path(polyassoc.__file__).parent / "cli.py").read_text())
+    names = {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        and (node.level, node.module) in ((1, "oracle"), (0, "polyassoc.oracle"))
+        for alias in node.names
+    }
+    assert "associated_value" in names
+    assert sorted(name for name in names if name.startswith("_")) == []
+
+
 def test_no_module_imports_a_name_it_never_reads():
     # the package re-exports its names, and bench/layertrace.py wraps the
     # two bindings kept for it
