@@ -5,11 +5,13 @@ value list at a time with c_0's last, checks each slot composition equation
 once its coefficients are set, so a failure settles a whole sub-box, and
 solves each list's value from one equation linear in it, so only one value
 is tried where its coefficient A is nonzero (one root at most, R being an
-integral domain).  Each table that passes every equation is checked where
-the walk finds it: its n closed-form slot compositions must be equal, and
-each must equal the slot's substitution (``_leaf_check``).  The tables are
-then classified into a census.  ``oracle.enumerate_associative`` imports
-this module on its first call, so report requests never compile it.
+integral domain).  Each table that passes every equation is kept and
+checked by two routes that share no code with the walk: recognition
+(``classify_associative``) must find exactly one family of the theorem that
+rebuilds it, and ``enumerate`` runs the exact grid oracle on it (random mode
+only past the grid guard).  The tables are then classified into a census.
+``oracle.enumerate_associative`` imports this module on its first call, so
+report requests never compile it.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ import sys
 from itertools import count
 from math import prod
 
-from .assoc import _pulled_masks, compose_closed_form, compose_substitution
+from .assoc import _pulled_masks
 from .classify import CLAUSES, Classification, classify_associative
-from .errors import BudgetError, InternalInvariantError
+from .errors import BudgetError
 from .poly import MultilinearPoly, _Value
 from .rings import Ring
 
@@ -37,7 +39,7 @@ class EnumerationResult(_Value):
     """``total``: the nominal size of the coefficient box; ``checked``: the
     tables the walk settles, those a failed equation settles unbuilt included;
     ``bulk_rejected``: candidates removed wholesale by pruning filters;
-    ``survivors``: each table, checked by ``_leaf_check``, with its class."""
+    ``survivors``: each table the walk keeps, with the one class recognition finds."""
 
     __slots__ = ("ring", "n", "bound", "total", "checked", "bulk_rejected", "survivors", "census")
 
@@ -99,21 +101,6 @@ def _solver(j: int, equations: list[tuple]):
     return solver, [other for other in equations if other is not eq]
 
 
-def _leaf_check(ml: MultilinearPoly) -> MultilinearPoly:
-    """``ml``, a table the walk keeps, once its n closed-form slot compositions, each
-    built once, are equal (a decision on their coefficients alone) and each equals
-    the slot's substitution, compared by ``SparsePoly.__eq__``; else ``InternalInvariantError``."""
-    forms = [compose_closed_form(ml, slot) for slot in range(1, ml.n + 1)]
-    if any(form.coeffs != forms[0].coeffs for form in forms[1:]):
-        raise InternalInvariantError(f"census walk keeps {ml.render()}, which the decision rejects")
-    for slot, closed in enumerate(forms, 1):
-        if closed != compose_substitution(ml, slot):
-            raise InternalInvariantError(
-                f"composition paths disagree for {ml.render()} at slot {slot}"
-            )
-    return ml
-
-
 def _enumerate_chunk(args) -> tuple[int, int, list[MultilinearPoly]]:
     """Walk one slice of the coefficient box (split on the top coefficient).
 
@@ -131,7 +118,8 @@ def _enumerate_chunk(args) -> tuple[int, int, list[MultilinearPoly]]:
     or none; the values left out are settled at once.  Value v then goes to
     slot j, where the other ``_equations`` list j completes are checked,
     and a failure settles every table of the later lists at once.  A leaf
-    passes them all; it is built, checked (``_leaf_check``) and kept.
+    passes them all; it is built and kept, for recognition and the grid
+    oracle to check.
     Returns (checked, bulk_rejected, survivors), the survivors in walk order
     and ``checked`` counting the tables of both kinds.
     """
@@ -187,7 +175,7 @@ def _enumerate_chunk(args) -> tuple[int, int, list[MultilinearPoly]]:
                     continue
                 checked += 1
                 table = {m: v for (masks, _), v in zip(lists, slot) if v for m in masks}
-                survivors.append(_leaf_check(MultilinearPoly._trusted(ring, n, table)))
+                survivors.append(MultilinearPoly._trusted(ring, n, table))
     return checked, len(first_values) * len(domain) ** top_mask - checked, survivors
 
 
@@ -232,7 +220,7 @@ def _enumerate(n: int, ring: Ring, bound: int, budget: int, prune: bool,
     if d == 1:
         # The box is the zero table alone, the constant 0: decided here, not
         # walked as 2^n one-value lists and sorted by a 2^n-entry key.
-        checked, bulk, found = 1, 0, [_leaf_check(MultilinearPoly(ring, n))]
+        checked, bulk, found = 1, 0, [MultilinearPoly(ring, n)]
     else:
         chunks = _split(ring.box(bound), jobs)
         args = [(ring, n, bound, chunk, prune) for chunk in chunks]
@@ -253,6 +241,7 @@ def _enumerate(n: int, ring: Ring, bound: int, budget: int, prune: bool,
             return [coords(get(m, zero)) for m in masks]
 
         found = sorted((leaf for part in parts for leaf in part[2]), key=table_key)
+    # recognition: exactly one family rebuilds each table, else InternalInvariantError
     survivors = [(ml, classify_associative(ml)) for ml in found]
     return EnumerationResult(ring, n, bound, total, checked, bulk, survivors,
                              _build_census(survivors, ring))

@@ -122,12 +122,14 @@ def _witness_holds(p: SparsePoly, witness: CompositionWitness) -> bool:
     return first - other == witness.lhs - witness.rhs
 
 
-def _oracle_check(p: SparsePoly, verdict: AssocVerdict) -> dict:
+def _oracle_check(p: SparsePoly, associative: bool, seed: int = DEFAULT_SEED) -> dict:
+    """The oracle's mode and whether it agrees with the verdict ``associative``:
+    grid mode (exact), or random mode drawn from ``seed`` past the grid guard."""
     try:
-        agrees = assoc_pointwise(p, OracleConfig(mode="grid")) == verdict.associative
+        agrees = assoc_pointwise(p, OracleConfig(mode="grid")) == associative
         mode = "grid"
     except BudgetError:
-        agrees = assoc_pointwise(p, OracleConfig(mode="random")) == verdict.associative
+        agrees = assoc_pointwise(p, OracleConfig(mode="random", seed=seed)) == associative
         mode = "random"
     # a squared variable: either mode answers by slot degrees
     return {"mode": mode if p.is_multilinear else "degree", "agrees": agrees}
@@ -166,7 +168,7 @@ def _build_report(args) -> dict:
     _check_printable(ring, values)
     if args.command == "analyze" and verdict.associative:
         structure = analyze(p, cls)
-    oracle = _oracle_check(p, verdict)
+    oracle = _oracle_check(p, verdict.associative)
     if not oracle["agrees"]:
         raise InternalInvariantError("pointwise oracle disagrees with the symbolic verdict")
     if verdict.witness is not None and not _witness_holds(p, verdict.witness):
@@ -241,9 +243,10 @@ def cmd_enumerate(args) -> int:
     result = enumerate_associative(
         n, ring, args.bound, budget=args.budget, prune=args.prune, jobs=args.jobs
     )
-    spot_cfg = OracleConfig(mode="random", seed=args.seed)
-    for ml, _ in result.survivors:  # the walk compared both composition routes
-        if not assoc_pointwise(ml, spot_cfg):
+    # recognition found each survivor's one family; the second route is the
+    # grid oracle, exact, with random mode only past the grid guard
+    for ml, _ in result.survivors:
+        if not _oracle_check(ml, True, args.seed)["agrees"]:
             raise InternalInvariantError(f"pointwise spot check rejects {ml.render()}")
     census_path = os.path.join(args.out, "census.csv")
     with open(census_path, "w") as fh:

@@ -71,7 +71,7 @@ class XorShift64Star:
         return draws
 
     def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi]: ``randints`` with a count of one."""
+        """Uniform integer in [lo, hi] (``randints``, count 1); tests of oracle and assoc call it."""
         return self.randints(lo, hi, 1)[0]
 
     def elements(self, ring: Ring, half_width: int, count: int) -> list:
@@ -108,9 +108,9 @@ def _samples_agree(ring: Ring, degree: int, width: int, values, seed: int) -> bo
     return all(len(set(values(list(point)))) == 1 for point in points)
 
 
-# Keys are few: one `enumerate` call spot-checks every survivor with one
-# seed, at three degrees, and sampled mediality uses one key per (deg(p), n).
-# 16 keeps a mixed run's keys while holding at most 16 sets of <= 64 points.
+# Keys are few: random mode runs only past the grid guard, with one seed per
+# command, and sampled mediality uses one key per (deg(p), n).  16 keeps a
+# mixed run's keys while holding at most 16 sets of <= 64 points.
 @lru_cache(maxsize=16)
 def _sample_points(ring: Ring, degree: int, width: int, seed: int) -> tuple[tuple, ...]:
     """The k points of ``_samples_agree``: a prefix of the seeded stream.

@@ -77,6 +77,7 @@ class GaussianInt:
         return self.re * self.re + self.im * self.im
 
     def conjugate(self) -> GaussianInt:
+        """re - im*i; the Gaussian division reference in tests/test_rings.py calls it."""
         g = _new(GaussianInt)
         g.re = self.re
         g.im = -self.im

@@ -2,11 +2,13 @@ import contextlib
 import importlib
 import io
 import json
+import multiprocessing
 import re
 import signal
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -794,136 +796,100 @@ def test_enumerate_spot_check_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "spot check" in err
 
 
-def walk_order(n: int, ring: Ring, bound: int) -> list:
-    """The survivors of an unpruned box in the order the walk finds them (one chunk)."""
-    return census._enumerate_chunk((ring, n, bound, ring.box(bound), False))[2]
+def keep_one_non_associative(monkeypatch):
+    """Make the walk keep x1 - x2, which is not associative, where it builds x1."""
+    trusted = census.MultilinearPoly._trusted
+
+    def build(ring, n, table):
+        return trusted(ring, n, {1: 1, 2: -1} if table == {1: 1} else table)
+
+    # the workers inherit the patched binding by fork
+    monkeypatch.setattr(census, "MultilinearPoly", SimpleNamespace(_trusted=build))
 
 
-def test_enumerate_composition_paths_disagreeing_exit_3(tmp_path, capsys, monkeypatch):
-    # the leaf's substitution made wrong at slot 2 by one added term; the
-    # walk's first table is the first checked against it
-    first = walk_order(2, Ring.Z, 1)[0]
-    substitute = census.compose_substitution
-    monkeypatch.setattr(
-        census, "compose_substitution",
-        lambda p, slot: substitute(p, slot) + int(slot == 2),
-    )
-    code, out, err = run(
-        capsys, "enumerate", "--ring", "z", "--n", "2", "--bound", "1",
-        "--out", str(tmp_path / "census"),
-    )
-    assert (code, out) == (3, "")
-    assert err == (
-        f"internal error: composition paths disagree for {first.render()} at slot 2\n"
-    )
-
-
-@pytest.mark.parametrize("wrong", ["squared-variable", "arity", "ring"])
-def test_enumerate_compares_the_composition_paths_as_polynomials(
-    tmp_path, capsys, monkeypatch, wrong
+@pytest.mark.parametrize("jobs", [
+    "1",
+    pytest.param("2", marks=pytest.mark.skipif(
+        multiprocessing.get_all_start_methods()[0] != "fork",
+        reason="the workers must inherit the patched binding by fork",
+    )),
+])
+def test_enumerate_exits_3_when_recognition_rejects_a_kept_table(
+    tmp_path, capsys, monkeypatch, jobs
 ):
-    # the leaf's substitution made wrong at slot 2 of the walk's first
-    # nonconstant table, in ways that keep the variables each term uses: every
-    # exponent doubled, one variable more, or the same coefficients over Q
-    # (1 == Fraction(1))
-    first = next(p for p in walk_order(2, Ring.Z, 1) if p.degree())
-    substitute = census.compose_substitution
-
-    def wrong_substitute(p, slot):
-        q = substitute(p, slot)
-        if slot != 2 or not p.degree():
-            return q
-        if wrong == "squared-variable":
-            return SparsePoly(q.ring, q.nvars, {tuple(2 * e for e in x): c for x, c in q.terms.items()})
-        if wrong == "arity":
-            return SparsePoly(q.ring, q.nvars + 1, {x + (0,): c for x, c in q.terms.items()})
-        return SparsePoly(Ring.Q, q.nvars, q.terms)
-
-    monkeypatch.setattr(census, "compose_substitution", wrong_substitute)
-    code, out, err = run(
-        capsys, "enumerate", "--ring", "z", "--n", "2", "--bound", "1",
-        "--out", str(tmp_path / "census"),
+    # recognition runs once the chunks merge, so both job counts name the same table
+    keep_one_non_associative(monkeypatch)
+    out = tmp_path / "census"
+    code, stdout, err = run(
+        capsys, "enumerate", "--ring", "z", "--n", "2", "--bound", "1", "--jobs", jobs,
+        "--out", str(out),
     )
-    assert (code, out) == (3, "")
-    assert err == (
-        f"internal error: composition paths disagree for {first.render()} at slot 2\n"
+    assert (code, stdout) == (3, "")
+    assert err == "internal error: associative operation matched 0 families: x1 - x2\n"
+    assert not (out / "census.csv").exists()
+
+
+def test_enumerate_exits_3_when_the_grid_oracle_rejects_a_kept_table(
+    tmp_path, capsys, monkeypatch
+):
+    # recognition patched to accept the kept table as a left projection: the
+    # exact oracle is then the route that rejects it
+    keep_one_non_associative(monkeypatch)
+    recognise = census.classify_associative
+    projection = recognise(parse_poly("x1", 2, Ring.Z).to_multilinear())
+    monkeypatch.setattr(
+        census, "classify_associative",
+        lambda ml: projection if ml.render() == "x1 - x2" else recognise(ml),
     )
+    out = tmp_path / "census"
+    code, stdout, err = run(
+        capsys, "enumerate", "--ring", "z", "--n", "2", "--bound", "1", "--out", str(out),
+    )
+    assert (code, stdout) == (3, "")
+    assert err == "internal error: pointwise spot check rejects x1 - x2\n"
+    assert not (out / "census.csv").exists()
 
 
 def test_enumerate_spot_checks_every_survivor_by_every_route(tmp_path, capsys, monkeypatch):
-    # each name is counted at every module that binds it, so a closed form
-    # built for the leaf's decision in the walk counts as well as one built
-    # for the spot check
-    import polyassoc.assoc as assoc
-    import polyassoc.oracle as oracle
-
+    # each name is counted at every module that binds it: every survivor is
+    # recognised once and checked once by the grid oracle, and no composition
+    # is built in the whole run
     calls = []
 
     def counted(name, f):
-        def wrapper(p, arg):
-            calls.append((name, p.render(), arg))
-            return f(p, arg)
+        def wrapper(p, *args):
+            calls.append((name, p.render(), *args))
+            return f(p, *args)
 
         return wrapper
 
-    for name in ("compose_closed_form", "compose_substitution", "assoc_pointwise"):
-        original = getattr(assoc, name, None) or getattr(oracle, name)
+    names = ("compose_closed_form", "compose_substitution", "assoc_pointwise",
+             "classify_associative")
+    for name in names:
+        original = next(getattr(m, name) for m in (assoc, oracle, classify_module)
+                        if hasattr(m, name))
         wrapper = counted(name, original)
-        for module in (assoc, census, oracle, cli):
+        for module in (assoc, census, classify_module, oracle, cli):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapper)
-    code, _, _ = run(
+    code, out, _ = run(
         capsys, "enumerate", "--ring", "z", "--n", "3", "--bound", "1", "--seed", "77",
         "--out", str(tmp_path / "census"),
     )
     monkeypatch.undo()
     survivors = [p.render() for p, _ in enumerate_associative(3, Ring.Z, 1).survivors]
     assert code == 0 and len(survivors) == 13
-    # one closed form per (survivor, slot) in the whole run, one substitution too
-    for name in ("compose_closed_form", "compose_substitution"):
-        got = sorted((p, slot) for f, p, slot in calls if f == name)
-        assert got == sorted((p, slot) for p in survivors for slot in (1, 2, 3))
-    checks = [(p, cfg) for f, p, cfg in calls if f == "assoc_pointwise"]
+    assert "dual-path spot check: ok (seed 77)\n" in out
+    assert {f for f, *_ in calls} == {"assoc_pointwise", "classify_associative"}
+    assert sorted(p for f, p, *_ in calls if f == "classify_associative") == sorted(survivors)
+    checks = [(p, cfg) for f, p, *cfg in calls if f == "assoc_pointwise"]
     assert sorted(p for p, _ in checks) == sorted(survivors)
-    assert {(cfg.mode, cfg.seed) for _, cfg in checks} == {("random", 77)}
-
-
-@pytest.mark.parametrize("slots, message", [
-    ({2}, "census walk keeps {}, which the decision rejects"),
-    ({1, 2, 3}, "composition paths disagree for {} at slot 1"),
-])
-def test_enumerate_checks_the_closed_forms_the_walk_kept(
-    tmp_path, capsys, monkeypatch, slots, message
-):
-    # the leaf's closed form made wrong, by one added constant, at the given
-    # slots of the first nonconstant survivor: wrong at slot 2 alone, the
-    # leaf's decision rejects the table; wrong alike at every slot, the
-    # decision holds and substitution finds the slot-1 form wrong
-    from polyassoc import MultilinearPoly
-
-    first = next(p for p, _ in enumerate_associative(3, Ring.Z, 1).survivors if p.degree())
-    closed_form = census.compose_closed_form
-
-    def wrong_closed_form(p, slot):
-        q = closed_form(p, slot)
-        if slot not in slots or p != first:
-            return q
-        return MultilinearPoly(q.ring, q.n, {**q.coeffs, 0: q.coeff(0) + 1})
-
-    monkeypatch.setattr(census, "compose_closed_form", wrong_closed_form)
-    code, out, err = run(
-        capsys, "enumerate", "--ring", "z", "--n", "3", "--bound", "1",
-        "--out", str(tmp_path / "census"),
-    )
-    assert (code, out) == (3, "")
-    assert err == f"internal error: {message.format(first.render())}\n"
+    assert {cfg.mode for _, (cfg,) in checks} == {"grid"}
 
 
 def test_enumerate_draws_each_sample_set_once(tmp_path, capsys, monkeypatch):
-    # the survivors' random checks use three degrees, 0, 1 and 3, so three
-    # point sets, each drawn by one generator
-    import polyassoc.oracle as oracle
-
+    # the survivors are checked in grid mode, which draws no sample set; random
+    # mode runs only past the grid guard
     made = []
 
     class Counted(oracle.XorShift64Star):
@@ -938,7 +904,7 @@ def test_enumerate_draws_each_sample_set_once(tmp_path, capsys, monkeypatch):
         "--out", str(tmp_path / "census"),
     )
     assert code == 0
-    assert made == [oracle.DEFAULT_SEED] * 3
+    assert made == []
     oracle._sample_points.cache_clear()
 
 
@@ -950,8 +916,8 @@ def test_enumerate_walk_missing_a_slot_pair_exits_3_at_a_leaf(
     tmp_path, capsys, monkeypatch, n, slot, table
 ):
     # the equation builder reads ``slot`` as slot - 1, so the equations of
-    # that slot pair have equal sides and are dropped; the leaves the walk
-    # then keeps are confirmed by the decision, which rejects one
+    # that slot pair have equal sides and are dropped; recognition then finds
+    # no family for the first table the walk keeps wrongly
     reads = census._pulled_masks
     monkeypatch.setattr(
         census, "_pulled_masks", lambda n, s, mask: reads(n, s - (s == slot), mask)
@@ -961,7 +927,7 @@ def test_enumerate_walk_missing_a_slot_pair_exits_3_at_a_leaf(
         "--out", str(tmp_path / "census"),
     )
     assert (code, out) == (3, "")
-    assert err == f"internal error: census walk keeps {table}, which the decision rejects\n"
+    assert err == f"internal error: associative operation matched 0 families: {table}\n"
 
 
 @pytest.mark.parametrize("kind", ["existing-file", "under-a-file"])

@@ -465,7 +465,10 @@ def test_multilinear_view_equals_and_hashes_like_the_sparse_polynomial():
         assert repr(fresh) == f"MultilinearPoly({p.ring.name}, {p.nvars}, {p.render()!r})"
         assert repr(p) == f"SparsePoly({p.ring.name}, {p.nvars}, {p.render()!r})"
     assert MultilinearPoly(Ring.Z, 2, {3: 1}) != SparsePoly(Ring.Z, 2, {(1, 1): 2})
+    # equal coefficients on another ring, at another arity or with every exponent doubled
     assert MultilinearPoly(Ring.Z, 2, {3: 1}) != MultilinearPoly(Ring.Q, 2, {3: 1})
+    assert MultilinearPoly(Ring.Z, 2, {3: 1}) != MultilinearPoly(Ring.Z, 3, {3: 1})
+    assert MultilinearPoly(Ring.Z, 2, {3: 1}) != SparsePoly(Ring.Z, 2, {(2, 2): 1})
 
 
 def test_multilinear_pickle_keeps_the_class():

@@ -231,9 +231,25 @@ def test_assoc_imports_only_errors_and_poly_from_the_package():
     assert {m for m in modules if m.startswith((".", "polyassoc"))} <= {".errors", ".poly"}
 
 
+def test_census_imports_only_the_walk_masks_from_assoc_and_nothing_from_oracle():
+    # a survivor is checked by recognition and by the grid oracle, which
+    # ``enumerate`` runs; a composition route here would be a third check
+    tree = ast.parse((Path(polyassoc.__file__).parent / "census.py").read_text())
+    imported = {
+        ("." * node.level + (node.module or ""), alias.name) if isinstance(node, ast.ImportFrom)
+        else (alias.name, None)
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert {name for module, name in imported
+            if module in (".assoc", "polyassoc.assoc")} == {"_pulled_masks"}
+    assert not {(module, name) for module, name in imported
+                if "oracle" in (module.rsplit(".", 1)[-1], name) or name == "assoc"}
+
+
 def test_cli_imports_only_the_verdict_and_its_witness_from_assoc():
-    # the census walk compares the composition routes; the front end builds
-    # none, and classify takes the witness from the library's one search
+    # the front end builds no composition, and classify takes the witness
+    # from the library's one search
     wanted = {
         "cli.py": {"AssocVerdict", "CompositionWitness", "is_associative"},
         "classify.py": {"CompositionWitness", "is_associative"},
