@@ -5,11 +5,15 @@ value list at a time with c_0's last, checks each slot composition equation
 once its coefficients are set, so a failure settles a whole sub-box, and
 solves each list's value from one equation linear in it, so only one value
 is tried where its coefficient A is nonzero (one root at most, R being an
-integral domain).  Each table that passes every equation is kept and
-checked by two routes that share no code with the walk: recognition
-(``classify_associative``) must find exactly one family of the theorem that
-rebuilds it, and ``enumerate`` runs the exact grid oracle on it (random mode
-only past the grid guard).  The tables are then classified into a census.
+integral domain).  The walk computes in Z/P, not in R: ``Ring.residue_map``
+sends each box value to an int once, and no value the walk tests for zero
+is nonzero in R but 0 mod P (``_residue_map``), so every test decides as
+in R and only a kept table is built of ring elements.  Each table that
+passes every equation is kept and checked by two routes that share no code
+with the walk: recognition (``classify_associative``) must find exactly one
+family of the theorem that rebuilds it, and ``enumerate`` runs the exact
+grid oracle on it (random mode only past the grid guard).  The tables are
+then classified into a census.
 ``oracle.enumerate_associative`` imports this module on its first call, so
 report requests never compile it.
 """
@@ -111,20 +115,29 @@ def _enumerate_chunk(args) -> tuple[int, int, list[MultilinearPoly]]:
     idempotent first/last linear coefficients.  Every table left out is
     rejected wholesale.  c_0's list comes last: c_0 only ever multiplies
     some c_(O | {s}), never itself, so every equation that reads it is
-    linear in it.  Each list structure is walked depth first.  On entering
-    list j, its solving equation (``_solver``) is read as A*x + B = 0 from
-    the lists already set.  R is an integral domain, so A != 0 leaves one
-    possible value, -B/A (``Ring.exact_div``), and A = 0 leaves all values
-    or none; the values left out are settled at once.  Value v then goes to
-    slot j, where the other ``_equations`` list j completes are checked,
-    and a failure settles every table of the later lists at once.  A leaf
-    passes them all; it is built and kept, for recognition and the grid
-    oracle to check.
+    linear in it.  Each list structure is walked depth first, on the
+    values' images mod P (``_residue_map``): a side of an equation is an int,
+    and two sides unequal as ints are compared mod P, unless the images are
+    too small for them to differ by a multiple of P (Z's).  On entering list
+    j, its solving equation (``_solver``) is read as A*x + B = 0 from the
+    lists already set.  R is an integral domain, so A != 0 leaves one
+    possible value, whose image is -B/A mod P (``_root``) and which a dict
+    from image residues finds, and A = 0 leaves all values or none; the
+    values left out are settled at once.  Value v then goes to slot j,
+    where the other ``_equations`` list j completes are checked, and a
+    failure settles every table of the later lists at once.  A leaf passes
+    them all; it alone is built of ring elements and kept, for recognition
+    and the grid oracle to check.
     Returns (checked, bulk_rejected, survivors), the survivors in walk order
     and ``checked`` counting the tables of both kinds.
     """
     ring, n, bound, first_values, prune = args
     domain, zero = ring.box(bound), ring.zero
+    modulus, image = _residue_map(ring, bound)
+    # sides a + b*c of images at most s in size differ by at most 2(s + s^2); below
+    # P, unequal ints are unequal mod P, as over Z, whose images are its box values
+    span = max(1, *(abs(image(v)) for v in domain))
+    exact = 2 * (span + span * span) < modulus
     idempotents = [v for v in domain if v * v == v]
     top_mask = (1 << n) - 1
     checked = 0
@@ -145,28 +158,32 @@ def _enumerate_chunk(args) -> tuple[int, int, list[MultilinearPoly]]:
             lists.append(([0], domain))
         values = [vs for _, vs in lists]
         solvers, equations = zip(*map(_solver, count(), _equations(n, lists)))
-        value_sets = [set(vs) for vs in values]
+        images = [list(map(image, vs)) for vs in values]
+        residues = [{x % modulus: x for x in xs} for xs in images]  # residue -> image
+        elements = [dict(zip(xs, vs)) for xs, vs in zip(images, values)]  # image -> value
         later = [prod(map(len, values[j + 1 :])) for j in range(len(values))]
-        slot = [zero] * len(values) + [ring.one, zero]  # slot[-2] one, slot[-1] zero
-        j, pos, trying = 0, [-1] * len(values), list(values)
+        slot = [0] * len(values) + [1, 0]  # images; slot[-2] one, slot[-1] zero
+        j, pos, trying = 0, [-1] * len(values), list(images)
         while j >= 0:
             pos[j] += 1
             if not pos[j] and solvers[j]:
                 p, q, r, u, a, b, c, d, e, f = solvers[j]
-                lead = slot[p] + slot[q] - slot[r] - slot[u]
+                lead = (slot[p] + slot[q] - slot[r] - slot[u]) % modulus
                 rest = slot[a] + slot[b] * slot[c] - slot[d] - slot[e] * slot[f]
                 if lead:
-                    x = ring.exact_div(-rest, lead)
-                    trying[j] = [x] if x in value_sets[j] else []
+                    x = residues[j].get(_root(lead, rest, modulus))
+                    trying[j] = [] if x is None else [x]
                 else:
-                    trying[j] = [] if rest else values[j]
+                    trying[j] = [] if rest % modulus else images[j]
                 checked += (len(values[j]) - len(trying[j])) * later[j]
             if pos[j] == len(trying[j]):
                 pos[j], j = -1, j - 1
                 continue
             slot[j] = trying[j][pos[j]]
             for a, b, c, d, e, f in equations[j]:
-                if slot[a] + slot[b] * slot[c] != slot[d] + slot[e] * slot[f]:
+                if slot[a] + slot[b] * slot[c] != slot[d] + slot[e] * slot[f] and (
+                    exact or (slot[a] - slot[d] + slot[b] * slot[c] - slot[e] * slot[f]) % modulus
+                ):
                     checked += later[j]
                     break
             else:
@@ -174,9 +191,27 @@ def _enumerate_chunk(args) -> tuple[int, int, list[MultilinearPoly]]:
                     j += 1
                     continue
                 checked += 1
-                table = {m: v for (masks, _), v in zip(lists, slot) if v for m in masks}
+                table = {m: elements[k][x] for k, ((masks, _), x) in enumerate(zip(lists, slot))
+                         if x for m in masks}
                 survivors.append(MultilinearPoly._trusted(ring, n, table))
     return checked, len(first_values) * len(domain) ** top_mask - checked, survivors
+
+
+def _residue_map(ring: Ring, bound: int) -> tuple:
+    """The walk's modulus and map: ``Ring.residue_map`` at c = 12b^2 + 2b,
+    where b = max(bound, 1) as the slots also hold one.
+
+    Over Z[i] (Z's are smaller) c bounds each coordinate of every value the
+    walk tests for zero: an equation's difference, 4b^2 + 2b; A, 4b; B,
+    4b^2 + 2b; A*x + B at a box value x, 8b^2 + 4b^2 + 2b; the difference
+    of two box values, 2b.  So each maps to 0 mod P only if it is zero."""
+    b = max(bound, 1)
+    return ring.residue_map(12 * b * b + 2 * b)
+
+
+def _root(lead: int, rest: int, modulus: int) -> int:
+    """The residue x with lead*x + rest = 0 (mod modulus), for lead a unit mod modulus."""
+    return -rest * pow(lead, -1, modulus) % modulus
 
 
 def _enumerate(n: int, ring: Ring, bound: int, budget: int, prune: bool,
@@ -222,6 +257,7 @@ def _enumerate(n: int, ring: Ring, bound: int, budget: int, prune: bool,
         # walked as 2^n one-value lists and sorted by a 2^n-entry key.
         checked, bulk, found = 1, 0, [MultilinearPoly(ring, n)]
     else:
+        _residue_map(ring, bound)  # a modulus that cannot be certified fails before any walk
         chunks = _split(ring.box(bound), jobs)
         args = [(ring, n, bound, chunk, prune) for chunk in chunks]
         if len(args) > 1:

@@ -16,9 +16,12 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from itertools import product
-from math import lcm
+from math import isqrt, lcm
 from operator import mul
+
+from .errors import BudgetError
 
 
 _new = object.__new__  # builds a GaussianInt without __init__, bound once
@@ -173,6 +176,29 @@ def _elementary(xs: list, degree: int) -> list:
     return e
 
 
+TRIAL_DIVISORS = 1 << 20  # the largest trial divisor that certifies a modulus
+
+
+@cache
+def _split_prime(c: int) -> tuple[int, int]:
+    """The least prime P = 1 (mod 4) above 2c^2, certified by trial division,
+    and r = a^((P-1)/4) (mod P) for the least a that makes r^2 = -1 (mod P),
+    which a quadratic non-residue a does (Euler's criterion)."""
+    p = max(2 * c * c + 1, 5)  # 1 is no prime
+    p += (1 - p) % 4
+    if isqrt(p) > TRIAL_DIVISORS:
+        raise BudgetError(
+            f"certifying a prime modulus above 2*{c}^2 needs trial divisors up to "
+            f"{isqrt(p)}, past the limit {TRIAL_DIVISORS}", None,
+        )
+    while any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
+        p += 4
+    a = 2
+    while (r := pow(a, (p - 1) // 4, p)) * r % p != p - 1:
+        a += 1
+    return p, r
+
+
 class _RingClass:
     """One ring's behaviour, held by its :class:`Ring` member and reached only
     through it.  The defaults fit a Euclidean ring (``divmod``) whose
@@ -210,6 +236,13 @@ class _RingClass:
     def divide(self, a, b):
         q, r = self.divmod(a, b)
         return None if r else q
+
+    def residue_map(self, c: int) -> tuple:
+        """A prime P = 1 (mod 4) above 2c^2 and a ring homomorphism into Z/P,
+        as a map to ints read mod P, that sends no nonzero element whose
+        coordinates are at most c to 0.  Over Z each int is its own
+        representative (|x| <= c < P)."""
+        return _split_prime(c)[0], int
 
     def fraction(self, num, den) -> tuple:
         """num/den over the gcd of the two (Euclid's algorithm), times the unit
@@ -263,6 +296,7 @@ class _Rationals(_RingClass):
     """Q: drawn and boxed elements stay ints, which Q takes as they are."""
 
     type, label, units, is_field = Fraction, "Q", (Fraction(1), Fraction(-1)), True
+    residue_map = None  # no map of Q into Z/P is a homomorphism; enumerate refuses fields
 
     def coerce(self, x):
         return Fraction(x) if isinstance(x, (int, Fraction)) else None
@@ -343,6 +377,12 @@ class _GaussianIntegers(_RingClass):
     def root(self, x, k: int):
         raise NotImplementedError("n-th roots over Z[i] are not needed")
 
+    def residue_map(self, c: int) -> tuple:
+        # a + bi -> a + b*r: P splits in Z[i] (Fermat), so the kernel is a prime
+        # of norm P, and a nonzero a + bi in it has a^2 + b^2 >= P > 2c^2
+        p, r = _split_prime(c)
+        return p, lambda x: (x.re + r * x.im) % p
+
     def coords(self, x) -> tuple:
         return x.re, x.im
 
@@ -413,7 +453,9 @@ class Ring(Enum):
     indices repeated by exponent, or ``symmetric_plan(sizes)``, the same for
     p = sum c_k e_k from c_0 .. c_d; and ``element(value)``, the ring element.
     On native values it also binds ``products`` (each value times each
-    factor) and ``dot`` (the sum of pairwise products)."""
+    factor) and ``dot`` (the sum of pairwise products).  ``residue_map(c)``
+    gives the census walk a prime P and the ring's map into Z/P, one-to-one
+    on elements whose coordinates are at most c/2 (None over a field)."""
 
     Z = "z"
     Q = "q"
@@ -427,6 +469,7 @@ class Ring(Enum):
         self.grammar_str, self.scaled = ops.grammar_str, ops.scaled
         self.natives, self.plan, self.element = ops.natives, ops.plan, ops.element
         self.symmetric_plan, self.products, self.dot = ops.symmetric_plan, ops.products, ops.dot
+        self.residue_map = ops.residue_map
         self._zero, self._one = self._type(0), self._type(1)
 
     @property

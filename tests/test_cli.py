@@ -466,6 +466,17 @@ def test_enumerate_budget_exceeded(tmp_path, capsys):
     assert str(19**8) in err
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_enumerate_refuses_a_walk_modulus_past_the_trial_divisors(tmp_path, capsys, jobs):
+    # bound 300 within budget, but a prime above 2c^2, c = 12*300^2 + 2*300,
+    # needs trial divisors past 2^20: refused before any walk or worker
+    code, out, err = run(
+        capsys, "enumerate", "--ring", "z", "--n", "2", "--bound", "300", "--jobs", jobs,
+        "--budget", str(601**4), "--out", str(tmp_path / "x"),
+    )
+    assert code == 2 and out == "" and "trial divisors" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--bound", "-1", "--bound must be nonnegative, got -1"),
     ("--jobs", "0", "--jobs must be positive, got 0"),

@@ -1047,19 +1047,48 @@ def _census_rows_by_reference(survivors, ring):
 
 
 def test_a_wrong_root_makes_the_walk_differ_from_deciding_every_table(monkeypatch):
-    exact_div = Ring.exact_div
+    root = census._root
 
-    def off_by_one(self, a, b):
-        q = exact_div(self, a, b)
-        return None if q is None else q + self.one
+    def off_by_one(lead, rest, modulus):
+        return (root(lead, rest, modulus) + 1) % modulus  # the image of the root plus one
 
     ring, n, bound = Ring.Z, 3, 1
     survivors, _, _ = reference_walk(n, ring, bound, False)
-    monkeypatch.setattr(Ring, "exact_div", off_by_one)
+    monkeypatch.setattr(census, "_root", off_by_one)
     _, _, found = census._enumerate_chunk((ring, n, bound, ring.box(bound), False))
     # a list whose solve is off never tries its true root, so the tables
     # through that root are lost; each table still kept is associative
     assert {ml.render() for ml in found} < {ml.render() for ml in survivors}
+
+
+@pytest.mark.parametrize("n, ring, bound, kept", [(2, Ring.ZI, 2, 252), (5, Ring.Z, 1, 13)])
+def test_unpruned_walks_that_solve_most_keep_their_pruned_survivors(n, ring, bound, kept):
+    # every list of an unpruned walk is solved where its A is nonzero, against
+    # the whole box: over Z[i] n = 2, bound 2 that is 390,625 tables
+    box = ring.box_size(bound) ** (1 << n)
+    full = enumerate_associative(n, ring, bound, prune=False, budget=box)
+    pruned = enumerate_associative(n, ring, bound, prune=True, budget=box)
+    assert len(full.survivors) == kept
+    assert full.survivors == pruned.survivors and full.census == pruned.census
+    assert (full.checked, full.bulk_rejected) == (box, 0)
+
+
+def test_the_walk_computes_on_residues_not_gaussian_integers(monkeypatch):
+    calls = {}
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__neg__", "__pow__", "__eq__", "__bool__", "__hash__"):
+        def counted(*args, f=getattr(GaussianInt, name), name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return f(*args)
+
+        monkeypatch.setattr(GaussianInt, name, counted)
+    ring = Ring.ZI
+    checked, _, survivors = census._enumerate_chunk((ring, 2, 2, ring.box(2), True))
+    assert (checked, len(survivors)) == (15100, 252)
+    # the idempotent filter squares and compares each of the 25 box values
+    # once, and the pruned split tests each top once; the walk's nodes and
+    # solves cost no operator, and a survivor only wraps its values
+    assert calls == {"__mul__": 25, "__eq__": 25, "__bool__": 25}
 
 
 def test_equations_are_built_once_per_list_structure(monkeypatch):

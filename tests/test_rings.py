@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyassoc import Frac, GaussianInt, Ring, ShiftedProduct, SparsePoly, XorShift64Star, parse_poly
+from polyassoc import census
 from polyassoc.rings import integer_nth_root
 
 # Every member: a new ring is covered by these tests without new test code.
@@ -336,3 +338,38 @@ def test_gaussian_divmod_rounds_ties_up_in_every_quadrant():
                 ties += (2 * t.re) % (2 * b.norm) == b.norm or (2 * t.im) % (2 * b.norm) == b.norm
                 assert Ring.ZI._ops.divmod(a, b) == _divmod_by_elements(a, b)
     assert ties > 100
+
+
+# the rings ``enumerate`` walks, and how each builds an element from two integers
+WALKED = {Ring.Z: lambda re, im: re, Ring.ZI: GaussianInt}
+
+
+def _is_prime(p: int) -> bool:
+    return p > 1 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
+@pytest.mark.parametrize("ring", WALKED, ids=lambda ring: ring.value)
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_residue_map_sends_no_small_nonzero_element_to_zero(ring, bound):
+    c = 12 * bound * bound + 2 * bound
+    modulus, image = ring.residue_map(c)
+    assert census._residue_map(ring, bound)[0] == modulus
+    assert modulus > 2 * c * c and modulus % 4 == 1 and _is_prime(modulus)
+    if ring.imaginary_unit is not None:
+        assert image(ring.imaginary_unit) ** 2 % modulus == modulus - 1
+    # exhaustively: of the elements with coordinates at most c, only zero maps
+    # to 0, so those with coordinates at most c/2 map one to one (over Z[i]
+    # the (2c + 1)^2 elements with coordinates at most c outnumber the residues)
+    assert [image(x) % modulus for x in ring.box(c)].count(0) == 1
+    assert len({image(x) % modulus for x in ring.box(c // 2)}) == ring.box_size(c // 2)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from(list(WALKED)), st.integers(0, 40), COMPONENTS, COMPONENTS,
+       COMPONENTS, COMPONENTS)
+def test_residue_map_sends_sums_and_products_to_sums_and_products(ring, c, a, b, d, e):
+    modulus, image = ring.residue_map(c)
+    x, y = WALKED[ring](a, b), WALKED[ring](d, e)
+    assert (image(x + y) - image(x) - image(y)) % modulus == 0
+    assert (image(x * y) - image(x) * image(y)) % modulus == 0
+    assert (image(ring.one), image(ring.zero)) == (1, 0)
