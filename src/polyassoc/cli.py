@@ -51,6 +51,7 @@ EXIT_OK = 0
 EXIT_PARSE_ERROR = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+_GRID = OracleConfig(mode="grid")  # immutable: one for every grid check
 
 # The library takes any arity; the CLI keeps requests fast.  `analyze --ring z`
 # on 2*x1*...*xn took 0.007-0.014 s at n = 31, 0.11-0.20 s at 64 and 1.2-1.7 s
@@ -126,7 +127,7 @@ def _oracle_check(p: SparsePoly, associative: bool, seed: int = DEFAULT_SEED) ->
     """The oracle's mode and whether it agrees with the verdict ``associative``:
     grid mode (exact), or random mode drawn from ``seed`` past the grid guard."""
     try:
-        agrees = assoc_pointwise(p, OracleConfig(mode="grid")) == associative
+        agrees = assoc_pointwise(p, _GRID) == associative
         mode = "grid"
     except BudgetError:
         agrees = assoc_pointwise(p, OracleConfig(mode="random", seed=seed)) == associative

@@ -22,6 +22,9 @@ class BudgetError(ValueError):
         super().__init__(message)
         self.required = required
 
+    def __reduce__(self):  # a --jobs worker's error reaches the parent pickled
+        return type(self), (*self.args, self.required)
+
 
 class InternalInvariantError(RuntimeError):
     """An internal consistency check failed; reported as exit code 3 by the CLI."""

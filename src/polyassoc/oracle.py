@@ -234,15 +234,19 @@ def _assoc_on_support(p: MultilinearPoly) -> bool:
     sizes = p._size_coeffs()
     if sizes is None:
         return _assoc_by_families(p)
-    den, diffs = p.ring.scaled(sizes + [p.ring.zero] * (p.n + 1 - len(sizes)))
-    values = []  # S_j = den * p(1_j), the value at j ones, by forward differences
-    while diffs:
-        values.append(diffs[0])
-        diffs = [x + y for x, y in zip(diffs, diffs[1:])]
+    _, (den, *values) = p.ring.scaled([p.ring.one, *sizes, *[p.ring.zero] * (p.n + 1 - len(sizes))])
+    for i in range(p.n):  # S_j = den * p(1_j), the value at j ones, by forward differences
+        for j in range(p.n, i, -1):
+            values[j] += values[j - 1]
     steps = [y - x for x, y in zip(values, values[1:])]  # T_j = S_(j+1) - S_j
-    pairs = [*zip(steps, steps[1:]), *zip(values, [v - den for v in values[1:]])]
-    a, b = next(pair for pair in pairs if pair[0] or pair[1])
-    return all(x * b == y * a for x, y in pairs)
+    a = b = None  # the pivot: the first nonzero pair
+    for x, y in [*zip(steps, steps[1:]), *zip(values, [v - den for v in values[1:]])]:
+        if a is not None:
+            if x * b != y * a:
+                return False
+        elif x or y:
+            a, b = x, y
+    return True
 
 
 def _assoc_by_families(p: MultilinearPoly) -> bool:

@@ -245,23 +245,24 @@ class _RingClass:
         return _split_prime(c)[0], int
 
     def fraction(self, num, den) -> tuple:
-        """num/den over the gcd of the two (Euclid's algorithm), times the unit
-        that leaves the denominator's first coordinate positive and the others
-        nonnegative: Z's denominator positive, Z[i]'s in re > 0, im >= 0."""
-        g, r = den, num
+        """num/den over the gcd of the two, times the unit ``canonical_unit`` picks
+        for the denominator.  When den divides num, den is the gcd and the
+        denominator one; else Euclid's algorithm finds the gcd."""
+        q, r = self.divmod(num, den)
+        if not r:
+            return q, self.units[0]
+        g = den
         while r:
             g, r = r, self.divmod(g, r)[1]
         num, den = self.divide(num, g), self.divide(den, g)
-        for u in self.units:
-            first, *rest = self.coords(den * u)
-            if first > 0 and min(rest, default=0) >= 0:
-                return num * u, den * u
-        raise AssertionError("unreachable: some unit lands in the canonical quadrant")
+        u = self.canonical_unit(den)
+        return num * u, den * u
 
 
 class _Integers(_RingClass):
     type, label, units = int, "Z", (1, -1)
     divmod = staticmethod(divmod)
+    canonical_unit = staticmethod(lambda den: -1 if den < 0 else 1)  # into den > 0
 
     def coerce(self, x):
         if isinstance(x, int):
@@ -376,6 +377,11 @@ class _GaussianIntegers(_RingClass):
 
     def root(self, x, k: int):
         raise NotImplementedError("n-th roots over Z[i] are not needed")
+
+    def canonical_unit(self, den: GaussianInt) -> GaussianInt:
+        # i, -i, -1 or 1 (units[1], [3], [2], [0]) by den's quadrant, into re > 0, im >= 0
+        re, im = den.re, den.im
+        return self.units[1 if im < 0 <= re else 3 if re <= 0 < im else 2 if re < 0 else 0]
 
     def residue_map(self, c: int) -> tuple:
         # a + bi -> a + b*r: P splits in Z[i] (Fermat), so the kernel is a prime

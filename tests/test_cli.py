@@ -3,8 +3,11 @@ import importlib
 import io
 import json
 import multiprocessing
+import os
+import pickle
 import re
 import signal
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -859,6 +862,44 @@ def test_enumerate_exits_3_when_the_grid_oracle_rejects_a_kept_table(
     assert (code, stdout) == (3, "")
     assert err == "internal error: pointwise spot check rejects x1 - x2\n"
     assert not (out / "census.csv").exists()
+
+
+@pytest.mark.parametrize("required", [5, None])
+def test_budget_error_survives_pickling(required):
+    # a --jobs worker's error reaches the parent process pickled
+    again = pickle.loads(pickle.dumps(BudgetError("refused", required)))
+    assert type(again) is BudgetError
+    assert (again.args, again.required, str(again)) == (("refused",), required, "refused")
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_all_start_methods()[0] != "fork",
+    reason="the workers must inherit the patched binding by fork",
+)
+def test_a_budget_error_in_a_worker_exits_2(tmp_path):
+    # in a child process with a timeout: a worker's error that the pool
+    # cannot unpickle leaves the pool waiting for ever
+    code = (
+        f"import sys; sys.path.insert(0, {str(Path(census.__file__).parents[1])!r})\n"
+        "from polyassoc import census, cli\n"
+        "from polyassoc.errors import BudgetError\n"
+        "def refuse(args):\n"
+        "    raise BudgetError('worker refused', 7)\n"
+        "census._enumerate_chunk = refuse\n"
+        "sys.exit(cli.main(['enumerate', '--ring', 'z', '--n', '2', '--bound', '1',\n"
+        f"                   '--out', {str(tmp_path / 'census')!r}, '--jobs', '2']))\n"
+    )
+    child = subprocess.Popen(
+        [sys.executable, "-c", code], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True,
+    )
+    try:
+        out, err = child.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)  # the pool's workers too
+        child.communicate()
+        pytest.fail("enumerate --jobs 2 still waits on its workers after 60 s")
+    assert (child.returncode, out, err) == (2, "", "error: worker refused\n")
 
 
 def test_enumerate_spot_checks_every_survivor_by_every_route(tmp_path, capsys, monkeypatch):

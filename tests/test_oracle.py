@@ -747,23 +747,71 @@ def test_symmetric_route_agrees_with_the_families_and_the_decision(case):
     assert verify_condpol([ring.coerce(c) for c in sizes]) == expected
 
 
+def every_pair_of_pairs(ring, n, sizes) -> bool:
+    """The equations T_r * (S_(m+1) - 1) = T_(r+1) * S_m for every r < n-1 and
+    m < n, n(n-1) comparisons, on the values S_j = p(1_j) and steps T_j = S_(j+1) - S_j."""
+    values = [sum((comb(j, k) * c for k, c in enumerate(sizes)), ring.zero) for j in range(n + 1)]
+    steps = [y - x for x, y in zip(values, values[1:])]
+    return all(
+        steps[r] * (values[m + 1] - 1) == steps[r + 1] * values[m]
+        for r in range(n - 1) for m in range(n)
+    )
+
+
 def test_symmetric_pivot_agrees_with_every_pair_of_pairs():
-    # the grid check compares 2n-1 pairs with the first nonzero one; the
-    # equations read T_r * (S_(m+1) - 1) = T_(r+1) * S_m for every r < n-1
-    # and m < n, n(n-1) comparisons.  Every Z table of size coefficients in
-    # [-3, 3] at n = 2, 3, [-2, 2] at n = 4 and [-1, 1] at n = 5: 6,598 tables
+    # the grid check compares 2n-1 pairs with the first nonzero one.  Every Z
+    # table of size coefficients in [-3, 3] at n = 2, 3, [-2, 2] at n = 4 and
+    # [-1, 1] at n = 5: 6,598 tables
     tables = 0
     for n, width in ((2, 3), (3, 3), (4, 2), (5, 1)):
         for sizes in product(range(-width, width + 1), repeat=n + 1):
-            values = [sum(comb(j, k) * c for k, c in enumerate(sizes)) for j in range(n + 1)]
-            steps = [y - x for x, y in zip(values, values[1:])]
-            expected = all(
-                steps[r] * (values[m + 1] - 1) == steps[r + 1] * values[m]
-                for r in range(n - 1) for m in range(n)
-            )
+            expected = every_pair_of_pairs(Ring.Z, n, sizes)
             assert oracle._assoc_on_support(from_size_coeffs(Ring.Z, n, list(sizes))) == expected
             tables += 1
     assert tables == 6598
+
+
+GAUSSIAN_UNIT_BOX = [GaussianInt(re, im) for re in (-1, 0, 1) for im in (-1, 0, 1)]
+HALVES = [Fraction(k, 2) for k in range(-2, 3)]
+
+
+@pytest.mark.parametrize("ring, n, side, tables, associative", [
+    (Ring.ZI, 2, GAUSSIAN_UNIT_BOX, 729, 70),
+    (Ring.Q, 2, HALVES, 98, 10),
+    (Ring.Q, 3, HALVES, 544, 8),
+], ids=["zi-n2", "q-n2", "q-n3"])
+def test_symmetric_pivot_agrees_with_every_pair_of_pairs_beyond_z(
+    ring, n, side, tables, associative
+):
+    # Z[i] tables of coordinates in [-1, 1], and Q tables of halves whose
+    # common denominator is 2: the route scales one with the sizes
+    seen = []
+    for sizes in product(side, repeat=n + 1):
+        if ring is Ring.Q and all(c.denominator == 1 for c in sizes):
+            continue
+        expected = every_pair_of_pairs(ring, n, sizes)
+        assert oracle._assoc_on_support(from_size_coeffs(ring, n, list(sizes))) == expected
+        seen.append(expected)
+    assert (len(seen), sum(seen)) == (tables, associative)
+
+
+def test_symmetric_route_work_follows_the_arity(monkeypatch):
+    # SP(n) over Z[i]: every operand is a Gaussian integer (one is scaled
+    # with the sizes), and the 2n-2 pairs past the pivot take two products each
+    calls = {}
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__neg__", "__eq__", "__bool__"):
+        def counted(*args, f=getattr(GaussianInt, name), name=name):
+            assert all(type(x) is GaussianInt for x in args), (name, args)
+            calls[name] = calls.get(name, 0) + 1
+            return f(*args)
+
+        monkeypatch.setattr(GaussianInt, name, counted)
+    for n in range(2, 9):
+        sp = from_size_coeffs(Ring.ZI, n, [1] + [2] * n)
+        calls.clear()
+        assert oracle._assoc_on_support(sp)
+        assert calls["__mul__"] <= 2 * (2 * n - 2)
 
 
 def test_symmetric_tables_take_no_family_work(monkeypatch, capsys):

@@ -184,6 +184,42 @@ def test_frac_normal_form_and_hash(ring):
             assert f == f.num and hash(f) == hash(f.num)
 
 
+def _fraction_by_unit_search(ring, num, den) -> tuple:
+    """The normal form by a search over units: num/den over their gcd
+    (Euclid's algorithm), times the unit whose product with the denominator
+    has its first coordinate positive and the others nonnegative."""
+    g, r = den, num
+    while r:
+        g, r = r, ring._ops.divmod(g, r)[1]
+    num, den = ring.exact_div(num, g), ring.exact_div(den, g)
+    for u in ring.roots_of_unity(4):
+        first, *rest = ring.coords(den * u)
+        if first > 0 and min(rest, default=0) >= 0:
+            return num * u, den * u
+    raise AssertionError(f"no unit moves {den} into the canonical quadrant")
+
+
+@pytest.mark.parametrize("ring, bound, canonical, pairs", [
+    (Ring.Z, 6, lambda den: den > 0, 156),
+    (Ring.ZI, 4, lambda den: den.re > 0 and den.im >= 0, 6480),
+], ids=["z", "zi"])
+def test_frac_unit_rule_matches_the_unit_search(ring, bound, canonical, pairs):
+    # every pair of the box with a nonzero denominator, among them
+    # denominators that divide their numerators and unit denominators
+    box, seen, divides, units = ring.box(bound), 0, 0, 0
+    for den in box:
+        if not den:
+            continue
+        units += ring.exact_div(ring.one, den) is not None
+        for num in box:
+            f = Frac(ring, num, den)
+            assert (f.num, f.den) == _fraction_by_unit_search(ring, num, den)
+            assert type(f.den) is type(ring.one) and canonical(f.den)
+            seen += 1
+            divides += ring.exact_div(num, den) is not None
+    assert seen == pairs and divides > 0 and units > 0
+
+
 @over_every_ring
 def test_rendered_elements_reparse(ring):
     rng = XorShift64Star(11)
