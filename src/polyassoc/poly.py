@@ -217,7 +217,7 @@ class SparsePoly:
         coefficient depends on the mask's size alone, absent sizes zero), else None."""
         sizes: dict[int, object] = {}
         for mask, c in self.coeffs.items():
-            if sizes.setdefault(mask.bit_count(), c) != c:
+            if (first := sizes.setdefault(mask.bit_count(), c)) is not c and first != c:
                 return None
         full = len(self.coeffs) == sum(comb(self.nvars, k) for k in sizes)
         top = max(sizes, default=0)

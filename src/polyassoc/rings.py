@@ -206,6 +206,7 @@ class _RingClass:
 
     is_field, dim, imaginary_unit = False, 1, None  # dim: integer coordinates per element
     grammar_str = staticmethod(str)
+    unscaled = staticmethod(lambda den, table: table)  # den is 1 outside Q
 
     def coords(self, x) -> tuple:
         return (x,)
@@ -319,6 +320,9 @@ class _Rationals(_RingClass):
         coeffs = list(coeffs)
         den = lcm(*(c.denominator for c in coeffs))
         return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+    def unscaled(self, den: int, table: dict) -> dict:
+        return {k: Fraction(v) if den == 1 else Fraction(v, den) for k, v in table.items()}
 
     def natives(self, point) -> list:
         return [v if type(v) is Fraction or type(v) is int else Ring.Q.coerce(v) for v in point]
@@ -451,7 +455,9 @@ class Ring(Enum):
     ``is_field``, ``dim`` (integer coordinates per element) and
     ``imaginary_unit`` (i, or None where the ring has no i).  It binds the
     class's ``grammar_str`` (the form the grammar reads back), ``scaled`` (a
-    common denominator, 1 outside Q, and each coefficient times it) and its
+    common denominator, 1 outside Q, and each coefficient times it), its
+    inverse on a dict, ``unscaled(den, table)``, with ``integral_one``, the
+    numerator of one (what the parser starts and ends with), and its
     evaluation in three steps: ``natives(point)``, the coordinates checked
     (TypeError) and converted, ints over Z, ``Fraction``s or ints over Q,
     ``(re, im)`` pairs over Z[i]; ``plan(coeffs, indices)``, the kernel from
@@ -472,11 +478,12 @@ class Ring(Enum):
         ops = self._ops = {"z": _Integers, "q": _Rationals, "zi": _GaussianIntegers}[value]()
         self._type, self.label, self.is_field, self.dim = ops.type, ops.label, ops.is_field, ops.dim
         self.imaginary_unit = ops.imaginary_unit
-        self.grammar_str, self.scaled = ops.grammar_str, ops.scaled
+        self.grammar_str, self.scaled, self.unscaled = ops.grammar_str, ops.scaled, ops.unscaled
         self.natives, self.plan, self.element = ops.natives, ops.plan, ops.element
         self.symmetric_plan, self.products, self.dot = ops.symmetric_plan, ops.products, ops.dot
         self.residue_map = ops.residue_map
         self._zero, self._one = self._type(0), self._type(1)
+        self.integral_one = ops.scaled([self._one])[1][0]  # an int over Z and Q
 
     @property
     def zero(self):

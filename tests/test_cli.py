@@ -1255,6 +1255,7 @@ BUDGET_REFUSAL = re.compile(
 @settings(max_examples=150, deadline=5000, database=None)
 @given(small_requests(), st.integers(0, 16), st.integers(0, 64))
 @example(["check", "--ring", "z", "--n", "3", "--poly=-x1*x3 - x3 - 1", "--format", "text"], 16, 4)
+@example(["check", "--ring", "q", "--n", "2", "--poly=--", "--format", "text"], 16, 4)
 def test_cli_fuzz_up_to_the_budgets(argv, pair_budget, decision_budget):
     # patched in the body: hypothesis runs a function-scoped fixture once for all examples
     err = io.StringIO()
@@ -1263,7 +1264,11 @@ def test_cli_fuzz_up_to_the_budgets(argv, pair_budget, decision_budget):
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
-    if code == 2 and argv[4] != "1":  # n = 1 is refused by its range, before parsing
+    if argv[5] == "--poly=--":  # argparse strips a "--" value: the documented usage error
+        assert code == 2
+        last = err.getvalue().splitlines()[-1]
+        assert last == "polyassoc: error: argument --poly: expected one argument"
+    elif code == 2 and argv[4] != "1":  # n = 1 is refused by its range, before parsing
         refusal = BUDGET_REFUSAL.fullmatch(err.getvalue())
         assert refusal is not None, err.getvalue()
         required, budget = int(refusal[1]), int(refusal[3])

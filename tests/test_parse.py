@@ -1,9 +1,10 @@
 import sys
 from fractions import Fraction
+from functools import reduce
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyassoc import (
@@ -327,43 +328,86 @@ def _tower_in_cap(exponents):
 
 @st.composite
 def budgeted_sources(draw):
-    """A ring, an arity of 1..4 and an expression in it: sums of two to four
-    and products of two or three operands, and powers, nested up to three
-    deep over variables and small constants, each power a tower of one or
-    two exponents 0..6 within the cap."""
+    """A ring, an arity of 1..4, an expression in it and a function that
+    builds the polynomial it denotes by SparsePoly arithmetic, as the
+    grammar reads it: sums of two to four terms joined by '+' or '-',
+    products of two or three operands, negations, powers as k-1 products by
+    the base, and over Q quotients by 1..5 as products by ``exact_div(1, k)``,
+    nested up to three deep over variables and small constants, each power
+    a tower of one or two exponents 0..6 within the cap."""
     ring = draw(st.sampled_from((Ring.Z, Ring.Q, Ring.ZI)))
     nvars = draw(st.integers(1, 4))
-    atoms = [f"x{j}" for j in range(1, nvars + 1)]
-    atoms += ["2", {Ring.Z: "3", Ring.Q: "1/2", Ring.ZI: "i"}[ring]]
+    one = SparsePoly.constant(ring, nvars, 1)
+    atoms = [(f"x{j}", lambda j=j: SparsePoly.variable(ring, nvars, j))
+             for j in range(1, nvars + 1)]
+    atoms += [("2", lambda: SparsePoly.constant(ring, nvars, 2)), {
+        Ring.Z: ("3", lambda: SparsePoly.constant(ring, nvars, 3)),
+        Ring.Q: ("1/2", lambda: one * ring.exact_div(1, 2)),
+        Ring.ZI: ("i", lambda: SparsePoly.constant(ring, nvars, ring.imaginary_unit)),
+    }[ring]]
     towers = st.lists(st.integers(0, 6), min_size=1, max_size=2).filter(_tower_in_cap)
+    kinds = ("atom", "sum", "product", "power", "negation")
+    kinds += ("quotient",) if ring.is_field else ()
 
     def expression(depth):
-        kind = draw(st.sampled_from(("atom", "sum", "product", "power")[: 4 if depth else 1]))
+        kind = draw(st.sampled_from(kinds if depth else kinds[:1]))
         if kind == "atom":
             return draw(st.sampled_from(atoms))
-        if kind == "power":
-            return f"({expression(depth - 1)})^" + "^".join(map(str, draw(towers)))
+        if kind in ("negation", "power", "quotient"):
+            text, build = expression(depth - 1)
+            if kind == "negation":
+                return "-" + text, lambda: -build()
+            if kind == "quotient":
+                k = draw(st.integers(1, 5))
+                return f"({text})/{k}", lambda: build() * ring.exact_div(1, k)
+            tower = draw(towers)
+            k = reduce(lambda power, literal: literal**power, reversed(tower), 1)
+            return f"({text})^" + "^".join(map(str, tower)), lambda: _power(build(), k, one)
         count = draw(st.integers(2, 3 if kind == "product" else 4))
         operands = [expression(depth - 1) for _ in range(count)]
-        return "(" + ("+" if kind == "sum" else ")*(").join(operands) + ")"
+        ops = ["*"] * (count - 1) if kind == "product" else [
+            draw(st.sampled_from("+-")) for _ in range(count - 1)]
 
-    return ring, nvars, expression(3)
+        def build():
+            result = operands[0][1]()
+            for op, (_, operand) in zip(ops, operands[1:]):
+                value = operand()
+                result = result * value if op == "*" else result + value if op == "+" else (
+                    result - value)
+            return result
+
+        if kind == "product":
+            return "(" + ")*(".join(text for text, _ in operands) + ")", build
+        rest = "".join(op + text for op, (text, _) in zip(ops, operands[1:]))
+        return f"({operands[0][0]}{rest})", build
+
+    text, build = expression(3)
+    return ring, nvars, text, build
+
+
+def _power(base: SparsePoly, k: int, one: SparsePoly) -> SparsePoly:
+    power = base if k else one
+    for _ in range(k - 1):
+        power = power * base
+    return power
 
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(budgeted_sources(), st.integers(0, 100))
 def test_no_parse_multiplies_more_pairs_than_the_budget(case, budget):
-    # budgets this small refuse about two sources in five
-    ring, nvars, source = case
+    # budgets this small refuse about two sources in five.  Every product the
+    # parser forms is counted, a one-term fold too, and the pairs of a parse
+    # that finishes are those of the same products in SparsePoly arithmetic
+    ring, nvars, source, build = case
     counted = 0
-    mul_terms = poly._mul_terms
+    product = parse._product
 
-    def counting(a, b):
+    def counting(f, g, n):
         nonlocal counted
-        counted += len(a) * len(b)
-        return mul_terms(a, b)
+        counted += len(f[0]) * len(g[0])
+        return product(f, g, n)
 
-    with patch.object(parse, "PAIR_BUDGET", budget), patch.object(poly, "_mul_terms", counting):
+    with patch.object(parse, "PAIR_BUDGET", budget), patch.object(parse, "_product", counting):
         try:
             got = parse_poly(source, nvars, ring)
         except BudgetError as err:
@@ -372,3 +416,138 @@ def test_no_parse_multiplies_more_pairs_than_the_budget(case, budget):
     assert counted <= budget
     if got is not None:
         assert got == parse_poly(source, nvars, ring)
+        reference, mul = 0, SparsePoly.__mul__
+
+        def pairs(f, g):
+            nonlocal reference
+            reference += len(f.coeffs) * len(g.coeffs) if isinstance(g, SparsePoly) else 0
+            return mul(f, g)
+
+        with patch.object(SparsePoly, "__mul__", pairs):
+            build()
+        assert counted == reference
+
+
+X1 = SparsePoly.variable(Ring.Z, 2, 1)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(budgeted_sources())
+# an emptied sum keeps its bound
+@example((Ring.Z, 2, "(x1^2-x1^2+1)", lambda: X1 * X1 - X1 * X1 + 1))
+def test_parse_builds_the_table_sparse_poly_arithmetic_builds(case):
+    # values, key order, element types, top and width: a Q coefficient is
+    # always a Fraction, a Z[i] one a GaussianInt
+    ring, nvars, source, build = case
+    with patch.object(parse, "PAIR_BUDGET", 5_000):
+        try:
+            got = parse_poly(source, nvars, ring)
+        except BudgetError:
+            return
+    want = build()
+    assert list(got.coeffs.items()) == list(want.coeffs.items())
+    assert {type(c) for c in got.coeffs.values()} <= {type(ring.one)}
+    assert (got.top, got.width) == (want.top, want.width)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_a_sum_of_variables_multiplies_nothing_and_builds_one_polynomial(n):
+    calls = built = 0
+    mul_terms = poly._mul_terms
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return mul_terms(a, b)
+
+    def building(make):
+        def counted(*args, **kwargs):
+            nonlocal built
+            built += 1
+            return make(*args, **kwargs)
+
+        return counted
+
+    # every SparsePoly is made by __init__ or _trusted
+    trusted, init = SparsePoly._trusted.__func__, SparsePoly.__init__
+    source = " + ".join(f"x{j}" for j in range(1, n + 1))
+    with patch.object(poly, "_mul_terms", counting), patch.object(parse, "_mul_terms", counting), \
+            patch.object(SparsePoly, "_trusted", classmethod(building(trusted))), \
+            patch.object(SparsePoly, "__init__", building(init)):
+        p = parse_poly(source, n, Ring.Z)
+    assert (calls, built) == (0, 1)
+    assert p.coeffs == {1 << j: 1 for j in range(n)}
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_a_rational_product_builds_one_fraction_per_coefficient(n):
+    source = "(3/2)*" + "*".join(f"(x{j} + 1/2)" for j in range(1, n + 1)) + " - 1/2"
+    made, hooked = 0, []
+    new, unscaled = Fraction.__new__, Ring.Q.unscaled
+
+    def counting(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return new(cls, *args, **kwargs)
+
+    def hook(den, table):
+        hooked.append(len(table))
+        return unscaled(den, table)
+
+    with patch.object(Fraction, "__new__", counting), patch.object(Ring.Q, "unscaled", hook):
+        p = parse_poly(source, n, Ring.Q)
+    assert hooked == [len(p.coeffs)] == [2**n]
+    assert made == 2**n
+    half = SparsePoly.constant(Ring.Q, n, Fraction(1, 2))
+    want = SparsePoly.constant(Ring.Q, n, Fraction(3, 2))
+    for j in range(1, n + 1):
+        want = want * (SparsePoly.variable(Ring.Q, n, j) + half)
+    assert p == want - half
+
+
+LIMIT = sys.get_int_max_str_digits()
+LONG = f"integer literal longer than {LIMIT} digits"
+
+
+@pytest.mark.parametrize("source, ring, message, position", [
+    ("x1 + $", Ring.Z, "unexpected character '$'", 5),
+    ("x1 + \u00b2", Ring.Z, "unexpected character '\u00b2'", 5),
+    ("2*x + 1", Ring.Z, "expected digits after 'x'", 2),
+    ("x1 + x", Ring.Z, "expected digits after 'x'", 5),
+    ("x1 + " + "9" * (LIMIT + 1), Ring.Z, LONG, 5),
+    ("x" + "1" * (LIMIT + 1), Ring.Z, LONG, 1),
+    ("$ + " + "9" * (LIMIT + 1), Ring.Z, "unexpected character '$'", 0),
+    ("9" * (LIMIT + 1) + " + $", Ring.Z, LONG, 0),
+    ("x1 + i", Ring.Z, "'i' is only available over Z[i], not Z", 5),
+    ("i*x1", Ring.Q, "'i' is only available over Z[i], not Q", 0),
+    ("x1/2", Ring.Z, "'/' is only available over Q, not Z", 2),
+    ("x1/2", Ring.ZI, "'/' is only available over Q, not Z[i]", 2),
+    ("x1/x2", Ring.Q, "denominator must be an integer literal", 3),
+    ("1/(3)", Ring.Q, "denominator must be an integer literal", 2),
+    ("x1/", Ring.Q, "denominator must be an integer literal", 3),
+    ("x1/0", Ring.Q, "division by zero", 3),
+    ("x1/000", Ring.Q, "division by zero", 3),
+    ("x1^65", Ring.Z, "exponent 65 exceeds the cap 64", 3),
+    ("x1^2^7", Ring.Z, "exponent 128 exceeds the cap 64", 3),
+    ("x1^" + "9" * 100 + "^64", Ring.Z, f"exponent {'9' * 100}^64 exceeds the cap 64", 3),
+    ("(x1 + x2", Ring.Z, "expected ')'", 8),
+    ("((x1)", Ring.Z, "expected ')'", 5),
+    ("x1)", Ring.Z, "unexpected ')'", 2),
+    ("x1 x2", Ring.Z, "unexpected 'x2'", 3),
+    ("2(x1)", Ring.Z, "unexpected '('", 1),
+    ("x1/2**2", Ring.Q, "unexpected '^'", 4),
+    ("x1 + x3", Ring.Z, "unknown variable x3 (arity is 2)", 5),
+    ("x0", Ring.Z, "unknown variable x0 (arity is 2)", 0),
+    ("x1 +", Ring.Z, "expected a number, variable, or parenthesized expression", 4),
+    ("*x1", Ring.Z, "expected a number, variable, or parenthesized expression", 0),
+    ("", Ring.Z, "expected a number, variable, or parenthesized expression", 0),
+    ("()", Ring.Z, "expected a number, variable, or parenthesized expression", 1),
+    ("x1^-1", Ring.Z, "exponent must be a nonnegative integer literal", 3),
+    ("x1^", Ring.Z, "exponent must be a nonnegative integer literal", 3),
+    ("x1 + + $", Ring.Z, "unexpected character '$'", 7),
+])
+def test_each_parse_error_names_its_cause_and_position(source, ring, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_poly(source, 2, ring)
+    assert (err.value.message, err.value.position) == (message, position)
+    assert str(err.value) == f"{message} at position {position + 1}"
