@@ -123,14 +123,14 @@ def _witness_holds(p: SparsePoly, witness: CompositionWitness) -> bool:
     return first - other == witness.lhs - witness.rhs
 
 
-def _oracle_check(p: SparsePoly, associative: bool, seed: int = DEFAULT_SEED) -> dict:
+def _oracle_check(p: SparsePoly, associative: bool) -> dict:
     """The oracle's mode and whether it agrees with the verdict ``associative``:
-    grid mode (exact), or random mode drawn from ``seed`` past the grid guard."""
+    grid mode (exact), or random mode at the default seed past the grid guard."""
     try:
         agrees = assoc_pointwise(p, _GRID) == associative
         mode = "grid"
     except BudgetError:
-        agrees = assoc_pointwise(p, OracleConfig(mode="random", seed=seed)) == associative
+        agrees = assoc_pointwise(p, OracleConfig(mode="random")) == associative
         mode = "random"
     # a squared variable: either mode answers by slot degrees
     return {"mode": mode if p.is_multilinear else "degree", "agrees": agrees}
@@ -143,7 +143,7 @@ def _check_printable(ring: Ring, values) -> None:
     limit = sys.get_int_max_str_digits()
     if not limit:
         return
-    for x in values:
+    for x in set(values):  # each distinct value once
         # 2^(3 * limit) < 10^limit, so a shorter value needs no power of ten
         if any(v.bit_length() > 3 * limit and abs(v) >= 10**limit for v in ring.coords(x)):
             raise BudgetError(
@@ -245,9 +245,9 @@ def cmd_enumerate(args) -> int:
         n, ring, args.bound, budget=args.budget, prune=args.prune, jobs=args.jobs
     )
     # recognition found each survivor's one family; the second route is the
-    # grid oracle, exact, with random mode only past the grid guard
+    # grid oracle, exact, whose guard no family table reaches
     for ml, _ in result.survivors:
-        if not _oracle_check(ml, True, args.seed)["agrees"]:
+        if not assoc_pointwise(ml, _GRID):
             raise InternalInvariantError(f"pointwise spot check rejects {ml.render()}")
     census_path = os.path.join(args.out, "census.csv")
     with open(census_path, "w") as fh:

@@ -159,8 +159,7 @@ def _at(table: dict, width: int, wider: int) -> dict:
 def _product(f: tuple, g: tuple, n: int) -> tuple:
     """The operand f*g, its bound the sum of the two when they share a
     variable, else the larger, and its width widened to hold that, as in
-    ``SparsePoly.__mul__``.  A factor of one term is folded by adding its
-    key: ``_mul_terms`` runs only when both factors have two or more."""
+    ``SparsePoly.__mul__``: one ``_mul_terms`` call."""
     (a, ta, da), (b, tb, db) = f, g
     top = ta | tb
     if ta and tb:  # else the sum is the larger bound
@@ -169,14 +168,7 @@ def _product(f: tuple, g: tuple, n: int) -> tuple:
         top = ta + tb if _occupied(a, n, w) & _occupied(b, n, w) else max(ta, tb)
         if top >> w:
             a, b = _at(a, w, top.bit_length()), _at(b, w, top.bit_length())
-    if len(a) > 1 < len(b):
-        table = _mul_terms(a, b)
-    elif len(a) == 1:
-        (k, c), = a.items()
-        table = {k + e: c * v for e, v in b.items()}
-    else:  # b has at most one term
-        table = {e + k: v * c for e, v in a.items() for k, c in b.items()}
-    return table, top, da * db
+    return _mul_terms(a, b), top, da * db
 
 
 def _add(total: tuple, term: tuple, minus: bool) -> tuple:

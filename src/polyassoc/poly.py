@@ -384,10 +384,16 @@ def _unpack(key: int, n: int, width: int) -> Monomial:
 
 def _mul_terms(a: Mapping[int, object], b: Mapping[int, object]) -> dict:
     """The product of two coefficient dicts packed at one width, dropping
-    sums that vanish."""
+    sums that vanish: each term product merged in place, as ``_merge`` does."""
     product: dict[int, object] = {}
     for e1, c1 in a.items():
-        _merge(product, [(e1 + e2, c1 * c2) for e2, c2 in b.items()])
+        for e2, c2 in b.items():
+            if (s := product.get(e := e1 + e2)) is None:
+                product[e] = c1 * c2
+            elif s := s + c1 * c2:
+                product[e] = s
+            else:
+                del product[e]
     return product
 
 

@@ -139,6 +139,22 @@ def test_value_at_the_int_to_str_limit_is_printed(capsys):
     assert report["classification"]["a"] == big
 
 
+def test_printable_check_reads_each_distinct_value_once(capsys, monkeypatch):
+    # SP(10)'s 1,024 coefficients take two values; the witness adds at most two
+    calls, coords = 0, Ring.coords
+
+    def counting(self, x):
+        nonlocal calls
+        calls += 1
+        return coords(self, x)
+
+    monkeypatch.setattr(Ring, "coords", counting)
+    text = "-1 + 2*" + "*".join(f"(x{j} + 1)" for j in range(1, 11))
+    code, _, _ = run(capsys, "check", "--ring", "z", "--n", "10", "--poly", text)
+    assert code == 0
+    assert 0 < calls <= len(set(parse_poly(text, 10, Ring.Z).coeffs.values())) + 2
+
+
 def test_invalid_flags_exit_code(capsys):
     code, _, err = run(capsys, "check", "--ring", "r", "--n", "3", "--poly", "x1")
     assert code == 2 and "--ring {z,q,zi}" in err

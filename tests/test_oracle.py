@@ -831,6 +831,34 @@ def test_symmetric_tables_take_no_family_work(monkeypatch, capsys):
         assert json.loads(capsys.readouterr().out)["oracle"] == {"mode": "grid", "agrees": True}
 
 
+def test_no_family_table_reaches_the_grid_guard():
+    # the census checks each survivor in grid mode alone: every table the
+    # theorem builds is symmetric (no guard) or has at most n one-variable
+    # terms, (n-1)(4n-2) family points at most, 3,660 at n = 31
+    def tables(ring, n):
+        unit = ring.imaginary_unit or ring.one
+        yield from (Constant(ring.coerce(2)), Constant(ring.zero), TranslatedSum(ring.coerce(-3)),
+                    LeftProjection(), RightProjection(), ShiftedProduct(ring.coerce(3), ring.zero))
+        yield from (TwistedSum(w) for w in (-ring.one, unit, -unit)
+                    if w != ring.one and n >= 3 and w ** (n - 1) == ring.one)
+        if n <= 12:
+            for a, b in ((1, 1), (-2, 3), (3, -1)):
+                yield ShiftedProduct(ring.coerce(a) * unit, ring.coerce(b) + unit - ring.one)
+            if ring.is_field:
+                yield ShiftedProduct(ring.coerce(4), ring.exact_div(ring.one, ring.coerce(2)))
+
+    for ring in (Ring.Z, Ring.Q, Ring.ZI):
+        for n in range(2, 32):
+            for cls in tables(ring, n):
+                table = reconstruct(cls, n, ring)
+                masks = list(table.coeffs)
+                bounds = [assoc._slot_bound(masks, s) for s in range(1, n + 1)]
+                points = sum(min(1 << 2 * n - 1, a + b) for a, b in zip(bounds, bounds[1:]))
+                assert table._size_coeffs() is not None or points <= oracle.GRID_GUARD, (cls, n)
+                if n <= 12:
+                    assert assoc_pointwise(table, OracleConfig()), (cls, n)
+
+
 @st.composite
 def powers_of_few_terms(draw):
     """Up to three terms with exponents 0..3 at n = 2..4 over Z, Q or Z[i]."""

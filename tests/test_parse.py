@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from fractions import Fraction
 from functools import reduce
@@ -396,8 +397,8 @@ def _power(base: SparsePoly, k: int, one: SparsePoly) -> SparsePoly:
 @given(budgeted_sources(), st.integers(0, 100))
 def test_no_parse_multiplies_more_pairs_than_the_budget(case, budget):
     # budgets this small refuse about two sources in five.  Every product the
-    # parser forms is counted, a one-term fold too, and the pairs of a parse
-    # that finishes are those of the same products in SparsePoly arithmetic
+    # parser forms is counted, and the pairs of a parse that finishes are
+    # those of the same products in SparsePoly arithmetic
     ring, nvars, source, build = case
     counted = 0
     product = parse._product
@@ -448,6 +449,71 @@ def test_parse_builds_the_table_sparse_poly_arithmetic_builds(case):
     assert list(got.coeffs.items()) == list(want.coeffs.items())
     assert {type(c) for c in got.coeffs.values()} <= {type(ring.one)}
     assert (got.top, got.width) == (want.top, want.width)
+
+
+def _count_products():
+    """Patches counting the parser's ``_product`` and ``_mul_terms`` calls into ``calls``."""
+    calls = {"_product": 0, "_mul_terms": 0}
+
+    def counting(name):
+        f = getattr(parse, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return patch.object(parse, name, counted)
+
+    return calls, counting("_product"), counting("_mul_terms")
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(budgeted_sources())
+def test_every_product_the_parser_forms_is_one_mul_terms_call(case):
+    ring, nvars, source, _ = case
+    calls, products, mul_terms = _count_products()
+    with patch.object(parse, "PAIR_BUDGET", 5_000), products, mul_terms:
+        try:
+            parse_poly(source, nvars, ring)
+        except BudgetError:
+            pass
+    assert calls["_mul_terms"] == calls["_product"]
+
+
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_a_shifted_product_takes_one_mul_terms_call_per_factor(n):
+    # 2 times each of the n factors (xj + 1), the scale's one term included
+    calls, products, mul_terms = _count_products()
+    source = "2*" + "*".join(f"(x{j} + 1)" for j in range(1, n + 1)) + " - 1"
+    with products, mul_terms:
+        p = parse_poly(source, n, Ring.Z)
+    assert calls == {"_product": n, "_mul_terms": n}
+    assert len(p.coeffs) == 2**n
+
+
+@pytest.mark.parametrize("source, nvars, ring, top, width, items", [
+    ("(x1 - x2)*(x1 + x2) + x2^2", 2, Ring.Z, 2, 2, [(2, 1)]),
+    ("(x1 - x2 + 1)*(x1 + x2 - 1) - 2*x1*x2", 2, Ring.Z, 2, 2,
+     [(2, 1), (8, -1), (4, 2), (0, -1), (5, -2)]),
+    ("-5*x3*(x1 + x2)^2 + x3", 3, Ring.Z, 2, 2, [(18, -5), (21, -10), (24, -5), (16, 1)]),
+    ("(x1/2 + 1/3)*(x2 - 2/5)*x3 - 1/7", 3, Ring.Q, 1, 1,
+     [(7, Fraction(1, 2)), (5, Fraction(-1, 5)), (6, Fraction(1, 3)), (4, Fraction(-2, 15)),
+      (0, Fraction(-1, 7))]),
+    ("(x1 + i)^3*(1 - i)*x2", 2, Ring.ZI, 3, 2,
+     [(7, GaussianInt(1, -1)), (6, GaussianInt(3, 3)), (5, GaussianInt(-3, 3)),
+      (4, GaussianInt(-1, -1))]),
+    # 84 terms times a one-term factor: the SHA-256 of the items' repr
+    ("(x1 + x2 + x3 + 1)^6*7*x1^3", 3, Ring.Z, 9, 4,
+     "dd92cf2e50c01602f0ffd4ab0e9b1a1215be342d0c934280a85c9145cbc9287e"),
+])
+def test_parse_keeps_its_key_order(source, nvars, ring, top, width, items):
+    # pinned items: SparsePoly arithmetic shares ``_mul_terms`` with the parser,
+    # so the reference test above cannot see a change of key order
+    p = parse_poly(source, nvars, ring)
+    got = list(p.coeffs.items())
+    if isinstance(items, str):
+        got = hashlib.sha256(repr(got).encode()).hexdigest()
+    assert (got, p.top, p.width) == (items, top, width)
 
 
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
